@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier, scatter_min
+from repro.apps.common import expand_edges, scatter_add, scatter_min
 from repro.comm.gluon import CommConfig, FieldSpec
 from repro.constants import INF
 from repro.engine.operator import (
@@ -107,18 +107,17 @@ class BrandesForward(VertexProgram):
         sigma = state["sigma"]
         acc = state["sigma_acc"]
         degrees = self.frontier_degrees(part, frontier)
-        rep, dsts, _ = expand_frontier(part.graph, frontier)
+        counts, dsts, _ = expand_edges(part.graph, frontier)
         if len(dsts) == 0:
             return RoundOutput({}, _EMPTY, 0, degrees)
-        srcs = frontier[rep]
+        srcs = np.repeat(frontier, counts)
         # only still-undiscovered targets extend shortest paths; proxies
         # know about every remote discovery because dist broadcasts to all
         undiscovered = dist[dsts] == INF
         dsts_u = dsts[undiscovered]
         cand = (dist[srcs[undiscovered]].astype(np.int64) + 1).astype(np.uint32)
         changed = scatter_min(dist, dsts_u, cand)
-        np.add.at(acc, dsts_u, sigma[srcs[undiscovered]])
-        touched = np.unique(dsts_u) if len(dsts_u) else _EMPTY
+        touched = scatter_add(acc, dsts_u, sigma[srcs[undiscovered]])
         return RoundOutput(
             updated={"dist": changed, "sigma_acc": touched},
             activated=changed,
@@ -213,10 +212,10 @@ class BrandesBackward(VertexProgram):
         # active vertex v contributes to predecessors via local *in*-edges
         rev = part.graph.reverse()
         degrees = rev.out_degrees()[frontier].astype(np.float64)
-        rep, preds, _ = expand_frontier(rev, frontier)
+        counts, preds, _ = expand_edges(rev, frontier)
         if len(preds) == 0:
             return RoundOutput({}, _EMPTY, 0, degrees)
-        vs = frontier[rep]
+        vs = np.repeat(frontier, counts)
         is_dag_edge = dist[preds] == dist[vs] - 1
         preds = preds[is_dag_edge]
         vs = vs[is_dag_edge]
@@ -224,8 +223,7 @@ class BrandesBackward(VertexProgram):
             sigma[preds] / np.maximum(sigma[vs], 1.0)
             * (1.0 + delta[vs])
         )
-        np.add.at(acc, preds, contrib)
-        touched = np.unique(preds) if len(preds) else _EMPTY
+        touched = scatter_add(acc, preds, contrib)
         return RoundOutput(
             updated={"delta_acc": touched},
             activated=_EMPTY,

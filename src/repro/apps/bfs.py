@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier_blocks, merge_touched, scatter_min
+from repro.apps.common import expand_edges_blocks, merge_touched, scatter_min
 from repro.comm.gluon import FieldSpec
 from repro.constants import INF
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
@@ -73,13 +73,13 @@ class BFS(VertexProgram):
             # otherwise.  Relaxations are monotone min, so per-block
             # application changes nothing about the final labels.
             parts, edges = [], 0
-            for blk, rep, dsts, _ in expand_frontier_blocks(
+            for blk, counts, dsts, _ in expand_edges_blocks(
                 part.graph, frontier
             ):
-                cand = dist[blk[rep]].astype(np.int64) + 1
-                parts.append(scatter_min(dist, dsts, cand.astype(np.uint32)))
+                cand = (dist[blk].astype(np.int64) + 1).astype(np.uint32)
+                parts.append(scatter_min(dist, dsts, np.repeat(cand, counts)))
                 edges += len(dsts)
-            changed = merge_touched(parts)
+            changed = merge_touched(parts, len(dist))
         return RoundOutput(
             updated={"dist": changed},
             activated=changed,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier, scatter_min
+from repro.apps.common import expand_edges, merge_touched, scatter_min
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
 from repro.la import semiring, spmv
@@ -66,8 +66,8 @@ class CC(VertexProgram):
                 semiring.MIN_FIRST, self.la_backend,
             )
         else:
-            rep, dsts, _ = expand_frontier(part.graph, frontier)
-            changed = scatter_min(comp, dsts, comp[frontier[rep]])
+            counts, dsts, _ = expand_edges(part.graph, frontier)
+            changed = scatter_min(comp, dsts, np.repeat(comp[frontier], counts))
             edges = len(dsts)
         return RoundOutput(
             updated={"comp": changed},
@@ -110,8 +110,9 @@ class CCPointerJump(CC):
         shorter = np.flatnonzero(valid & (comp[np.maximum(ptr, 0)] < comp))
         if len(shorter):
             comp[shorter] = comp[ptr[shorter]]
-            merged = np.union1d(out.activated, shorter)
-            updated = np.union1d(out.updated["comp"], shorter)
+            n = part.num_local
+            merged = merge_touched([out.activated, shorter], n)
+            updated = merge_touched([out.updated["comp"], shorter], n)
             return RoundOutput(
                 updated={"comp": updated},
                 activated=merged,

@@ -6,22 +6,30 @@ import os
 
 import numpy as np
 
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.idset import scatter_changed, unique_ids
 
 __all__ = [
+    "expand_edges",
+    "expand_edges_blocks",
     "expand_frontier",
     "expand_frontier_blocks",
     "block_edge_budget",
     "merge_touched",
+    "scatter_changed",
     "scatter_min",
     "scatter_add",
+    "unique_ids",
 ]
 
 #: default edge budget per expansion block (see
-#: :func:`expand_frontier_blocks`); large enough that every graph in the
+#: :func:`expand_edges_blocks`); large enough that every graph in the
 #: regular study fits in one block — the blocked path only engages on
 #: out-of-core-scale frontiers
 DEFAULT_BLOCK_EDGES = 1 << 20
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def block_edge_budget() -> int:
@@ -29,60 +37,96 @@ def block_edge_budget() -> int:
 
     ``REPRO_BLOCK_EDGES`` overrides the default — the out-of-core sweep
     sets it low in its workers so one dense round's per-edge temporaries
-    (~40 bytes/edge across the expansion arrays) stay well under the RAM
-    cap.  Read per call: spawn-started pool workers inherit the driver's
-    environment, and a dict lookup is noise next to an expansion.
+    (~20 bytes/edge across the expansion arrays, see docs/scale.md) stay
+    well under the RAM cap.  Read per call: spawn-started pool workers
+    inherit the driver's environment, and a dict lookup is noise next to
+    an expansion.
     """
     raw = os.environ.get("REPRO_BLOCK_EDGES")
-    return int(raw) if raw else DEFAULT_BLOCK_EDGES
+    if raw is None or raw == "":
+        return DEFAULT_BLOCK_EDGES
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0  # rejected below with the other non-positive values
+    if budget < 1:
+        raise ConfigurationError(
+            f"REPRO_BLOCK_EDGES must be a positive integer, got {raw!r}"
+        )
+    return budget
 
 
-def expand_frontier(
+def expand_edges(
     graph: CSRGraph, frontier: np.ndarray, with_weights: bool = False
 ):
     """Gather all out-edges of the frontier vertices, vectorized.
 
-    Returns ``(rep, dsts, weights)`` where ``rep[i]`` is the index *into the
-    frontier array* of edge i's source (so ``frontier[rep]`` are source local
-    IDs), ``dsts`` are destination local IDs, and ``weights`` is None unless
-    requested.
+    Returns ``(counts, dsts, weights)``: ``counts[i]`` is the out-degree
+    of ``frontier[i]``, ``dsts`` are the destination local IDs of every
+    frontier vertex's edges in frontier-then-CSR order, and ``weights``
+    parallels ``dsts`` (None unless requested).  A per-vertex value
+    ``x`` reaches edge granularity as ``np.repeat(x[frontier], counts)``.
+
+    When the frontier's CSR ranges follow one another without a gap — a
+    single vertex, or a sorted frontier that only skips zero-degree
+    vertices, which is every dense round — the edges are one slice of
+    ``indices`` and no per-edge index array is built.
     """
+    if with_weights and graph.weights is None:
+        raise GraphFormatError("graph has no weights")
     starts = graph.indptr[frontier]
     ends = graph.indptr[frontier + 1]
     counts = ends - starts
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, (np.empty(0) if with_weights else None)
-    pos = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    offsets = np.repeat(starts - pos, counts)
-    eidx = np.arange(total, dtype=np.int64) + offsets
-    rep = np.repeat(np.arange(len(frontier), dtype=np.int64), counts)
-    dsts = graph.indices[eidx].astype(np.int64)
-    w = graph.weights[eidx] if with_weights else None
-    return rep, dsts, w
+        w = np.empty(0, dtype=graph.weights.dtype) if with_weights else None
+        return counts, _EMPTY, w
+    if np.array_equal(ends[:-1], starts[1:]):
+        sel = slice(int(starts[0]), int(ends[-1]))
+    else:
+        # edge i of the expansion sits at CSR position i + (its vertex's
+        # range start - the edges expanded before that vertex)
+        sel = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        sel += np.arange(total, dtype=np.int64)
+    dsts = graph.indices[sel].astype(np.int64)
+    w = graph.weights[sel] if with_weights else None
+    return counts, dsts, w
 
 
-def expand_frontier_blocks(
+def _edge_sources(counts: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+
+
+def expand_frontier(
+    graph: CSRGraph, frontier: np.ndarray, with_weights: bool = False
+):
+    """:func:`expand_edges` for callers that index per edge: returns
+    ``(rep, dsts, weights)`` where ``rep[i]`` is the position *in the
+    frontier array* of edge i's source (``frontier[rep]`` are the source
+    local IDs; ``rep`` doubles as a segment ID per frontier vertex)."""
+    counts, dsts, w = expand_edges(graph, frontier, with_weights)
+    return _edge_sources(counts), dsts, w
+
+
+def expand_edges_blocks(
     graph: CSRGraph,
     frontier: np.ndarray,
     with_weights: bool = False,
     max_edges: int | None = None,
 ):
-    """Yield ``(block, rep, dsts, weights)`` over contiguous frontier slices
-    whose out-edge totals stay under ``max_edges`` (always at least one
-    vertex per block).
+    """Yield ``(block, counts, dsts, weights)`` over contiguous frontier
+    slices whose out-edge totals stay under ``max_edges`` (always at
+    least one vertex per block).
 
-    :func:`expand_frontier` materializes several O(edges) temporaries at
-    once; on an out-of-core graph one dense round would allocate a
-    footprint rivaling the graph itself.  Processing the frontier in
-    slices bounds that to O(``max_edges``), and because the slices are
-    contiguous the concatenated per-edge streams are *exactly* the full
-    expansion — elementwise kernels (``np.add.at`` / ``np.minimum.at``)
-    applied block by block perform the identical operation sequence, so
-    results are bit-identical to the unblocked path.  A frontier that
-    fits the budget comes back as a single block, which IS the unblocked
-    path.
+    :func:`expand_edges` materializes O(edges) temporaries at once; on
+    an out-of-core graph one dense round would allocate a footprint
+    rivaling the graph itself.  Processing the frontier in slices bounds
+    that to O(``max_edges``), and because the slices are contiguous the
+    concatenated per-edge streams are *exactly* the full expansion —
+    elementwise kernels (``np.add.at`` / ``np.minimum.at``) applied
+    block by block perform the identical operation sequence, so results
+    are bit-identical to the unblocked path.  A frontier that fits the
+    budget comes back as a single block, which IS the unblocked path.
     """
     n = len(frontier)
     if n == 0:
@@ -91,8 +135,7 @@ def expand_frontier_blocks(
         max_edges = block_edge_budget()
     counts = np.asarray(graph.indptr[frontier + 1]) - graph.indptr[frontier]
     if int(counts.sum()) <= max_edges:
-        rep, dsts, w = expand_frontier(graph, frontier, with_weights)
-        yield frontier, rep, dsts, w
+        yield (frontier, *expand_edges(graph, frontier, with_weights))
         return
     cum = np.cumsum(counts)
     start = 0
@@ -101,39 +144,45 @@ def expand_frontier_blocks(
         stop = int(np.searchsorted(cum, base + max_edges, side="right"))
         stop = min(max(stop, start + 1), n)
         blk = frontier[start:stop]
-        rep, dsts, w = expand_frontier(graph, blk, with_weights)
-        yield blk, rep, dsts, w
+        yield (blk, *expand_edges(graph, blk, with_weights))
         start = stop
 
 
-def merge_touched(parts: list[np.ndarray]) -> np.ndarray:
-    """Union of per-block touched/changed ID arrays, sorted unique.
+def expand_frontier_blocks(
+    graph: CSRGraph,
+    frontier: np.ndarray,
+    with_weights: bool = False,
+    max_edges: int | None = None,
+):
+    """:func:`expand_edges_blocks` yielding ``(block, rep, dsts,
+    weights)`` with ``rep`` indexing into ``block``."""
+    for blk, counts, dsts, w in expand_edges_blocks(
+        graph, frontier, with_weights, max_edges
+    ):
+        yield blk, _edge_sources(counts), dsts, w
+
+
+def merge_touched(parts: list[np.ndarray], n: int) -> np.ndarray:
+    """Union of per-block touched/changed ID arrays (IDs in ``[0, n)``),
+    sorted unique.
 
     One block passes through untouched (it is already sorted unique),
     keeping the single-block fast path allocation-identical to the
     unblocked kernels.
     """
     if not parts:
-        return np.empty(0, dtype=np.int64)
+        return _EMPTY
     if len(parts) == 1:
         return parts[0]
-    return np.unique(np.concatenate(parts))
+    return unique_ids(np.concatenate(parts), n)
 
 
 def scatter_min(labels: np.ndarray, targets: np.ndarray, values: np.ndarray):
     """``labels[t] = min(labels[t], v)`` with duplicate targets; returns the
     unique target IDs whose label decreased."""
-    if len(targets) == 0:
-        return np.empty(0, dtype=np.int64)
-    touched = np.unique(targets)
-    old = labels[touched].copy()
-    np.minimum.at(labels, targets, values)
-    return touched[labels[touched] < old]
+    return scatter_changed("min", labels, targets, values)
 
 
 def scatter_add(labels: np.ndarray, targets: np.ndarray, values: np.ndarray):
     """``labels[t] += v`` with duplicate targets; returns unique targets."""
-    if len(targets) == 0:
-        return np.empty(0, dtype=np.int64)
-    np.add.at(labels, targets, values)
-    return np.unique(targets)
+    return scatter_changed("add", labels, targets, values)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier, scatter_add
+from repro.apps.common import expand_edges, scatter_add
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import (
     MasterOutput,
@@ -78,7 +78,7 @@ class KCore(VertexProgram):
         fresh = frontier[~processed[frontier]]
         processed[fresh] = True
         degrees = self.frontier_degrees(part, fresh)
-        rep, dsts, _ = expand_frontier(part.graph, fresh)
+        _, dsts, _ = expand_edges(part.graph, fresh)
         touched = scatter_add(
             state["delta"], dsts, np.ones(len(dsts), dtype=np.int32)
         )

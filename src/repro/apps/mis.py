@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier
+from repro.apps.common import expand_frontier, unique_ids
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import (
     MasterOutput,
@@ -109,7 +109,7 @@ class MIS(VertexProgram):
         p_nbr = _priorities(g_nbr, rnd)
         nbr_status = status[nbrs]
         # neighbor already in the set -> this vertex must drop out
-        out_now = np.unique(srcs[nbr_status == IN_SET])
+        out_now = unique_ids(srcs[nbr_status == IN_SET], len(status))
         if len(out_now):
             status[out_now] = OUT_SET
         # local lottery verdict against undecided neighbors

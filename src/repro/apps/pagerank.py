@@ -20,7 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier, expand_frontier_blocks, merge_touched
+from repro.apps.common import (
+    expand_edges,
+    expand_edges_blocks,
+    merge_touched,
+    scatter_add,
+)
 from repro.comm.gluon import FieldSpec
 from repro.la import semiring, spmv
 from repro.engine.operator import (
@@ -127,13 +132,12 @@ class PageRankPull(VertexProgram):
             # the pull expansion is identical every round: compute it once,
             # along with each frontier position's segment start in it
             exp = state.get("_topo_expansion")
-            if exp is None or exp[2] != len(frontier):
+            if exp is None or exp[1] != len(frontier):
                 rev = part.graph.reverse()
-                rep, in_nbrs, _ = expand_frontier(rev, frontier)
-                starts = np.searchsorted(rep, np.arange(len(frontier)))
-                exp = (rep, in_nbrs, len(frontier), starts)
+                counts, in_nbrs, _ = expand_edges(rev, frontier)
+                exp = (in_nbrs, len(frontier), np.cumsum(counts) - counts)
                 state["_topo_expansion"] = exp
-            rep, in_nbrs, starts = exp[0], exp[1], exp[3]
+            in_nbrs, _, starts = exp
             # segmented sum over the sorted expansion; every frontier vertex
             # has at least one in-edge, so no segment is empty (reduceat's
             # empty-segment pitfall) and the result is bit-identical to
@@ -291,13 +295,13 @@ class PageRankPush(VertexProgram):
             # pushed, and consecutive blocks replay np.add.at's global
             # edge order, so float accumulation is bit-identical.
             parts, edges = [], 0
-            for blk, rep, dsts, _ in expand_frontier_blocks(
+            for blk, counts, dsts, _ in expand_edges_blocks(
                 part.graph, frontier
             ):
-                np.add.at(acc, dsts, (push_val[blk] - pushed[blk])[rep])
-                parts.append(np.unique(dsts))
+                delta = np.repeat(push_val[blk] - pushed[blk], counts)
+                parts.append(scatter_add(acc, dsts, delta))
                 edges += len(dsts)
-            touched = merge_touched(parts)
+            touched = merge_touched(parts, len(acc))
         pushed[frontier] = push_val[frontier]
         return RoundOutput(
             updated={"resid_acc": touched},

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.bfs import BFS
-from repro.apps.common import expand_frontier, scatter_min
+from repro.apps.common import expand_edges, scatter_min
 from repro.engine.operator import RoundOutput
 from repro.la import semiring, spmv
 
@@ -33,10 +33,11 @@ class SSSP(BFS):
                 semiring.MIN_PLUS, self.la_backend, with_weights=True,
             )
         else:
-            rep, dsts, w = expand_frontier(
+            counts, dsts, w = expand_edges(
                 part.graph, frontier, with_weights=True
             )
-            cand = dist[frontier[rep]].astype(np.int64) + w.astype(np.int64)
+            cand = np.repeat(dist[frontier].astype(np.int64), counts)
+            cand += w
             changed = scatter_min(dist, dsts, cand.astype(np.uint32))
             edges = len(dsts)
         return RoundOutput(

@@ -45,6 +45,7 @@ import numpy as np
 from repro.comm.bitset import Bitset
 from repro.comm.buffers import Message, MessageHeader
 from repro.errors import CommunicationError, ConfigurationError
+from repro.idset import unique_ids
 from repro.partition.base import PartitionedGraph
 
 __all__ = ["FieldSpec", "CommConfig", "GluonComm"]
@@ -644,7 +645,8 @@ class GluonComm:
                     changed[msg.header.dst].append(ch)
 
         merged = [
-            np.unique(np.concatenate(c)) if c else np.empty(0, dtype=np.int64)
-            for c in changed
+            unique_ids(np.concatenate(c), len(labels[p]))
+            if c else np.empty(0, dtype=np.int64)
+            for p, c in enumerate(changed)
         ]
         return msgs, merged

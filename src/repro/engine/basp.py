@@ -30,6 +30,7 @@ from repro.engine.result import RunResult
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.hw.cluster import Cluster
 from repro.hw.memory import MemoryModel, MemoryProfile, DIRGL_PROFILE
+from repro.idset import unique_ids
 from repro.loadbalance.base import LoadBalancer, get_balancer
 from repro.metrics.stats import RunStats
 from repro.partition.base import PartitionedGraph
@@ -323,7 +324,7 @@ class BASPEngine:
                 bufs = [a for a in pending[p] if len(a)]
                 pending[p] = []
                 if bufs:
-                    candv = np.unique(np.concatenate(bufs))
+                    candv = unique_ids(np.concatenate(bufs), part.num_local)
                     frontier = app.frontier_filter(part, ctx, state[p], candv)
                 else:
                     frontier = _EMPTY
@@ -511,7 +512,7 @@ class BASPEngine:
                 bufs = [a for a in pending[p] if len(a)] + drained_candidates
                 pending[p] = []
                 if bufs:
-                    candv = np.unique(np.concatenate(bufs))
+                    candv = unique_ids(np.concatenate(bufs), part.num_local)
                     frontier = app.frontier_filter(part, ctx, state[p], candv)
                 else:
                     frontier = _EMPTY

@@ -27,6 +27,7 @@ from repro.engine.result import RunResult
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.hw.cluster import Cluster
 from repro.hw.memory import MemoryModel, MemoryProfile, DIRGL_PROFILE
+from repro.idset import unique_ids
 from repro.loadbalance.base import LoadBalancer, get_balancer
 from repro.metrics.stats import RoundRecord, RunStats
 from repro.partition.base import PartitionedGraph
@@ -461,7 +462,10 @@ class BSPEngine:
                 nxt = []
                 for p in range(P):
                     if candidates[p]:
-                        cand = np.unique(np.concatenate(candidates[p]))
+                        cand = unique_ids(
+                            np.concatenate(candidates[p]),
+                            pg.parts[p].num_local,
+                        )
                         cand = app.frontier_filter(
                             pg.parts[p], ctx, state[p], cand
                         )

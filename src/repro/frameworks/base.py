@@ -173,6 +173,10 @@ class Framework(ABC):
         app = self.resolve_app(app_name, kernel=kernel)
         cluster = self.make_cluster(num_gpus, platform)
         graph = dataset.symmetric() if app.needs_symmetric else dataset.graph
+        if app.needs_weights and not graph.has_weights:
+            raise UnsupportedFeatureError(
+                f"{app_name} needs edge weights; dataset {dataset.name!r} has none"
+            )
         pg = make_partition(graph, self.policy, num_gpus)
         ctx = self.make_context(dataset, app, **ctx_overrides)
 

@@ -30,9 +30,12 @@ than a crash.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.errors import ConfigurationError, UnsupportedFeatureError
+from repro.idset import SCATTER_UFUNCS, scatter_changed
 
 __all__ = [
     "ArrayBackend",
@@ -59,16 +62,6 @@ try:  # pragma: no cover - exercised only where torch is installed
 except ImportError:
     torch = None
     _HAS_TORCH = False
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-#: monoid op name -> the numpy ufunc whose ``.at`` defines the semantics
-_UFUNCS = {
-    "min": np.minimum,
-    "max": np.maximum,
-    "add": np.add,
-    "or": np.logical_or,
-}
 
 
 class ArrayBackend:
@@ -111,21 +104,14 @@ class ArrayBackend:
         values: np.ndarray,
     ) -> np.ndarray:
         """Scatter with change tracking; returns the unique target IDs
-        whose entry changed (for ``add``: every unique target, matching
-        :func:`repro.apps.common.scatter_add`)."""
-        if len(targets) == 0:
-            return _EMPTY
-        if op == "add":
-            self.scatter_inplace(op, out, targets, values)
-            return np.unique(targets)
-        touched = np.unique(targets)
-        old = out[touched].copy()
-        self.scatter_inplace(op, out, targets, values)
-        if op == "min":
-            return touched[out[touched] < old]
-        if op == "max":
-            return touched[out[touched] > old]
-        return touched[out[touched] != old]  # "or"
+        whose entry changed (for ``add``: every unique target).
+
+        The changed-set extraction is :func:`repro.idset.scatter_changed`,
+        the loop kernels' own ``scatter_min`` / ``scatter_add``; only the
+        in-place scatter is this backend's."""
+        return scatter_changed(
+            op, out, targets, values, apply=partial(self.scatter_inplace, op)
+        )
 
 
 class NumpyBackend(ArrayBackend):
@@ -141,10 +127,10 @@ class NumpyBackend(ArrayBackend):
 
     def scatter_inplace(self, op, out, targets, values):
         try:
-            ufunc = _UFUNCS[op]
+            ufunc = SCATTER_UFUNCS[op]
         except KeyError:
             raise ConfigurationError(
-                f"unknown scatter op {op!r}; known: {sorted(_UFUNCS)}"
+                f"unknown scatter op {op!r}; known: {sorted(SCATTER_UFUNCS)}"
             ) from None
         ufunc.at(out, targets, values)
 
@@ -207,7 +193,7 @@ class NumbaBackend(NumpyBackend):
             _nb_scatter_or(out, targets, values)
         else:
             raise ConfigurationError(
-                f"unknown scatter op {op!r}; known: {sorted(_UFUNCS)}"
+                f"unknown scatter op {op!r}; known: {sorted(SCATTER_UFUNCS)}"
             )
 
 

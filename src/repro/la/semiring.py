@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.idset import SCATTER_UFUNCS
 
 __all__ = [
     "Monoid",
@@ -68,12 +69,7 @@ class Monoid:
     @property
     def ufunc(self):
         """The numpy ufunc realizing ``op`` (dense references, tests)."""
-        return {
-            "min": np.minimum,
-            "max": np.maximum,
-            "add": np.add,
-            "or": np.logical_or,
-        }[self.op]
+        return SCATTER_UFUNCS[self.op]
 
 
 @dataclass(frozen=True)

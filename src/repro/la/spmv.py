@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import expand_frontier
+from repro.apps.common import expand_edges
 from repro.graph.csr import CSRGraph
 from repro.la.backend import ArrayBackend
 from repro.la.semiring import Semiring
@@ -46,17 +46,22 @@ def spmsv_push(
     the unique destination IDs whose entry changed under the add monoid,
     and the number of edges processed.
     """
-    rep, dsts, w = expand_frontier(graph, frontier, with_weights=with_weights)
-    if mask is not None and len(dsts):
+    counts, dsts, w = expand_edges(graph, frontier, with_weights=with_weights)
+    if len(dsts) == 0:
+        return _EMPTY, 0
+    # combine is elementwise, so weightless edges combine once per
+    # frontier vertex and spread; weighted ones spread first
+    if w is None:
+        vals = np.repeat(semiring.combine(x[frontier], None, y.dtype), counts)
+    else:
+        vals = semiring.combine(np.repeat(x[frontier], counts), w, y.dtype)
+    if mask is not None:
         keep = mask[dsts]
         if complement:
             keep = ~keep
-        rep, dsts = rep[keep], dsts[keep]
-        if w is not None:
-            w = w[keep]
-    if len(dsts) == 0:
-        return _EMPTY, 0
-    vals = semiring.combine(x[frontier[rep]], w, y.dtype)
+        vals, dsts = vals[keep], dsts[keep]
+        if len(dsts) == 0:
+            return _EMPTY, 0
     changed = backend.scatter(semiring.add.op, y, dsts, vals)
     return changed, len(dsts)
 
@@ -70,7 +75,6 @@ class PullPlan:
     start) is what the loop path cached as ``_topo_expansion``.
     """
 
-    rep: np.ndarray
     in_nbrs: np.ndarray
     num_rows: int
     starts: np.ndarray
@@ -78,10 +82,9 @@ class PullPlan:
     @classmethod
     def build(cls, graph: CSRGraph, rows: np.ndarray) -> "PullPlan":
         rev = graph.reverse()
-        rep, in_nbrs, _ = expand_frontier(rev, rows)
-        starts = np.searchsorted(rep, np.arange(len(rows)))
-        return cls(rep=rep, in_nbrs=in_nbrs, num_rows=len(rows),
-                   starts=starts)
+        counts, in_nbrs, _ = expand_edges(rev, rows)
+        return cls(in_nbrs=in_nbrs, num_rows=len(rows),
+                   starts=np.cumsum(counts) - counts)
 
 
 def spmv_pull(

@@ -146,9 +146,9 @@ def reference_kcore_mask(graph: CSRGraph, k: int) -> np.ndarray:
     frontier = np.flatnonzero(deg < k)
     alive[frontier] = False
     while len(frontier):
-        from repro.apps.common import expand_frontier
+        from repro.apps.common import expand_edges
 
-        _, nbrs, _ = expand_frontier(graph, frontier)
+        _, nbrs, _ = expand_edges(graph, frontier)
         np.subtract.at(deg, nbrs, 1)
         newly = np.flatnonzero(alive & (deg < k))
         alive[newly] = False

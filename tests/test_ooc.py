@@ -164,12 +164,14 @@ def test_blocked_apps_identical_to_default(monkeypatch, app_name):
 
 
 def test_merge_touched():
-    assert merge_touched([]).dtype == np.int64
-    assert len(merge_touched([])) == 0
+    assert merge_touched([], 4).dtype == np.int64
+    assert len(merge_touched([], 4)) == 0
     one = np.array([3, 1, 1])
-    assert merge_touched([one]) is one  # single part passes through
-    merged = merge_touched([np.array([3, 1]), np.array([2, 3])])
-    np.testing.assert_array_equal(merged, [1, 2, 3])
+    assert merge_touched([one], 4) is one  # single part passes through
+    # n = 4 takes the flag-array side of unique_ids, n = 10**6 the sort
+    for n in (4, 10**6):
+        merged = merge_touched([np.array([3, 1]), np.array([2, 3])], n)
+        np.testing.assert_array_equal(merged, [1, 2, 3])
 
 
 def test_blocked_in_degrees_matches_bincount(monkeypatch):
