@@ -8,8 +8,8 @@ creation.  Design constraints, in order:
 * **zero overhead when disabled** — a disabled tracer (or no tracer at
   all) must not cost the engine hot loops anything.  Instrumentation
   sites therefore normalize ``tracer`` to ``None`` unless it is enabled
-  (see e.g. ``BSPEngine.__init__``) and guard with one ``is not None``
-  check; a disabled ``Tracer`` additionally returns ``None`` from
+  (see ``repro.engine.core.Engine.__init__``) and guard with one
+  ``is not None`` check; a disabled ``Tracer`` additionally returns ``None`` from
   :meth:`begin` so stray un-normalized call sites also no-op;
 * **thread-safe** — the engines' ``executor="threads"`` mode and the BASP
   independent-round dispatch record spans from worker threads;

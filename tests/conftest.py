@@ -8,6 +8,32 @@ from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
 
 
+@pytest.fixture()
+def boundary_calls(monkeypatch):
+    """Counting wrappers on three functions the layered benchmark shims
+    (``benchmarks/perf/layers.py``), installed on the classes the way its
+    ``patched()`` does.  Returns the live ``{name: calls}`` dict."""
+    from repro.comm.gluon import GluonComm
+    from repro.comm.router import Router
+    from repro.engine.costmodel import CostModel
+
+    calls = {}
+    for owner, name in (
+        (GluonComm, "apply_reduce"),
+        (CostModel, "compute_time"),
+        (Router, "price_batch"),
+    ):
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+
+        def counting(*args, _raw=vars(owner)[name], _key=key, **kwargs):
+            calls[_key] += 1
+            return _raw(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_graph():
     """A weighted directed power-law graph (512 vertices, ~4k edges)."""

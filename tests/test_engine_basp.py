@@ -55,6 +55,46 @@ class TestAsyncSemantics:
         assert res.stats.comm_volume_bytes > 0
 
 
+class TestConstructorValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [{"throttle_wait": -1.0}, {"overlap_comm": 1.5}, {"executor": "fibers"}],
+        ids=lambda kw: next(iter(kw)),
+    )
+    def test_bad_argument_rejected_before_sync_plan_build(
+        self, small_graph, monkeypatch, bad
+    ):
+        from repro.comm.gluon import GluonComm
+
+        def built(*args, **kwargs):
+            raise AssertionError("GluonComm built before validation")
+
+        monkeypatch.setattr(GluonComm, "__init__", built)
+        pg = partition(small_graph, "cvc", 4)
+        with pytest.raises(ConfigurationError):
+            BASPEngine(pg, bridges(4), get_app("bfs"), **bad)
+
+
+class TestBenchmarkBoundaries:
+    """What ``benchmarks/perf`` relies on to time the engine layer."""
+
+    def test_class_body_defines_init_and_run(self):
+        # its shims resolve names with vars(owner)[name]: an inherited
+        # __init__ or run is a KeyError that fails every workload
+        assert "__init__" in vars(BASPEngine) and "run" in vars(BASPEngine)
+
+    def test_run_reaches_shimmed_functions_by_late_lookup(
+        self, small_graph, ctx, request
+    ):
+        # the engine exists before the wrappers do: a bound method captured
+        # at construction would leave its count at zero
+        pg = partition(small_graph, "cvc", 8)
+        eng = BASPEngine(pg, bridges(8), get_app("bfs"), check_memory=False)
+        calls = request.getfixturevalue("boundary_calls")
+        eng.run(ctx)
+        assert all(calls.values()), calls
+
+
 class TestDeterminism:
     def test_basp_is_deterministic(self, small_graph, ctx):
         a = run("sssp", small_graph, ctx, BASPEngine)
