@@ -38,12 +38,6 @@ Three guards, two committed baselines (``benchmarks/BENCH_sync.json``,
   cross-host wire messages >= 1.5x while leaving labels, rounds, and
   work bit-identical.  Fully deterministic, so it runs with
   ``--check-only`` in CI.
-* the **LA-kernel gate** (``--la-kernel-only``, baseline
-  ``benchmarks/BENCH_la.json``) — ``kernel="la"`` on the pr-push cell:
-  the numpy reference backend within 10% of the loop path
-  (``REPRO_LA_NUMPY_TOL`` overrides), the jitted numba backend >= 1.5x
-  faster when importable (skipped with a note otherwise), and every leg
-  bit-identical to the loop reference (docs/kernels.md).
 * the **out-of-core pipeline gate** (``--ooc-only``, baseline
   ``benchmarks/BENCH_ooc.json``) — chunk-generate an R-MAT store at
   least 4x the configured RAM cap, partition it into spilled shards,
@@ -90,23 +84,18 @@ from repro.gnnflow import (
 )
 from repro.metrics.perfbaseline import (
     HIER_AGG_MIN,
-    LA_KERNEL_MIN_SPEEDUP,
     SPEEDUP_MIN_RATIO,
     SWEEP_SPEEDUP_MIN,
     check_overhead_tolerance,
     contention_overhead_tolerance,
-    compare_la_to_baseline,
     compare_sweep_to_baseline,
     compare_to_baseline,
     default_wall_tolerance,
-    la_numpy_tolerance,
     load_baseline,
-    load_la_baseline,
     load_sweep_baseline,
     measure_check_overhead,
     measure_contention_overhead,
     measure_hier_aggregation,
-    measure_la_kernel,
     measure_speedup,
     measure_sweep_speedup,
     measure_trace_overhead,
@@ -114,7 +103,6 @@ from repro.metrics.perfbaseline import (
     run_sweep,
     trace_overhead_tolerance,
     write_baseline,
-    write_la_baseline,
     write_sweep_baseline,
 )
 from repro.serve.bench import (
@@ -133,7 +121,6 @@ from repro.tune.dse import REGRET_GATE, AdvisorReport
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_sync.json"
 SWEEP_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_sweep.json"
-LA_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_la.json"
 OOC_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_ooc.json"
 SERVE_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_serve.json"
 ADVISOR_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_advisor.json"
@@ -209,43 +196,6 @@ def _hier_line(sp: dict) -> str:
         f"{sp['hier_inter_host_messages']} hierarchical inter-host messages "
         f"= {sp['ratio']:.2f}x fewer (gate: >= {HIER_AGG_MIN:.1f}x)"
     )
-
-
-def _la_line(sp: dict) -> str:
-    line = (
-        f"LA kernel on {sp['cell']}: "
-        f"{sp['loop_wall_seconds'] * 1e3:.1f} ms loop / "
-        f"{sp['numpy_wall_seconds'] * 1e3:.1f} ms la-numpy = "
-        f"{sp['numpy_ratio']:.3f}x (gate: <= {la_numpy_tolerance():.2f}x)"
-    )
-    if sp["numba_available"]:
-        line += (
-            f"; la-numba {sp['numba_wall_seconds'] * 1e3:.1f} ms = "
-            f"{sp['numba_speedup']:.2f}x over loop "
-            f"(gate: >= {LA_KERNEL_MIN_SPEEDUP:.1f}x)"
-        )
-    else:
-        line += "; numba backend unavailable -> numba gate skipped"
-    return line
-
-
-def _la_violations(sp: dict) -> list[str]:
-    violations = []
-    if sp["numpy_ratio"] > la_numpy_tolerance():
-        violations.append(
-            f"LA numpy-reference gate: {sp['numpy_ratio']:.3f}x > "
-            f"{la_numpy_tolerance():.2f}x over the loop path"
-        )
-    if sp["numba_available"] and sp["numba_speedup"] < LA_KERNEL_MIN_SPEEDUP:
-        violations.append(
-            f"LA numba gate: {sp['numba_speedup']:.2f}x < "
-            f"{LA_KERNEL_MIN_SPEEDUP:.1f}x over the loop path"
-        )
-    if LA_BASELINE_PATH.exists():
-        violations += compare_la_to_baseline(
-            sp, load_la_baseline(LA_BASELINE_PATH)
-        )
-    return violations
 
 
 def _ooc_line(report) -> str:
@@ -441,13 +391,6 @@ def test_hier_aggregation(once):
     assert sp["ratio"] >= HIER_AGG_MIN, _hier_line(sp)
 
 
-def test_la_kernel(once):
-    sp = once(measure_la_kernel)
-    archive("regression_la_kernel", _la_line(sp))
-    violations = _la_violations(sp)
-    assert not violations, "\n".join(violations)
-
-
 def test_serve_gate(once):
     sp = once(measure_serve)
     archive("regression_serve", _serve_line(sp))
@@ -516,12 +459,6 @@ def main(argv=None) -> int:
         "--hier-aggregation-only", action="store_true",
         help="run just the hierarchical-aggregation gate (deterministic; "
              "what the CI comm job runs)",
-    )
-    ap.add_argument(
-        "--la-kernel-only", action="store_true",
-        help="run just the LA-kernel gate: la-numpy within tolerance of "
-             "the loop path, la-numba >= 1.5x when importable, all legs "
-             "bit-identical (what the CI la job runs)",
     )
     ap.add_argument(
         "--serve-only", action="store_true",
@@ -625,17 +562,6 @@ def main(argv=None) -> int:
         print("ooc pipeline within tolerance")
         return 0
 
-    if args.la_kernel_only:
-        sp = measure_la_kernel()
-        print(_la_line(sp))
-        violations = _la_violations(sp)
-        for v in violations:
-            print(f"REGRESSION: {v}")
-        if violations:
-            return 1
-        print("LA kernel within tolerance")
-        return 0
-
     if args.trace_overhead_only:
         sp = measure_trace_overhead()
         print(_trace_line(sp))
@@ -688,10 +614,6 @@ def main(argv=None) -> int:
             SWEEP_BASELINE_PATH, sweep_records, speedup=sweep_sp
         )
         print(f"sweep baseline written to {SWEEP_BASELINE_PATH}")
-        la_sp = measure_la_kernel()
-        print(_la_line(la_sp))
-        write_la_baseline(LA_BASELINE_PATH, la_sp)
-        print(f"LA baseline written to {LA_BASELINE_PATH}")
         advisor_report = advisor_study()
         print(_advisor_line(advisor_report))
         ADVISOR_BASELINE_PATH.write_text(advisor_report.to_json() + "\n")
@@ -767,11 +689,6 @@ def main(argv=None) -> int:
         print(f"REGRESSION: {v}")
 
     if not args.check_only:
-        la_sp = measure_la_kernel()
-        print(_la_line(la_sp))
-        for v in _la_violations(la_sp):
-            violations.append(v)
-            print(f"REGRESSION: {v}")
         speedup = measure_speedup()
         print(_speedup_line(speedup))
         if speedup["speedup"] < SPEEDUP_MIN_RATIO:

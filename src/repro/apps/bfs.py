@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges_blocks, merge_touched, scatter_min
+from repro.apps.common import scatter_min
 from repro.comm.gluon import FieldSpec
 from repro.constants import INF
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
-from repro.la import backend as la_backend
 from repro.la import direction, semiring, spmv
 from repro.partition.base import LocalPartition
 
@@ -30,7 +29,6 @@ class BFS(VertexProgram):
     style = "push"
     driven = "data"
     output_field = "dist"
-    la_capable = True
 
     def fields(self):
         return [
@@ -60,26 +58,13 @@ class BFS(VertexProgram):
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
         dist = state["dist"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            # min-plus SpMSpV with the implicit unit weight: the semiring's
-            # combine reproduces the loop's int64-widen / uint32-narrow casts
-            changed, edges = spmv.spmsv_push(
-                part.graph, frontier, dist, dist,
-                semiring.MIN_PLUS, self.la_backend,
-            )
-        else:
-            # blocked expansion: bounded per-edge temporaries on huge
-            # frontiers, a single block (the exact unblocked kernel)
-            # otherwise.  Relaxations are monotone min, so per-block
-            # application changes nothing about the final labels.
-            parts, edges = [], 0
-            for blk, counts, dsts, _ in expand_edges_blocks(
-                part.graph, frontier
-            ):
-                cand = (dist[blk].astype(np.int64) + 1).astype(np.uint32)
-                parts.append(scatter_min(dist, dsts, np.repeat(cand, counts)))
-                edges += len(dsts)
-            changed = merge_touched(parts, len(dist))
+        # min-plus SpMSpV — bfs with the implicit unit weight, sssp
+        # (needs_weights) with the edge's; the semiring's combine widens
+        # candidates to int64 and narrows them back to uint32
+        changed, edges = spmv.spmsv_push(
+            part.graph, frontier, dist, dist, semiring.MIN_PLUS,
+            with_weights=self.needs_weights,
+        )
         return RoundOutput(
             updated={"dist": changed},
             activated=changed,
@@ -125,22 +110,18 @@ class DirectionOptBFS(BFS):
         # ---- pull round: unvisited scan their in-edges ------------------ #
         # The reverse graph and the shrinking candidate pool live in
         # repro.la.direction.PullPool, held in private state (leading
-        # underscore: never synchronized).  Both kernels route through
-        # the generic pull — the loop kernel just pins the numpy
-        # reference backend, so the arithmetic is the original loop's.
-        backend = self.la_backend if self.kernel == "la" \
-            else la_backend.BACKENDS["numpy"]
+        # underscore: never synchronized).
         pool = state.get("_do_pull")
         if pool is None:
             pool = state["_do_pull"] = direction.PullPool(part.graph)
         sr = semiring.MIN_PLUS
         unvisited = pool.narrow(dist, sr.add.identity(dist.dtype))
-        step = direction.pull_step(unvisited, pool.rev, dist, sr, backend)
+        step = direction.pull_step(unvisited, pool.rev, dist, sr)
         if step is None:
             return RoundOutput({"dist": _EMPTY}, _EMPTY, 0, np.zeros(0))
         cand, hit, edges = step
-        changed = backend.scatter(
-            sr.add.op, dist, unvisited[hit], cand[hit].astype(np.uint32)
+        changed = scatter_min(
+            dist, unvisited[hit], cand[hit].astype(np.uint32)
         )
         return RoundOutput(
             updated={"dist": changed},

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges, merge_touched, scatter_min
+from repro.apps.common import merge_touched
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
 from repro.la import semiring, spmv
@@ -34,9 +34,6 @@ class CC(VertexProgram):
     driven = "data"
     needs_symmetric = True
     output_field = "comp"
-    #: cc-pj inherits this with its jump leg intact: the LA port only
-    #: replaces the propagation half of compute()
-    la_capable = True
 
     def fields(self):
         return [
@@ -59,16 +56,10 @@ class CC(VertexProgram):
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
         comp = state["comp"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            # min-first: the edge carries the source's label unchanged
-            changed, edges = spmv.spmsv_push(
-                part.graph, frontier, comp, comp,
-                semiring.MIN_FIRST, self.la_backend,
-            )
-        else:
-            counts, dsts, _ = expand_edges(part.graph, frontier)
-            changed = scatter_min(comp, dsts, np.repeat(comp[frontier], counts))
-            edges = len(dsts)
+        # min-first: the edge carries the source's label unchanged
+        changed, edges = spmv.spmsv_push(
+            part.graph, frontier, comp, comp, semiring.MIN_FIRST
+        )
         return RoundOutput(
             updated={"comp": changed},
             activated=changed,

@@ -125,7 +125,9 @@ def expand_edges_blocks(
     concatenated per-edge streams are *exactly* the full expansion —
     elementwise kernels (``np.add.at`` / ``np.minimum.at``) applied
     block by block perform the identical operation sequence, so results
-    are bit-identical to the unblocked path.  A frontier that fits the
+    are bit-identical to the unblocked path *provided the kernel read
+    its per-vertex inputs before the first block wrote*
+    (:func:`repro.la.spmv.spmsv_push` does).  A frontier that fits the
     budget comes back as a single block, which IS the unblocked path.
     """
     n = len(frontier)

@@ -20,12 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import (
-    expand_edges,
-    expand_edges_blocks,
-    merge_touched,
-    scatter_add,
-)
 from repro.comm.gluon import FieldSpec
 from repro.la import semiring, spmv
 from repro.engine.operator import (
@@ -64,7 +58,6 @@ class PageRankPull(VertexProgram):
     driven = "topology"
     output_field = "_rank"
     async_capable = True
-    la_capable = True
 
     def fields(self):
         return [
@@ -104,7 +97,7 @@ class PageRankPull(VertexProgram):
 
     def initial_frontier(self, part, ctx, state):
         # every vertex with local in-edges recomputes each round; the set
-        # is static, so it (and its edge expansion) is cached in state
+        # is static, so it (and its pull plan) is cached in state
         cached = state.get("_topo_frontier")
         if cached is None:
             cached = np.flatnonzero(part.has_in_edges()).astype(np.int64)
@@ -116,35 +109,14 @@ class PageRankPull(VertexProgram):
         scaled = state["scaled_rank"]
         last = state["_last_partial"]
         degrees = self.frontier_degrees(part, frontier)
-        if self.kernel == "la":
-            # plus-times SpMV over the cached pull plan; the plan is the
-            # LA spelling of _topo_expansion, and segment_sum keeps
-            # reduceat's pairwise float order (docs/kernels.md)
-            plan = state.get("_topo_plan")
-            if plan is None or plan.num_rows != len(frontier):
-                plan = spmv.PullPlan.build(part.graph, frontier)
-                state["_topo_plan"] = plan
-            partial = spmv.spmv_pull(
-                plan, scaled, semiring.PLUS_TIMES, self.la_backend
-            )
-            in_nbrs = plan.in_nbrs
-        else:
-            # the pull expansion is identical every round: compute it once,
-            # along with each frontier position's segment start in it
-            exp = state.get("_topo_expansion")
-            if exp is None or exp[1] != len(frontier):
-                rev = part.graph.reverse()
-                counts, in_nbrs, _ = expand_edges(rev, frontier)
-                exp = (in_nbrs, len(frontier), np.cumsum(counts) - counts)
-                state["_topo_expansion"] = exp
-            in_nbrs, _, starts = exp
-            # segmented sum over the sorted expansion; every frontier vertex
-            # has at least one in-edge, so no segment is empty (reduceat's
-            # empty-segment pitfall) and the result is bit-identical to
-            # bincount-with-weights, just without its histogram pass
-            partial = np.add.reduceat(
-                scaled[in_nbrs].astype(np.float64), starts
-            )
+        # plus-times SpMV over the pull plan, which is identical every
+        # round and so built once.  Every frontier vertex has at least
+        # one in-edge, so no reduceat segment is empty.
+        plan = state.get("_topo_plan")
+        if plan is None or plan.num_rows != len(frontier):
+            plan = spmv.PullPlan.build(part.graph, frontier)
+            state["_topo_plan"] = plan
+        partial = spmv.spmv_pull(plan, scaled, semiring.PLUS_TIMES)
         delta = partial - last[frontier]
         # residual thresholding, *relative* to the partial's magnitude:
         # deltas too small to matter stay local and keep accumulating.
@@ -159,7 +131,7 @@ class PageRankPull(VertexProgram):
         return RoundOutput(
             updated={"contrib": idx},
             activated=_EMPTY,
-            edges_processed=len(in_nbrs),
+            edges_processed=len(plan.in_nbrs),
             frontier_degrees=degrees,
         )
 
@@ -223,7 +195,6 @@ class PageRankPush(VertexProgram):
     driven = "data"
     output_field = "_rank"
     async_capable = True
-    la_capable = True
 
     def fields(self):
         return [
@@ -279,29 +250,14 @@ class PageRankPush(VertexProgram):
         degrees = self.frontier_degrees(part, frontier)
         # push only the unreleased slice of the cumulative budget, then
         # advance the baseline so re-activation is a no-op until the
-        # master's next firing grows push_val again
-        if self.kernel == "la":
-            # plus-times over the per-vertex unreleased delta (implicit
-            # unit weight); the add scatter keeps np.add.at's sequential
-            # edge order, so float accumulation is bit-identical
-            delta = push_val - pushed
-            touched, edges = spmv.spmsv_push(
-                part.graph, frontier, delta, acc,
-                semiring.PLUS_TIMES, self.la_backend,
-            )
-        else:
-            # blocked expansion, one block when the frontier fits (the
-            # exact unblocked kernel).  compute never writes push_val or
-            # pushed, and consecutive blocks replay np.add.at's global
-            # edge order, so float accumulation is bit-identical.
-            parts, edges = [], 0
-            for blk, counts, dsts, _ in expand_edges_blocks(
-                part.graph, frontier
-            ):
-                delta = np.repeat(push_val[blk] - pushed[blk], counts)
-                parts.append(scatter_add(acc, dsts, delta))
-                edges += len(dsts)
-            touched = merge_touched(parts, len(acc))
+        # master's next firing grows push_val again.  Plus-times with
+        # the implicit unit weight; consecutive blocks replay np.add.at's
+        # sequential edge order, so the float accumulation does not
+        # depend on the block budget.
+        touched, edges = spmv.spmsv_push(
+            part.graph, frontier, push_val - pushed, acc,
+            semiring.PLUS_TIMES,
+        )
         pushed[frontier] = push_val[frontier]
         return RoundOutput(
             updated={"resid_acc": touched},

@@ -31,30 +31,11 @@ APPS: dict[str, type[VertexProgram]] = {
 STUDY_BENCHMARKS = ["bfs", "cc", "kcore", "pr", "sssp"]
 
 
-def get_app(
-    name: str, kernel: str = "loop", backend: str | None = None
-) -> VertexProgram:
-    """Instantiate a registered vertex program.
-
-    ``kernel="la"`` requests the :mod:`repro.la` SpMV/SpMSpV compute
-    path (bit-identical to the loop reference; see docs/kernels.md) on
-    programs that implement it — others silently keep the loop path, so
-    a sweep-wide ``--kernel la`` stays runnable.  ``backend`` names an
-    array backend (``numpy``/``numba``/``torch``; ``None`` auto-picks).
-    """
+def get_app(name: str) -> VertexProgram:
+    """Instantiate a registered vertex program."""
     try:
-        app = APPS[name]()
+        return APPS[name]()
     except KeyError:
         raise ConfigurationError(
             f"unknown app {name!r}; known: {sorted(APPS)}"
         ) from None
-    if kernel not in ("loop", "la"):
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; known: ['loop', 'la']"
-        )
-    if kernel == "la" and app.la_capable:
-        from repro.la.backend import get_backend
-
-        app.kernel = "la"
-        app.la_backend = get_backend(backend)
-    return app

@@ -103,7 +103,7 @@ class RoundCore:
             tracer.thread_name(P, "engine")
         self.run_ev = self.begin(
             f"{engine.execution_model}.run", "engine", P, benchmark=app.name,
-            dataset=pg.global_graph.name, kernel=app.kernel,
+            dataset=pg.global_graph.name,
         )
 
         self.stats = RunStats(

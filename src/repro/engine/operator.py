@@ -114,17 +114,6 @@ class VertexProgram(ABC):
     output_field: str = ""
     #: additional state fields to gather into ``RunResult.extra``
     extra_outputs: tuple = ()
-    #: which compute kernel this instance runs: ``"loop"`` (the
-    #: hand-rolled reference) or ``"la"`` (the :mod:`repro.la`
-    #: SpMV/SpMSpV path).  Set through ``get_app(..., kernel=...)``;
-    #: both produce bit-identical labels (docs/kernels.md).
-    kernel: str = "loop"
-    #: resolved :class:`repro.la.backend.ArrayBackend` when
-    #: ``kernel="la"`` (``None`` on the loop path)
-    la_backend = None
-    #: does this program implement the LA kernel path?  Programs that
-    #: don't silently keep the loop path when ``kernel="la"`` is asked.
-    la_capable: bool = False
 
     # ------------------------------------------------------------------ #
     # contracts

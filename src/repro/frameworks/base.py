@@ -42,11 +42,6 @@ class Framework(ABC):
     comm_config: CommConfig = CommConfig()
     execution: str = "sync"  # "sync" | "async"
     memory_profile: MemoryProfile = DIRGL_PROFILE
-    #: default compute kernel ("loop" | "la"); per-run override via
-    #: ``run(..., kernel=...)``.  Both are bit-identical (docs/kernels.md).
-    kernel: str = "loop"
-    #: array backend name for the LA kernel (None = auto-pick)
-    kernel_backend: str | None = None
 
     def __init__(self, policy: str | None = None):
         if policy is None:
@@ -99,17 +94,13 @@ class Framework(ABC):
             )
         return cluster
 
-    def resolve_app(self, app_name: str, kernel: str | None = None):
+    def resolve_app(self, app_name: str):
         if app_name in self.unsupported_apps:
             raise UnsupportedFeatureError(
                 f"{self.name} cannot run {app_name!r} "
                 "(missing, incorrect, or crashed in the study)"
             )
-        return get_app(
-            self.app_aliases.get(app_name, app_name),
-            kernel=kernel or self.kernel,
-            backend=self.kernel_backend,
-        )
+        return get_app(self.app_aliases.get(app_name, app_name))
 
     def make_context(self, dataset: Dataset, app, **overrides) -> RunContext:
         graph = dataset.graph
@@ -141,7 +132,6 @@ class Framework(ABC):
         engine_executor: str = "serial",
         fault_plan=None,
         tracer=None,
-        kernel: str | None = None,
         **ctx_overrides,
     ) -> RunResult:
         """Run one benchmark the way this framework would.
@@ -152,9 +142,7 @@ class Framework(ABC):
         :class:`repro.engine.faults.FaultPlan`) injects deterministic
         simulated crashes.  ``tracer`` attaches a :class:`repro.obs.Tracer`
         to the engine; when omitted, the ambient tracer installed via
-        :func:`repro.obs.set_tracer` (if any) is used.  ``kernel``
-        overrides the facade's compute kernel for this run (``"loop"`` /
-        ``"la"``; bit-identical by contract, see docs/kernels.md).
+        :func:`repro.obs.set_tracer` (if any) is used.
 
         Raises
         ------
@@ -170,7 +158,7 @@ class Framework(ABC):
             from repro import obs
 
             tracer = obs.current_tracer()
-        app = self.resolve_app(app_name, kernel=kernel)
+        app = self.resolve_app(app_name)
         cluster = self.make_cluster(num_gpus, platform)
         graph = dataset.symmetric() if app.needs_symmetric else dataset.graph
         if app.needs_weights and not graph.has_weights:

@@ -39,15 +39,10 @@ class DIrGL(Framework):
         update_only: bool = True,
         execution: str = "async",
         hierarchical: bool = False,
-        kernel: str = "loop",
-        kernel_backend: str | None = None,
     ):
         """``hierarchical`` opts into two-level (intra-host -> network)
         sync (see :mod:`repro.comm.hier`) — labels are unchanged, only
-        the network-leg pricing and wire message counts move.
-        ``kernel="la"`` runs the apps on the :mod:`repro.la` SpMV path
-        (bit-identical labels; ``kernel_backend`` picks the array
-        backend, ``None`` auto-selects)."""
+        the network-leg pricing and wire message counts move."""
         super().__init__(policy)
         self.load_balancer = balancer
         self.comm_config = CommConfig(
@@ -56,8 +51,6 @@ class DIrGL(Framework):
             hierarchical=hierarchical,
         )
         self.execution = execution
-        self.kernel = kernel
-        self.kernel_backend = kernel_backend
 
     # ---------------- the study's variants ----------------------------- #
     @classmethod
@@ -87,6 +80,4 @@ class DIrGL(Framework):
         label = f"{lb}+{comm}+{model}"
         if self.comm_config.hierarchical:
             label += "+Hier"
-        if self.kernel == "la":
-            label += "+LA"
         return label

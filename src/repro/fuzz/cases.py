@@ -64,9 +64,6 @@ class Case:
     #: ``[[gpu_index, round_index], ...]`` deterministic crash schedule
     fault_plan: list = field(default_factory=list)
     k: int = 2  # kcore threshold
-    #: compute kernel ("loop" | "la"); defaults keep pre-kernel cases
-    #: loading without a schema-version bump
-    kernel: str = "loop"
     #: timestamped mutation batches applied *after* the base leg, each
     #: ``{"timestamp": int, "insert": [[s, d], ...], "delete": [[s, d],
     #: ...]}`` — replayed through :class:`repro.graph.mutable.
@@ -105,9 +102,8 @@ class Case:
             )
         )
         fp = f"+fault{len(self.fault_plan)}" if self.fault_plan else ""
-        kn = f"/{self.kernel}" if self.kernel != "loop" else ""
         return (
-            f"{self.app}/{self.policy}/p{self.parts}/{self.engine}/{flags}{fp}{kn}"
+            f"{self.app}/{self.policy}/p{self.parts}/{self.engine}/{flags}{fp}"
         )
 
     # ------------------------------------------------------------------ #
@@ -260,7 +256,7 @@ def run_case(case: Case, check="full", use_cache: bool = True):
     from repro.partition import partition
 
     graph = case.graph()
-    app = get_app(case.app, kernel=case.kernel)
+    app = get_app(case.app)
     if case.engine == "basp" and not app.async_capable:
         from repro.errors import ConfigurationError
 
@@ -339,7 +335,7 @@ def _run_mutation_leg(
         engine = engine_cls(
             pg,
             bridges(case.parts),
-            get_app(case.app, kernel=case.kernel),
+            get_app(case.app),
             comm_config=cfg,
             check_memory=False,
         )

@@ -4,23 +4,19 @@ Each iteration derives its own child RNG from ``(seed, iteration)`` —
 what iteration *i* does is a pure function of the seed, independent of
 how many iterations a wall-clock budget lets run.  The iteration draws a
 graph shape, an app, a partitioning policy, a partition count, an engine,
-the three communication-optimization flags, a compute kernel (``loop`` or
-``la``), and occasionally a fault plan; symmetric apps get the graph
-symmetrized *before* the edge list is frozen into the
-:class:`~repro.fuzz.cases.Case`, so every recorded case replays exactly.
+the three communication-optimization flags, and occasionally a fault
+plan; symmetric apps get the graph symmetrized *before* the edge list
+is frozen into the :class:`~repro.fuzz.cases.Case`, so every recorded
+case replays exactly.
 
-The cell runs at FULL check level, so four oracles watch every run:
+The cell runs at FULL check level, so three oracles watch every run:
 
 1. the runtime invariant checkers (:mod:`repro.check`);
 2. the single-machine references (:mod:`repro.validation`) on the final
    labels (MIS via its independence+maximality oracle);
 3. a *sibling differential*: exact-answer apps must produce identical
-   labels across every configuration that saw the same graph — including
-   configurations differing only in kernel — a mismatch implicates the
-   configuration pair even when both "verified";
-4. a *kernel twin differential*: every ``kernel="la"`` cell is replayed
-   with ``kernel="loop"`` and the labels must be bit-identical (the LA
-   core's contract; docs/kernels.md).
+   labels across every configuration that saw the same graph — a
+   mismatch implicates the configuration pair even when both "verified".
 
 Failures are shrunk (:mod:`repro.fuzz.shrink`) and reported as
 replayable cases.
@@ -108,7 +104,6 @@ def _sample_case(seed: int, iteration: int) -> Case:
         fault_plan = [
             [int(rng.integers(0, parts)), int(rng.integers(0, 6))]
         ]
-    kernel = str(rng.choice(["loop", "la"]))
     mutations = []
     if not fault_plan and rng.random() < _MUTATION_PROBABILITY:
         mutations = _sample_mutations(
@@ -126,7 +121,6 @@ def _sample_case(seed: int, iteration: int) -> Case:
         invariant_filtering=bool(rng.integers(0, 2)),
         fault_plan=fault_plan,
         k=int(rng.integers(1, 5)),
-        kernel=kernel,
         seed=seed,
         shape=shape,
         note=f"seed={seed} iteration={iteration}",
@@ -227,8 +221,6 @@ def fuzz(
             else:
                 report.cells_ok += 1
                 failure = _sibling_check(case, labels, siblings)
-                if failure is None:
-                    failure = _kernel_twin_check(case, labels)
         if failure is not None:
             if log:
                 log(f"[{i}] FAIL {case.cell_id()}: {failure.error}")
@@ -239,39 +231,6 @@ def fuzz(
             log(f"[{i}] ok ({report.cells_ok} verified)")
     report.elapsed = time.monotonic() - t0
     return report
-
-
-def _kernel_twin_check(case, labels) -> FuzzFailure | None:
-    """The LA kernel must be *bit-identical* to the loop reference.
-
-    Every la-kernel cell is re-run with ``kernel="loop"`` on the exact
-    same configuration and the labels compared bytewise — a guaranteed
-    cross-kernel differential for every app (the sibling check only
-    covers exact-answer apps, and only when the config pair collides).
-    """
-    if case.kernel != "la" or case.fault_plan:
-        return None
-    from dataclasses import replace
-
-    twin = replace(case, kernel="loop")
-    try:
-        twin_labels = run_case(twin, check="full")
-    except Exception as e:
-        return FuzzFailure(
-            case=twin, shrunk=twin, error=str(e), kind=type(e).__name__
-        )
-    if twin_labels is not None and np.array_equal(labels, twin_labels) \
-            and labels.tobytes() == twin_labels.tobytes():
-        return None
-    return FuzzFailure(
-        case=case,
-        shrunk=case,
-        error=(
-            f"kernel differential: {case.cell_id()} is not bit-identical "
-            f"to its loop twin {twin.cell_id()}"
-        ),
-        kind="kernel-differential",
-    )
 
 
 def _sibling_check(case, labels, siblings) -> FuzzFailure | None:

@@ -222,8 +222,7 @@ def la_semiring_identity():
     terminates with unreached labels.  The semiring catalog is looked
     up through the module attribute at call time precisely so this
     plant is visible to the apps; caught by the final reference
-    comparison on any pull-heavy cell (and by the kernel twin
-    differential when the fuzzer draws one).
+    comparison on any pull-heavy cell.
     """
     from dataclasses import replace
 
@@ -261,9 +260,8 @@ def detection_candidates():
     through a broadcast-fed src proxy, so the answer breaks rather than
     merely drifting), an R-MAT cell exercises the dense plan/table
     structure, a symmetric CC cell is the only one the tie-break
-    mutation can touch, and a dense bfs-do cell on the LA kernel pulls
-    from round one — the only cell a poisoned semiring identity can
-    reach.
+    mutation can touch, and a dense bfs-do cell pulls from round one —
+    the only cell a poisoned semiring identity can reach.
     """
     from repro.fuzz.cases import Case
     from repro.fuzz.gen import build_shape, dense_graph
@@ -288,7 +286,7 @@ def detection_candidates():
         Case.from_graph(sym, app="cc", policy="oec", parts=4,
                         engine="bsp", shape="rmat-sym"),
         Case.from_graph(dense, app="bfs-do", policy="oec", parts=4,
-                        engine="bsp", shape="dense", kernel="la"),
+                        engine="bsp", shape="dense"),
     ]
 
 

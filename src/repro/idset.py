@@ -67,23 +67,17 @@ def scatter_changed(
     labels: np.ndarray,
     targets: np.ndarray,
     values: np.ndarray,
-    apply=None,
 ) -> np.ndarray:
-    """``labels[t] = op(labels[t], v)`` with duplicate targets, in place;
-    returns the sorted unique target IDs whose entry changed (``add``:
-    every touched target).
-
-    ``apply(labels, targets, values)`` performs the scatter itself and
-    defaults to the op's ``ufunc.at``; array backends pass their own.
-    """
+    """``labels[t] = op(labels[t], v)`` with duplicate targets, in place
+    (the op's ``ufunc.at``); returns the sorted unique target IDs whose
+    entry changed (``add``: every touched target)."""
     if op not in SCATTER_UFUNCS:
         raise ConfigurationError(
             f"unknown scatter op {op!r}; known: {sorted(SCATTER_UFUNCS)}"
         )
     if len(targets) == 0:
         return _EMPTY
-    if apply is None:
-        apply = SCATTER_UFUNCS[op].at
+    apply = SCATTER_UFUNCS[op].at
     n = len(labels)
     if op == "add":
         apply(labels, targets, values)

@@ -1,35 +1,22 @@
-"""Linear-algebra kernel core: semirings, masked SpMV/SpMSpV, and
-swappable array backends (GraphBLAST-style; see docs/kernels.md).
+"""Linear-algebra kernel core: semirings and the SpMV/SpMSpV products
+every vertex program's compute phase is (GraphBLAST-style; see
+docs/kernels.md).
 
-The vertex programs' hand-rolled push/pull loops are expressible as
-sparse matrix-vector products over semirings.  This package provides
-that formulation behind an opt-in ``kernel="la"`` flag:
-
-* :mod:`repro.la.backend` — the narrow array-backend protocol (numpy
-  reference, optional numba JIT, torch stub);
 * :mod:`repro.la.semiring` — the semiring catalog (min-plus, min-first,
-  plus-times, or-and) with the exact dtype/cast contract the loop
-  kernels established;
-* :mod:`repro.la.spmv` — masked SpMSpV (push) and cached SpMV (pull);
+  plus-times) with the exact dtype/cast contract the kernels keep;
+* :mod:`repro.la.spmv` — blocked SpMSpV (push) and cached SpMV (pull);
 * :mod:`repro.la.direction` — the generic frontier-density push/pull
-  selector that subsumes DirectionOptBFS's private reverse-graph cache.
+  selector ``bfs-do`` runs on.
 
-Every kernel here is *bit-identical* to the legacy loop path, which
-stays in the apps as the reference oracle; ``tests/test_la_backend_equiv.py``
-and the fuzzer's cross-kernel differential enforce the contract.
+This is the only implementation of bfs / bfs-do / sssp / cc / cc-pj /
+pr / pr-push.  The hand-rolled loop kernels it replaced survive as the
+golden table ``tests/cases/kernel_golden.json``, which tier-1 holds
+this path to, bit for bit.
 """
 
-from repro.la.backend import (
-    BACKENDS,
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-)
 from repro.la.semiring import (
     MIN_FIRST,
     MIN_PLUS,
-    OR_AND,
     PLUS_TIMES,
     SEMIRINGS,
     Monoid,
@@ -37,16 +24,10 @@ from repro.la.semiring import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "BACKENDS",
-    "get_backend",
-    "available_backends",
     "Monoid",
     "Semiring",
     "SEMIRINGS",
     "MIN_PLUS",
     "MIN_FIRST",
     "PLUS_TIMES",
-    "OR_AND",
 ]

@@ -9,10 +9,7 @@ This module generalizes what ``DirectionOptBFS`` used to keep as a
 private reverse-graph cache: the density test (:class:`DirectionSelector`),
 the shrinking pull pool over the reverse graph (:class:`PullPool`), and
 the pull round itself (:func:`pull_step`), all phrased over a min-monoid
-semiring and an array backend.  Both kernels (``loop`` and ``la``) of
-``bfs-do`` route through here — with the numpy backend the arithmetic
-is the old loop's, operation for operation, so the refactor is
-bit-identical by construction.
+semiring.
 
 Pull finalizes a row on its *first* reached parent, which is only the
 true optimum level-synchronously; the soundness caveat (and why bfs-do
@@ -28,9 +25,8 @@ import numpy as np
 
 from repro.apps.common import expand_frontier
 from repro.graph.csr import CSRGraph
-from repro.la.backend import ArrayBackend
+from repro.la import spmv
 from repro.la.semiring import Semiring
-from repro.la.spmv import segment_reduce
 
 __all__ = ["DEFAULT_ALPHA", "DirectionSelector", "PullPool", "pull_step"]
 
@@ -75,7 +71,6 @@ def pull_step(
     rev: CSRGraph,
     labels: np.ndarray,
     semiring: Semiring,
-    backend: ArrayBackend,
 ):
     """One pull round over a min-monoid semiring.
 
@@ -93,9 +88,9 @@ def pull_step(
     src = labels[parents].astype(np.int64)
     valid = src < ident64
     vals = semiring.combine(labels[parents], None)
-    cand = segment_reduce(
-        semiring.add, vals[valid], rep[valid], len(rows), backend,
-        np.int64, identity=ident64,
+    cand = spmv.segment_reduce(
+        semiring.add, vals[valid], rep[valid], len(rows), np.int64,
+        identity=ident64,
     )
     hit = cand < ident64
     return cand, hit, len(parents)

@@ -1,9 +1,9 @@
 """The semiring catalog: (add-monoid, multiply) pairs with the exact
-dtype contract the legacy loop kernels established.
+dtype contract the original loop kernels established.
 
 A GraphBLAS semiring is ``(add, mult)``: ``mult`` combines an edge's
 source value with the edge weight, ``add`` reduces the combined values
-arriving at each destination.  The catalog below covers the four the
+arriving at each destination.  The catalog below covers the three the
 apps need (GraphBLAST ships the same core set):
 
 ========== =========== ========== ==============================
@@ -12,13 +12,13 @@ name       add         mult       app
 min-plus   min / INF   x + w      bfs (w=1, implicit), sssp
 min-first  min / INF   x          cc label propagation
 plus-times add / 0     x * w      pr (pull gather and push delta)
-or-and     or  / False x & w      reachability (property tests)
 ========== =========== ========== ==============================
 
 ``combine`` is deliberately *not* a clean mathematical map: it encodes
-the loop path's widen-then-narrow casts (candidates computed in int64,
+those loops' widen-then-narrow casts (candidates computed in int64,
 stored back as uint32; pull gathers promoted to float64) because the
-kernel path's contract is bit-identity with those loops, casts and all.
+contract is bit-identity with what they computed
+(``tests/cases/kernel_golden.json``), casts and all.
 
 Apps and kernels look semirings up through this module's attributes at
 call time (``semiring.MIN_PLUS``, not a local alias bound at import) so
@@ -41,7 +41,6 @@ __all__ = [
     "MIN_PLUS",
     "MIN_FIRST",
     "PLUS_TIMES",
-    "OR_AND",
 ]
 
 #: sentinel identity: the dtype's largest representable value
@@ -52,7 +51,7 @@ MAXVAL = "maxval"
 class Monoid:
     """A commutative monoid: the reduction half of a semiring."""
 
-    #: backend scatter op name: "min" | "max" | "add" | "or"
+    #: scatter op name (:data:`repro.idset.SCATTER_UFUNCS`)
     op: str
     #: identity element; the :data:`MAXVAL` sentinel resolves per dtype
     identity_value: object
@@ -68,22 +67,22 @@ class Monoid:
 
     @property
     def ufunc(self):
-        """The numpy ufunc realizing ``op`` (dense references, tests)."""
+        """The numpy ufunc realizing ``op``."""
         return SCATTER_UFUNCS[self.op]
 
 
 @dataclass(frozen=True)
 class Semiring:
-    """An add-monoid plus a multiply, with the loop path's cast contract.
+    """An add-monoid plus a multiply, with the cast contract.
 
     ``mult`` names the edge combine: ``"plus"`` (x + w, weightless
     edges count 1), ``"first"`` (x, weight ignored), ``"times"``
-    (x * w, weightless edges count 1), ``"and"`` (x & w).
+    (x * w, weightless edges count 1).
 
-    ``accum_dtype`` is the dtype ``combine`` computes/returns in (the
-    loop kernels widen before reducing); ``cast_to_out`` narrows the
-    result to the output vector's dtype afterwards (the loop kernels'
-    ``.astype(np.uint32)`` before ``scatter_min``).
+    ``accum_dtype`` is the dtype ``combine`` computes/returns in (widen
+    before reducing); ``cast_to_out`` narrows the result to the output
+    vector's dtype afterwards (``.astype(np.uint32)`` before the min
+    scatter).
     """
 
     name: str
@@ -96,16 +95,17 @@ class Semiring:
         """Combine gathered source values ``xv`` with edge weights ``w``
         (``None`` for weightless edges)."""
         if self.mult == "plus":
-            acc = self.accum_dtype or np.int64
-            c = xv.astype(acc) + (1 if w is None else w.astype(acc))
+            c = xv.astype(self.accum_dtype or np.int64)
+            # in place, the weights cast to the accumulator on the fly:
+            # two per-edge temporaries fewer than ``c + w.astype(acc)``
+            np.add(c, 1 if w is None else w, out=c, dtype=c.dtype,
+                   casting="unsafe")
         elif self.mult == "first":
             c = xv
         elif self.mult == "times":
             c = xv if w is None else xv * w
             if self.accum_dtype is not None and c.dtype != self.accum_dtype:
                 c = c.astype(self.accum_dtype)
-        elif self.mult == "and":
-            c = xv if w is None else xv & w
         else:
             raise ConfigurationError(f"unknown semiring mult {self.mult!r}")
         if self.cast_to_out and out_dtype is not None and c.dtype != out_dtype:
@@ -121,15 +121,13 @@ class Semiring:
             return xv
         if self.mult == "times":
             return xv if w is None else xv * w
-        if self.mult == "and":
-            return xv & w if w is not None else xv
         raise ConfigurationError(f"unknown semiring mult {self.mult!r}")
 
     def annihilator(self, dtype):
         """The multiplicative annihilator: ``mult(a, x) == a`` for all x.
 
         For every catalog semiring it coincides with the add identity
-        (min-plus: INF/inf; plus-times: 0; or-and: False) — one of the
+        (min-plus: INF/inf; plus-times: 0) — one of the
         axioms the property suite checks.
         """
         return self.add.identity(dtype)
@@ -143,8 +141,7 @@ MIN_FIRST = Semiring("min-first", Monoid("min", MAXVAL), "first")
 PLUS_TIMES = Semiring(
     "plus-times", Monoid("add", 0.0), "times", accum_dtype=np.float64
 )
-OR_AND = Semiring("or-and", Monoid("or", False), "and")
 
 SEMIRINGS: dict[str, Semiring] = {
-    s.name: s for s in (MIN_PLUS, MIN_FIRST, PLUS_TIMES, OR_AND)
+    s.name: s for s in (MIN_PLUS, MIN_FIRST, PLUS_TIMES)
 }

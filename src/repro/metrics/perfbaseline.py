@@ -72,14 +72,6 @@ __all__ = [
     "HIER_CELL",
     "HIER_PARTS",
     "measure_hier_aggregation",
-    "LA_CELL",
-    "LA_KERNEL_MIN_SPEEDUP",
-    "LA_NUMPY_MAX_RATIO",
-    "measure_la_kernel",
-    "la_numpy_tolerance",
-    "write_la_baseline",
-    "load_la_baseline",
-    "compare_la_to_baseline",
     "sweep_specs",
     "run_sweep",
     "measure_sweep_speedup",
@@ -152,26 +144,6 @@ HIER_AGG_MIN = 1.5
 #: The cell and scale the hierarchical-aggregation gate runs on.
 HIER_CELL = ("pr", "cvc", "bsp", "uo")
 HIER_PARTS = 32
-
-#: The cell the LA-kernel gate runs on.  PageRank *push* because its hot
-#: scatter (``np.add.at`` on the loop/numpy legs) is the operation the
-#: jitted numba backend replaces; pull PageRank's reduceat is shared by
-#: every leg verbatim (the bit-identity contract pins its summation
-#: order), so it could never show a backend speedup.
-LA_CELL = ("pr-push", "cvc", "bsp", "uo")
-
-#: Minimum loop/la-numba wall-clock ratio the LA gate enforces when the
-#: numba backend is importable; skipped (with a note) otherwise.
-LA_KERNEL_MIN_SPEEDUP = 1.5
-
-#: Maximum la-numpy/loop wall-clock ratio: the reference backend may not
-#: cost more than 10% over the legacy loop path.  Override with the
-#: ``REPRO_LA_NUMPY_TOL`` environment variable (CI uses a looser value —
-#: hosted runners have noisy clocks).
-LA_NUMPY_MAX_RATIO = 1.10
-
-#: Timing repetitions per leg in :func:`measure_la_kernel` (best-of).
-LA_KERNEL_REPS = 5
 
 #: Relative tolerance for simulated (machine-independent) float metrics.
 SIM_RTOL = 1e-6
@@ -262,9 +234,8 @@ class _Workload:
         }
         self._pgs: dict = {}
 
-    def inputs_for(self, app_name: str, policy: str,
-                   kernel: str = "loop", backend: str | None = None):
-        app = get_app(app_name, kernel=kernel, backend=backend)
+    def inputs_for(self, app_name: str, policy: str):
+        app = get_app(app_name)
         kind = "symmetric" if app.needs_symmetric else "directed"
         if (kind, policy) not in self._pgs:
             self._pgs[(kind, policy)] = partition(
@@ -291,23 +262,18 @@ def run_cell(
     check=None,
     contention=None,
     hierarchical: bool = False,
-    kernel: str = "loop",
-    backend: str | None = None,
 ) -> CellResult:
     """Run one cell and collect its measurements.
 
     ``contention`` (a :class:`~repro.hw.contention.ContentionConfig`)
     attaches shared-resource pricing to the workload's cluster for this
-    cell only; ``hierarchical`` opts the cell into two-level sync;
-    ``kernel``/``backend`` select the compute kernel exactly like
-    ``repro-study --kernel`` does.
+    cell only; ``hierarchical`` opts the cell into two-level sync.
     """
     if engine not in _ENGINES:
         raise ConfigurationError(f"unknown engine {engine!r}")
     if comm not in _COMM_CONFIGS:
         raise ConfigurationError(f"unknown comm variant {comm!r}")
-    app, pg, ctx = workload.inputs_for(app_name, policy, kernel=kernel,
-                                       backend=backend)
+    app, pg, ctx = workload.inputs_for(app_name, policy)
     cluster = workload.cluster
     if contention is not None:
         cluster = replace(cluster, contention=contention)
@@ -605,118 +571,6 @@ def measure_hier_aggregation() -> dict:
         "flat_sim_seconds": float(flat.sim_seconds),
         "hier_sim_seconds": float(hier.sim_seconds),
     }
-
-
-def la_numpy_tolerance() -> float:
-    return float(os.environ.get("REPRO_LA_NUMPY_TOL", LA_NUMPY_MAX_RATIO))
-
-
-def measure_la_kernel(reps: int = LA_KERNEL_REPS) -> dict:
-    """Loop vs LA-kernel wall-clock on the :data:`LA_CELL` workload.
-
-    Three legs on the BENCH_sync workload graph: the legacy loop path,
-    ``kernel="la"`` on the numpy reference backend, and (when importable)
-    ``kernel="la"`` on the jitted numba backend.  Legs alternate and each
-    takes its best of ``reps`` runs (the :func:`measure_speedup`
-    methodology).  The deterministic metrics of every run must agree
-    *exactly* — the LA core's bit-identity contract means a CRC mismatch
-    here is a correctness bug, not a perf regression.
-
-    Gates (evaluated by the driver): la-numpy within
-    :func:`la_numpy_tolerance` of the loop path; la-numba at least
-    :data:`LA_KERNEL_MIN_SPEEDUP` x faster than the loop path.  The
-    numba gate is skipped — reported with ``numba_available=False`` —
-    when the backend is not importable, which is the default CI install.
-    """
-    from repro.la.backend import available_backends
-
-    workload = _Workload(MATRIX_GRAPH)
-    app, policy, engine, comm = LA_CELL
-    # warm-up: partitions, memoized sync plans, allocator steady state
-    reference = run_cell(workload, app, policy, engine, comm)
-    has_numba = "numba" in available_backends()
-    legs: dict[str, dict] = {
-        "loop": {"kernel": "loop"},
-        "numpy": {"kernel": "la", "backend": "numpy"},
-    }
-    if has_numba:
-        legs["numba"] = {"kernel": "la", "backend": "numba"}
-        # pay the JIT compilation outside the timed reps
-        run_cell(workload, app, policy, engine, comm, **legs["numba"])
-    walls: dict[str, list[float]] = {name: [] for name in legs}
-    for _ in range(max(1, int(reps))):
-        for name, kw in legs.items():
-            cell = run_cell(workload, app, policy, engine, comm, **kw)
-            if cell.deterministic_fields() != reference.deterministic_fields():
-                raise ConfigurationError(
-                    f"LA kernel leg {name!r} broke bit-identity on "
-                    f"{cell.key}: {cell.deterministic_fields()} vs "
-                    f"{reference.deterministic_fields()}"
-                )
-            walls[name].append(cell.wall_seconds)
-    loop_wall = min(walls["loop"])
-    numpy_wall = min(walls["numpy"])
-    out = {
-        "cell": cell_key(app, policy, engine, comm),
-        "numba_available": has_numba,
-        "loop_wall_seconds": loop_wall,
-        "numpy_wall_seconds": numpy_wall,
-        "numpy_ratio": numpy_wall / max(loop_wall, 1e-12),
-        "deterministic": reference.deterministic_fields(),
-    }
-    if has_numba:
-        numba_wall = min(walls["numba"])
-        out["numba_wall_seconds"] = numba_wall
-        out["numba_speedup"] = loop_wall / max(numba_wall, 1e-12)
-    return out
-
-
-def write_la_baseline(path, sp: dict) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "workload": {"matrix_graph": MATRIX_GRAPH,
-                     "num_partitions": NUM_PARTITIONS,
-                     "cell": list(LA_CELL)},
-        "result": sp,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_la_baseline(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"LA baseline schema {doc.get('schema')} != {SCHEMA_VERSION}; "
-            "regenerate with bench_regression.py --update"
-        )
-    return doc["result"]
-
-
-def compare_la_to_baseline(sp: dict, baseline: dict) -> list[str]:
-    """Diff a fresh LA measurement against the committed baseline.
-
-    Only the deterministic cell metrics are compared — they are
-    machine-independent and shared by every leg, so drift means the cell
-    itself (engine, comm, or kernel semantics) changed.  The wall-clock
-    ratios are gates, not baseline fields.
-    """
-    violations: list[str] = []
-    cur, base = sp.get("deterministic", {}), baseline.get("deterministic", {})
-    for name in sorted(set(cur) | set(base)):
-        c, b = cur.get(name), base.get(name)
-        if isinstance(c, float) and isinstance(b, float):
-            if not np.isclose(c, b, rtol=SIM_RTOL, atol=0.0):
-                violations.append(
-                    f"{sp.get('cell')}: {name} drifted {b!r} -> {c!r}"
-                )
-        elif c != b:
-            violations.append(f"{sp.get('cell')}: {name} changed {b!r} -> {c!r}")
-    if sp.get("cell") != baseline.get("cell"):
-        violations.append(
-            f"LA gate cell changed {baseline.get('cell')!r} -> "
-            f"{sp.get('cell')!r} (run bench_regression.py --update)"
-        )
-    return violations
 
 
 # --------------------------------------------------------------------------- #

@@ -114,10 +114,6 @@ class CellSpec:
     #: deterministic crash schedule as ``((gpu_index, round_index), ...)``;
     #: converted to an :class:`~repro.engine.faults.FaultPlan` at run time.
     fault_plan: tuple = ()
-    #: compute kernel override (``"loop"`` / ``"la"``); the empty string
-    #: inherits the framework's default, so existing specs (and the
-    #: sweep executor's ``--kernel`` stamping) compose cleanly.
-    kernel: str = ""
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,6 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
                     from repro.engine.faults import FaultPlan
 
                     run_kwargs["fault_plan"] = FaultPlan(dict(spec.fault_plan))
-                if spec.kernel:
-                    run_kwargs["kernel"] = spec.kernel
                 res = fw.run(
                     spec.benchmark,
                     ds,

@@ -98,11 +98,6 @@ class SweepExecutor:
     engine_executor:
         compute-phase dispatch stamped onto every :class:`CellSpec`
         (``"serial"`` or ``"threads"``); results are bit-identical.
-    kernel:
-        compute kernel stamped onto every :class:`CellSpec` that does
-        not pin one itself (``"loop"`` or ``"la"``); labels are
-        bit-identical either way (docs/kernels.md), so ``--kernel la``
-        sweeps validate the LA path at full study scale.
     trace_dir:
         when set, every cell writes a Chrome trace JSON here (see
         :mod:`repro.obs`); workers inherit the setting through the pool
@@ -135,7 +130,6 @@ class SweepExecutor:
         start_method: Optional[str] = None,
         trace_dir: Optional[str] = None,
         check=None,
-        kernel: str = "loop",
         shard_plan: bool = False,
         max_disk_bytes: Optional[int] = None,
         spill_shards: bool = False,
@@ -143,7 +137,6 @@ class SweepExecutor:
         self.jobs = int(jobs)
         self.cache_dir = cache_dir
         self.engine_executor = engine_executor
-        self.kernel = kernel
         self.start_method = start_method or default_start_method()
         self.trace_dir = None if trace_dir is None else str(trace_dir)
         if check is not None:
@@ -206,12 +199,9 @@ class SweepExecutor:
     def _prepare(self, spec):
         if not isinstance(spec, CellSpec):
             return spec
-        updates = {}
         if self.engine_executor != "serial" and spec.engine_executor == "serial":
-            updates["engine_executor"] = self.engine_executor
-        if self.kernel != "loop" and not spec.kernel:
-            updates["kernel"] = self.kernel
-        return replace(spec, **updates) if updates else spec
+            return replace(spec, engine_executor=self.engine_executor)
+        return spec
 
     # ------------------------------------------------------------------ #
     def map(

@@ -303,12 +303,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-partition compute loop inside each engine round",
     )
     parser.add_argument(
-        "--kernel", choices=("loop", "la"), default="loop",
-        help="compute kernel for every study cell: the hand-rolled loop "
-        "reference or the repro.la SpMV path (bit-identical labels; see "
-        "docs/kernels.md)",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="log one line per completed study cell",
     )
@@ -364,7 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         engine_executor=args.engine_executor,
         trace_dir=args.trace,
         check=args.check,
-        kernel=args.kernel,
     ) as ex:
         for name in names:
             t0 = time.time()

@@ -24,11 +24,10 @@ from repro.errors import ConfigurationError, GraphFormatError
 from repro.fuzz.gen import SHAPES, build_shape
 from repro.generators.chunked import build_store
 from repro.graph import from_edges
-from repro.la.backend import BACKENDS
+from repro.la import semiring, spmv
 from repro.runtime.cells import CellSpec, SystemSpec
 from repro.runtime.sweep import SweepExecutor
 
-NUMPY = BACKENDS["numpy"]
 D = idset.DENSE_DIVISOR
 
 
@@ -113,11 +112,6 @@ def test_scatter_changed_equals_touched_formulation(stream, op, seed):
     _same(idset.scatter_changed(op, got_labels, targets, values), expect)
     assert got_labels.tobytes() == expect_labels.tobytes()
 
-    # the array backend's change-tracking scatter is the same code path
-    la_labels = labels.copy()
-    _same(NUMPY.scatter(op, la_labels, targets, values), expect)
-    assert la_labels.tobytes() == expect_labels.tobytes()
-
 
 @given(stream=id_streams(), seed=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
@@ -128,34 +122,34 @@ def test_loop_and_la_scatters_are_one_code_path(stream, seed):
     values = rng.integers(0, 8, len(targets)).astype(np.uint32)
     a, b = labels.copy(), labels.copy()
     _same(scatter_min(a, targets, values),
-          NUMPY.scatter("min", b, targets, values))
+          idset.scatter_changed("min", b, targets, values))
     assert a.tobytes() == b.tobytes()
     fa = rng.random(n)
     fb = fa.copy()
     fv = rng.random(len(targets))
-    _same(scatter_add(fa, targets, fv), NUMPY.scatter("add", fb, targets, fv))
+    _same(scatter_add(fa, targets, fv),
+          idset.scatter_changed("add", fb, targets, fv))
     assert fa.tobytes() == fb.tobytes()
 
 
 def test_backend_scatter_delegates_to_the_primitive(monkeypatch):
-    """Not merely equal results: ``ArrayBackend.scatter`` *calls*
-    ``scatter_changed`` (the loop/LA twins share one extraction)."""
-    import repro.la.backend as backend_mod
-
+    """Not merely equal results: ``spmsv_push`` *calls*
+    ``scatter_changed`` (every push kernel shares one extraction)."""
     seen = []
 
     def spy(op, *args, **kwargs):
         seen.append(op)
         return idset.scatter_changed(op, *args, **kwargs)
 
-    monkeypatch.setattr(backend_mod, "scatter_changed", spy)
-    out = np.array([5, 5, 5], dtype=np.uint32)
-    changed = NUMPY.scatter(
-        "min", out, np.array([1, 1, 2]), np.array([3, 9, 7], dtype=np.uint32)
+    monkeypatch.setattr(spmv, "scatter_changed", spy)
+    g = from_edges([0, 0, 0], [1, 1, 2], num_vertices=3, name="fan")
+    out = np.array([2, 5, 3], dtype=np.uint32)
+    changed, edges = spmv.spmsv_push(
+        g, np.array([0]), out, out, semiring.MIN_PLUS
     )
-    assert seen == ["min"]
+    assert seen == ["min"] and edges == 3
     np.testing.assert_array_equal(changed, [1])
-    np.testing.assert_array_equal(out, [5, 3, 5])
+    np.testing.assert_array_equal(out, [2, 3, 3])
 
 
 def test_min_ignores_untouched_nan():

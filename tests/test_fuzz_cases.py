@@ -9,6 +9,7 @@ regression guard; the suite fails if the directory is empty.
 """
 
 import glob
+import json
 import os
 
 import pytest
@@ -17,7 +18,12 @@ from repro.errors import ConfigurationError, InvariantViolation, ReproError
 from repro.fuzz.cases import Case, CaseFailure, run_case
 
 CASE_DIR = os.path.join(os.path.dirname(__file__), "cases")
-CASE_FILES = sorted(glob.glob(os.path.join(CASE_DIR, "*.json")))
+#: kernel_golden.json shares the directory but is a table of expected
+#: results (tests/test_la_backend_equiv.py), not a replayable case
+CASE_FILES = sorted(
+    p for p in glob.glob(os.path.join(CASE_DIR, "*.json"))
+    if os.path.basename(p) != "kernel_golden.json"
+)
 
 
 def test_case_directory_is_not_empty():
@@ -28,6 +34,25 @@ def test_case_directory_is_not_empty():
     "path", CASE_FILES, ids=[os.path.basename(p) for p in CASE_FILES]
 )
 def test_replay_committed_case(path):
+    _replay(path)
+
+
+def test_case_recorded_with_a_kernel_still_replays(tmp_path):
+    """Cases written while the ``kernel`` axis existed (PRs 6-13) carry
+    a ``"kernel"`` key; ``Case.from_json`` drops unknown keys, so such a
+    file loads as the same case and replays."""
+    for path in CASE_FILES:
+        with open(path) as fh:
+            data = json.load(fh)
+        assert "kernel" not in data
+        data["kernel"] = "la"
+        old = tmp_path / os.path.basename(path)
+        old.write_text(json.dumps(data))
+        assert Case.load(str(old)) == Case.load(path)
+        _replay(str(old))
+
+
+def _replay(path):
     case = Case.load(path)
     try:
         labels = run_case(case, check="full")
