@@ -1,134 +1,125 @@
-"""Performance-regression harness for the vectorized Gluon sync hot path
-and the parallel sweep runtime.
+"""The regression gates: one table, one loop, one baseline format.
 
-Three guards, two committed baselines (``benchmarks/BENCH_sync.json``,
-``benchmarks/BENCH_sweep.json``):
-
-* the **workload matrix** — bfs/cc/pr x IEC/CVC x BSP/BASP x AS/UO on a
-  seeded RMAT graph.  Simulated metrics (execution time, rounds, messages,
-  wire bytes, work items, label CRC) are machine-independent and must match
-  the baseline to a tight relative tolerance; wall-clock must stay within a
-  loose slack factor (``--wall-tol`` / ``REPRO_BENCH_WALL_TOL``).
-* the **vectorization speedup gate** — the pagerank/CVC/BSP/UO cell timed
-  against the retained pre-vectorization reference path (per-element
-  extraction + per-message pricing) must stay >= 3x, with identical
-  deterministic metrics on both legs.
-* the **sweep runtime gate** — a fixed slice of the study fanned out
-  through the sweep executor.  Its deterministic per-cell records must
-  match ``BENCH_sweep.json`` (checked with ``--jobs 2`` so the process
-  pool itself is exercised, including in CI), and a warm partition cache
-  must make the sweep >= 2x faster than the cold serial first run, with
-  zero re-partitions (full mode only).
-* the **tracing overhead gate** — the matrix with a *disabled*
-  ``repro.obs.Tracer`` attached must stay within 2% of the no-tracer
-  wall-clock (``REPRO_TRACE_OVERHEAD_TOL`` overrides), with identical
-  deterministic metrics; the observability layer must cost nothing when
-  off.
-* the **invariant-checking overhead gate** — the matrix with an explicit
-  ``check="off"`` must stay within 2% of the check-unset wall-clock
-  (``REPRO_CHECK_OVERHEAD_TOL`` overrides), with identical deterministic
-  metrics; ``repro.check`` must cost nothing when off.
-* the **contention overhead gate** — the matrix with a *disabled*
-  ``repro.hw.ContentionConfig`` attached must stay within 2% of the
-  no-contention wall-clock (``REPRO_CONTENTION_OVERHEAD_TOL``
-  overrides), with identical deterministic metrics; shared-resource
-  pricing must cost nothing when off.
-* the **hierarchical-aggregation gate** — two-level (intra-host ->
-  network) sync on the pr/cvc cell at bridges-32 scale must cut
-  cross-host wire messages >= 1.5x while leaving labels, rounds, and
-  work bit-identical.  Fully deterministic, so it runs with
-  ``--check-only`` in CI.
-* the **out-of-core pipeline gate** (``--ooc-only``, baseline
-  ``benchmarks/BENCH_ooc.json``) — chunk-generate an R-MAT store at
-  least 4x the configured RAM cap, partition it into spilled shards,
-  and fan bfs + pr-push out over spawn workers: every worker's peak
-  *anonymous* RSS must stay under the cap, warm mmap wall-clock within
-  1.25x of the in-RAM path on a small graph, and rounds/label CRCs
-  bit-identical to the baseline (``REPRO_OOC_RAM_CAP_MB`` /
-  ``REPRO_OOC_RSS_TOL`` / ``REPRO_OOC_WALL_TOL`` override; the
-  deterministic comparison is skipped when the env knobs change the
-  graph scale — docs/scale.md).
-* the **GNN placement gate** (``--gnn-only``, baseline
-  ``benchmarks/BENCH_gnn.json``) — the ``repro.gnnflow`` feature-gather
-  study over the seeded fuzz-shape suite x IEC/OEC/HVC/CVC x placement
-  treatments, run serially and with ``--jobs 2`` (reports must be
-  byte-identical): the hot-vertex buffer must cut priced host->device
-  feature bytes >= 2x on the powerlaw shape for every policy, never
-  increase them anywhere, and every deterministic counter must match
-  the baseline (docs/gnnflow.md).
+Every gate is one :class:`Gate` row of :data:`GATES` — what to measure,
+the verdict line to print, the structural floor or ceiling to check, and
+(for a gate with a committed baseline) the envelope parts
+``repro.metrics.perfbaseline.diff_baseline`` pins against
+``benchmarks/BENCH_<gate>.json``.  :func:`main` is the one loop over the
+table; ``docs/performance.md`` ("Running and updating") tabulates the
+rows for readers.
 
 Usage::
 
-    python benchmarks/bench_regression.py               # full check
-    python benchmarks/bench_regression.py --check-only  # deterministic only (CI)
+    python benchmarks/bench_regression.py               # every default gate
+    python benchmarks/bench_regression.py --check-only  # skip wall-clock gates (CI)
+    python benchmarks/bench_regression.py --only gnn    # one gate (repeatable)
     python benchmarks/bench_regression.py --update      # regenerate baselines
 
+Exit codes: 0 clean, 1 on a violation (``REGRESSION:`` lines), 2 on a
+usage error or a baseline that is missing or not this gate's.
+``REPRO_BENCH_WALL_TOL`` sets the slack factor for recorded wall numbers
+(default 4.0; 0 disables wall checks).
+
 The module doubles as a pytest bench (``pytest benchmarks/bench_regression.py
---benchmark-only``) that archives the regenerated table like the paper
-benches do.
+--benchmark-only``) that archives each gate's output under
+``benchmarks/results/regression_<gate>.txt`` like the paper benches do.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
+
+import pytest
 
 from benchmarks.conftest import archive
-from repro.gnnflow import (
-    H2D_REDUCTION_GATE,
-    GnnReport,
-    evaluate_gnn,
-    gnn_study,
-)
+from repro.gnnflow import H2D_REDUCTION_GATE, GnnReport, evaluate_gnn, gnn_study
+from repro.hw import ContentionConfig
 from repro.metrics.perfbaseline import (
     HIER_AGG_MIN,
+    MATRIX_WORKLOAD,
+    SIM_RTOL,
     SPEEDUP_MIN_RATIO,
     SWEEP_SPEEDUP_MIN,
-    check_overhead_tolerance,
-    contention_overhead_tolerance,
-    compare_sweep_to_baseline,
-    compare_to_baseline,
+    SWEEP_WORKLOAD,
     default_wall_tolerance,
+    diff_baseline,
     load_baseline,
-    load_sweep_baseline,
-    measure_check_overhead,
-    measure_contention_overhead,
     measure_hier_aggregation,
+    measure_overhead,
     measure_speedup,
     measure_sweep_speedup,
-    measure_trace_overhead,
+    overhead_tolerance,
     run_matrix,
     run_sweep,
-    trace_overhead_tolerance,
     write_baseline,
-    write_sweep_baseline,
 )
+from repro.obs import Tracer
 from repro.serve.bench import (
+    DETERMINISTIC_FIELDS,
     SERVE_MIN_SPEEDUP,
     evaluate_serve,
-    load_serve_baseline,
     measure_serve,
-    write_serve_baseline,
 )
 from repro.study.ooc import OocConfig
 from repro.study.ooc import evaluate as ooc_evaluate
 from repro.study.ooc import run_ooc_study
 from repro.study.report import format_table
 from repro.tune import advisor_study, evaluate_advisor
-from repro.tune.dse import REGRET_GATE, AdvisorReport
+from repro.tune.dse import REGRET_GATE
 
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_sync.json"
-SWEEP_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_sweep.json"
-OOC_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_ooc.json"
-SERVE_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_serve.json"
-ADVISOR_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_advisor.json"
-GNN_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_gnn.json"
+BASELINE_DIR = pathlib.Path(__file__).parent
 
 #: Worker count for the deterministic sweep check — 2 processes is enough
 #: to prove pool fan-out changes nothing, and stays CI-friendly.
 SWEEP_CHECK_JOBS = 2
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One regression gate."""
+
+    name: str
+    measure: Callable[[], Any]
+    #: the verdict line: names the gate, the measured value and the bound
+    line: Callable[[Any], str]
+    #: structural floor/ceiling violations of one measurement
+    check: Callable[[Any], list]
+    #: the baseline envelope's parts.  A gate with ``deterministic`` owns
+    #: ``BENCH_<name>.json``; one without has no baseline.
+    config: Optional[Callable[[Any], dict]] = None
+    deterministic: Optional[Callable[[Any], dict]] = None
+    #: host-dependent numbers to record under ``wall[name]``
+    record: Callable[[Any], dict] = lambda result: {}
+    #: relative tolerance for ``deterministic`` floats (0 = exact)
+    rtol: float = SIM_RTOL
+    #: a wall-clock gate: skipped by ``--check-only``
+    wall: bool = False
+    #: runs when no ``--only`` selects anything
+    default: bool = True
+    #: ``config`` follows environment knobs, so a mismatch against the
+    #: baseline skips the comparison with a note instead of failing
+    env_config: bool = False
+    #: a baseline-less gate whose measurement ``--update`` keeps in this
+    #: gate's file (under ``wall[name]``), re-measured whenever it is
+    recorded_in: Optional[str] = None
+
+
+# --------------------------------------------------------------------------- #
+# verdict lines and structural checks
+# --------------------------------------------------------------------------- #
+def _at_least(subject: str, key: str, floor: float) -> Callable[[dict], list]:
+    """The check of a ratio gate: ``sp[key]`` may not fall below ``floor``."""
+
+    def check(sp: dict) -> list[str]:
+        if sp[key] >= floor:
+            return []
+        return [f"{subject} gate: {sp[key]:.2f}x < {floor:.1f}x"]
+
+    return check
 
 
 def _matrix_table(results) -> str:
@@ -159,33 +150,52 @@ def _speedup_line(sp: dict) -> str:
     )
 
 
-def _trace_line(sp: dict) -> str:
+def _sweep_line(sp: dict) -> str:
     return (
-        f"tracing overhead over {sp['cells']} matrix cells: "
-        f"{sp['no_tracer_wall_seconds'] * 1e3:.1f} ms no tracer / "
-        f"{sp['disabled_tracer_wall_seconds'] * 1e3:.1f} ms disabled tracer "
-        f"= {sp['overhead_ratio']:.4f}x "
-        f"(gate: <= {trace_overhead_tolerance():.2f}x)"
+        f"sweep runtime on {sp['dataset']} ({sp['cells']} cells): "
+        f"{sp['cold_wall_seconds']:.2f}s cold serial / "
+        f"{sp['warm_wall_seconds']:.2f}s warm cache @ --jobs {sp['jobs']} = "
+        f"{sp['speedup']:.2f}x (gate: >= {SWEEP_SPEEDUP_MIN:.1f}x; "
+        f"warm re-partitions: {sp['warm_partition_builds']})"
     )
 
 
-def _check_line(sp: dict) -> str:
-    return (
-        f"invariant-check overhead over {sp['cells']} matrix cells: "
-        f"{sp['no_check_wall_seconds'] * 1e3:.1f} ms check unset / "
-        f"{sp['check_off_wall_seconds'] * 1e3:.1f} ms check=off "
-        f"= {sp['overhead_ratio']:.4f}x "
-        f"(gate: <= {check_overhead_tolerance():.2f}x)"
-    )
+def _sweep_check(sp: dict) -> list[str]:
+    if sp["warm_partition_builds"] == 0:
+        return _at_least("sweep runtime", "speedup", SWEEP_SPEEDUP_MIN)(sp)
+    return [
+        "sweep cache gate: warm sweep rebuilt "
+        f"{sp['warm_partition_builds']} partition(s)"
+    ]
 
 
-def _contention_line(sp: dict) -> str:
-    return (
-        f"contention overhead over {sp['cells']} matrix cells: "
-        f"{sp['no_contention_wall_seconds'] * 1e3:.1f} ms no config / "
-        f"{sp['contention_off_wall_seconds'] * 1e3:.1f} ms disabled config "
-        f"= {sp['overhead_ratio']:.4f}x "
-        f"(gate: <= {contention_overhead_tolerance():.2f}x)"
+def _overhead_gate(
+    name: str, subject: str, kwarg: str, off_value: Callable[[], Any],
+    env: str, unset: str, off: str,
+) -> Gate:
+    """A zero-overhead-when-off row: the sync matrix with ``run_cell``'s
+    ``kwarg`` unset vs set to ``off_value()``, held to ``env``'s ceiling."""
+
+    def line(sp: dict) -> str:
+        return (
+            f"{subject} overhead over {sp['cells']} matrix cells: "
+            f"{sp['unset_wall_seconds'] * 1e3:.1f} ms {unset} / "
+            f"{sp['off_wall_seconds'] * 1e3:.1f} ms {off} "
+            f"= {sp['overhead_ratio']:.4f}x "
+            f"(gate: <= {overhead_tolerance(env):.2f}x)"
+        )
+
+    def check(sp: dict) -> list[str]:
+        if sp["overhead_ratio"] <= overhead_tolerance(env):
+            return []
+        return [
+            f"{subject} overhead gate: {sp['overhead_ratio']:.4f}x > "
+            f"{overhead_tolerance(env):.2f}x"
+        ]
+
+    return Gate(
+        name, lambda: measure_overhead(kwarg, off_value()), line, check,
+        wall=True,
     )
 
 
@@ -198,52 +208,6 @@ def _hier_line(sp: dict) -> str:
     )
 
 
-def _ooc_line(report) -> str:
-    cfg = report.config
-    walls = report.small_wall
-    return (
-        f"ooc pipeline @ scale {cfg.scale} (ef {cfg.edge_factor:g}, "
-        f"{cfg.num_partitions} parts): "
-        f"{report.store_bytes / 2**20:.0f} MiB store = "
-        f"{report.store_bytes / cfg.ram_cap_bytes:.1f}x the "
-        f"{cfg.ram_cap_mb:g} MiB cap; peak worker RSS "
-        f"{report.peak_rss_bytes / 2**20:.1f} MiB "
-        f"(gate: <= {cfg.ram_cap_mb * cfg.rss_tol:g} MiB); "
-        f"warm mmap/ram wall {walls['mmap'] / walls['ram']:.2f}x "
-        f"(gate: <= {cfg.wall_tol:g}x)"
-    )
-
-
-def _ooc_baseline(report):
-    """``(baseline, note)``: the committed baseline if comparable.
-
-    The env knobs (cap, size multiple) change the derived graph scale;
-    rounds and label CRCs are only meaningful against a baseline built
-    from the same deterministic inputs, so a mismatch skips the
-    comparison (with a note) instead of reporting false regressions —
-    the CI smoke run uses a tiny cap on purpose.
-    """
-    if not OOC_BASELINE_PATH.exists():
-        return None, (
-            f"no ooc baseline at {OOC_BASELINE_PATH}; "
-            "run --ooc-only --update first"
-        )
-    baseline = json.loads(OOC_BASELINE_PATH.read_text())
-    ours = report.to_json()["config"]
-    theirs = baseline.get("config", {})
-    diff = [
-        k for k in ("scale", "edge_factor", "num_partitions", "seed",
-                    "apps", "tolerance", "block_edges")
-        if ours.get(k) != theirs.get(k)
-    ]
-    if diff:
-        return None, (
-            "ooc baseline built with different "
-            f"{'/'.join(diff)}; deterministic comparison skipped"
-        )
-    return baseline, None
-
-
 def _serve_line(sp: dict) -> str:
     return (
         f"serve gate over {sp['requests']} requests: naive median "
@@ -252,23 +216,6 @@ def _serve_line(sp: dict) -> str:
         f"(gate: >= {SERVE_MIN_SPEEDUP:.1f}x; coalesced {sp['coalesced']}, "
         f"cache hits {sp['cache_hits']}, deltas {sp['delta_runs']}, "
         f"deterministic: {sp['deterministic']})"
-    )
-
-
-def _serve_violations(sp: dict) -> list[str]:
-    baseline = None
-    if SERVE_BASELINE_PATH.exists():
-        baseline = load_serve_baseline(SERVE_BASELINE_PATH)
-    return evaluate_serve(sp, baseline=baseline)
-
-
-def _sweep_line(sp: dict) -> str:
-    return (
-        f"sweep runtime on {sp['dataset']} ({sp['cells']} cells): "
-        f"{sp['cold_wall_seconds']:.2f}s cold serial / "
-        f"{sp['warm_wall_seconds']:.2f}s warm cache @ --jobs {sp['jobs']} = "
-        f"{sp['speedup']:.2f}x (gate: >= {SWEEP_SPEEDUP_MIN:.1f}x; "
-        f"warm re-partitions: {sp['warm_partition_builds']})"
     )
 
 
@@ -318,430 +265,309 @@ def _gnn_line(report) -> str:
     )
 
 
-def _gnn_violations(report) -> list[str]:
-    baseline = None
-    if GNN_BASELINE_PATH.exists():
-        baseline = GnnReport.from_json(GNN_BASELINE_PATH.read_text())
-    return evaluate_gnn(report, baseline=baseline)
-
-
-def _advisor_violations(report) -> list[str]:
-    baseline = None
-    if ADVISOR_BASELINE_PATH.exists():
-        baseline = AdvisorReport.from_json(ADVISOR_BASELINE_PATH.read_text())
-    return evaluate_advisor(report, baseline=baseline)
-
-
-# --------------------------------------------------------------------------- #
-# pytest bench entry points
-# --------------------------------------------------------------------------- #
-def test_regression_matrix(once):
-    results = once(run_matrix)
-    archive("regression_matrix", _matrix_table(results))
-    baseline = load_baseline(BASELINE_PATH)
-    violations = compare_to_baseline(
-        results, baseline, wall_tolerance=default_wall_tolerance()
-    )
-    assert not violations, "\n".join(violations)
-
-
-def test_vectorization_speedup(once):
-    sp = once(measure_speedup)
-    archive("regression_speedup", _speedup_line(sp))
-    assert sp["speedup"] >= SPEEDUP_MIN_RATIO, _speedup_line(sp)
-
-
-def test_sweep_matrix(once):
-    records, _, _ = once(lambda: run_sweep(jobs=SWEEP_CHECK_JOBS))
-    baseline = load_sweep_baseline(SWEEP_BASELINE_PATH)
-    violations = compare_sweep_to_baseline(records, baseline)
-    assert not violations, "\n".join(violations)
-
-
-def test_sweep_speedup(once):
-    sp = once(measure_sweep_speedup)
-    archive("regression_sweep", _sweep_line(sp))
-    assert sp["warm_partition_builds"] == 0, _sweep_line(sp)
-    assert sp["speedup"] >= SWEEP_SPEEDUP_MIN, _sweep_line(sp)
-
-
-def test_trace_overhead(once):
-    sp = once(measure_trace_overhead)
-    archive("regression_trace_overhead", _trace_line(sp))
-    assert sp["overhead_ratio"] <= trace_overhead_tolerance(), _trace_line(sp)
-
-
-def test_check_overhead(once):
-    sp = once(measure_check_overhead)
-    archive("regression_check_overhead", _check_line(sp))
-    assert sp["overhead_ratio"] <= check_overhead_tolerance(), _check_line(sp)
-
-
-def test_contention_overhead(once):
-    sp = once(measure_contention_overhead)
-    archive("regression_contention_overhead", _contention_line(sp))
-    assert sp["overhead_ratio"] <= contention_overhead_tolerance(), (
-        _contention_line(sp)
+def _ooc_line(report) -> str:
+    cfg = report.config
+    walls = report.small_wall
+    return (
+        f"ooc pipeline @ scale {cfg.scale} (ef {cfg.edge_factor:g}, "
+        f"{cfg.num_partitions} parts): "
+        f"{report.store_bytes / 2**20:.0f} MiB store = "
+        f"{report.store_bytes / cfg.ram_cap_bytes:.1f}x the "
+        f"{cfg.ram_cap_mb:g} MiB cap; peak worker RSS "
+        f"{report.peak_rss_bytes / 2**20:.1f} MiB "
+        f"(gate: <= {cfg.ram_cap_mb * cfg.rss_tol:g} MiB); "
+        f"warm mmap/ram wall {walls['mmap'] / walls['ram']:.2f}x "
+        f"(gate: <= {cfg.wall_tol:g}x)"
     )
 
 
-def test_hier_aggregation(once):
-    sp = once(measure_hier_aggregation)
-    archive("regression_hier_aggregation", _hier_line(sp))
-    assert sp["ratio"] >= HIER_AGG_MIN, _hier_line(sp)
+#: the ooc ``config`` entries that fix the generated graph and the cells
+#: run on it — rounds and label CRCs are only meaningful against a
+#: baseline built from the same ones.  The RAM cap and size multiple act
+#: only through the derived ``scale``; they are recorded with the host
+#: numbers they bound.
+_OOC_CONFIG_KEYS = (
+    "scale", "edge_factor", "num_partitions", "seed", "apps", "tolerance",
+    "block_edges",
+)
 
 
-def test_serve_gate(once):
-    sp = once(measure_serve)
-    archive("regression_serve", _serve_line(sp))
-    violations = _serve_violations(sp)
-    assert not violations, "\n".join(violations)
+#: what one ooc cell pins; the rest of a cell (elapsed, its worker's
+#: RSS increment) depends on the host and is recorded, not compared
+_OOC_CELL_KEYS = ("ok", "failure", "rounds", "labels_crc")
 
 
-def test_advisor_gate(once):
-    report = once(advisor_study)
-    archive("regression_advisor", _advisor_line(report))
-    violations = _advisor_violations(report)
-    assert not violations, "\n".join(violations)
+def _ooc_config(report) -> dict:
+    config = report.to_json()["config"]
+    return {k: config[k] for k in _OOC_CONFIG_KEYS}
 
 
-def test_gnn_gate(once):
-    report = once(_gnn_study_checked)
-    archive("regression_gnn", _gnn_line(report))
-    violations = _gnn_violations(report)
-    assert not violations, "\n".join(violations)
-
-
-def test_ooc_pipeline(once):
-    report = once(lambda: run_ooc_study(OocConfig.from_env()))
-    archive("regression_ooc", _ooc_line(report))
-    baseline, note = _ooc_baseline(report)
-    if note:
-        print(note)
-    violations = ooc_evaluate(report, baseline=baseline)
-    assert not violations, "\n".join(violations)
+def _ooc_record(report) -> dict:
+    doc = report.to_json()
+    return {
+        "ram_cap_mb": report.config.ram_cap_mb,
+        "size_multiple": report.config.size_multiple,
+        **{
+            k: doc[k] for k in (
+                "build_seconds", "partition_seconds", "peak_rss_bytes",
+                "rss_baseline_bytes", "rss_source", "small_wall",
+            )
+        },
+        "cells": {
+            app: {k: v for k, v in cell.items() if k not in _OOC_CELL_KEYS}
+            for app, cell in doc["cells"].items()
+        },
+    }
 
 
 # --------------------------------------------------------------------------- #
-# CLI
+# the table
 # --------------------------------------------------------------------------- #
-def main(argv=None) -> int:
+GATES = (
+    # the workload matrix — bfs/cc/pr x IEC/CVC x BSP/BASP x AS/UO on a
+    # seeded RMAT graph; simulated metrics are machine-independent
+    Gate(
+        "sync", run_matrix, _matrix_table, check=lambda results: [],
+        config=lambda results: MATRIX_WORKLOAD,
+        deterministic=lambda results: {
+            k: c.deterministic_fields() for k, c in results.items()
+        },
+        record=lambda results: {
+            k: c.wall_seconds for k, c in results.items()
+        },
+    ),
+    # the pr/cvc/bsp/uo cell against the retained pre-vectorization
+    # reference path (per-element extraction + per-message pricing),
+    # identical deterministic metrics on both legs
+    Gate(
+        "speedup", measure_speedup, _speedup_line,
+        _at_least("speedup", "speedup", SPEEDUP_MIN_RATIO),
+        record=lambda sp: sp, wall=True, recorded_in="sync",
+    ),
+    # a fixed slice of the study through the sweep executor, with
+    # --jobs 2 so the process pool itself is exercised, including in CI
+    Gate(
+        "sweep", lambda: run_sweep(jobs=SWEEP_CHECK_JOBS)[0],
+        lambda records: (
+            f"sweep records: {len(records)} cells @ --jobs {SWEEP_CHECK_JOBS}"
+        ),
+        check=lambda records: [],
+        config=lambda records: SWEEP_WORKLOAD,
+        deterministic=lambda records: records,
+    ),
+    # a warm partition cache must beat the cold serial first run, with
+    # zero re-partitions
+    Gate(
+        "sweep-speedup", measure_sweep_speedup, _sweep_line, _sweep_check,
+        record=lambda sp: sp, wall=True, recorded_in="sweep",
+    ),
+    _overhead_gate(
+        "trace-overhead", "tracing", "tracer",
+        lambda: Tracer(enabled=False), "REPRO_TRACE_OVERHEAD_TOL",
+        "no tracer", "disabled tracer",
+    ),
+    _overhead_gate(
+        "check-overhead", "invariant-check", "check", lambda: "off",
+        "REPRO_CHECK_OVERHEAD_TOL", "check unset", "check=off",
+    ),
+    _overhead_gate(
+        "contention-overhead", "contention", "contention",
+        lambda: ContentionConfig(enabled=False),
+        "REPRO_CONTENTION_OVERHEAD_TOL", "no config", "disabled config",
+    ),
+    # two-level (intra-host -> network) sync on the pr/cvc cell at
+    # bridges-32 scale; labels, rounds and work bit-identical.  All
+    # simulated, so it runs under --check-only
+    Gate(
+        "hier-aggregation", measure_hier_aggregation, _hier_line,
+        _at_least("hierarchical-aggregation", "ratio", HIER_AGG_MIN),
+    ),
+    # a seeded request trace served twice (byte-identical reports) plus
+    # its naive run-everything counterpart; all simulated time
+    Gate(
+        "serve", measure_serve, _serve_line, evaluate_serve,
+        config=lambda sp: {"gate_min_speedup": SERVE_MIN_SPEEDUP},
+        deterministic=lambda sp: {k: sp[k] for k in DETERMINISTIC_FIELDS},
+        rtol=0.0,
+    ),
+    # full-validation DSE over the seeded fuzz-shape suite; all
+    # simulated time
+    Gate(
+        "advisor", advisor_study, _advisor_line, evaluate_advisor,
+        config=lambda report: {
+            "seed": report.seed, "regret_gate": REGRET_GATE,
+        },
+        deterministic=lambda report: {
+            f"{r.shape}/{r.app}": r.to_dict() for r in report.rows
+        },
+    ),
+    # the repro.gnnflow feature-gather study over the fuzz-shape suite x
+    # IEC/OEC/HVC/CVC x placement treatments; all simulated time
+    Gate(
+        "gnn", _gnn_study_checked, _gnn_line, evaluate_gnn,
+        config=lambda report: {
+            "seed": report.seed,
+            "num_gpus": report.num_gpus,
+            "platform": report.platform,
+            "reduction_gate": H2D_REDUCTION_GATE,
+        },
+        deterministic=lambda report: {
+            f"{r.shape}/{r.policy}/{r.placement}": r.to_dict()
+            for r in report.rows
+        },
+    ),
+    # chunk-generate an R-MAT store >= 4x the RAM cap, partition it into
+    # spilled shards, fan bfs + pr-push out over spawn workers
+    # (REPRO_OOC_RAM_CAP_MB / REPRO_OOC_RSS_TOL / REPRO_OOC_WALL_TOL
+    # override; docs/scale.md).  Minutes long, so only on request; the
+    # CI smoke run uses a tiny cap on purpose, hence env_config
+    Gate(
+        "ooc",
+        lambda: run_ooc_study(
+            OocConfig.from_env(), progress=lambda m: print(f"  {m}")
+        ),
+        _ooc_line, ooc_evaluate,
+        config=_ooc_config,
+        deterministic=lambda report: {
+            "num_vertices": report.num_vertices,
+            "num_edges": report.num_edges,
+            "store_bytes": report.store_bytes,
+            "cells": {
+                app: {k: cell[k] for k in _OOC_CELL_KEYS}
+                for app, cell in report.cells.items()
+            },
+        },
+        record=_ooc_record, rtol=0.0, default=False, env_config=True,
+    ),
+)
+
+
+# --------------------------------------------------------------------------- #
+# the loop
+# --------------------------------------------------------------------------- #
+def _envelope(gate: Gate, result) -> dict:
+    recorded = gate.record(result)
+    return {
+        "gate": gate.name,
+        "config": gate.config(result),
+        "deterministic": gate.deterministic(result),
+        "wall": {gate.name: recorded} if recorded else {},
+    }
+
+
+def _baseline_path(baseline_dir, name: str) -> pathlib.Path:
+    return pathlib.Path(baseline_dir) / f"BENCH_{name}.json"
+
+
+@pytest.mark.parametrize("name", [g.name for g in GATES])
+def test_gate(name, once, capsys):
+    code = once(lambda: main(["--only", name]))
+    archive(f"regression_{name}", capsys.readouterr().out.rstrip())
+    assert code == 0
+
+
+def main(argv=None, gates=GATES, baseline_dir=BASELINE_DIR) -> int:
+    by_name = {g.name: g for g in gates}
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
-        "--update", action="store_true",
-        help="regenerate the committed baseline from this machine",
+        "--only", action="append", default=[], metavar="NAME",
+        help="run just this gate (repeatable; gates run in the order "
+             f"given): {', '.join(by_name)}",
     )
     ap.add_argument(
         "--check-only", action="store_true",
-        help="deterministic baseline checks only (sync matrix + sweep "
-             "records); skip the wall-clock speedup gates (what CI runs)",
+        help="skip the wall-clock gates (what CI runs)",
     )
     ap.add_argument(
-        "--wall-tol", type=float, default=None,
-        help="wall-clock slack factor per cell (default: "
-             "REPRO_BENCH_WALL_TOL or 4.0); 0 disables wall-clock checks",
-    )
-    ap.add_argument(
-        "--trace-overhead-only", action="store_true",
-        help="run just the tracing-overhead gate (what the CI obs job runs)",
-    )
-    ap.add_argument(
-        "--check-overhead-only", action="store_true",
-        help="run just the invariant-checking overhead gate (what the CI "
-             "correctness job runs)",
-    )
-    ap.add_argument(
-        "--contention-overhead-only", action="store_true",
-        help="run just the contention overhead gate (what the CI comm "
-             "job runs)",
-    )
-    ap.add_argument(
-        "--hier-aggregation-only", action="store_true",
-        help="run just the hierarchical-aggregation gate (deterministic; "
-             "what the CI comm job runs)",
-    )
-    ap.add_argument(
-        "--serve-only", action="store_true",
-        help="run just the serve gate: byte-identical reports across two "
-             "runs of the seeded trace, naive/serve median latency >= "
-             "2x, deterministic metrics vs BENCH_serve.json (combine "
-             "with --update to regenerate the baseline)",
-    )
-    ap.add_argument(
-        "--advisor-only", action="store_true",
-        help="run just the advisor-accuracy gate: full-validation DSE "
-             "over the seeded fuzz-shape suite, top-1 regret <= "
-             f"{REGRET_GATE}x measured-best, deterministic vs "
-             "BENCH_advisor.json (combine with --update to regenerate "
-             "the baseline; entirely simulated time, so --check-only "
-             "changes nothing)",
-    )
-    ap.add_argument(
-        "--gnn-only", action="store_true",
-        help="run just the GNN placement gate: the repro.gnnflow study "
-             "serially and with --jobs 2 (byte-identical reports), "
-             f"caching >= {H2D_REDUCTION_GATE:g}x H2D feature-byte "
-             "reduction on the powerlaw suite shape, deterministic vs "
-             "BENCH_gnn.json (combine with --update to regenerate the "
-             "baseline; entirely simulated time, so --check-only "
-             "changes nothing)",
-    )
-    ap.add_argument(
-        "--ooc-only", action="store_true",
-        help="run just the out-of-core pipeline gate: store >= 4x the "
-             "RAM cap, worker peak RSS under the cap, warm mmap wall "
-             "within tolerance, deterministic metrics vs BENCH_ooc.json "
-             "(combine with --update to regenerate the baseline)",
+        "--update", action="store_true",
+        help="regenerate the committed baselines of the selected gates "
+             "from this machine; a measurement that fails its gate is "
+             "not written",
     )
     args = ap.parse_args(argv)
 
-    if args.advisor_only:
-        report = advisor_study()
-        print(_advisor_line(report))
-        if args.update:
-            ADVISOR_BASELINE_PATH.write_text(report.to_json() + "\n")
-            print(f"advisor baseline written to {ADVISOR_BASELINE_PATH}")
-            return 0
-        violations = _advisor_violations(report)
-        for v in violations:
-            print(f"REGRESSION: {v}")
-        if violations:
-            return 1
-        print("advisor accuracy within the gate")
-        return 0
-
-    if args.gnn_only:
-        report = _gnn_study_checked()
-        print(_gnn_line(report))
-        if args.update:
-            GNN_BASELINE_PATH.write_text(report.to_json() + "\n")
-            print(f"gnn baseline written to {GNN_BASELINE_PATH}")
-            return 0
-        violations = _gnn_violations(report)
-        for v in violations:
-            print(f"REGRESSION: {v}")
-        if violations:
-            return 1
-        print("gnn placement gate within tolerance")
-        return 0
-
-    if args.serve_only:
-        sp = measure_serve()
-        print(_serve_line(sp))
-        if args.update:
-            write_serve_baseline(SERVE_BASELINE_PATH, sp)
-            print(f"serve baseline written to {SERVE_BASELINE_PATH}")
-            return 0
-        violations = _serve_violations(sp)
-        for v in violations:
-            print(f"REGRESSION: {v}")
-        if violations:
-            return 1
-        print("serve gate within tolerance")
-        return 0
-
-    if args.ooc_only:
-        report = run_ooc_study(
-            OocConfig.from_env(), progress=lambda m: print(f"  {m}")
+    unknown = [n for n in args.only if n not in by_name]
+    if unknown:
+        ap.error(
+            f"unknown gate(s) {', '.join(unknown)}; "
+            f"valid names: {', '.join(by_name)}"
         )
-        print(_ooc_line(report))
-        if args.update:
-            OOC_BASELINE_PATH.write_text(
-                json.dumps(report.to_json(), indent=1, sort_keys=True) + "\n"
-            )
-            print(f"ooc baseline written to {OOC_BASELINE_PATH}")
-            return 0
-        baseline, note = _ooc_baseline(report)
-        if note:
-            print(note)
-        violations = ooc_evaluate(report, baseline=baseline)
-        for v in violations:
-            print(f"REGRESSION: {v}")
-        if violations:
-            return 1
-        print("ooc pipeline within tolerance")
-        return 0
-
-    if args.trace_overhead_only:
-        sp = measure_trace_overhead()
-        print(_trace_line(sp))
-        if sp["overhead_ratio"] > trace_overhead_tolerance():
-            print("REGRESSION: tracing overhead gate failed")
-            return 1
-        print("tracing overhead within tolerance")
-        return 0
-
-    if args.check_overhead_only:
-        sp = measure_check_overhead()
-        print(_check_line(sp))
-        if sp["overhead_ratio"] > check_overhead_tolerance():
-            print("REGRESSION: invariant-checking overhead gate failed")
-            return 1
-        print("invariant-checking overhead within tolerance")
-        return 0
-
-    if args.contention_overhead_only:
-        sp = measure_contention_overhead()
-        print(_contention_line(sp))
-        if sp["overhead_ratio"] > contention_overhead_tolerance():
-            print("REGRESSION: contention overhead gate failed")
-            return 1
-        print("contention overhead within tolerance")
-        return 0
-
-    if args.hier_aggregation_only:
-        sp = measure_hier_aggregation()
-        print(_hier_line(sp))
-        if sp["ratio"] < HIER_AGG_MIN:
-            print("REGRESSION: hierarchical-aggregation gate failed")
-            return 1
-        print("hierarchical aggregation meets the gate")
-        return 0
-
-    results = run_matrix()
-    print(_matrix_table(results))
-    print()
-
+    selected = [by_name[n] for n in dict.fromkeys(args.only)] or [
+        g for g in gates if g.default
+    ]
     if args.update:
-        speedup = measure_speedup()
-        print(_speedup_line(speedup))
-        write_baseline(BASELINE_PATH, results, speedup=speedup)
-        print(f"baseline written to {BASELINE_PATH}")
-        sweep_records, _, _ = run_sweep(jobs=SWEEP_CHECK_JOBS)
-        sweep_sp = measure_sweep_speedup()
-        print(_sweep_line(sweep_sp))
-        write_sweep_baseline(
-            SWEEP_BASELINE_PATH, sweep_records, speedup=sweep_sp
-        )
-        print(f"sweep baseline written to {SWEEP_BASELINE_PATH}")
-        advisor_report = advisor_study()
-        print(_advisor_line(advisor_report))
-        ADVISOR_BASELINE_PATH.write_text(advisor_report.to_json() + "\n")
-        print(f"advisor baseline written to {ADVISOR_BASELINE_PATH}")
-        gnn_report = _gnn_study_checked()
-        print(_gnn_line(gnn_report))
-        GNN_BASELINE_PATH.write_text(gnn_report.to_json() + "\n")
-        print(f"gnn baseline written to {GNN_BASELINE_PATH}")
-        serve_sp = measure_serve()
-        print(_serve_line(serve_sp))
-        write_serve_baseline(SERVE_BASELINE_PATH, serve_sp)
-        print(f"serve baseline written to {SERVE_BASELINE_PATH}")
-        return 0
+        if args.check_only:
+            ap.error("--update re-measures wall-clock records; drop --check-only")
+        if args.only:
+            for g in selected:
+                if g.deterministic is None:
+                    ap.error(
+                        f"gate {g.name} has no baseline to update"
+                        + (f"; it is recorded by --update --only "
+                           f"{g.recorded_in}" if g.recorded_in else "")
+                    )
+        selected = [
+            g for owner in selected if owner.deterministic is not None
+            for g in gates if owner.name in (g.name, g.recorded_in)
+        ]
+    elif args.check_only:
+        selected = [g for g in selected if not g.wall]
+        if not selected:
+            ap.error("--check-only skips every selected gate")
 
-    wall_tol = args.wall_tol
-    if wall_tol is None:
-        wall_tol = default_wall_tolerance()
-    elif wall_tol == 0:
-        wall_tol = None
+    baselines = {}
+    if not args.update:
+        for g in selected:
+            if g.deterministic is None:
+                continue
+            baselines[g.name] = load_baseline(
+                _baseline_path(baseline_dir, g.name), g.name
+            )
+            if baselines[g.name] is None:
+                print(f"no baseline for {g.name}; run --update --only {g.name}")
+                return 2
 
-    if not BASELINE_PATH.exists():
-        print(f"no baseline at {BASELINE_PATH}; run with --update first")
-        return 2
-    baseline = load_baseline(BASELINE_PATH)
-    violations = compare_to_baseline(results, baseline, wall_tolerance=wall_tol)
-    for v in violations:
-        print(f"REGRESSION: {v}")
-
-    if SWEEP_BASELINE_PATH.exists():
-        sweep_records, _, _ = run_sweep(jobs=SWEEP_CHECK_JOBS)
-        sweep_violations = compare_sweep_to_baseline(
-            sweep_records, load_sweep_baseline(SWEEP_BASELINE_PATH)
-        )
-        for v in sweep_violations:
+    wall_tolerance = default_wall_tolerance() or None
+    violations: list[str] = []
+    pending: dict[str, dict] = {}
+    for g in selected:
+        result = g.measure()
+        print(g.line(result))
+        found = list(g.check(result))
+        if args.update:
+            if found:
+                pending.pop(g.recorded_in or g.name, None)
+            elif g.deterministic is not None:
+                pending[g.name] = _envelope(g, result)
+            elif g.recorded_in in pending:
+                pending[g.recorded_in]["wall"][g.name] = g.record(result)
+        elif g.name in baselines:
+            config_keys, diffs = diff_baseline(
+                _envelope(g, result), baselines[g.name], g.rtol, wall_tolerance
+            )
+            if config_keys:
+                message = (
+                    f"{g.name} baseline built with different "
+                    f"{'/'.join(config_keys)}; deterministic comparison skipped"
+                )
+                if g.env_config:
+                    print(message)
+                else:
+                    found.append(message)
+            found += [f"{g.name} baseline: {d}" for d in diffs]
+        for v in found:
             print(f"REGRESSION: {v}")
-        violations += sweep_violations
-    else:
-        print(f"no sweep baseline at {SWEEP_BASELINE_PATH}; "
-              "run with --update first")
-        return 2
+        violations += found
 
-    # deterministic, so it runs in --check-only mode too
-    hier_sp = measure_hier_aggregation()
-    print(_hier_line(hier_sp))
-    if hier_sp["ratio"] < HIER_AGG_MIN:
-        violations.append(
-            f"hierarchical-aggregation gate: {hier_sp['ratio']:.2f}x < "
-            f"{HIER_AGG_MIN:.1f}x"
-        )
-        print(f"REGRESSION: {violations[-1]}")
-
-    # advisor gate: simulated time end-to-end, deterministic (runs
-    # before the serve gate, whose measurement leaves a torn-down spool
-    # directory configured as the process-wide partition-cache path)
-    advisor_report = advisor_study()
-    print(_advisor_line(advisor_report))
-    for v in _advisor_violations(advisor_report):
-        violations.append(v)
-        print(f"REGRESSION: {v}")
-
-    # gnn placement gate: simulated time end-to-end, deterministic
-    gnn_report = _gnn_study_checked()
-    print(_gnn_line(gnn_report))
-    for v in _gnn_violations(gnn_report):
-        violations.append(v)
-        print(f"REGRESSION: {v}")
-
-    # all simulated time: the serve gate is deterministic too
-    serve_sp = measure_serve()
-    print(_serve_line(serve_sp))
-    for v in _serve_violations(serve_sp):
-        violations.append(v)
-        print(f"REGRESSION: {v}")
-
-    if not args.check_only:
-        speedup = measure_speedup()
-        print(_speedup_line(speedup))
-        if speedup["speedup"] < SPEEDUP_MIN_RATIO:
-            violations.append(
-                f"speedup gate: {speedup['speedup']:.2f}x < "
-                f"{SPEEDUP_MIN_RATIO:.1f}x"
-            )
-            print(f"REGRESSION: {violations[-1]}")
-        sweep_sp = measure_sweep_speedup()
-        print(_sweep_line(sweep_sp))
-        if sweep_sp["warm_partition_builds"] != 0:
-            violations.append(
-                "sweep cache gate: warm sweep rebuilt "
-                f"{sweep_sp['warm_partition_builds']} partition(s)"
-            )
-            print(f"REGRESSION: {violations[-1]}")
-        if sweep_sp["speedup"] < SWEEP_SPEEDUP_MIN:
-            violations.append(
-                f"sweep runtime gate: {sweep_sp['speedup']:.2f}x < "
-                f"{SWEEP_SPEEDUP_MIN:.1f}x"
-            )
-            print(f"REGRESSION: {violations[-1]}")
-        trace_sp = measure_trace_overhead()
-        print(_trace_line(trace_sp))
-        if trace_sp["overhead_ratio"] > trace_overhead_tolerance():
-            violations.append(
-                f"tracing overhead gate: {trace_sp['overhead_ratio']:.4f}x > "
-                f"{trace_overhead_tolerance():.2f}x"
-            )
-            print(f"REGRESSION: {violations[-1]}")
-        check_sp = measure_check_overhead()
-        print(_check_line(check_sp))
-        if check_sp["overhead_ratio"] > check_overhead_tolerance():
-            violations.append(
-                "invariant-checking overhead gate: "
-                f"{check_sp['overhead_ratio']:.4f}x > "
-                f"{check_overhead_tolerance():.2f}x"
-            )
-            print(f"REGRESSION: {violations[-1]}")
-        contention_sp = measure_contention_overhead()
-        print(_contention_line(contention_sp))
-        if contention_sp["overhead_ratio"] > contention_overhead_tolerance():
-            violations.append(
-                "contention overhead gate: "
-                f"{contention_sp['overhead_ratio']:.4f}x > "
-                f"{contention_overhead_tolerance():.2f}x"
-            )
-            print(f"REGRESSION: {violations[-1]}")
-
+    for name, envelope in pending.items():
+        path = _baseline_path(baseline_dir, name)
+        write_baseline(path, **envelope)
+        print(f"{name} baseline written to {path}")
     if violations:
         print(f"{len(violations)} violation(s)")
         return 1
-    print("all cells within tolerance")
+    if not args.update:
+        print("all gates within tolerance")
     return 0
 
 

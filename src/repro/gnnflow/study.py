@@ -18,7 +18,7 @@ policies x three placement treatments:
 All cells run on the contended platform so feature loads queue on the
 ``pcie_up``/``staging`` resources alongside sync traffic.  The report
 is deterministic and byte-identical across ``--jobs``; the
-``bench_regression.py --gnn-only`` gate pins it against
+``bench_regression.py --only gnn`` gate pins it against
 ``benchmarks/BENCH_gnn.json`` and requires caching to cut priced H2D
 feature bytes by at least :data:`H2D_REDUCTION_GATE` x on the
 :data:`GNN_GATE_SHAPE` suite shape.
@@ -224,14 +224,9 @@ def gnn_study(
 
 def evaluate_gnn(
     report: GnnReport,
-    baseline: GnnReport | None = None,
     reduction_gate: float = H2D_REDUCTION_GATE,
 ) -> list[str]:
-    """Gate violations for one study report (empty list = pass).
-
-    Structural gates always run; pass ``baseline`` to additionally pin
-    the report against the committed ``BENCH_gnn.json``.
-    """
+    """Structural gate violations for one study report (empty = pass)."""
     violations: list[str] = []
     shapes = sorted({r.shape for r in report.rows})
     policies = sorted({r.policy for r in report.rows})
@@ -272,26 +267,4 @@ def evaluate_gnn(
                         f"{ratio:.2f}x (gate {reduction_gate:.1f}x)"
                     )
 
-    if baseline is not None:
-        mine = {(r.shape, r.policy, r.placement): r for r in report.rows}
-        theirs = {(r.shape, r.policy, r.placement): r for r in baseline.rows}
-        if set(mine) != set(theirs):
-            violations.append(
-                f"row set drifted: {sorted(set(mine) ^ set(theirs))}"
-            )
-        for key in sorted(set(mine) & set(theirs)):
-            a, b = mine[key], theirs[key]
-            for name in ("cache_hits", "cache_misses", "rounds", "labels_crc"):
-                if getattr(a, name) != getattr(b, name):
-                    violations.append(
-                        f"{'/'.join(key)}: {name} drifted from baseline "
-                        f"({getattr(a, name)} != {getattr(b, name)})"
-                    )
-            for name in ("h2d_bytes", "comm_bytes", "execution_time"):
-                av, bv = getattr(a, name), getattr(b, name)
-                if abs(av - bv) > 1e-6 * max(abs(av), abs(bv), 1.0):
-                    violations.append(
-                        f"{'/'.join(key)}: {name} drifted from baseline "
-                        f"({av!r} != {bv!r})"
-                    )
     return violations

@@ -1,28 +1,29 @@
-"""Persistent performance-regression baselines for the sync hot path.
+"""Regression-gate measurements and the one committed-baseline format.
 
 The repo's credibility rests on two properties the paper study also needed
 (cf. Gunrock's multi-GPU harness and Ammar & Özsu's cross-system study):
 the hot paths must be fast, and the measurement must be reproducible and
 regression-tracked.  This module provides both halves:
 
-* :func:`run_matrix` runs a **fixed workload matrix** — bfs/cc/pagerank ×
-  IEC/CVC × BSP/BASP × AS/UO on a seeded RMAT graph — and records, per
-  cell, the wall-clock of the run (host performance, machine-dependent)
-  and the *simulated* metrics (execution time, rounds, messages, wire
-  bytes, work items, a CRC of the output labels — all deterministic).
-* :func:`write_baseline` / :func:`load_baseline` persist the matrix as
-  JSON (``benchmarks/BENCH_sync.json`` is the committed baseline).
-* :func:`compare_to_baseline` diffs a fresh run against the baseline:
-  simulated metrics must match (tight relative tolerance — they are
-  machine-independent, so any drift is a semantic change to the engines
-  or the comm substrate), wall-clock must stay within a configurable
+* the **measurements** the gate table in
+  ``benchmarks/bench_regression.py`` runs — :func:`run_matrix` (the fixed
+  bfs/cc/pagerank × IEC/CVC × BSP/BASP × AS/UO matrix on a seeded RMAT
+  graph: per cell the host wall-clock, machine-dependent, and the
+  *simulated* metrics — execution time, rounds, messages, wire bytes, work
+  items, a CRC of the output labels — all deterministic),
+  :func:`measure_speedup` (vectorized extraction against the retained
+  scalar reference ``GluonComm._extract_scalar``),
+  :func:`measure_overhead` (a disabled subsystem must cost nothing),
+  :func:`measure_hier_aggregation`, :func:`run_sweep` and
+  :func:`measure_sweep_speedup`;
+* the **baseline envelope** every ``benchmarks/BENCH_*.json`` uses —
+  ``{"schema", "gate", "config", "deterministic", "wall"}`` — with one
+  :func:`write_baseline` / :func:`load_baseline` pair and one comparer,
+  :func:`diff_baseline`: simulated metrics must match (exact, or a tight
+  relative tolerance for floats — they are machine-independent, so any
+  drift is a semantic change to the engines or the comm substrate),
+  recorded wall numbers may not be exceeded by more than a configurable
   slack factor (loose by default — CI machines vary).
-* :func:`measure_speedup` times the vectorized extraction path against
-  the retained scalar reference (``GluonComm._extract_scalar``) on the
-  pagerank/CVC/BSP/UO cell — a machine-independent ratio that guards the
-  vectorization itself.
-
-``benchmarks/bench_regression.py`` is the driver (pytest bench + CLI).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,31 +44,25 @@ from repro.engine.operator import RunContext
 from repro.errors import ConfigurationError
 from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
-from repro.hw import ContentionConfig, bridges
+from repro.hw import bridges
 from repro.partition import partition
 
 __all__ = [
     "CellResult",
-    "MATRIX_APPS",
-    "MATRIX_POLICIES",
-    "MATRIX_ENGINES",
-    "MATRIX_COMMS",
+    "MATRIX_CELLS",
+    "MATRIX_WORKLOAD",
     "SPEEDUP_CELL",
     "SPEEDUP_MIN_RATIO",
     "SWEEP_SPEEDUP_MIN",
-    "TRACE_OVERHEAD_MAX",
+    "SWEEP_WORKLOAD",
+    "OVERHEAD_MAX",
+    "SIM_RTOL",
     "cell_key",
-    "matrix_keys",
     "run_cell",
     "run_matrix",
     "measure_speedup",
-    "measure_trace_overhead",
-    "trace_overhead_tolerance",
-    "measure_check_overhead",
-    "check_overhead_tolerance",
-    "CONTENTION_OVERHEAD_MAX",
-    "measure_contention_overhead",
-    "contention_overhead_tolerance",
+    "measure_overhead",
+    "overhead_tolerance",
     "HIER_AGG_MIN",
     "HIER_CELL",
     "HIER_PARTS",
@@ -77,20 +72,25 @@ __all__ = [
     "measure_sweep_speedup",
     "write_baseline",
     "load_baseline",
-    "compare_to_baseline",
-    "write_sweep_baseline",
-    "load_sweep_baseline",
-    "compare_sweep_to_baseline",
+    "diff_baseline",
     "default_wall_tolerance",
 ]
 
-SCHEMA_VERSION = 1
+#: Version of the baseline envelope (2 = one shape for every gate).
+SCHEMA_VERSION = 2
 
 #: The fixed workload matrix: every combination is one baseline cell.
 MATRIX_APPS = ("bfs", "cc", "pr")
 MATRIX_POLICIES = ("iec", "cvc")
 MATRIX_ENGINES = ("bsp", "basp")
 MATRIX_COMMS = ("as", "uo")
+MATRIX_CELLS = tuple(
+    (a, p, e, c)
+    for a in MATRIX_APPS
+    for p in MATRIX_POLICIES
+    for e in MATRIX_ENGINES
+    for c in MATRIX_COMMS
+)
 
 #: The cell the vectorization speedup gate runs on (ISSUE acceptance:
 #: >= 3x wall-clock over the scalar reference path).
@@ -104,37 +104,33 @@ MATRIX_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 3}
 SPEEDUP_GRAPH = {"scale": 14, "edge_factor": 8, "seed": 3}
 NUM_PARTITIONS = 4
 
+#: What the sync baseline was measured on (its envelope's ``config``).
+MATRIX_WORKLOAD = {
+    "matrix_graph": MATRIX_GRAPH,
+    "speedup_graph": SPEEDUP_GRAPH,
+    "num_partitions": NUM_PARTITIONS,
+    "apps": list(MATRIX_APPS),
+    "policies": list(MATRIX_POLICIES),
+    "engines": list(MATRIX_ENGINES),
+    "comms": list(MATRIX_COMMS),
+}
+
 #: Timing repetitions per leg in :func:`measure_speedup` (best-of).
 SPEEDUP_REPS = 5
 
 #: Minimum scalar/vectorized wall-clock ratio the speedup gate enforces.
 SPEEDUP_MIN_RATIO = 3.0
 
-#: Maximum disabled-tracer / no-tracer wall-clock ratio the tracing
-#: overhead gate enforces (< 2% overhead with tracing off); override
-#: with the ``REPRO_TRACE_OVERHEAD_TOL`` environment variable.
-TRACE_OVERHEAD_MAX = 1.02
+#: Maximum off / unset wall-clock ratio the three overhead gates enforce
+#: (< 2% overhead with tracing, invariant checking or contention pricing
+#: switched off); each gate's own environment variable overrides it —
+#: ``REPRO_TRACE_OVERHEAD_TOL``, ``REPRO_CHECK_OVERHEAD_TOL``,
+#: ``REPRO_CONTENTION_OVERHEAD_TOL`` (:func:`overhead_tolerance`).
+OVERHEAD_MAX = 1.02
 
-#: Timing repetitions per leg in :func:`measure_trace_overhead`
-#: (per-cell best-of, both legs run back to back per cell).
-TRACE_OVERHEAD_REPS = 5
-
-#: Maximum ``--check off`` / no-check wall-clock ratio the invariant-
-#: checking overhead gate enforces (< 2% overhead with checking off);
-#: override with the ``REPRO_CHECK_OVERHEAD_TOL`` environment variable.
-CHECK_OVERHEAD_MAX = 1.02
-
-#: Timing repetitions per leg in :func:`measure_check_overhead`.
-CHECK_OVERHEAD_REPS = 5
-
-#: Maximum ``ContentionConfig(enabled=False)`` / no-contention wall-clock
-#: ratio the contention overhead gate enforces (< 2% overhead with
-#: contention pricing off); override with the
-#: ``REPRO_CONTENTION_OVERHEAD_TOL`` environment variable.
-CONTENTION_OVERHEAD_MAX = 1.02
-
-#: Timing repetitions per leg in :func:`measure_contention_overhead`.
-CONTENTION_OVERHEAD_REPS = 5
+#: Timing repetitions per leg in :func:`measure_overhead` (per-cell
+#: best-of, both legs run back to back per cell).
+OVERHEAD_REPS = 5
 
 #: Minimum flat / hierarchical inter-host message ratio the two-level
 #: sync gate enforces (ISSUE acceptance: >= 1.5x fewer inter-host
@@ -166,8 +162,7 @@ class CellResult:
     work_items: float
     labels_crc: int  # CRC32 of the output label bytes
     #: cross-host wire messages (aggregates count as one under two-level
-    #: sync); informational — not part of the baseline comparison, so
-    #: baselines written before the field existed still load.
+    #: sync); informational — not part of the baseline comparison.
     inter_host_messages: int = 0
 
     def deterministic_fields(self) -> dict:
@@ -185,18 +180,13 @@ def cell_key(app: str, policy: str, engine: str, comm: str) -> str:
     return f"{app}/{policy}/{engine}/{comm}"
 
 
-def matrix_keys() -> list[str]:
-    return [
-        cell_key(a, p, e, c)
-        for a in MATRIX_APPS
-        for p in MATRIX_POLICIES
-        for e in MATRIX_ENGINES
-        for c in MATRIX_COMMS
-    ]
-
-
 def default_wall_tolerance() -> float:
+    """The wall slack factor (``REPRO_BENCH_WALL_TOL``); 0 disables."""
     return float(os.environ.get("REPRO_BENCH_WALL_TOL", DEFAULT_WALL_TOL))
+
+
+def overhead_tolerance(env_name: str) -> float:
+    return float(os.environ.get(env_name, OVERHEAD_MAX))
 
 
 # --------------------------------------------------------------------------- #
@@ -311,15 +301,11 @@ def run_matrix(use_scalar_extraction: bool = False) -> dict[str, CellResult]:
     """Run the full fixed workload matrix."""
     workload = _Workload(MATRIX_GRAPH)
     results: dict[str, CellResult] = {}
-    for a in MATRIX_APPS:
-        for p in MATRIX_POLICIES:
-            for e in MATRIX_ENGINES:
-                for c in MATRIX_COMMS:
-                    cell = run_cell(
-                        workload, a, p, e, c,
-                        use_scalar_extraction=use_scalar_extraction,
-                    )
-                    results[cell.key] = cell
+    for cell_args in MATRIX_CELLS:
+        cell = run_cell(
+            workload, *cell_args, use_scalar_extraction=use_scalar_extraction
+        )
+        results[cell.key] = cell
     return results
 
 
@@ -362,167 +348,43 @@ def measure_speedup(reps: int = SPEEDUP_REPS) -> dict:
     }
 
 
-def trace_overhead_tolerance() -> float:
-    return float(os.environ.get("REPRO_TRACE_OVERHEAD_TOL", TRACE_OVERHEAD_MAX))
+def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
+    """Wall-clock of the matrix with ``run_cell``'s ``kwarg`` unset vs
+    set to ``off_value``, its explicitly *disabled* form.
 
-
-def measure_trace_overhead(reps: int = TRACE_OVERHEAD_REPS) -> dict:
-    """Wall-clock of the matrix with no tracer vs a *disabled* tracer.
-
-    This is the zero-overhead-when-disabled gate for :mod:`repro.obs`:
-    every engine normalizes a disabled tracer to ``None``, so attaching
-    one must cost nothing beyond the normalization itself.  The two legs
-    of each matrix cell run **back to back** (so both see the same
-    machine state — container clocks are bursty enough that whole-leg
-    totals of identical code can swing ±10%), and each leg's total is
-    the sum of per-cell best-of-``reps`` wall-clocks, which converge on
-    each cell's true floor.  Deterministic metrics of both legs must
-    agree exactly: a disabled tracer may not change results any more
-    than it may change speed.
-    """
-    from repro.obs import Tracer
-
-    workload = _Workload(MATRIX_GRAPH)
-    keys = [
-        (a, p, e, c)
-        for a in MATRIX_APPS
-        for p in MATRIX_POLICIES
-        for e in MATRIX_ENGINES
-        for c in MATRIX_COMMS
-    ]
-
-    # warm-up: partitions, memoized sync plans, allocator steady state
-    reference = {}
-    for a, p, e, c in keys:
-        cell = run_cell(workload, a, p, e, c)
-        reference[cell.key] = cell.deterministic_fields()
-    off_best: dict[str, float] = {}
-    disabled_best: dict[str, float] = {}
-    for _ in range(max(1, int(reps))):
-        for a, p, e, c in keys:
-            for tracer, best in (
-                (None, off_best),
-                (Tracer(enabled=False), disabled_best),
-            ):
-                cell = run_cell(workload, a, p, e, c, tracer=tracer)
-                if cell.deterministic_fields() != reference[cell.key]:
-                    raise ConfigurationError(
-                        "disabled tracer changed deterministic results on "
-                        f"{cell.key}: {cell.deterministic_fields()} vs "
-                        f"{reference[cell.key]}"
-                    )
-                best[cell.key] = min(
-                    cell.wall_seconds, best.get(cell.key, cell.wall_seconds)
-                )
-    off, disabled = sum(off_best.values()), sum(disabled_best.values())
-    return {
-        "cells": len(keys),
-        "no_tracer_wall_seconds": off,
-        "disabled_tracer_wall_seconds": disabled,
-        "overhead_ratio": disabled / max(off, 1e-12),
-    }
-
-
-def check_overhead_tolerance() -> float:
-    return float(os.environ.get("REPRO_CHECK_OVERHEAD_TOL", CHECK_OVERHEAD_MAX))
-
-
-def measure_check_overhead(reps: int = CHECK_OVERHEAD_REPS) -> dict:
-    """Wall-clock of the matrix with checking unset vs ``--check off``.
-
-    This is the zero-overhead-when-off gate for :mod:`repro.check`: an
-    engine constructed with an explicit ``check="off"`` must cost no
-    more than one that never heard of the checking subsystem (``check``
-    left at its default, ambient level ``OFF``).  Both legs compile the
-    same two pre-computed booleans into the round loop, so the only
-    thing this can catch is exactly what it must: work creeping outside
-    the ``if check_cheap:`` guards.  Methodology is identical to
-    :func:`measure_trace_overhead` — per-cell back-to-back legs,
-    best-of-``reps``, deterministic metrics forced to agree.
+    This is the zero-overhead-when-off measurement behind three gates:
+    ``tracer=Tracer(enabled=False)`` (every engine normalizes a disabled
+    tracer to ``None``, so attaching one must cost nothing beyond the
+    normalization itself), ``check="off"`` (both legs compile the same
+    two pre-computed booleans into the round loop, so the only thing
+    this can catch is exactly what it must: work creeping outside the
+    ``if check_cheap:`` guards) and
+    ``contention=ContentionConfig(enabled=False)`` (the router
+    normalizes a disabled config to ``None``, exactly like the engines
+    normalize a disabled tracer).  The two legs of each matrix cell run
+    **back to back** (so both see the same machine state — container
+    clocks are bursty enough that whole-leg totals of identical code can
+    swing ±10%), and each leg's total is the sum of per-cell
+    best-of-``reps`` wall-clocks, which converge on each cell's true
+    floor.  Deterministic metrics of both legs must agree exactly: a
+    disabled subsystem may not change results — not a single priced
+    second — any more than it may change speed.
     """
     workload = _Workload(MATRIX_GRAPH)
-    keys = [
-        (a, p, e, c)
-        for a in MATRIX_APPS
-        for p in MATRIX_POLICIES
-        for e in MATRIX_ENGINES
-        for c in MATRIX_COMMS
-    ]
-
     # warm-up: partitions, memoized sync plans, allocator steady state
     reference = {}
-    for a, p, e, c in keys:
-        cell = run_cell(workload, a, p, e, c)
+    for cell_args in MATRIX_CELLS:
+        cell = run_cell(workload, *cell_args)
         reference[cell.key] = cell.deterministic_fields()
     unset_best: dict[str, float] = {}
     off_best: dict[str, float] = {}
     for _ in range(max(1, int(reps))):
-        for a, p, e, c in keys:
-            for check, best in ((None, unset_best), ("off", off_best)):
-                cell = run_cell(workload, a, p, e, c, check=check)
+        for cell_args in MATRIX_CELLS:
+            for value, best in ((None, unset_best), (off_value, off_best)):
+                cell = run_cell(workload, *cell_args, **{kwarg: value})
                 if cell.deterministic_fields() != reference[cell.key]:
                     raise ConfigurationError(
-                        "check=off changed deterministic results on "
-                        f"{cell.key}: {cell.deterministic_fields()} vs "
-                        f"{reference[cell.key]}"
-                    )
-                best[cell.key] = min(
-                    cell.wall_seconds, best.get(cell.key, cell.wall_seconds)
-                )
-    unset, off = sum(unset_best.values()), sum(off_best.values())
-    return {
-        "cells": len(keys),
-        "no_check_wall_seconds": unset,
-        "check_off_wall_seconds": off,
-        "overhead_ratio": off / max(unset, 1e-12),
-    }
-
-
-def contention_overhead_tolerance() -> float:
-    return float(
-        os.environ.get("REPRO_CONTENTION_OVERHEAD_TOL", CONTENTION_OVERHEAD_MAX)
-    )
-
-
-def measure_contention_overhead(reps: int = CONTENTION_OVERHEAD_REPS) -> dict:
-    """Wall-clock of the matrix with no contention config vs a *disabled*
-    one.
-
-    This is the zero-overhead-when-off gate for :mod:`repro.hw.contention`:
-    a cluster carrying ``ContentionConfig(enabled=False)`` must cost no
-    more than one that never heard of contention pricing (the router
-    normalizes a disabled config to ``None``, exactly like the engines
-    normalize a disabled tracer).  Methodology is identical to
-    :func:`measure_trace_overhead` — per-cell back-to-back legs,
-    best-of-``reps``, deterministic metrics forced to agree exactly: a
-    disabled contention model may not change a single priced second.
-    """
-    workload = _Workload(MATRIX_GRAPH)
-    keys = [
-        (a, p, e, c)
-        for a in MATRIX_APPS
-        for p in MATRIX_POLICIES
-        for e in MATRIX_ENGINES
-        for c in MATRIX_COMMS
-    ]
-
-    # warm-up: partitions, memoized sync plans, allocator steady state
-    reference = {}
-    for a, p, e, c in keys:
-        cell = run_cell(workload, a, p, e, c)
-        reference[cell.key] = cell.deterministic_fields()
-    plain_best: dict[str, float] = {}
-    off_best: dict[str, float] = {}
-    for _ in range(max(1, int(reps))):
-        for a, p, e, c in keys:
-            for contention, best in (
-                (None, plain_best),
-                (ContentionConfig(enabled=False), off_best),
-            ):
-                cell = run_cell(workload, a, p, e, c, contention=contention)
-                if cell.deterministic_fields() != reference[cell.key]:
-                    raise ConfigurationError(
-                        "disabled contention config changed deterministic "
+                        f"{kwarg}={off_value!r} changed deterministic "
                         f"results on {cell.key}: "
                         f"{cell.deterministic_fields()} vs "
                         f"{reference[cell.key]}"
@@ -530,12 +392,12 @@ def measure_contention_overhead(reps: int = CONTENTION_OVERHEAD_REPS) -> dict:
                 best[cell.key] = min(
                     cell.wall_seconds, best.get(cell.key, cell.wall_seconds)
                 )
-    plain, off = sum(plain_best.values()), sum(off_best.values())
+    unset, off = sum(unset_best.values()), sum(off_best.values())
     return {
-        "cells": len(keys),
-        "no_contention_wall_seconds": plain,
-        "contention_off_wall_seconds": off,
-        "overhead_ratio": off / max(plain, 1e-12),
+        "cells": len(MATRIX_CELLS),
+        "unset_wall_seconds": unset,
+        "off_wall_seconds": off,
+        "overhead_ratio": off / max(unset, 1e-12),
     }
 
 
@@ -574,38 +436,6 @@ def measure_hier_aggregation() -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# baseline persistence and comparison
-# --------------------------------------------------------------------------- #
-def write_baseline(path, results: dict[str, CellResult], speedup: dict | None = None) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "workload": {
-            "matrix_graph": MATRIX_GRAPH,
-            "speedup_graph": SPEEDUP_GRAPH,
-            "num_partitions": NUM_PARTITIONS,
-            "apps": list(MATRIX_APPS),
-            "policies": list(MATRIX_POLICIES),
-            "engines": list(MATRIX_ENGINES),
-            "comms": list(MATRIX_COMMS),
-        },
-        "cells": {k: asdict(r) for k, r in sorted(results.items())},
-    }
-    if speedup is not None:
-        doc["speedup"] = speedup
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_baseline(path) -> dict[str, CellResult]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"baseline schema {doc.get('schema')} != {SCHEMA_VERSION}; "
-            "regenerate with bench_regression.py --update"
-        )
-    return {k: CellResult(**v) for k, v in doc["cells"].items()}
-
-
-# --------------------------------------------------------------------------- #
 # sweep runtime leg
 # --------------------------------------------------------------------------- #
 #: The sweep workload: a slice of the study that mixes partition-structure
@@ -626,6 +456,14 @@ SWEEP_PSTATS_CELLS = (
 SWEEP_RUN_POLICIES = ("cvc", "iec", "oec")
 SWEEP_RUN_PARTS = 32
 SWEEP_BENCHMARK = "bfs"
+#: What the sweep baseline was measured on (its envelope's ``config``).
+SWEEP_WORKLOAD = {
+    "dataset": SWEEP_DATASET,
+    "pstats_cells": [list(c) for c in SWEEP_PSTATS_CELLS],
+    "run_policies": list(SWEEP_RUN_POLICIES),
+    "run_parts": SWEEP_RUN_PARTS,
+    "benchmark": SWEEP_BENCHMARK,
+}
 
 #: Worker-process count for the warm sweep leg.
 SWEEP_JOBS = 4
@@ -786,96 +624,110 @@ def measure_sweep_speedup(
     }
 
 
-def write_sweep_baseline(path, records: dict, speedup: dict | None = None) -> None:
+# --------------------------------------------------------------------------- #
+# the baseline envelope: one write/load pair, one comparer
+# --------------------------------------------------------------------------- #
+def write_baseline(
+    path, gate: str, config: dict, deterministic: dict, wall: dict
+) -> None:
+    """Persist one gate's baseline envelope.
+
+    ``deterministic`` is the JSON tree :func:`diff_baseline` pins;
+    ``wall`` maps a gate name to the host-dependent numbers that gate
+    recorded (the file's own gate, plus any wall-clock gate whose
+    measurement is kept beside it).
+    """
     doc = {
         "schema": SCHEMA_VERSION,
-        "workload": {
-            "dataset": SWEEP_DATASET,
-            "pstats_cells": [list(c) for c in SWEEP_PSTATS_CELLS],
-            "run_policies": list(SWEEP_RUN_POLICIES),
-            "run_parts": SWEEP_RUN_PARTS,
-            "benchmark": SWEEP_BENCHMARK,
-        },
-        "cells": {k: records[k] for k in sorted(records)},
+        "gate": gate,
+        "config": config,
+        "deterministic": deterministic,
+        "wall": wall,
     }
-    if speedup is not None:
-        doc["speedup"] = speedup
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def load_sweep_baseline(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"sweep baseline schema {doc.get('schema')} != {SCHEMA_VERSION}; "
-            "regenerate with bench_regression.py --update"
-        )
-    return doc["cells"]
+def load_baseline(path, gate: str) -> dict | None:
+    """The envelope at ``path``, or ``None`` when it cannot serve as
+    ``gate``'s baseline: no file, another schema, another gate's file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+    if (
+        not isinstance(doc, dict)
+        or doc.get("schema") != SCHEMA_VERSION
+        or doc.get("gate") != gate
+    ):
+        return None
+    return doc
 
 
-def compare_sweep_to_baseline(
-    current: dict, baseline: dict, sim_rtol: float = SIM_RTOL
-) -> list[str]:
-    """Diff fresh sweep records against the committed baseline (all
-    fields are machine-independent; wall-clock never enters the file's
-    ``cells`` section)."""
-    violations: list[str] = []
-    for key in sorted(set(baseline) - set(current)):
-        violations.append(f"{key}: sweep cell missing from current run")
-    for key in sorted(set(current) - set(baseline)):
-        violations.append(
-            f"{key}: sweep cell not in baseline "
-            "(run bench_regression.py --update)"
-        )
-    for key in sorted(set(current) & set(baseline)):
-        cur, base = current[key], baseline[key]
-        for name in sorted(set(cur) | set(base)):
-            c, b = cur.get(name), base.get(name)
-            if isinstance(c, float) and isinstance(b, float):
-                if not np.isclose(c, b, rtol=sim_rtol, atol=0.0):
-                    violations.append(
-                        f"{key}: {name} drifted {b!r} -> {c!r}"
-                    )
-            elif c != b:
-                violations.append(f"{key}: {name} changed {b!r} -> {c!r}")
-    return violations
-
-
-def compare_to_baseline(
-    current: dict[str, CellResult],
-    baseline: dict[str, CellResult],
-    wall_tolerance: float | None = None,
-    sim_rtol: float = SIM_RTOL,
-) -> list[str]:
-    """Diff a fresh matrix run against the committed baseline.
-
-    Returns a list of human-readable violations (empty == pass).
-    ``wall_tolerance`` is the allowed wall-clock slack factor per cell;
-    ``None`` skips wall-clock checks entirely (simulated metrics only).
-    """
-    violations: list[str] = []
-    for key in sorted(set(baseline) - set(current)):
-        violations.append(f"{key}: cell missing from current run")
-    for key in sorted(set(current) - set(baseline)):
-        violations.append(
-            f"{key}: cell not in baseline (run bench_regression.py --update)"
-        )
-    for key in sorted(set(current) & set(baseline)):
-        cur, base = current[key], baseline[key]
-        for name in ("rounds", "messages", "labels_crc"):
-            c, b = getattr(cur, name), getattr(base, name)
-            if c != b:
-                violations.append(f"{key}: {name} changed {b} -> {c}")
-        for name in ("sim_seconds", "comm_bytes", "work_items"):
-            c, b = getattr(cur, name), getattr(base, name)
-            if not np.isclose(c, b, rtol=sim_rtol, atol=0.0):
-                violations.append(
-                    f"{key}: {name} drifted {b!r} -> {c!r} "
-                    f"(rel {abs(c - b) / max(abs(b), 1e-300):.2e} > {sim_rtol})"
-                )
-        if wall_tolerance is not None and cur.wall_seconds > base.wall_seconds * wall_tolerance:
-            violations.append(
-                f"{key}: wall-clock {cur.wall_seconds:.4f}s exceeds "
-                f"{wall_tolerance:.1f}x baseline {base.wall_seconds:.4f}s"
+def _diff_tree(where: str, cur, base, rtol: float, out: list[str]) -> None:
+    if isinstance(cur, dict) and isinstance(base, dict):
+        for key in sorted(set(base) - set(cur)):
+            out.append(f"{where}{key}: missing from current run")
+        for key in sorted(set(cur) - set(base)):
+            out.append(f"{where}{key}: not in baseline (run --update)")
+        for key in sorted(set(cur) & set(base)):
+            _diff_tree(f"{where}{key}: ", cur[key], base[key], rtol, out)
+    elif isinstance(cur, float) and isinstance(base, float):
+        if abs(cur - base) > rtol * abs(base):
+            out.append(
+                f"{where}drifted {base!r} -> {cur!r} "
+                f"(rel {abs(cur - base) / max(abs(base), 1e-300):.2e} > {rtol})"
             )
-    return violations
+    elif cur != base:
+        out.append(f"{where}changed {base!r} -> {cur!r}")
+
+
+def _diff_wall(where: str, cur, base, slack: float, out: list[str]) -> None:
+    if isinstance(cur, dict) and isinstance(base, dict):
+        for key in sorted(set(cur) & set(base)):
+            _diff_wall(f"{where}{key}: ", cur[key], base[key], slack, out)
+    elif isinstance(cur, (int, float)) and isinstance(base, (int, float)):
+        # one-sided: an improvement never flags; a recorded zero (a
+        # reused store's build time) bounds nothing multiplicatively
+        if base > 0 and cur > base * slack:
+            out.append(
+                f"{where}wall {cur:.4g} exceeds {slack:.1f}x baseline {base:.4g}"
+            )
+
+
+def diff_baseline(
+    current: dict,
+    baseline: dict,
+    rtol: float = SIM_RTOL,
+    wall_tolerance: float | None = None,
+) -> tuple[list[str], list[str]]:
+    """Diff a fresh measurement against a committed baseline.
+
+    Both arguments are envelopes (``config`` / ``deterministic`` /
+    ``wall``).  Returns ``(config_keys, violations)``.  ``config_keys``
+    names the ``config`` entries that differ; when there are any the two
+    sides measured different workloads, nothing else is comparable and
+    ``violations`` is empty.  Otherwise ``violations`` lists, in the
+    ``deterministic`` trees, every key missing on either side, every
+    int/string/bool/list leaf that is not equal and every float leaf
+    off by more than ``rtol`` (relative, no absolute floor; 0 = exact),
+    and, in the ``wall`` trees, every number present on both sides that
+    exceeds ``wall_tolerance`` x the recorded one (``None`` skips wall
+    checks entirely).
+    """
+    cfg, base_cfg = current["config"], baseline["config"]
+    config_keys = [
+        k for k in sorted(set(cfg) | set(base_cfg))
+        if cfg.get(k) != base_cfg.get(k)
+    ]
+    if config_keys:
+        return config_keys, []
+    violations: list[str] = []
+    _diff_tree(
+        "", current["deterministic"], baseline["deterministic"], rtol,
+        violations,
+    )
+    if wall_tolerance is not None:
+        _diff_wall(
+            "", current["wall"], baseline["wall"], wall_tolerance, violations
+        )
+    return config_keys, violations

@@ -20,7 +20,7 @@ request path:
   together: coalescing, the content-hash result cache, simulated-time
   latency accounting, and the deterministic report;
 * :mod:`repro.serve.bench` — the latency/throughput gate behind
-  ``bench_regression.py --serve-only`` and ``BENCH_serve.json``.
+  ``bench_regression.py --only serve`` and ``BENCH_serve.json``.
 """
 
 from repro.serve.incremental import IncrementalResult, incremental_run

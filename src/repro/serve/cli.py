@@ -41,9 +41,11 @@ def run_trace(
     pool is what full engine runs fan out over) and a spool directory for
     snapshot spills, both torn down afterwards unless caller-provided.
     """
+    from repro.partition import cache as partition_cache
     from repro.runtime.sweep import SweepExecutor
     from repro.serve.service import AnalyticsService
 
+    found = partition_cache.get_cache()
     own_spool = None
     if spool_dir is None:
         own_spool = tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
@@ -59,6 +61,16 @@ def run_trace(
             return service.run(trace)
     finally:
         if own_spool is not None:
+            # the executor pointed the process-wide partition cache into
+            # the spool; put back the configuration this call found, or
+            # the next partition() would try to persist into a deleted
+            # directory
+            partition_cache.configure(
+                cache_dir=found.cache_dir,
+                max_entries=found.max_entries,
+                max_disk_bytes=found.max_disk_bytes,
+                spill_shards=found.spill_shards,
+            )
             own_spool.cleanup()
 
 

@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         "paper experiment: full-validation DSE over the seeded fuzz-shape "
         "suite, reporting predicted-best vs. measured-best rank and "
         "regret, gated at the same threshold as bench_regression.py "
-        "--advisor-only (see docs/tuning.md)",
+        "--only advisor (see docs/tuning.md)",
     )
     parser.add_argument(
         "--advisor-seed", type=int, default=None, metavar="N",
@@ -241,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--advisor-out", default=None, metavar="FILE",
-        help="also write the --advisor report as JSON to FILE "
-        "(the BENCH_advisor.json shape)",
+        help="also write the --advisor report as JSON to FILE",
     )
     parser.add_argument(
         "--gnn", action="store_true",
@@ -250,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment: the GNN feature-gather workload over the seeded "
         "fuzz-shape suite x partition policies x placement treatments "
         "(no cache / hot-vertex LRU buffer / buffer + locality-aware "
-        "sampling), gated like bench_regression.py --gnn-only "
+        "sampling), gated like bench_regression.py --only gnn "
         "(see docs/gnnflow.md)",
     )
     parser.add_argument(
@@ -264,8 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--gnn-out", default=None, metavar="FILE",
-        help="also write the --gnn report as JSON to FILE "
-        "(the BENCH_gnn.json shape)",
+        help="also write the --gnn report as JSON to FILE",
     )
     parser.add_argument(
         "--ooc", action="store_true",
@@ -283,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--ooc-out", default=None, metavar="FILE",
-        help="also write the --ooc report as JSON to FILE "
-        "(the BENCH_ooc.json shape)",
+        help="also write the --ooc report as JSON to FILE",
     )
     parser.add_argument(
         "--quick", action="store_true",

@@ -22,11 +22,11 @@ This driver exercises the full out-of-core data path end to end:
    both ``store+mmap:`` and ``store+ram:`` to bound the mmap path's
    overhead on graphs that *do* fit.
 
-``bench_regression.py --ooc-only`` and ``repro-study --ooc`` both call
+``bench_regression.py --only ooc`` and ``repro-study --ooc`` both call
 :func:`run_ooc_study` and gate on :func:`evaluate`:
 
-* every cell succeeds, and mmap labels/rounds match the committed
-  baseline (``benchmarks/BENCH_ooc.json``);
+* every cell succeeds (``--only ooc`` additionally pins rounds and
+  label CRCs against the committed ``benchmarks/BENCH_ooc.json``);
 * peak worker anonymous RSS ≤ cap × ``REPRO_OOC_RSS_TOL``;
 * warm mmap wall ≤ RAM wall × ``REPRO_OOC_WALL_TOL`` on the small graph.
 
@@ -361,12 +361,8 @@ def _run_ooc_study(cfg: OocConfig, progress) -> OocReport:
     return report
 
 
-def evaluate(report: OocReport, baseline: Optional[dict] = None) -> list[str]:
-    """Gate a report; returns violation strings (empty = pass).
-
-    ``baseline`` is the committed ``BENCH_ooc.json`` content; when given,
-    deterministic metrics (rounds, labels CRC) must match it exactly.
-    """
+def evaluate(report: OocReport) -> list[str]:
+    """Gate a report; returns violation strings (empty = pass)."""
     cfg = report.config
     violations: list[str] = []
     min_bytes = cfg.size_multiple * cfg.ram_cap_bytes
@@ -392,17 +388,4 @@ def evaluate(report: OocReport, baseline: Optional[dict] = None) -> list[str]:
             f"warm mmap wall {wall_mmap:.3f}s exceeds "
             f"{cfg.wall_tol:g}x ram wall {wall_ram:.3f}s"
         )
-    if baseline:
-        base_cells = baseline.get("cells", {})
-        for app, cell in report.cells.items():
-            base = base_cells.get(app)
-            if base is None:
-                violations.append(f"baseline has no entry for {app}")
-                continue
-            for metric in ("rounds", "labels_crc"):
-                if cell.get(metric) != base.get(metric):
-                    violations.append(
-                        f"{app} {metric} {cell.get(metric)} != baseline "
-                        f"{base.get(metric)}"
-                    )
     return violations

@@ -23,7 +23,7 @@ loop the sweep opened:
   rejects;
 * :mod:`repro.tune.cli` — the ``repro-tune`` command.
 
-Accuracy is gated, not asserted: ``bench_regression.py --advisor-only``
+Accuracy is gated, not asserted: ``bench_regression.py --only advisor``
 holds top-1 regret <= 1.3x measured-best over a seeded shape suite
 (committed ``benchmarks/BENCH_advisor.json``), and
 ``tests/test_tune.py`` carries the leave-one-shape-out harness.

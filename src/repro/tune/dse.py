@@ -11,7 +11,7 @@ survivors by predicted cost, and validates picks with real
 ``advisor_study`` sweeps the seeded fuzz-shape suite with *full*
 validation (every cell measured) so predicted-best can be ranked
 against measured-best; its report feeds both ``repro-study --advisor``
-and the deterministic ``bench_regression.py --advisor-only`` gate
+and the deterministic ``bench_regression.py --only advisor`` gate
 (top-1 regret <= :data:`REGRET_GATE`).
 """
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.apps import get_app
 from repro.runtime.cells import CellSpec, run_task
@@ -283,10 +281,6 @@ class AdvisorRow:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdvisorRow":
-        return cls(**d)
-
 
 @dataclass
 class AdvisorReport:
@@ -316,14 +310,6 @@ class AdvisorReport:
             },
             indent=2,
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AdvisorReport":
-        data = json.loads(text)
-        return cls(
-            seed=int(data["seed"]),
-            rows=[AdvisorRow.from_dict(r) for r in data["rows"]],
         )
 
 
@@ -379,11 +365,9 @@ def fit_from_results(results) -> Calibration:
 
 def evaluate_advisor(
     report: AdvisorReport,
-    baseline: AdvisorReport | None = None,
     regret_gate: float = REGRET_GATE,
 ) -> list[str]:
-    """Gate violations: the regret ceiling, plus determinism against a
-    committed baseline (labels exact, regrets tight-rtol)."""
+    """Gate violations: the regret ceiling on every suite row."""
     violations = []
     if not report.rows:
         violations.append("advisor report is empty")
@@ -394,30 +378,4 @@ def evaluate_advisor(
                 f"exceeds the {regret_gate:.2f}x gate "
                 f"(predicted {r.predicted_best}, measured best {r.measured_best})"
             )
-    if baseline is not None:
-        base = {(r.shape, r.app): r for r in baseline.rows}
-        got = {(r.shape, r.app): r for r in report.rows}
-        if set(base) != set(got):
-            violations.append(
-                f"advisor suite drifted: baseline rows {sorted(base)} "
-                f"!= measured rows {sorted(got)}"
-            )
-        for key in sorted(set(base) & set(got)):
-            b, g = base[key], got[key]
-            if g.predicted_best != b.predicted_best:
-                violations.append(
-                    f"{key}: predicted best drifted "
-                    f"{b.predicted_best} -> {g.predicted_best}"
-                )
-            if g.measured_best != b.measured_best:
-                violations.append(
-                    f"{key}: measured best drifted "
-                    f"{b.measured_best} -> {g.measured_best}"
-                )
-            for attr in ("regret1", "regret3"):
-                bv, gv = getattr(b, attr), getattr(g, attr)
-                if not np.isclose(gv, bv, rtol=1e-6, atol=1e-12):
-                    violations.append(
-                        f"{key}: {attr} drifted {bv:.9f} -> {gv:.9f}"
-                    )
     return violations

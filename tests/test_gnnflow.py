@@ -237,17 +237,6 @@ class TestEvaluateGnn:
         report = gnn_study(shapes=("powerlaw",), policies=("iec",))
         assert evaluate_gnn(report) == []
 
-    def test_baseline_drift_is_flagged(self):
-        report = gnn_study(shapes=("powerlaw",), policies=("iec",))
-        import copy
-
-        drifted = copy.deepcopy(report)
-        drifted.rows[0] = drifted.rows[0].__class__(
-            **{**drifted.rows[0].to_dict(), "labels_crc": 1}
-        )
-        violations = evaluate_gnn(report, baseline=drifted)
-        assert any("labels_crc" in v for v in violations)
-
     def test_weak_cache_fails_the_reduction_gate(self):
         report = gnn_study(shapes=("powerlaw",), policies=("iec",))
         weak = [

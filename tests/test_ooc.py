@@ -1,7 +1,7 @@
 """Out-of-core pipeline units: mmap/ram bit-identity, blocked streaming
 kernels, the study config/gate logic, and the RSS meter.
 
-The headline acceptance run (``bench_regression.py --ooc-only``) proves
+The headline acceptance run (``bench_regression.py --only ooc``) proves
 the pipeline at scale; this suite pins the individual guarantees it
 leans on — most importantly that serving a graph through ``np.memmap``
 changes *nothing* observable: every fuzz shape, under both engines,
@@ -286,19 +286,6 @@ def test_evaluate_flags_each_violation():
     r = _passing_report()
     r.small_wall = {"ram": 1.0, "mmap": 2.0}
     assert any("mmap wall" in v for v in evaluate(r))
-
-
-def test_evaluate_compares_deterministic_baseline():
-    r = _passing_report()
-    base = {"cells": {
-        "bfs": {"rounds": 4, "labels_crc": 111},
-        "pr-push": {"rounds": 9, "labels_crc": 999},
-    }}
-    vs = evaluate(r, baseline=base)
-    assert len(vs) == 1 and "labels_crc" in vs[0]
-    base["cells"].pop("bfs")
-    base["cells"]["pr-push"]["labels_crc"] = 222
-    assert any("no entry for bfs" in v for v in evaluate(r, baseline=base))
 
 
 # --------------------------------------------------------------------- #

@@ -195,6 +195,30 @@ class TestService:
         )
 
 
+class TestRunTraceLeavesNoTrace:
+    def test_own_spool_restores_the_partition_cache_it_found(
+        self, trace, tmp_path
+    ):
+        """``run_trace`` deletes the spool it creates, so it may not leave
+        the process-wide partition cache pointing into it (the next
+        ``partition()`` would fail to persist — gates depended on their
+        order because of it)."""
+        from repro.partition.cache import configure, get_cache
+
+        mine = str(tmp_path / "mine")
+        configure(cache_dir=mine, max_disk_bytes=1 << 30)
+        try:
+            run_trace(trace, ServeConfig(workers=2), jobs=1)
+            assert get_cache().cache_dir == mine
+            assert get_cache().max_disk_bytes == 1 << 30
+            # a caller-provided spool outlives the call: left untouched
+            spool = str(tmp_path / "spool")
+            run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
+            assert get_cache().cache_dir.startswith(spool)
+        finally:
+            configure(cache_dir=None)
+
+
 class TestCLI:
     def test_simulate_writes_report_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.json"
