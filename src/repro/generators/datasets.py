@@ -89,8 +89,11 @@ class Dataset:
     def symmetric(self) -> CSRGraph:
         """Symmetrized view used by cc and kcore (cached).
 
-        Unweighted: neither benchmark reads weights, and frameworks load
-        the leaner unweighted CSR for them (memory matters — Table III).
+        Weighted like the base graph: ``make_undirected`` carries each
+        edge's weight to its reverse (a reciprocal pair keeps the forward
+        edge's).  Neither benchmark reads them, but the memory model charges
+        a weighted graph 4 B more per edge, so dropping them would move
+        Table III.
         """
         if self._symmetric is None:
             self._symmetric = make_undirected(self.graph)

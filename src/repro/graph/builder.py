@@ -1,8 +1,9 @@
 """Constructing :class:`~repro.graph.csr.CSRGraph` from edge lists and networkx.
 
-All builders are vectorized: CSR assembly sorts the edge array once with a
-stable key sort and derives offsets with a ``bincount``/``cumsum``; no Python
-loop touches individual edges.
+All builders are vectorized: CSR assembly asks :mod:`repro.graph.order` for
+the edges in (src, dst) order — a check when they already are, a sort when
+not — and derives offsets with a ``bincount``/``cumsum``; no Python loop
+touches individual edges.
 """
 
 from __future__ import annotations
@@ -11,11 +12,19 @@ from typing import Optional
 
 import numpy as np
 
-from repro.constants import EID_DTYPE, vid_dtype_for
+from repro.constants import EID_DTYPE, WEIGHT_DTYPE, vid_dtype_for
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.graph.order import order_edges
 
 __all__ = ["from_edges", "from_networkx", "to_networkx"]
+
+
+def _vertex_ids(a) -> np.ndarray:
+    """``a`` as a contiguous signed-integer array; a narrow one is read as it
+    is (the packed key is computed in int64 anyway), anything else converted."""
+    a = np.ascontiguousarray(a)
+    return a if a.dtype.kind == "i" else a.astype(np.int64)
 
 
 def from_edges(
@@ -27,6 +36,10 @@ def from_edges(
     name: str = "",
 ) -> CSRGraph:
     """Build a CSR graph from parallel source/destination arrays.
+
+    Edges are stored in :func:`~repro.graph.order.order_edges` order;
+    already-ordered input costs one O(E) pass.  The graph owns its arrays
+    either way, so freezing them never reaches the caller's buffers.
 
     Parameters
     ----------
@@ -40,12 +53,11 @@ def from_edges(
         drop duplicate ``(src, dst)`` pairs (keeping the first occurrence's
         weight).  Off by default because real crawls keep parallel edges.
     """
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    src, dst = _vertex_ids(src), _vertex_ids(dst)
     if src.shape != dst.shape or src.ndim != 1:
         raise GraphFormatError("src and dst must be equal-length 1-D arrays")
     if weights is not None:
-        weights = np.ascontiguousarray(weights)
+        weights = np.ascontiguousarray(weights, dtype=WEIGHT_DTYPE)
         if weights.shape != src.shape:
             raise GraphFormatError("weights must parallel src/dst")
     if num_vertices is None:
@@ -55,25 +67,13 @@ def from_edges(
     if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
         raise GraphFormatError("vertex id exceeds num_vertices")
 
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    if weights is not None:
-        weights = weights[order]
-
-    if dedup and len(src):
-        keep = np.empty(len(src), dtype=bool)
-        keep[0] = True
-        np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-        src, dst = src[keep], dst[keep]
-        if weights is not None:
-            weights = weights[keep]
+    src, dst, w = order_edges(src, dst, num_vertices, weights, dedup)
+    if w is not None and w is weights:
+        w = w.copy()  # nothing was permuted: this may be the caller's buffer
 
     indptr = np.zeros(num_vertices + 1, dtype=EID_DTYPE)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
-    return CSRGraph(
-        indptr, dst.astype(vid_dtype_for(num_vertices)), weights, name=name
-    )
+    return CSRGraph(indptr, dst.astype(vid_dtype_for(num_vertices)), w, name=name)
 
 
 def from_networkx(g, weight_attr: Optional[str] = None, name: str = "") -> CSRGraph:

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.constants import EID_DTYPE, WEIGHT_DTYPE, vid_dtype_for
 from repro.errors import GraphFormatError
+from repro.graph.order import order_edges
 
 __all__ = ["CSRGraph"]
 
@@ -213,18 +214,16 @@ class CSRGraph:
         """The transpose graph (in-edges become out-edges).
 
         Cached after first computation; weights follow their logical edge.
-        The construction is fully vectorized (stable argsort by destination).
+        Rows of a CSR are in source order, so ordering the flipped edge list
+        by (dst, src) is the stable sort by destination.
         """
         if self._reverse is None:
-            src = self.edge_sources()
-            dst = self.indices
-            order = np.argsort(dst, kind="stable")
-            r_indptr = np.zeros(self.num_vertices + 1, dtype=EID_DTYPE)
-            np.cumsum(
-                np.bincount(dst, minlength=self.num_vertices), out=r_indptr[1:]
+            n = self.num_vertices
+            _, r_indices, r_weights = order_edges(
+                self.indices, self.edge_sources(), n, self.weights
             )
-            r_indices = src[order]
-            r_weights = self.weights[order] if self.weights is not None else None
+            r_indptr = np.zeros(n + 1, dtype=EID_DTYPE)
+            np.cumsum(self.in_degrees(), out=r_indptr[1:])
             rev = CSRGraph(r_indptr, r_indices, r_weights, name=self._name + "^T")
             rev._reverse = self
             self._reverse = rev

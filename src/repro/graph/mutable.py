@@ -205,15 +205,14 @@ class MutableGraph:
     def snapshot(self) -> CSRGraph:
         """The current graph as a frozen, canonical :class:`CSRGraph`.
 
-        Canonicalization (the stable lexsort inside ``from_edges``) makes
-        the snapshot — and its content hash — a function of the edge
+        Canonicalization (the (src, dst) ordering inside ``from_edges``)
+        makes the snapshot — and its content hash — a function of the edge
         multiset alone, independent of mutation order.
         """
         if self._snapshot is None:
             self._snapshot = from_edges(
                 self._src, self._dst,
-                num_vertices=self.num_vertices,
-                weights=None if self._w is None else self._w,
+                num_vertices=self.num_vertices, weights=self._w,
                 name=f"{self.name}@v{self.version}",
             )
         return self._snapshot

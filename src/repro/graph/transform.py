@@ -42,14 +42,11 @@ def make_undirected(graph: CSRGraph) -> CSRGraph:
     Connected-components benchmarks treat the input as undirected; frameworks
     symmetrize web crawls before running cc/kcore.
     """
-    src = graph.edge_sources().astype(np.int64)
-    dst = graph.indices.astype(np.int64)
+    src = graph.edge_sources()
+    dst = graph.indices
     s2 = np.concatenate([src, dst])
     d2 = np.concatenate([dst, src])
-    if graph.has_weights:
-        w2 = np.concatenate([graph.weights, graph.weights])
-    else:
-        w2 = None
+    w2 = np.concatenate([graph.weights] * 2) if graph.has_weights else None
     return from_edges(
         s2, d2, num_vertices=graph.num_vertices, weights=w2, dedup=True,
         name=graph.name + "+sym",

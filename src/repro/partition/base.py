@@ -198,26 +198,20 @@ def build_partitions(
     num_partitions: int,
     policy: str,
     grid: Optional[tuple[int, int]] = None,
-    membership: str = "vectorized",
 ) -> PartitionedGraph:
-    """Materialize partitions from owner assignments (fully vectorized).
+    """Materialize partitions from owner assignments, as CuSP does: passes
+    over the edge list, no global sort.
 
     Each partition receives: its assigned edges (relabeled to dense local
     IDs), proxies for every endpoint of those edges, plus its owned master
     vertices even when edge-less (so the global label vector is complete).
 
-    ``membership`` selects how per-partition proxy sets are derived:
-    ``"vectorized"`` computes every partition's membership in one global
-    sort of (owner, vertex) keys; ``"reference"`` is the original per-
-    partition ``np.union1d`` path, which rescans the full vertex space for
-    each partition (O(n·P)).  Both produce identical partitions (each
-    ``local_to_global`` is the sorted union of edge endpoints and owned
-    vertices); the equivalence is pinned by a test.
+    Edges are bucketed by owner once.  A partition's proxy set is read off
+    one reused ``|V|`` flag array (owned vertices, then both endpoints of
+    its edges), so ``local_to_global`` comes out sorted and
+    ``global_to_local`` monotone: a bucket of a (src, dst)-ordered CSR stays
+    ordered after relabeling and ``from_edges`` builds it without sorting.
     """
-    if membership not in ("vectorized", "reference"):
-        raise PartitioningError(
-            f"membership must be 'vectorized' or 'reference', got {membership!r}"
-        )
     n = graph.num_vertices
     vertex_owner = np.asarray(vertex_owner, dtype=np.int32)
     edge_owner = np.asarray(edge_owner, dtype=np.int32)
@@ -234,55 +228,31 @@ def build_partitions(
     ):
         raise PartitioningError("edge owner out of range")
 
-    src = graph.edge_sources()
-    dst = graph.indices
-    order = np.argsort(edge_owner, kind="stable")
-    counts = np.bincount(edge_owner, minlength=num_partitions)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-
-    if membership == "vectorized":
-        # One global pass instead of P per-partition scans: encode every
-        # (partition, vertex) membership claim — both endpoints of each
-        # edge under its edge owner, plus each vertex under its master
-        # owner — as owner*stride + vertex, then sort/unique once.  The
-        # per-partition slices come out sorted by vertex ID, exactly the
-        # order np.union1d produced.
-        stride = np.int64(max(n, 1))
-        eo64 = edge_owner.astype(np.int64) * stride
-        keys = np.unique(
-            np.concatenate(
-                [
-                    eo64 + src.astype(np.int64),
-                    eo64 + dst.astype(np.int64),
-                    vertex_owner.astype(np.int64) * stride
-                    + np.arange(n, dtype=np.int64),
-                ]
-            )
-        )
-        key_pids = keys // stride
-        key_members = keys - key_pids * stride
-        member_bounds = np.searchsorted(
-            key_pids, np.arange(num_partitions + 1)
-        )
+    # the narrowest owner dtype makes the stable argsort a radix sort
+    order = np.argsort(
+        edge_owner.astype(np.min_scalar_type(num_partitions)), kind="stable"
+    )
+    src = graph.edge_sources()[order]
+    dst = graph.indices[order]
+    weights = graph.weights[order] if graph.has_weights else None
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(edge_owner, minlength=num_partitions)))
+    )
+    flag = np.zeros(n, dtype=bool)
 
     parts: list[LocalPartition] = []
     for p in range(num_partitions):
-        sel = order[bounds[p] : bounds[p + 1]]
-        s = src[sel].astype(np.int64)
-        d = dst[sel].astype(np.int64)
-        w = graph.weights[sel] if graph.has_weights else None
-
-        if membership == "vectorized":
-            l2g = key_members[member_bounds[p] : member_bounds[p + 1]]
-        else:
-            owned = np.flatnonzero(vertex_owner == p)
-            endpoint_ids = np.union1d(s, d)
-            l2g = np.union1d(endpoint_ids, owned)
+        lo, hi = bounds[p], bounds[p + 1]
+        np.equal(vertex_owner, p, out=flag)
+        flag[src[lo:hi]] = True
+        flag[dst[lo:hi]] = True
+        l2g = np.flatnonzero(flag)
         g2l = np.full(n, -1, dtype=VID_DTYPE)
         g2l[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
 
         local = from_edges(
-            g2l[s], g2l[d], num_vertices=len(l2g), weights=w,
+            g2l[src[lo:hi]], g2l[dst[lo:hi]], num_vertices=len(l2g),
+            weights=None if weights is None else weights[lo:hi],
             name=f"{graph.name}/p{p}",
         )
         parts.append(
@@ -296,14 +266,13 @@ def build_partitions(
         )
 
     _build_exchange_lists(parts, vertex_owner)
-    pg = PartitionedGraph(
+    return PartitionedGraph(
         policy=policy,
         global_graph=graph,
         vertex_owner=vertex_owner,
         parts=parts,
         grid=grid,
     )
-    return pg
 
 
 def _build_exchange_lists(parts: list[LocalPartition], vertex_owner: np.ndarray) -> None:

@@ -18,11 +18,12 @@ from repro.errors import ConfigurationError, InvariantViolation, ReproError
 from repro.fuzz.cases import Case, CaseFailure, run_case
 
 CASE_DIR = os.path.join(os.path.dirname(__file__), "cases")
-#: kernel_golden.json shares the directory but is a table of expected
-#: results (tests/test_la_backend_equiv.py), not a replayable case
+#: the *_golden.json files share the directory but are tables of expected
+#: results (tests/test_la_backend_equiv.py, tests/test_partition_golden.py),
+#: not replayable cases
 CASE_FILES = sorted(
     p for p in glob.glob(os.path.join(CASE_DIR, "*.json"))
-    if os.path.basename(p) != "kernel_golden.json"
+    if not p.endswith("_golden.json")
 )
 
 

@@ -57,6 +57,38 @@ class TestConstruction:
         g = from_edges([0, 0], [1, 1], num_vertices=2, weights=[7, 9], dedup=True)
         assert g.weights.tolist() == [7]
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_ordered_input_is_copied_not_adopted(self, dtype):
+        """Nothing is permuted when the input is already in (src, dst)
+        order, so the built graph must still own its arrays: freezing them
+        may not reach the caller's buffers."""
+        src = np.array([0, 0, 1, 2], dtype=dtype)
+        dst = np.array([1, 2, 2, 0], dtype=dtype)
+        w = np.array([4, 3, 2, 1], dtype=np.uint32)  # already WEIGHT_DTYPE
+        g = from_edges(src, dst, num_vertices=3, weights=w)
+        for mine in (src, dst, w):
+            assert mine.flags.writeable
+            for theirs in (g.indptr, g.indices, g.weights):
+                assert not np.shares_memory(mine, theirs)
+        w[0] = 99
+        assert g.weights.tolist() == [4, 3, 2, 1]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64, np.float64])
+    def test_vertex_id_dtype_does_not_change_the_graph(self, dtype):
+        """Signed ids are read in their own width, everything else through
+        int64; either way the graph is the one int64 ids build."""
+        src, dst, w = [2, 0, 2, 1, 0], [1, 2, 0, 1, 2], [5, 4, 3, 2, 1]
+        want = from_edges(
+            np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+            num_vertices=3, weights=w, dedup=True,
+        )
+        got = from_edges(
+            np.array(src, dtype=dtype), np.array(dst, dtype=dtype),
+            num_vertices=3, weights=w, dedup=True,
+        )
+        assert got.content_hash() == want.content_hash()
+        assert got.indices.dtype == want.indices.dtype
+
     def test_bad_indptr_rejected(self):
         with pytest.raises(GraphFormatError):
             CSRGraph(np.array([0, 2, 1]), np.array([0, 1, 0], dtype=np.int32))

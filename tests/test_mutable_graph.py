@@ -112,6 +112,28 @@ class TestSnapshotAndHash:
         mg.insert_edges([0], [3], timestamp=1)
         assert mg.snapshot() is mg.snapshot()
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_apply_after_snapshot_of_unmutated_base(self, weighted):
+        """The unmutated edge list is already ordered, so ``from_edges``
+        permutes nothing; the snapshot must not adopt (and freeze) the
+        arrays the next ``apply`` goes on to use."""
+        mg = MutableGraph(tri(weighted))
+        snap = mg.snapshot()
+        assert snap == mg.base
+        for held in (mg._src, mg._dst, mg._w):
+            if held is not None:
+                assert not np.shares_memory(held, snap.indices)
+                assert snap.weights is None or not np.shares_memory(
+                    held, snap.weights
+                )
+        mg.insert_edges([0], [3], timestamp=1)
+        mg.delete_edges([1], [2], timestamp=2)
+        after = mg.snapshot()
+        assert after.num_edges == 3
+        assert snap == mg.base  # the earlier snapshot did not move
+        if weighted:
+            assert sorted(after.weights.tolist())[:2] == [2, 3]
+
     def test_content_hash_tracks_mutations(self):
         """Satellite regression: the hash must incorporate the pending
         mutation log — a mutated graph can never reuse its old key."""

@@ -1,0 +1,160 @@
+"""Golden-table suite: partition builds and CSR transforms, pinned as data.
+
+Until PR 16 every CSR build sorted its edges with ``np.lexsort`` and
+``build_partitions`` derived proxy sets from one global ``np.unique``.
+What that code computed survives in ``tests/cases/partition_golden.json``:
+for five policies x P in {1, 4, 7} x four inputs, one SHA-1 per partition
+over ``indptr`` / ``indices`` / ``weights`` / ``local_to_global`` /
+``is_master`` and both exchange dicts (in peer order), plus the
+``content_hash()`` of ``make_undirected`` and ``reverse()`` of each input.
+The table was produced at the parent commit ``393e438``; the ordering
+primitive and the streaming partition build must reproduce every row.
+
+The four inputs cover the branches of :func:`repro.graph.order.order_edges`:
+a generator graph (partition edge lists arrive ordered), its symmetrized
+view, a hand-built :class:`CSRGraph` whose rows are **not** dst-sorted (the
+ordered check must fail and the sort must equal lexsort), and a multigraph
+whose parallel edges carry distinct weights (ties keep input order).
+
+The table is what :func:`compute_table` returns, so it can be regenerated
+by hand from any checkout's sources (docs/performance.md, "Cold path",
+shows the command).  A row that moves is a semantic change, never noise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.generators import rmat
+from repro.graph import CSRGraph, add_random_weights, make_undirected
+from repro.partition import partition
+
+GOLDEN = Path(__file__).parent / "cases" / "partition_golden.json"
+
+POLICIES = ("oec", "iec", "hvc", "cvc", "jagged")
+PARTS = (1, 4, 7)
+
+
+def _unsorted_rows() -> CSRGraph:
+    """Weighted CSR built by hand: destinations within a row are in draw
+    order (not sorted) and repeat, so no ordered fast path may fire."""
+    rng = np.random.default_rng(16)
+    n = 97
+    deg = rng.integers(0, 9, n)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = rng.integers(0, n, int(indptr[-1]))
+    weights = rng.integers(1, 101, len(indices))
+    g = CSRGraph(indptr, indices, weights, name="unsorted")
+    rows = np.repeat(np.arange(n), deg)
+    assert np.any((rows[1:] == rows[:-1]) & (indices[1:] < indices[:-1]))
+    return g
+
+
+def _parallel_edges() -> CSRGraph:
+    """Multigraph with dst-sorted rows where every (src, dst) pair occurs
+    1-4 times with distinct weights: any unstable sort moves a weight."""
+    rng = np.random.default_rng(61)
+    n = 64
+    src = np.sort(rng.integers(0, n, 300))
+    dst = rng.integers(0, n, 300)
+    order = np.lexsort((dst, src))
+    reps = rng.integers(1, 5, 300)
+    src, dst = np.repeat(src[order], reps), np.repeat(dst[order], reps)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    weights = rng.permutation(len(src)) + 1  # all distinct
+    return CSRGraph(indptr, dst, weights, name="parallel")
+
+
+def inputs() -> dict[str, CSRGraph]:
+    gen = add_random_weights(rmat(8, edge_factor=8, seed=3), seed=5)
+    return {
+        "rmat8": gen,
+        "rmat8+sym": make_undirected(gen),
+        "unsorted": _unsorted_rows(),
+        "parallel": _parallel_edges(),
+    }
+
+
+def _sha1(arrays) -> str:
+    h = hashlib.sha1()
+    for a in arrays:
+        if a is None:
+            h.update(b"|none")
+            continue
+        a = np.ascontiguousarray(a)
+        h.update(f"|{a.dtype.str}{a.shape}".encode())
+        h.update(a.data)
+    return h.hexdigest()
+
+
+def partition_digest(part) -> str:
+    arrays = [
+        part.graph.indptr, part.graph.indices, part.graph.weights,
+        part.local_to_global, part.is_master,
+    ]
+    for exchange in (part.mirror_exchange, part.master_exchange):
+        for q in sorted(exchange):
+            arrays += [np.asarray([q]), exchange[q]]
+    return _sha1(arrays)
+
+
+def partition_rows(graphs) -> dict[str, list[str]]:
+    return {
+        f"{name}/{policy}/{parts}": [
+            partition_digest(p)
+            for p in partition(g, policy, parts, cache=False).parts
+        ]
+        for name, g in graphs.items()
+        for policy in POLICIES
+        for parts in PARTS
+    }
+
+
+def transform_rows(graphs) -> dict[str, dict[str, str]]:
+    return {
+        name: {
+            "undirected": make_undirected(g).content_hash(),
+            "reverse": g.reverse().content_hash(),
+        }
+        for name, g in graphs.items()
+    }
+
+
+def compute_table() -> dict:
+    graphs = inputs()
+    return {
+        "partitions": partition_rows(graphs),
+        "transforms": transform_rows(graphs),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return inputs()
+
+
+def test_table_covers_the_matrix(golden, graphs):
+    assert len(golden["partitions"]) == len(graphs) * len(POLICIES) * len(PARTS)
+    assert sorted(golden["transforms"]) == sorted(graphs)
+
+
+@pytest.mark.parametrize("name", ["rmat8", "rmat8+sym", "unsorted", "parallel"])
+def test_partitions_match_golden(golden, graphs, name):
+    got = partition_rows({name: graphs[name]})
+    want = {k: v for k, v in golden["partitions"].items()
+            if k.split("/")[0] == name}
+    assert got == want
+
+
+def test_transforms_match_golden(golden, graphs):
+    assert transform_rows(graphs) == golden["transforms"]
