@@ -42,7 +42,6 @@ from repro.metrics.perfbaseline import (
     HIER_AGG_MIN,
     MATRIX_WORKLOAD,
     SIM_RTOL,
-    SPEEDUP_MIN_RATIO,
     SWEEP_SPEEDUP_MIN,
     SWEEP_WORKLOAD,
     default_wall_tolerance,
@@ -50,7 +49,6 @@ from repro.metrics.perfbaseline import (
     load_baseline,
     measure_hier_aggregation,
     measure_overhead,
-    measure_speedup,
     measure_sweep_speedup,
     overhead_tolerance,
     run_matrix,
@@ -138,15 +136,6 @@ def _matrix_table(results) -> str:
         ["cell", "wall (ms)", "sim (s)", "rounds", "messages", "MB"],
         rows,
         title="Sync-path regression matrix (RMAT, 4 partitions)",
-    )
-
-
-def _speedup_line(sp: dict) -> str:
-    return (
-        f"vectorization speedup on {sp['cell']}: "
-        f"{sp['scalar_wall_seconds'] * 1e3:.1f} ms scalar / "
-        f"{sp['vectorized_wall_seconds'] * 1e3:.1f} ms vectorized = "
-        f"{sp['speedup']:.2f}x (gate: >= {SPEEDUP_MIN_RATIO:.1f}x)"
     )
 
 
@@ -325,7 +314,8 @@ def _ooc_record(report) -> dict:
 # --------------------------------------------------------------------------- #
 GATES = (
     # the workload matrix — bfs/cc/pr x IEC/CVC x BSP/BASP x AS/UO on a
-    # seeded RMAT graph; simulated metrics are machine-independent
+    # seeded RMAT graph; simulated metrics are machine-independent, and
+    # the recorded per-cell wall ceiling is what guards the sync hot path
     Gate(
         "sync", run_matrix, _matrix_table, check=lambda results: [],
         config=lambda results: MATRIX_WORKLOAD,
@@ -335,14 +325,6 @@ GATES = (
         record=lambda results: {
             k: c.wall_seconds for k, c in results.items()
         },
-    ),
-    # the pr/cvc/bsp/uo cell against the retained pre-vectorization
-    # reference path (per-element extraction + per-message pricing),
-    # identical deterministic metrics on both legs
-    Gate(
-        "speedup", measure_speedup, _speedup_line,
-        _at_least("speedup", "speedup", SPEEDUP_MIN_RATIO),
-        record=lambda sp: sp, wall=True, recorded_in="sync",
     ),
     # a fixed slice of the study through the sweep executor, with
     # --jobs 2 so the process pool itself is exercised, including in CI

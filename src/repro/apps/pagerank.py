@@ -56,6 +56,7 @@ class PageRankPull(VertexProgram):
     name = "pr"
     style = "pull"
     driven = "topology"
+    static_frontier = True  # every vertex with local in-edges, cached
     output_field = "_rank"
     async_capable = True
 

@@ -7,8 +7,9 @@ and the engines' accounting/monotonicity invariants — at three levels:
 
 * ``off``  — the default; hot paths pay one falsy test;
 * ``cheap`` — O(V + proxies) structural checks at build/round boundaries;
-* ``full`` — everything, including the per-extraction vectorized-vs-scalar
-  differential and per-round label-monotonicity snapshots.
+* ``full`` — everything, including the per-extraction batch-vs-oracle
+  differential (:mod:`repro.check.oracle` holds the per-element
+  references) and per-round label-monotonicity snapshots.
 
 Set the ambient level with :func:`set_check_level` / :func:`use_check_level`
 (read by engines, :class:`~repro.comm.gluon.GluonComm`, and the partition

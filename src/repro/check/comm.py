@@ -3,12 +3,12 @@
 Three layers, matching how the substrate can break:
 
 * :func:`check_comm_structure` (CHEAP, at :class:`GluonComm` construction):
-  the memoized plans and flat send-tables are internally consistent — both
+  the memoized plans and exchange tables are internally consistent — both
   sides of every plan list the *same global vertices* in the same order,
   reduce flows mirror→master, broadcast flows master→mirror, and each
-  sender's flat table is exactly the concatenation of its per-partner
-  plans.  A breach here corrupts every message silently, because address
-  elision means nothing on the wire can catch it.
+  table is exactly its pair plans laid end to end, sender by sender, with
+  the plans views of it.  A breach here corrupts every message silently,
+  because address elision means nothing on the wire can catch it.
 * :func:`check_post_sync` (FULL, after a bulk-synchronous round or at
   async quiescence): per synced min/max field, the master's value
   *dominates* every plan partner's copy (``reducer(master, mirror) ==
@@ -16,11 +16,12 @@ Three layers, matching how the substrate can break:
   locally — broadcast partners must agree *exactly*.  Accumulator (``add``
   / ``reset_after_reduce``) fields are excluded: their mirrors are
   deliberately stale between reductions.
-* :func:`differential_extract` (FULL, per extraction): runs the vectorized
-  hot path and the pre-vectorization scalar reference on identical input
-  state and requires identical messages *and* identical post-state (labels,
-  dirty bits).  This is the standing guard against exactly the class of
-  bug a sync-path optimization can introduce.
+* :func:`differential_extract` (FULL, per extraction): runs the batch
+  extraction and, sender by sender, the per-element oracle
+  (:mod:`repro.check.oracle`) on identical input state and requires
+  identical messages *and* identical post-state (labels, dirty bits).
+  This is the standing guard against exactly the class of bug a sync-path
+  optimization can introduce.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def check_field_specs(comm) -> None:
 
 
 def check_comm_structure(comm) -> None:
-    """Validate the (memoized) plans and send-tables of every field."""
+    """Validate the (memoized) plans and exchange tables of every field."""
     check_field_specs(comm)
     pg = comm.pg
     checked = pg.__dict__.setdefault(_STRUCT_STAMP, set())
@@ -82,9 +83,9 @@ def check_comm_structure(comm) -> None:
         reduce_plans, bcast_plans = comm._plans[name]
         _check_plan_dict(pg, name, "reduce", reduce_plans)
         _check_plan_dict(pg, name, "broadcast", bcast_plans)
-        red_tables, bc_tables = comm._tables[name]
-        _check_tables(name, "reduce", reduce_plans, red_tables)
-        _check_tables(name, "broadcast", bcast_plans, bc_tables)
+        red_table, bc_table = comm._tables[name]
+        _check_table(name, "reduce", reduce_plans, red_table, pg.num_partitions)
+        _check_table(name, "broadcast", bcast_plans, bc_table, pg.num_partitions)
         checked.add(key)
 
 
@@ -126,53 +127,62 @@ def _check_plan_dict(pg, field: str, phase: str, plans: dict) -> None:
             )
 
 
-def _check_tables(field: str, phase: str, plans: dict, tables: list) -> None:
-    by_sender: dict[int, dict[int, object]] = {}
-    for (s, d), plan in plans.items():
-        by_sender.setdefault(s, {})[d] = plan
-    for s, table in enumerate(tables):
-        planned = by_sender.get(s, {})
-        if table is None:
-            if planned:
+def _check_table(field: str, phase: str, plans: dict, table, P: int) -> None:
+    where = f"{field}/{phase}"
+    pairs = list(zip(table.seg_src.tolist(), table.seg_dst.tolist()))
+    in_order = [(p, d) for p in range(P) for s, d in plans if s == p]
+    if pairs != in_order:
+        _fail(
+            "send-table",
+            f"{where}: table segments {pairs} are not the planned pairs "
+            f"grouped by sender in plan order {in_order} (a pair would be "
+            "lost, or messages would leave in another order)",
+        )
+    lens = np.asarray([len(plans[sd].send_idx) for sd in pairs], dtype=np.int64)
+    expect_off = np.concatenate(([0], np.cumsum(lens)))
+    if not (
+        np.array_equal(table.seg_len, lens)
+        and np.array_equal(table.seg_off, expect_off)
+    ):
+        _fail(
+            "send-table",
+            f"{where}: segment offsets do not match the plan lengths "
+            "(segment slicing would mix partners)",
+        )
+    for side, flat in (("send", table.flat_send), ("recv", table.flat_recv)):
+        expect = np.concatenate(
+            [getattr(plans[sd], f"{side}_idx") for sd in pairs]
+            or [np.empty(0, dtype=np.int64)]
+        )
+        if not np.array_equal(flat, expect):
+            _fail(
+                "send-table",
+                f"{where}: flat_{side} is not the concatenation of the "
+                f"per-pair {side} lists",
+            )
+        for sd in pairs:
+            if not np.shares_memory(getattr(plans[sd], f"{side}_idx"), flat):
                 _fail(
                     "send-table",
-                    f"{field}/{phase}: sender {s} has plans but no table",
+                    f"{where}: plan {sd[0]}->{sd[1]}'s {side}_idx is a copy, "
+                    f"not a view of flat_{side}",
                 )
-            continue
-        if sorted(table.receivers) != sorted(planned):
-            _fail(
-                "send-table",
-                f"{field}/{phase}: sender {s}'s table partners "
-                f"{sorted(table.receivers)} != planned {sorted(planned)}",
-            )
-        lens = [len(p.send_idx) for p in table.plans]
-        expect_offsets = np.concatenate(
-            ([0], np.cumsum(np.asarray(lens, dtype=np.int64)))
+    sender_seg = np.searchsorted(table.seg_src, np.arange(P + 1))
+    if not (
+        np.array_equal(table.sender_seg, sender_seg)
+        and table.sender_off == expect_off[sender_seg].tolist()
+    ):
+        _fail(
+            "send-table",
+            f"{where}: per-sender bounds do not delimit the senders' segments",
         )
-        if not np.array_equal(table.offsets, expect_offsets):
-            _fail(
-                "send-table",
-                f"{field}/{phase}: sender {s}'s offsets do not match its "
-                "plan lengths (segment slicing would mix partners)",
-            )
-        expect_flat = (
-            np.concatenate([p.send_idx for p in table.plans])
-            if table.plans
-            else np.empty(0, dtype=np.int64)
-        )
-        if not np.array_equal(table.flat_send, expect_flat):
-            _fail(
-                "send-table",
-                f"{field}/{phase}: sender {s}'s flat_send is not the "
-                "concatenation of its per-partner send lists",
-            )
-        for d, plan in zip(table.receivers, table.plans):
-            if planned.get(d) is not plan:
-                _fail(
-                    "send-table",
-                    f"{field}/{phase}: sender {s}'s table plan for partner "
-                    f"{d} is not the plan dict's entry",
-                )
+    if not np.array_equal(table.seg_bitset_bytes, (lens + 7) // 8):
+        _fail("send-table", f"{where}: per-segment bitset bytes are off")
+    planned = np.zeros((P, P), dtype=bool)
+    for s, d in plans:
+        planned[s, d] = True
+    if not np.array_equal(table.planned, planned):
+        _fail("send-table", f"{where}: the planned-pair matrix is off")
 
 
 # ---------------------------------------------------------------------------
@@ -227,48 +237,60 @@ def check_post_sync(comm, field: str, labels) -> None:
 
 
 # ---------------------------------------------------------------------------
-# FULL: vectorized-vs-scalar differential extraction
+# FULL: batch-vs-oracle differential extraction
 
 
-def differential_extract(comm, field: str, phase: str, pid: int, labels):
-    """Run both extraction paths on identical state; require equivalence.
+def differential_extract(comm, field: str, phase: str, pids, labels):
+    """Run the batch extraction and the per-element oracle on identical
+    state; require equivalence, sender by sender.
 
-    Returns the vectorized messages and leaves the vectorized post-state
-    installed, so enabling the check cannot change a run's results — it
-    can only veto them.
+    Returns the batch and leaves the batch path's post-state installed, so
+    enabling the check cannot change a run's results — it can only veto
+    them.
     """
-    dirty = comm.updated[field][pid]
-    pre_bits = dirty.bits.copy()
-    pre_lab = labels[pid].copy()
+    from repro.check.oracle import extract_scalar
 
-    msgs = comm._extract_vectorized(field, phase, pid, labels)
-    post_bits = dirty.bits.copy()
-    post_lab = labels[pid].copy()
+    pids = list(pids)
+    dirty = comm.updated[field]
+    pre = [(dirty[p].bits.copy(), labels[p].copy()) for p in pids]
 
-    dirty.bits[:] = pre_bits
-    labels[pid][:] = pre_lab
-    ref_msgs = comm._extract_scalar(field, phase, pid, labels)
-    ref_bits = dirty.bits.copy()
-    ref_lab = labels[pid].copy()
+    batch = comm._extract(field, phase, pids, labels)
+    post = [(dirty[p].bits.copy(), labels[p].copy()) for p in pids]
 
-    # reinstall the vectorized outcome before any verdict, so a violation
+    ref_msgs, ref = [], []
+    for p, (bits, lab) in zip(pids, pre):
+        dirty[p].bits[:] = bits
+        labels[p][:] = lab
+        ref_msgs.append(extract_scalar(comm, field, phase, p, labels))
+        ref.append((dirty[p].bits.copy(), labels[p].copy()))
+
+    # reinstall the batch outcome before any verdict, so a violation
     # raised below does not leave the run in the reference state
-    dirty.bits[:] = post_bits
-    labels[pid][:] = post_lab
+    for p, (bits, lab) in zip(pids, post):
+        dirty[p].bits[:] = bits
+        labels[p][:] = lab
 
-    where = f"field {field!r}, {phase} extraction on partition {pid}"
-    if not np.array_equal(post_bits, ref_bits):
-        _fail(
-            "extract-differential",
-            f"{where}: vectorized and scalar paths leave different dirty "
-            "bits",
+    msgs = comm.messages(batch)
+    for p, got, want, want_msgs in zip(pids, post, ref, ref_msgs):
+        where = f"field {field!r}, {phase} extraction on partition {p}"
+        if not np.array_equal(got[0], want[0]):
+            _fail(
+                "extract-differential",
+                f"{where}: batch and scalar paths leave different dirty bits",
+            )
+        if not np.array_equal(got[1], want[1]):
+            _fail(
+                "extract-differential",
+                f"{where}: batch and scalar paths leave different labels "
+                "(accumulator reset mismatch)",
+            )
+        _compare_messages(
+            where, [m for m in msgs if m.header.src == p], want_msgs
         )
-    if not np.array_equal(post_lab, ref_lab):
-        _fail(
-            "extract-differential",
-            f"{where}: vectorized and scalar paths leave different labels "
-            "(accumulator reset mismatch)",
-        )
+    return batch
+
+
+def _compare_messages(where: str, msgs: list, ref_msgs: list) -> None:
     by_dst = {m.header.dst: m for m in msgs}
     ref_by_dst = {m.header.dst: m for m in ref_msgs}
     if len(by_dst) != len(msgs) or len(ref_by_dst) != len(ref_msgs):
@@ -276,11 +298,12 @@ def differential_extract(comm, field: str, phase: str, pid: int, labels):
             "extract-differential",
             f"{where}: duplicate messages for one receiver",
         )
-    if set(by_dst) != set(ref_by_dst):
+    if [m.header.dst for m in msgs] != [m.header.dst for m in ref_msgs]:
         _fail(
             "extract-differential",
-            f"{where}: receiver sets differ — vectorized "
-            f"{sorted(by_dst)} vs scalar {sorted(ref_by_dst)}",
+            f"{where}: receivers differ — batch "
+            f"{[m.header.dst for m in msgs]} vs scalar "
+            f"{[m.header.dst for m in ref_msgs]}",
         )
     for d, m in by_dst.items():
         ref = ref_by_dst[d]
@@ -317,4 +340,3 @@ def differential_extract(comm, field: str, phase: str, pid: int, labels):
                 f"{where}: scanned_elements to {d} differs "
                 f"({m.scanned_elements} vs {ref.scanned_elements})",
             )
-    return msgs

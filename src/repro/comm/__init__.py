@@ -2,7 +2,13 @@
 structural-invariant and update-driven optimizations."""
 
 from repro.comm.bitset import Bitset
-from repro.comm.buffers import Message, MessageBatch, MessageHeader, batch_arrays
+from repro.comm.buffers import (
+    Message,
+    MessageBatch,
+    MessageHeader,
+    SendBatch,
+    batch_arrays,
+)
 from repro.comm.gluon import CommConfig, FieldSpec, GluonComm
 from repro.comm.hier import HostAggregate, group_cross_host
 from repro.comm.router import BatchLegTimes, RoutedMessage, Router, StepNetwork
@@ -15,6 +21,7 @@ __all__ = [
     "Message",
     "MessageBatch",
     "MessageHeader",
+    "SendBatch",
     "batch_arrays",
     "CommConfig",
     "FieldSpec",

@@ -55,12 +55,18 @@ class Bitset:
     # packed wire form
     # ------------------------------------------------------------------ #
     @staticmethod
-    def packed_nbytes(num_elements) -> int:
+    def packed_nbytes(num_elements):
         """Wire bytes of a packed bitset over ``num_elements`` bits.
 
-        Always a plain Python ``int`` (NumPy integers would leak into the
-        JSON-serialized wire accounting), and rejects negative domains.
+        A scalar gives a plain Python ``int`` (NumPy integers would leak
+        into the JSON-serialized wire accounting); an array of domains
+        gives the int64 array of their sizes.  Negative domains are
+        rejected either way.
         """
+        if isinstance(num_elements, np.ndarray):
+            if (num_elements < 0).any():
+                raise ValueError("bit counts must be non-negative")
+            return (num_elements.astype(np.int64) + 7) // 8
         n = int(num_elements)
         if n < 0:
             raise ValueError(f"bit count must be non-negative, got {n}")

@@ -11,11 +11,19 @@ to another.  Its wire size depends on the framework's choices:
 
 ``wire_bytes`` is what the simulator charges against PCIe and the network;
 it is also what the figures' GB labels sum.
+
+The engines never build a :class:`Message`.  One extraction — a BSP sync
+step over every partition, a BASP flush of one — is one :class:`SendBatch`:
+per-message columns for pricing and per-element receiver targets and
+values for delivery.  ``Message`` is the per-object form the estimators,
+the microbenchmark, the check oracle and tests work with;
+``GluonComm.messages`` materialises a batch into it and
+:func:`batch_arrays` is the adapter that lets a ``Message`` list be priced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -23,7 +31,10 @@ import numpy as np
 from repro.comm.bitset import Bitset
 from repro.constants import GID_BYTES
 
-__all__ = ["MessageHeader", "Message", "MessageBatch", "batch_arrays"]
+__all__ = [
+    "MessageHeader", "Message", "MessageBatch", "SendBatch", "batch_arrays",
+    "pricing_columns",
+]
 
 #: Fixed per-message envelope (tags, field id, counts).
 HEADER_BYTES = 64
@@ -93,11 +104,10 @@ class Message:
 
 
 class MessageBatch(NamedTuple):
-    """Structure-of-arrays view of a message list for bulk pricing.
-
-    One pass over the Python objects extracts everything the router's
-    vectorized leg pricing needs; all subsequent math is NumPy over these
-    arrays (see :meth:`repro.comm.router.Router.price_batch`).
+    """The per-message columns :meth:`repro.comm.router.Router.price_batch`
+    reads — of a :class:`SendBatch` (which carries the same names), of
+    several merged by :func:`pricing_columns`, or of a ``Message`` list
+    through :func:`batch_arrays`.
     """
 
     src: np.ndarray  # int64 sender pid per message
@@ -105,6 +115,56 @@ class MessageBatch(NamedTuple):
     wire_bytes: np.ndarray  # float64 unscaled wire bytes per message
     num_elements: np.ndarray  # float64 payload element count per message
     scanned_elements: np.ndarray  # float64 UO extraction scan length
+
+
+@dataclass(slots=True, eq=False)
+class SendBatch:
+    """Every message one extraction produced, as a struct of arrays.
+
+    Message ``k`` goes ``src[k] -> dst[k]`` over exchange-table segment
+    ``seg[k]`` and carries elements ``offsets[k]:offsets[k + 1]`` of
+    ``targets`` (receiver-local proxy ids) and ``values``, in exchange
+    order; messages are in sender order, then plan order.  ``hits`` are
+    the elements' positions in the flat exchange table (``None`` when
+    every segment ships whole, as under AS) — only the materialiser needs
+    them.  The three byte/count columns are integers; pricing scales them.
+    """
+
+    field: str
+    phase: str
+    seg: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    num_elements: np.ndarray
+    scanned_elements: np.ndarray
+    wire_bytes: np.ndarray
+    offsets: np.ndarray
+    targets: np.ndarray
+    values: np.ndarray
+    hits: Optional[np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    @classmethod
+    def empty(cls, field: str, phase: str, dtype) -> "SendBatch":
+        """The batch of an extraction that had nothing to send."""
+        e = np.empty(0, dtype=np.int64)
+        return cls(
+            field, phase, e, e, e, e, e, e, np.zeros(1, dtype=np.int64), e,
+            np.empty(0, dtype=dtype), None,
+        )
+
+
+def pricing_columns(batches: list[SendBatch]) -> MessageBatch:
+    """One pricing input for several batches (a BASP flush mixes fields
+    and phases), messages in list order."""
+    return MessageBatch(
+        *(
+            np.concatenate([getattr(b, name) for b in batches])
+            for name in MessageBatch._fields
+        )
+    )
 
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)

@@ -22,17 +22,22 @@ ablation:
   exchange order at partition time, so messages carry no global IDs; with
   memoization off, every element ships an 8-byte ID (Lux's wire format).
 
-Extraction is the per-round hot path, so it is fully vectorized: each
-sender's outgoing plans for a field are flattened into one contiguous
-index table at plan-build time, the dirty-bit filter is a single NumPy
-gather over that table, and per-partner messages are sliced out of bulk
-gathers (see ``_SendTable``).  Plans and tables depend only on the
-partitioned graph, the field's read/write locations, and the filtering
-flag, so they are memoized on the :class:`PartitionedGraph` and shared by
-every engine/run over the same partitions.  The pre-vectorization
-per-element reference implementation is kept as :meth:`_extract_scalar`
-and exercised by the differential equivalence suite
-(``tests/test_comm_vectorized_equiv.py``).
+The **batch** is the unit of the sync path.  Per (field contract, phase)
+every pair plan lives in one :class:`_ExchangeTable` — the aligned
+``flat_send`` / ``flat_recv`` index arrays, one *segment* per (sender,
+receiver) pair, senders in order — and the per-pair plans are views into
+it.  An extraction, for whatever set of senders it is asked for (all of
+them in a BSP sync step, one in a BASP flush), gathers the dirty bits over
+the senders' table slices and returns one
+:class:`~repro.comm.buffers.SendBatch`: per-message columns the router
+prices directly, and per-element receiver targets and values.  A delivery
+is one receiver's share of a batch, applied with ``ufunc.at`` over the
+sender-ordered concatenation (which replays the per-message float sequence
+exactly).  No ``Message`` object is built on the way; :meth:`GluonComm.messages`
+materialises a batch for the check oracle and for tests.  Tables depend
+only on the partitioned graph, the field's read/write locations, and the
+filtering flag, so they are memoized on the :class:`PartitionedGraph` and
+shared by every engine/run over the same partitions.
 """
 
 from __future__ import annotations
@@ -43,12 +48,16 @@ from typing import Callable
 import numpy as np
 
 from repro.comm.bitset import Bitset
-from repro.comm.buffers import Message, MessageHeader
+from repro.comm.buffers import HEADER_BYTES, Message, MessageHeader, SendBatch
+from repro.constants import GID_BYTES
 from repro.errors import CommunicationError, ConfigurationError
 from repro.idset import unique_ids
 from repro.partition.base import PartitionedGraph
 
 __all__ = ["FieldSpec", "CommConfig", "GluonComm"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_ZERO = np.zeros(1, dtype=np.int64)
 
 _REDUCERS: dict[str, Callable] = {
     "min": np.minimum,
@@ -125,62 +134,55 @@ class CommConfig:
 
 @dataclass
 class _PairPlan:
-    """Aligned send/recv index lists for one (sender, receiver) pair."""
+    """Aligned send/recv index lists for one (sender, receiver) pair —
+    views into the pair's segment of an :class:`_ExchangeTable`."""
 
     send_idx: np.ndarray  # local ids on the sender
     recv_idx: np.ndarray  # local ids on the receiver, aligned element-wise
 
 
-@dataclass
-class _SendTable:
-    """One sender's outgoing plans for a field, flattened for bulk ops.
+class _ExchangeTable:
+    """Every pair plan of one (field contract, phase), flattened.
 
-    ``flat_send`` is the concatenation of every partner's ``send_idx``;
-    ``offsets[k]:offsets[k+1]`` delimits partner ``k``'s segment.  A UO
-    extraction gathers the dirty bits for the whole table at once instead
-    of once per partner, and slices per-partner payloads out of a single
-    bulk value gather.  Segments are never empty (empty plans are dropped
-    at build time), which keeps the segmentation math free of zero-length
-    fancy-index edge cases.
+    Segment ``s`` is the plan ``seg_src[s] -> seg_dst[s]`` and covers
+    ``seg_off[s]:seg_off[s + 1]`` of ``flat_send`` (sender-local ids) and
+    ``flat_recv`` (receiver-local ids, aligned element-wise); it has
+    ``seg_len[s]`` elements and ships ``seg_bitset_bytes[s]`` of packed
+    bitset under UO.  Those four are the rows of the int64 ``seg_cols``,
+    so an extraction gathers all of them at once.  Segments are grouped by
+    sender in pid order and keep plan order within one — the order
+    messages leave in — so sender ``p`` owns segments
+    ``sender_seg[p]:sender_seg[p + 1]`` and the flat range
+    ``sender_off[p]:sender_off[p + 1]`` (plain ints: sliced once per
+    extraction).  ``planned[src, dst]`` says whether a pair has a segment.
+    Segments are never empty (empty plans are dropped at build time),
+    which keeps the segmentation math free of zero-length edge cases.
     """
 
-    receivers: list[int]  # partner pid per segment, in plan order
-    plans: list[_PairPlan]  # aligned with receivers
-    flat_send: np.ndarray  # concat of every plan.send_idx
-    offsets: np.ndarray  # int64, len(receivers) + 1
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.receivers)
-
-
-def _build_send_tables(
-    plans: dict[tuple[int, int], _PairPlan], num_partitions: int
-) -> list[_SendTable | None]:
-    """Group a plan dict by sender into flat extraction tables."""
-    grouped: list[tuple[list[int], list[_PairPlan]]] = [
-        ([], []) for _ in range(num_partitions)
-    ]
-    for (s, d), plan in plans.items():
-        grouped[s][0].append(d)
-        grouped[s][1].append(plan)
-    tables: list[_SendTable | None] = []
-    for receivers, pair_plans in grouped:
-        if not receivers:
-            tables.append(None)
-            continue
-        lens = np.asarray([len(p.send_idx) for p in pair_plans], dtype=np.int64)
-        offsets = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        tables.append(
-            _SendTable(
-                receivers=receivers,
-                plans=pair_plans,
-                flat_send=np.concatenate([p.send_idx for p in pair_plans]),
-                offsets=offsets,
-            )
-        )
-    return tables
+    def __init__(self, plans: dict[tuple[int, int], _PairPlan], num_partitions: int):
+        """Flatten a plan dict; its plans become views of the table."""
+        pairs = sorted(plans, key=lambda sd: sd[0])  # stable: keeps plan order
+        lens = np.asarray([len(plans[sd].send_idx) for sd in pairs], dtype=np.int64)
+        self.seg_cols = np.stack([
+            np.asarray([s for s, _ in pairs], dtype=np.int64),
+            np.asarray([d for _, d in pairs], dtype=np.int64),
+            lens,
+            Bitset.packed_nbytes(lens),
+        ])
+        self.seg_src, self.seg_dst, self.seg_len, self.seg_bitset_bytes = self.seg_cols
+        self.seg_off = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(lens, out=self.seg_off[1:])
+        self.flat_send = np.concatenate([plans[sd].send_idx for sd in pairs] or [_EMPTY])
+        self.flat_recv = np.concatenate([plans[sd].recv_idx for sd in pairs] or [_EMPTY])
+        bounds = self.seg_off.tolist()
+        for sd, lo, hi in zip(pairs, bounds, bounds[1:]):
+            plans[sd].send_idx = self.flat_send[lo:hi]
+            plans[sd].recv_idx = self.flat_recv[lo:hi]
+        self.plans = plans
+        self.sender_seg = np.searchsorted(self.seg_src, np.arange(num_partitions + 1))
+        self.sender_off = self.seg_off[self.sender_seg].tolist()
+        self.planned = np.zeros((num_partitions, num_partitions), dtype=bool)
+        self.planned[self.seg_src, self.seg_dst] = True
 
 
 class GluonComm:
@@ -198,8 +200,8 @@ class GluonComm:
         :mod:`repro.check`): ``None`` reads the ambient level, ``"off"`` /
         ``"cheap"`` / ``"full"`` (or :class:`~repro.check.CheckLevel`)
         force one.  CHEAP validates plan/table structure once at
-        construction; FULL additionally runs every extraction through the
-        scalar reference path differentially."""
+        construction; FULL additionally holds every extraction to the
+        per-element oracle, sender by sender."""
         from repro.check.level import CheckLevel, resolve_check_level
 
         self.pg = pg
@@ -208,29 +210,24 @@ class GluonComm:
         #: extraction wrappers pay one ``is not None`` test per call.
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         self.check_level = resolve_check_level(check)
-        #: hot-path flag: route every extraction through the differential
-        #: vectorized-vs-scalar comparison.
+        #: hot-path flag: the FULL-level oracle observes every extraction
         self._check_full = self.check_level >= CheckLevel.FULL
         self.fields = {f.name: f for f in fields}
         if len(self.fields) != len(fields):
             raise ConfigurationError("duplicate field names")
-        #: when True, extraction runs the pre-vectorization per-element
-        #: reference path — kept for differential testing and for the
-        #: regression bench's scalar-vs-vectorized speedup measurement.
-        self.use_scalar_extraction = False
         # updated[field][p] — dirty bits over partition p's local proxies
         self.updated: dict[str, list[Bitset]] = {
             f.name: [Bitset(p.num_local) for p in pg.parts] for f in fields
         }
-        # plans[field] -> (reduce_plans, broadcast_plans); each maps
-        # (sender, receiver) -> _PairPlan.  tables[field] -> per-sender
-        # flat extraction tables for (reduce, broadcast).
-        self._plans: dict[str, tuple[dict, dict]] = {}
-        self._tables: dict[str, tuple[list, list]] = {}
-        for f in fields:
-            plans, tables = self._plans_for(f)
-            self._plans[f.name] = plans
-            self._tables[f.name] = tables
+        # tables[field] -> (reduce table, broadcast table); plans[field]
+        # -> their (sender, receiver) -> _PairPlan dicts
+        self._tables: dict[str, tuple[_ExchangeTable, _ExchangeTable]] = {
+            f.name: self._tables_for(f) for f in fields
+        }
+        self._plans = {
+            name: (red.plans, bc.plans)
+            for name, (red, bc) in self._tables.items()
+        }
         if self.check_level:
             from repro.check.comm import check_comm_structure
 
@@ -239,10 +236,10 @@ class GluonComm:
     # ------------------------------------------------------------------ #
     # plan construction
     # ------------------------------------------------------------------ #
-    def _plans_for(self, spec: FieldSpec):
-        """Build (or fetch memoized) plans + tables for one field.
+    def _tables_for(self, spec: FieldSpec):
+        """Build (or fetch memoized) exchange tables for one field.
 
-        Plans depend only on the partitioned graph, the field's
+        Tables depend only on the partitioned graph, the field's
         read/write locations, and the filtering flag — not on the field
         name, dtype, or reduce op — so they are cached on the
         :class:`PartitionedGraph` and shared across fields, engines, and
@@ -252,12 +249,10 @@ class GluonComm:
         key = (spec.read_at, spec.write_at, self.config.invariant_filtering)
         hit = cache.get(key)
         if hit is None:
-            plans = self._build_plans(spec)
-            tables = (
-                _build_send_tables(plans[0], self.pg.num_partitions),
-                _build_send_tables(plans[1], self.pg.num_partitions),
+            P = self.pg.num_partitions
+            hit = cache[key] = tuple(
+                _ExchangeTable(plans, P) for plans in self._build_plans(spec)
             )
-            hit = cache[key] = (plans, tables)
         return hit
 
     def _proxy_filter(self, part, location: str) -> np.ndarray:
@@ -320,269 +315,247 @@ class GluonComm:
         """Partitions ``pid`` sends broadcast messages to."""
         return sorted(r for (m, r) in self._plans[field][1] if m == pid)
 
+    def _table(self, field: str, phase: str) -> _ExchangeTable:
+        return self._tables[field][0 if phase == "reduce" else 1]
+
     def mark_updated(self, field: str, pid: int, local_ids) -> None:
         """Engine hook: record that the operator wrote these proxies."""
         self.updated[field][pid].set(local_ids)
 
     def pending_sends(self, field: str, phase: str, pid: int) -> bool:
         """Was any proxy in ``pid``'s outgoing exchange for this phase
-        written since its last send?  (One bulk gather over the flat
-        table; dirty bits on proxies outside every exchange list do not
-        count — they can never produce a message.)"""
-        table = self._tables[field][0 if phase == "reduce" else 1][pid]
-        if table is None:
-            return False
-        return bool(self.updated[field][pid].bits[table.flat_send].any())
+        written since its last send?  (One bulk gather over the sender's
+        table slice; dirty bits on proxies outside every exchange list do
+        not count — they can never produce a message.)"""
+        table = self._table(field, phase)
+        lo, hi = table.sender_off[pid], table.sender_off[pid + 1]
+        return bool(self.updated[field][pid].bits[table.flat_send[lo:hi]].any())
 
     # ------------------------------------------------------------------ #
-    # extraction (vectorized hot path)
+    # extraction
     # ------------------------------------------------------------------ #
-    def _extract(self, field: str, phase: str, pid: int, labels) -> list[Message]:
-        """Build partition ``pid``'s outgoing messages for one phase.
-
-        Dispatches to the vectorized hot path, the scalar reference, or —
-        at FULL check level — the differential comparison of the two
-        (which returns the vectorized result after verifying equivalence).
-        """
-        if self.use_scalar_extraction:
-            return self._extract_scalar(field, phase, pid, labels)
-        if self._check_full:
-            from repro.check.comm import differential_extract
-
-            return differential_extract(self, field, phase, pid, labels)
-        return self._extract_vectorized(field, phase, pid, labels)
-
-    def _extract_vectorized(
-        self, field: str, phase: str, pid: int, labels
-    ) -> list[Message]:
-        """Vectorized extraction (the production path).
+    def _extract(self, field: str, phase: str, pids, labels) -> SendBatch:
+        """The outgoing messages of ``pids`` for one phase, as one batch.
 
         Under UO only dirty elements ship (dirty bits for sent proxies are
         cleared; reduce-phase accumulators are reset to identity).  Under
-        AS the full invariant-filtered exchange ships.
+        AS the full invariant-filtered exchange ships, and everything
+        shipped counts as sent: dirty bits drop and accumulators reset
+        exactly as under UO.  A sender serving several partners (broadcast
+        along a CVC grid row) clears once, after every partner's payload
+        was gathered.
         """
         spec = self.fields[field]
-        table = self._tables[field][0 if phase == "reduce" else 1][pid]
-        if table is None:
-            return []
-        cfg = self.config
-        part = self.pg.parts[pid]
-        lab = labels[pid]
-        memoized = cfg.memoize_addresses
-        out: list[Message] = []
-
-        if not cfg.update_only:
-            # AS: every plan ships in full — one bulk gather, sliced per
-            # partner along the precomputed offsets.
-            vals = lab[table.flat_send]
-            ids = None if memoized else part.local_to_global[table.flat_send]
-            offs = table.offsets
-            for k, dst in enumerate(table.receivers):
-                lo, hi = offs[k], offs[k + 1]
-                out.append(
-                    Message(
-                        header=MessageHeader(pid, dst, phase, field),
-                        values=vals[lo:hi],
-                        positions=None,
-                        exchange_len=len(table.plans[k].send_idx),
-                        explicit_ids=(
-                            ids[lo:hi] if ids is not None else None
-                        ),
-                        scanned_elements=0,
-                    )
-                )
-            # Everything shipped counts as sent: dirty bits drop and
-            # accumulators reset exactly as under UO.
-            self.updated[field][pid].clear(table.flat_send)
-            if phase == "reduce" and spec.reset_after_reduce:
-                lab[table.flat_send] = spec.identity
-            return out
-
-        # UO: one dirty-bit gather over the whole flat table, then
-        # segment the hits back into per-partner messages.
-        dirty = self.updated[field][pid]
-        flat_mask = dirty.bits[table.flat_send]
-        hits = np.flatnonzero(flat_mask)
-        if len(hits) == 0:
-            return out
-        seg_of = np.searchsorted(table.offsets, hits, side="right") - 1
-        rel = hits - table.offsets[seg_of]  # positions within each plan
-        counts = np.bincount(seg_of, minlength=table.num_segments)
-        bounds = np.zeros(table.num_segments + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        flat_sel = table.flat_send[hits]
-        flat_vals = lab[flat_sel]
-        flat_ids = None if memoized else part.local_to_global[flat_sel]
-        for k, dst in enumerate(table.receivers):
-            lo, hi = bounds[k], bounds[k + 1]
+        table = self._table(field, phase)
+        uo = self.config.update_only
+        reset = phase == "reduce" and spec.reset_after_reduce
+        dirty = self.updated[field]
+        flat_send, sender_off = table.flat_send, table.sender_off
+        sent, hits, vals = [], [], []
+        for p in pids:
+            lo, hi = sender_off[p], sender_off[p + 1]
             if lo == hi:
-                # zero dirty proxies for this partner: no message, and the
-                # partner's dirty bits (there are none) stay untouched.
                 continue
-            out.append(
-                Message(
-                    header=MessageHeader(pid, dst, phase, field),
-                    values=flat_vals[lo:hi],
-                    positions=rel[lo:hi],
-                    exchange_len=len(table.plans[k].send_idx),
-                    explicit_ids=(
-                        flat_ids[lo:hi] if flat_ids is not None else None
-                    ),
-                    scanned_elements=len(table.plans[k].send_idx),
-                )
-            )
-        # Clear only the proxies actually sent; a sender serving several
-        # partners (broadcast along a CVC grid row) clears once, after
-        # every partner's payload was gathered.
-        dirty.clear(flat_sel)
-        if phase == "reduce" and spec.reset_after_reduce:
-            lab[flat_sel] = spec.identity
-        return out
-
-    # ------------------------------------------------------------------ #
-    # extraction (pre-vectorization scalar reference)
-    # ------------------------------------------------------------------ #
-    def _extract_scalar(
-        self, field: str, phase: str, pid: int, labels
-    ) -> list[Message]:
-        """Per-element reference implementation of :meth:`_extract`.
-
-        Semantically identical to the vectorized path, one proxy at a
-        time — the oracle for the differential equivalence suite and the
-        "before" leg of the regression bench's speedup measurement.
-        """
-        spec = self.fields[field]
-        plans = self._plans[field][0 if phase == "reduce" else 1]
-        cfg = self.config
-        part = self.pg.parts[pid]
-        lab = labels[pid]
-        dirty = self.updated[field][pid]
-        out: list[Message] = []
-        sent_union: list[int] = []
-
-        for (s, d), plan in plans.items():
-            if s != pid:
-                continue
-            send_idx = plan.send_idx
-            if cfg.update_only:
-                positions_l: list[int] = []
-                sel_l: list[int] = []
-                for i in range(len(send_idx)):
-                    if dirty.bits[send_idx[i]]:
-                        positions_l.append(i)
-                        sel_l.append(int(send_idx[i]))
-                if not sel_l:
+            sel = flat_send[lo:hi]
+            if uo:
+                # one dirty-bit gather over the sender's whole slice
+                hit = dirty[p].bits[sel].nonzero()[0]
+                if not len(hit):
                     continue
-                positions = np.asarray(positions_l, dtype=np.int64)
-                sel = np.asarray(sel_l, dtype=send_idx.dtype)
-                scanned = len(send_idx)
-            else:
-                positions = None
-                sel = send_idx
-                scanned = 0
-            vals = np.asarray([lab[i] for i in sel], dtype=lab.dtype)
-            out.append(
-                Message(
-                    header=MessageHeader(pid, d, phase, field),
-                    values=vals,
-                    positions=positions,
-                    exchange_len=len(send_idx),
-                    explicit_ids=(
-                        np.asarray(
-                            [part.local_to_global[i] for i in sel],
-                            dtype=part.local_to_global.dtype,
-                        )
-                        if not cfg.memoize_addresses
-                        else None
-                    ),
-                    scanned_elements=scanned,
-                )
+                sel = sel[hit]
+                hits.append(hit + lo)
+            lab = labels[p]
+            sent.append(p)
+            vals.append(lab[sel])
+            dirty[p].clear(sel)
+            if reset:
+                lab[sel] = spec.identity
+
+        if not sent:
+            return SendBatch.empty(field, phase, spec.dtype)
+        values = vals[0] if len(vals) == 1 else np.concatenate(vals)
+        if uo:
+            # segment the hits back into per-partner messages: a message
+            # is a run of hits inside one segment (a partner whose
+            # segment has no dirty proxy gets none)
+            hit = hits[0] if len(hits) == 1 else np.concatenate(hits)
+            seg_of = np.searchsorted(table.seg_off, hit, side="right") - 1
+            starts = (seg_of[1:] != seg_of[:-1]).nonzero()[0] + 1
+            offsets = np.concatenate((_ZERO, starts, (len(hit),)))
+            seg = seg_of[offsets[:-1]]
+            targets = table.flat_recv[hit]
+        else:
+            hit = None
+            sender_seg = table.sender_seg
+            seg = np.concatenate(
+                [np.arange(sender_seg[p], sender_seg[p + 1]) for p in sent]
             )
-            sent_union.extend(int(i) for i in sel)
-
-        for i in sent_union:
-            dirty.bits[i] = False
-        if phase == "reduce" and spec.reset_after_reduce:
-            for i in sent_union:
-                lab[i] = spec.identity
-        return out
-
-    # ------------------------------------------------------------------ #
-    # reduce
-    # ------------------------------------------------------------------ #
-    def _record(self, field: str, phase: str, msgs: list[Message]) -> None:
-        """Count per-field/per-phase messages and wire bytes."""
-        if not msgs:
-            return
-        tracer = self.tracer
-        tracer.count(f"comm.{phase}.{field}.messages", len(msgs))
-        tracer.count(
-            f"comm.{phase}.{field}.bytes",
-            sum(m.wire_bytes() for m in msgs),
+            offsets = np.zeros(len(seg) + 1, dtype=np.int64)
+            np.cumsum(table.seg_len[seg], out=offsets[1:])
+            targets = np.concatenate(
+                [table.flat_recv[sender_off[p]:sender_off[p + 1]] for p in sent]
+            )
+        src, dst, seg_len, bitset_bytes = table.seg_cols[:, seg]
+        num = offsets[1:] - offsets[:-1]
+        wire = HEADER_BYTES + num * values.dtype.itemsize
+        if not self.config.memoize_addresses:
+            wire += num * GID_BYTES  # every element ships its global id
+        elif uo:
+            # memoized subset => packed bitset over the exchange order
+            wire += bitset_bytes
+        # UO's extraction scan visits the partner's whole exchange list
+        scanned = seg_len if uo else np.zeros_like(seg_len)
+        return SendBatch(
+            field, phase, seg, src, dst, num, scanned, wire, offsets, targets,
+            values, hit,
         )
+
+    def _make(self, field: str, phase: str, pids, labels) -> SendBatch:
+        if self._check_full:
+            from repro.check.comm import differential_extract
+
+            batch = differential_extract(self, field, phase, pids, labels)
+        else:
+            batch = self._extract(field, phase, pids, labels)
+        if self.tracer is not None and len(batch):
+            # per-field/per-phase messages and wire bytes, off the batch
+            self.tracer.count(f"comm.{phase}.{field}.messages", len(batch))
+            self.tracer.count(
+                f"comm.{phase}.{field}.bytes", int(batch.wire_bytes.sum())
+            )
+        return batch
 
     def make_reduce_messages(
-        self, field: str, pid: int, labels: list[np.ndarray]
-    ) -> list[Message]:
-        """Extract this partition's reduce messages (mirror -> master)."""
-        msgs = self._extract(field, "reduce", pid, labels)
-        if self.tracer is not None:
-            self._record(field, "reduce", msgs)
-        return msgs
+        self, field: str, pids, labels: list[np.ndarray]
+    ) -> SendBatch:
+        """Extract the reduce messages (mirror -> master) of ``pids``."""
+        return self._make(field, "reduce", pids, labels)
+
+    def make_broadcast_messages(
+        self, field: str, pids, labels: list[np.ndarray]
+    ) -> SendBatch:
+        """Extract the broadcast messages (master -> mirrors) of ``pids``."""
+        return self._make(field, "broadcast", pids, labels)
+
+    def messages(self, batch: SendBatch) -> list[Message]:
+        """Materialise a batch into per-object messages (the check oracle,
+        tests and :meth:`bsp_sync` callers read these; the engines never
+        do)."""
+        table = self._table(batch.field, batch.phase)
+        offs = batch.offsets.tolist()
+        seg_lo = table.seg_off[batch.seg].tolist()
+        rel = None
+        if batch.hits is not None:
+            rel = batch.hits - np.repeat(table.seg_off[batch.seg], batch.num_elements)
+        out = []
+        for k, (src, dst) in enumerate(zip(batch.src.tolist(), batch.dst.tolist())):
+            lo, hi = offs[k], offs[k + 1]
+            ids = None
+            if not self.config.memoize_addresses:
+                at = (
+                    batch.hits[lo:hi] if rel is not None
+                    else slice(seg_lo[k], seg_lo[k] + hi - lo)
+                )
+                ids = self.pg.parts[src].local_to_global[table.flat_send[at]]
+            out.append(
+                Message(
+                    header=MessageHeader(src, dst, batch.phase, batch.field),
+                    values=batch.values[lo:hi],
+                    positions=None if rel is None else rel[lo:hi],
+                    exchange_len=int(table.seg_len[batch.seg[k]]),
+                    explicit_ids=ids,
+                    scanned_elements=int(batch.scanned_elements[k]),
+                )
+            )
+        return out
+
+    # ------------------------------------------------------------------ #
+    # delivery
+    # ------------------------------------------------------------------ #
+    def _planned(self, batch: SendBatch) -> None:
+        """Every message of a batch must travel a planned pair."""
+        table = self._table(batch.field, batch.phase)
+        ok = table.planned[batch.src, batch.dst]
+        if not ok.all():
+            k = int(np.flatnonzero(~ok)[0])
+            raise CommunicationError(
+                f"no {batch.phase} plan {int(batch.src[k])}->"
+                f"{int(batch.dst[k])} for {batch.field}"
+            )
+
+    def records(self, batch: SendBatch) -> list[tuple]:
+        """``(dst, targets, values)`` per message, in batch order — what a
+        BASP flush puts in flight."""
+        self._planned(batch)
+        offs = batch.offsets.tolist()
+        targets, values = batch.targets, batch.values
+        return [
+            (dst, targets[offs[k]:offs[k + 1]], values[offs[k]:offs[k + 1]])
+            for k, dst in enumerate(batch.dst.tolist())
+        ]
+
+    def deliveries(self, batch: SendBatch):
+        """Yield ``(dst, [targets], [values])`` per receiver: each
+        receiver's share of the batch, its messages concatenated in sender
+        order — what a BSP sync step applies.  A generator, so the
+        grouping runs where the deliveries are consumed: inside
+        :meth:`apply_reduce` / :meth:`apply_broadcast`."""
+        if not len(batch):
+            return
+        self._planned(batch)
+        order = np.argsort(batch.dst, kind="stable")
+        lens = batch.num_elements[order]
+        ends = np.cumsum(lens)
+        # element permutation: message ``order[j]``'s range lands at
+        # ``ends[j] - lens[j]``
+        shift = batch.offsets[:-1][order] - (ends - lens)
+        perm = np.arange(len(batch.targets)) + np.repeat(shift, lens)
+        targets, values = batch.targets[perm], batch.values[perm]
+        dst = batch.dst[order]
+        first = np.concatenate((_ZERO, (dst[1:] != dst[:-1]).nonzero()[0] + 1))
+        bounds = _receiver_bounds(first, ends)
+        for d, lo, hi in zip(dst[first].tolist(), bounds, bounds[1:]):
+            yield d, [targets[lo:hi]], [values[lo:hi]]
 
     def apply_reduce(
-        self, msg: Message, labels: list[np.ndarray]
-    ) -> np.ndarray:
-        """Combine a reduce message into the master's values.
+        self, field: str, deliveries, labels: list[np.ndarray]
+    ) -> list[tuple]:
+        """Combine reduce deliveries into their receivers' masters.
 
-        Returns the local IDs (on the receiver) whose value changed; those
-        masters are marked dirty so the following broadcast propagates them,
-        and the engine activates them in its worklist.
+        A delivery is ``(dst, target pieces, value pieces)``: everything
+        one receiver gets, the pieces in delivery order (a BSP step's
+        share from :meth:`deliveries`, or the records one BASP drain
+        popped).  Targets may repeat (several mirrors of one master):
+        ``ufunc.at`` combines them one element at a time in that order,
+        which is the float sequence message-by-message application
+        produced.  Returns ``(dst, changed)`` per delivery — the local
+        IDs whose value changed, possibly with repeats; those masters are
+        marked dirty so the following broadcast propagates them, and the
+        engine activates them in its worklist.
         """
-        field = msg.header.field
         spec = self.fields[field]
-        plan = self._plans[field][0].get((msg.header.src, msg.header.dst))
-        if plan is None:
-            raise CommunicationError(
-                f"no reduce plan {msg.header.src}->{msg.header.dst} for {field}"
-            )
-        tgt = (
-            plan.recv_idx
-            if msg.positions is None
-            else plan.recv_idx[msg.positions]
-        )
-        dst = msg.header.dst
-        old = labels[dst][tgt]
-        if spec.reduce_op == "add":
-            new = old + msg.values
-            changed_mask = msg.values != 0
-        else:
-            new = _REDUCERS[spec.reduce_op](old, msg.values)
-            changed_mask = new != old
-        labels[dst][tgt] = new
-        changed = tgt[changed_mask]
-        if len(changed):
-            self.updated[field][dst].set(changed)
-        return changed
-
-    # ------------------------------------------------------------------ #
-    # broadcast
-    # ------------------------------------------------------------------ #
-    def make_broadcast_messages(
-        self, field: str, pid: int, labels: list[np.ndarray]
-    ) -> list[Message]:
-        """Extract this partition's broadcast messages (master -> mirrors)."""
-        msgs = self._extract(field, "broadcast", pid, labels)
-        if self.tracer is not None:
-            self._record(field, "broadcast", msgs)
-        return msgs
+        out = []
+        for dst, targets, values in deliveries:
+            targets, values = _whole(targets), _whole(values)
+            lab = labels[dst]
+            if spec.reduce_op == "add":
+                np.add.at(lab, targets, values)
+                changed = targets[values != 0]
+            else:
+                old = lab[targets]
+                _REDUCERS[spec.reduce_op].at(lab, targets, values)
+                changed = targets[lab[targets] != old]
+            if len(changed):
+                self.updated[field][dst].set(changed)
+            out.append((dst, changed))
+        return out
 
     def apply_broadcast(
-        self, msg: Message, labels: list[np.ndarray]
-    ) -> np.ndarray:
-        """Install canonical values into mirror proxies.
+        self, field: str, deliveries, labels: list[np.ndarray]
+    ) -> list[tuple]:
+        """Install broadcast deliveries into their receivers' mirrors.
 
-        Returns receiver-local IDs whose value changed (worklist activation);
+        Returns ``(dst, changed)`` per delivery (worklist activation);
         mirrors are *not* marked dirty — a broadcast value is canonical and
         must not be reduced back.
 
@@ -591,29 +564,25 @@ class GluonComm:
         dominates a mirror's), but under BASP two broadcasts of one field
         can arrive inverted (a later, heavier message can ride a longer
         simulated inter-host leg); merging keeps the mirror monotone
-        instead of regressing it to the stale value.
+        instead of regressing it to the stale value.  Every other field
+        overwrites, so the targets of one delivery must be distinct: one
+        sync step (a mirror has one master) or one in-flight record — two
+        overwrites of one proxy are two deliveries.
         """
-        field = msg.header.field
         spec = self.fields[field]
-        plan = self._plans[field][1].get((msg.header.src, msg.header.dst))
-        if plan is None:
-            raise CommunicationError(
-                f"no broadcast plan {msg.header.src}->{msg.header.dst} for {field}"
-            )
-        tgt = (
-            plan.recv_idx
-            if msg.positions is None
-            else plan.recv_idx[msg.positions]
-        )
-        dst = msg.header.dst
-        old = labels[dst][tgt]
-        if spec.reduce_op in ("min", "max"):
-            new = _REDUCERS[spec.reduce_op](old, msg.values)
-        else:
-            new = msg.values
-        changed_mask = old != new
-        labels[dst][tgt] = new
-        return tgt[changed_mask]
+        merge = spec.reduce_op in ("min", "max")
+        out = []
+        for dst, targets, values in deliveries:
+            targets, values = _whole(targets), _whole(values)
+            lab = labels[dst]
+            old = lab[targets]
+            if merge:
+                _REDUCERS[spec.reduce_op].at(lab, targets, values)
+                values = lab[targets]
+            else:
+                lab[targets] = values
+            out.append((dst, targets[old != values]))
+        return out
 
     # ------------------------------------------------------------------ #
     # bulk-synchronous convenience
@@ -630,19 +599,15 @@ class GluonComm:
         P = self.pg.num_partitions
         changed: list[list[np.ndarray]] = [[] for _ in range(P)]
         msgs: list[Message] = []
-
-        for p in range(P):
-            for msg in self.make_reduce_messages(field, p, labels):
-                msgs.append(msg)
-                ch = self.apply_reduce(msg, labels)
+        for make, apply in (
+            (self.make_reduce_messages, self.apply_reduce),
+            (self.make_broadcast_messages, self.apply_broadcast),
+        ):
+            batch = make(field, range(P), labels)
+            msgs += self.messages(batch)
+            for dst, ch in apply(field, self.deliveries(batch), labels):
                 if len(ch):
-                    changed[msg.header.dst].append(ch)
-        for p in range(P):
-            for msg in self.make_broadcast_messages(field, p, labels):
-                msgs.append(msg)
-                ch = self.apply_broadcast(msg, labels)
-                if len(ch):
-                    changed[msg.header.dst].append(ch)
+                    changed[dst].append(ch)
 
         merged = [
             unique_ids(np.concatenate(c), len(labels[p]))
@@ -650,3 +615,15 @@ class GluonComm:
             for p, c in enumerate(changed)
         ]
         return msgs, merged
+
+
+
+def _whole(pieces: list) -> np.ndarray:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _receiver_bounds(first: np.ndarray, ends: np.ndarray) -> list[int]:
+    """Element bounds of the receiver groups of a dst-sorted batch:
+    ``first[g]`` is group ``g``'s first message, ``ends[m]`` the element
+    count through message ``m``."""
+    return [0] + ends[first[1:] - 1].tolist() + ends[-1:].tolist()

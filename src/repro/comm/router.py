@@ -116,6 +116,10 @@ class Router:
         """
         self.cluster = cluster
         self.volume_scale = float(volume_scale)
+        #: per-GPU host index and per-host serialization rate, as arrays
+        #: (every batch pricing and network schedule gathers from them)
+        self.host_of = np.asarray(cluster.host_of, dtype=np.int64)
+        self.host_rates = np.array([h.serialization_rate for h in cluster.hosts])
         if contention is None:
             cfg = getattr(cluster, "contention", None)
             if cfg is not None and cfg.enabled:
@@ -175,10 +179,13 @@ class Router:
         """Price and timestamp one message departing at ``depart``."""
         return RoutedMessage(message=msg, depart=depart, legs=self.legs(msg))
 
-    def price_batch(
-        self, messages: list[Message], *, contended: bool = False
-    ) -> BatchLegTimes:
+    def price_batch(self, batch, *, contended: bool = False) -> BatchLegTimes:
         """Price a whole message batch in one vectorized pass.
+
+        ``batch`` carries the per-message columns of
+        :class:`~repro.comm.buffers.MessageBatch` — a ``SendBatch`` from
+        extraction as it is; a ``Message`` list (the estimators, tests)
+        goes through :func:`~repro.comm.buffers.batch_arrays` first.
 
         ``contended=True`` (requires a contention model) additionally
         queues same-resource network legs FIFO (shared NIC per host,
@@ -203,7 +210,9 @@ class Router:
                 "Cluster(..., contention=ContentionConfig())), or pass "
                 "contention= to Router directly."
             )
-        if not messages:
+        if isinstance(batch, list):
+            batch = batch_arrays(batch)
+        if not len(batch.src):
             e = np.empty(0)
             return BatchLegTimes(
                 src=np.empty(0, dtype=np.int64),
@@ -211,18 +220,17 @@ class Router:
                 d2h=e, inter=e.copy(), h2d=e.copy(),
                 extraction=e.copy(), scaled_bytes=e.copy(),
             )
-        batch = batch_arrays(messages)
         nbytes = batch.wire_bytes * self.volume_scale
         elements = batch.num_elements * self.volume_scale
         extraction = (
             batch.scanned_elements * self.volume_scale / EXTRACTION_SCAN_RATE
         )
         c = self.cluster
-        host_of = np.asarray(c.host_of, dtype=np.int64)
+        host_of = self.host_of
         same = host_of[batch.src] == host_of[batch.dst]
         if c.gpudirect:
             post = 8e-6
-            d2h = np.full(len(messages), post)
+            d2h = np.full(len(batch.src), post)
             h2d = d2h.copy()
             inter = np.where(
                 same,
@@ -234,7 +242,7 @@ class Router:
             # its own — same expressions as the scalar ``legs`` path, so
             # the floats match exactly (and collapse to the old shared
             # constant on homogeneous-host clusters)
-            rates = np.array([h.serialization_rate for h in c.hosts])
+            rates = self.host_rates
             pcie = c.pcie.latency_s + nbytes / c.pcie.bandwidth_bytes
             d2h = pcie + elements / rates[host_of[batch.src]]
             h2d = pcie + elements / rates[host_of[batch.dst]]
@@ -289,7 +297,7 @@ class Router:
             return StepNetwork(np.empty(0), 0, 0, 0, 0.0)
         c = self.cluster
         model = self.contention
-        host_of = np.asarray(c.host_of, dtype=np.int64)
+        host_of = self.host_of
         hsrc = host_of[pr.src]
         hdst = host_of[pr.dst]
         loop = pr.src == pr.dst
@@ -414,33 +422,3 @@ class Router:
                 )
                 times[g] = start + service
         return times
-
-    def price_batch_scalar(self, messages: list[Message]) -> BatchLegTimes:
-        """Pre-vectorization reference for :meth:`price_batch`.
-
-        Prices each message individually through the scalar
-        :meth:`legs` / :meth:`extraction_time` / :meth:`scaled_bytes`
-        methods — the "before" leg of the regression bench, and the
-        oracle the batch pricer is differentially tested against.
-        """
-        n = len(messages)
-        src = np.empty(n, dtype=np.int64)
-        dst = np.empty(n, dtype=np.int64)
-        d2h = np.empty(n)
-        inter = np.empty(n)
-        h2d = np.empty(n)
-        extraction = np.empty(n)
-        scaled = np.empty(n)
-        for i, msg in enumerate(messages):
-            legs = self.legs(msg)
-            src[i] = msg.header.src
-            dst[i] = msg.header.dst
-            d2h[i] = legs.d2h
-            inter[i] = legs.inter
-            h2d[i] = legs.h2d
-            extraction[i] = self.extraction_time(msg)
-            scaled[i] = self.scaled_bytes(msg)
-        return BatchLegTimes(
-            src=src, dst=dst, d2h=d2h, inter=inter, h2d=h2d,
-            extraction=extraction, scaled_bytes=scaled,
-        )

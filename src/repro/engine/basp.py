@@ -17,7 +17,10 @@ the identical fixpoint, which the integration tests assert.
 
 The stages live in :mod:`repro.engine.core`; this module is the BASP
 *policy*: the event loop over local clocks, arrival-ordered drain, per-flush
-pricing, network arrivals, and the throttle/overlap budgets.
+pricing, network arrivals, and the throttle/overlap budgets.  A flush is
+priced as one batch and then split into light in-flight records that carry
+their receiver targets, values and priced H2D leg, so the drain neither
+re-prices nor re-resolves a plan.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import heapq
 
 import numpy as np
 
+from repro.comm.buffers import pricing_columns
 from repro.comm.gluon import CommConfig
 from repro.comm.hier import group_cross_host
 from repro.engine.core import Engine, RoundCore
@@ -104,7 +108,7 @@ class BASPEngine(Engine):
         self.throttle_wait = float(throttle_wait)
 
     # ------------------------------------------------------------------ #
-    def _network_arrivals(self, departs, pr, out_msgs):
+    def _network_arrivals(self, departs, pr, flush):
         """Schedule one send batch's network legs on the absolute clock.
 
         Used only when contention and/or hierarchical sync is on.  Returns
@@ -113,24 +117,25 @@ class BASPEngine(Engine):
         BASP's event clock is absolute, so a NIC busy with an earlier
         flush delays this one.  Hierarchical aggregates group by
         (src host, dst host, field, phase): one async flush can mix
-        fields and phases, unlike a BSP sync step.
+        fields and phases (``flush`` is its batches, in message order),
+        unlike a BSP sync step.
         """
         router = self.cost.router
         c = router.cluster
         model = router.contention
         hier = self.comm.config.hierarchical
-        host_of = np.asarray(c.host_of, dtype=np.int64)
+        host_of = router.host_of
         hsrc = host_of[pr.src]
         hdst = host_of[pr.dst]
         loop = pr.src == pr.dst
         cross = (hsrc != hdst) & ~loop
-        n = len(out_msgs)
+        n = len(pr.src)
         arrivals = np.empty(n)
         entities: list[tuple] = []
         aggregates = []
         agg_members = 0
         if hier:
-            keys = [(m.header.field, m.header.phase) for m in out_msgs]
+            keys = [(b.field, b.phase) for b in flush for _ in range(len(b))]
             aggregates = group_cross_host(
                 hsrc, hdst, cross, pr.scaled_bytes, router.volume_scale, keys
             )
@@ -190,7 +195,9 @@ class BASPEngine(Engine):
         wait_t = np.zeros(P)
         device_t = np.zeros(P)
 
-        # inbox[q] = heap of (arrival, seq, message)
+        # inbox[q] = heap of in-flight records (arrival, seq, (field,
+        # phase), targets, values, h2d); seq is unique, so a comparison
+        # never reaches the arrays
         inbox: list[list] = [[] for _ in range(P)]
         seq = in_flight = rounds_total = 0
         max_local_rounds = ctx.max_rounds * max(P, 1) * 4
@@ -233,17 +240,25 @@ class BASPEngine(Engine):
                 t += self.throttle_wait
 
             # -------- drain arrived messages, in arrival order ---------- #
-            drained = []
+            drained: dict = {}  # (field, phase) -> (targets, values) lists
+            n_in = 0
             round_h2d = 0.0  # drained recv legs, candidate for overlap hiding
-            while inbox[p] and inbox[p][0][0] <= t:
-                msg = heapq.heappop(inbox[p])[2]
-                h2d = cost.legs(msg).h2d
+            box = inbox[p]
+            device = float(device_t[p])  # same float sequence, no boxing
+            while box and box[0][0] <= t:
+                _, _, key, targets, values, h2d = heapq.heappop(box)
                 t += h2d
-                device_t[p] += h2d
+                device += h2d
                 round_h2d += h2d
-                drained.append(msg)
+                n_in += 1
+                group = drained.get(key)
+                if group is None:
+                    group = drained[key] = ([], [])
+                group[0].append(targets)
+                group[1].append(values)
+            device_t[p] = device
             n_bufs = len(pending[p])
-            core.apply(drained, pending)
+            core.deliver(p, drained, pending)
             n_activating = len(pending[p]) - n_bufs
 
             frontier = core.next_frontier(p, pending[p])
@@ -256,7 +271,7 @@ class BASPEngine(Engine):
             # -------- compute phase (only on a non-empty frontier) ------- #
             if len(frontier):
                 out = core.compute(p, frontier, pending)
-                dt = cost.compute_time(p, out.frontier_degrees)
+                dt = core.compute_time(p, out)
                 t += dt
                 compute_t[p] += dt
                 round_compute += dt
@@ -264,10 +279,12 @@ class BASPEngine(Engine):
                 did_work = True
 
             # -------- sync plan (local) ---------------------------------- #
-            out_msgs = []
+            flush = []  # this round's non-empty batches, in plan order
             for step in plan:
                 if step.kind != "master":
-                    out_msgs += core.extract(step, (p,), gated)
+                    batch = core.extract(step, (p,), gated)
+                    if len(batch):
+                        flush.append(batch)
                     continue
                 touched, residual[p] = core.master(p, pending)
                 if touched:  # an untouched master phase launches nothing
@@ -287,12 +304,14 @@ class BASPEngine(Engine):
                 device_t[p] -= hidden
 
             pr = departs = None
-            if out_msgs:
+            if flush:
                 # price the flush in one vectorized pass; each message still
                 # departs after the previous one finished its extraction and
                 # D2H leg (the device link is serialized), so arrivals ride
                 # on the running prefix sum of those send-side costs.
-                pr = core.price(out_msgs)
+                pr = core.price(
+                    flush[0] if len(flush) == 1 else pricing_columns(flush)
+                )
                 send_cost = pr.extraction + pr.d2h
                 if self.overlap_comm > 0.0:
                     total = float(send_cost.sum())
@@ -312,15 +331,22 @@ class BASPEngine(Engine):
             if tracer is not None:
                 tracer.end(
                     r_ev,
-                    messages=len(out_msgs),
+                    messages=0 if pr is None else len(pr.src),
                     drained=n_activating,
                     did_work=did_work,
                 )
             advanced = did_work or bool(len(frontier))
-            return float(t), len(drained), edges, out_msgs, pr, departs, advanced
+            return float(t), n_in, edges, flush, pr, departs, advanced
 
+        # ``ready[p]`` caches ``runnable(p)``.  It can only change where
+        # its inputs do: on the partition that just ran or an idle jump
+        # moved (re-probed), and on a receiver of a flush, which becomes
+        # runnable exactly when the new arrival is not after its clock —
+        # so the loop does not probe every partition every event.
+        ready = [runnable(p) for p in range(P)]
+        comm = core.comm
         while True:
-            cand = [p for p in range(P) if runnable(p)]
+            cand = [p for p in range(P) if ready[p]]
             if not cand:
                 if in_flight == 0:
                     break  # global quiescence
@@ -333,6 +359,7 @@ class BASPEngine(Engine):
                 nxt += POLL_INTERVAL_S
                 wait_t[q] += max(nxt - local_time[q], 0.0)
                 local_time[q] = max(local_time[q], nxt)
+                ready[q] = runnable(q)
                 continue
 
             tmin = min(local_time[q] for q in cand)
@@ -351,15 +378,16 @@ class BASPEngine(Engine):
             # in pid order below for a bit-identical schedule.
             results = thread_map(_local_round, group)
 
-            for p, (t, n_in, edges, out_msgs, pr, departs, advanced) in zip(
+            for p, (t, n_in, edges, flush, pr, departs, advanced) in zip(
                 group, results
             ):
                 in_flight -= n_in
                 stats.work_items += edges
-                if out_msgs:
+                local_time[p] = t
+                if flush:
                     if netmode:
                         arrivals, wire_n, inter_n, aggs, wire_bytes = (
-                            self._network_arrivals(departs, pr, out_msgs)
+                            self._network_arrivals(departs, pr, flush)
                         )
                         stats.hier_aggregates += aggs
                     else:
@@ -368,16 +396,26 @@ class BASPEngine(Engine):
                     stats.comm_volume_bytes += wire_bytes
                     stats.num_messages += wire_n
                     stats.inter_host_messages += inter_n
-                    for i, msg in enumerate(out_msgs):
-                        heapq.heappush(
-                            inbox[msg.header.dst], (float(arrivals[i]), seq, msg)
-                        )
-                        seq += 1
-                    in_flight += len(out_msgs)
+                    # split the flush into in-flight records, in batch order
+                    arrivals, h2d = arrivals.tolist(), pr.h2d.tolist()
+                    i = 0
+                    for batch in flush:
+                        key = (batch.field, batch.phase)
+                        for dst, targets, values in comm.records(batch):
+                            arrival = arrivals[i]
+                            heapq.heappush(
+                                inbox[dst],
+                                (arrival, seq, key, targets, values, h2d[i]),
+                            )
+                            if arrival <= local_time[dst]:
+                                ready[dst] = True
+                            i += 1
+                            seq += 1
+                    in_flight += len(arrivals)
                 if advanced:
                     local_rounds[p] += 1
                     rounds_total += 1
-                local_time[p] = t
+                ready[p] = runnable(p)
                 if core.watch is not None:
                     core.watch.observe(core.views, pid=p)
                 if rounds_total > max_local_rounds:

@@ -126,7 +126,7 @@ class BSPEngine(Engine):
             feat_hits = 0
             feat_misses = 0
             for p, out in zip(active_ps, outs):
-                compute_t[p] += cost.compute_time(p, out.frontier_degrees)
+                compute_t[p] += core.compute_time(p, out)
                 edges += out.edges_processed
                 feat_bytes[p] += out.feature_bytes
                 feat_hits += out.feature_cache_hits
@@ -174,18 +174,19 @@ class BSPEngine(Engine):
 
                 field = step.field
                 s_ev = core.begin(f"sync:{step.kind}:{field}", "sync", P, round=rnd)
-                # Extract every partition's messages first, then price the
-                # whole step in one vectorized pass.  Safe to reorder
-                # against the applies: extraction send sets (mirrors for
-                # reduce, masters for broadcast) are disjoint from apply
-                # target sets, so results are bit-identical to the
+                # The whole step is one batch: extracted over every
+                # partition, priced in one vectorized pass, then applied
+                # receiver by receiver.  Safe to reorder against the
+                # applies: extraction send sets (mirrors for reduce,
+                # masters for broadcast) are disjoint from apply target
+                # sets, so results are bit-identical to the
                 # extract/apply-per-partition interleaving.
-                msgs = core.extract(step, range(P))
-                if not msgs:
+                batch = core.extract(step, range(P))
+                if not len(batch):
                     if tracer is not None:
                         tracer.end(s_ev, messages=0)
                     continue
-                pr = core.price(msgs)
+                pr = core.price(batch)
                 np.add.at(send_t, pr.src, pr.extraction + pr.d2h)
                 np.add.at(recv_t, pr.dst, pr.h2d)
                 if netmode:
@@ -194,7 +195,7 @@ class BSPEngine(Engine):
                     net = cost.route_step(pr, hierarchical=hier)
                     np.add.at(inter_m, (pr.src, pr.dst), net.eff_inter)
                     step_bytes = float(pr.scaled_bytes.sum()) - net.saved_bytes
-                    step_wire = len(msgs) - net.messages_saved
+                    step_wire = len(batch) - net.messages_saved
                     n_inter_host += net.inter_host_messages
                     n_aggregates += net.aggregates
                     if tracer is not None and net.aggregates:
@@ -208,9 +209,9 @@ class BSPEngine(Engine):
                 has_msg[pr.src, pr.dst] = True
                 comm_bytes += step_bytes
                 n_msgs += step_wire
-                core.apply(msgs, candidates)
+                core.apply(batch, candidates)
                 if tracer is not None:
-                    tracer.end(s_ev, messages=len(msgs), bytes=step_bytes)
+                    tracer.end(s_ev, messages=len(batch), bytes=step_bytes)
 
             # ---------------- round timing ------------------------------ #
             # with overlap, part of the host-device traffic hides under the

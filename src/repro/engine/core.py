@@ -8,6 +8,14 @@ constructor arguments and builds the comm/cost/memory models;
 tear-down.  Stages mutate labels, dirty bits and candidate lists and
 return values; they never touch a clock — simulated time is each engine's
 own policy.
+
+The sync stages work a batch at a time: ``extract`` returns one
+``SendBatch`` for whatever senders it is given, ``price`` prices its
+columns, ``apply`` delivers a whole step and ``deliver`` what one receiver
+drained.  They reach the comm and cost layers through the instance
+(``self.comm.apply_reduce``, ``self.cost.price_batch``, ...) at call time,
+never through a bound method captured earlier — the layered benchmark
+shims those names on the classes.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from repro.comm.gluon import GluonComm
 from repro.engine.costmodel import CostModel
 from repro.engine.operator import RunContext, SyncStep
 from repro.engine.result import RunResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolation
 from repro.hw.memory import MemoryModel
 from repro.idset import unique_ids
 from repro.loadbalance.base import get_balancer
@@ -139,7 +147,20 @@ class RoundCore:
         # per-message pricing is used untouched
         self.hier = self.comm.config.hierarchical
         self.netmode = self.hier or self.cost.contention is not None
-        self.host_of = np.asarray(engine.cluster.host_of, dtype=np.int64)
+        self.host_of = self.cost.router.host_of
+
+        # (field, phase) -> may several in-flight records to one receiver
+        # be applied as one delivery?  Reductions and min/max merges
+        # commute into the same changed *set*; an overwriting broadcast
+        # does not (A -> B -> A changes twice, A -> A never)
+        self.groupable = {
+            (f.name, phase): phase == "reduce" or f.reduce_op in ("min", "max")
+            for f in app.fields() for phase in ("reduce", "broadcast")
+        }
+        # a static frontier is priced once per partition per run
+        self.static = app.static_frontier
+        self._compute_t: list = [None] * P
+        self._frontiers: list = [None] * P
 
         # invariant checking: two precomputed booleans keep the per-round
         # cost at OFF to exactly these falsy tests
@@ -178,6 +199,16 @@ class RoundCore:
         bits, ``candidates[p]``), so calls for different partitions may
         run on different threads.  Returns the ``RoundOutput`` for the
         engine to price."""
+        if self.static and self.check_cheap:
+            seen = self._frontiers[p]
+            if seen is None:
+                self._frontiers[p] = frontier
+            elif seen is not frontier:
+                raise InvariantViolation(
+                    f"{self.app.name} declares a static frontier but "
+                    f"partition {p}'s frontier object changed between rounds",
+                    checker="static-frontier",
+                )
         ev = None
         if self.tracer is not None:
             ev = self.begin(
@@ -189,6 +220,18 @@ class RoundCore:
         self._note(p, out, candidates)
         return out
 
+    def compute_time(self, p: int, out) -> float:
+        """Simulated seconds of ``p``'s compute phase.  A static frontier
+        has the same degree array every round, so it is priced once."""
+        if not self.static:
+            return self.cost.compute_time(p, out.frontier_degrees)
+        t = self._compute_t[p]
+        if t is None:
+            t = self._compute_t[p] = self.cost.compute_time(
+                p, out.frontier_degrees
+            )
+        return t
+
     def master(self, p: int, candidates) -> tuple[int, float]:
         """Run ``p``'s master phase; returns ``(masters touched,
         residual)`` for the engine to price and to test convergence."""
@@ -196,8 +239,9 @@ class RoundCore:
         self._note(p, mout, candidates)
         return sum(len(i) for i in mout.updated.values()), mout.residual
 
-    def extract(self, step: SyncStep, pids, gated: bool = False) -> list:
-        """Build the reduce/broadcast messages of ``step`` for ``pids``.
+    def extract(self, step: SyncStep, pids, gated: bool = False):
+        """The reduce/broadcast messages of ``step`` for ``pids``, as one
+        ``SendBatch``.
 
         ``gated`` is the async-AS dirty gate.  Without a global round
         clock, AS's "send every round" degenerates into message ping-pong
@@ -206,26 +250,16 @@ class RoundCore:
         under AS too); each send still ships the full exchange list in
         AS's wire format."""
         comm, field, kind = self.comm, step.field, step.kind
-        labels = self.views[field]
-        make = (
-            comm.make_reduce_messages
-            if kind == "reduce"
-            else comm.make_broadcast_messages
-        )
-        msgs = []
-        for p in pids:
-            if gated and not comm.pending_sends(field, kind, p):
-                continue
-            msgs += make(field, p, labels)
-        return msgs
+        if gated:
+            pids = [p for p in pids if comm.pending_sends(field, kind, p)]
+        if kind == "reduce":
+            return comm.make_reduce_messages(field, pids, self.views[field])
+        return comm.make_broadcast_messages(field, pids, self.views[field])
 
-    def price(self, msgs: list):
+    def price(self, batch):
         """Price a batch (a BSP sync step, a BASP flush) in one vectorized
-        pass.  Scalar-reference mode prices per message, like the
-        pre-batching code."""
-        if self.comm.use_scalar_extraction:
-            return self.cost.price_batch_scalar(msgs)
-        return self.cost.price_batch(msgs)
+        pass."""
+        return self.cost.price_batch(batch)
 
     def flat_wire(self, pr) -> tuple[int, int, float]:
         """``(wire messages, inter-host messages, wire bytes)`` of a priced
@@ -234,20 +268,35 @@ class RoundCore:
         inter = int(np.count_nonzero(host_of[pr.src] != host_of[pr.dst]))
         return len(pr.src), inter, float(pr.scaled_bytes.sum())
 
-    def apply(self, msgs: list, candidates) -> None:
-        """Deliver a batch in order.  The reduction-apply must combine
-        message by message, so this loop is where per-message Python
-        survives; changed proxies of activating fields become candidates
-        on the receiver."""
-        views, activating = self.views, self.activating
-        reduce_, broadcast = self.comm.apply_reduce, self.comm.apply_broadcast
-        for msg in msgs:
-            h = msg.header
-            field = h.field
-            deliver = reduce_ if h.phase == "reduce" else broadcast
-            ch = deliver(msg, views[field])
-            if len(ch) and field in activating:
-                candidates[h.dst].append(ch)
+    def _deliver(self, field, phase, deliveries, candidates) -> None:
+        comm, labels = self.comm, self.views[field]
+        if phase == "reduce":
+            applied = comm.apply_reduce(field, deliveries, labels)
+        else:
+            applied = comm.apply_broadcast(field, deliveries, labels)
+        if field in self.activating:
+            for dst, changed in applied:
+                if len(changed):
+                    candidates[dst].append(changed)
+
+    def apply(self, batch, candidates) -> None:
+        """Deliver a whole sync step, one delivery per receiver; changed
+        proxies of activating fields become candidates on the receiver."""
+        self._deliver(
+            batch.field, batch.phase, self.comm.deliveries(batch), candidates
+        )
+
+    def deliver(self, dst: int, drained: dict, candidates) -> None:
+        """Deliver what one partition drained: ``drained`` maps (field,
+        phase) to its records' ``(targets, values)`` in arrival order.
+        The records of a groupable key are one delivery; an overwriting
+        broadcast is one delivery per record."""
+        for (field, phase), (targets, values) in drained.items():
+            if self.groupable[field, phase]:
+                deliveries = [(dst, targets, values)]
+            else:
+                deliveries = [(dst, [t], [v]) for t, v in zip(targets, values)]
+            self._deliver(field, phase, deliveries, candidates)
 
     def next_frontier(self, p: int, bufs: list) -> np.ndarray:
         """``p``'s next active set: topology-driven apps derive it from

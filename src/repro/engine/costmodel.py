@@ -152,22 +152,10 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # communication
     # ------------------------------------------------------------------ #
-    def message_bytes(self, msg: Message) -> float:
-        return self.router.scaled_bytes(msg)
-
-    def extraction_time(self, msg: Message) -> float:
-        return self.router.extraction_time(msg)
-
-    def legs(self, msg: Message):
-        return self.router.legs(msg)
-
-    def price_batch(self, msgs: list[Message]):
-        """Vectorized legs + extraction + bytes for a whole message batch."""
-        return self.router.price_batch(msgs)
-
-    def price_batch_scalar(self, msgs: list[Message]):
-        """Per-message reference pricing (pre-vectorization code path)."""
-        return self.router.price_batch_scalar(msgs)
+    def price_batch(self, batch):
+        """Vectorized legs + extraction + bytes for a whole message batch
+        (a ``SendBatch``, its pricing columns, or a ``Message`` list)."""
+        return self.router.price_batch(batch)
 
     def feature_load_time(self, nbytes_by_gpu) -> np.ndarray:
         """Per-device seconds to load raw feature bytes host->device.

@@ -104,6 +104,10 @@ class VertexProgram(ABC):
     style: str = "push"
     #: "data" (worklist) or "topology" (all vertices active each round)
     driven: str = "data"
+    #: a topology-driven program whose ``initial_frontier`` hands back the
+    #: *same array* every round declares it: the engines then price each
+    #: partition's compute phase once per run
+    static_frontier: bool = False
     #: run on the symmetrized graph (cc, kcore)
     needs_symmetric: bool = False
     #: needs edge weights (sssp)

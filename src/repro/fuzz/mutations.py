@@ -28,6 +28,7 @@ __all__ = [
     "cc_wrong_tiebreak",
     "bitset_clear_off_by_one",
     "la_semiring_identity",
+    "batch_receiver_skew",
 ]
 
 
@@ -51,16 +52,17 @@ def drop_mirror_update():
     orig = GluonComm.apply_broadcast
     state = {"armed": True}
 
-    def bad(self, msg, labels):
-        dst = msg.header.dst
-        before = labels[dst].copy()
-        changed = orig(self, msg, labels)
-        if state["armed"] and len(changed):
-            lost = changed[0]
-            labels[dst][lost] = before[lost]
-            state["armed"] = False
-            return changed[1:]
-        return changed
+    def bad(self, field, deliveries, labels):
+        deliveries = list(deliveries)
+        before = {d[0]: labels[d[0]].copy() for d in deliveries}
+        applied = orig(self, field, deliveries, labels)
+        for i, (dst, changed) in enumerate(applied):
+            if state["armed"] and len(changed):
+                lost = changed[0]
+                labels[dst][lost] = before[dst][lost]
+                state["armed"] = False
+                applied[i] = (dst, changed[1:])
+        return applied
 
     _fresh_caches()
     GluonComm.apply_broadcast = bad
@@ -73,34 +75,30 @@ def drop_mirror_update():
 
 @contextmanager
 def sendtable_offset_skew():
-    """An off-by-one in the flat send-table segment offsets.
+    """An off-by-one in the exchange table's segment offsets.
 
     Shifts one interior offset so a segment reads a neighbor's element —
     exactly the bug a vectorization rewrite of the extraction path would
     introduce.  Caught structurally by the ``send-table`` checker the
     moment the comm engine is built at CHEAP or FULL.
     """
-    import repro.comm.gluon as gluon
+    from repro.comm.gluon import _ExchangeTable
 
-    orig = gluon._build_send_tables
+    orig = _ExchangeTable.__init__
 
-    def bad(plans, num_partitions):
-        tables = orig(plans, num_partitions)
-        for t in tables:
-            if t is None:
-                continue
+    def bad(self, plans, num_partitions):
+        orig(self, plans, num_partitions)
+        if len(self.seg_len):
             # interior offset when there are >= 2 segments, else the
             # total — either way the cumsum property is broken
-            t.offsets[1 if t.num_segments >= 2 else -1] += 1
-            break
-        return tables
+            self.seg_off[1 if len(self.seg_len) >= 2 else -1] += 1
 
     _fresh_caches()
-    gluon._build_send_tables = bad
+    _ExchangeTable.__init__ = bad
     try:
         yield
     finally:
-        gluon._build_send_tables = orig
+        _ExchangeTable.__init__ = orig
         _fresh_caches()
 
 
@@ -185,9 +183,9 @@ def cc_wrong_tiebreak():
 def bitset_clear_off_by_one():
     """``Bitset.clear(idx)`` misses the last element — an off-by-one slice.
 
-    The vectorized extraction clears sent proxies' dirty bits through
-    this method; the scalar reference path writes ``bits`` directly.  The
-    planted off-by-one therefore skews only the vectorized path, and the
+    The batch extraction clears sent proxies' dirty bits through this
+    method; the per-element oracle writes ``bits`` directly.  The planted
+    off-by-one therefore skews only the production path, and the
     FULL-level ``extract-differential`` comparison catches the divergence
     in the post-extraction dirty state on the first non-trivial send.
     """
@@ -240,6 +238,35 @@ def la_semiring_identity():
         _fresh_caches()
 
 
+@contextmanager
+def batch_receiver_skew():
+    """An off-by-one in the per-receiver bounds of a step apply.
+
+    A BSP sync step is applied one delivery per receiver, cut out of the
+    receiver-sorted batch at element bounds — the grouping the batch
+    rewrite introduced.  With the interior bounds one too low, every
+    receiver but the last loses its final element to its successor, so
+    that value lands on another partition's proxy.  Caught by the
+    ``post-sync`` dominance checkers (a master that never heard from its
+    mirror) or the final reference comparison.
+    """
+    import repro.comm.gluon as gluon
+
+    orig = gluon._receiver_bounds
+
+    def bad(first, ends):
+        bounds = orig(first, ends)
+        return bounds[:1] + [b - 1 for b in bounds[1:-1]] + bounds[-1:]
+
+    _fresh_caches()
+    gluon._receiver_bounds = bad
+    try:
+        yield
+    finally:
+        gluon._receiver_bounds = orig
+        _fresh_caches()
+
+
 #: name -> context manager, for the self-test CLI and the pytest suite
 MUTATIONS = {
     "drop-mirror-update": drop_mirror_update,
@@ -249,6 +276,7 @@ MUTATIONS = {
     "cc-wrong-tiebreak": cc_wrong_tiebreak,
     "bitset-clear-off-by-one": bitset_clear_off_by_one,
     "la-semiring-identity": la_semiring_identity,
+    "batch-receiver-skew": batch_receiver_skew,
 }
 
 

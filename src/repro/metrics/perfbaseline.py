@@ -11,8 +11,6 @@ regression-tracked.  This module provides both halves:
   graph: per cell the host wall-clock, machine-dependent, and the
   *simulated* metrics — execution time, rounds, messages, wire bytes, work
   items, a CRC of the output labels — all deterministic),
-  :func:`measure_speedup` (vectorized extraction against the retained
-  scalar reference ``GluonComm._extract_scalar``),
   :func:`measure_overhead` (a disabled subsystem must cost nothing),
   :func:`measure_hier_aggregation`, :func:`run_sweep` and
   :func:`measure_sweep_speedup`;
@@ -51,8 +49,6 @@ __all__ = [
     "CellResult",
     "MATRIX_CELLS",
     "MATRIX_WORKLOAD",
-    "SPEEDUP_CELL",
-    "SPEEDUP_MIN_RATIO",
     "SWEEP_SPEEDUP_MIN",
     "SWEEP_WORKLOAD",
     "OVERHEAD_MAX",
@@ -60,7 +56,6 @@ __all__ = [
     "cell_key",
     "run_cell",
     "run_matrix",
-    "measure_speedup",
     "measure_overhead",
     "overhead_tolerance",
     "HIER_AGG_MIN",
@@ -92,34 +87,20 @@ MATRIX_CELLS = tuple(
     for c in MATRIX_COMMS
 )
 
-#: The cell the vectorization speedup gate runs on (ISSUE acceptance:
-#: >= 3x wall-clock over the scalar reference path).
-SPEEDUP_CELL = ("pr", "cvc", "bsp", "uo")
-
-#: Workload dimensions.  The matrix graph keeps the full 24-cell sweep in
-#: CI territory; the speedup measurement uses a larger graph so the
-#: scalar-vs-vectorized ratio is dominated by extraction, not fixed
-#: engine overheads.
+#: Workload dimensions: the matrix graph keeps the full 24-cell sweep in
+#: CI territory.
 MATRIX_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 3}
-SPEEDUP_GRAPH = {"scale": 14, "edge_factor": 8, "seed": 3}
 NUM_PARTITIONS = 4
 
 #: What the sync baseline was measured on (its envelope's ``config``).
 MATRIX_WORKLOAD = {
     "matrix_graph": MATRIX_GRAPH,
-    "speedup_graph": SPEEDUP_GRAPH,
     "num_partitions": NUM_PARTITIONS,
     "apps": list(MATRIX_APPS),
     "policies": list(MATRIX_POLICIES),
     "engines": list(MATRIX_ENGINES),
     "comms": list(MATRIX_COMMS),
 }
-
-#: Timing repetitions per leg in :func:`measure_speedup` (best-of).
-SPEEDUP_REPS = 5
-
-#: Minimum scalar/vectorized wall-clock ratio the speedup gate enforces.
-SPEEDUP_MIN_RATIO = 3.0
 
 #: Maximum off / unset wall-clock ratio the three overhead gates enforce
 #: (< 2% overhead with tracing, invariant checking or contention pricing
@@ -247,7 +228,6 @@ def run_cell(
     policy: str,
     engine: str,
     comm: str,
-    use_scalar_extraction: bool = False,
     tracer=None,
     check=None,
     contention=None,
@@ -279,7 +259,6 @@ def run_cell(
         tracer=tracer,
         check=check,
     )
-    eng.comm.use_scalar_extraction = use_scalar_extraction
     start = time.perf_counter()
     res = eng.run(ctx)
     wall = time.perf_counter() - start
@@ -297,55 +276,14 @@ def run_cell(
     )
 
 
-def run_matrix(use_scalar_extraction: bool = False) -> dict[str, CellResult]:
+def run_matrix() -> dict[str, CellResult]:
     """Run the full fixed workload matrix."""
     workload = _Workload(MATRIX_GRAPH)
     results: dict[str, CellResult] = {}
     for cell_args in MATRIX_CELLS:
-        cell = run_cell(
-            workload, *cell_args, use_scalar_extraction=use_scalar_extraction
-        )
+        cell = run_cell(workload, *cell_args)
         results[cell.key] = cell
     return results
-
-
-def measure_speedup(reps: int = SPEEDUP_REPS) -> dict:
-    """Scalar-vs-vectorized wall-clock on the speedup cell (best-of-N).
-
-    Both legs run the identical workload in the same process — the
-    vectorized path versus the retained pre-PR reference (per-element
-    extraction + per-message pricing) — so the ratio is robust to machine
-    speed; it is the regression gate for the vectorization itself.  Legs
-    alternate and each takes its best of ``reps`` runs, which filters the
-    one-sided timing noise of a shared CI host.  The deterministic
-    metrics of every run must agree exactly; a mismatch means the
-    vectorized path changed semantics.
-    """
-    workload = _Workload(SPEEDUP_GRAPH)
-    app, policy, engine, comm = SPEEDUP_CELL
-    # warm-up: builds partitions and the memoized sync plans, and pays
-    # one-time allocator/JIT-ish costs, outside the timed reps
-    reference = run_cell(workload, app, policy, engine, comm)
-    vec_wall, scalar_wall = [], []
-    for _ in range(max(1, int(reps))):
-        for use_scalar, bucket in ((False, vec_wall), (True, scalar_wall)):
-            cell = run_cell(
-                workload, app, policy, engine, comm,
-                use_scalar_extraction=use_scalar,
-            )
-            if cell.deterministic_fields() != reference.deterministic_fields():
-                raise ConfigurationError(
-                    "scalar and vectorized extraction diverged on "
-                    f"{cell.key}: {cell.deterministic_fields()} vs "
-                    f"{reference.deterministic_fields()}"
-                )
-            bucket.append(cell.wall_seconds)
-    return {
-        "cell": cell_key(app, policy, engine, comm),
-        "scalar_wall_seconds": min(scalar_wall),
-        "vectorized_wall_seconds": min(vec_wall),
-        "speedup": min(scalar_wall) / max(min(vec_wall), 1e-12),
-    }
 
 
 def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
@@ -544,7 +482,7 @@ def run_sweep(jobs: int = 1, cache_dir=None) -> tuple[dict, float, int]:
     return records, wall, builds
 
 
-#: Timing repetitions per sweep leg (best-of, like :func:`measure_speedup`).
+#: Timing repetitions per sweep leg (best-of).
 SWEEP_REPS = 3
 
 

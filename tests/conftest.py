@@ -8,22 +8,36 @@ from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
 
 
+#: the layers whose boundary rows the engines reach during a run
+ENGINE_RUN_LAYERS = ("comm", "engine", "hw", "loadbalance", "la")
+
+#: the rows one BSP and one BASP run of pr must reach by late lookup:
+#: extract, apply, price, compute pricing and the load balancer under it
+REACHED_BY_A_PR_RUN = (
+    "GluonComm.make_reduce_messages", "GluonComm.make_broadcast_messages",
+    "GluonComm.apply_reduce", "GluonComm.apply_broadcast",
+    "Router.price_batch", "CostModel.compute_time", "LoadBalancer.cost",
+)
+
+
 @pytest.fixture()
 def boundary_calls(monkeypatch):
-    """Counting wrappers on three functions the layered benchmark shims
-    (``benchmarks/perf/layers.py``), installed on the classes the way its
-    ``patched()`` does.  Returns the live ``{name: calls}`` dict."""
-    from repro.comm.gluon import GluonComm
-    from repro.comm.router import Router
-    from repro.engine.costmodel import CostModel
+    """Counting wrappers on every comm/engine/hw/loadbalance/la row of the
+    layered benchmark's own boundary table
+    (``benchmarks.perf.layers.boundaries()``), installed the way its
+    ``patched()`` installs its shims: resolved with ``vars(owner)[name]``
+    (a renamed or inherited boundary is a ``KeyError`` here, as it would
+    be in every traced benchmark run) and set on the owner.  Returns the
+    live ``{"Owner.name": calls}`` dict."""
+    from benchmarks.perf.layers import boundaries
 
     calls = {}
-    for owner, name in (
-        (GluonComm, "apply_reduce"),
-        (CostModel, "compute_time"),
-        (Router, "price_batch"),
-    ):
-        key = f"{owner.__name__}.{name}"
+    for span_key, owner, name in boundaries():
+        if span_key.split(".")[0] not in ENGINE_RUN_LAYERS:
+            continue  # (the partition rows' owner is a dict)
+        key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+        if key in calls:
+            continue
         calls[key] = 0
 
         def counting(*args, _raw=vars(owner)[name], _key=key, **kwargs):

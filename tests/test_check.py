@@ -146,11 +146,8 @@ def _bfs_field():
 def test_comm_structure_passes_and_detects_table_skew(graph):
     pg = fresh_pg(graph)
     comm = GluonComm(pg, [_bfs_field()], CommConfig(), check="cheap")
-    # constructed clean at CHEAP; now skew a send-table offset
-    table = next(
-        t for t in comm._tables["dist"][0] if t is not None
-    )
-    table.offsets[-1] += 1
+    # constructed clean at CHEAP; now skew an exchange-table offset
+    comm._tables["dist"][0].seg_off[-1] += 1
     pg.__dict__.pop("_gluon_plans_checked", None)
     with pytest.raises(InvariantViolation) as exc:
         check_comm_structure(comm)
@@ -226,6 +223,46 @@ def test_final_stats_checker(graph):
     res.stats.local_rounds_min = res.stats.local_rounds_max + 1
     with pytest.raises(InvariantViolation):
         check_final_stats(res.stats)
+
+
+@pytest.mark.parametrize("engine_name", ["bsp", "basp"])
+def test_static_frontier_is_priced_once_and_its_declaration_checked(
+    graph, engine_name, monkeypatch
+):
+    """pr declares ``static_frontier``: its compute phase is priced once
+    per partition per run, and at CHEAP a frontier object that changes
+    between rounds breaks the declaration."""
+    from repro.apps import get_app
+    from repro.apps.pagerank import PageRankPull
+    from repro.engine import BASPEngine, BSPEngine, RunContext
+    from repro.hw import bridges
+    from repro.loadbalance.base import LoadBalancer
+
+    engine = {"bsp": BSPEngine, "basp": BASPEngine}[engine_name]
+    pg = fresh_pg(graph, "cvc", 4)
+    ctx = RunContext(
+        num_global_vertices=graph.num_vertices,
+        global_out_degrees=graph.out_degrees(), tolerance=1e-2,
+    )
+    priced = []
+    raw = LoadBalancer.cost
+    monkeypatch.setattr(
+        LoadBalancer, "cost",
+        lambda self, degrees, blocks: priced.append(1) or raw(self, degrees, blocks),
+    )
+    res = engine(pg, bridges(4), get_app("pr"), check_memory=False,
+                 check="cheap").run(ctx)
+    assert res.stats.rounds > 2 and len(priced) == 4
+
+    fresh = PageRankPull.initial_frontier
+    monkeypatch.setattr(
+        PageRankPull, "initial_frontier",
+        lambda self, part, ctx, state: fresh(self, part, ctx, state).copy(),
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        engine(pg, bridges(4), get_app("pr"), check_memory=False,
+               check="cheap").run(ctx)
+    assert exc.value.checker == "static-frontier"
 
 
 def test_monotone_watch():

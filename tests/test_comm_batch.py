@@ -1,0 +1,379 @@
+"""The sync batch itself: extraction into a ``SendBatch``, its
+materialisation, grouped delivery, and what a BASP drain may group.
+
+Three contracts, each against a per-message reference that lives here or
+in ``repro.check.oracle``:
+
+* a batch extracted for *any* set of senders materialises into exactly the
+  messages the per-element oracle extracts sender by sender, and its
+  pricing columns are those messages' scalars;
+* applying a batch one delivery per receiver (``ufunc.at`` over the
+  sender-ordered concatenation) leaves bit-identical labels, the same
+  changed set and the same dirty bits as applying message by message — with
+  targets repeating across senders, for float ``add`` in both widths;
+* a drain groups what commutes and nothing else: two overwriting
+  broadcasts of one field that arrive inverted are still two deliveries.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.apps import get_app
+from repro.check.oracle import extract_scalar
+from repro.comm import CommConfig, FieldSpec, GluonComm, batch_arrays
+from repro.comm.bitset import Bitset
+from repro.comm.buffers import SendBatch
+from repro.engine import BASPEngine
+from repro.engine.core import RoundCore
+from repro.errors import CommunicationError
+from repro.graph import from_edges
+from repro.hw import bridges
+from repro.partition import partition
+
+SETTINGS = settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+DIST = FieldSpec(name="dist", dtype=np.uint32, reduce_op="min",
+                 read_at="src", write_at="dst", identity=2**32 - 1)
+ACC = FieldSpec(name="acc", dtype=np.float64, reduce_op="add",
+                read_at="none", write_at="dst", identity=0.0,
+                reset_after_reduce=True)
+RANK = FieldSpec(name="rank", dtype=np.float32, reduce_op="add",
+                 read_at="src", write_at="master")
+FIELDS = [DIST, ACC, RANK]
+
+
+def _labels(pg, spec, rng):
+    if np.issubdtype(np.dtype(spec.dtype), np.integer):
+        return [rng.integers(0, 1000, p.num_local).astype(spec.dtype)
+                for p in pg.parts]
+    return [rng.random(p.num_local).astype(spec.dtype) for p in pg.parts]
+
+
+def _assert_same_messages(got, want):
+    assert len(got) == len(want)
+    for m, r in zip(got, want):
+        assert m.header == r.header
+        assert (m.exchange_len, m.scanned_elements) == (
+            r.exchange_len, r.scanned_elements)
+        assert m.values.dtype == r.values.dtype
+        np.testing.assert_array_equal(m.values, r.values)
+        for a, b in ((m.positions, r.positions),
+                     (m.explicit_ids, r.explicit_ids)):
+            assert (a is None) == (b is None)
+            if b is not None:
+                np.testing.assert_array_equal(a, b)
+        assert m.wire_bytes() == r.wire_bytes()
+
+
+# --------------------------------------------------------------------- #
+# extraction: one batch for any sender set == the oracle, sender by sender
+# --------------------------------------------------------------------- #
+@st.composite
+def _extraction(draw):
+    n = draw(st.integers(6, 50))
+    m = draw(st.integers(n, 4 * n))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    parts = draw(st.sampled_from([1, 2, 3, 4]))
+    policy = draw(st.sampled_from(["oec", "iec", "cvc", "hvc"]))
+    config = CommConfig(
+        update_only=draw(st.booleans()),
+        memoize_addresses=draw(st.booleans()),
+    )
+    # which senders are asked, and which have anything dirty at all
+    asked = draw(st.lists(st.booleans(), min_size=parts, max_size=parts))
+    clean = draw(st.lists(st.booleans(), min_size=parts, max_size=parts))
+    seed = draw(st.integers(0, 2**16))
+    return src, dst, n, parts, policy, config, asked, clean, seed
+
+
+@given(s=_extraction())
+@SETTINGS
+def test_batch_materialises_to_the_oracles_messages(s):
+    src, dst, n, parts, policy, config, asked, clean, seed = s
+    pg = partition(from_edges(src, dst, num_vertices=n), policy, parts,
+                   cache=False)
+    got_comm = GluonComm(pg, FIELDS, config)
+    ref_comm = GluonComm(pg, FIELDS, config)
+    rng = np.random.default_rng(seed)
+    pids = [p for p in range(parts) if asked[p]]
+    for spec in FIELDS:
+        labels = _labels(pg, spec, rng)
+        ref_labels = [a.copy() for a in labels]
+        for p in range(parts):
+            if clean[p] or not pg.parts[p].num_local:
+                continue  # a sender with zero dirty proxies
+            # sparse writes: some partner segments end up with no hit
+            ids = rng.integers(0, pg.parts[p].num_local, rng.integers(1, 6))
+            got_comm.mark_updated(spec.name, p, ids)
+            ref_comm.mark_updated(spec.name, p, ids)
+        for phase in ("reduce", "broadcast"):
+            batch = got_comm._extract(spec.name, phase, pids, labels)
+            want = [
+                m for p in pids
+                for m in extract_scalar(ref_comm, spec.name, phase, p, ref_labels)
+            ]
+            _assert_same_messages(got_comm.messages(batch), want)
+            # the columns the router prices are the messages' scalars
+            cols = batch_arrays(want)
+            for name in cols._fields:
+                np.testing.assert_array_equal(
+                    getattr(batch, name), getattr(cols, name), err_msg=name
+                )
+            np.testing.assert_array_equal(
+                np.diff(batch.offsets), batch.num_elements
+            )
+            for p in range(parts):
+                assert got_comm.updated[spec.name][p] == ref_comm.updated[spec.name][p]
+                np.testing.assert_array_equal(labels[p], ref_labels[p])
+
+
+def test_single_partition_has_nothing_to_exchange():
+    g = from_edges([0, 1, 2], [1, 2, 0], num_vertices=3)
+    pg = partition(g, "oec", 1, cache=False)
+    for update_only in (True, False):
+        comm = GluonComm(pg, FIELDS, CommConfig(update_only=update_only))
+        labels = [np.zeros(3, dtype=np.uint32)]
+        comm.mark_updated("dist", 0, [0, 1, 2])
+        batch = comm.make_reduce_messages("dist", [0], labels)
+        assert len(batch) == 0 and comm.messages(batch) == []
+        assert list(comm.deliveries(batch)) == [] and comm.records(batch) == []
+        assert not comm.pending_sends("dist", "reduce", 0)
+
+
+def test_packed_nbytes_array_form_matches_scalar():
+    n = np.arange(4097)
+    got = Bitset.packed_nbytes(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [Bitset.packed_nbytes(int(i)) for i in n]
+    with pytest.raises(ValueError):
+        Bitset.packed_nbytes(np.asarray([3, -1]))
+
+
+# --------------------------------------------------------------------- #
+# delivery: grouped by receiver == message by message
+# --------------------------------------------------------------------- #
+def _apply_per_message(spec, phase, lab, dirty, targets, values):
+    """What the per-message engines did with one message (PR 16's
+    ``apply_reduce`` / ``apply_broadcast`` bodies)."""
+    old = lab[targets]
+    ufunc = {"min": np.minimum, "max": np.maximum}.get(spec.reduce_op)
+    if phase == "reduce":
+        if spec.reduce_op == "add":
+            new, changed = old + values, values != 0
+        else:
+            new = ufunc(old, values)
+            changed = new != old
+    else:
+        new = ufunc(old, values) if ufunc else values
+        changed = old != new
+    lab[targets] = new
+    if phase == "reduce" and changed.any():
+        dirty.bits[targets[changed]] = True
+    return targets[changed]
+
+
+@pytest.fixture(scope="module")
+def pg():
+    rng = np.random.default_rng(5)
+    g = from_edges(rng.integers(0, 60, 400), rng.integers(0, 60, 400),
+                   num_vertices=60)
+    return partition(g, "hvc", 6, cache=False)  # nearly all pairs planned
+
+
+def _hand_batch(comm, spec, phase, rng, distinct_per_receiver):
+    """A batch over a random subset of the planned pairs, messages in
+    table (sender) order, with random targets on each receiver: unique
+    inside a message, repeating across senders unless the phase forbids."""
+    table = comm._table(spec.name, phase)
+    S = len(table.seg_src)
+    seg = np.flatnonzero(rng.random(S) < 0.7)
+    src, dst = table.seg_src[seg], table.seg_dst[seg]
+    free = {d: rng.permutation(comm.pg.parts[d].num_local).tolist()
+            for d in set(dst.tolist())}
+    tgs = []
+    for d in dst.tolist():
+        n_local = comm.pg.parts[d].num_local
+        k = int(rng.integers(1, min(6, n_local) + 1))
+        if distinct_per_receiver:
+            k = min(k, len(free[d]))
+            tgs.append(np.asarray([free[d].pop() for _ in range(k)], dtype=np.int64))
+        else:
+            # a narrow id range makes cross-sender repeats the norm
+            tgs.append(rng.permutation(min(6, n_local))[:k].astype(np.int64))
+    keep = [i for i, t in enumerate(tgs) if len(t)]
+    seg, src, dst = seg[keep], src[keep], dst[keep]
+    tgs = [tgs[i] for i in keep]
+    num = np.asarray([len(t) for t in tgs], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(num)))
+    total = int(offsets[-1])
+    if np.issubdtype(np.dtype(spec.dtype), np.integer):
+        values = rng.integers(0, 50, total).astype(spec.dtype)
+    else:
+        # mixed magnitudes and exact zeros: float add order is visible,
+        # and ``value != 0`` is exercised
+        values = (rng.standard_normal(total) * 10.0 ** rng.integers(-6, 6, total))
+        values[rng.random(total) < 0.2] = 0.0
+        values = values.astype(spec.dtype)
+    return SendBatch(
+        spec.name, phase, seg, src, dst, num, np.zeros_like(num),
+        np.zeros_like(num), offsets, np.concatenate(tgs), values, None,
+    )
+
+
+CASES = [
+    ("add-f32", FieldSpec(name="f", dtype=np.float32, reduce_op="add",
+                          read_at="src", write_at="dst"), "reduce"),
+    ("add-f64", FieldSpec(name="f", dtype=np.float64, reduce_op="add",
+                          read_at="src", write_at="dst"), "reduce"),
+    ("min", FieldSpec(name="f", dtype=np.uint32, reduce_op="min",
+                      read_at="src", write_at="dst"), "reduce"),
+    ("max", FieldSpec(name="f", dtype=np.float64, reduce_op="max",
+                      read_at="src", write_at="dst"), "reduce"),
+    ("min-broadcast", FieldSpec(name="f", dtype=np.uint32, reduce_op="min",
+                                read_at="src", write_at="dst"), "broadcast"),
+    ("overwrite-broadcast", FieldSpec(name="f", dtype=np.float32,
+                                      reduce_op="add", read_at="src",
+                                      write_at="master"), "broadcast"),
+]
+
+
+@pytest.mark.parametrize("name,spec,phase", CASES, ids=[c[0] for c in CASES])
+@given(seed=st.integers(0, 2**20))
+@SETTINGS
+def test_grouped_apply_equals_message_by_message(pg, name, spec, phase, seed):
+    rng = np.random.default_rng(seed)
+    comm = GluonComm(pg, [spec], CommConfig(invariant_filtering=False))
+    overwrite = name == "overwrite-broadcast"
+    batch = _hand_batch(comm, spec, phase, rng, distinct_per_receiver=overwrite)
+    if not len(batch):
+        return
+    labels = _labels(pg, spec, rng)
+    ref_labels = [a.copy() for a in labels]
+    ref_dirty = [Bitset(p.num_local) for p in pg.parts]
+    ref_changed = [set() for _ in pg.parts]
+    offs = batch.offsets.tolist()
+    for k, d in enumerate(batch.dst.tolist()):
+        ch = _apply_per_message(
+            spec, phase, ref_labels[d], ref_dirty[d],
+            batch.targets[offs[k]:offs[k + 1]], batch.values[offs[k]:offs[k + 1]],
+        )
+        ref_changed[d].update(ch.tolist())
+
+    apply = comm.apply_reduce if phase == "reduce" else comm.apply_broadcast
+    changed = [set() for _ in pg.parts]
+    seen = []
+    for d, ch in apply("f", comm.deliveries(batch), labels):
+        seen.append(d)
+        changed[d].update(ch.tolist())
+    assert seen == sorted(set(batch.dst.tolist()))  # one delivery each
+    for p in range(pg.num_partitions):
+        # bitwise: the float sums were accumulated in the same order
+        assert labels[p].tobytes() == ref_labels[p].tobytes(), name
+        assert changed[p] == ref_changed[p]
+        assert comm.updated["f"][p] == ref_dirty[p]
+
+
+def test_hand_batches_repeat_targets_across_senders(pg):
+    """The property above is only worth its name if targets collide."""
+    spec = CASES[0][1]
+    comm = GluonComm(pg, [spec], CommConfig(invariant_filtering=False))
+    batch = _hand_batch(comm, spec, "reduce", np.random.default_rng(1), False)
+    pairs = list(zip(np.repeat(batch.dst, batch.num_elements).tolist(),
+                     batch.targets.tolist()))
+    assert len(set(pairs)) < len(pairs)
+
+
+def test_unplanned_pair_raises_naming_field_and_pair(pg):
+    comm = GluonComm(pg, [DIST])
+    table = comm._table("dist", "reduce")
+    s, d = next(
+        (s, d) for s in range(6) for d in range(6) if not table.planned[s, d]
+    )
+    one = np.asarray([1], dtype=np.int64)
+    batch = SendBatch(
+        "dist", "reduce", one * 0, one * s, one * d, one, one * 0, one * 0,
+        np.asarray([0, 1]), one * 0, np.asarray([7], dtype=np.uint32), None,
+    )
+    for split in (comm.deliveries, comm.records):
+        with pytest.raises(CommunicationError, match=f"no reduce plan {s}->{d} for dist"):
+            list(split(batch))
+
+
+# --------------------------------------------------------------------- #
+# the BASP drain: what may be grouped
+# --------------------------------------------------------------------- #
+def _core(small_graph, ctx, app_name):
+    pg = partition(small_graph, "cvc", 4)
+    eng = BASPEngine(pg, bridges(4), get_app(app_name), check_memory=False)
+    return RoundCore(eng, ctx)
+
+
+def test_inverted_overwriting_broadcasts_stay_two_deliveries(
+    small_graph, ctx, monkeypatch
+):
+    """pr's ``scaled_rank`` broadcast overwrites.  The master sent A then
+    B; B overtook A on the network.  As before PR 17 the mirror ends on
+    the stale A (arrival order decides), and the proxy changed twice."""
+    core = _core(small_graph, ctx, "pr")
+    assert core.groupable["contrib", "reduce"]
+    assert not core.groupable["scaled_rank", "broadcast"]
+    calls = []
+    raw = GluonComm.apply_broadcast
+
+    def spy(self, field, deliveries, labels):
+        out = raw(self, field, deliveries, labels)
+        calls.extend(
+            (np.concatenate(tgs).tolist(), ch.tolist())
+            for (_, tgs, _), (_, ch) in zip(deliveries, out)
+        )
+        return out
+
+    monkeypatch.setattr(GluonComm, "apply_broadcast", spy)
+    lab = core.views["scaled_rank"][1]
+    tg = np.asarray([0, 2], dtype=np.int64)
+    start = lab[tg].copy()
+    a = (start + 1).astype(np.float32)
+    b = (start + 2).astype(np.float32)
+    core.deliver(1, {("scaled_rank", "broadcast"): ([tg, tg], [b, a])},
+                 [[] for _ in range(4)])
+    np.testing.assert_array_equal(lab[tg], a)
+    assert calls == [([0, 2], [0, 2]), ([0, 2], [0, 2])]
+    # and A -> A (the same value twice) changes once, then not at all
+    calls.clear()
+    core.deliver(1, {("scaled_rank", "broadcast"): ([tg, tg], [b, b])},
+                 [[] for _ in range(4)])
+    assert calls == [([0, 2], [0, 2]), ([0, 2], [])]
+
+
+def test_inverted_merging_broadcasts_group_into_one_delivery(
+    small_graph, ctx, monkeypatch
+):
+    """bfs's ``dist`` broadcast merges with ``min``: inverted arrivals
+    commute, so one drain applies them as one delivery with the labels
+    and the candidate *set* two deliveries would leave."""
+    core = _core(small_graph, ctx, "bfs")
+    assert core.groupable["dist", "broadcast"]
+    n_deliveries = []
+    raw = GluonComm.apply_broadcast
+    monkeypatch.setattr(
+        GluonComm, "apply_broadcast",
+        lambda self, field, deliveries, labels: n_deliveries.append(
+            len(deliveries)) or raw(self, field, deliveries, labels),
+    )
+    lab = core.views["dist"][2]
+    tg1 = np.asarray([0, 1, 3], dtype=np.int64)
+    tg2 = np.asarray([1, 3, 4], dtype=np.int64)
+    lab[[0, 1, 3, 4]] = [9, 9, 2, 9]
+    later = np.asarray([5, 3, 7], dtype=lab.dtype)   # sent second, arrives first
+    stale = np.asarray([6, 8, 9], dtype=lab.dtype)
+    candidates = [[] for _ in range(4)]
+    core.deliver(2, {("dist", "broadcast"): ([tg1, tg2], [later, stale])},
+                 candidates)
+    assert n_deliveries == [1]
+    assert lab[[0, 1, 3, 4]].tolist() == [5, 3, 2, 9]
+    assert set(np.concatenate(candidates[2]).tolist()) == {0, 1}

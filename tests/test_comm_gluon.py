@@ -221,8 +221,9 @@ class TestUpdateTracking:
             pytest.skip("no writable mirrors")
         labels[0][writable[0]] = 1
         comm.mark_updated("dist", 0, [writable[0]])
-        msgs = comm.make_reduce_messages("dist", 0, labels)
-        assert msgs and all(m.scanned_elements > 0 for m in msgs)
+        batch = comm.make_reduce_messages("dist", [0], labels)
+        assert len(batch) and (batch.scanned_elements > 0).all()
+        assert all(m.scanned_elements > 0 for m in comm.messages(batch))
 
     def test_dirty_bits_cleared_after_send(self, g):
         pg = partition(g, "cvc", 4, cache=False)
@@ -234,8 +235,8 @@ class TestUpdateTracking:
             pytest.skip("no writable mirrors")
         labels[0][writable[0]] = 1
         comm.mark_updated("dist", 0, [writable[0]])
-        comm.make_reduce_messages("dist", 0, labels)
-        assert not comm.make_reduce_messages("dist", 0, labels)
+        assert len(comm.make_reduce_messages("dist", [0], labels))
+        assert not len(comm.make_reduce_messages("dist", [0], labels))
 
 
 class TestAccumulators:
@@ -285,7 +286,7 @@ class TestAccumulators:
         l = int(writable[0])
         labels[0][l] = 5.0
         comm.mark_updated("r", 0, [l])
-        comm.make_reduce_messages("r", 0, labels)
+        comm.make_reduce_messages("r", [0], labels)
         assert labels[0][l] == 0.0  # reset to identity, not re-sent
 
 

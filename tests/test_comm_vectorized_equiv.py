@@ -1,18 +1,20 @@
-"""Differential suite: vectorized extraction vs the scalar reference.
+"""Differential suite: batch extraction vs the per-element oracle.
 
-``GluonComm._extract`` (flat-table NumPy bulk operations) must be
-observationally identical to ``GluonComm._extract_scalar`` (the retained
-per-element reference): same messages field-for-field, same wire bytes,
-same dirty-bit state afterwards, same label mutations (accumulator
-resets) — under AS and UO, with and without address memoization and
-invariant filtering.  The batch message pricer is held to the same
-standard against its per-message reference.
+``GluonComm._extract`` (one ``SendBatch`` per call, NumPy bulk operations
+over the exchange table) must be observationally identical to
+``repro.check.oracle.extract_scalar`` (the per-element reference, one
+sender at a time): same messages field-for-field once the batch is
+materialised, same wire bytes, same dirty-bit state afterwards, same
+label mutations (accumulator resets) — under AS and UO, with and without
+address memoization and invariant filtering.  The batch message pricer
+is held to the same standard against ``oracle.price_batch_scalar``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.check.oracle import extract_scalar, price_batch_scalar
 from repro.comm import CommConfig, FieldSpec, GluonComm
 from repro.comm.router import Router
 from repro.graph import from_edges
@@ -37,11 +39,13 @@ FIELDS = [
 
 
 def _fresh_comms(pg, config):
-    """Two substrates over the same partitions, one per extraction path."""
-    vec = GluonComm(pg, FIELDS, config)
-    ref = GluonComm(pg, FIELDS, config)
-    ref.use_scalar_extraction = True
-    return vec, ref
+    """Two substrates over the same partitions: one the batch path
+    extracts from, one the oracle does."""
+    return GluonComm(pg, FIELDS, config), GluonComm(pg, FIELDS, config)
+
+
+def _batch_messages(comm, field, phase, p, labels):
+    return comm.messages(comm._extract(field, phase, [p], labels))
 
 
 def _labels_for(pg, spec, rng):
@@ -92,17 +96,19 @@ def _run_differential(g, policy, parts, config, seed):
         labels_v = _labels_for(pg, spec, np.random.default_rng(seed + 1))
         labels_r = [a.copy() for a in labels_v]
         writes = {
+            # (a partition of a tiny graph can hold no proxy at all)
             p: np.unique(
-                rng.integers(0, pg.parts[p].num_local, size=rng.integers(0, 30))
-            )
+                rng.integers(0, max(pg.parts[p].num_local, 1),
+                             size=rng.integers(0, 30))
+            )[: pg.parts[p].num_local]
             for p in range(pg.num_partitions)
         }
         _apply_writes(vec, pg, spec.name, writes)
         _apply_writes(ref, pg, spec.name, writes)
         for phase in ("reduce", "broadcast"):
             for p in range(pg.num_partitions):
-                mv = vec._extract(spec.name, phase, p, labels_v)
-                mr = ref._extract_scalar(spec.name, phase, p, labels_r)
+                mv = _batch_messages(vec, spec.name, phase, p, labels_v)
+                mr = extract_scalar(ref, spec.name, phase, p, labels_r)
                 _assert_messages_equal(mv, mr)
                 all_msgs.extend(mv)
                 # dirty bits and label mutations must track identically
@@ -162,18 +168,18 @@ def test_batch_pricing_matches_per_message(small_graph, cluster_fn):
         vec.mark_updated(
             "dist", p, rng.integers(0, pg.parts[p].num_local, size=40)
         )
-    msgs = []
-    for p in range(4):
-        msgs += vec.make_reduce_messages("dist", p, labels)
+    batch = vec.make_reduce_messages("dist", range(4), labels)
+    msgs = vec.messages(batch)
     assert msgs, "workload produced no messages"
     router = Router(cluster_fn(4), volume_scale=500.0)
-    batch = router.price_batch(msgs)
-    ref = router.price_batch_scalar(msgs)
-    for name in ("src", "dst", "d2h", "inter", "h2d", "extraction",
-                 "scaled_bytes"):
-        np.testing.assert_array_equal(
-            getattr(batch, name), getattr(ref, name), err_msg=name
-        )
+    ref = price_batch_scalar(router, msgs)
+    # the batch's own columns and the Message-list adapter price alike
+    for priced in (router.price_batch(batch), router.price_batch(msgs)):
+        for name in ("src", "dst", "d2h", "inter", "h2d", "extraction",
+                     "scaled_bytes"):
+            np.testing.assert_array_equal(
+                getattr(priced, name), getattr(ref, name), err_msg=name
+            )
 
 
 def test_uo_partner_with_no_dirty_elements_gets_no_message(small_graph):
@@ -182,37 +188,35 @@ def test_uo_partner_with_no_dirty_elements_gets_no_message(small_graph):
     scalar reference must agree."""
     pg = partition(small_graph, "iec", 4, cache=False)
     vec, ref = _fresh_comms(pg, CommConfig(update_only=True))
-    # find a (phase, sender) whose flat table serves several partners
-    table, phase_i, sender = None, None, None
-    for pi, phase in enumerate(("reduce", "broadcast")):
+    # find a (phase, sender) whose table slice serves several partners
+    found = None
+    for phase in ("reduce", "broadcast"):
+        table = vec._table("dist", phase)
         for p in range(4):
-            t = vec._tables["dist"][pi][p]
-            if t is not None and t.num_segments >= 2:
-                table, phase_i, sender = t, pi, p
-                break
-        if table is not None:
-            break
-    assert table is not None, "no multi-partner sender in this partitioning"
-    phase = ("reduce", "broadcast")[phase_i]
+            if table.sender_seg[p + 1] - table.sender_seg[p] >= 2:
+                found = found or (table, phase, p)
+    assert found is not None, "no multi-partner sender in this partitioning"
+    table, phase, sender = found
+    segs = range(table.sender_seg[sender], table.sender_seg[sender + 1])
     # dirty exactly one partner's segment, leaving the others' empty
-    lo, hi = table.offsets[0], table.offsets[1]
+    lo, hi = table.seg_off[segs[0]], table.seg_off[segs[0] + 1]
     dirty_ids = table.flat_send[lo:hi]
     labels_v = _labels_for(pg, FIELDS[0], np.random.default_rng(3))
     labels_r = [a.copy() for a in labels_v]
     vec.mark_updated("dist", sender, dirty_ids)
     ref.mark_updated("dist", sender, dirty_ids)
-    mv = vec._extract("dist", phase, sender, labels_v)
-    mr = ref._extract_scalar("dist", phase, sender, labels_r)
+    mv = _batch_messages(vec, "dist", phase, sender, labels_v)
+    mr = extract_scalar(ref, "dist", phase, sender, labels_r)
     _assert_messages_equal(mv, mr)
     receivers = {m.header.dst for m in mv}
     # segments overlap (one proxy can serve several partners), so every
     # partner whose segment intersects the dirty set gets a message and
     # no other partner does
     dirty_set = set(int(i) for i in dirty_ids)
-    for k, partner in enumerate(table.receivers):
-        seg = table.flat_send[table.offsets[k]:table.offsets[k + 1]]
+    for k in segs:
+        seg = table.flat_send[table.seg_off[k]:table.seg_off[k + 1]]
         overlaps = any(int(i) in dirty_set for i in seg)
-        assert (partner in receivers) == overlaps
+        assert (int(table.seg_dst[k]) in receivers) == overlaps
     assert vec.updated["dist"][sender] == ref.updated["dist"][sender]
     assert not vec.updated["dist"][sender].any()
 
@@ -222,6 +226,6 @@ def test_uo_extraction_with_nothing_dirty_is_empty(small_graph):
     vec, ref = _fresh_comms(pg, CommConfig(update_only=True))
     labels = _labels_for(pg, FIELDS[0], np.random.default_rng(5))
     for p in range(4):
-        assert vec._extract("dist", "reduce", p, labels) == []
-        assert ref._extract_scalar("dist", "reduce", p, labels) == []
+        assert _batch_messages(vec, "dist", "reduce", p, labels) == []
+        assert extract_scalar(ref, "dist", "reduce", p, labels) == []
         assert not vec.pending_sends("dist", "reduce", p)

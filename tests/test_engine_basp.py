@@ -87,13 +87,18 @@ class TestBenchmarkBoundaries:
         self, small_graph, ctx, request
     ):
         # the engine exists before the wrappers do: a bound method captured
-        # at construction would leave its count at zero
+        # at construction would leave its count at zero.  pr at P=8 sends
+        # both phases, prices its flushes and prices compute through the
+        # load balancer
+        from tests.conftest import REACHED_BY_A_PR_RUN
+
         pg = partition(small_graph, "cvc", 8)
-        eng = BASPEngine(pg, bridges(8), get_app("bfs"), check_memory=False)
+        eng = BASPEngine(pg, bridges(8), get_app("pr"), check_memory=False)
         calls = request.getfixturevalue("boundary_calls")
         eng.run(ctx)
-        assert all(calls.values()), calls
-
+        assert calls["BASPEngine.run"] == 1
+        unreached = [k for k in REACHED_BY_A_PR_RUN if not calls[k]]
+        assert not unreached, calls
 
 class TestDeterminism:
     def test_basp_is_deterministic(self, small_graph, ctx):

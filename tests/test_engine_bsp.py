@@ -136,12 +136,18 @@ class TestBenchmarkBoundaries:
         self, small_graph, ctx, request
     ):
         # the engine exists before the wrappers do: a bound method captured
-        # at construction would leave its count at zero
-        eng = engine(small_graph, check_memory=False)
+        # at construction would leave its count at zero.  pr at P=8 sends
+        # both phases, prices its flushes and prices compute through the
+        # load balancer
+        from tests.conftest import REACHED_BY_A_PR_RUN
+
+        pg = partition(small_graph, "cvc", 8)
+        eng = BSPEngine(pg, bridges(8), get_app("pr"), check_memory=False)
         calls = request.getfixturevalue("boundary_calls")
         eng.run(ctx)
-        assert all(calls.values()), calls
-
+        assert calls["BSPEngine.run"] == 1
+        unreached = [k for k in REACHED_BY_A_PR_RUN if not calls[k]]
+        assert not unreached, calls
 
 class TestHeterogeneousCluster:
     def test_tuxedo_runs(self, small_graph, ctx):

@@ -3,8 +3,9 @@ shrink failures to minimal cases.
 
 The mutation half is the system's mutation-testing suite: each context
 manager in :mod:`repro.fuzz.mutations` plants one realistic bug class
-(lost mirror update, send-table off-by-one, dropped reduce partner,
-stale partition-cache entry, wrong CC tie-break, dirty-bit off-by-one)
+(lost mirror update, exchange-table off-by-one, dropped reduce partner,
+stale partition-cache entry, wrong CC tie-break, dirty-bit off-by-one,
+non-neutral semiring identity, skewed per-receiver apply bounds)
 and the FULL-check fuzz battery must flag every one — plus stay quiet
 when nothing is planted.
 """

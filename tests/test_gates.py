@@ -183,7 +183,7 @@ def test_wall_clock_slack_and_skip():
     fast = _sync({"a": _cell("a", wall_seconds=0.001)})
     assert diff_baseline(fast, base, wall_tolerance=4.0) == ([], [])
     # numbers another gate recorded in this file are not this gate's
-    base["wall"]["speedup"] = {"speedup": 4.2}
+    base["wall"]["sweep-speedup"] = {"speedup": 4.2}
     assert diff_baseline(fast, base, wall_tolerance=4.0) == ([], [])
     # a recorded zero bounds nothing
     zero = _sync({"a": _cell("a", wall_seconds=0.0)})
@@ -199,7 +199,7 @@ def test_config_mismatch_replaces_the_cell_diff():
 def test_write_load_round_trip(tmp_path):
     path = tmp_path / "BENCH_sync.json"
     env = _sync({"a": _cell("a"), "b": _cell("b", rounds=7)})
-    env["wall"]["speedup"] = {"speedup": 3.5}
+    env["wall"]["sweep-speedup"] = {"speedup": 3.5}
     write_baseline(path, **env)
     back = load_baseline(path, "sync")
     assert back == {"schema": 2, **env}
@@ -378,8 +378,8 @@ def test_update_of_a_gate_without_a_baseline_is_a_usage_error(tmp_path, capsys):
 
 
 def test_update_records_a_guest_gate_with_its_host(tmp_path, capsys):
-    """The speedup rows: no baseline of their own, but ``--update`` of
-    the host re-measures them and keeps the numbers in the host's file."""
+    """The ``sweep-speedup`` row: no baseline of its own, but ``--update`` of
+    the host re-measures it and keeps the numbers in the host's file."""
     host = _fake("a", record=lambda r: {"cell": 0.05})
     guest = _fake("guest", x=4.2, baseline=False, wall=True,
                   recorded_in="a", record=lambda r: r)
@@ -432,7 +432,7 @@ NAMES = [g.name for g in GATES]
 
 
 def test_table_shape():
-    assert len(NAMES) == len(set(NAMES)) == 12
+    assert len(NAMES) == len(set(NAMES)) == 11
     by_name = {g.name: g for g in GATES}
     assert [n for n in NAMES if by_name[n].deterministic] == [
         "sync", "sweep", "serve", "advisor", "gnn", "ooc",
