@@ -326,6 +326,6 @@ def _check_policy_rules(pg: PartitionedGraph) -> None:
                     "the destination's master nor to the source-hash "
                     "partition",
                 )
-    # random / metis-like / xtrapulp-like / jagged place edges by data-
+    # random / metis-like / jagged place edges by data-
     # dependent heuristics with no closed-form rule to re-derive here; the
     # generic exactly-once + proxy checks above still apply to them.

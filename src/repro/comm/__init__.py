@@ -11,7 +11,7 @@ from repro.comm.buffers import (
 )
 from repro.comm.gluon import CommConfig, FieldSpec, GluonComm
 from repro.comm.hier import HostAggregate, group_cross_host
-from repro.comm.router import BatchLegTimes, RoutedMessage, Router, StepNetwork
+from repro.comm.router import BatchLegTimes, Router, StepNetwork
 
 __all__ = [
     "HostAggregate",
@@ -27,6 +27,5 @@ __all__ = [
     "FieldSpec",
     "GluonComm",
     "Router",
-    "RoutedMessage",
     "BatchLegTimes",
 ]

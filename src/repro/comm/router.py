@@ -22,7 +22,7 @@ from repro.errors import ConfigurationError
 from repro.hw.cluster import Cluster
 from repro.hw.contention import ContentionModel
 
-__all__ = ["LegTimes", "BatchLegTimes", "StepNetwork", "RoutedMessage", "Router"]
+__all__ = ["LegTimes", "BatchLegTimes", "StepNetwork", "Router"]
 
 #: Device-side extraction rate for the UO prefix scan: proxies scanned per
 #: second.  Scanning is bandwidth-bound over the proxy array; the constant
@@ -42,11 +42,6 @@ class LegTimes:
     @property
     def total(self) -> float:
         return self.d2h + self.inter + self.h2d
-
-    @property
-    def device_legs(self) -> float:
-        """The host-device portion — the paper's "Device Comm." bucket."""
-        return self.d2h + self.h2d
 
 
 class BatchLegTimes(NamedTuple):
@@ -69,32 +64,21 @@ class BatchLegTimes(NamedTuple):
 
 
 class StepNetwork(NamedTuple):
-    """Network-leg schedule for one priced batch (see ``route_step``).
+    """Network-leg schedule for one priced batch (see
+    ``Router.schedule_network``).
 
     With contention and hierarchy both off this reproduces
     ``BatchLegTimes.inter`` exactly; otherwise ``eff_inter[i]`` is the
-    span from message ``i`` clearing its device's up leg to its (possibly
+    span from message ``i`` being ready for the network to its (possibly
     aggregated, possibly queued) network service completing.
     """
 
     eff_inter: np.ndarray  # per-message effective network-leg seconds
+    done: np.ndarray  # per-message completion time, on the caller's clock
     inter_host_messages: int  # cross-host wire messages (after aggregation)
     messages_saved: int  # cross-host messages folded away by aggregation
     aggregates: int  # HostAggregates formed (0 unless hierarchical)
     saved_bytes: float  # scaled envelope bytes aggregation removed
-
-
-@dataclass(frozen=True)
-class RoutedMessage:
-    """A priced message with its delivery time."""
-
-    message: Message
-    depart: float
-    legs: LegTimes
-
-    @property
-    def arrival(self) -> float:
-        return self.depart + self.legs.total
 
 
 class Router:
@@ -174,10 +158,6 @@ class Router:
                 d2h, c.intra_host.time(nbytes) - c.intra_host.latency_s, h2d
             )
         return LegTimes(d2h, c.network.time(nbytes), h2d)
-
-    def route(self, msg: Message, depart: float) -> RoutedMessage:
-        """Price and timestamp one message departing at ``depart``."""
-        return RoutedMessage(message=msg, depart=depart, legs=self.legs(msg))
 
     def price_batch(self, batch, *, contended: bool = False) -> BatchLegTimes:
         """Price a whole message batch in one vectorized pass.
@@ -279,14 +259,7 @@ class Router:
         The step gets its own relative timeline.  Each message first
         clears its device's up leg (extraction + D2H, FIFO per device —
         jointly with a host serialization core when contended), then its
-        network leg runs: per message, or per :class:`HostAggregate` when
-        ``hierarchical`` (one wire message per (src host, dst host[,
-        key]); the aggregate departs when its last member's up leg
-        finishes).  With contention, network legs queue FIFO on the
-        sender host's NIC (cross-host) or staging path (host-routed
-        same-host); without, they start as soon as ready — which makes
-        the uncontended, non-hierarchical schedule reproduce
-        ``pr.inter`` bit-for-bit.
+        network leg runs as :meth:`schedule_network` describes.
 
         ``eff_inter[i]`` replaces ``pr.inter[i]`` in the engines' round
         assembly; everything the flat model charges per device (send/recv
@@ -294,14 +267,9 @@ class Router:
         """
         n = len(pr.src)
         if n == 0:
-            return StepNetwork(np.empty(0), 0, 0, 0, 0.0)
+            return StepNetwork(np.empty(0), np.empty(0), 0, 0, 0, 0.0)
         c = self.cluster
         model = self.contention
-        host_of = self.host_of
-        hsrc = host_of[pr.src]
-        hdst = host_of[pr.dst]
-        loop = pr.src == pr.dst
-        cross = (hsrc != hdst) & ~loop
         up_service = pr.extraction + pr.d2h
 
         # ---- up stage: when each message clears its device's D2H lane --- #
@@ -312,6 +280,7 @@ class Router:
                 up_done[idx] = np.cumsum(up_service[idx])
         else:
             model.reset_clocks()
+            hsrc = self.host_of[pr.src]
             for i in range(n):
                 svc = float(up_service[i])
                 lane = ("pcie_up", int(pr.src[i]))
@@ -323,8 +292,38 @@ class Router:
                         [lane, ("cores", int(hsrc[i]))], 0.0, svc
                     )
                 up_done[i] = start + svc
+        return self.schedule_network(pr, up_done, hierarchical, keys)
 
-        # ---- network entities ------------------------------------------ #
+    def schedule_network(
+        self, pr: BatchLegTimes, ready: np.ndarray, hierarchical: bool = False,
+        keys=None,
+    ) -> StepNetwork:
+        """The one network-leg scheduler, under both engines.
+
+        ``ready[i]`` is when message ``i`` has cleared its device's up leg,
+        on the caller's clock: a BSP step's relative timeline (through
+        :meth:`route_step`, which resets the resource clocks first) or a
+        BASP flush's absolute departures (resource queues persist across
+        the run, so a NIC busy with an earlier flush delays this one).
+
+        The network leg runs per message, or per :class:`HostAggregate`
+        when ``hierarchical`` (one wire message per (src host, dst host[,
+        key]) — ``keys`` adds the per-message (field, phase) of a flush
+        that mixes them; the aggregate departs when its last member is
+        ready).  With contention, legs queue FIFO on the sender host's NIC
+        (cross-host) or staging path (host-routed same-host); without,
+        they start as soon as ready — which makes the uncontended,
+        non-hierarchical schedule reproduce ``pr.inter`` bit-for-bit.
+        A loop-back is done the moment it is ready.
+        """
+        n = len(pr.src)
+        c = self.cluster
+        model = self.contention
+        hsrc = self.host_of[pr.src]
+        hdst = self.host_of[pr.dst]
+        loop = pr.src == pr.dst
+        cross = (hsrc != hdst) & ~loop
+
         # (resource key | None, ready, service, member indices); order by
         # (ready, first member) for deterministic FIFO arrival at queues
         entities: list[tuple] = []
@@ -339,7 +338,7 @@ class Router:
                 service = c.network.time(agg.wire_bytes)
                 key = ("nic", agg.src_host) if model is not None else None
                 entities.append(
-                    (key, float(up_done[agg.members].max()), service, agg.members)
+                    (key, float(ready[agg.members].max()), service, agg.members)
                 )
         for i in np.flatnonzero(~loop):
             i = int(i)
@@ -352,27 +351,31 @@ class Router:
             else:
                 key = None  # GPUDirect P2P crossbars don't queue host-side
             entities.append(
-                (key, float(up_done[i]), float(pr.inter[i]),
+                (key, float(ready[i]), float(pr.inter[i]),
                  np.array([i], dtype=np.int64))
             )
         entities.sort(key=lambda e: (e[1], int(e[3][0])))
 
         eff = np.zeros(n)
-        for key, ready, service, members in entities:
+        done = np.array(ready, dtype=np.float64)
+        for key, t, service, members in entities:
+            start = model.acquire(key, t, service) if key is not None else t
+            done[members] = finish = start + service
             if key is None and len(members) == 1:
-                # unqueued singleton: starts the moment its up leg clears,
-                # so the effective span is exactly the flat leg time (and
-                # bitwise so — no (a + b) - a round trip)
+                # unqueued singleton: starts the moment it is ready, so the
+                # effective span is exactly the flat leg time (and bitwise
+                # so — no (a + b) - a round trip)
                 eff[members] = service
-                continue
-            start = model.acquire(key, ready, service) if key is not None else ready
-            eff[members] = (start + service) - up_done[members]
+            else:
+                eff[members] = finish - ready[members]
 
-        cross_count = int(np.count_nonzero(cross))
         n_aggs = len(aggregates)
         return StepNetwork(
             eff_inter=eff,
-            inter_host_messages=n_aggs if hierarchical else cross_count,
+            done=done,
+            inter_host_messages=(
+                n_aggs if hierarchical else int(np.count_nonzero(cross))
+            ),
             messages_saved=agg_members - n_aggs,
             aggregates=n_aggs,
             saved_bytes=float(sum(a.saved_bytes for a in aggregates)),

@@ -17,10 +17,11 @@ the identical fixpoint, which the integration tests assert.
 
 The stages live in :mod:`repro.engine.core`; this module is the BASP
 *policy*: the event loop over local clocks, arrival-ordered drain, per-flush
-pricing, network arrivals, and the throttle/overlap budgets.  A flush is
-priced as one batch and then split into light in-flight records that carry
-their receiver targets, values and priced H2D leg, so the drain neither
-re-prices nor re-resolves a plan.
+pricing, and the throttle/overlap budgets.  A flush is priced as one batch
+(its network legs scheduled by the router's one scheduler when contention
+or two-level sync is on) and then split into light in-flight records that
+carry their receiver targets, values and priced H2D leg, so the drain
+neither re-prices nor re-resolves a plan.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from repro.comm.buffers import pricing_columns
 from repro.comm.gluon import CommConfig
-from repro.comm.hier import group_cross_host
 from repro.engine.core import Engine, RoundCore
 from repro.engine.operator import RunContext, VertexProgram
 from repro.engine.result import RunResult
@@ -40,7 +40,6 @@ from repro.hw.cluster import Cluster
 from repro.hw.memory import MemoryProfile, DIRGL_PROFILE
 from repro.loadbalance.base import LoadBalancer
 from repro.partition.base import PartitionedGraph
-from repro.runtime.executors import thread_map
 
 __all__ = ["BASPEngine", "POLL_INTERVAL_S"]
 
@@ -85,9 +84,10 @@ class BASPEngine(Engine):
         redundant computation from stale reads.  ``0`` (the default) is
         unthrottled BASP as shipped in D-IrGL.
 
-        ``executor="threads"`` dispatches *provably independent* local
-        rounds concurrently (see ``run``); runs stay bit-identical to
-        serial.
+        ``executor`` is accepted because ``Framework.run`` builds both
+        engines from one argument list; a BASP event is one partition's
+        local round, so there is nothing to dispatch and both values run
+        the same loop.
 
         ``overlap_comm`` in [0, 1] mirrors BSP's async-copy hiding for
         local rounds: within one local round, the drained H2D legs and the
@@ -106,76 +106,6 @@ class BASPEngine(Engine):
             tracer, check,
         )
         self.throttle_wait = float(throttle_wait)
-
-    # ------------------------------------------------------------------ #
-    def _network_arrivals(self, departs, pr, flush):
-        """Schedule one send batch's network legs on the absolute clock.
-
-        Used only when contention and/or hierarchical sync is on.  Returns
-        ``(arrivals, wire messages, inter-host wire messages, aggregates,
-        wire bytes)``.  Resource queues persist across the whole run —
-        BASP's event clock is absolute, so a NIC busy with an earlier
-        flush delays this one.  Hierarchical aggregates group by
-        (src host, dst host, field, phase): one async flush can mix
-        fields and phases (``flush`` is its batches, in message order),
-        unlike a BSP sync step.
-        """
-        router = self.cost.router
-        c = router.cluster
-        model = router.contention
-        hier = self.comm.config.hierarchical
-        host_of = router.host_of
-        hsrc = host_of[pr.src]
-        hdst = host_of[pr.dst]
-        loop = pr.src == pr.dst
-        cross = (hsrc != hdst) & ~loop
-        n = len(pr.src)
-        arrivals = np.empty(n)
-        entities: list[tuple] = []
-        aggregates = []
-        agg_members = 0
-        if hier:
-            keys = [(b.field, b.phase) for b in flush for _ in range(len(b))]
-            aggregates = group_cross_host(
-                hsrc, hdst, cross, pr.scaled_bytes, router.volume_scale, keys
-            )
-            for agg in aggregates:
-                agg_members += len(agg.members)
-                service = c.network.time(agg.wire_bytes)
-                key = ("nic", agg.src_host) if model is not None else None
-                entities.append(
-                    (key, float(departs[agg.members].max()), service,
-                     agg.members)
-                )
-        for i in np.flatnonzero(~loop):
-            i = int(i)
-            if hier and cross[i]:
-                continue  # carried by its aggregate
-            if cross[i]:
-                key = ("nic", int(hsrc[i])) if model is not None else None
-            elif model is not None and not c.gpudirect:
-                key = ("staging", int(hsrc[i]))
-            else:
-                key = None  # GPUDirect P2P does not queue host-side
-            entities.append(
-                (key, float(departs[i]), float(pr.inter[i]),
-                 np.array([i], dtype=np.int64))
-            )
-        entities.sort(key=lambda e: (e[1], int(e[3][0])))
-        for key, ready, service, members in entities:
-            start = (
-                model.acquire(key, ready, service) if key is not None else ready
-            )
-            arrivals[members] = start + service
-        if loop.any():
-            arrivals[loop] = departs[loop]
-        n_aggs = len(aggregates)
-        wire_n = n - (agg_members - n_aggs)
-        inter_n = n_aggs if hier else int(np.count_nonzero(cross))
-        wire_bytes = float(pr.scaled_bytes.sum()) - float(
-            sum(a.saved_bytes for a in aggregates)
-        )
-        return arrivals, wire_n, inter_n, n_aggs, wire_bytes
 
     # ------------------------------------------------------------------ #
     def run(self, ctx: RunContext) -> RunResult:
@@ -209,27 +139,35 @@ class BASPEngine(Engine):
                 return True
             return topology and not residual[p] < ctx.tolerance
 
-        # Threaded dispatch applies only when the shared clock can prove
-        # independence: no fault injection (checks must interleave with
-        # events) and no throttle (it slides the drain horizon past peers'
-        # arrivals).  Contended/hierarchical runs and overlap hiding stay
-        # serial: resource queues and the hiding budget are shared state
-        # that must be acquired in global event order.
-        use_threads = (
-            self.executor == "threads"
-            and self.fault_plan is None
-            and self.throttle_wait == 0.0
-            and not netmode
-            and self.overlap_comm == 0.0
-        )
+        # ``ready[p]`` caches ``runnable(p)``.  It can only change where
+        # its inputs do: on the partition that just ran or an idle jump
+        # moved (re-probed), and on a receiver of a flush, which becomes
+        # runnable exactly when the new arrival is not after its clock —
+        # so the loop does not probe every partition every event.
+        ready = [runnable(p) for p in range(P)]
+        comm, router = core.comm, cost.router
+        while True:
+            cand = [p for p in range(P) if ready[p]]
+            if not cand:
+                if in_flight == 0:
+                    break  # global quiescence
+                # everyone idle: jump the earliest receiver to its arrival,
+                # plus one poll interval so co-arriving partner messages
+                # batch into a single local round
+                nxt, q = min(
+                    (inbox[p][0][0], p) for p in range(P) if inbox[p]
+                )
+                nxt += POLL_INTERVAL_S
+                wait_t[q] += max(nxt - local_time[q], 0.0)
+                local_time[q] = max(local_time[q], nxt)
+                ready[q] = runnable(q)
+                continue
 
-        def _local_round(p: int):
-            """One local round of partition ``p``: drain, compute, master,
-            flush.  Reads and writes only partition-local state
-            (``state[p]``, ``pending[p]``, ``inbox[p]``, ``p``'s dirty bits
-            and clock slots); shared effects — sequence numbers, inbox
-            pushes, network queues, global statistics — are returned for
-            the caller to apply in event order."""
+            # one event = one local round (drain, compute, master, flush)
+            # of the runnable partition with the smallest (local time, pid)
+            p = min(cand, key=local_time.__getitem__)
+            if self.fault_plan is not None:
+                self.fault_plan.check(p, local_rounds[p])
             t = local_time[p]
             r_ev = core.begin("local_round", "round", p, local_round=local_rounds[p])
             if self.throttle_wait > 0.0:
@@ -241,7 +179,6 @@ class BASPEngine(Engine):
 
             # -------- drain arrived messages, in arrival order ---------- #
             drained: dict = {}  # (field, phase) -> (targets, values) lists
-            n_in = 0
             round_h2d = 0.0  # drained recv legs, candidate for overlap hiding
             box = inbox[p]
             device = float(device_t[p])  # same float sequence, no boxing
@@ -250,7 +187,7 @@ class BASPEngine(Engine):
                 t += h2d
                 device += h2d
                 round_h2d += h2d
-                n_in += 1
+                in_flight -= 1
                 group = drained.get(key)
                 if group is None:
                     group = drained[key] = ([], [])
@@ -267,7 +204,6 @@ class BASPEngine(Engine):
 
             did_work = False
             round_compute = 0.0  # this round's hiding budget
-            edges = 0
             # -------- compute phase (only on a non-empty frontier) ------- #
             if len(frontier):
                 out = core.compute(p, frontier, pending)
@@ -275,7 +211,7 @@ class BASPEngine(Engine):
                 t += dt
                 compute_t[p] += dt
                 round_compute += dt
-                edges = out.edges_processed
+                stats.work_items += out.edges_processed
                 did_work = True
 
             # -------- sync plan (local) ---------------------------------- #
@@ -303,7 +239,7 @@ class BASPEngine(Engine):
                 t -= hidden
                 device_t[p] -= hidden
 
-            pr = departs = None
+            n_out = 0
             if flush:
                 # price the flush in one vectorized pass; each message still
                 # departs after the previous one finished its extraction and
@@ -312,6 +248,7 @@ class BASPEngine(Engine):
                 pr = core.price(
                     flush[0] if len(flush) == 1 else pricing_columns(flush)
                 )
+                n_out = len(pr.src)
                 send_cost = pr.extraction + pr.d2h
                 if self.overlap_comm > 0.0:
                     total = float(send_cost.sum())
@@ -325,103 +262,60 @@ class BASPEngine(Engine):
                 device_t[p] += float(send_cost.sum())
                 did_work = True
 
+                if netmode:
+                    # on the absolute clock: resource queues persist across
+                    # the run, and one flush can mix fields and phases, so
+                    # aggregates key on them too
+                    net = router.schedule_network(
+                        pr, departs, core.hier,
+                        [(b.field, b.phase) for b in flush for _ in range(len(b))],
+                    )
+                    arrivals = net.done
+                    wire_n = n_out - net.messages_saved
+                    inter_n = net.inter_host_messages
+                    wire_bytes = float(pr.scaled_bytes.sum()) - net.saved_bytes
+                    stats.hier_aggregates += net.aggregates
+                else:
+                    arrivals = departs + pr.inter
+                    wire_n, inter_n, wire_bytes = core.flat_wire(pr)
+                stats.comm_volume_bytes += wire_bytes
+                stats.num_messages += wire_n
+                stats.inter_host_messages += inter_n
+                # split the flush into in-flight records, in batch order
+                arrivals, h2d = arrivals.tolist(), pr.h2d.tolist()
+                i = 0
+                for batch in flush:
+                    key = (batch.field, batch.phase)
+                    for dst, targets, values in comm.records(batch):
+                        arrival = arrivals[i]
+                        heapq.heappush(
+                            inbox[dst],
+                            (arrival, seq, key, targets, values, h2d[i]),
+                        )
+                        if arrival <= local_time[dst]:
+                            ready[dst] = True
+                        i += 1
+                        seq += 1
+                in_flight += n_out
+
             if topology and not did_work and not len(frontier):
                 # quiescent topology partition: mark converged this pass
                 residual[p] = 0.0
             if tracer is not None:
                 tracer.end(
-                    r_ev,
-                    messages=0 if pr is None else len(pr.src),
-                    drained=n_activating,
-                    did_work=did_work,
+                    r_ev, messages=n_out, drained=n_activating, did_work=did_work
                 )
-            advanced = did_work or bool(len(frontier))
-            return float(t), n_in, edges, flush, pr, departs, advanced
-
-        # ``ready[p]`` caches ``runnable(p)``.  It can only change where
-        # its inputs do: on the partition that just ran or an idle jump
-        # moved (re-probed), and on a receiver of a flush, which becomes
-        # runnable exactly when the new arrival is not after its clock —
-        # so the loop does not probe every partition every event.
-        ready = [runnable(p) for p in range(P)]
-        comm = core.comm
-        while True:
-            cand = [p for p in range(P) if ready[p]]
-            if not cand:
-                if in_flight == 0:
-                    break  # global quiescence
-                # everyone idle: jump the earliest receiver to its arrival,
-                # plus one poll interval so co-arriving partner messages
-                # batch into a single local round
-                nxt, q = min(
-                    (inbox[p][0][0], p) for p in range(P) if inbox[p]
+            local_time[p] = float(t)
+            if did_work or len(frontier):
+                local_rounds[p] += 1
+                rounds_total += 1
+            ready[p] = runnable(p)
+            if core.watch is not None:
+                core.watch.observe(core.views, pid=p)
+            if rounds_total > max_local_rounds:
+                raise ConvergenceError(
+                    f"{app.name} (BASP) exceeded {max_local_rounds} local rounds"
                 )
-                nxt += POLL_INTERVAL_S
-                wait_t[q] += max(nxt - local_time[q], 0.0)
-                local_time[q] = max(local_time[q], nxt)
-                ready[q] = runnable(q)
-                continue
-
-            tmin = min(local_time[q] for q in cand)
-            group = [q for q in cand if local_time[q] == tmin]
-            if not use_threads or any(
-                inbox[q] and inbox[q][0][0] <= tmin for q in group
-            ):
-                del group[1:]  # serial: the smallest (local time, pid)
-                if self.fault_plan is not None:
-                    self.fault_plan.check(group[0], local_rounds[group[0]])
-            # A larger group is what serial execution would run back to
-            # back (ascending pid), none draining anything — and whatever
-            # they emit arrives strictly later than ``tmin``
-            # (POLL_INTERVAL_S > 0).  Their rounds are pairwise independent,
-            # so they run concurrently and the shared effects are replayed
-            # in pid order below for a bit-identical schedule.
-            results = thread_map(_local_round, group)
-
-            for p, (t, n_in, edges, flush, pr, departs, advanced) in zip(
-                group, results
-            ):
-                in_flight -= n_in
-                stats.work_items += edges
-                local_time[p] = t
-                if flush:
-                    if netmode:
-                        arrivals, wire_n, inter_n, aggs, wire_bytes = (
-                            self._network_arrivals(departs, pr, flush)
-                        )
-                        stats.hier_aggregates += aggs
-                    else:
-                        arrivals = departs + pr.inter
-                        wire_n, inter_n, wire_bytes = core.flat_wire(pr)
-                    stats.comm_volume_bytes += wire_bytes
-                    stats.num_messages += wire_n
-                    stats.inter_host_messages += inter_n
-                    # split the flush into in-flight records, in batch order
-                    arrivals, h2d = arrivals.tolist(), pr.h2d.tolist()
-                    i = 0
-                    for batch in flush:
-                        key = (batch.field, batch.phase)
-                        for dst, targets, values in comm.records(batch):
-                            arrival = arrivals[i]
-                            heapq.heappush(
-                                inbox[dst],
-                                (arrival, seq, key, targets, values, h2d[i]),
-                            )
-                            if arrival <= local_time[dst]:
-                                ready[dst] = True
-                            i += 1
-                            seq += 1
-                    in_flight += len(arrivals)
-                if advanced:
-                    local_rounds[p] += 1
-                    rounds_total += 1
-                ready[p] = runnable(p)
-                if core.watch is not None:
-                    core.watch.observe(core.views, pid=p)
-                if rounds_total > max_local_rounds:
-                    raise ConvergenceError(
-                        f"{app.name} (BASP) exceeded {max_local_rounds} local rounds"
-                    )
 
         # ------------------------------------------------------------------ #
         if core.check_full:

@@ -56,7 +56,6 @@ class BSPEngine(Engine):
         memory_profile: MemoryProfile = DIRGL_PROFILE,
         check_memory: bool = True,
         overlap_comm: float = 0.0,
-        recorder=None,
         fault_plan=None,
         executor: str = "serial",
         tracer=None,
@@ -66,12 +65,11 @@ class BSPEngine(Engine):
         host-device communication under the computation phase (async
         cudaMemcpy + double buffering) — the paper's other recommended
         improvement ("overlapping communication with computation",
-        Section V-C).  ``recorder`` (a :class:`repro.metrics.Recorder`)
-        captures per-round telemetry.  ``executor`` selects how the
-        per-partition compute phase is dispatched: ``"serial"`` (the
-        reference loop) or ``"threads"`` (a shared ``ThreadPoolExecutor``;
-        numpy kernels release the GIL).  Threaded results are merged in
-        fixed partition order, so runs are bit-identical either way.
+        Section V-C).  ``executor`` selects how the per-partition compute
+        phase is dispatched: ``"serial"`` (the reference loop) or
+        ``"threads"`` (a shared ``ThreadPoolExecutor``; numpy kernels
+        release the GIL).  Threaded results are merged in fixed partition
+        order, so runs are bit-identical either way.
         ``tracer`` and ``check`` are documented on
         :class:`~repro.engine.core.Engine`."""
         super().__init__(
@@ -79,7 +77,6 @@ class BSPEngine(Engine):
             memory_profile, check_memory, overlap_comm, fault_plan, executor,
             tracer, check,
         )
-        self.recorder = recorder
 
     # ------------------------------------------------------------------ #
     def run(self, ctx: RunContext) -> RunResult:
@@ -262,8 +259,6 @@ class BSPEngine(Engine):
                 # against its reduce direction this round
                 core.check_post_sync()
                 core.watch.observe(core.views)
-            if self.recorder is not None:
-                self.recorder.on_round(rec)
             if tracer is not None:
                 core.round_sim(
                     compute_t, wait, device_t, round=rnd, duration_s=duration

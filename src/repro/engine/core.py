@@ -142,9 +142,10 @@ class RoundCore:
         self.topology = app.driven != "data"
 
         # host-aware communication: two-level sync and/or shared-resource
-        # queues reroute the network legs (BSP through ``route_step``,
-        # BASP through ``_network_arrivals``); with both off the flat
-        # per-message pricing is used untouched
+        # queues reroute the network legs through the router's one
+        # scheduler, ``Router.schedule_network`` (a BSP step on its own
+        # relative timeline via ``route_step``, a BASP flush on the absolute
+        # clock); with both off the flat per-message pricing is used untouched
         self.hier = self.comm.config.hierarchical
         self.netmode = self.hier or self.cost.contention is not None
         self.host_of = self.cost.router.host_of

@@ -12,7 +12,8 @@ The subsystem has three pieces:
 * an **ambient tracer** — a module-global default used by layers that
   have no kwarg plumbing to a particular engine instance (the partition
   cache, ``run_task``).  It is process-global, *not* thread-local,
-  because the engines' thread executors must share the cell's tracer.
+  because the BSP compute phase's worker threads must share the cell's
+  tracer.
 
 Zero-overhead contract: with no tracer configured (the default),
 ``current_tracer()`` returns ``None`` and every instrumentation site

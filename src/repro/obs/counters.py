@@ -1,8 +1,7 @@
 """Unified named counters for the tracing/observability layer.
 
-Counters were previously ad hoc: :class:`repro.partition.cache.CacheStats`
-keeps four ints of its own, and :class:`repro.metrics.Recorder` sums per
-round quantities on demand.  :class:`CounterRegistry` gives every layer one
+Counters were previously ad hoc (:class:`repro.partition.cache.CacheStats`
+keeps ints of its own).  :class:`CounterRegistry` gives every layer one
 thread-safe place to accumulate named monotonic counters; the exporters
 emit them as Chrome ``C`` (counter) events and CSV rows, and
 ``repro-trace summarize`` folds them into its per-phase table.

@@ -11,8 +11,8 @@ creation.  Design constraints, in order:
   (see ``repro.engine.core.Engine.__init__``) and guard with one
   ``is not None`` check; a disabled ``Tracer`` additionally returns ``None`` from
   :meth:`begin` so stray un-normalized call sites also no-op;
-* **thread-safe** — the engines' ``executor="threads"`` mode and the BASP
-  independent-round dispatch record spans from worker threads;
+* **thread-safe** — BSP's ``executor="threads"`` compute phase records
+  spans from worker threads (a BASP event is one partition; it has none);
 * **null-object friendly** — every method is safe to call on a disabled
   tracer, so call sites never need enabled checks for correctness, only
   for speed.

@@ -6,7 +6,6 @@ from repro.partition.hvc import hvc
 from repro.partition.cvc import cvc
 from repro.partition.random_part import random_vertex_cut
 from repro.partition.metis_like import metis_like
-from repro.partition.xtrapulp_like import xtrapulp_like
 from repro.partition.jagged import jagged
 from repro.partition.io import load_partitions, save_partitions
 from repro.partition.stats import PartitionStats, partition_stats
@@ -23,7 +22,6 @@ __all__ = [
     "cvc",
     "random_vertex_cut",
     "metis_like",
-    "xtrapulp_like",
     "jagged",
     "save_partitions",
     "load_partitions",

@@ -143,17 +143,19 @@ class PartitionCache:
             pass
 
     # ------------------------------------------------------------------ #
-    def lookup_or_build(
-        self, graph: CSRGraph, policy: str, num_partitions: int, builder
-    ) -> PartitionedGraph:
-        """Return a cached partitioning or build (and cache) a fresh one.
+    def _probe(
+        self, graph: CSRGraph, key: tuple[str, str, int]
+    ) -> PartitionedGraph | None:
+        """The one memory-then-disk probe under :meth:`lookup_or_build`
+        and :meth:`get`: the cached partitioning for ``key``, or ``None``.
 
-        ``builder`` is called as ``builder(graph, num_partitions)`` only on
-        a full miss.
+        A disk hit is promoted into memory and refreshes disk recency.  An
+        entry that cannot be read is a miss, never an error — the cache is
+        best-effort — but it is a *reported* miss: a log line, the
+        ``cache.disk_load`` span's ``outcome`` and a counter say which.
         """
-        key = self.key_for(graph, policy, num_partitions)
         tracer = obs.current_tracer()
-        tr_args = {"policy": policy, "num_partitions": num_partitions}
+        tr_args = {"policy": key[1], "num_partitions": key[2]}
         with self._lock:
             pg = self._lru.get(key)
             if pg is not None:
@@ -164,38 +166,64 @@ class PartitionCache:
                     tracer.instant("cache.memory_hit", "cache", args=tr_args)
                 return pg
         path = self._disk_path(key)
-        if path and os.path.exists(path):
-            ev = None
-            if tracer is not None:
-                ev = tracer.begin("cache.disk_load", "cache", args=tr_args)
-            try:
-                if self.spill_shards:
-                    pg = load_partition_shards(path, graph)
-                else:
-                    pg = load_partitions(path, graph)
-            except FileNotFoundError:
-                # a sibling worker pruned the entry between the existence
-                # check and the load: an ordinary miss, not corruption
-                log.debug("cache entry %s vanished mid-load", path)
-            except Exception:  # corrupt/stale file: rebuild below
-                log.warning("discarding unreadable cache file %s", path)
-            else:
-                self.stats.disk_hits += 1
-                self._touch(path)  # LRU recency for the disk byte cap
-                if tracer is not None:
-                    tracer.end(ev)
-                    tracer.count("partition.cache.disk_hits")
-                self._remember(key, pg)
-                return pg
+        if not path or not os.path.exists(path):
+            return None
         ev = None
         if tracer is not None:
-            ev = tracer.begin("cache.build", "cache", args=tr_args)
+            ev = tracer.begin("cache.disk_load", "cache", args=tr_args)
+        outcome = "hit"
+        try:
+            if self.spill_shards:
+                pg = load_partition_shards(path, graph)
+            else:
+                pg = load_partitions(path, graph)
+        except FileNotFoundError:
+            # a sibling worker pruned the entry between the existence
+            # check and the load: an ordinary miss, not corruption
+            outcome = "vanished"
+            log.debug("cache entry %s vanished mid-load", path)
+        except Exception:  # corrupt/stale file: the caller rebuilds
+            outcome = "corrupt"
+            log.warning("discarding unreadable cache file %s", path)
+        else:
+            self.stats.disk_hits += 1
+            self._touch(path)  # LRU recency for the disk byte cap
+            self._remember(key, pg)
+        if tracer is not None:
+            tracer.end(ev, outcome=outcome)
+            if outcome != "vanished":
+                tracer.count(
+                    "partition.cache.disk_hits" if outcome == "hit"
+                    else "partition.cache.discarded"
+                )
+        return pg
+
+    def lookup_or_build(
+        self, graph: CSRGraph, policy: str, num_partitions: int, builder
+    ) -> PartitionedGraph:
+        """Return a cached partitioning or build (and cache) a fresh one.
+
+        ``builder`` is called as ``builder(graph, num_partitions)`` only on
+        a full miss.
+        """
+        key = self.key_for(graph, policy, num_partitions)
+        pg = self._probe(graph, key)
+        if pg is not None:
+            return pg
+        tracer = obs.current_tracer()
+        ev = None
+        if tracer is not None:
+            ev = tracer.begin(
+                "cache.build", "cache",
+                args={"policy": policy, "num_partitions": num_partitions},
+            )
         pg = builder(graph, num_partitions)
         self.stats.builds += 1
         if tracer is not None:
             tracer.end(ev)
             tracer.count("partition.cache.builds")
         self._remember(key, pg)
+        path = self._disk_path(key)
         if path:
             self._store(path, pg)
         return pg
@@ -208,27 +236,7 @@ class PartitionCache:
         Checks the in-memory LRU first, then the disk store (a hit is
         promoted into memory and refreshes disk recency).  Never builds.
         """
-        key = self.key_for(graph, policy, num_partitions)
-        with self._lock:
-            pg = self._lru.get(key)
-            if pg is not None:
-                self._lru.move_to_end(key)
-                self.stats.memory_hits += 1
-                return pg
-        path = self._disk_path(key)
-        if path and os.path.exists(path):
-            try:
-                if self.spill_shards:
-                    pg = load_partition_shards(path, graph)
-                else:
-                    pg = load_partitions(path, graph)
-            except Exception:
-                return None
-            self.stats.disk_hits += 1
-            self._touch(path)
-            self._remember(key, pg)
-            return pg
-        return None
+        return self._probe(graph, self.key_for(graph, policy, num_partitions))
 
     def put(
         self, graph: CSRGraph, policy: str, num_partitions: int,
@@ -282,11 +290,13 @@ class PartitionCache:
                         os.unlink(tmp)
         except OSError as e:  # disk full / permissions: cache is best-effort
             log.warning("could not persist partitions to %s: %s", path, e)
+            if tracer is not None:
+                tracer.end(ev, outcome="failed")
             return
         self._stamp_new(path)
         self.stats.stores += 1
         if tracer is not None:
-            tracer.end(ev)
+            tracer.end(ev, outcome="stored")
             tracer.count("partition.cache.stores")
         self._prune_disk()
 

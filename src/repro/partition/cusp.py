@@ -23,7 +23,6 @@ from repro.partition.edgecut import iec, oec
 from repro.partition.hvc import hvc
 from repro.partition.metis_like import metis_like
 from repro.partition.random_part import random_vertex_cut
-from repro.partition.xtrapulp_like import xtrapulp_like
 from repro.partition.jagged import jagged
 
 __all__ = ["POLICIES", "partition", "clear_partition_cache"]
@@ -35,7 +34,6 @@ POLICIES: dict[str, Callable[[CSRGraph, int], PartitionedGraph]] = {
     "cvc": cvc,
     "random": random_vertex_cut,
     "metis-like": metis_like,
-    "xtrapulp-like": xtrapulp_like,
     "jagged": jagged,
 }
 

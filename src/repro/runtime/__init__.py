@@ -1,7 +1,7 @@
 """Parallel execution runtime: sweep fan-out, cell specs, compute pool.
 
-Import structure matters here: the engines import
-:mod:`repro.runtime.executors` (stdlib-only) for their threaded compute
+Import structure matters here: the BSP engine imports
+:mod:`repro.runtime.executors` (stdlib-only) for its threaded compute
 phase, so this package initializer must not eagerly import the cell /
 sweep modules — those pull in frameworks, which pull in the engines.
 They are exposed lazily instead (PEP 562).

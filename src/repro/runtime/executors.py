@@ -1,6 +1,6 @@
-"""Shared thread-pool plumbing for the engines' threaded compute phase.
+"""Shared thread-pool plumbing for the BSP engine's threaded compute phase.
 
-Stdlib-only on purpose: the engines import this module, so it must not
+Stdlib-only on purpose: the engine imports this module, so it must not
 pull in any repro package that (transitively) imports the engines.
 
 The pool is process-global and lazy: numpy kernels release the GIL, so a

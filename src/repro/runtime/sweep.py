@@ -207,36 +207,54 @@ class SweepExecutor:
     def map(
         self, specs: Sequence[CellSpec | PartitionStatsSpec]
     ) -> list[CellOutcome]:
-        """Run every spec; outcomes come back in submission order."""
+        """Run every spec; outcomes come back in submission order.
+
+        The unit of dispatch is a batch of spec indices: a dataset group
+        under ``shard_plan``, else a single cell.  Batches go to the pool
+        when there is one to fill; whatever the pool has not accounted for
+        — everything when ``jobs <= 1``, the unharvested rest after a
+        worker died — runs in this process.
+        """
         specs = [self._prepare(s) for s in specs]
+        total = len(specs)
+        results: list[Optional[CellOutcome]] = [None] * total
         if self.shard_plan:
-            return self._map_shard_plan(specs)
-        if self.jobs <= 1 or len(specs) <= 1:
-            return self._map_serial(specs)
-        results: list[Optional[CellOutcome]] = [None] * len(specs)
-        try:
-            self._map_pool(specs, results)
-        except BrokenProcessPool:
-            remaining = [i for i, out in enumerate(results) if out is None]
-            log.warning(
-                "process pool broke (worker died); re-running %d of %d "
-                "cells serially (%d completed outcomes kept)",
-                len(remaining),
-                len(specs),
-                len(specs) - len(remaining),
-            )
-            self.close()
-            done = len(specs) - len(remaining)
-            for i in remaining:
-                out = run_task(specs[i])
-                done += 1
-                self._log_progress(done, len(specs), out)
+            batches = self._shard_batches(specs)
+        else:
+            batches = [[i] for i in range(total)]
+        done = 0
+
+        def harvest(idxs, outs) -> None:
+            nonlocal done
+            for i, out in zip(idxs, outs if self.shard_plan else (outs,)):
                 results[i] = out
+                done += 1
+                self._log_progress(done, total, out)
+
+        if self.jobs > 1 and len(batches) > 1:
+            try:
+                self._map_pool(specs, batches, harvest)
+            except BrokenProcessPool:
+                log.warning(
+                    "process pool broke (worker died); re-running %d of %d "
+                    "cells serially (%d completed outcomes kept)",
+                    total - done, total, done,
+                )
+                self.close()
+        for idxs in batches:
+            if results[idxs[0]] is None:  # a batch is harvested whole
+                fn, arg = self._task(specs, idxs)
+                harvest(idxs, fn(arg))
         return results  # type: ignore[return-value]
 
-    # ------------------------------------------------------------------ #
-    # shard_plan: batch dispatch grouped by dataset
-    # ------------------------------------------------------------------ #
+    def _task(self, specs, idxs: list[int]):
+        """``(function, argument)`` that runs one batch: the group through
+        ``run_task_batch`` (one graph open per worker) under
+        ``shard_plan``, else the single cell through ``run_task``."""
+        if self.shard_plan:
+            return run_task_batch, [specs[i] for i in idxs]
+        return run_task, specs[idxs[0]]
+
     def _shard_batches(self, specs) -> list[list[int]]:
         """Spec indices grouped by dataset, each group split into at most
         ``jobs`` contiguous sub-batches.
@@ -251,7 +269,7 @@ class SweepExecutor:
         for i, s in enumerate(specs):
             groups.setdefault(getattr(s, "dataset", ""), []).append(i)
         fan_out = 1
-        if self.jobs > 1 and len(groups) < self.jobs:
+        if self.jobs > 1 and 0 < len(groups) < self.jobs:
             fan_out = max(1, self.jobs // len(groups))
         batches: list[list[int]] = []
         for idxs in groups.values():
@@ -261,51 +279,14 @@ class SweepExecutor:
                 batches.append(idxs[j : j + size])
         return batches
 
-    def _map_shard_plan(self, specs) -> list[CellOutcome]:
-        if not specs:
-            return []
-        batches = self._shard_batches(specs)
-        results: list[Optional[CellOutcome]] = [None] * len(specs)
-        if self.jobs <= 1 or len(batches) <= 1:
-            done = 0
-            for idxs in batches:
-                for i, out in zip(idxs, run_task_batch([specs[i] for i in idxs])):
-                    results[i] = out
-                    done += 1
-                    self._log_progress(done, len(specs), out)
-            return results  # type: ignore[return-value]
-        try:
-            self._map_pool_batches(specs, batches, results)
-        except BrokenProcessPool:
-            remaining = [
-                idxs for idxs in batches if results[idxs[0]] is None
-            ]
-            log.warning(
-                "process pool broke (worker died); re-running %d of %d "
-                "batches serially",
-                len(remaining), len(batches),
-            )
-            self.close()
-            done = sum(1 for out in results if out is not None)
-            for idxs in remaining:
-                for i, out in zip(idxs, run_task_batch([specs[i] for i in idxs])):
-                    results[i] = out
-                    done += 1
-                    self._log_progress(done, len(specs), out)
-        return results  # type: ignore[return-value]
-
-    def _map_pool_batches(
-        self, specs, batches: list[list[int]],
-        results: list[Optional[CellOutcome]],
-    ) -> None:
-        """Scatter batch outcomes into ``results`` as they complete, so
-        finished batches survive a mid-sweep :class:`BrokenProcessPool`."""
+    def _map_pool(self, specs, batches: list[list[int]], harvest) -> None:
+        """The one pool dispatch loop: submit every batch, ``harvest`` each
+        as it completes, so finished outcomes survive a mid-sweep
+        :class:`BrokenProcessPool` for the caller to keep."""
         pool = self._get_pool()
         batch_of = {
-            pool.submit(run_task_batch, [specs[i] for i in idxs]): idxs
-            for idxs in batches
+            pool.submit(*self._task(specs, idxs)): idxs for idxs in batches
         }
-        done = sum(1 for out in results if out is not None)
         pending = set(batch_of)
         broken: Optional[BrokenProcessPool] = None
         try:
@@ -315,54 +296,11 @@ class SweepExecutor:
                     try:
                         outs = fut.result()
                     except BrokenProcessPool as e:
-                        broken = e
-                        continue
-                    for i, out in zip(batch_of[fut], outs):
-                        results[i] = out
-                        done += 1
-                        self._log_progress(done, len(specs), out)
-        except BaseException:
-            for fut in pending:
-                fut.cancel()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
-            raise
-        if broken is not None:
-            raise broken
-
-    def _map_serial(self, specs) -> list[CellOutcome]:
-        results = []
-        for i, spec in enumerate(specs):
-            out = run_task(spec)
-            self._log_progress(i + 1, len(specs), out)
-            results.append(out)
-        return results
-
-    def _map_pool(
-        self, specs, results: list[Optional[CellOutcome]]
-    ) -> list[Optional[CellOutcome]]:
-        """Fill ``results`` in place so completed outcomes survive a
-        mid-sweep :class:`BrokenProcessPool` for the caller to keep."""
-        pool = self._get_pool()
-        index_of = {pool.submit(run_task, s): i for i, s in enumerate(specs)}
-        done = sum(1 for out in results if out is not None)
-        pending = set(index_of)
-        broken: Optional[BrokenProcessPool] = None
-        try:
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    try:
-                        out = fut.result()
-                    except BrokenProcessPool as e:
                         # Keep draining: futures that completed before the
                         # break still hold results we must not discard.
                         broken = e
                         continue
-                    results[index_of[fut]] = out
-                    done += 1
-                    self._log_progress(done, len(specs), out)
+                    harvest(batch_of[fut], outs)
         except BaseException:
             # A real bug (non-ReproError) escaped a cell: don't leave the
             # rest of the matrix running in orphaned workers.
@@ -374,7 +312,6 @@ class SweepExecutor:
             raise
         if broken is not None:
             raise broken
-        return results
 
     @staticmethod
     def _log_progress(done: int, total: int, out: CellOutcome) -> None:

@@ -86,14 +86,6 @@ class TestRouter:
         assert r.extraction_time(msg(scanned=0)) == 0.0
         assert r.extraction_time(msg(scanned=100000)) > 0.0
 
-    def test_route_arrival(self):
-        r = Router(bridges(4))
-        routed = r.route(msg(), depart=5.0)
-        assert routed.arrival == pytest.approx(5.0 + routed.legs.total)
-        assert routed.legs.device_legs == pytest.approx(
-            routed.legs.d2h + routed.legs.h2d
-        )
-
     def test_serialization_dominates_large_messages(self):
         """The per-element host cost is the device-comm bottleneck — the
         model behind the paper's GPUDirect recommendation."""

@@ -9,7 +9,6 @@ dict iteration, an unstable sort, or a float reassociation.
 """
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ APPS = ("bfs", "cc", "kcore", "pr", "sssp")
 ENGINES = {"bsp": BSPEngine, "basp": BASPEngine}
 
 
-def _one_run(app_name: str, engine: str, executor: str = "serial", tracer=None):
+def _one_run(app_name: str, engine: str, executor: str = "serial"):
     """Build everything from scratch and run once."""
     g = add_random_weights(rmat(9, edge_factor=8, seed=3), seed=0)
     sym = add_random_weights(make_undirected(g), seed=1)
@@ -45,7 +44,6 @@ def _one_run(app_name: str, engine: str, executor: str = "serial", tracer=None):
         comm_config=CommConfig(update_only=True),
         check_memory=False,
         executor=executor,
-        tracer=tracer,
     )
     return eng.run(ctx)
 
@@ -83,35 +81,6 @@ def test_threads_executor_bit_identical(app, engine):
     _assert_results_identical(
         _one_run(app, engine), _one_run(app, engine, executor="threads")
     )
-
-
-def test_basp_threaded_group_traces_like_serial(monkeypatch):
-    """The threaded group runs the same local round the serial path does:
-    both executors emit the same multiset of events, span args included
-    (cc starts every partition at t=0 with an empty inbox, so the group
-    fires on the first event)."""
-    from repro.obs import Tracer
-    from repro.runtime import executors
-
-    pooled = []
-    get_pool = executors._get_pool
-    monkeypatch.setattr(
-        executors, "_get_pool", lambda: pooled.append(1) or get_pool()
-    )
-
-    def events(executor):
-        tracer = Tracer()
-        _one_run("cc", "basp", executor=executor, tracer=tracer)
-        return Counter(
-            (e["name"], e["cat"], e["tid"], tuple(sorted(e["args"])))
-            for e in tracer.events()
-        )
-
-    serial = events("serial")
-    assert not pooled
-    threaded = events("threads")
-    assert pooled  # a group of several partitions went to the pool
-    assert threaded == serial
 
 
 def test_sweep_process_pool_bit_identical():

@@ -1,5 +1,4 @@
-"""Tests for the extension features: bc, tc, GPUDirect, overlap, DGX-2,
-and the telemetry recorder."""
+"""Tests for the extension features: bc, tc, GPUDirect, overlap and DGX-2."""
 
 import networkx as nx
 import numpy as np
@@ -14,7 +13,6 @@ from repro.generators import rmat
 from repro.graph import to_networkx
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import bridges, dgx2, tuxedo
-from repro.metrics import Recorder
 from repro.partition import partition
 from repro.validation.reference import reference_bc_single_source
 
@@ -149,38 +147,3 @@ class TestGPUDirectAndOverlap:
         from repro.validation import reference_bfs
 
         assert np.array_equal(res.labels, reference_bfs(g, bc_ctx.source))
-
-
-class TestRecorder:
-    def test_records_rounds(self, g, bc_ctx):
-        pg = partition(g, "cvc", 4)
-        rec = Recorder()
-        res = BSPEngine(
-            pg, bridges(4), get_app("bfs"), check_memory=False, recorder=rec,
-        ).run(bc_ctx)
-        assert len(rec) == res.stats.rounds
-
-    def test_csv_export(self, g, bc_ctx, tmp_path):
-        pg = partition(g, "cvc", 4)
-        rec = Recorder()
-        BSPEngine(
-            pg, bridges(4), get_app("bfs"), check_memory=False, recorder=rec,
-        ).run(bc_ctx)
-        path = tmp_path / "rounds.csv"
-        text = rec.to_csv(path)
-        assert path.exists()
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("round,")
-        assert len(lines) == len(rec) + 1
-
-    def test_analyses(self, g, bc_ctx):
-        pg = partition(g, "cvc", 4)
-        rec = Recorder()
-        BSPEngine(
-            pg, bridges(4), get_app("bfs"), check_memory=False, recorder=rec,
-        ).run(bc_ctx)
-        assert rec.average_message_bytes() > 0
-        assert 0 <= rec.peak_round() < len(rec)
-        profile = rec.work_profile()
-        assert profile.sum() > 0
-        assert profile[rec.peak_round()] == profile.max()

@@ -1,5 +1,7 @@
 """Tests for the content-hash partition cache (memory LRU + disk store)."""
 
+import dataclasses
+import logging
 import os
 
 import numpy as np
@@ -7,8 +9,15 @@ import pytest
 
 from repro.generators import rmat
 from repro.graph import from_edges
+from repro.obs import Tracer, use_tracer
 from repro.partition import partition
-from repro.partition.cache import PartitionCache, clear, configure, get_cache
+from repro.partition.cache import (
+    CacheStats,
+    PartitionCache,
+    clear,
+    configure,
+    get_cache,
+)
 from repro.partition.cusp import POLICIES
 
 
@@ -33,6 +42,13 @@ def _counting_builder(policy):
         return POLICIES[policy](graph, num_partitions)
 
     return builder, calls
+
+
+def _outcomes(tracer, span_name):
+    """The ``outcome`` arg of every recorded ``span_name`` span, in order."""
+    return [
+        e["args"]["outcome"] for e in tracer.events() if e["name"] == span_name
+    ]
 
 
 def _assert_partitions_equal(a, b):
@@ -139,9 +155,14 @@ class TestDiskStore:
 
         monkeypatch.setattr("repro.partition.cache.tempfile.mkstemp", boom)
         builder, _ = _counting_builder("oec")
-        pg = cache.lookup_or_build(g, "oec", 2, builder)  # must not raise
+        tracer = Tracer()
+        with use_tracer(tracer):
+            pg = cache.lookup_or_build(g, "oec", 2, builder)  # must not raise
         pg.validate()
         assert cache.stats.stores == 0
+        # the time spent on the failed write still leaves an event
+        assert _outcomes(tracer, "cache.store") == ["failed"]
+        assert tracer.counters.get("partition.cache.stores") == 0
 
 
 class TestGlobalCache:
@@ -339,9 +360,13 @@ class TestConcurrentEvictionRaces:
             raise FileNotFoundError(p)
 
         monkeypatch.setattr(mod, "load_partitions", vanishing_load)
-        pg = cache.lookup_or_build(g, "oec", 2, builder)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            pg = cache.lookup_or_build(g, "oec", 2, builder)
         assert pg is not None
         assert len(calls) == 2  # rebuilt, not crashed
+        assert _outcomes(tracer, "cache.disk_load") == ["vanished"]
+        assert tracer.counters.get("partition.cache.discarded") == 0
 
     def test_prune_skips_entry_deleted_mid_walk(
         self, g, tmp_path, monkeypatch
@@ -408,3 +433,63 @@ class TestPutGet:
         warm = PartitionCache(cache_dir=store)
         warm.get(g, "oec", 2)
         assert os.path.getmtime(path) > 1
+
+
+class TestOneProbe:
+    """``get`` and ``lookup_or_build`` share one memory-then-disk probe:
+    the same counters, the same warnings, the same spans."""
+
+    def test_tracer_counters_equal_cache_stats(self, g, tmp_path):
+        cache = PartitionCache(cache_dir=str(tmp_path / "pcache"))
+        builder, _ = _counting_builder("oec")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert cache.get(g, "oec", 2) is None
+            cache.lookup_or_build(g, "oec", 2, builder)  # build + store
+            cache.get(g, "oec", 2)  # memory hit
+            cache.put(g, "cvc", 2, POLICIES["cvc"](g, 2))  # store
+            cache.clear_memory()
+            cache.get(g, "cvc", 2)  # disk hit
+            cache.lookup_or_build(g, "oec", 2, builder)  # disk hit
+            cache.lookup_or_build(g, "oec", 2, builder)  # memory hit
+        assert cache.stats == CacheStats(
+            memory_hits=2, disk_hits=2, builds=1, stores=2
+        )
+        counted = {
+            f.name: tracer.counters.get(f"partition.cache.{f.name}")
+            for f in dataclasses.fields(CacheStats)
+        }
+        assert counted == dataclasses.asdict(cache.stats)
+
+    @pytest.mark.parametrize("spill_shards", [False, True])
+    def test_truncated_entry_is_a_reported_miss(
+        self, g, tmp_path, caplog, spill_shards
+    ):
+        store = str(tmp_path / "pcache")
+        PartitionCache(cache_dir=store, spill_shards=spill_shards).put(
+            g, "oec", 2, POLICIES["oec"](g, 2)
+        )
+        cache = PartitionCache(cache_dir=store, spill_shards=spill_shards)
+        path = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
+        victim = os.path.join(path, "owner.npy") if spill_shards else path
+        os.truncate(victim, os.path.getsize(victim) // 2)
+
+        builder, calls = _counting_builder("oec")
+        tracer = Tracer()
+        with use_tracer(tracer), caplog.at_level(
+            logging.WARNING, logger="repro.partition.cache"
+        ):
+            assert cache.get(g, "oec", 2) is None
+            cache.lookup_or_build(g, "oec", 2, builder).validate()  # rebuilt
+            cache.clear_memory()
+            assert cache.get(g, "oec", 2) is not None  # and stored again
+        assert calls == [("oec", 2)]
+        # both entry points end the load span and say what happened
+        assert _outcomes(tracer, "cache.disk_load") == ["corrupt", "corrupt", "hit"]
+        assert tracer.counters.get("partition.cache.discarded") == 2
+        assert tracer.counters.get("partition.cache.disk_hits") == 1
+        warned = [
+            r for r in caplog.records
+            if "discarding unreadable cache file" in r.getMessage()
+        ]
+        assert len(warned) == 2

@@ -1,4 +1,4 @@
-"""Tests for the XtraPulp-like partitioner and partition serialization."""
+"""Tests for partition serialization."""
 
 import numpy as np
 import pytest
@@ -8,57 +8,13 @@ from repro.generators import rmat, webcrawl
 from repro.partition import (
     load_partitions,
     partition,
-    partition_stats,
     save_partitions,
-    xtrapulp_like,
 )
 
 
 @pytest.fixture(scope="module")
 def crawl():
     return webcrawl(3000, 12.0, seed=2)
-
-
-class TestXtraPulpLike:
-    def test_valid_partitioning(self, crawl):
-        pg = xtrapulp_like(crawl, 8)
-        pg.validate()
-
-    def test_balance_constraint_respected(self, crawl):
-        pg = xtrapulp_like(crawl, 8, imbalance=1.10)
-        s = partition_stats(pg)
-        assert s.static_balance <= 1.25  # slack for seed imbalance
-
-    def test_locality_beats_blocked_iec_on_crawl(self, crawl):
-        xp = partition_stats(xtrapulp_like(crawl, 8))
-        iec = partition_stats(partition(crawl, "iec", 8, cache=False))
-        assert xp.replication_factor < iec.replication_factor
-
-    def test_more_sweeps_do_not_hurt_cut(self, crawl):
-        one = partition_stats(xtrapulp_like(crawl, 8, sweeps=1))
-        three = partition_stats(xtrapulp_like(crawl, 8, sweeps=3))
-        assert three.replication_factor <= one.replication_factor * 1.02
-
-    def test_registered_policy(self, crawl):
-        pg = partition(crawl, "xtrapulp-like", 4, cache=False)
-        assert pg.policy == "xtrapulp-like"
-
-    def test_runs_through_engine(self, crawl):
-        from repro.apps import get_app
-        from repro.engine import BSPEngine, RunContext
-        from repro.hw import bridges
-        from repro.validation import reference_bfs
-
-        src = int(np.argmax(crawl.out_degrees()))
-        ctx = RunContext(
-            num_global_vertices=crawl.num_vertices, source=src,
-            global_out_degrees=crawl.out_degrees(),
-        )
-        pg = partition(crawl, "xtrapulp-like", 8, cache=False)
-        res = BSPEngine(
-            pg, bridges(8), get_app("bfs"), check_memory=False
-        ).run(ctx)
-        assert np.array_equal(res.labels, reference_bfs(crawl, src))
 
 
 class TestPartitionIO:

@@ -265,25 +265,30 @@ class TestFaultRecovery:
     """The sweep's three failure paths: a worker killed by the OS, a
     simulated crash crossing the process boundary, and a real bug."""
 
+    @pytest.mark.parametrize("shard_plan", [False, True])
     def test_broken_pool_keeps_completed_outcomes(
-        self, tmp_path, monkeypatch, caplog
+        self, tmp_path, monkeypatch, caplog, shard_plan
     ):
         if default_start_method() != "fork":
             pytest.skip("pool-side monkeypatching requires fork workers")
+        import repro.runtime.cells as cells_mod
         import repro.runtime.sweep as sweep_mod
 
         run_log = tmp_path / "runs.log"
         monkeypatch.setenv(_RUN_LOG_ENV, str(run_log))
         # the pool is created lazily inside map(), so fork workers inherit
-        # the patched module and submit() pickles the wrapper by reference
+        # the patched modules and submit() pickles the wrapper by reference
+        # (per-cell dispatch resolves ``run_task`` in sweep, a shard_plan
+        # batch — [ok-0, ok-1] and [kamikaze] here — in cells)
         monkeypatch.setattr(sweep_mod, "run_task", _logging_run_task)
+        monkeypatch.setattr(cells_mod, "run_task", _logging_run_task)
         specs = [
             _cell("ok-0"),
             _cell("ok-1", bench="cc"),
             _cell("kamikaze", bench="pr"),
         ]
         with caplog.at_level(logging.WARNING, logger="repro.runtime.sweep"):
-            with SweepExecutor(jobs=2) as ex:
+            with SweepExecutor(jobs=2, shard_plan=shard_plan) as ex:
                 outs = ex.map(specs)
         # submission order and success are unaffected by the broken pool
         assert [o.key for o in outs] == ["ok-0", "ok-1", "kamikaze"]
@@ -333,14 +338,15 @@ class TestFaultRecovery:
         assert exc.value.gpu_index == 1
         assert exc.value.round_index == 2
 
-    def test_real_bug_shuts_the_pool_down(self):
+    @pytest.mark.parametrize("shard_plan", [False, True])
+    def test_real_bug_shuts_the_pool_down(self, shard_plan):
         specs = [
             _cell("bad", system=SystemSpec("nonsense")),
             _cell("q-0"),
             _cell("q-1", bench="cc"),
             _cell("q-2", bench="pr"),
         ]
-        ex = SweepExecutor(jobs=2)
+        ex = SweepExecutor(jobs=2, shard_plan=shard_plan)
         with pytest.raises(ValueError, match="unknown SystemSpec kind"):
             ex.map(specs)
         # no orphan workers grinding through the rest of the matrix
