@@ -3,7 +3,7 @@
 Every gate is one :class:`Gate` row of :data:`GATES` — what to measure,
 the verdict line to print, the structural floor or ceiling to check, and
 (for a gate with a committed baseline) the envelope parts
-``repro.metrics.perfbaseline.diff_baseline`` pins against
+``benchmarks.perfbaseline.diff_baseline`` pins against
 ``benchmarks/BENCH_<gate>.json``.  :func:`main` is the one loop over the
 table; ``docs/performance.md`` ("Running and updating") tabulates the
 rows for readers.
@@ -28,6 +28,7 @@ The module doubles as a pytest bench (``pytest benchmarks/bench_regression.py
 from __future__ import annotations
 
 import argparse
+import json
 import pathlib
 import sys
 from dataclasses import dataclass
@@ -36,9 +37,7 @@ from typing import Any, Callable, Optional
 import pytest
 
 from benchmarks.conftest import archive
-from repro.gnnflow import H2D_REDUCTION_GATE, GnnReport, evaluate_gnn, gnn_study
-from repro.hw import ContentionConfig
-from repro.metrics.perfbaseline import (
+from benchmarks.perfbaseline import (
     HIER_AGG_MIN,
     MATRIX_WORKLOAD,
     SIM_RTOL,
@@ -55,13 +54,15 @@ from repro.metrics.perfbaseline import (
     run_sweep,
     write_baseline,
 )
-from repro.obs import Tracer
-from repro.serve.bench import (
+from benchmarks.serve_gate import (
     DETERMINISTIC_FIELDS,
     SERVE_MIN_SPEEDUP,
     evaluate_serve,
     measure_serve,
 )
+from repro.gnnflow import H2D_REDUCTION_GATE, GnnReport, evaluate_gnn, gnn_study
+from repro.hw import ContentionConfig
+from repro.obs import Tracer
 from repro.study.ooc import OocConfig
 from repro.study.ooc import evaluate as ooc_evaluate
 from repro.study.ooc import run_ooc_study
@@ -287,12 +288,12 @@ _OOC_CELL_KEYS = ("ok", "failure", "rounds", "labels_crc")
 
 
 def _ooc_config(report) -> dict:
-    config = report.to_json()["config"]
+    config = json.loads(report.to_json())["config"]
     return {k: config[k] for k in _OOC_CONFIG_KEYS}
 
 
 def _ooc_record(report) -> dict:
-    doc = report.to_json()
+    doc = json.loads(report.to_json())
     return {
         "ram_cap_mb": report.config.ram_cap_mb,
         "size_multiple": report.config.size_multiple,

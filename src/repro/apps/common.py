@@ -13,8 +13,6 @@ from repro.idset import scatter_changed, unique_ids
 __all__ = [
     "expand_edges",
     "expand_edges_blocks",
-    "expand_frontier",
-    "expand_frontier_blocks",
     "block_edge_budget",
     "merge_touched",
     "scatter_changed",
@@ -65,7 +63,9 @@ def expand_edges(
     of ``frontier[i]``, ``dsts`` are the destination local IDs of every
     frontier vertex's edges in frontier-then-CSR order, and ``weights``
     parallels ``dsts`` (None unless requested).  A per-vertex value
-    ``x`` reaches edge granularity as ``np.repeat(x[frontier], counts)``.
+    ``x`` reaches edge granularity as ``np.repeat(x[frontier], counts)``,
+    and ``np.repeat(np.arange(len(frontier)), counts)`` is each edge's
+    source as a position in the frontier array (a segment ID).
 
     When the frontier's CSR ranges follow one another without a gap — a
     single vertex, or a sorted frontier that only skips zero-degree
@@ -91,21 +91,6 @@ def expand_edges(
     dsts = graph.indices[sel].astype(np.int64)
     w = graph.weights[sel] if with_weights else None
     return counts, dsts, w
-
-
-def _edge_sources(counts: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-
-
-def expand_frontier(
-    graph: CSRGraph, frontier: np.ndarray, with_weights: bool = False
-):
-    """:func:`expand_edges` for callers that index per edge: returns
-    ``(rep, dsts, weights)`` where ``rep[i]`` is the position *in the
-    frontier array* of edge i's source (``frontier[rep]`` are the source
-    local IDs; ``rep`` doubles as a segment ID per frontier vertex)."""
-    counts, dsts, w = expand_edges(graph, frontier, with_weights)
-    return _edge_sources(counts), dsts, w
 
 
 def expand_edges_blocks(
@@ -148,20 +133,6 @@ def expand_edges_blocks(
         blk = frontier[start:stop]
         yield (blk, *expand_edges(graph, blk, with_weights))
         start = stop
-
-
-def expand_frontier_blocks(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    with_weights: bool = False,
-    max_edges: int | None = None,
-):
-    """:func:`expand_edges_blocks` yielding ``(block, rep, dsts,
-    weights)`` with ``rep`` indexing into ``block``."""
-    for blk, counts, dsts, w in expand_edges_blocks(
-        graph, frontier, with_weights, max_edges
-    ):
-        yield blk, _edge_sources(counts), dsts, w
 
 
 def merge_touched(parts: list[np.ndarray], n: int) -> np.ndarray:

@@ -40,11 +40,6 @@ class KTrussResult:
         self.alive = alive  # boolean per oriented edge
         self.stats = stats
 
-    def surviving_edges(self) -> set[tuple[int, int]]:
-        return set(
-            zip(self.src[self.alive].tolist(), self.dst[self.alive].tolist())
-        )
-
     @property
     def num_surviving(self) -> int:
         return int(self.alive.sum())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_frontier, unique_ids
+from repro.apps.common import expand_edges, unique_ids
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import (
     MasterOutput,
@@ -99,9 +99,10 @@ class MIS(VertexProgram):
         blocked = state["blocked"]
         rnd = int(state["_round"][0])
         degrees = self.frontier_degrees(part, frontier)
-        rep, nbrs, _ = expand_frontier(part.graph, frontier)
+        counts, nbrs, _ = expand_edges(part.graph, frontier)
         if len(nbrs) == 0:
             return RoundOutput({}, _EMPTY, 0, degrees)
+        rep = np.repeat(np.arange(len(frontier), dtype=np.int64), counts)
         srcs = frontier[rep]
         g_src = part.local_to_global[srcs].astype(np.int64)
         g_nbr = part.local_to_global[nbrs].astype(np.int64)

@@ -12,7 +12,7 @@ from repro.engine.operator import VertexProgram
 from repro.gnnflow.workload import GNNFlow
 from repro.errors import ConfigurationError
 
-__all__ = ["APPS", "get_app"]
+__all__ = ["APPS", "SYMMETRIC_APPS", "get_app"]
 
 APPS: dict[str, type[VertexProgram]] = {
     "bfs": BFS,
@@ -26,6 +26,9 @@ APPS: dict[str, type[VertexProgram]] = {
     "mis": MIS,
     "gnnflow": GNNFlow,
 }
+
+#: apps the frameworks run on the symmetrized graph
+SYMMETRIC_APPS = {name for name, app in APPS.items() if app.needs_symmetric}
 
 #: The five benchmarks of the study (Section IV-A).
 STUDY_BENCHMARKS = ["bfs", "cc", "kcore", "pr", "sssp"]

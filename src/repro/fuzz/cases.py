@@ -33,10 +33,6 @@ __all__ = ["Case", "CaseFailure", "run_case", "make_context"]
 #: bump when the schema changes; loaders reject unknown versions
 CASE_VERSION = 1
 
-#: apps that interpret the graph as undirected — the fuzzer symmetrizes
-#: *before* recording edges, so replay needs no special handling
-SYMMETRIC_APPS = frozenset({"cc", "cc-pj", "kcore", "mis"})
-
 #: integer-label apps whose answers must match the reference exactly (and
 #: match each other across sibling configurations)
 EXACT_APPS = frozenset({"bfs", "bfs-do", "sssp", "cc", "cc-pj", "kcore"})

@@ -22,6 +22,8 @@ import os
 import re
 import sys
 
+from repro.errors import cli_main
+
 __all__ = ["main", "week_seed"]
 
 
@@ -101,6 +103,7 @@ def _advisor_sanity(seed: int, iterations: int) -> int:
     return 0
 
 
+@cli_main
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-fuzz",

@@ -29,12 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fuzz.cases import (
-    EXACT_APPS,
-    SYMMETRIC_APPS,
-    Case,
-    run_case,
-)
+from repro.apps.registry import SYMMETRIC_APPS
+from repro.fuzz.cases import EXACT_APPS, Case, run_case
 from repro.fuzz.gen import random_graph
 
 __all__ = ["FuzzFailure", "FuzzReport", "fuzz"]

@@ -18,7 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.fuzz.cases import SYMMETRIC_APPS, Case, run_case
+from repro.apps.registry import SYMMETRIC_APPS
+from repro.fuzz.cases import Case, run_case
 
 __all__ = ["shrink_case", "still_fails"]
 

@@ -1,26 +1,30 @@
-"""Chunked graph generators: bounded edge blocks streamed into the store.
+"""The edge models, written once, as bounded edge-block emitters.
 
-The in-RAM generators materialize the whole edge list at once — an
-``(E, scale)`` uniform matrix for R-MAT, full endpoint arrays for the
-Chung-Lu and Watts-Strogatz models — which caps the stand-ins far below
-the memory-pressure regime the paper studies.  The emitters here yield
-``(src, dst)`` blocks of at most ``chunk_edges`` edges, so
-:func:`repro.graph.store.from_edge_chunks` can assemble graphs 10–50×
-larger than today's stand-ins with peak RAM O(chunk + |V|).
+Each emitter yields ``(src, dst)`` blocks of at most ``chunk_edges``
+edges.  Materializing a whole edge list at once — an ``(E, scale)``
+uniform matrix for R-MAT, full endpoint arrays for the Chung-Lu and
+Watts-Strogatz models — caps a graph far below the memory-pressure regime
+the paper studies; streamed into :func:`repro.graph.store.from_edge_chunks`
+the blocks assemble graphs 10–50× larger than the in-RAM stand-ins with
+peak RAM O(chunk + |V|).  The in-RAM generators (:func:`~repro.generators.
+rmat.rmat`, :func:`~repro.generators.powerlaw.powerlaw_social`,
+:func:`~repro.generators.smallworld.small_world`) are the same emitters
+asked for everything in one block (:func:`edge_list`).
 
 Determinism:
 
-* :func:`rmat_chunks` consumes the PCG64 stream in the same row-major
-  order as the in-RAM :func:`~repro.generators.rmat.rmat`, so for equal
-  ``(scale, edge_factor, a, b, c, seed)`` the concatenated chunk stream is
-  **bit-identical** to the in-RAM edge list, for any ``chunk_edges``.
+* :func:`rmat_chunks` consumes the PCG64 stream in row-major order of the
+  ``(E, scale)`` uniform matrix, so for equal ``(scale, edge_factor, a, b,
+  c, seed)`` the concatenated chunk stream is **bit-identical** for any
+  ``chunk_edges``.
 * :func:`powerlaw_chunks` and :func:`smallworld_chunks` draw per block, so
-  their streams are deterministic in ``(seed, chunk_edges)`` but not equal
-  to the in-RAM generators (those interleave their draws differently).
+  their streams are deterministic in ``(seed, chunk_edges)``; every
+  ``chunk_edges`` that holds the whole graph gives the same single block.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -32,6 +36,7 @@ __all__ = [
     "rmat_chunks",
     "powerlaw_chunks",
     "smallworld_chunks",
+    "edge_list",
     "generate_chunks",
     "build_store",
 ]
@@ -53,8 +58,10 @@ def rmat_chunks(
 ) -> Iterator[EdgeChunk]:
     """R-MAT edge stream in bounded blocks (Graph500 parameters by default).
 
-    Peak memory is O(chunk_edges * scale); the emitted stream equals the
-    in-RAM generator's edge list bit for bit.
+    Each edge picks one quadrant of the adjacency matrix per recursion
+    level with probabilities ``(a, b, c, d = 1 - a - b - c)``; all
+    ``scale`` choices of a block are drawn at once (a ``(k, scale)``
+    uniform matrix), so peak memory is O(chunk_edges * scale).
     """
     d = 1.0 - a - b - c
     if min(a, b, c, d) < 0:
@@ -68,8 +75,10 @@ def rmat_chunks(
         src = np.zeros(k, dtype=np.int64)
         dst = np.zeros(k, dtype=np.int64)
         # rows of the (m, scale) uniform matrix are consumed in C order,
-        # so per-block (k, scale) draws replay the in-RAM stream exactly
+        # so per-block (k, scale) draws replay the one-block stream exactly
         u = rng.random((k, scale))
+        # Quadrant thresholds: [0,a)->(0,0)  [a,a+b)->(0,1)  [a+b,a+b+c)->(1,0)
+        # else (1,1).  Row bit set for quadrants c,d; column bit for b,d.
         row_bit = u >= a + b
         col_bit = (u >= a) & (u < a + b) | (u >= a + b + c)
         for level in range(scale):
@@ -92,10 +101,11 @@ def powerlaw_chunks(
 ) -> Iterator[EdgeChunk]:
     """Chung-Lu power-law edge stream in bounded blocks.
 
-    The O(|V|) expected-degree vectors (including hub injection) are set up
-    exactly as in :func:`~repro.generators.powerlaw.powerlaw_social`;
-    endpoints are then sampled block by block.  Self-loops are dropped, so
-    blocks may come up slightly short of ``chunk_edges``.
+    The O(|V|) expected-degree vectors (Zipf ranks, shuffled, with hub
+    injection on the out side) are set up once; endpoints are then sampled
+    block by block, independently per side with probability proportional
+    to expected degree.  Self-loops are dropped (social nets have none),
+    so blocks may come up slightly short of ``chunk_edges``.
     """
     if num_vertices <= 1:
         raise ValueError("need at least 2 vertices")
@@ -125,7 +135,10 @@ def powerlaw_chunks(
         src = rng.choice(num_vertices, size=k, p=w_out)
         dst = rng.choice(num_vertices, size=k, p=w_in)
         keep = src != dst
-        yield src[keep].astype(np.int64), dst[keep].astype(np.int64)
+        yield (
+            src[keep].astype(np.int64, copy=False),
+            dst[keep].astype(np.int64, copy=False),
+        )
         done += k
 
 
@@ -152,6 +165,14 @@ def smallworld_chunks(
         keep = src != dst
         yield src[keep], dst[keep]
         v0 = v1
+
+
+def edge_list(emit, *args, **params) -> EdgeChunk:
+    """The whole edge list of ``emit(*args, **params)`` as its one block —
+    how the in-RAM generators are built (empty when the model has no
+    edges at all)."""
+    empty = np.empty(0, dtype=np.int64)
+    return next(emit(*args, chunk_edges=sys.maxsize, **params), (empty, empty))
 
 
 _KINDS = {

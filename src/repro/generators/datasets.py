@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.errors import UnknownDatasetError
 from repro.graph.csr import CSRGraph
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.generators.powerlaw import powerlaw_social
@@ -295,20 +296,20 @@ def _load_fuzz_dataset(name: str) -> Dataset:
     try:
         _, shape, seed_text = name.split(":")
     except ValueError:
-        raise KeyError(
+        raise UnknownDatasetError(
             f"malformed fuzz dataset {name!r}; expected 'fuzz:<shape>:<seed>'"
         ) from None
     # strictly ASCII digits: int() would also accept "+1", " 1 ", "1_0",
     # and unicode digits (aliasing one graph under several names), and a
     # negative seed would escape as default_rng's bare ValueError
     if not (seed_text.isascii() and seed_text.isdigit()):
-        raise KeyError(
+        raise UnknownDatasetError(
             f"malformed fuzz dataset {name!r}; expected 'fuzz:<shape>:<seed>' "
             "with a non-negative integer seed"
         )
     seed = int(seed_text)
     if shape not in SHAPES:
-        raise KeyError(
+        raise UnknownDatasetError(
             f"unknown fuzz shape {shape!r}; known: {sorted(SHAPES)}"
         )
     # build_shape attaches random weights itself, from the same stream.
@@ -355,7 +356,7 @@ def load_dataset(name: str, weighted: bool = True) -> Dataset:
     try:
         spec = DATASETS[name]
     except KeyError:
-        raise KeyError(
+        raise UnknownDatasetError(
             f"unknown dataset {name!r}; known: {sorted(DATASETS)}"
         ) from None
     graph = spec.generator()

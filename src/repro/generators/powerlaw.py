@@ -11,16 +11,16 @@ sources bfs/sssp at the max out-degree vertex).  The generator:
    expected degree (Chung-Lu), vectorized with one ``rng.choice`` per side.
 
 The result reproduces the shape statistics that matter to the study: heavy
-skew, small diameter, and controllable max in/out-degree asymmetry.
+skew, small diameter, and controllable max in/out-degree asymmetry.  The
+model itself is :func:`repro.generators.chunked.powerlaw_chunks`; this is
+that emitter asked for every edge in one block.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.generators.chunked import edge_list, powerlaw_chunks
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
-from repro.utils import rng_from_seed
 
 __all__ = ["powerlaw_social"]
 
@@ -55,29 +55,10 @@ def powerlaw_social(
         (twitter-like: one account tweets at millions, few accounts are
         followed by that many within a sampled subgraph).
     """
-    if num_vertices <= 1:
-        raise ValueError("need at least 2 vertices")
-    rng = rng_from_seed(seed)
-    m = int(round(num_vertices * avg_degree))
-
-    ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
-    w = ranks ** (-1.0 / (exponent - 1.0))  # Zipf-ish expected degrees
-    rng.shuffle(w)
-
-    w_out = w.copy()
-    if num_hubs > 0:
-        hubs = rng.choice(num_vertices, size=num_hubs, replace=False)
-        total = w_out.sum()
-        w_out[hubs] += total * hub_degree_fraction / max(1.0 - hub_degree_fraction, 1e-9) / num_hubs
-    w_out /= w_out.sum()
-
-    w_in = w ** in_out_symmetry
-    w_in /= w_in.sum()
-
-    src = rng.choice(num_vertices, size=m, p=w_out)
-    dst = rng.choice(num_vertices, size=m, p=w_in)
-    keep = src != dst  # drop self-loops; social nets have none
+    src, dst = edge_list(
+        powerlaw_chunks, num_vertices, avg_degree, exponent, num_hubs,
+        hub_degree_fraction, in_out_symmetry, seed,
+    )
     return from_edges(
-        src[keep], dst[keep], num_vertices=num_vertices, dedup=False,
-        name=name or "powerlaw",
+        src, dst, num_vertices=num_vertices, dedup=False, name=name or "powerlaw"
     )

@@ -7,11 +7,9 @@ tunable diameter via the rewiring probability.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.generators.chunked import edge_list, smallworld_chunks
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
-from repro.utils import rng_from_seed
 
 __all__ = ["small_world"]
 
@@ -27,16 +25,7 @@ def small_world(
     neighbors; each link is rewired to a uniform random target with
     probability ``rewire_p``.
     """
-    if k < 1 or k >= num_vertices:
-        raise ValueError("k must be in [1, num_vertices)")
-    rng = rng_from_seed(seed)
-    src = np.repeat(np.arange(num_vertices, dtype=np.int64), k)
-    hop = np.tile(np.arange(1, k + 1, dtype=np.int64), num_vertices)
-    dst = (src + hop) % num_vertices
-    rewire = rng.random(len(src)) < rewire_p
-    dst[rewire] = rng.integers(0, num_vertices, size=int(rewire.sum()))
-    keep = src != dst
+    src, dst = edge_list(smallworld_chunks, num_vertices, k, rewire_p, seed)
     return from_edges(
-        src[keep], dst[keep], num_vertices=num_vertices, dedup=False,
-        name=name or "smallworld",
+        src, dst, num_vertices=num_vertices, dedup=False, name=name or "smallworld"
     )

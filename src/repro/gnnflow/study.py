@@ -1,4 +1,4 @@
-"""The GNN placement study (``repro-study --gnn``).
+"""The GNN placement study (``repro-study gnn``).
 
 Sweeps the :class:`~repro.gnnflow.workload.GNNFlow` feature-gather
 workload over the seeded fuzz-shape suite x D-IrGL's four partition
@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from repro.errors import ReproError
 from repro.gnnflow.workload import GNNFlowConfig
-from repro.runtime.cells import CellSpec, SystemSpec, run_task
+from repro.runtime.cells import CellSpec, SystemSpec
+from repro.runtime.sweep import run_cells
 
 __all__ = [
     "GNN_GATE_SHAPE",
@@ -191,15 +191,9 @@ def gnn_study(
     is byte-identical whether cells run serially or across workers.
     """
     specs = _specs(shapes, policies, seed)
-    outcomes = (
-        executor.map(specs) if executor is not None else [run_task(s) for s in specs]
-    )
     rows = []
-    for spec, out in zip(specs, outcomes):
-        if not out.ok:
-            raise ReproError(
-                f"gnn study cell {spec.key!r} failed: {out.failure_label()}"
-            )
+    for spec, out in zip(specs, run_cells(specs, executor)):
+        out.raise_failure()  # no missing points here: a failed cell is an error
         st = out.stats
         accesses = st.feature_cache_hits + st.feature_cache_misses
         rows.append(

@@ -9,17 +9,15 @@ from repro.graph.builder import (
 from repro.graph.properties import (
     GraphProperties,
     approximate_diameter,
-    degree_histogram,
     properties,
 )
 from repro.graph.transform import (
     add_random_weights,
-    largest_component_subgraph,
     relabel,
     reverse,
     make_undirected,
 )
-from repro.graph.io import load_edgelist, save_edgelist, load_binary, save_binary
+from repro.graph.io import load_edgelist, save_edgelist
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.graph.store import (
     from_edge_chunks,
@@ -36,10 +34,8 @@ __all__ = [
     "to_networkx",
     "GraphProperties",
     "approximate_diameter",
-    "degree_histogram",
     "properties",
     "add_random_weights",
-    "largest_component_subgraph",
     "relabel",
     "reverse",
     "make_undirected",
@@ -47,8 +43,6 @@ __all__ = [
     "MutableGraph",
     "load_edgelist",
     "save_edgelist",
-    "load_binary",
-    "save_binary",
     "from_edge_chunks",
     "open_csr",
     "store_info",

@@ -194,12 +194,6 @@ class CSRGraph:
         """Out-neighbors of ``v`` (a read-only view, no copy)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_weights_of(self, v: int) -> np.ndarray:
-        """Weights of the out-edges of ``v`` (requires weights)."""
-        if self.weights is None:
-            raise GraphFormatError("graph has no weights")
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
     def edge_sources(self) -> np.ndarray:
         """Expand CSR to a per-edge source array (``int32``, O(|E|))."""
         return np.repeat(

@@ -1,31 +1,18 @@
-"""Graph serialization.
+"""Graph serialization as text.
 
-Two formats:
+The **edge list** format — whitespace-separated ``src dst [weight]`` text
+lines — is the lingua franca of SNAP / WebGraph dumps.  Reading is
+chunked: the file is parsed in bounded blocks of lines, never slurped
+whole, and vertex ids that exceed ``int32`` promote the CSR index dtype
+instead of wrapping.
 
-* **edge list** — whitespace-separated ``src dst [weight]`` text lines, the
-  lingua franca of SNAP / WebGraph dumps.  Reading is chunked: the file is
-  parsed in bounded blocks of lines, never slurped whole, and vertex ids
-  that exceed ``int32`` promote the CSR index dtype instead of wrapping.
-* **binary** — a compact ``.npz`` holding the CSR arrays directly, standing
-  in for the Galois ``.gr`` binary format the paper loads partitions from
-  ("in-memory representations of the partitions can be written to disk").
-  Version 2 records a format version and the dtype/length of every array,
-  so a truncated or corrupt file is rejected with a clear
-  :class:`~repro.errors.GraphFormatError` instead of surfacing as a shape
-  error deep in CSR validation.  Version-1 files (no dtype record) remain
-  loadable via a legacy path.
-
-For out-of-core containers (mmap-able, checksummed, chunk-built) see
-:mod:`repro.graph.store`.
+The binary format is the store container (mmap-able, checksummed,
+chunk-built): see :mod:`repro.graph.store`.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
-import zipfile
-import zlib
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -38,12 +25,7 @@ __all__ = [
     "save_edgelist",
     "load_edgelist",
     "iter_edgelist_chunks",
-    "save_binary",
-    "load_binary",
 ]
-
-_MAGIC_V1 = "repro-csr-v1"
-_MAGIC_V2 = "repro-csr-v2"
 
 #: Lines parsed per block when streaming an edge list.
 _EDGELIST_CHUNK_LINES = 1 << 19
@@ -155,100 +137,3 @@ def load_edgelist(
     dst = np.concatenate(dsts)
     w = np.concatenate(ws) if ws else None
     return from_edges(src, dst, num_vertices=num_vertices, weights=w, name=name)
-
-
-def save_binary(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Write the CSR arrays as a compressed ``.npz`` (format version 2).
-
-    The archive records each array's dtype and length alongside the data,
-    and is written via a temporary file + atomic rename so a crash
-    mid-write never leaves a torn archive behind.
-    """
-    meta = {
-        "version": 2,
-        "num_vertices": graph.num_vertices,
-        "num_edges": graph.num_edges,
-        "dtypes": {
-            "indptr": graph.indptr.dtype.str,
-            "indices": graph.indices.dtype.str,
-            "weights": graph.weights.dtype.str if graph.has_weights else None,
-        },
-    }
-    payload = {
-        "magic": np.array(_MAGIC_V2),
-        "meta": np.array(json.dumps(meta, sort_keys=True)),
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-        "name": np.array(graph.name),
-    }
-    if graph.has_weights:
-        payload["weights"] = graph.weights
-    path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=d
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez_compressed(f, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_binary(path: str | os.PathLike) -> CSRGraph:
-    """Read a graph written by :func:`save_binary`.
-
-    Rejects truncated or corrupt archives with a clear
-    :class:`GraphFormatError`; files written by the version-1 format
-    (no dtype record) load through a legacy path.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            if "magic" not in z:
-                raise GraphFormatError(f"{path} is not a repro binary graph")
-            magic = str(z["magic"])
-            if magic == _MAGIC_V1:
-                # legacy files predate the dtype/length record
-                weights = z["weights"] if "weights" in z else None
-                return CSRGraph(
-                    z["indptr"], z["indices"], weights, name=str(z["name"])
-                )
-            if magic != _MAGIC_V2:
-                raise GraphFormatError(f"{path} is not a repro binary graph")
-            meta = json.loads(str(z["meta"]))
-            if meta.get("version") != 2:
-                raise GraphFormatError(
-                    f"{path}: unsupported binary format version "
-                    f"{meta.get('version')!r}"
-                )
-            indptr = z["indptr"]
-            indices = z["indices"]
-            weights = z["weights"] if meta["dtypes"]["weights"] else None
-            expect = {
-                "indptr": (meta["num_vertices"] + 1, meta["dtypes"]["indptr"]),
-                "indices": (meta["num_edges"], meta["dtypes"]["indices"]),
-            }
-            if weights is not None:
-                expect["weights"] = (meta["num_edges"], meta["dtypes"]["weights"])
-            arrays = {"indptr": indptr, "indices": indices}
-            if weights is not None:
-                arrays["weights"] = weights
-            for key, (length, dtype) in expect.items():
-                a = arrays[key]
-                if len(a) != length or a.dtype.str != dtype:
-                    raise GraphFormatError(
-                        f"{path}: {key} does not match its dtype/length "
-                        f"record (file truncated or corrupted)"
-                    )
-            return CSRGraph(indptr, indices, weights, name=str(z["name"]))
-    except GraphFormatError:
-        raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError, OSError) as exc:
-        if isinstance(exc, FileNotFoundError):
-            raise
-        raise GraphFormatError(
-            f"{path}: truncated or corrupt binary graph ({exc})"
-        ) from exc

@@ -85,15 +85,6 @@ class EdgeBatch:
     def num_deletes(self) -> int:
         return len(self.delete_src)
 
-    def touched_vertices(self) -> np.ndarray:
-        """Sorted unique endpoints of every edge this batch moves."""
-        return np.unique(
-            np.concatenate(
-                [self.insert_src, self.insert_dst,
-                 self.delete_src, self.delete_dst]
-            )
-        )
-
 
 class MutableGraph:
     """A :class:`CSRGraph` plus an append-only mutation log.
@@ -134,9 +125,6 @@ class MutableGraph:
     @property
     def log(self) -> tuple[EdgeBatch, ...]:
         return tuple(self._log)
-
-    def batches_since(self, version: int) -> tuple[EdgeBatch, ...]:
-        return tuple(self._log[version:])
 
     # ------------------------------------------------------------------ #
     def apply(self, batch: EdgeBatch) -> "MutableGraph":
@@ -225,16 +213,6 @@ class MutableGraph:
         with its own pre-mutation key.
         """
         return self.snapshot().content_hash()
-
-    def touched_since(self, version: int) -> np.ndarray:
-        """Sorted unique vertices touched by batches after ``version``
-        (the seed set for delta-frontier re-execution)."""
-        batches = self._log[version:]
-        if not batches:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(
-            [b.touched_vertices() for b in batches]
-        ))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -21,7 +21,6 @@ __all__ = [
     "GraphProperties",
     "properties",
     "approximate_diameter",
-    "degree_histogram",
     "bfs_levels",
 ]
 
@@ -119,17 +118,6 @@ def approximate_diameter(
         far = np.flatnonzero(levels == ecc)
         start = int(far[rng.integers(len(far))])
     return best
-
-
-def degree_histogram(graph: CSRGraph, direction: str = "out") -> np.ndarray:
-    """Histogram ``h`` where ``h[d]`` counts vertices of (in/out-)degree d."""
-    if direction == "out":
-        deg = graph.out_degrees()
-    elif direction == "in":
-        deg = graph.in_degrees()
-    else:
-        raise ValueError("direction must be 'in' or 'out'")
-    return np.bincount(deg)
 
 
 def properties(

@@ -14,7 +14,6 @@ __all__ = [
     "reverse",
     "make_undirected",
     "relabel",
-    "largest_component_subgraph",
 ]
 
 
@@ -69,34 +68,4 @@ def relabel(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
         src, dst, num_vertices=n,
         weights=graph.weights if graph.has_weights else None,
         name=graph.name + "+relabel",
-    )
-
-
-def largest_component_subgraph(graph: CSRGraph) -> CSRGraph:
-    """Restrict to the largest weakly connected component (relabeled densely).
-
-    Strong-scaling studies run bfs/sssp from a high-degree source; keeping
-    only the giant component avoids trivially-disconnected work.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = graph.num_vertices
-    mat = csr_matrix(
-        (np.ones(graph.num_edges, dtype=np.int8), graph.indices, graph.indptr),
-        shape=(n, n),
-    )
-    _, labels = connected_components(mat, directed=True, connection="weak")
-    counts = np.bincount(labels)
-    giant = int(np.argmax(counts))
-    keep = labels == giant
-    new_id = np.cumsum(keep, dtype=np.int64) - 1
-    src = graph.edge_sources()
-    mask = keep[src] & keep[graph.indices]
-    return from_edges(
-        new_id[src[mask]],
-        new_id[graph.indices[mask]],
-        num_vertices=int(counts[giant]),
-        weights=graph.weights[mask] if graph.has_weights else None,
-        name=graph.name + "+giant",
     )

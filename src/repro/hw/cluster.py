@@ -80,12 +80,6 @@ class Cluster:
         """Do GPUs ``a`` and ``b`` share a host (cheaper communication)?"""
         return self.host_of[a] == self.host_of[b]
 
-    def gpus_on_host(self, h: int) -> list[int]:
-        return [i for i, hh in enumerate(self.host_of) if hh == h]
-
-    def min_gpu_memory(self) -> float:
-        """Smallest device capacity (the binding constraint for OOM)."""
-        return min(g.mem_capacity_bytes for g in self.gpus)
 
 
 def bridges(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.constants import GIB, THREADS_PER_BLOCK
+from repro.constants import GIB
 
 __all__ = ["GPUSpec", "P100", "K80", "GTX1080"]
 
@@ -58,10 +58,6 @@ class GPUSpec:
         """Thread blocks resident at once; block-level imbalance is measured
         against this width."""
         return self.num_sms * self.blocks_per_sm
-
-    @property
-    def concurrent_threads(self) -> int:
-        return self.concurrent_blocks * THREADS_PER_BLOCK
 
     @property
     def effective_bandwidth(self) -> float:

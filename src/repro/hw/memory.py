@@ -104,11 +104,6 @@ class MemoryUsage:
     def max_gb(self) -> float:
         return self.max_bytes / GIB
 
-    @property
-    def balance_ratio(self) -> float:
-        """max / mean — Table IV's "Memory" column."""
-        return self.max_bytes / max(self.mean_bytes, 1.0)
-
 
 class MemoryModel:
     """Prices partitions in device bytes and enforces capacity."""

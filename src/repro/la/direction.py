@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import expand_frontier
+from repro.apps.common import expand_edges
 from repro.graph.csr import CSRGraph
 from repro.la import spmv
 from repro.la.semiring import Semiring
@@ -81,9 +81,10 @@ def pull_step(
     found a reached parent — or ``None`` when the rows have no in-edges
     at all (the caller emits its empty round).
     """
-    rep, parents, _ = expand_frontier(rev, rows)
+    counts, parents, _ = expand_edges(rev, rows)
     if len(parents) == 0:
         return None
+    rep = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
     ident64 = np.int64(semiring.add.identity(labels.dtype))
     src = labels[parents].astype(np.int64)
     valid = src < ident64

@@ -112,17 +112,6 @@ class Semiring:
             c = c.astype(out_dtype)
         return c
 
-    def mult_values(self, xv, w):
-        """Plain semiring multiply, no dtype contract (dense references
-        and the property tests; ``w=None`` means the implicit weight)."""
-        if self.mult == "plus":
-            return xv + (1 if w is None else w)
-        if self.mult == "first":
-            return xv
-        if self.mult == "times":
-            return xv if w is None else xv * w
-        raise ConfigurationError(f"unknown semiring mult {self.mult!r}")
-
     def annihilator(self, dtype):
         """The multiplicative annihilator: ``mult(a, x) == a`` for all x.
 

@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 
+from repro.errors import cli_main
 from repro.obs.export import read_trace, summarize_trace
 
 __all__ = ["main", "summarize_files"]
@@ -130,6 +131,7 @@ def _cmd_csv(ns) -> int:
     return 0
 
 
+@cli_main
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-trace",

@@ -46,20 +46,6 @@ class CounterRegistry:
                 key = f"{prefix}{k}"
                 self._values[key] = self._values.get(key, 0) + v
 
-    def merge_cache_stats(self, stats, prefix: str = "partition.cache.") -> None:
-        """Fold a :class:`repro.partition.cache.CacheStats` snapshot in —
-        the previously free-floating cache counters land in the same
-        namespace the tracer exports."""
-        self.update(
-            {
-                "memory_hits": stats.memory_hits,
-                "disk_hits": stats.disk_hits,
-                "builds": stats.builds,
-                "stores": stats.stores,
-            },
-            prefix=prefix,
-        )
-
     def as_dict(self) -> dict[str, float]:
         with self._lock:
             return dict(self._values)

@@ -41,6 +41,7 @@ __all__ = [
     "CacheStats",
     "PartitionCache",
     "get_cache",
+    "set_cache",
     "configure",
     "clear",
 ]
@@ -416,6 +417,13 @@ def configure(
         spill_shards=spill_shards,
     )
     return _global_cache
+
+
+def set_cache(cache: PartitionCache) -> None:
+    """Install ``cache`` as the process-wide cache (how a scope that
+    called :func:`configure` puts back the object it found)."""
+    global _global_cache
+    _global_cache = cache
 
 
 def clear() -> None:

@@ -75,35 +75,6 @@ class PartitionStats:
             kw[name] = tuple(int(x) for x in kw[name])
         return cls(**kw)
 
-    def comm_breakdown(
-        self,
-        cost_model,
-        update_only: bool = True,
-        updated_fraction: float = 1.0,
-        hierarchical: bool = False,
-        dtype=np.float32,
-    ):
-        """Estimated :class:`~repro.engine.costmodel.CostBreakdown` for one
-        full sync round (reduce + broadcast) under this partitioning.
-
-        Builds the synthetic message batch from the recorded mirror and
-        partner counts (:func:`sync_messages_for_stats`) and prices it
-        through the *real* cost model — ``Router.price_batch`` and
-        ``route_step`` — so the estimate can never drift from what the
-        engines are charged.  Only the sync/serialize/overhead legs are
-        populated; compute depends on the app's frontier, which partition
-        stats cannot know.
-        """
-        msgs = sync_messages_for_stats(
-            self,
-            update_only=update_only,
-            updated_fraction=updated_fraction,
-            dtype=dtype,
-        )
-        return cost_model.price_round(
-            np.empty(0, dtype=np.float64), msgs, hierarchical=hierarchical
-        )
-
 
 def sync_messages_for_stats(
     stats: PartitionStats,

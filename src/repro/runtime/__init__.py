@@ -20,6 +20,7 @@ __all__ = [
     "PartitionStatsSpec",
     "CellOutcome",
     "run_task",
+    "run_cells",
 ]
 
 _LAZY = {
@@ -30,6 +31,7 @@ _LAZY = {
     "PartitionStatsSpec": "repro.runtime.cells",
     "CellOutcome": "repro.runtime.cells",
     "run_task": "repro.runtime.cells",
+    "run_cells": "repro.runtime.sweep",
 }
 
 

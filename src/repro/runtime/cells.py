@@ -1,8 +1,8 @@
 """Picklable study-cell specifications and the worker-side runner.
 
-The study drivers historically passed zero-argument framework factories
-(lambdas) around; those cannot cross a process boundary.  This module
-defines data-only equivalents:
+A study cell is data: a zero-argument framework factory (what the
+drivers once passed around) cannot cross a process boundary, a spec can.
+This module defines them:
 
 * :class:`SystemSpec` — how to build a framework facade (variant name,
   D-IrGL configuration, or registry framework) from plain values;
@@ -11,8 +11,9 @@ defines data-only equivalents:
 * :class:`PartitionStatsSpec` — one partitioning-statistics measurement
   (Table IV's static-balance column, the replication table);
 * :class:`CellOutcome` — the structured result either task kind returns,
-  including the failure taxonomy the drivers already use (OOM /
-  unsupported / crash) and a per-cell partition-build counter.
+  including the failure (its kind is the one the error's class names in
+  :mod:`repro.errors`: OOM / unsupported / crash / invariant / error)
+  and a per-cell partition-build counter.
 
 :func:`run_task` executes one spec in the current process; the sweep
 executor ships specs to pool workers and calls it there.  Datasets come
@@ -24,6 +25,7 @@ pays for loading and partitioning once.
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import time
 import zlib
@@ -32,13 +34,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import (
-    InvariantViolation,
-    ReproError,
-    SimulatedCrashError,
-    SimulatedOOMError,
-    UnsupportedFeatureError,
-)
+from repro.errors import KIND_CLASSES, ReproError
 
 __all__ = [
     "SystemSpec",
@@ -148,35 +144,32 @@ class CellOutcome:
     def ok(self) -> bool:
         return self.failure_kind == ""
 
+    def fail(self, err: ReproError) -> None:
+        """Record ``err`` as this cell's failure: its message, the kind
+        its class names, and the error itself (pickled: no traceback, and
+        it crosses the pool boundary) for :meth:`raise_failure`."""
+        self.failure, self.failure_kind = str(err), err.kind
+        self.extra = {"error": pickle.dumps(err)}
+
     def failure_label(self) -> str:
         """The driver-facing failure string (matches ``ScalingPoint``)."""
-        if self.failure_kind in ("oom", "unsupported", "crash", "invariant"):
-            return f"{self.failure_kind}: {self.failure}"
-        return self.failure
+        if self.failure_kind in ("", ReproError.kind):
+            return self.failure
+        return f"{self.failure_kind}: {self.failure}"
 
     def raise_failure(self) -> None:
         """Re-raise the recorded failure with its original exception type
         (for drivers that historically let the exception propagate)."""
-        if self.failure_kind == "oom":
-            args = self.extra.get("oom_args")
-            if args is not None:
-                raise SimulatedOOMError(*args)
-            raise ReproError(self.failure)
-        if self.failure_kind == "unsupported":
-            raise UnsupportedFeatureError(self.failure)
-        if self.failure_kind == "crash":
-            args = self.extra.get("crash_args")
-            if args is not None:
-                raise SimulatedCrashError(*args)
-            raise SimulatedCrashError(self.failure)
-        if self.failure_kind == "invariant":
-            # ``failure`` already carries the "[checker]" prefix; rebuild
-            # the exception around it and restore the attribute directly.
-            err = InvariantViolation(self.failure)
-            err.checker = self.extra.get("checker", "")
-            raise err
-        if self.failure_kind:
-            raise ReproError(self.failure)
+        if self.ok:
+            return
+        if "error" in self.extra:
+            raise pickle.loads(self.extra["error"])
+        # only kind and message survived: the class that names the kind,
+        # built around the message without running its constructor
+        cls = KIND_CLASSES.get(self.failure_kind, ReproError)
+        err = cls.__new__(cls)
+        err.args = (self.failure,)
+        raise err
 
 
 def _slug(key: Any) -> str:
@@ -248,28 +241,11 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
                 if spec.keep_labels:
                     out.labels = res.labels
                     out.extra = dict(res.extra)
-        except SimulatedOOMError as e:
-            out.failure, out.failure_kind = str(e), "oom"
-            # Keep the constructor args so raise_failure can rebuild the
-            # exact exception (its __init__ does not take a message string).
-            out.extra = {
-                "oom_args": (e.gpu_index, e.required_bytes, e.capacity_bytes)
-            }
-        except UnsupportedFeatureError as e:
-            out.failure, out.failure_kind = str(e), "unsupported"
-        except SimulatedCrashError as e:
-            out.failure, out.failure_kind = str(e), "crash"
-            # Same treatment as OOM: keep the crash site so raise_failure
-            # and the drivers report where the simulated run died.
-            out.extra = {"crash_args": (str(e), e.gpu_index, e.round_index)}
-        except InvariantViolation as e:
-            # not a missing data point: a correctness checker fired.  The
-            # sweep records it so ``--check`` runs report every breach with
-            # its cell key instead of dying on the first one.
-            out.failure, out.failure_kind = str(e), "invariant"
-            out.extra = {"checker": e.checker}
         except ReproError as e:
-            out.failure, out.failure_kind = str(e), "error"
+            # a simulated failure is a missing data point, and a checker
+            # that fired is recorded with its cell key so ``--check`` runs
+            # report every breach instead of dying on the first one
+            out.fail(e)
     finally:
         if own_tracer is not None:
             obs.set_tracer(None)

@@ -40,7 +40,7 @@ from repro.runtime.cells import (
     run_task_batch,
 )
 
-__all__ = ["SweepExecutor", "default_start_method"]
+__all__ = ["SweepExecutor", "default_start_method", "run_cells"]
 
 log = logging.getLogger("repro.runtime.sweep")
 
@@ -62,27 +62,34 @@ def _worker_init(
     check=None,
     max_disk_bytes: Optional[int] = None,
     spill_shards: bool = False,
-) -> None:
+) -> list:
+    """Install the sweep's process-wide state; returns one ``(setter,
+    previous)`` pair per piece it replaced — the objects it found, for
+    :meth:`SweepExecutor.close` to put back (a pool worker never does)."""
     from repro import obs
-    from repro.partition.cache import configure, get_cache
+    from repro.check import set_check_level
+    from repro.partition import cache as partition_cache
 
-    cache = get_cache()
+    replaced = []
+    cache = partition_cache.get_cache()
     if cache_dir is not None and (
         cache.cache_dir != cache_dir
         or cache.max_disk_bytes != max_disk_bytes
         or cache.spill_shards != spill_shards
     ):
-        configure(
+        partition_cache.configure(
             cache_dir=cache_dir,
             max_disk_bytes=max_disk_bytes,
             spill_shards=spill_shards,
         )
-    if trace_dir is not None and obs.active_trace_dir() != trace_dir:
+        replaced.append((partition_cache.set_cache, cache))
+    found_dir = obs.active_trace_dir()
+    if trace_dir is not None and found_dir != trace_dir:
         obs.configure(trace_dir=trace_dir)
+        replaced.append((obs.configure, found_dir))
     if check is not None:
-        from repro.check import set_check_level
-
-        set_check_level(check)
+        replaced.append((set_check_level, set_check_level(check)))
+    return replaced
 
 
 class SweepExecutor:
@@ -148,12 +155,19 @@ class SweepExecutor:
         self.max_disk_bytes = max_disk_bytes
         self.spill_shards = bool(spill_shards)
         self._pool: Optional[ProcessPoolExecutor] = None
-        # the parent process shares the same disk store so serial runs,
-        # fallbacks, and pool workers all hit one set of files
-        _worker_init(
-            cache_dir, self.trace_dir, self.check,
-            self.max_disk_bytes, self.spill_shards,
-        )
+        self._replaced: Optional[list] = None
+        self._install()
+
+    def _install(self) -> None:
+        """Give this process the workers' state — the parent shares the
+        same disk store so serial runs, fallbacks, and pool workers all
+        hit one set of files — unless it is installed already (a ``map``
+        after ``close`` installs it again)."""
+        if self._replaced is None:
+            self._replaced = _worker_init(
+                self.cache_dir, self.trace_dir, self.check,
+                self.max_disk_bytes, self.spill_shards,
+            )
 
     # ------------------------------------------------------------------ #
     def __enter__(self) -> "SweepExecutor":
@@ -163,7 +177,10 @@ class SweepExecutor:
         self.close()
 
     def close(self, cancel_futures: bool = True) -> None:
-        """Shut the pool down; safe to call any number of times.
+        """Shut the pool down and put back the process-wide partition
+        cache, trace directory and check level the constructor replaced
+        (the objects it found; nothing when it changed nothing); safe to
+        call any number of times.
 
         ``cancel_futures=True`` drops queued-but-unstarted cells so a
         serve-layer drain (or ``__exit__`` on an exception path) does not
@@ -172,6 +189,12 @@ class SweepExecutor:
         are no-ops, including during interpreter shutdown where the
         executor machinery may already be torn down.
         """
+        replaced, self._replaced = self._replaced or [], None
+        for restore, found in reversed(replaced):
+            restore(found)
+        self._shutdown_pool(cancel_futures)
+
+    def _shutdown_pool(self, cancel_futures: bool = True) -> None:
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -215,6 +238,7 @@ class SweepExecutor:
         — everything when ``jobs <= 1``, the unharvested rest after a
         worker died — runs in this process.
         """
+        self._install()
         specs = [self._prepare(s) for s in specs]
         total = len(specs)
         results: list[Optional[CellOutcome]] = [None] * total
@@ -240,7 +264,7 @@ class SweepExecutor:
                     "cells serially (%d completed outcomes kept)",
                     total - done, total, done,
                 )
-                self.close()
+                self._shutdown_pool()
         for idxs in batches:
             if results[idxs[0]] is None:  # a batch is harvested whole
                 fn, arg = self._task(specs, idxs)
@@ -306,9 +330,7 @@ class SweepExecutor:
             # rest of the matrix running in orphaned workers.
             for fut in pending:
                 fut.cancel()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
+            self._shutdown_pool()
             raise
         if broken is not None:
             raise broken
@@ -319,3 +341,15 @@ class SweepExecutor:
         log.info(
             "[%d/%d] %s %s (%.1fs)", done, total, out.key, status, out.elapsed
         )
+
+
+def run_cells(
+    specs: Sequence[CellSpec | PartitionStatsSpec], executor=None
+) -> list[CellOutcome]:
+    """Every spec's outcome, in submission order: through ``executor``
+    when the caller has a :class:`SweepExecutor`, else one
+    :func:`run_task` after another in this process — the one place
+    ``executor=None`` means serial."""
+    if executor is not None:
+        return executor.map(specs)
+    return [run_task(s) for s in specs]

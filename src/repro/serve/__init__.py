@@ -18,9 +18,11 @@ request path:
   decision against the partition cache;
 * :mod:`repro.serve.service` — the discrete-event service loop tying it
   together: coalescing, the content-hash result cache, simulated-time
-  latency accounting, and the deterministic report;
-* :mod:`repro.serve.bench` — the latency/throughput gate behind
-  ``bench_regression.py --only serve`` and ``BENCH_serve.json``.
+  latency accounting, and the deterministic report.
+
+The latency/throughput gate behind ``bench_regression.py --only serve``
+and ``BENCH_serve.json`` lives beside that driver
+(``benchmarks/serve_gate.py``).
 """
 
 from repro.serve.incremental import IncrementalResult, incremental_run

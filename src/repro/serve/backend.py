@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.apps.registry import SYMMETRIC_APPS
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutableGraph
 from repro.graph.store import write_csr_store
@@ -46,11 +47,6 @@ from repro.runtime.cells import CellSpec, SystemSpec
 from repro.serve.incremental import DELTA_APPS, incremental_run
 
 __all__ = ["ExecBackend", "ExecResult", "ExecTask"]
-
-#: apps the frameworks run on the symmetrized graph (mirror of
-#: repro.apps; partition patching does not apply to these)
-SYMMETRIC_APPS = frozenset({"cc", "cc-pj", "kcore", "mis"})
-
 
 @dataclass(frozen=True)
 class ExecTask:

@@ -24,6 +24,8 @@ import sys
 import tempfile
 import time
 
+from repro.errors import cli_main
+
 __all__ = ["main", "run_trace"]
 
 
@@ -41,11 +43,9 @@ def run_trace(
     pool is what full engine runs fan out over) and a spool directory for
     snapshot spills, both torn down afterwards unless caller-provided.
     """
-    from repro.partition import cache as partition_cache
     from repro.runtime.sweep import SweepExecutor
     from repro.serve.service import AnalyticsService
 
-    found = partition_cache.get_cache()
     own_spool = None
     if spool_dir is None:
         own_spool = tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
@@ -56,21 +56,13 @@ def run_trace(
         # partitionings built in workers inform later patch decisions)
         cache_dir = os.path.join(spool_dir, "partition-cache")
     try:
+        # closing the executor puts back the process-wide partition cache
+        # it replaced, before the spool it points into is removed
         with SweepExecutor(jobs=jobs, cache_dir=cache_dir, check=check) as ex:
             service = AnalyticsService(config, ex, spool_dir)
             return service.run(trace)
     finally:
         if own_spool is not None:
-            # the executor pointed the process-wide partition cache into
-            # the spool; put back the configuration this call found, or
-            # the next partition() would try to persist into a deleted
-            # directory
-            partition_cache.configure(
-                cache_dir=found.cache_dir,
-                max_entries=found.max_entries,
-                max_disk_bytes=found.max_disk_bytes,
-                spill_shards=found.spill_shards,
-            )
             own_spool.cleanup()
 
 
@@ -88,6 +80,7 @@ def _parse_graphs(text: str):
     return tuple(out)
 
 
+@cli_main
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",

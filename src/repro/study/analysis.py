@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.generators.datasets import Dataset
 from repro.runtime.cells import CellSpec, PartitionStatsSpec, SystemSpec
+from repro.runtime.sweep import run_cells
 from repro.study.report import format_table
 
 __all__ = [
@@ -46,12 +47,8 @@ def _run_cells(specs, executor):
     """Run cells, re-raising any failure (these drivers have no missing-
     point semantics: a failed run is a bug or a genuinely unsupported ask,
     and historically propagated to the caller)."""
-    if executor is None:
-        from repro.runtime.sweep import SweepExecutor
-
-        executor = SweepExecutor(jobs=1)
     outcomes = {}
-    for o in executor.map(specs):
+    for o in run_cells(specs, executor):
         o.raise_failure()
         outcomes[o.key] = o
     return outcomes

@@ -1,10 +1,16 @@
 """Command-line entry point: ``repro-study <experiment> [--quick]``.
 
-``repro-study list`` shows every reproducible table/figure;
-``repro-study all`` runs them in order (hours at full fidelity; use
+``repro-study list`` shows every experiment; ``repro-study all`` runs the
+paper's tables and figures in order (hours at full fidelity; use
 ``--quick`` for a reduced sweep).  ``--jobs N`` fans the study cells of
 each experiment over ``N`` worker processes and ``--cache-dir DIR``
 persists partitions on disk so repeated sweeps skip re-partitioning.
+
+Three rows are gated studies rather than paper experiments — ``ooc``
+(docs/scale.md), ``advisor`` (docs/tuning.md) and ``gnn``
+(docs/gnnflow.md): each produces a report that ``--out FILE`` writes as
+JSON, and ends in exit code 1 with ``VIOLATION:`` lines when the report
+fails its gate.
 """
 
 from __future__ import annotations
@@ -13,13 +19,21 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+from repro.errors import cli_main
+from repro.gnnflow import GNN_SEED, GNN_SHAPES, evaluate_gnn, gnn_study
+from repro.runtime.sweep import SweepExecutor
 from repro.study import figures, tables
+from repro.study.ooc import OocConfig, evaluate as evaluate_ooc, run_ooc_study
+from repro.study.report import format_table
+from repro.tune.dse import SUITE_SEED, advisor_study, evaluate_advisor
 
 __all__ = ["main"]
 
 
-def _analysis(quick: bool, ex):
+def _analysis(args, ex):
     """The in-text narrative numbers (Section V's quoted quantities)."""
     from repro.generators import load_dataset
     from repro.study.analysis import (
@@ -28,6 +42,7 @@ def _analysis(quick: bool, ex):
         replication_table,
     )
 
+    quick = args.quick
     uk07 = load_dataset("uk07-s")
     msr = message_size_reduction(
         "sssp", uk07, num_gpus=16 if quick else 32, executor=ex
@@ -52,11 +67,10 @@ def _analysis(quick: bool, ex):
     return None, "\n".join(lines)
 
 
-def _microbench(quick: bool, ex):
+def _microbench(args, ex):
     from repro.study.microbench import uo_threshold_curve
-    from repro.study.report import format_table
 
-    pts = uo_threshold_curve(list_len=50_000 if quick else 200_000,
+    pts = uo_threshold_curve(list_len=50_000 if args.quick else 200_000,
                              volume_scale=500.0)
     rows = [
         [f"{p.updated_fraction * 100:.1f}%", round(p.as_seconds * 1e3, 3),
@@ -68,220 +82,159 @@ def _microbench(quick: bool, ex):
         rows, title="UO extraction-threshold microbenchmark",
     )
 
-# Each experiment takes (quick, executor); table1 and the microbenchmark
-# have no study cells to fan out and ignore the executor.
-_EXPERIMENTS = {
-    "table1": lambda quick, ex: tables.table1(
-        diameter_sweeps=2 if quick else 4
-    ),
-    "table2": lambda quick, ex: tables.table2(
-        gpu_counts=(2, 6) if quick else (1, 2, 4, 6),
-        benchmarks=("bfs", "cc") if quick else ("bfs", "cc", "pr", "sssp"),
-        executor=ex,
-    ),
-    "table3": lambda quick, ex: tables.table3(executor=ex),
-    "table4": lambda quick, ex: tables.table4(
-        benchmarks=("bfs", "pr") if quick else ("bfs", "cc", "kcore", "pr", "sssp"),
-        executor=ex,
-    ),
-    "fig3": lambda quick, ex: figures.figure3(
-        gpu_counts=(2, 8, 32) if quick else (2, 4, 8, 16, 32, 64),
-        benchmarks=("bfs", "sssp") if quick else figures.STUDY_BENCHMARKS,
-        executor=ex,
-    ),
-    "fig4": lambda quick, ex: figures.figure4(
-        benchmarks=("bfs", "sssp") if quick else figures.STUDY_BENCHMARKS,
-        executor=ex,
-    ),
-    "fig5": lambda quick, ex: figures.figure5(executor=ex),
-    "fig6": lambda quick, ex: figures.figure6(
-        benchmarks=("bfs", "sssp") if quick else figures.STUDY_BENCHMARKS,
-        systems=("var1", "var2", "var3") if quick
-        else ("var1", "var2", "var3", "var4"),
-        executor=ex,
-    ),
-    "fig7": lambda quick, ex: figures.figure7(
-        gpu_counts=(2, 8, 32) if quick else (2, 4, 8, 16, 32, 64),
-        benchmarks=("bfs", "sssp") if quick else figures.STUDY_BENCHMARKS,
-        executor=ex,
-    ),
-    "fig8": lambda quick, ex: figures.figure8(
-        benchmarks=("bfs", "sssp") if quick else figures.STUDY_BENCHMARKS,
-        executor=ex,
-    ),
-    "fig9": lambda quick, ex: figures.figure9(
-        benchmarks=("bfs", "sssp") if quick else figures.STUDY_BENCHMARKS,
-        executor=ex,
-    ),
-    "analysis": lambda quick, ex: _analysis(quick, ex),
-    "microbench": lambda quick, ex: _microbench(quick, ex),
-}
 
-
-def _run_ooc(args) -> int:
-    """``repro-study --ooc``: the out-of-core pipeline study + gate."""
-    import json
-
-    from repro.study.ooc import OocConfig, evaluate, run_ooc_study
-
+def _ooc(args, ex):
+    """The out-of-core pipeline: chunk-generate a graph several times the
+    RAM cap into an mmap store, spill partitions, fan bfs + pr-push out
+    under the peak-RSS meter.  Its workers must be ``spawn``-started and
+    read fresh, so it builds its own pool (``--jobs``, at least 2) and
+    the shared executor's settings do not reach it."""
     cfg = OocConfig.from_env(jobs=max(args.jobs, 2))
     if args.ooc_dir:
         cfg.work_dir = args.ooc_dir
-    t0 = time.time()
     report = run_ooc_study(cfg, progress=lambda msg: print(f"  {msg}"))
-    violations = evaluate(report)
-    if args.ooc_out:
-        with open(args.ooc_out, "w") as f:
-            json.dump(report.to_json(), f, indent=1, sort_keys=True)
-            f.write("\n")
-        print(f"report written to {args.ooc_out}")
-    print(f"[ooc study finished in {time.time() - t0:.1f}s]")
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
-        return 1
-    print(
-        f"ooc gate OK: {report.store_bytes / 2**20:.0f} MiB graph, "
+    return report, (
+        f"ooc: {report.store_bytes / 2**20:.0f} MiB graph, "
         f"peak worker RSS {report.peak_rss_bytes / 2**20:.1f} MiB "
-        f"under the {cfg.ram_cap_mb:g} MiB cap "
+        f"against the {cfg.ram_cap_mb:g} MiB cap "
         f"(x{cfg.rss_tol:g} tol), warm mmap/ram wall "
         f"{report.small_wall['mmap'] / report.small_wall['ram']:.2f}x"
     )
-    return 0
 
 
-def _run_advisor(args) -> int:
-    """``repro-study --advisor``: the advisor-accuracy study + gate."""
-    from repro.runtime.sweep import SweepExecutor
-    from repro.study.tables import advisor_table
-    from repro.tune import advisor_study, evaluate_advisor
-
-    t0 = time.time()
-    with SweepExecutor(jobs=args.jobs, cache_dir=args.cache_dir) as ex:
-        report = advisor_study(seed=args.advisor_seed, executor=ex)
-    _, text = advisor_table(report)
-    print(text)
-    if args.advisor_out:
-        with open(args.advisor_out, "w") as f:
-            f.write(report.to_json())
-            f.write("\n")
-        print(f"report written to {args.advisor_out}")
-    violations = evaluate_advisor(report)
-    print(f"[advisor study finished in {time.time() - t0:.1f}s]")
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
-        return 1
-    return 0
+def _advisor(args, ex):
+    """Advisor accuracy: full-validation DSE over the seeded shape suite."""
+    seed = SUITE_SEED if args.seed is None else args.seed
+    report = advisor_study(seed=seed, executor=ex)
+    return report, tables.advisor_table(report)[1]
 
 
-def _run_gnn(args) -> int:
-    """``repro-study --gnn``: the GNN placement study + gate."""
-    from repro.gnnflow import GNN_SHAPES, evaluate_gnn, gnn_study
-    from repro.runtime.sweep import SweepExecutor
-    from repro.study.report import format_table
-
+def _gnn(args, ex):
+    """GNN feature placement: shapes x partition policies x treatments."""
     shapes = (
         tuple(s for s in args.gnn_shapes.split(",") if s)
         if args.gnn_shapes
         else GNN_SHAPES
     )
-    t0 = time.time()
-    with SweepExecutor(jobs=args.jobs, cache_dir=args.cache_dir) as ex:
-        report = gnn_study(shapes=shapes, seed=args.gnn_seed, executor=ex)
+    seed = GNN_SEED if args.seed is None else args.seed
+    report = gnn_study(shapes=shapes, seed=seed, executor=ex)
     rows = [
         [r.shape, r.policy, r.placement, f"{r.h2d_bytes:.0f}",
          r.cache_hits, r.cache_misses, f"{r.hit_rate * 100:.0f}%",
          f"{r.execution_time * 1e3:.3f}"]
         for r in report.rows
     ]
-    print(format_table(
+    return report, format_table(
         ["shape", "policy", "placement", "H2D bytes", "hits", "misses",
          "hit rate", "time (ms)"],
         rows, title="GNN feature-placement study",
-    ))
-    if args.gnn_out:
-        with open(args.gnn_out, "w") as f:
-            f.write(report.to_json())
-            f.write("\n")
-        print(f"report written to {args.gnn_out}")
-    violations = evaluate_gnn(report)
-    print(f"[gnn study finished in {time.time() - t0:.1f}s]")
-    if violations:
-        for v in violations:
-            print(f"VIOLATION: {v}")
-        return 1
-    return 0
+    )
 
 
+def _quick_benchmarks(args):
+    return ("bfs", "sssp") if args.quick else figures.STUDY_BENCHMARKS
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One experiment: ``run(args, executor) -> (result, text)``.  A row
+    with ``evaluate(result) -> violations`` is a gated study: its result
+    is a report with ``to_json()``, and it is not part of ``all``."""
+
+    run: Callable
+    evaluate: Optional[Callable] = None
+
+
+# table1 and the microbenchmark have no study cells to fan out and ignore
+# the executor; ooc builds its own (see _ooc).
+_EXPERIMENTS = {
+    "table1": _Row(lambda args, ex: tables.table1(
+        diameter_sweeps=2 if args.quick else 4
+    )),
+    "table2": _Row(lambda args, ex: tables.table2(
+        gpu_counts=(2, 6) if args.quick else (1, 2, 4, 6),
+        benchmarks=("bfs", "cc") if args.quick else ("bfs", "cc", "pr", "sssp"),
+        executor=ex,
+    )),
+    "table3": _Row(lambda args, ex: tables.table3(executor=ex)),
+    "table4": _Row(lambda args, ex: tables.table4(
+        benchmarks=("bfs", "pr") if args.quick
+        else ("bfs", "cc", "kcore", "pr", "sssp"),
+        executor=ex,
+    )),
+    "fig3": _Row(lambda args, ex: figures.figure3(
+        gpu_counts=(2, 8, 32) if args.quick else (2, 4, 8, 16, 32, 64),
+        benchmarks=_quick_benchmarks(args),
+        executor=ex,
+    )),
+    "fig4": _Row(lambda args, ex: figures.figure4(
+        benchmarks=_quick_benchmarks(args), executor=ex,
+    )),
+    "fig5": _Row(lambda args, ex: figures.figure5(executor=ex)),
+    "fig6": _Row(lambda args, ex: figures.figure6(
+        benchmarks=_quick_benchmarks(args),
+        systems=("var1", "var2", "var3") if args.quick
+        else ("var1", "var2", "var3", "var4"),
+        executor=ex,
+    )),
+    "fig7": _Row(lambda args, ex: figures.figure7(
+        gpu_counts=(2, 8, 32) if args.quick else (2, 4, 8, 16, 32, 64),
+        benchmarks=_quick_benchmarks(args),
+        executor=ex,
+    )),
+    "fig8": _Row(lambda args, ex: figures.figure8(
+        benchmarks=_quick_benchmarks(args), executor=ex,
+    )),
+    "fig9": _Row(lambda args, ex: figures.figure9(
+        benchmarks=_quick_benchmarks(args), executor=ex,
+    )),
+    "analysis": _Row(_analysis),
+    "microbench": _Row(_microbench),
+    "ooc": _Row(_ooc, evaluate_ooc),
+    "advisor": _Row(_advisor, evaluate_advisor),
+    "gnn": _Row(_gnn, evaluate_gnn),
+}
+
+
+@cli_main
 def main(argv: list[str] | None = None) -> int:
+    gated = sorted(n for n, row in _EXPERIMENTS.items() if row.evaluate)
     parser = argparse.ArgumentParser(
         prog="repro-study",
-        description="Regenerate the paper's tables and figures.",
+        description="Regenerate the paper's tables and figures, or run "
+        "one of the gated studies.",
     )
     parser.add_argument(
         "experiment",
-        nargs="?",
-        default=None,
         choices=sorted(_EXPERIMENTS) + ["all", "list"],
-        help="which table/figure to regenerate (optional with "
-        "--ooc/--advisor/--gnn)",
+        help="which table/figure to regenerate ('all' = every paper "
+        f"table and figure), or a gated study ({', '.join(gated)}): "
+        "'ooc' is the out-of-core pipeline under a peak-RSS gate (env "
+        "knobs REPRO_OOC_RAM_CAP_MB, REPRO_OOC_SIZE_MULT, "
+        "REPRO_OOC_RSS_TOL, REPRO_OOC_WALL_TOL; docs/scale.md) — it "
+        "builds its own spawn pool by design, so of the options below "
+        "only --jobs, --ooc-dir and --out reach it; 'advisor' is the "
+        "repro.tune accuracy study (docs/tuning.md); 'gnn' the "
+        "repro.gnnflow placement study (docs/gnnflow.md)",
     )
     parser.add_argument(
-        "--advisor", action="store_true",
-        help="run the repro.tune advisor-accuracy study instead of a "
-        "paper experiment: full-validation DSE over the seeded fuzz-shape "
-        "suite, reporting predicted-best vs. measured-best rank and "
-        "regret, gated at the same threshold as bench_regression.py "
-        "--only advisor (see docs/tuning.md)",
+        "--out", default=None, metavar="FILE",
+        help=f"write the report of a gated study ({', '.join(gated)}) "
+        "as JSON to FILE",
     )
     parser.add_argument(
-        "--advisor-seed", type=int, default=None, metavar="N",
-        help="suite seed for --advisor (default: the committed gate seed)",
-    )
-    parser.add_argument(
-        "--advisor-out", default=None, metavar="FILE",
-        help="also write the --advisor report as JSON to FILE",
-    )
-    parser.add_argument(
-        "--gnn", action="store_true",
-        help="run the repro.gnnflow placement study instead of a paper "
-        "experiment: the GNN feature-gather workload over the seeded "
-        "fuzz-shape suite x partition policies x placement treatments "
-        "(no cache / hot-vertex LRU buffer / buffer + locality-aware "
-        "sampling), gated like bench_regression.py --only gnn "
-        "(see docs/gnnflow.md)",
-    )
-    parser.add_argument(
-        "--gnn-seed", type=int, default=None, metavar="N",
-        help="suite seed for --gnn (default: the committed gate seed)",
+        "--seed", type=int, default=None, metavar="N",
+        help="suite seed for advisor / gnn (default: the committed gate seed)",
     )
     parser.add_argument(
         "--gnn-shapes", default=None, metavar="S1,S2",
-        help="comma-separated fuzz shapes for --gnn (default: the full "
+        help="comma-separated fuzz shapes for gnn (default: the full "
         "suite; CI smoke runs a 2-shape subset)",
     )
     parser.add_argument(
-        "--gnn-out", default=None, metavar="FILE",
-        help="also write the --gnn report as JSON to FILE",
-    )
-    parser.add_argument(
-        "--ooc", action="store_true",
-        help="run the out-of-core pipeline study instead of a paper "
-        "experiment: chunk-generate a graph several times the RAM cap "
-        "into an mmap store, spill partitions, and fan BFS + PageRank "
-        "out over spawn workers under a peak-RSS gate (env knobs: "
-        "REPRO_OOC_RAM_CAP_MB, REPRO_OOC_SIZE_MULT, REPRO_OOC_RSS_TOL, "
-        "REPRO_OOC_WALL_TOL; see docs/scale.md)",
-    )
-    parser.add_argument(
         "--ooc-dir", default=None, metavar="DIR",
-        help="working directory for the --ooc store and partition cache "
+        help="working directory for the ooc store and partition cache "
         "(default: .ooc in the current directory; reused across runs)",
-    )
-    parser.add_argument(
-        "--ooc-out", default=None, metavar="FILE",
-        help="also write the --ooc report as JSON to FILE",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -315,30 +268,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.ooc:
-        return _run_ooc(args)
-    if args.advisor:
-        if args.advisor_seed is None:
-            from repro.tune.dse import SUITE_SEED
-
-            args.advisor_seed = SUITE_SEED
-        return _run_advisor(args)
-    if args.gnn:
-        if args.gnn_seed is None:
-            from repro.gnnflow import GNN_SEED
-
-            args.gnn_seed = GNN_SEED
-        return _run_gnn(args)
-    if args.experiment is None:
-        parser.error(
-            "an experiment name is required unless --ooc, --advisor, or "
-            "--gnn is given"
-        )
-
     if args.experiment == "list":
         for name in sorted(_EXPERIMENTS):
             print(name)
         return 0
+    if args.experiment == "all":
+        names = sorted(n for n, row in _EXPERIMENTS.items() if not row.evaluate)
+    else:
+        names = [args.experiment]
+    if args.out and not _EXPERIMENTS[names[0]].evaluate:
+        parser.error(f"--out needs a study that writes a report: {gated}")
 
     if args.progress:
         logging.basicConfig(
@@ -346,9 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         logging.getLogger("repro.runtime.sweep").setLevel(logging.INFO)
 
-    from repro.runtime.sweep import SweepExecutor
-
-    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    status = 0
     with SweepExecutor(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -357,11 +294,19 @@ def main(argv: list[str] | None = None) -> int:
         check=args.check,
     ) as ex:
         for name in names:
+            row = _EXPERIMENTS[name]
             t0 = time.time()
-            _, text = _EXPERIMENTS[name](args.quick, ex)
+            result, text = row.run(args, ex)
             print(text)
+            if args.out:
+                with open(args.out, "w") as f:
+                    f.write(result.to_json() + "\n")
+                print(f"report written to {args.out}")
             print(f"[{name} regenerated in {time.time() - t0:.1f}s]\n")
-    return 0
+            for v in row.evaluate(result) if row.evaluate else ():
+                print(f"VIOLATION: {v}")
+                status = 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.errors import ReproError, SimulatedOOMError, UnsupportedFeatureError
-from repro.frameworks.dirgl import DIrGL
 from repro.generators.datasets import dataset_names, load_dataset
 from repro.metrics.breakdown import Breakdown, breakdown_row
 from repro.runtime.cells import CellSpec, SystemSpec
+from repro.runtime.sweep import run_cells
 from repro.study.report import format_series, format_table
 from repro.study.scaling import ScalingResult, strong_scaling
-from repro.study.variants import make_variant
 
 __all__ = [
     "figure3", "figure4", "figure5", "figure6", "figure7", "figure8",
@@ -40,63 +38,36 @@ def _breakdown_sweep(
 ):
     """Shared driver for the breakdown figures (4, 5, 6, 8, 9).
 
-    ``systems`` values are zero-argument factories or picklable
-    :class:`SystemSpec` entries; with all-spec systems the cells run
-    through ``executor`` (``None`` = serial in-process), and rows are
-    assembled in the original nested-loop order either way.
+    ``systems`` values are picklable :class:`SystemSpec` entries; the
+    cells run through ``executor`` (``None`` = serial in-process) and rows
+    are assembled in nested-loop order either way.
     """
     bars: dict[tuple[str, str, str], Optional[Breakdown]] = {}
     rows = []
-    if systems and all(isinstance(s, SystemSpec) for s in systems.values()):
-        from repro.runtime.sweep import SweepExecutor
-
-        specs = [
-            CellSpec(
-                key=(ds_name, bench, sys_name),
-                system=spec,
-                benchmark=bench,
-                dataset=ds_name,
-                num_gpus=num_gpus,
-            )
-            for ds_name in datasets
-            for bench in benchmarks
-            for sys_name, spec in systems.items()
-        ]
-        ex = executor if executor is not None else SweepExecutor(jobs=1)
-        for out in ex.map(specs):
-            ds_name, bench, sys_name = out.key
-            bar = (
-                breakdown_row(f"{ds_name}/{bench}/{sys_name}", out.stats)
-                if out.ok
-                else None
-            )
-            bars[out.key] = bar
-            rows.append(
-                [ds_name, bench, sys_name]
-                + (list(bar.row()[1:]) if bar else [None] * 5)
-            )
-    else:
-        for ds_name in datasets:
-            ds = load_dataset(ds_name)
-            for bench in benchmarks:
-                for sys_name, factory in systems.items():
-                    try:
-                        fw = (
-                            factory.build()
-                            if isinstance(factory, SystemSpec)
-                            else factory()
-                        )
-                        res = fw.run(bench, ds, num_gpus)
-                        bar = breakdown_row(
-                            f"{ds_name}/{bench}/{sys_name}", res.stats
-                        )
-                    except (SimulatedOOMError, UnsupportedFeatureError, ReproError):
-                        bar = None
-                    bars[(ds_name, bench, sys_name)] = bar
-                    rows.append(
-                        [ds_name, bench, sys_name]
-                        + (list(bar.row()[1:]) if bar else [None] * 5)
-                    )
+    specs = [
+        CellSpec(
+            key=(ds_name, bench, sys_name),
+            system=spec,
+            benchmark=bench,
+            dataset=ds_name,
+            num_gpus=num_gpus,
+        )
+        for ds_name in datasets
+        for bench in benchmarks
+        for sys_name, spec in systems.items()
+    ]
+    for out in run_cells(specs, executor):
+        ds_name, bench, sys_name = out.key
+        bar = (
+            breakdown_row(f"{ds_name}/{bench}/{sys_name}", out.stats)
+            if out.ok
+            else None
+        )
+        bars[out.key] = bar
+        rows.append(
+            [ds_name, bench, sys_name]
+            + (list(bar.row()[1:]) if bar else [None] * 5)
+        )
     headers = [
         "dataset", "benchmark", "system",
         "max compute (s)", "min wait (s)", "device comm (s)",

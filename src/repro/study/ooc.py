@@ -22,7 +22,7 @@ This driver exercises the full out-of-core data path end to end:
    both ``store+mmap:`` and ``store+ram:`` to bound the mmap path's
    overhead on graphs that *do* fit.
 
-``bench_regression.py --only ooc`` and ``repro-study --ooc`` both call
+``bench_regression.py --only ooc`` and ``repro-study ooc`` both call
 :func:`run_ooc_study` and gate on :func:`evaluate`:
 
 * every cell succeeds (``--only ooc`` additionally pins rounds and
@@ -40,6 +40,7 @@ Teaching the pull engines to spill transposes is future work
 from __future__ import annotations
 
 import gc
+import json
 import math
 import os
 import time
@@ -147,8 +148,8 @@ class OocReport:
     #: warm small-graph walls, seconds: {"mmap": ..., "ram": ...}
     small_wall: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "config": {
                 "ram_cap_mb": self.config.ram_cap_mb,
                 "size_multiple": self.config.size_multiple,
@@ -173,6 +174,7 @@ class OocReport:
                 k: round(v, 4) for k, v in self.small_wall.items()
             },
         }
+        return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def _build_big_store(cfg: OocConfig, work_dir: str) -> tuple[str, dict, float]:
@@ -240,13 +242,17 @@ def run_ooc_study(cfg: Optional[OocConfig] = None, progress=None) -> OocReport:
 
     ``progress`` is an optional ``callable(str)`` for status lines.
     """
+    from repro.partition.cache import get_cache, set_cache
+
     cfg = cfg or OocConfig.from_env()
     env = _worker_env(cfg)
     saved = {k: os.environ.get(k) for k in env}
     os.environ.update(env)
+    found = get_cache()  # the study points the process-wide cache at its own
     try:
-        return _run_ooc_study(cfg, progress)
+        return _pipeline(cfg, progress)
     finally:
+        set_cache(found)
         for k, v in saved.items():
             if v is None:
                 os.environ.pop(k, None)
@@ -254,7 +260,7 @@ def run_ooc_study(cfg: Optional[OocConfig] = None, progress=None) -> OocReport:
                 os.environ[k] = v
 
 
-def _run_ooc_study(cfg: OocConfig, progress) -> OocReport:
+def _pipeline(cfg: OocConfig, progress) -> OocReport:
     from repro.partition.cache import clear as cache_clear
     from repro.partition.cache import configure as cache_configure
     from repro.runtime.sweep import SweepExecutor

@@ -11,18 +11,12 @@ crashes").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.errors import (
-    ReproError,
-    SimulatedCrashError,
-    SimulatedOOMError,
-    UnsupportedFeatureError,
-)
-from repro.frameworks.base import Framework
 from repro.generators.datasets import Dataset
 from repro.metrics.stats import RunStats
 from repro.runtime.cells import CellSpec, SystemSpec
+from repro.runtime.sweep import run_cells
 
 __all__ = ["ScalingPoint", "ScalingResult", "strong_scaling"]
 
@@ -70,7 +64,7 @@ class ScalingResult:
 
 
 def strong_scaling(
-    systems: dict[str, Union[Callable[[], Framework], SystemSpec]],
+    systems: dict[str, SystemSpec],
     benchmark: str,
     dataset: Dataset,
     gpu_counts: Sequence[int] = DEFAULT_GPU_COUNTS,
@@ -80,63 +74,42 @@ def strong_scaling(
 ) -> ScalingResult:
     """Sweep ``benchmark`` on ``dataset`` for each system over GPU counts.
 
-    ``systems`` maps a display name to either a zero-argument framework
-    factory (a fresh facade per run keeps engines stateless) or a
-    picklable :class:`~repro.runtime.cells.SystemSpec`.  When every value
-    is a ``SystemSpec``, the sweep runs through ``executor`` (a
-    :class:`~repro.runtime.SweepExecutor`; ``None`` means serial
-    in-process) — cells fan out over its worker pool but results are
-    assembled in the same order as the serial loops, so the
-    :class:`ScalingResult` is identical either way.
+    ``systems`` maps a display name to a picklable
+    :class:`~repro.runtime.cells.SystemSpec`; the cells run through
+    ``executor`` (a :class:`~repro.runtime.SweepExecutor`; ``None`` means
+    serial in-process) and the points are assembled in nested-loop order,
+    so the :class:`ScalingResult` is identical either way.  Of
+    ``ctx_overrides``, ``check_memory`` and ``fault_plan`` are the
+    :class:`~repro.runtime.cells.CellSpec` fields of those names; the
+    rest reach the run context.
     """
     result = ScalingResult(
         benchmark=benchmark, dataset=dataset.name, gpu_counts=tuple(gpu_counts)
     )
-    if systems and all(isinstance(s, SystemSpec) for s in systems.values()):
-        from repro.runtime.sweep import SweepExecutor
-
-        specs = [
-            CellSpec(
-                key=(name, n),
-                system=spec,
-                benchmark=benchmark,
-                dataset=dataset.name,
-                num_gpus=n,
-                platform=platform,
-                ctx_overrides=tuple(sorted(ctx_overrides.items())),
-            )
-            for name, spec in systems.items()
+    cell_fields = {
+        k: ctx_overrides.pop(k)
+        for k in ("check_memory", "fault_plan")
+        if k in ctx_overrides
+    }
+    specs = [
+        CellSpec(
+            key=(name, n),
+            system=spec,
+            benchmark=benchmark,
+            dataset=dataset.name,
+            num_gpus=n,
+            platform=platform,
+            ctx_overrides=tuple(sorted(ctx_overrides.items())),
+            **cell_fields,
+        )
+        for name, spec in systems.items()
+        for n in gpu_counts
+    ]
+    outcomes = {o.key: o for o in run_cells(specs, executor)}
+    for name in systems:
+        result.points[name] = [
+            ScalingPoint(name, n, outcomes[(name, n)].stats,
+                         failure=outcomes[(name, n)].failure_label())
             for n in gpu_counts
         ]
-        ex = executor if executor is not None else SweepExecutor(jobs=1)
-        outcomes = {o.key: o for o in ex.map(specs)}
-        for name in systems:
-            result.points[name] = [
-                ScalingPoint(name, n, outcomes[(name, n)].stats,
-                             failure=outcomes[(name, n)].failure_label())
-                for n in gpu_counts
-            ]
-        return result
-    for name, factory in systems.items():
-        pts: list[ScalingPoint] = []
-        for n in gpu_counts:
-            try:
-                fw = (
-                    factory.build()
-                    if isinstance(factory, SystemSpec)
-                    else factory()
-                )
-                res = fw.run(
-                    benchmark, dataset, n, platform=platform, **ctx_overrides
-                )
-                pts.append(ScalingPoint(name, n, res.stats))
-            except SimulatedOOMError as e:
-                pts.append(ScalingPoint(name, n, None, failure=f"oom: {e}"))
-            except UnsupportedFeatureError as e:
-                pts.append(ScalingPoint(name, n, None, failure=f"unsupported: {e}"))
-            except SimulatedCrashError as e:
-                pts.append(ScalingPoint(name, n, None, failure=f"crash: {e}"))
-            except ReproError as e:
-                pts.append(ScalingPoint(name, n, None, failure=str(e)))
-        result.points[name] = pts
     return result

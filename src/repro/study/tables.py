@@ -14,16 +14,8 @@ from repro.frameworks import DIrGL
 from repro.generators.datasets import dataset_names, load_dataset
 from repro.graph.properties import properties
 from repro.runtime.cells import CellSpec, PartitionStatsSpec, SystemSpec
+from repro.runtime.sweep import run_cells
 from repro.study.report import format_table
-
-
-def _executor(executor):
-    """``None`` means run cells serially in-process."""
-    if executor is not None:
-        return executor
-    from repro.runtime.sweep import SweepExecutor
-
-    return SweepExecutor(jobs=1)
 
 __all__ = ["table1", "table2", "table3", "table4", "advisor_table"]
 
@@ -122,7 +114,7 @@ def table2(
         for ds_name in datasets
         for pol, n in candidates(fw_name)
     ]
-    outcomes = {o.key: o for o in _executor(executor).map(specs)}
+    outcomes = {o.key: o for o in run_cells(specs, executor)}
 
     rows = []
     cells: dict[tuple[str, str, str], BestRun] = {}
@@ -174,7 +166,7 @@ def table3(
         for fw_name in _T2_FRAMEWORKS
         for ds_name in datasets
     ]
-    outcomes = {o.key: o for o in _executor(executor).map(specs)}
+    outcomes = {o.key: o for o in run_cells(specs, executor)}
     rows = []
     cells: dict[tuple[str, str], Optional[float]] = {}
     for fw_name in _T2_FRAMEWORKS:
@@ -240,7 +232,7 @@ def table4(
                     num_gpus=num_gpus,
                     check_memory=False,
                 ))
-    outcomes = {o.key: o for o in _executor(executor).map(specs)}
+    outcomes = {o.key: o for o in run_cells(specs, executor)}
 
     rows = []
     cells: dict[tuple, tuple] = {}

@@ -15,6 +15,7 @@ import json
 import sys
 import time
 
+from repro.errors import cli_main
 from repro.study.report import format_table
 
 __all__ = ["main"]
@@ -24,6 +25,7 @@ def _csv(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+@cli_main
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-tune",

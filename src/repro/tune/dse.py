@@ -10,7 +10,7 @@ survivors by predicted cost, and validates picks with real
 
 ``advisor_study`` sweeps the seeded fuzz-shape suite with *full*
 validation (every cell measured) so predicted-best can be ranked
-against measured-best; its report feeds both ``repro-study --advisor``
+against measured-best; its report feeds both ``repro-study advisor``
 and the deterministic ``bench_regression.py --only advisor`` gate
 (top-1 regret <= :data:`REGRET_GATE`).
 """
@@ -21,14 +21,14 @@ import json
 from dataclasses import dataclass, field
 
 from repro.apps import get_app
-from repro.runtime.cells import CellSpec, run_task
+from repro.runtime.cells import CellSpec
+from repro.runtime.sweep import run_cells
 from repro.tune.features import FEATURE_PARTS, GraphFeatures, extract_features
 from repro.tune.predictor import (
     AnalyticPredictor,
     Calibration,
     ConfigCell,
     Prediction,
-    fit_calibration,
 )
 
 __all__ = [
@@ -215,9 +215,8 @@ def run_dse(
     ``validate`` is ``"none"`` (predictions only), ``"top-k"`` (measure
     the ``cfg.top_k`` best-predicted cells), or ``"all"`` (measure every
     cell — the accuracy-study mode).  Measurements go through
-    ``executor.map`` when a :class:`SweepExecutor` is supplied, else
-    serially in-process via :func:`run_task` — either way they are the
-    same ``CellSpec`` runs the study drivers issue.
+    :func:`~repro.runtime.sweep.run_cells` — the same ``CellSpec`` runs
+    the study drivers issue.
     """
     from repro.generators.datasets import load_dataset
 
@@ -246,10 +245,7 @@ def run_dse(
             )
             for o in to_measure
         ]
-        results = (
-            executor.map(specs) if executor is not None else [run_task(s) for s in specs]
-        )
-        for o, res in zip(to_measure, results):
+        for o, res in zip(to_measure, run_cells(specs, executor)):
             if res.ok:
                 o.measured_seconds = float(res.stats.execution_time)
             else:
@@ -352,15 +348,6 @@ def advisor_study(
                 )
             )
     return AdvisorReport(seed=seed, rows=rows)
-
-
-def fit_from_results(results) -> Calibration:
-    """Least-squares calibration from fully-validated :class:`DseResult`s."""
-    samples = []
-    for res in results:
-        for o in res.measured():
-            samples.append((res.app, o.prediction.breakdown, o.measured_seconds))
-    return fit_calibration(samples)
 
 
 def evaluate_advisor(

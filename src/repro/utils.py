@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 __all__ = [
@@ -11,7 +9,6 @@ __all__ = [
     "blocked_ranges",
     "balanced_prefix_split",
     "grid_shape",
-    "as_int_array",
 ]
 
 
@@ -93,9 +90,3 @@ def grid_shape(parts: int) -> tuple[int, int]:
     if rows < cols:
         rows, cols = cols, rows
     return rows, cols
-
-
-def as_int_array(seq: Iterable[int] | Sequence[int] | np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Coerce a sequence to a contiguous integer NumPy array."""
-    arr = np.ascontiguousarray(seq, dtype=dtype)
-    return arr

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.apps import APPS, get_app
-from repro.fuzz.cases import SYMMETRIC_APPS, Case, run_case
+from repro.apps.registry import SYMMETRIC_APPS
+from repro.fuzz.cases import Case, run_case
 from repro.graph.builder import from_edges
 from repro.graph.transform import add_random_weights, make_undirected
 

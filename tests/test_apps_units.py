@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.apps.common import expand_frontier, scatter_add, scatter_min
+from repro.apps.common import expand_edges, scatter_add, scatter_min
 from repro.engine import BSPEngine, RunContext
 from repro.errors import ConfigurationError
 from repro.graph import from_edges
@@ -18,25 +18,25 @@ class TestExpandFrontier:
 
     def test_all_edges_of_frontier(self):
         g = self.g()
-        rep, dsts, w = expand_frontier(g, np.array([0, 2]))
+        counts, dsts, w = expand_edges(g, np.array([0, 2]))
         assert len(dsts) == 5  # deg(0)=2, deg(2)=3
         assert w is None
-        # rep indexes into the frontier array
-        srcs = np.array([0, 2])[rep]
+        # counts spell each frontier vertex out per edge
+        srcs = np.repeat(np.array([0, 2]), counts)
         expected = {(0, 1), (0, 2), (2, 0), (2, 1), (2, 3)}
         assert set(zip(srcs.tolist(), dsts.tolist())) == expected
 
     def test_empty_frontier(self):
-        rep, dsts, _ = expand_frontier(self.g(), np.empty(0, dtype=np.int64))
-        assert len(rep) == 0 and len(dsts) == 0
+        counts, dsts, _ = expand_edges(self.g(), np.empty(0, dtype=np.int64))
+        assert len(counts) == 0 and len(dsts) == 0
 
     def test_isolated_vertex(self):
-        rep, dsts, _ = expand_frontier(self.g(), np.array([3]))
-        assert len(dsts) == 0
+        counts, dsts, _ = expand_edges(self.g(), np.array([3]))
+        assert counts.tolist() == [0] and len(dsts) == 0
 
     def test_weights_parallel(self):
         g = from_edges([0, 0], [1, 2], num_vertices=3, weights=[7, 9])
-        _, dsts, w = expand_frontier(g, np.array([0]), with_weights=True)
+        _, dsts, w = expand_edges(g, np.array([0]), with_weights=True)
         assert sorted(zip(dsts.tolist(), w.tolist())) == [(1, 7), (2, 9)]
 
 

@@ -153,7 +153,7 @@ class TestCostBreakdown:
 
 
 class TestPartitionStatsSchema:
-    """PartitionStats <-> dict round trip + the comm_breakdown bridge."""
+    """PartitionStats <-> dict round trip + the cost-model bridge."""
 
     def _stats(self):
         from repro.generators import rmat
@@ -182,15 +182,15 @@ class TestPartitionStatsSchema:
             PartitionStats.from_dict(d)
 
     def test_comm_breakdown_prices_through_cost_model(self):
+        """The synthetic sync batch of a partitioning prices through the
+        real cost model (what the advisor's predictor does)."""
         from repro.partition.stats import sync_messages_for_stats
 
         s = self._stats()
         cm = CostModel(bridges(4), ALB, scale_factor=10.0)
-        b = s.comm_breakdown(cm, update_only=True, updated_fraction=0.5)
-        assert b.compute == 0.0  # stats cannot know the app's frontier
-        assert b.sync > 0.0 and b.serialize > 0.0
-        ref = cm.price_round(
+        b = cm.price_round(
             np.empty(0),
             sync_messages_for_stats(s, update_only=True, updated_fraction=0.5),
         )
-        assert b == ref
+        assert b.compute == 0.0  # stats cannot know the app's frontier
+        assert b.sync > 0.0 and b.serialize > 0.0

@@ -66,18 +66,16 @@ class TestEngineIntegration:
 
     def test_scaling_driver_records_crash_as_missing(self, small_graph, ctx):
         """The study's missing-point path handles crashes like the paper."""
-        from repro.frameworks import DIrGL
         from repro.generators import load_dataset
+        from repro.runtime.cells import SystemSpec
         from repro.study import strong_scaling
-
-        class CrashyDIrGL(DIrGL):
-            def run(self, *a, **kw):
-                raise SimulatedCrashError("flaky node")
 
         ds = load_dataset("tiny-s")
         res = strong_scaling(
-            {"crashy": lambda: CrashyDIrGL(policy="cvc")},
-            "bfs", ds, gpu_counts=(2,),
+            {"crashy": SystemSpec.dirgl(policy="cvc")},
+            "bfs", ds, gpu_counts=(2,), fault_plan=((0, 0),),
         )
         assert res.times("crashy") == [None]
-        assert "flaky" in res.points["crashy"][0].failure
+        assert res.points["crashy"][0].failure.startswith(
+            "crash: GPU 0 crashed at round 0"
+        )

@@ -16,7 +16,6 @@ from repro import idset
 from repro.apps.common import (
     block_edge_budget,
     expand_edges,
-    expand_frontier,
     scatter_add,
     scatter_min,
 )
@@ -228,11 +227,6 @@ def test_expand_edges_paths_agree(shape):
             np.testing.assert_array_equal(counts, r_counts)
             _same(dsts, r_dsts)
             _same(np.asarray(w), np.asarray(r_w))
-        # rep is counts spelled per edge
-        rep, dsts2, w2 = expand_frontier(g, frontier, with_weights=True)
-        _same(rep, np.repeat(np.arange(len(frontier), dtype=np.int64), counts))
-        _same(dsts2, dsts)
-        _same(np.asarray(w2), np.asarray(w))
         _, dsts3, none = expand_edges(g, frontier)
         assert none is None
         _same(dsts3, dsts)

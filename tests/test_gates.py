@@ -21,7 +21,7 @@ import sys
 import pytest
 
 from benchmarks.bench_regression import GATES, Gate, main
-from repro.metrics.perfbaseline import (
+from benchmarks.perfbaseline import (
     MATRIX_CELLS,
     CellResult,
     cell_key,

@@ -148,7 +148,7 @@ class TestReverse:
         g = from_edges([0, 1], [1, 0], num_vertices=2, weights=[5, 9])
         r = g.reverse()
         # edge 0->1 weight 5 becomes in-edge of 1 from 0 with weight 5
-        w_of_edge_into_1 = r.edge_weights_of(1)
+        w_of_edge_into_1 = r.weights[r.indptr[1] : r.indptr[2]]
         assert w_of_edge_into_1.tolist() == [5]
 
     def test_double_reverse_equals_original(self):
@@ -169,10 +169,6 @@ class TestMisc:
         assert tiny() == tiny()
         g2 = from_edges([0], [1], num_vertices=4)
         assert tiny() != g2
-
-    def test_edge_weights_of_requires_weights(self):
-        with pytest.raises(GraphFormatError):
-            tiny().edge_weights_of(0)
 
     def test_repr_contains_counts(self):
         assert "4" in repr(tiny())

@@ -7,10 +7,10 @@ from repro.errors import GraphFormatError
 from repro.graph import (
     add_random_weights,
     from_edges,
-    load_binary,
     load_edgelist,
-    save_binary,
+    open_csr,
     save_edgelist,
+    write_csr_store,
 )
 
 
@@ -54,20 +54,26 @@ class TestEdgelist:
 
 
 class TestBinary:
-    def test_roundtrip(self, g, tmp_path):
-        p = tmp_path / "g.npz"
-        save_binary(g, p)
-        assert load_binary(p) == g
+    """The binary format is the store container (``repro.graph.store``;
+    its own suite is tests/test_graph_store.py)."""
 
-    def test_roundtrip_weighted_and_named(self, g, tmp_path):
-        gw = add_random_weights(g, seed=1)
-        p = tmp_path / "g.npz"
-        save_binary(gw, p)
-        h = load_binary(p)
-        assert h == gw
+    def test_roundtrip(self, g, tmp_path):
+        p = str(tmp_path / "g.csr")
+        write_csr_store(g, p)
+        assert open_csr(p) == g
+
+    def test_roundtrip_weighted_and_named(self, tmp_path):
+        gw = add_random_weights(
+            from_edges([0, 0, 1, 3], [1, 2, 3, 0], num_vertices=4, name="named"),
+            seed=1,
+        )
+        p = str(tmp_path / "g.csr")
+        write_csr_store(gw, p)
+        h = open_csr(p, mode="ram")
+        assert h == gw and h.name == "named"
 
     def test_rejects_foreign_npz(self, tmp_path):
         p = tmp_path / "foreign.npz"
         np.savez(p, a=np.arange(3))
         with pytest.raises(GraphFormatError):
-            load_binary(p)
+            open_csr(str(p))

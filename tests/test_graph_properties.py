@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 
 from repro.graph import from_edges, from_networkx, properties
-from repro.graph.properties import approximate_diameter, bfs_levels, degree_histogram
+from repro.graph.properties import approximate_diameter, bfs_levels
 
 
 def path(n):
@@ -55,24 +55,6 @@ class TestDiameter:
         est = approximate_diameter(g, num_sweeps=6, seed=0)
         assert est <= true_d
         assert est >= max(1, true_d - 2)  # double sweep is a tight lower bound
-
-
-class TestDegreeHistogram:
-    def test_out_histogram(self):
-        g = from_edges([0, 0, 1], [1, 2, 2], num_vertices=3)
-        h = degree_histogram(g, "out")
-        assert h.tolist() == [1, 1, 1]  # one deg-0, one deg-1, one deg-2
-
-    def test_in_histogram(self):
-        g = from_edges([0, 0, 1], [1, 2, 2], num_vertices=3)
-        h = degree_histogram(g, "in")
-        assert h.tolist() == [1, 1, 1]
-
-    def test_invalid_direction(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            degree_histogram(path(3), "sideways")
 
 
 class TestProperties:

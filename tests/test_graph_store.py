@@ -22,8 +22,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
-from repro.generators.chunked import build_store, rmat_chunks
+from repro.generators.chunked import (
+    build_store,
+    edge_list,
+    powerlaw_chunks,
+    rmat_chunks,
+    smallworld_chunks,
+)
+from repro.generators.powerlaw import powerlaw_social
 from repro.generators.rmat import rmat
+from repro.generators.smallworld import small_world
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.store import (
@@ -347,6 +355,39 @@ def test_rmat_chunks_bit_identical_to_in_ram_generator():
                                    chunk_edges=100)]
     )
     _assert_same_graph(ref, from_edges(src, dst, num_vertices=1 << scale))
+
+
+@pytest.mark.parametrize("chunk_edges", [None, 10_000])
+def test_powerlaw_chunks_one_block_is_the_in_ram_generator(chunk_edges):
+    """One block of every edge (exactly m, or anything above it) makes the
+    in-RAM generator's RNG calls in its order — it *is* that generator."""
+    params = dict(exponent=2.1, num_hubs=3, in_out_symmetry=0.6, seed=4)
+    n, deg = 300, 5.0
+    ref = powerlaw_social(n, deg, **params)
+    blocks = list(
+        powerlaw_chunks(n, deg, chunk_edges=chunk_edges or int(n * deg), **params)
+    )
+    assert len(blocks) == 1
+    _assert_same_graph(ref, from_edges(*blocks[0], num_vertices=n))
+
+
+@pytest.mark.parametrize("chunk_edges", [None, 10_000])
+def test_smallworld_chunks_one_block_is_the_in_ram_generator(chunk_edges):
+    n, k = 200, 5
+    ref = small_world(n, k=k, rewire_p=0.3, seed=9)
+    blocks = list(
+        smallworld_chunks(n, k=k, rewire_p=0.3, seed=9,
+                          chunk_edges=chunk_edges or n * k)
+    )
+    assert len(blocks) == 1
+    _assert_same_graph(ref, from_edges(*blocks[0], num_vertices=n))
+
+
+def test_edge_list_of_an_edgeless_model_is_empty():
+    src, dst = edge_list(powerlaw_chunks, 10, 0.0, seed=1)
+    assert len(src) == len(dst) == 0 and src.dtype == np.int64
+    assert powerlaw_social(10, 0.0, seed=1).num_edges == 0
+    assert rmat(3, edge_factor=0.0).num_edges == 0
 
 
 def test_build_store_invariant_to_chunking(tmp_path):

@@ -9,7 +9,6 @@ from repro.graph import (
     add_random_weights,
     from_edges,
     from_networkx,
-    largest_component_subgraph,
     make_undirected,
     relabel,
     to_networkx,
@@ -74,21 +73,6 @@ class TestRelabel:
     def test_bad_perm_rejected(self):
         with pytest.raises(ValueError):
             relabel(chain(3), np.array([0, 0, 1]))
-
-
-class TestGiantComponent:
-    def test_keeps_giant(self):
-        # component {0,1,2} (triangle) and isolated pair {3,4}
-        g = from_edges([0, 1, 2, 3], [1, 2, 0, 4], num_vertices=5)
-        giant = largest_component_subgraph(g)
-        assert giant.num_vertices == 3
-        assert giant.num_edges == 3
-
-    def test_connected_graph_unchanged_size(self):
-        g = make_undirected(chain(6))
-        giant = largest_component_subgraph(g)
-        assert giant.num_vertices == 6
-        assert giant.num_edges == g.num_edges
 
 
 class TestNetworkxRoundTrip:

@@ -15,7 +15,8 @@ from repro.apps import get_app
 from repro.comm import CommConfig
 from repro.comm.hier import group_cross_host
 from repro.engine import BASPEngine, BSPEngine
-from repro.fuzz.cases import SYMMETRIC_APPS, Case, make_context
+from repro.apps.registry import SYMMETRIC_APPS
+from repro.fuzz.cases import Case, make_context
 from repro.fuzz.gen import random_graph
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import ContentionConfig, bridges

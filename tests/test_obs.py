@@ -26,7 +26,6 @@ from repro.obs import (
 )
 from repro.obs.cli import main as trace_cli_main
 from repro.obs.cli import summarize_files
-from repro.partition.cache import CacheStats
 from repro.runtime.cells import CellSpec, SystemSpec, run_task
 
 
@@ -126,13 +125,6 @@ class TestCounterRegistry:
         c.update({"rounds": 5}, prefix="engine.")
         c.update({"rounds": 2}, prefix="engine.")
         assert c.as_dict() == {"engine.rounds": 7}
-
-    def test_merge_cache_stats(self):
-        c = CounterRegistry()
-        c.merge_cache_stats(CacheStats(memory_hits=3, disk_hits=1, builds=2, stores=2))
-        d = c.as_dict()
-        assert d["partition.cache.memory_hits"] == 3
-        assert d["partition.cache.builds"] == 2
 
 
 class TestAmbientTracer:

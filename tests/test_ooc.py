@@ -17,8 +17,8 @@ from repro.apps import get_app
 from repro.apps.common import (
     DEFAULT_BLOCK_EDGES,
     block_edge_budget,
-    expand_frontier,
-    expand_frontier_blocks,
+    expand_edges,
+    expand_edges_blocks,
     merge_touched,
 )
 from repro.comm import CommConfig
@@ -120,18 +120,18 @@ def _frontiers(g: CSRGraph):
 def test_expand_frontier_blocks_concatenates_to_unblocked(budget):
     g = build_shape("rmat", np.random.default_rng(3))
     for frontier in _frontiers(g):
-        rep, dsts, w = expand_frontier(g, frontier, with_weights=True)
+        counts, dsts, w = expand_edges(g, frontier, with_weights=True)
         blocks = list(
-            expand_frontier_blocks(g, frontier, with_weights=True,
-                                   max_edges=budget)
+            expand_edges_blocks(g, frontier, with_weights=True,
+                                max_edges=budget)
         )
         if len(frontier) == 0:
             assert blocks == []
             continue
-        # block-local rep indexes resolve to the same global sources
+        # block-local counts spell out the same per-edge global sources
         np.testing.assert_array_equal(
-            np.concatenate([blk[r] for blk, r, _, _ in blocks]),
-            frontier[rep],
+            np.concatenate([np.repeat(blk, c) for blk, c, _, _ in blocks]),
+            np.repeat(frontier, counts),
         )
         np.testing.assert_array_equal(
             np.concatenate([d for _, _, d, _ in blocks]), dsts

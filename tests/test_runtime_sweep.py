@@ -12,11 +12,19 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    CommunicationError,
+    ConfigurationError,
+    ConvergenceError,
+    GraphFormatError,
+    InvariantViolation,
+    PartitioningError,
     ReproError,
     SimulatedCrashError,
     SimulatedOOMError,
+    UnknownDatasetError,
     UnsupportedFeatureError,
 )
+from repro.fuzz.cases import CaseFailure
 from repro.partition.cache import configure
 from repro.runtime.cells import (
     CellOutcome,
@@ -25,7 +33,7 @@ from repro.runtime.cells import (
     SystemSpec,
     run_task,
 )
-from repro.runtime.sweep import SweepExecutor, default_start_method
+from repro.runtime.sweep import SweepExecutor, default_start_method, run_cells
 
 
 @pytest.fixture
@@ -128,21 +136,27 @@ def _logging_run_task(spec):
     return run_task(spec)
 
 
+def _failed(err) -> CellOutcome:
+    out = CellOutcome(key="k")
+    out.fail(err)
+    return out
+
+
+def _repro_error_classes(cls=ReproError):
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield from _repro_error_classes(sub)
+
+
 class TestFailureTaxonomy:
     def test_ok_outcome_does_not_raise(self):
         CellOutcome(key="k").raise_failure()
 
     def test_oom_rebuilds_original_exception(self):
-        # run_task stores the constructor args because SimulatedOOMError's
-        # __init__ takes (gpu_index, required_bytes, capacity_bytes), not
-        # a message string
-        e = SimulatedOOMError(3, 2**34, 2**33)
-        out = CellOutcome(
-            key="k",
-            failure=str(e),
-            failure_kind="oom",
-            extra={"oom_args": (e.gpu_index, e.required_bytes, e.capacity_bytes)},
-        )
+        # SimulatedOOMError's __init__ takes (gpu_index, required_bytes,
+        # capacity_bytes), not a message string: its __reduce__ says so
+        out = _failed(SimulatedOOMError(3, 2**34, 2**33))
         with pytest.raises(SimulatedOOMError) as exc:
             out.raise_failure()
         assert exc.value.gpu_index == 3
@@ -151,7 +165,7 @@ class TestFailureTaxonomy:
 
     def test_oom_without_args_degrades_to_repro_error(self):
         out = CellOutcome(key="k", failure="oom happened", failure_kind="oom")
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="oom happened"):
             out.raise_failure()
 
     def test_unsupported(self):
@@ -162,15 +176,9 @@ class TestFailureTaxonomy:
         assert not out.ok
 
     def test_crash_rebuilds_original_exception(self):
-        e = SimulatedCrashError(
+        out = _failed(SimulatedCrashError(
             "GPU 2 crashed at round 5 (fault plan)", gpu_index=2, round_index=5
-        )
-        out = CellOutcome(
-            key="k",
-            failure=str(e),
-            failure_kind="crash",
-            extra={"crash_args": (str(e), e.gpu_index, e.round_index)},
-        )
+        ))
         with pytest.raises(SimulatedCrashError) as exc:
             out.raise_failure()
         assert exc.value.gpu_index == 2
@@ -188,6 +196,120 @@ class TestFailureTaxonomy:
         with pytest.raises(ReproError):
             out.raise_failure()
         assert out.failure_label() == "boom"
+
+    #: one instance of every error class the package defines, with the
+    #: kind its cell records and the label a driver prints for it
+    ROUND_TRIP = [
+        (ReproError("boom"), "error", "boom"),
+        (GraphFormatError("bad header"), "error", "bad header"),
+        (PartitioningError("empty part"), "error", "empty part"),
+        (CommunicationError("unplanned pair"), "error", "unplanned pair"),
+        (ConvergenceError("round budget"), "error", "round budget"),
+        (ConfigurationError("no such knob"), "error", "no such knob"),
+        (UnknownDatasetError("unknown dataset 'nope'"), "error",
+         "unknown dataset 'nope'"),
+        (CaseFailure("labels differ"), "error", "labels differ"),
+        (UnsupportedFeatureError("no async"), "unsupported",
+         "unsupported: no async"),
+        (InvariantViolation("two owners", checker="edge_ownership"),
+         "invariant", "invariant: [edge_ownership] two owners"),
+        (SimulatedOOMError(3, 2**34, 2**33), "oom",
+         "oom: simulated OOM on GPU 3: needs 16.00 GiB > capacity 8.00 GiB"),
+        (SimulatedCrashError("GPU 2 died", gpu_index=2, round_index=5),
+         "crash", "crash: GPU 2 died"),
+    ]
+
+    def test_table_names_every_error_class(self):
+        assert {type(e) for e, _, _ in self.ROUND_TRIP} == set(
+            _repro_error_classes()
+        )
+
+    @pytest.mark.parametrize(
+        "err, kind, label", ROUND_TRIP,
+        ids=[type(e).__name__ for e, _, _ in ROUND_TRIP],
+    )
+    def test_every_error_round_trips_a_cell(self, monkeypatch, err, kind, label):
+        """run_task -> raise_failure gives back the class, the message and
+        every attribute; kind and label are what the drivers print."""
+        from repro.generators import datasets
+
+        def raising(name):
+            raise err
+
+        monkeypatch.setattr(datasets, "load_dataset", raising)
+        out = run_task(_cell("k"))
+        assert (out.failure_kind, out.failure_label()) == (kind, label)
+        with pytest.raises(type(err)) as exc:
+            out.raise_failure()
+        assert type(exc.value) is type(err) and exc.value is not err
+        assert str(exc.value) == str(err)
+        assert vars(exc.value) == vars(err)
+
+
+class TestAmbientState:
+    """The executor installs process-wide state for its cells; closing it
+    puts back what the constructor found."""
+
+    def test_close_restores_cache_trace_dir_and_check_level(self, tmp_path):
+        from repro import obs
+        from repro.check import CheckLevel, current_check_level
+        from repro.partition.cache import get_cache
+
+        found = (get_cache(), obs.active_trace_dir(), current_check_level())
+        assert found[1:] == (None, CheckLevel.OFF)
+        cache_dir, trace_dir = str(tmp_path / "pcache"), str(tmp_path / "traces")
+        with SweepExecutor(cache_dir=cache_dir, trace_dir=trace_dir, check="full"):
+            assert get_cache().cache_dir == cache_dir
+            assert obs.active_trace_dir() == trace_dir
+            assert current_check_level() is CheckLevel.FULL
+        now = (get_cache(), obs.active_trace_dir(), current_check_level())
+        assert now[0] is found[0] and now[1:] == found[1:]
+
+    def test_an_executor_that_changed_nothing_restores_nothing(
+        self, tmp_path, restore_global_cache
+    ):
+        """Consecutive executors over the configured cache keep its
+        in-memory LRU: the object is never swapped."""
+        from repro.partition.cache import get_cache
+
+        cache_dir = str(tmp_path / "pcache")
+        mine = configure(cache_dir=cache_dir)
+        for _ in range(2):
+            with SweepExecutor(cache_dir=cache_dir) as ex:
+                assert get_cache() is mine
+                ex.map([_cell("a")])
+            assert get_cache() is mine
+        assert mine.stats.builds == 1 and mine.stats.memory_hits == 1
+
+    def test_map_after_close_installs_the_state_again(self, tmp_path):
+        from repro.partition.cache import get_cache
+
+        found = get_cache()
+        ex = SweepExecutor(cache_dir=str(tmp_path / "pcache"))
+        ex.close()
+        assert get_cache() is found
+        out, = ex.map([_cell("a")])
+        assert out.ok and get_cache().cache_dir == ex.cache_dir
+        ex.close()
+        assert get_cache() is found
+
+
+def test_run_cells_equals_the_pooled_map_on_the_sweep_slice():
+    """``run_cells(specs)`` — the one ``executor=None`` — gives, outcome
+    for outcome, what a two-worker pool gives on a slice of the cells
+    ``BENCH_sweep.json`` pins."""
+    from benchmarks.perfbaseline import _sweep_record, sweep_specs
+
+    specs = sweep_specs()
+    specs = specs[:2] + specs[-1:]  # two partition-stats cells, one bfs run
+    serial = run_cells(specs)
+    with SweepExecutor(jobs=2) as ex:
+        pooled = ex.map(specs)
+    assert [o.key for o in serial] == [s.key for s in specs]
+    for a, b in zip(serial, pooled):
+        assert (a.key, a.failure_kind, a.failure) == (b.key, "", "")
+        assert _sweep_record(a) == _sweep_record(b)
+        assert a.labels_crc == b.labels_crc
 
 
 class TestSweepExecutor:

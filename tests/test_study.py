@@ -8,8 +8,8 @@ missing-point semantics, and formatting.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.frameworks import DIrGL
 from repro.generators import load_dataset
+from repro.runtime.cells import SystemSpec
 from repro.study import (
     figure3,
     figure5,
@@ -63,7 +63,7 @@ class TestStrongScaling:
     def test_sweep_structure(self):
         ds = load_dataset("tiny-s")
         res = strong_scaling(
-            {"cvc": lambda: DIrGL(policy="cvc", execution="sync")},
+            {"cvc": SystemSpec.dirgl(policy="cvc", execution="sync")},
             "bfs", ds, gpu_counts=(2, 4), check_memory=False,
         )
         assert res.gpu_counts == (2, 4)
@@ -71,11 +71,9 @@ class TestStrongScaling:
         assert all(t is not None for t in res.times("cvc"))
 
     def test_unsupported_recorded_as_missing(self):
-        from repro.frameworks import Lux
-
         ds = load_dataset("tiny-s")
         res = strong_scaling(
-            {"lux": Lux}, "bfs", ds, gpu_counts=(2,),
+            {"lux": SystemSpec.framework("lux")}, "bfs", ds, gpu_counts=(2,),
         )
         assert res.times("lux") == [None]
         assert "unsupported" in res.points["lux"][0].failure
@@ -84,8 +82,8 @@ class TestStrongScaling:
         ds = load_dataset("tiny-s")
         res = strong_scaling(
             {
-                "a": lambda: DIrGL(policy="cvc", execution="sync"),
-                "b": lambda: DIrGL(policy="iec", execution="sync"),
+                "a": SystemSpec.dirgl(policy="cvc", execution="sync"),
+                "b": SystemSpec.dirgl(policy="iec", execution="sync"),
             },
             "bfs", ds, gpu_counts=(4,), check_memory=False,
         )
@@ -193,3 +191,59 @@ class TestCLIExtras:
         out = capsys.readouterr().out
         assert "avg message" in out
         assert "Partition structure" in out
+
+
+class TestGatedStudyRows:
+    """``ooc`` / ``advisor`` / ``gnn`` are rows of the one experiment
+    table, run by the one loop under the one executor."""
+
+    def test_gnn_row_runs_under_the_shared_executor(self, tmp_path, capsys):
+        from repro.gnnflow import GnnReport
+
+        out, traces = tmp_path / "r.json", tmp_path / "traces"
+        rc = cli_main([
+            "gnn", "--gnn-shapes", "powerlaw,star", "--jobs", "2",
+            "--check", "cheap", "--trace", str(traces), "--out", str(out),
+        ])
+        assert rc == 0
+        assert "VIOLATION" not in capsys.readouterr().out
+        report = GnnReport.from_json(out.read_text())
+        assert {r.shape for r in report.rows} == {"powerlaw", "star"}
+        # --trace reached the workers: one Chrome trace per cell
+        assert len(list(traces.glob("*.trace.json"))) == len(report.rows) == 24
+
+    def test_check_level_reaches_the_gnn_workers(self, capsys):
+        """A planted sync bug ends ``gnn --check full`` non-zero (the old
+        ``--gnn`` mode returned before the checking executor was built)."""
+        from repro.fuzz.mutations import sendtable_offset_skew
+
+        with sendtable_offset_skew():
+            rc = cli_main(
+                ["gnn", "--gnn-shapes", "powerlaw", "--jobs", "2", "--check", "full"]
+            )
+        assert rc == 1
+        assert "error: InvariantViolation: [send-table]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, culprit", [
+        (["advisor", "--seed", "5"], "star/bfs: top-1 regret"),
+        (["gnn", "--gnn-shapes", "powerlaw", "--seed", "11"],
+         "powerlaw/oec: caching reduced H2D bytes only"),
+    ])
+    def test_a_violating_report_exits_1(self, capsys, argv, culprit):
+        assert cli_main(argv) == 1
+        assert f"VIOLATION: {culprit}" in capsys.readouterr().out
+
+    def test_out_needs_a_row_that_writes_a_report(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["table1", "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "--out needs a study that writes a report" in capsys.readouterr().err
+
+    def test_gated_rows_are_listed_and_left_out_of_all(self, capsys):
+        from repro.study.cli import _EXPERIMENTS
+
+        assert cli_main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert {"ooc", "advisor", "gnn"} <= set(listed) == set(_EXPERIMENTS)
+        gated = {n for n, row in _EXPERIMENTS.items() if row.evaluate}
+        assert gated == {"ooc", "advisor", "gnn"}

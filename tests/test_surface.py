@@ -1,10 +1,16 @@
 """Surface audit (ROADMAP item 7): nothing in ``src/repro`` that no
 product reaches.
 
-An ``ast`` walk of the import graph — function-level imports included —
-from the ``[project.scripts]`` entry points must reach every module under
-``src/repro``.  A module outside the walk is unreachable from every CLI:
-delete it, or move it beside the benchmark or test that uses it.
+Two rules.  **Modules** (absolute): an ``ast`` walk of the import graph —
+function-level imports included — from the ``[project.scripts]`` entry
+points must reach every module under ``src/repro``.  A module outside
+the walk is unreachable from every CLI: delete it, or move it beside the
+benchmark or test that uses it.  **Names**: every public top-level
+function, class and method under ``src/repro`` must occur as an
+identifier — a name or an attribute, not an import or an ``__all__``
+string — somewhere in ``src/``, ``benchmarks/`` or ``examples/`` outside
+its own ``def``.  A name only tests mention goes with its tests, or onto
+:data:`TEST_ONLY` with the reason it is kept; that list may only shrink.
 """
 
 import ast
@@ -14,13 +20,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Modules no entry point reaches, each with why it is still in ``src/``.
-#: This list may only shrink.
-UNREACHED = {
-    "repro.metrics.perfbaseline":
-        "gate harness, reached only by benchmarks/bench_regression.py",
-    "repro.serve.bench":
-        "serve gate measurement, reached only by benchmarks/bench_regression.py",
+#: Public names no product, bench or example mentions, each with why it
+#: is still in ``src/``.  This list may only shrink.
+TEST_ONLY = {
+    "price_batch_scalar":
+        "per-message pricing oracle the batch path is held to (repro.check.oracle)",
+    "bsp_sync":
+        "one-call reduce + broadcast step the comm tests drive Gluon with",
+    "annihilator":
+        "semiring axiom checked by the la property suite",
+    "from_packed": "wire format of a Bitset: the property tests round-trip it",
+    "to_packed": "wire format of a Bitset: the property tests round-trip it",
+    "test": "single-bit probe the bitset property tests read results with",
+    "from_networkx": "reference interop: tests build inputs from networkx graphs",
+    "to_networkx": "reference interop: tests hand graphs to networkx oracles",
+    "relabel": "vertex permutation, exercised by the transform tests",
+    "insert_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
+    "delete_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
+    "num_inserts": "EdgeBatch size, read by the mutation tests",
+    "num_deletes": "EdgeBatch size, read by the mutation tests",
+    "fit_calibration":
+        "least-squares fit behind AnalyticPredictor(calibration=): the "
+        "leave-one-shape-out accuracy harness in tests/test_tune.py",
+    "imbalance": "BlockCost max/mean, asserted by the load-balancer tests",
+    "max_gb": "MemoryUsage in GiB, asserted by the hw tests",
+    "transfer_time":
+        "closed-form single-link transfer time the hw and contention tests "
+        "check validation and scaling with",
+    "watched_fields": "MonotoneWatch introspection for the checker tests",
+    "with_placement": "GNNFlowConfig variant builder for the gnnflow tests",
+    "write_csv": "flat trace export; repro-trace csv streams the same rows itself",
 }
 
 
@@ -80,9 +109,54 @@ def test_every_module_is_reached_from_an_entry_point():
     entries = entry_points()
     assert len(entries) == 5 and set(entries) <= set(modules)
     unreached = set(modules) - reachable(entries, modules)
-    assert unreached == set(UNREACHED), (
-        "modules no [project.scripts] entry point imports: "
-        f"{sorted(unreached - set(UNREACHED))}; allow-listed modules that "
-        f"are reached (or gone) and must leave the list: "
-        f"{sorted(set(UNREACHED) - unreached)}"
+    assert not unreached, (
+        f"modules no [project.scripts] entry point imports: {sorted(unreached)}"
     )
+
+
+def _mentions() -> set[str]:
+    """Every identifier used (not defined, imported or quoted) in
+    ``src/``, ``benchmarks/`` and ``examples/``."""
+    used = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def _public_defs() -> dict[str, list[str]]:
+    """Public top-level functions and classes, and the public methods of
+    top-level classes, under ``src/repro``: name -> where defined."""
+    defs: dict[str, list[str]] = {}
+
+    def visit(body, path, owner=""):
+        for node in body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if not node.name.startswith("_"):
+                where = f"{path.relative_to(ROOT)}:{node.lineno} {owner}{node.name}"
+                defs.setdefault(node.name, []).append(where)
+            if isinstance(node, ast.ClassDef) and not owner:
+                visit(node.body, path, f"{node.name}.")
+
+    for path in _modules().values():
+        visit(ast.parse(path.read_text()).body, path)
+    return defs
+
+
+def test_every_public_name_is_mentioned_by_a_product():
+    defs = _public_defs()
+    unmentioned = set(defs) - _mentions()
+    stray = {n: defs[n] for n in sorted(unmentioned - set(TEST_ONLY))}
+    assert not stray, (
+        "public names that only tests (or nothing) mention — delete them "
+        f"with their tests, or make them private: {stray}"
+    )
+    stale = sorted(set(TEST_ONLY) - unmentioned)
+    assert not stale, f"allow-listed names that are mentioned (or gone): {stale}"

@@ -23,7 +23,6 @@ from repro.tune.dse import (
     REGRET_GATE,
     DseConfig,
     enumerate_cells,
-    fit_from_results,
     run_dse,
 )
 from repro.tune.features import (
@@ -39,6 +38,7 @@ from repro.tune.predictor import (
     AnalyticPredictor,
     ConfigCell,
     app_model,
+    fit_calibration,
 )
 from repro.tune.sanity import advisor_sanity
 
@@ -319,7 +319,10 @@ class TestDse:
                 run_dse(f"fuzz:{s}:5", app, cfg, validate="all")
                 for s in shapes if s != holdout
             ]
-            calib = fit_from_results(train)
+            calib = fit_calibration([
+                (res.app, o.prediction.breakdown, o.measured_seconds)
+                for res in train for o in res.measured()
+            ])
             assert calib.weights_for(app) is not None
             res = run_dse(
                 f"fuzz:{holdout}:5", app, cfg, validate="all", calibration=calib

@@ -11,6 +11,7 @@ from repro.utils import (
     grid_shape,
     rng_from_seed,
 )
+from tests.test_surface import entry_points
 
 
 class TestBlockedRanges:
@@ -127,3 +128,56 @@ class TestErrorHierarchy:
         assert e.gpu_index == 3
         assert "20.00 GiB" in str(e)
         assert "16.00 GiB" in str(e)
+
+
+class TestTypedErrorsAtTheCliBoundary:
+    """Every ``[project.scripts]`` main ends a ``ReproError`` in one
+    ``error: <Class>: <message>`` line and an exit code by class; anything
+    else is a bug and keeps its traceback."""
+
+    @pytest.mark.parametrize("module", entry_points())
+    @pytest.mark.parametrize("err, code", [
+        (errors.ConfigurationError("no such knob"), 2),
+        (errors.UnknownDatasetError("unknown dataset 'nope'"), 2),
+        (errors.GraphFormatError("bad header"), 1),
+    ])
+    def test_entry_point(self, monkeypatch, capsys, module, err, code):
+        import argparse
+        import importlib
+
+        main = importlib.import_module(module).main
+
+        def parse_args(self, argv=None):
+            raise err
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+        assert main([]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {type(err).__name__}: {err.args[0]}\n"
+        assert "Traceback" not in captured.err + captured.out
+
+        def bug(self, argv=None):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", bug)
+        with pytest.raises(ZeroDivisionError):
+            main([])
+
+    def test_unknown_dataset_is_a_usage_error(self, capsys):
+        from repro.study.cli import main as study_main
+        from repro.tune.cli import main as tune_main
+
+        assert tune_main(["--dataset", "nope", "--app", "bfs"]) == 2
+        assert "error: UnknownDatasetError: unknown dataset 'nope'" in (
+            capsys.readouterr().err
+        )
+        assert study_main(["gnn", "--gnn-shapes", "nosuch"]) == 2
+        assert "error: UnknownDatasetError: unknown fuzz shape 'nosuch'" in (
+            capsys.readouterr().err
+        )
+
+    def test_unknown_dataset_is_still_a_key_error(self):
+        with pytest.raises(KeyError, match="unknown dataset 'nope'") as exc:
+            raise errors.UnknownDatasetError("unknown dataset 'nope'")
+        assert isinstance(exc.value, errors.ConfigurationError)
+        assert str(exc.value) == "unknown dataset 'nope'"
