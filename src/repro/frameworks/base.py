@@ -104,20 +104,24 @@ class Framework(ABC):
 
     def make_context(self, dataset: Dataset, app, **overrides) -> RunContext:
         graph = dataset.graph
-        # symmetric_degrees() instead of symmetric().out_degrees(): for
-        # store-backed datasets the former streams in O(|V|) resident
-        # memory, while an unconditional symmetrization would re-inflate
-        # the whole edge list in RAM even for push-only benchmarks
-        sym_deg = dataset.symmetric_degrees()
         defaults = dict(
             num_global_vertices=graph.num_vertices,
             source=dataset.source_vertex,
-            # k at the median degree: deep peeling cascades on every input
-            # (the paper runs kcore to convergence on all of them)
-            k=max(2, int(np.median(sym_deg))),
             global_out_degrees=graph.out_degrees(),
-            global_degrees=sym_deg,
         )
+        if app.needs_symmetric:
+            # only the apps that run on the symmetrized view (kcore, mis)
+            # read its degrees; asking for them costs everyone else a
+            # make_undirected.  symmetric_degrees(), not
+            # symmetric().out_degrees(): store-backed datasets stream it
+            # in O(|V|) resident memory
+            sym_deg = dataset.symmetric_degrees()
+            defaults.update(
+                # k at the median degree: deep peeling cascades on every
+                # input (the paper runs kcore to convergence on all of them)
+                k=max(2, int(np.median(sym_deg))),
+                global_degrees=sym_deg,
+            )
         defaults.update(overrides)
         return RunContext(**defaults)
 

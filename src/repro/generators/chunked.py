@@ -29,6 +29,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.generators.sampling import WeightedSampler
 from repro.graph.store import from_edge_chunks
 from repro.utils import rng_from_seed
 
@@ -124,21 +125,18 @@ def powerlaw_chunks(
             total * hub_degree_fraction
             / max(1.0 - hub_degree_fraction, 1e-9) / num_hubs
         )
-    w_out /= w_out.sum()
+    out_side = WeightedSampler(w_out / w_out.sum())
 
     w_in = w ** in_out_symmetry
-    w_in /= w_in.sum()
+    in_side = WeightedSampler(w_in / w_in.sum())
 
     done = 0
     while done < m:
         k = min(chunk_edges, m - done)
-        src = rng.choice(num_vertices, size=k, p=w_out)
-        dst = rng.choice(num_vertices, size=k, p=w_in)
+        src = out_side.draw(rng, k)
+        dst = in_side.draw(rng, k)
         keep = src != dst
-        yield (
-            src[keep].astype(np.int64, copy=False),
-            dst[keep].astype(np.int64, copy=False),
-        )
+        yield src[keep], dst[keep]
         done += k
 
 

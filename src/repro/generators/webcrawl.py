@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.generators.sampling import WeightedSampler
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 from repro.utils import rng_from_seed
@@ -77,7 +78,7 @@ def webcrawl(
     if max_out_degree is not None:
         out_deg = np.minimum(out_deg, max_out_degree)
     out_deg = np.maximum(out_deg * (m / out_deg.sum()), 0.0)
-    src = rng.choice(core_n, size=m, p=out_deg / out_deg.sum())
+    src = WeightedSampler(out_deg / out_deg.sum()).draw(rng, m)
 
     # --- destinations: locality + authorities ------------------------------
     n_auth = max(1, int(core_n * authority_fraction))
@@ -88,7 +89,7 @@ def webcrawl(
     to_auth = rng.random(m) < authority_share
     n_to_auth = int(to_auth.sum())
     dst = np.empty(m, dtype=np.int64)
-    dst[to_auth] = auth_ids[rng.choice(n_auth, size=n_to_auth, p=zipf_w)]
+    dst[to_auth] = auth_ids[WeightedSampler(zipf_w).draw(rng, n_to_auth)]
 
     local = ~to_auth
     n_local = m - n_to_auth

@@ -18,38 +18,31 @@ the pipeline an out-of-core data path:
   :func:`repro.graph.builder.from_edges` over the concatenated stream,
   independent of the chunking.
 
-Container layout (version 1)::
-
-    [0:16)    magic  b"repro-csr-store\\n"
-    [16:20)   uint32 format version (little-endian)
-    [20:24)   uint32 JSON header length
-    [24:28)   uint32 CRC32 of the JSON header bytes
-    [28:...)  JSON header (fits inside the 4096-byte header block)
-    [4096:)   data sections, each 64-byte aligned
-
-The JSON header records ``num_vertices`` / ``num_edges`` / ``name`` plus,
-per section (``indptr`` / ``indices`` / ``weights``), its byte offset,
-length, dtype, and CRC32, and the exact ``total_bytes`` of the file.  A
-short read therefore fails loudly (size mismatch), never as a downstream
-shape error.  Writers always build a temporary file in the destination
-directory and ``os.replace`` it into place, so a crash mid-write leaves
-either the old container or nothing — never a torn one.
+The layout — a 4096-byte header block (magic, version, CRC'd JSON header),
+then 64-byte-aligned sections ``indptr`` / ``indices`` / ``weights`` with a
+CRC32 each, written to a temporary file and renamed into place — is
+:mod:`repro.graph.container`'s; the JSON header adds ``num_vertices`` /
+``num_edges`` / ``has_weights`` / ``name``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
-import struct
 import tempfile
-import zlib
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import EID_DTYPE, MAX_EDGE_WEIGHT, WEIGHT_DTYPE, vid_dtype_for
 from repro.errors import GraphFormatError
+from repro.graph.container import (
+    ContainerFormat,
+    ContainerWriter,
+    read_header,
+    read_sections,
+    verify_sections,
+)
 from repro.graph.csr import CSRGraph
 from repro.utils import rng_from_seed
 
@@ -65,110 +58,19 @@ __all__ = [
 
 STORE_MAGIC = b"repro-csr-store\n"
 STORE_VERSION = 1
-
-#: Fixed space reserved for magic + fixed fields + JSON header.
-_HEADER_SPACE = 4096
-#: Data sections start on multiples of this (page/cache friendly mmaps).
-_ALIGN = 64
-#: Block size (bytes) for streaming checksum / copy loops.
-_CRC_BLOCK = 1 << 22
-
-_FIXED = struct.Struct("<III")  # version, json length, json crc32
+_FORMAT = ContainerFormat(STORE_MAGIC, STORE_VERSION, "store")
 
 
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _crc32_of_range(f, offset: int, nbytes: int) -> int:
-    """CRC32 of ``nbytes`` starting at ``offset``, read in bounded blocks."""
-    f.seek(offset)
-    crc = 0
-    remaining = nbytes
-    while remaining:
-        block = f.read(min(_CRC_BLOCK, remaining))
-        if not block:
-            raise GraphFormatError(
-                f"store truncated: expected {nbytes} bytes at offset {offset}"
-            )
-        crc = zlib.crc32(block, crc)
-        remaining -= len(block)
-    return crc & 0xFFFFFFFF
-
-
-def _plan_sections(
-    num_vertices: int,
-    num_edges: int,
-    idx_dtype: np.dtype,
-    has_weights: bool,
-) -> dict:
-    """Lay out section offsets for a container of the given shape."""
-    sections = {}
-    offset = _HEADER_SPACE
-    layout = [("indptr", np.dtype(EID_DTYPE), num_vertices + 1),
-              ("indices", np.dtype(idx_dtype), num_edges)]
-    if has_weights:
-        layout.append(("weights", np.dtype(WEIGHT_DTYPE), num_edges))
-    for sec_name, dtype, count in layout:
-        offset = _align(offset)
-        sections[sec_name] = {
-            "offset": offset,
-            "nbytes": int(count * dtype.itemsize),
-            "dtype": dtype.str,
-            "crc32": None,  # filled in at finalize time
-        }
-        offset += sections[sec_name]["nbytes"]
-    return sections
-
-
-def _finalize_store(
-    tmp_path: str,
-    path: str,
-    *,
-    num_vertices: int,
-    num_edges: int,
-    sections: dict,
-    name: str,
-) -> None:
-    """Checksum the data sections, write the header, and rename into place."""
-    total_bytes = max(
-        s["offset"] + s["nbytes"] for s in sections.values()
-    ) if sections else _HEADER_SPACE
-    with open(tmp_path, "r+b") as f:
-        for sec in sections.values():
-            sec["crc32"] = _crc32_of_range(f, sec["offset"], sec["nbytes"])
-        header = {
-            "num_vertices": int(num_vertices),
-            "num_edges": int(num_edges),
-            "has_weights": "weights" in sections,
-            "name": name,
-            "sections": sections,
-            "total_bytes": int(total_bytes),
-        }
-        payload = json.dumps(header, sort_keys=True).encode()
-        if len(payload) > _HEADER_SPACE - len(STORE_MAGIC) - _FIXED.size:
-            raise GraphFormatError("store header does not fit header block")
-        f.seek(0)
-        f.write(STORE_MAGIC)
-        f.write(_FIXED.pack(STORE_VERSION, len(payload), zlib.crc32(payload)))
-        f.write(payload)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp_path, path)
-
-
-def _tmp_store_file(path: str, total_bytes: int) -> str:
-    """Create a pre-sized temporary file next to ``path`` (same filesystem)."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=d
-    )
-    try:
-        os.ftruncate(fd, total_bytes)
-    finally:
-        os.close(fd)
-    return tmp_path
+def _finalize_store(writer: ContainerWriter, num_vertices, num_edges, name) -> None:
+    """Write the store's header over the finished sections and rename the
+    container into place (with an ``fsync``: a store is kept, not scratch)."""
+    meta = {
+        "num_vertices": int(num_vertices),
+        "num_edges": int(num_edges),
+        "has_weights": "weights" in writer.sections,
+        "name": name,
+    }
+    writer.commit(meta, sync=True)
 
 
 def write_csr_store(graph: CSRGraph, path: str) -> dict:
@@ -176,106 +78,26 @@ def write_csr_store(graph: CSRGraph, path: str) -> dict:
 
     Writes atomically (temp file + rename).  Returns the header dict.
     """
-    sections = _plan_sections(
-        graph.num_vertices, graph.num_edges,
-        graph.indices.dtype, graph.has_weights,
-    )
-    total_bytes = max(s["offset"] + s["nbytes"] for s in sections.values())
-    tmp_path = _tmp_store_file(path, total_bytes)
-    try:
-        with open(tmp_path, "r+b") as f:
-            arrays = {"indptr": graph.indptr, "indices": graph.indices}
-            if graph.has_weights:
-                arrays["weights"] = graph.weights
-            for sec_name, arr in arrays.items():
-                f.seek(sections[sec_name]["offset"])
-                # bounded blocks: the source may itself be an mmap view
-                view = arr.reshape(-1).view(np.uint8)
-                step = _CRC_BLOCK
-                for i in range(0, len(view), step):
-                    f.write(view[i : i + step].tobytes())
-        _finalize_store(
-            tmp_path, path,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            sections=sections,
-            name=graph.name,
-        )
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with ContainerWriter(path, _FORMAT) as writer:
+        writer.stream("indptr", [graph.indptr])
+        writer.stream("indices", [graph.indices])
+        if graph.has_weights:
+            writer.stream("weights", [graph.weights])
+        _finalize_store(writer, graph.num_vertices, graph.num_edges, graph.name)
     return store_info(path)
 
 
-def _read_header(f, path: str) -> dict:
-    magic = f.read(len(STORE_MAGIC))
-    if magic != STORE_MAGIC:
-        raise GraphFormatError(f"{path!r} is not a repro CSR store (bad magic)")
-    fixed = f.read(_FIXED.size)
-    if len(fixed) != _FIXED.size:
-        raise GraphFormatError(f"{path!r}: truncated store header")
-    version, json_len, json_crc = _FIXED.unpack(fixed)
-    if version != STORE_VERSION:
-        raise GraphFormatError(
-            f"{path!r}: unsupported store version {version} "
-            f"(this build reads version {STORE_VERSION})"
-        )
-    payload = f.read(json_len)
-    if len(payload) != json_len or zlib.crc32(payload) != json_crc:
-        raise GraphFormatError(f"{path!r}: corrupt store header (CRC mismatch)")
-    return json.loads(payload)
-
-
 def store_info(path: str) -> dict:
-    """Parse and validate the store header; raises on corrupt/truncated files.
-
-    Validates magic, version, header CRC, and that the file size matches the
-    recorded ``total_bytes`` — so a short copy or interrupted download fails
-    here with a clear error rather than as a downstream shape mismatch.
-    """
-    with open(path, "rb") as f:
-        header = _read_header(f, path)
-        f.seek(0, os.SEEK_END)
-        actual = f.tell()
-    if actual != header["total_bytes"]:
-        raise GraphFormatError(
-            f"{path!r}: store truncated or padded "
-            f"({actual} bytes on disk, header records {header['total_bytes']})"
-        )
-    return header
+    """Parse and validate the store header; raises on corrupt/truncated files
+    (magic, version, header CRC, file size against ``total_bytes``)."""
+    return read_header(path, _FORMAT)
 
 
 def verify_store(path: str) -> dict:
     """Full verification: header + CRC32 of every data section (O(file))."""
     header = store_info(path)
-    with open(path, "rb") as f:
-        for sec_name, sec in header["sections"].items():
-            crc = _crc32_of_range(f, sec["offset"], sec["nbytes"])
-            if crc != sec["crc32"]:
-                raise GraphFormatError(
-                    f"{path!r}: section {sec_name!r} CRC mismatch "
-                    f"(data corrupted on disk)"
-                )
+    verify_sections(path, header)
     return header
-
-
-def _section_array_ram(f, sec: dict) -> np.ndarray:
-    dtype = np.dtype(sec["dtype"])
-    f.seek(sec["offset"])
-    raw = f.read(sec["nbytes"])
-    if len(raw) != sec["nbytes"]:
-        raise GraphFormatError("store truncated mid-section")
-    return np.frombuffer(raw, dtype=dtype)
-
-
-def _section_array_mmap(path: str, sec: dict) -> np.ndarray:
-    dtype = np.dtype(sec["dtype"])
-    count = sec["nbytes"] // dtype.itemsize
-    if count == 0:
-        return np.empty(0, dtype=dtype)
-    return np.memmap(path, dtype=dtype, mode="r",
-                     offset=sec["offset"], shape=(count,))
 
 
 def open_csr(path: str, mode: str = "mmap", verify: Optional[bool] = None) -> CSRGraph:
@@ -299,23 +121,9 @@ def open_csr(path: str, mode: str = "mmap", verify: Optional[bool] = None) -> CS
         raise ValueError(f"mode must be 'mmap' or 'ram', got {mode!r}")
     if verify is None:
         verify = mode == "ram"
-    header = verify_store(path) if verify else store_info(path)
-    secs = header["sections"]
-    if mode == "ram":
-        with open(path, "rb") as f:
-            indptr = _section_array_ram(f, secs["indptr"])
-            indices = _section_array_ram(f, secs["indices"])
-            weights = (
-                _section_array_ram(f, secs["weights"])
-                if header["has_weights"] else None
-            )
-    else:
-        indptr = _section_array_mmap(path, secs["indptr"])
-        indices = _section_array_mmap(path, secs["indices"])
-        weights = (
-            _section_array_mmap(path, secs["weights"])
-            if header["has_weights"] else None
-        )
+    header = verify_store(path) if verify and mode == "mmap" else store_info(path)
+    secs = read_sections(path, header, mode, verify)
+    indptr, indices, weights = secs["indptr"], secs["indices"], secs.get("weights")
     if len(indptr) != header["num_vertices"] + 1:
         raise GraphFormatError(f"{path!r}: indptr length disagrees with header")
     if len(indices) != header["num_edges"]:
@@ -398,7 +206,6 @@ def from_edge_chunks(
     spill_dir = tempfile.mkdtemp(
         prefix=os.path.basename(path) + ".spill.", dir=d
     )
-    tmp_path = None
     try:
         # ---- pass 1: spill edges, count degrees -------------------- #
         counts = np.zeros(
@@ -461,112 +268,80 @@ def from_edge_chunks(
         np.cumsum(counts[:num_vertices], out=indptr[1:])
 
         idx_dtype = vid_dtype_for(num_vertices)
-        sections = _plan_sections(num_vertices, num_edges, idx_dtype, store_weights)
-        total_bytes = max(s["offset"] + s["nbytes"] for s in sections.values())
-        tmp_path = _tmp_store_file(path, total_bytes)
-
-        with open(tmp_path, "r+b") as f:
-            f.seek(sections["indptr"]["offset"])
-            f.write(indptr.tobytes())
-
-        # ---- pass 2: cursor scatter into the memmapped sections ---- #
-        if num_edges:
-            mm_idx = np.memmap(
-                tmp_path, dtype=idx_dtype, mode="r+",
-                offset=sections["indices"]["offset"], shape=(num_edges,),
-            )
+        with ContainerWriter(path, _FORMAT) as writer:
+            writer.stream("indptr", [indptr])
+            mm_idx = writer.reserve("indices", idx_dtype, num_edges)
             mm_w = (
-                np.memmap(
-                    tmp_path, dtype=WEIGHT_DTYPE, mode="r+",
-                    offset=sections["weights"]["offset"], shape=(num_edges,),
-                )
-                if has_weights else None
+                writer.reserve("weights", WEIGHT_DTYPE, num_edges)
+                if store_weights else None
             )
-            cursor = indptr[:-1].copy()
-            block = max(int(sort_window_edges), 1)
-            with open(os.path.join(spill_dir, "src.i64"), "rb") as sf, \
-                    open(os.path.join(spill_dir, "dst.i64"), "rb") as df, \
-                    open(os.path.join(spill_dir, "w.u32"), "rb") as wf:
-                done = 0
-                while done < num_edges:
-                    n = min(block, num_edges - done)
-                    bsrc = np.fromfile(sf, dtype=np.int64, count=n)
-                    bdst = np.fromfile(df, dtype=np.int64, count=n)
-                    bw = (
-                        np.fromfile(wf, dtype=WEIGHT_DTYPE, count=n)
-                        if has_weights else None
-                    )
-                    order = np.argsort(bsrc, kind="stable")
-                    bsrc = bsrc[order]
-                    uniq, start, cnt = np.unique(
-                        bsrc, return_index=True, return_counts=True
-                    )
-                    pos = cursor[bsrc] + (
-                        np.arange(n, dtype=EID_DTYPE) - np.repeat(start, cnt)
-                    )
-                    mm_idx[pos] = bdst[order].astype(idx_dtype)
-                    if bw is not None:
-                        mm_w[pos] = bw[order]
-                    cursor[uniq] += cnt
-                    done += n
 
-            # ---- pass 3: per-row destination sort, bounded windows - #
-            v0 = 0
-            while v0 < num_vertices:
-                # widest v1 whose window holds <= sort_window_edges edges
-                v1 = int(
-                    np.searchsorted(
-                        indptr, indptr[v0] + sort_window_edges, side="right"
-                    )
-                ) - 1
-                v1 = min(max(v1, v0 + 1), num_vertices)
-                e0, e1 = int(indptr[v0]), int(indptr[v1])
-                if e1 > e0:
-                    seg = np.array(mm_idx[e0:e1])
-                    rows = np.repeat(
-                        np.arange(v1 - v0, dtype=EID_DTYPE),
-                        np.diff(indptr[v0 : v1 + 1]),
-                    )
-                    order = np.lexsort((seg, rows))
-                    mm_idx[e0:e1] = seg[order]
-                    if mm_w is not None:
-                        wseg = np.array(mm_w[e0:e1])
-                        mm_w[e0:e1] = wseg[order]
-                v0 = v1
-            mm_idx.flush()
-            del mm_idx
-            if mm_w is not None:
-                mm_w.flush()
-                del mm_w
+            # ---- pass 2: cursor scatter into the memmapped sections ---- #
+            if num_edges:
+                cursor = indptr[:-1].copy()
+                block = max(int(sort_window_edges), 1)
+                with open(os.path.join(spill_dir, "src.i64"), "rb") as sf, \
+                        open(os.path.join(spill_dir, "dst.i64"), "rb") as df, \
+                        open(os.path.join(spill_dir, "w.u32"), "rb") as wf:
+                    done = 0
+                    while done < num_edges:
+                        n = min(block, num_edges - done)
+                        bsrc = np.fromfile(sf, dtype=np.int64, count=n)
+                        bdst = np.fromfile(df, dtype=np.int64, count=n)
+                        order = np.argsort(bsrc, kind="stable")
+                        bsrc = bsrc[order]
+                        uniq, start, cnt = np.unique(
+                            bsrc, return_index=True, return_counts=True
+                        )
+                        pos = cursor[bsrc] + (
+                            np.arange(n, dtype=EID_DTYPE) - np.repeat(start, cnt)
+                        )
+                        mm_idx[pos] = bdst[order].astype(idx_dtype)
+                        if has_weights:
+                            bw = np.fromfile(wf, dtype=WEIGHT_DTYPE, count=n)
+                            mm_w[pos] = bw[order]
+                        cursor[uniq] += cnt
+                        done += n
 
-            if weight_seed is not None:
-                # randomized weights drawn sequentially in CSR order —
-                # the same stream add_random_weights produces in RAM
-                mm_gw = np.memmap(
-                    tmp_path, dtype=WEIGHT_DTYPE, mode="r+",
-                    offset=sections["weights"]["offset"], shape=(num_edges,),
-                )
-                rng = rng_from_seed(weight_seed)
-                done = 0
-                while done < num_edges:
-                    n = min(max(int(sort_window_edges), 1), num_edges - done)
-                    mm_gw[done : done + n] = rng.integers(
-                        1, MAX_EDGE_WEIGHT + 1, size=n, dtype=np.int64
-                    ).astype(WEIGHT_DTYPE)
-                    done += n
-                mm_gw.flush()
-                del mm_gw
+                # ---- pass 3: per-row destination sort, bounded windows - #
+                v0 = 0
+                while v0 < num_vertices:
+                    # widest v1 whose window holds <= sort_window_edges edges
+                    v1 = int(
+                        np.searchsorted(
+                            indptr, indptr[v0] + sort_window_edges, side="right"
+                        )
+                    ) - 1
+                    v1 = min(max(v1, v0 + 1), num_vertices)
+                    e0, e1 = int(indptr[v0]), int(indptr[v1])
+                    if e1 > e0:
+                        seg = np.array(mm_idx[e0:e1])
+                        rows = np.repeat(
+                            np.arange(v1 - v0, dtype=EID_DTYPE),
+                            np.diff(indptr[v0 : v1 + 1]),
+                        )
+                        order = np.lexsort((seg, rows))
+                        mm_idx[e0:e1] = seg[order]
+                        if has_weights:
+                            wseg = np.array(mm_w[e0:e1])
+                            mm_w[e0:e1] = wseg[order]
+                    v0 = v1
+                mm_idx.flush()
 
-        _finalize_store(
-            tmp_path, path,
-            num_vertices=num_vertices,
-            num_edges=num_edges,
-            sections=sections,
-            name=name,
-        )
-        tmp_path = None
+                if weight_seed is not None:
+                    # randomized weights drawn sequentially in CSR order —
+                    # the same stream add_random_weights produces in RAM
+                    rng = rng_from_seed(weight_seed)
+                    for done in range(0, num_edges, block):
+                        n = min(block, num_edges - done)
+                        mm_w[done : done + n] = rng.integers(
+                            1, MAX_EDGE_WEIGHT + 1, size=n, dtype=np.int64
+                        ).astype(WEIGHT_DTYPE)
+                if mm_w is not None:
+                    mm_w.flush()
+            del mm_idx, mm_w
+
+            _finalize_store(writer, num_vertices, num_edges, name)
     finally:
-        if tmp_path is not None and os.path.exists(tmp_path):
-            os.unlink(tmp_path)
         shutil.rmtree(spill_dir, ignore_errors=True)
     return store_info(path)

@@ -8,7 +8,7 @@ study harness previously re-partitioned per cell; this module memoizes
 
 * repeated cells in one process hit an in-memory LRU,
 * parallel sweep workers (and later runs) hit a shared ``cache_dir`` of
-  ``.npz`` files written with :mod:`repro.partition.io`.
+  container files written with :mod:`repro.partition.io`.
 
 ``grid`` is not part of the key: every policy derives its grid
 deterministically from ``num_partitions``, so it is implied by the key
@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import os
 import shutil
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import obs
+from repro.errors import GraphFormatError, PartitioningError
 from repro.graph.csr import CSRGraph
 from repro.partition.base import PartitionedGraph
 from repro.partition.io import (
@@ -47,6 +47,14 @@ __all__ = [
 ]
 
 log = logging.getLogger("repro.partition.cache")
+
+#: what a cache entry's file name ends in
+_SUFFIX = ".parts"
+#: what a ``cache_dir`` written before the container format may still
+#: hold.  Such entries are never loaded again; the only reason the two
+#: suffixes are still spelled is that ``_prune_disk`` must keep counting and
+#: evicting them, or ``max_disk_bytes`` silently stops holding.
+_LEGACY_SUFFIXES = (".npz", ".shards")
 
 
 @dataclass
@@ -70,7 +78,7 @@ class CacheStats:
 
 @dataclass
 class PartitionCache:
-    """LRU of partitionings, optionally backed by a directory of ``.npz``.
+    """LRU of partitionings, optionally backed by a directory of files.
 
     Thread-safe for concurrent lookups; a build that races another thread
     on the same key may run twice (both results are identical, last one
@@ -82,8 +90,8 @@ class PartitionCache:
     #: byte budget for the on-disk store (None = unbounded); least
     #: recently *used* entries are pruned after each store
     max_disk_bytes: int | None = None
-    #: spill as per-partition shard directories (mmap on load) instead of
-    #: monolithic ``.npz`` — the out-of-core sweep path
+    #: store ``global_to_local`` too and load entries as memmap views
+    #: instead of into RAM — the out-of-core sweep path
     spill_shards: bool = False
     #: recency clock for the disk LRU (tests inject a deterministic one);
     #: ``None`` means the wall clock
@@ -112,8 +120,7 @@ class PartitionCache:
         if not self.cache_dir:
             return None
         h, policy, P = key
-        suffix = ".shards" if self.spill_shards else ".npz"
-        return os.path.join(self.cache_dir, f"{h[:16]}_{policy}_{P}{suffix}")
+        return os.path.join(self.cache_dir, f"{h[:16]}_{policy}_{P}{_SUFFIX}")
 
     def _now(self) -> float:
         return self.clock() if self.clock is not None else time.time()
@@ -154,6 +161,10 @@ class PartitionCache:
         entry that cannot be read is a miss, never an error — the cache is
         best-effort — but it is a *reported* miss: a log line, the
         ``cache.disk_load`` span's ``outcome`` and a counter say which.
+        "Cannot be read" is what the loader raises for a damaged, foreign
+        or mismatched file and what the OS raises; anything else is a bug
+        in the loader and propagates — swallowed, it would rebuild every
+        partition on every warm run with ``builds`` as the only symptom.
         """
         tracer = obs.current_tracer()
         tr_args = {"policy": key[1], "num_partitions": key[2]}
@@ -183,9 +194,9 @@ class PartitionCache:
             # check and the load: an ordinary miss, not corruption
             outcome = "vanished"
             log.debug("cache entry %s vanished mid-load", path)
-        except Exception:  # corrupt/stale file: the caller rebuilds
-            outcome = "corrupt"
-            log.warning("discarding unreadable cache file %s", path)
+        except (OSError, GraphFormatError, PartitioningError) as e:
+            outcome = "corrupt"  # the caller rebuilds and stores over it
+            log.warning("discarding unreadable cache file %s: %s", path, e)
         else:
             self.stats.disk_hits += 1
             self._touch(path)  # LRU recency for the disk byte cap
@@ -264,31 +275,16 @@ class PartitionCache:
                 self._lru.popitem(last=False)
 
     def _store(self, path: str, pg: PartitionedGraph) -> None:
-        """Atomic write: tmp file in the same directory, then replace."""
+        """Persist ``pg`` (the writer is atomic: tmp file, then replace)."""
         tracer = obs.current_tracer()
         ev = None
         if tracer is not None:
             ev = tracer.begin("cache.store", "cache")
         try:
             if self.spill_shards:
-                # per-array shard directory, assembled under a temp name
-                # and renamed into place by save_partition_shards itself
                 save_partition_shards(pg, path)
             else:
-                # suffix must end in .npz or np.savez would append it and
-                # write to a different path than we later os.replace() from
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp.npz"
-                )
-                os.close(fd)
-                try:
-                    # uncompressed: cache files are re-read far more often
-                    # than written, and decompression dominated warm loads
-                    save_partitions(pg, tmp, compress=False)
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
+                save_partitions(pg, path)
         except OSError as e:  # disk full / permissions: cache is best-effort
             log.warning("could not persist partitions to %s: %s", path, e)
             if tracer is not None:
@@ -304,21 +300,11 @@ class PartitionCache:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _entry_nbytes(path: str) -> int:
-        """Entry size in bytes; 0 when a sibling evicted it mid-walk.
-
-        Every probe is individually guarded: a shard directory can vanish
-        between ``isdir`` and ``listdir``, and a file between ``listdir``
-        and ``getsize``, when concurrent workers prune the shared store.
-        """
+        """Entry size in bytes (an entry is one file, a legacy ``.shards``
+        spill a directory of them); 0 when a sibling evicted it mid-walk."""
         try:
             if os.path.isdir(path):
-                total = 0
-                for name in os.listdir(path):
-                    try:
-                        total += os.path.getsize(os.path.join(path, name))
-                    except OSError:
-                        pass
-                return total
+                return sum(e.stat().st_size for e in os.scandir(path))
             return os.path.getsize(path)
         except OSError:
             return 0
@@ -330,8 +316,8 @@ class PartitionCache:
         them (an explicit strictly-advancing ``_touch``, because
         relatime/noatime mounts do not update timestamps on reads), so
         sorting by ``(mtime, name)`` is the LRU order with a
-        deterministic tiebreak.  In-flight temp files are skipped;
-        racing pruners are
+        deterministic tiebreak.  In-flight temp files (``*.tmp``) are not
+        entries; racing pruners are
         harmless — ``os.path.getmtime`` on an entry a sibling worker just
         evicted raises ``FileNotFoundError`` and the entry is skipped,
         deletion is idempotent, and a deleted entry is simply rebuilt on
@@ -345,7 +331,7 @@ class PartitionCache:
         except OSError:  # the whole cache dir vanished: nothing to prune
             return
         for name in names:
-            if ".tmp" in name or not name.endswith((".npz", ".shards")):
+            if not name.endswith((_SUFFIX,) + _LEGACY_SUFFIXES):
                 continue
             p = os.path.join(self.cache_dir, name)
             try:
@@ -404,8 +390,8 @@ def configure(
     Called by the sweep runtime's worker initializer so every worker in a
     pool shares one on-disk store.  ``max_disk_bytes`` caps the on-disk
     footprint (least-recently-used entries are pruned past it);
-    ``spill_shards`` switches the disk format to per-partition shard
-    directories that load as memmaps (the out-of-core path).
+    ``spill_shards`` stores ``global_to_local`` with each entry and loads
+    entries as memmap views (the out-of-core path).
     """
     global _global_cache
     _global_cache = PartitionCache(

@@ -4,21 +4,42 @@ The paper (Section IV, footnote 2): "graphs can be partitioned once, and
 in-memory representations of the partitions can be written to disk.
 Applications can then load these partitions directly."  This module is
 that workflow: :func:`save_partitions` writes a :class:`PartitionedGraph`
-(including the memoized exchange orders) to one ``.npz``;
+(including the memoized exchange orders) to one file;
 :func:`load_partitions` restores it against the original graph without
 re-running the partitioner.
+
+The file is a :mod:`repro.graph.container`: one section per field holding
+every partition's array back to back, plus the sections that say where
+each one starts —
+
+* ``counts``: per partition ``(vertices, edges, mirror peers, master
+  peers)``;
+* ``indptr`` / ``indices`` / ``weights`` / ``l2g`` / ``is_master``: the
+  local CSR graphs and proxy tables (``indptr`` has one entry more per
+  partition than ``l2g``);
+* ``mirror_plan`` / ``master_plan``: per exchange list ``(peer, length)``,
+  in partition order and, within a partition, in the dict's iteration
+  order, which is what the loaded dicts iterate in again;
+  ``mirror_idx`` / ``master_idx``: the lists themselves;
+* ``vertex_owner``; and in the spill variant ``g2l``, every partition's
+  ``|V|``-long inverse map.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
-import tempfile
 
 import numpy as np
 
+from repro.constants import VID_DTYPE
 from repro.errors import GraphFormatError, PartitioningError
+from repro.graph.container import (
+    ContainerFormat,
+    ContainerWriter,
+    read_header,
+    read_sections,
+    verify_sections,
+)
 from repro.graph.csr import CSRGraph
 from repro.partition.base import LocalPartition, PartitionedGraph
 
@@ -29,219 +50,165 @@ __all__ = [
     "load_partition_shards",
 ]
 
-_MAGIC = "repro-partitions-v1"
-_SHARD_MAGIC = "repro-partition-shards-v1"
+_FORMAT = ContainerFormat(b"repro-partition\n", 1, "partition file")
+_LAYOUT_SECTIONS = ("counts", "mirror_plan", "master_plan")
 
 
-def save_partitions(
-    pg: PartitionedGraph, path: str | os.PathLike, compress: bool = True
-) -> None:
-    """Write every partition's structure to one ``.npz``.
+def _write(pg: PartitionedGraph, path: str | os.PathLike, spill: bool) -> None:
+    """Stream ``pg`` into a container at ``path``, field by field.
 
-    ``compress=False`` trades file size for (de)serialization speed — the
-    partition cache uses it because cache files are scratch state that is
-    re-read far more often than it is shipped anywhere.
+    No ``fsync``: partition files are scratch — a torn or flipped one fails
+    its size / CRC check on load and is rebuilt.
     """
-    payload: dict = {
-        "magic": np.array(_MAGIC),
-        "policy": np.array(pg.policy),
-        "num_partitions": np.array(pg.num_partitions),
-        "vertex_owner": pg.vertex_owner,
-        "grid": np.array(pg.grid if pg.grid else (0, 0)),
-        "graph_vertices": np.array(pg.global_graph.num_vertices),
-        "graph_edges": np.array(pg.global_graph.num_edges),
+    parts = pg.parts
+    fields = {
+        "indptr": lambda p: p.graph.indptr,
+        "indices": lambda p: p.graph.indices,
+        "l2g": lambda p: p.local_to_global,
+        "is_master": lambda p: p.is_master,
     }
-    for p in pg.parts:
-        key = f"p{p.pid}_"
-        payload[key + "indptr"] = p.graph.indptr
-        payload[key + "indices"] = p.graph.indices
-        if p.graph.has_weights:
-            payload[key + "weights"] = p.graph.weights
-        payload[key + "l2g"] = p.local_to_global
-        payload[key + "is_master"] = p.is_master
-        for q, idx in p.mirror_exchange.items():
-            payload[f"{key}mx_{q}"] = idx
-        for q, idx in p.master_exchange.items():
-            payload[f"{key}sx_{q}"] = idx
-    if compress:
-        np.savez_compressed(path, **payload)
-    else:
-        np.savez(path, **payload)
-
-
-def load_partitions(
-    path: str | os.PathLike, graph: CSRGraph
-) -> PartitionedGraph:
-    """Restore a partitioning against the graph it was computed from."""
-    with np.load(path, allow_pickle=False) as z:
-        if "magic" not in z or str(z["magic"]) != _MAGIC:
-            raise GraphFormatError(f"{path} is not a repro partition file")
-        if int(z["graph_vertices"]) != graph.num_vertices or int(
-            z["graph_edges"]
-        ) != graph.num_edges:
-            raise PartitioningError(
-                "partition file does not match the supplied graph"
-            )
-        P = int(z["num_partitions"])
-        n = graph.num_vertices
-        parts = []
-        for pid in range(P):
-            key = f"p{pid}_"
-            weights = z[key + "weights"] if key + "weights" in z else None
-            local = CSRGraph(
-                z[key + "indptr"], z[key + "indices"], weights,
-                name=f"{graph.name}/p{pid}",
-            )
-            l2g = z[key + "l2g"]
-            g2l = np.full(n, -1, dtype=np.int32)
-            g2l[l2g] = np.arange(len(l2g), dtype=np.int32)
-            part = LocalPartition(
-                pid=pid,
-                graph=local,
-                local_to_global=l2g,
-                global_to_local=g2l,
-                is_master=z[key + "is_master"],
-            )
-            for name in z.files:
-                if name.startswith(key + "mx_"):
-                    part.mirror_exchange[int(name.rsplit("_", 1)[1])] = z[name]
-                elif name.startswith(key + "sx_"):
-                    part.master_exchange[int(name.rsplit("_", 1)[1])] = z[name]
-            parts.append(part)
-        grid = tuple(int(x) for x in z["grid"])
-        return PartitionedGraph(
-            policy=str(z["policy"]),
-            global_graph=graph,
-            vertex_owner=z["vertex_owner"],
-            parts=parts,
-            grid=grid if grid != (0, 0) else None,
+    if any(p.graph.has_weights for p in parts):
+        fields["weights"] = lambda p: p.graph.weights
+    if spill:
+        fields["g2l"] = lambda p: p.global_to_local
+    counts = np.array(
+        [
+            (p.num_local, p.graph.num_edges,
+             len(p.mirror_exchange), len(p.master_exchange))
+            for p in parts
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    with ContainerWriter(path, _FORMAT) as writer:
+        writer.stream("vertex_owner", [pg.vertex_owner])
+        writer.stream("counts", [counts])
+        for name, get in fields.items():
+            writer.stream(name, (get(p) for p in parts))
+        for side in ("mirror", "master"):
+            lists = [
+                (q, idx)
+                for p in parts
+                for q, idx in getattr(p, side + "_exchange").items()
+            ]
+            plan = np.array(
+                [(q, len(idx)) for q, idx in lists], dtype=np.int64
+            ).reshape(-1, 2)
+            writer.stream(side + "_plan", [plan])
+            writer.stream(side + "_idx", (idx for _, idx in lists))
+        writer.commit(
+            {
+                "policy": pg.policy,
+                "grid": [int(x) for x in pg.grid] if pg.grid else None,
+                "graph_vertices": pg.global_graph.num_vertices,
+                "graph_edges": pg.global_graph.num_edges,
+            },
+            sync=False,
         )
 
 
-# ---------------------------------------------------------------------- #
-# sharded spill: one directory, one .npy per array, mmap on load
-# ---------------------------------------------------------------------- #
+def _bounds(lengths: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths)))
 
-def save_partition_shards(pg: PartitionedGraph, dir_path: str | os.PathLike) -> None:
-    """Write a :class:`PartitionedGraph` as a directory of per-array shards.
 
-    Unlike the monolithic ``.npz`` (whose members cannot be memory-mapped),
-    every array lands in its own ``.npy``, so :func:`load_partition_shards`
-    can serve each one through ``np.load(..., mmap_mode="r")`` — a worker
-    touching only its cell's partitions pages in only those shards, and
-    clean pages are reclaimable under memory pressure.  ``global_to_local``
-    is persisted too: rebuilding it on load costs O(|V|) *anonymous*
-    memory per partition, which is exactly what the out-of-core path must
-    avoid.
+def _read(path: str | os.PathLike, graph: CSRGraph, mode: str) -> PartitionedGraph:
+    """Rebuild the :class:`PartitionedGraph` stored at ``path`` from views
+    of its sections (``mode`` is :func:`~repro.graph.container.read_sections`'
+    ``"ram"`` or ``"mmap"``; a RAM load checks every section's CRC).
 
-    The directory is assembled under a temporary name and renamed into
-    place, so readers never observe a half-written spill.
+    Raises :class:`GraphFormatError` for a file that is not an intact
+    partition container and :class:`PartitioningError` for one that was
+    computed from another graph.
     """
-    dir_path = os.fspath(dir_path)
-    parent = os.path.dirname(os.path.abspath(dir_path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=os.path.basename(dir_path) + ".", dir=parent)
-    try:
-        meta: dict = {
-            "magic": _SHARD_MAGIC,
-            "policy": pg.policy,
-            "num_partitions": pg.num_partitions,
-            "grid": list(pg.grid) if pg.grid else None,
-            "graph_vertices": pg.global_graph.num_vertices,
-            "graph_edges": pg.global_graph.num_edges,
-            "parts": [],
-        }
-        np.save(os.path.join(tmp, "owner.npy"), pg.vertex_owner)
-        for p in pg.parts:
-            key = f"p{p.pid}_"
-            arrays = {
-                "indptr": p.graph.indptr,
-                "indices": p.graph.indices,
-                "l2g": p.local_to_global,
-                "g2l": p.global_to_local,
-                "is_master": p.is_master,
-            }
-            if p.graph.has_weights:
-                arrays["weights"] = p.graph.weights
-            for q, idx in p.mirror_exchange.items():
-                arrays[f"mx_{q}"] = idx
-            for q, idx in p.master_exchange.items():
-                arrays[f"sx_{q}"] = idx
-            for aname, arr in arrays.items():
-                np.save(os.path.join(tmp, key + aname + ".npy"), arr)
-            meta["parts"].append({
-                "pid": p.pid,
-                "has_weights": p.graph.has_weights,
-                "mirror_exchange": sorted(p.mirror_exchange),
-                "master_exchange": sorted(p.master_exchange),
-            })
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump(meta, f, sort_keys=True)
-        if os.path.isdir(dir_path):
-            shutil.rmtree(dir_path)
-        os.rename(tmp, dir_path)
-        tmp = None
-    finally:
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def load_partition_shards(
-    dir_path: str | os.PathLike, graph: CSRGraph
-) -> PartitionedGraph:
-    """Restore a sharded spill with every array served as a read-only mmap.
-
-    Local CSR graphs go through the trusted constructor (the shards were
-    written from an already-validated partitioning), so opening is O(1)
-    per array — pages fault in as the engines touch them.
-    """
-    dir_path = os.fspath(dir_path)
-    meta_path = os.path.join(dir_path, "meta.json")
-    try:
-        with open(meta_path) as f:
-            meta = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise GraphFormatError(
-            f"{dir_path} is not a readable partition shard directory ({exc})"
-        ) from exc
-    if meta.get("magic") != _SHARD_MAGIC:
-        raise GraphFormatError(f"{dir_path} is not a repro partition shard dir")
+    header = read_header(path, _FORMAT)
     if (
-        meta["graph_vertices"] != graph.num_vertices
-        or meta["graph_edges"] != graph.num_edges
+        header["graph_vertices"] != graph.num_vertices
+        or header["graph_edges"] != graph.num_edges
     ):
         raise PartitioningError(
-            "partition shards do not match the supplied graph"
+            "partition file does not match the supplied graph"
         )
-
-    def _mm(name: str) -> np.ndarray:
-        return np.load(os.path.join(dir_path, name + ".npy"), mmap_mode="r")
-
+    if mode == "mmap":
+        if "g2l" not in header["sections"]:
+            raise GraphFormatError(
+                f"{path!r} has no g2l section: it was not saved as a spill"
+            )
+        # the O(P^2) bytes every slice below is cut by; the payload's
+        # CRCs would page the whole file in
+        verify_sections(path, header, _LAYOUT_SECTIONS)
+    sec = read_sections(path, header, mode, verify=mode == "ram")
+    n = graph.num_vertices
+    counts = sec["counts"].reshape(-1, 4)
+    v, e = _bounds(counts[:, 0]), _bounds(counts[:, 1])
+    weights = sec.get("weights")
+    exchange = {}
+    for side, col in (("mirror", 2), ("master", 3)):
+        plan = sec[side + "_plan"].reshape(-1, 2)
+        exchange[side] = (
+            _bounds(counts[:, col]), plan[:, 0].tolist(),
+            _bounds(plan[:, 1]), sec[side + "_idx"],
+        )
     parts = []
-    for pm in meta["parts"]:
-        key = f"p{pm['pid']}_"
-        weights = _mm(key + "weights") if pm["has_weights"] else None
-        local = CSRGraph.from_validated_arrays(
-            _mm(key + "indptr"), _mm(key + "indices"), weights,
-            name=f"{graph.name}/p{pm['pid']}",
-        )
+    for pid in range(len(counts)):
+        v0, v1, e0, e1 = v[pid], v[pid + 1], e[pid], e[pid + 1]
+        l2g = sec["l2g"][v0:v1]
+        if "g2l" in sec:
+            g2l = sec["g2l"][pid * n : (pid + 1) * n]
+        else:
+            g2l = np.full(n, -1, dtype=VID_DTYPE)
+            g2l[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
+        # trusted constructor: the arrays were written from a validated
+        # partitioning and the container vouches for the bytes
         part = LocalPartition(
-            pid=pm["pid"],
-            graph=local,
-            local_to_global=_mm(key + "l2g"),
-            global_to_local=_mm(key + "g2l"),
-            is_master=_mm(key + "is_master"),
+            pid=pid,
+            graph=CSRGraph.from_validated_arrays(
+                sec["indptr"][v0 + pid : v1 + pid + 1],
+                sec["indices"][e0:e1],
+                None if weights is None else weights[e0:e1],
+                name=f"{graph.name}/p{pid}",
+            ),
+            local_to_global=l2g,
+            global_to_local=g2l,
+            is_master=sec["is_master"][v0:v1],
         )
-        for q in pm["mirror_exchange"]:
-            part.mirror_exchange[int(q)] = _mm(f"{key}mx_{q}")
-        for q in pm["master_exchange"]:
-            part.master_exchange[int(q)] = _mm(f"{key}sx_{q}")
+        for side, (first, peers, at, idx) in exchange.items():
+            lists = getattr(part, side + "_exchange")
+            for k in range(first[pid], first[pid + 1]):
+                lists[peers[k]] = idx[at[k] : at[k + 1]]
         parts.append(part)
-    grid = meta["grid"]
+    grid = header["grid"]
     return PartitionedGraph(
-        policy=meta["policy"],
+        policy=header["policy"],
         global_graph=graph,
-        vertex_owner=np.load(os.path.join(dir_path, "owner.npy"), mmap_mode="r"),
+        vertex_owner=sec["vertex_owner"],
         parts=parts,
         grid=tuple(grid) if grid else None,
     )
+
+
+def save_partitions(pg: PartitionedGraph, path: str | os.PathLike) -> None:
+    """Write every partition's structure to one container file."""
+    _write(pg, path, spill=False)
+
+
+def load_partitions(path: str | os.PathLike, graph: CSRGraph) -> PartitionedGraph:
+    """Restore a partitioning, CRC-verified and in RAM, against the graph
+    it was computed from (``global_to_local`` is rebuilt, not stored)."""
+    return _read(path, graph, "ram")
+
+
+def save_partition_shards(pg: PartitionedGraph, path: str | os.PathLike) -> None:
+    """:func:`save_partitions` plus the ``g2l`` section: rebuilding
+    ``global_to_local`` on load costs O(|V|) *anonymous* memory per
+    partition, which is exactly what the out-of-core path must avoid."""
+    _write(pg, path, spill=True)
+
+
+def load_partition_shards(
+    path: str | os.PathLike, graph: CSRGraph
+) -> PartitionedGraph:
+    """Restore a spill with every array a read-only view of one
+    ``np.memmap`` of the file: opening is O(P) — a worker touching only its
+    cell's partitions pages in only those ranges, and clean pages are
+    reclaimable under memory pressure.  Header and size are checked, the
+    payload CRCs are not (the sweep would page the whole file in)."""
+    return _read(path, graph, "mmap")

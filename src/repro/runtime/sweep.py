@@ -125,8 +125,8 @@ class SweepExecutor:
     max_disk_bytes / spill_shards:
         forwarded to :func:`repro.partition.cache.configure` in the
         parent and every worker: a byte cap (LRU-pruned) for the shared
-        disk cache, and the per-partition shard-directory spill format
-        that loads as memmaps (the out-of-core path).
+        disk cache, and entries that carry ``global_to_local`` and load as
+        memmap views (the out-of-core path).
     """
 
     def __init__(

@@ -9,7 +9,7 @@ This driver exercises the full out-of-core data path end to end:
    store container sized at least ``size_multiple``× the configured RAM
    cap (:mod:`repro.generators.chunked`; peak RAM O(chunk + |V|)).
 2. **Partition** — the driver partitions the mmap-backed graph once and
-   spills per-partition shards through the partition cache
+   spills the partitions through the partition cache
    (``spill_shards``), then drops its in-memory copy.
 3. **Run** — a :class:`~repro.runtime.sweep.SweepExecutor` in
    ``shard_plan`` mode fans BFS + PageRank cells out over ``spawn``

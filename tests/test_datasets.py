@@ -1,9 +1,47 @@
 """Tests for the Table I dataset registry."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.generators import DATASETS, dataset_names, load_dataset
+from repro.graph import make_undirected
+
+GOLDEN = Path(__file__).parent / "cases" / "dataset_golden.json"
+
+
+def _row(graph) -> dict:
+    return {
+        "content_hash": graph.content_hash(),
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+    }
+
+
+def compute_dataset_table() -> dict:
+    """What ``tests/cases/dataset_golden.json`` stores: every registry
+    dataset as ``load_dataset`` hands it out (weighted) and its symmetrized
+    view.  ``make_undirected(graph)`` is what ``Dataset.symmetric()``
+    computes, called directly so the suite does not keep ten symmetric
+    graphs alive.  Regenerate from any checkout's sources with the command
+    in docs/performance.md, "A cold study pays only for what its cells read".
+    """
+    table = {}
+    for name in DATASETS:
+        graph = load_dataset(name).graph
+        table[name] = {
+            "weighted": _row(graph),
+            "symmetric": _row(make_undirected(graph)),
+        }
+    return table
+
+
+def test_every_registry_dataset_matches_the_golden_table():
+    """Recorded at the parent of PR 20 (``d7da598``, ``Generator.choice``
+    under the generators); ``expected.json`` only pins three of them."""
+    assert compute_dataset_table() == json.loads(GOLDEN.read_text())
 
 
 class TestRegistry:

@@ -122,3 +122,48 @@ class TestMemoryBehavior:
         lux = Lux().run("cc", ds, 4, check_memory=False)
         var2 = DIrGL.var2(policy="iec").run("cc", ds, 4, check_memory=False)
         assert lux.stats.comm_volume_bytes > var2.stats.comm_volume_bytes
+
+
+class TestContextPaysPerUse:
+    """``make_context`` computes what its app reads: only the apps that run
+    on the symmetrized view (cc, kcore, mis) see its degrees, everyone else
+    must not cost a ``make_undirected``."""
+
+    @pytest.fixture
+    def counting_ds(self, monkeypatch):
+        import dataclasses
+
+        # a private copy: the cached dataset may already be symmetrized
+        ds = dataclasses.replace(load_dataset("tiny-s"), _symmetric=None)
+        calls = []
+        real = type(ds).symmetric_degrees
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(type(ds), "symmetric_degrees", counted)
+        return ds, calls
+
+    @pytest.mark.parametrize("app_name", ["bfs", "sssp", "pr", "pr-push", "bfs-do"])
+    def test_directed_apps_never_symmetrize(self, counting_ds, app_name):
+        ds, calls = counting_ds
+        fw = DIrGL()
+        ctx = fw.make_context(ds, fw.resolve_app(app_name), source=3)
+        assert calls == [] and ds._symmetric is None
+        assert ctx.global_degrees is None
+        assert ctx.source == 3
+        np.testing.assert_array_equal(ctx.global_out_degrees, ds.graph.out_degrees())
+        fw.run(app_name, ds, 2)
+        assert calls == [] and ds._symmetric is None
+
+    @pytest.mark.parametrize("app_name", ["kcore", "mis", "cc"])
+    def test_symmetric_apps_get_degrees_and_the_median_k(self, counting_ds, app_name):
+        ds, calls = counting_ds
+        fw = DIrGL()
+        ctx = fw.make_context(ds, fw.resolve_app(app_name))
+        assert calls == [1]
+        deg = ds.symmetric().out_degrees()
+        np.testing.assert_array_equal(ctx.global_degrees, deg)
+        assert ctx.k == max(2, int(np.median(deg)))
+        assert fw.make_context(ds, fw.resolve_app(app_name), k=7).k == 7

@@ -3,12 +3,15 @@
 import dataclasses
 import logging
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.errors import GraphFormatError
 from repro.generators import rmat
-from repro.graph import from_edges
+from repro.graph import add_random_weights, from_edges
+from repro.graph.container import read_header
 from repro.obs import Tracer, use_tracer
 from repro.partition import partition
 from repro.partition.cache import (
@@ -19,6 +22,8 @@ from repro.partition.cache import (
     get_cache,
 )
 from repro.partition.cusp import POLICIES
+from repro.partition.io import _FORMAT
+from tests.test_partition_io import assert_same_partitioning
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +144,7 @@ class TestDiskStore:
 
         path = cache._disk_path(PartitionCache.key_for(g, "oec", 4))
         with open(path, "wb") as f:
-            f.write(b"not an npz file")
+            f.write(b"not a partition container")
 
         fresh = PartitionCache(cache_dir=store)
         pg = fresh.lookup_or_build(g, "oec", 4, builder)
@@ -153,7 +158,7 @@ class TestDiskStore:
         def boom(*a, **kw):
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.partition.cache.tempfile.mkstemp", boom)
+        monkeypatch.setattr(tempfile, "mkstemp", boom)
         builder, _ = _counting_builder("oec")
         tracer = Tracer()
         with use_tracer(tracer):
@@ -203,8 +208,9 @@ class TestShardSpill:
         builder, calls = _counting_builder("iec")
         built = writer.lookup_or_build(g, "iec", 4, builder)
         path = writer._disk_path(PartitionCache.key_for(g, "iec", 4))
-        assert path.endswith(".shards")
-        assert os.path.isdir(path)
+        # a spill is the same one file per entry, plus a g2l section
+        assert os.listdir(store) == [os.path.basename(path)]
+        assert "g2l" in read_header(path, _FORMAT)["sections"]
 
         reader = PartitionCache(cache_dir=store, spill_shards=True)
         loaded = reader.lookup_or_build(g, "iec", 4, builder)
@@ -212,17 +218,30 @@ class TestShardSpill:
         assert reader.stats.disk_hits == 1
         loaded.validate()
         _assert_partitions_equal(built, loaded)
+        for part in loaded.parts:  # served from the file, not from RAM
+            assert isinstance(part.global_to_local, np.memmap)
+            assert isinstance(part.graph.indices.base, np.memmap)
 
     def test_shard_formats_do_not_collide(self, g, tmp_path):
-        """A shard cache and an npz cache in the same directory address
-        different entries, so flipping the flag never misloads."""
+        """A spill cache and a RAM cache in the same directory address the
+        same entry, and flipping the flag never misloads: a spill is a
+        superset a RAM load reads as it is, a RAM entry lacks the ``g2l``
+        section a spill load needs and is replaced, not patched up with
+        anonymous memory."""
         store = str(tmp_path / "pcache")
         builder, calls = _counting_builder("iec")
-        PartitionCache(cache_dir=store, spill_shards=True).lookup_or_build(
-            g, "iec", 2, builder
-        )
-        PartitionCache(cache_dir=store).lookup_or_build(g, "iec", 2, builder)
-        assert len(calls) == 2
+        spill = PartitionCache(cache_dir=store, spill_shards=True)
+        built = spill.lookup_or_build(g, "iec", 2, builder)
+        ram = PartitionCache(cache_dir=store)
+        _assert_partitions_equal(ram.lookup_or_build(g, "iec", 2, builder), built)
+        assert len(calls) == 1 and ram.stats.disk_hits == 1
+
+        ram.lookup_or_build(g, "iec", 4, builder)  # stored without g2l
+        spill.lookup_or_build(g, "iec", 4, builder).validate()
+        assert len(calls) == 3 and spill.stats.disk_hits == 0
+        again = PartitionCache(cache_dir=store, spill_shards=True)
+        again.lookup_or_build(g, "iec", 4, builder)  # now it is a spill
+        assert len(calls) == 3 and again.stats.disk_hits == 1
 
     def test_corrupt_shard_dir_rebuilds(self, g, tmp_path):
         store = str(tmp_path / "pcache")
@@ -230,8 +249,7 @@ class TestShardSpill:
         builder, _ = _counting_builder("iec")
         cache.lookup_or_build(g, "iec", 2, builder)
         path = cache._disk_path(PartitionCache.key_for(g, "iec", 2))
-        for name in os.listdir(path):
-            os.unlink(os.path.join(path, name))
+        os.truncate(path, 0)
 
         fresh = PartitionCache(cache_dir=store, spill_shards=True)
         pg = fresh.lookup_or_build(g, "iec", 2, builder)
@@ -471,8 +489,7 @@ class TestOneProbe:
         )
         cache = PartitionCache(cache_dir=store, spill_shards=spill_shards)
         path = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
-        victim = os.path.join(path, "owner.npy") if spill_shards else path
-        os.truncate(victim, os.path.getsize(victim) // 2)
+        os.truncate(path, os.path.getsize(path) // 2)
 
         builder, calls = _counting_builder("oec")
         tracer = Tracer()
@@ -493,3 +510,229 @@ class TestOneProbe:
             if "discarding unreadable cache file" in r.getMessage()
         ]
         assert len(warned) == 2
+
+
+# ---------------------------------------------------------------------- #
+# faults: a damaged entry is a logged discard and one rebuild
+# ---------------------------------------------------------------------- #
+#: sections of a weighted cvc / P=4 entry, in file order (``g2l`` only in a
+#: spill); every one of them is non-empty for the graph below
+SECTIONS = (
+    "vertex_owner", "counts", "indptr", "indices", "l2g", "is_master",
+    "weights", "g2l", "mirror_plan", "mirror_idx", "master_plan", "master_idx",
+)
+#: the sections an mmap load checks (io._LAYOUT_SECTIONS); a flipped byte
+#: in any other one is not detected under mmap (docs/scale.md)
+LAYOUT = ("counts", "mirror_plan", "master_plan")
+HEADER_BYTES = {"magic": 0, "version": len(_FORMAT.magic), "json": 200}
+
+
+def _flip(path, offset):
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        byte = f.read(1)
+        f.seek(offset)
+        f.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _damage(path, kind, where):
+    """Apply one fault to the entry at ``path``."""
+    if kind == "empty":
+        os.truncate(path, 0)
+    elif kind == "foreign":
+        with open(path, "wb") as f:
+            f.write(b"PK\x03\x04" + b"\0" * 8192)  # what an .npz starts with
+    elif kind == "flip-header":
+        _flip(path, HEADER_BYTES[where])
+    else:
+        sec = read_header(path, _FORMAT)["sections"][where]
+        assert sec["nbytes"] > 0, where
+        if kind == "truncate":
+            os.truncate(path, sec["offset"])
+        else:
+            _flip(path, sec["offset"] + sec["nbytes"] // 2)
+
+
+def _faults(spill_shards):
+    """Every fault a load in that mode must detect: a RAM load all of them
+    (``g2l`` apart, which only a spill has), an mmap load every one that
+    damages the header, the size or a layout section."""
+    sections = [s for s in SECTIONS if spill_shards or s != "g2l"]
+    return (
+        [("empty", ""), ("foreign", "")]
+        + [("flip-header", where) for where in HEADER_BYTES]
+        + [("truncate", name) for name in sections]
+        + [("flip", name) for name in (LAYOUT if spill_shards else sections)]
+    )
+
+
+class TestDamagedEntries:
+    @pytest.fixture(scope="class")
+    def wg(self):
+        return add_random_weights(rmat(8, edge_factor=8, seed=5), seed=2)
+
+    @pytest.mark.parametrize(
+        "spill_shards,kind,where",
+        [(spill, *fault) for spill in (False, True) for fault in _faults(spill)],
+    )
+    def test_damage_is_a_logged_discard_and_one_rebuild(
+        self, wg, tmp_path, caplog, spill_shards, kind, where
+    ):
+        store = str(tmp_path / "pcache")
+        from_scratch = POLICIES["cvc"](wg, 4)
+        PartitionCache(cache_dir=store, spill_shards=spill_shards).put(
+            wg, "cvc", 4, from_scratch
+        )
+        cache = PartitionCache(cache_dir=store, spill_shards=spill_shards)
+        path = cache._disk_path(PartitionCache.key_for(wg, "cvc", 4))
+        _damage(path, kind, where)
+
+        builder, calls = _counting_builder("cvc")
+        tracer = Tracer()
+        with use_tracer(tracer), caplog.at_level(
+            logging.WARNING, logger="repro.partition.cache"
+        ):
+            got = cache.lookup_or_build(wg, "cvc", 4, builder)
+            cache.clear_memory()
+            again = cache.lookup_or_build(wg, "cvc", 4, builder)
+        assert calls == [("cvc", 4)]  # exactly one rebuild, stored over it
+        assert _outcomes(tracer, "cache.disk_load") == ["corrupt", "hit"]
+        assert cache.stats.disk_hits == 1
+        discards = [
+            r for r in caplog.records
+            if "discarding unreadable cache file" in r.getMessage()
+        ]
+        assert len(discards) == 1
+        assert os.listdir(store) == [os.path.basename(path)]  # no debris
+        for pg in (got, again):
+            assert_same_partitioning(from_scratch, pg)
+
+    @pytest.mark.parametrize("spill_shards", [False, True])
+    def test_entry_removed_between_check_and_load(
+        self, wg, tmp_path, monkeypatch, spill_shards
+    ):
+        """The real loader meets the missing file: a clean miss, no
+        warning, one rebuild."""
+        import repro.partition.cache as mod
+
+        store = str(tmp_path / "pcache")
+        cache = PartitionCache(cache_dir=store, spill_shards=spill_shards)
+        builder, calls = _counting_builder("cvc")
+        cache.lookup_or_build(wg, "cvc", 4, builder)
+        cache.clear_memory()
+        name = "load_partition_shards" if spill_shards else "load_partitions"
+        real = getattr(mod, name)
+
+        def racing_load(path, graph):
+            os.unlink(path)  # the sibling's prune wins the race
+            return real(path, graph)
+
+        monkeypatch.setattr(mod, name, racing_load)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            cache.lookup_or_build(wg, "cvc", 4, builder).validate()
+        assert len(calls) == 2
+        assert _outcomes(tracer, "cache.disk_load") == ["vanished"]
+
+    @pytest.mark.parametrize("spill_shards", [False, True])
+    def test_a_bug_in_the_loader_is_not_a_corrupt_file(
+        self, wg, tmp_path, monkeypatch, spill_shards
+    ):
+        """``_probe`` used to catch ``Exception``: a loader that always
+        raised rebuilt every partition on every warm run and the only
+        symptom was ``partition.builds``."""
+        import repro.partition.cache as mod
+
+        store = str(tmp_path / "pcache")
+        cache = PartitionCache(cache_dir=store, spill_shards=spill_shards)
+        builder, calls = _counting_builder("cvc")
+        cache.lookup_or_build(wg, "cvc", 4, builder)
+        cache.clear_memory()
+
+        def buggy_load(path, graph):
+            raise TypeError("unsupported operand type(s)")
+
+        name = "load_partition_shards" if spill_shards else "load_partitions"
+        monkeypatch.setattr(mod, name, buggy_load)
+        for probe in (
+            lambda: cache.get(wg, "cvc", 4),
+            lambda: cache.lookup_or_build(wg, "cvc", 4, builder),
+        ):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                probe()
+        assert len(calls) == 1
+
+    def test_unreadable_means_these_three_and_nothing_else(
+        self, wg, tmp_path, monkeypatch
+    ):
+        import repro.partition.cache as mod
+        from repro.errors import PartitioningError
+
+        cache = PartitionCache(cache_dir=str(tmp_path / "pcache"))
+        cache.put(wg, "cvc", 4, POLICIES["cvc"](wg, 4))
+        cache.clear_memory()
+        for exc in (PermissionError("denied"), GraphFormatError("bad"),
+                    PartitioningError("other graph")):
+            def failing_load(path, graph, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(mod, "load_partitions", failing_load)
+            assert cache.get(wg, "cvc", 4) is None
+
+
+class TestLegacyEntries:
+    """A ``cache_dir`` from before the container format keeps its ``.npz``
+    files and ``.shards`` directories: never loaded, still evicted."""
+
+    def _plant(self, store, stamp):
+        os.makedirs(store, exist_ok=True)
+        npz = os.path.join(store, "0123456789abcdef_oec_2.npz")
+        with open(npz, "wb") as f:
+            f.write(b"\0" * 5000)
+        shards = os.path.join(store, "0123456789abcdef_iec_4.shards")
+        os.makedirs(shards)
+        for name in ("meta.json", "owner.npy", "p0_indices.npy"):
+            with open(os.path.join(shards, name), "wb") as f:
+                f.write(b"\0" * 3000)
+        os.utime(npz, (stamp, stamp))
+        os.utime(shards, (stamp + 1, stamp + 1))
+        return npz, shards
+
+    def test_legacy_entries_count_against_the_cap(self, g, tmp_path):
+        store = str(tmp_path / "pcache")
+        npz, shards = self._plant(store, stamp=1000)
+        assert PartitionCache._entry_nbytes(npz) == 5000
+        assert PartitionCache._entry_nbytes(shards) == 9000
+        cache = PartitionCache(cache_dir=store)
+        builder, _ = _counting_builder("oec")
+        cache.lookup_or_build(g, "oec", 2, builder)
+        entry = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
+        # room for the new entry and the younger legacy one only
+        cache.max_disk_bytes = os.path.getsize(entry) + 9000
+        cache._prune_disk()
+        assert not os.path.exists(npz)  # the oldest goes first
+        assert os.path.isdir(shards)
+        cache.max_disk_bytes = os.path.getsize(entry)
+        cache._prune_disk()
+        assert not os.path.exists(shards)
+        assert os.path.exists(entry)
+        assert cache.stats.pruned == 2
+
+    def test_legacy_entries_are_never_loaded(self, g, tmp_path):
+        """Same key, old suffix: the probe does not even open it."""
+        store = str(tmp_path / "pcache")
+        cache = PartitionCache(cache_dir=store)
+        path = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
+        stem = path[: -len(".parts")]
+        with open(stem + ".npz", "wb") as f:
+            f.write(b"not even a zip")
+        os.makedirs(stem + ".shards")
+        builder, calls = _counting_builder("oec")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            cache.lookup_or_build(g, "oec", 2, builder)
+        assert calls == [("oec", 2)]
+        assert _outcomes(tracer, "cache.disk_load") == []
+        assert sorted(os.listdir(store)) == sorted(
+            os.path.basename(stem) + ext for ext in (".npz", ".parts", ".shards")
+        )
