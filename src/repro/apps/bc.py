@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges, scatter_add, scatter_min
+from repro.apps.common import expand_edges, scatter_changed
 from repro.comm.gluon import CommConfig, FieldSpec
 from repro.constants import INF
 from repro.engine.operator import (
@@ -116,8 +116,8 @@ class BrandesForward(VertexProgram):
         undiscovered = dist[dsts] == INF
         dsts_u = dsts[undiscovered]
         cand = (dist[srcs[undiscovered]].astype(np.int64) + 1).astype(np.uint32)
-        changed = scatter_min(dist, dsts_u, cand)
-        touched = scatter_add(acc, dsts_u, sigma[srcs[undiscovered]])
+        changed = scatter_changed("min", dist, dsts_u, cand)
+        touched = scatter_changed("add", acc, dsts_u, sigma[srcs[undiscovered]])
         return RoundOutput(
             updated={"dist": changed, "sigma_acc": touched},
             activated=changed,
@@ -223,7 +223,7 @@ class BrandesBackward(VertexProgram):
             sigma[preds] / np.maximum(sigma[vs], 1.0)
             * (1.0 + delta[vs])
         )
-        touched = scatter_add(acc, preds, contrib)
+        touched = scatter_changed("add", acc, preds, contrib)
         return RoundOutput(
             updated={"delta_acc": touched},
             activated=_EMPTY,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import scatter_min
+from repro.apps.common import scatter_changed
 from repro.comm.gluon import FieldSpec
 from repro.constants import INF
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
@@ -120,8 +120,8 @@ class DirectionOptBFS(BFS):
         if step is None:
             return RoundOutput({"dist": _EMPTY}, _EMPTY, 0, np.zeros(0))
         cand, hit, edges = step
-        changed = scatter_min(
-            dist, unvisited[hit], cand[hit].astype(np.uint32)
+        changed = scatter_changed(
+            "min", dist, unvisited[hit], cand[hit].astype(np.uint32)
         )
         return RoundOutput(
             updated={"dist": changed},

@@ -13,11 +13,10 @@ from repro.idset import scatter_changed, unique_ids
 __all__ = [
     "expand_edges",
     "expand_edges_blocks",
+    "block_bounds",
     "block_edge_budget",
     "merge_touched",
     "scatter_changed",
-    "scatter_min",
-    "scatter_add",
     "unique_ids",
 ]
 
@@ -36,9 +35,9 @@ def block_edge_budget() -> int:
     ``REPRO_BLOCK_EDGES`` overrides the default — the out-of-core sweep
     sets it low in its workers so one dense round's per-edge temporaries
     (~20 bytes/edge across the expansion arrays, see docs/scale.md) stay
-    well under the RAM cap.  Read per call: spawn-started pool workers
-    inherit the driver's environment, and a dict lookup is noise next to
-    an expansion.
+    well under the RAM cap.  Read per expansion and per pull-plan build:
+    spawn-started pool workers inherit the driver's environment, and a
+    dict lookup is noise next to either.
     """
     raw = os.environ.get("REPRO_BLOCK_EDGES")
     if raw is None or raw == "":
@@ -93,46 +92,52 @@ def expand_edges(
     return counts, dsts, w
 
 
+def block_bounds(ends: np.ndarray, max_edges: int):
+    """Yield ``(start, stop, edge0, edge1)`` over consecutive vertices
+    whose edge totals (``ends``: their running sum) stay under
+    ``max_edges``; a vertex wider than the budget is its own block.  The
+    one blocking rule of the push expansion and the pull plan."""
+    n, start, base = len(ends), 0, 0
+    while start < n:
+        stop = int(np.searchsorted(ends, base + max_edges, side="right"))
+        stop = min(max(stop, start + 1), n)
+        end = int(ends[stop - 1])
+        yield start, stop, base, end
+        start, base = stop, end
+
+
 def expand_edges_blocks(
     graph: CSRGraph,
     frontier: np.ndarray,
     with_weights: bool = False,
-    max_edges: int | None = None,
 ):
     """Yield ``(block, counts, dsts, weights)`` over contiguous frontier
-    slices whose out-edge totals stay under ``max_edges`` (always at
-    least one vertex per block).
+    slices whose out-edge totals stay under :func:`block_edge_budget`
+    (:func:`block_bounds`' rule).
 
     :func:`expand_edges` materializes O(edges) temporaries at once; on
     an out-of-core graph one dense round would allocate a footprint
-    rivaling the graph itself.  Processing the frontier in slices bounds
-    that to O(``max_edges``), and because the slices are contiguous the
-    concatenated per-edge streams are *exactly* the full expansion —
-    elementwise kernels (``np.add.at`` / ``np.minimum.at``) applied
-    block by block perform the identical operation sequence, so results
-    are bit-identical to the unblocked path *provided the kernel read
-    its per-vertex inputs before the first block wrote*
-    (:func:`repro.la.spmv.spmsv_push` does).  A frontier that fits the
-    budget comes back as a single block, which IS the unblocked path.
+    rivaling the graph itself.  Slices bound that to O(budget), and
+    because they are contiguous the concatenated per-edge streams are
+    *exactly* the full expansion — elementwise kernels (``np.add.at`` /
+    ``np.minimum.at``) applied block by block perform the identical
+    operation sequence, so results are bit-identical to the unblocked
+    path *provided the kernel read its per-vertex inputs before the
+    first block wrote* (:func:`repro.la.spmv.spmsv_push` does).  A
+    frontier that fits the budget comes back as a single block, which
+    IS the unblocked path.
     """
     n = len(frontier)
     if n == 0:
         return
-    if max_edges is None:
-        max_edges = block_edge_budget()
+    max_edges = block_edge_budget()
     counts = np.asarray(graph.indptr[frontier + 1]) - graph.indptr[frontier]
     if int(counts.sum()) <= max_edges:
         yield (frontier, *expand_edges(graph, frontier, with_weights))
         return
-    cum = np.cumsum(counts)
-    start = 0
-    while start < n:
-        base = int(cum[start - 1]) if start else 0
-        stop = int(np.searchsorted(cum, base + max_edges, side="right"))
-        stop = min(max(stop, start + 1), n)
+    for start, stop, _, _ in block_bounds(np.cumsum(counts), max_edges):
         blk = frontier[start:stop]
         yield (blk, *expand_edges(graph, blk, with_weights))
-        start = stop
 
 
 def merge_touched(parts: list[np.ndarray], n: int) -> np.ndarray:
@@ -148,14 +153,3 @@ def merge_touched(parts: list[np.ndarray], n: int) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return unique_ids(np.concatenate(parts), n)
-
-
-def scatter_min(labels: np.ndarray, targets: np.ndarray, values: np.ndarray):
-    """``labels[t] = min(labels[t], v)`` with duplicate targets; returns the
-    unique target IDs whose label decreased."""
-    return scatter_changed("min", labels, targets, values)
-
-
-def scatter_add(labels: np.ndarray, targets: np.ndarray, values: np.ndarray):
-    """``labels[t] += v`` with duplicate targets; returns unique targets."""
-    return scatter_changed("add", labels, targets, values)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges, scatter_add
+from repro.apps.common import expand_edges, scatter_changed
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import (
     MasterOutput,
@@ -79,8 +79,8 @@ class KCore(VertexProgram):
         processed[fresh] = True
         degrees = self.frontier_degrees(part, fresh)
         _, dsts, _ = expand_edges(part.graph, fresh)
-        touched = scatter_add(
-            state["delta"], dsts, np.ones(len(dsts), dtype=np.int32)
+        touched = scatter_changed(
+            "add", state["delta"], dsts, np.ones(len(dsts), dtype=np.int32)
         )
         return RoundOutput(
             updated={"delta": touched},
@@ -90,12 +90,10 @@ class KCore(VertexProgram):
         )
 
     def master_compute(self, part, ctx, state) -> MasterOutput:
-        masters = np.flatnonzero(part.is_master)
-        if len(masters) == 0:
-            return MasterOutput({}, _EMPTY, 0.0)
+        masters, sel = part.master_ids()
         delta = state["delta"]
         deg = state["deg"]
-        d = delta[masters]
+        d = delta[sel]
         hit = d > 0
         idx = masters[hit]
         if len(idx) == 0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.gluon import FieldSpec
+from repro.idset import as_selector
 from repro.la import semiring, spmv
 from repro.engine.operator import (
     MasterOutput,
@@ -96,29 +97,34 @@ class PageRankPull(VertexProgram):
             "_outdeg": outdeg,
         }
 
+    def _topo(self, part, state, frontier=None):
+        """``(frontier, rows, degrees, plan)``: every vertex with local
+        in-edges recomputes each round, so the set, the index it equals,
+        its pricing degrees and its pull plan are one memo in ``state``,
+        keyed on the frontier *object* the engine hands back."""
+        memo = state.get("_topo")
+        if memo is None or (frontier is not None and memo[0] is not frontier):
+            if frontier is None:
+                frontier = np.flatnonzero(part.has_in_edges()).astype(np.int64)
+            memo = state["_topo"] = (
+                frontier,
+                as_selector(frontier),
+                self.frontier_degrees(part, frontier),
+                # every frontier vertex has an in-edge: no empty row
+                spmv.PullPlan.build(part.graph, frontier),
+            )
+        return memo
+
     def initial_frontier(self, part, ctx, state):
-        # every vertex with local in-edges recomputes each round; the set
-        # is static, so it (and its pull plan) is cached in state
-        cached = state.get("_topo_frontier")
-        if cached is None:
-            cached = np.flatnonzero(part.has_in_edges()).astype(np.int64)
-            state["_topo_frontier"] = cached
-        return cached
+        return self._topo(part, state)[0]
 
     def compute(self, part, ctx, state, frontier) -> RoundOutput:
         contrib = state["contrib"]
-        scaled = state["scaled_rank"]
         last = state["_last_partial"]
-        degrees = self.frontier_degrees(part, frontier)
-        # plus-times SpMV over the pull plan, which is identical every
-        # round and so built once.  Every frontier vertex has at least
-        # one in-edge, so no reduceat segment is empty.
-        plan = state.get("_topo_plan")
-        if plan is None or plan.num_rows != len(frontier):
-            plan = spmv.PullPlan.build(part.graph, frontier)
-            state["_topo_plan"] = plan
-        partial = spmv.spmv_pull(plan, scaled, semiring.PLUS_TIMES)
-        delta = partial - last[frontier]
+        _, rows, degrees, plan = self._topo(part, state, frontier)
+        # plus-times SpMV over the pull plan
+        partial = spmv.spmv_pull(plan, state["scaled_rank"], semiring.PLUS_TIMES)
+        delta = partial - last[rows]
         # residual thresholding, *relative* to the partial's magnitude:
         # deltas too small to matter stay local and keep accumulating.
         # Relative (not absolute) thresholds are what quench the echo of
@@ -137,21 +143,18 @@ class PageRankPull(VertexProgram):
         )
 
     def master_compute(self, part, ctx, state) -> MasterOutput:
-        masters = np.flatnonzero(part.is_master)
-        if len(masters) == 0:
-            return MasterOutput({}, _EMPTY, 0.0)
-        contrib = state["contrib"]
+        masters, sel = part.master_ids()
         rank = state["_rank"]
         outdeg = state["_outdeg"]
-        total = contrib[masters]  # running sum of deltas: never reset here
+        total = state["contrib"][sel]  # running sum of deltas: never reset here
         new_rank = (1.0 - ctx.damping) + ctx.damping * total
-        residual = float(np.abs(new_rank - rank[masters]).max(initial=0.0))
-        rank[masters] = new_rank
+        residual = float(np.abs(new_rank - rank[sel]).max(initial=0.0))
+        rank[sel] = new_rank
         # broadcast only ranks that drifted appreciably from the value the
         # mirrors last saw (bounded staleness; this sparsity is what UO's
         # update tracking converts into volume savings)
         bcast = state["_bcast_rank"]
-        drift = np.abs(new_rank - bcast[masters])
+        drift = np.abs(new_rank - bcast[sel])
         changed_mask = drift > ctx.tolerance * 0.2 * np.maximum(
             1.0, np.abs(new_rank)
         )
@@ -268,7 +271,7 @@ class PageRankPush(VertexProgram):
         )
 
     def master_compute(self, part, ctx, state) -> MasterOutput:
-        masters = np.flatnonzero(part.is_master)
+        masters, sel = part.master_ids()
         if len(masters) == 0:
             return MasterOutput({}, _EMPTY, 0.0)
         acc = state["resid_acc"]
@@ -277,18 +280,20 @@ class PageRankPush(VertexProgram):
         outdeg = state["_outdeg"]
         pv = state["push_val"]
 
-        resid[masters] += acc[masters].astype(np.float64)
-        acc[masters] = 0.0
-        r = resid[masters]
+        resid[sel] += acc[sel].astype(np.float64)
+        acc[sel] = 0.0
+        r = resid[sel]  # a view when sel is a slice: read before the reset
+        residual = float(r.max(initial=0.0))
         fire = r > ctx.tolerance
         idx = masters[fire]
         changed = _EMPTY
         if len(idx):
-            rank[idx] += r[fire]
+            fired = r[fire]
+            rank[idx] += fired
             resid[idx] = 0.0
             inc = np.where(
                 outdeg[idx] > 0,
-                ctx.damping * r[fire] / np.maximum(outdeg[idx], 1.0),
+                ctx.damping * fired / np.maximum(outdeg[idx], 1.0),
                 0.0,
             )
             pv[idx] += inc
@@ -296,7 +301,7 @@ class PageRankPush(VertexProgram):
         return MasterOutput(
             updated={"push_val": changed},
             activated=changed,
-            residual=float(r.max(initial=0.0)),
+            residual=residual,
         )
 
     def frontier_filter(self, part, ctx, state, candidates):

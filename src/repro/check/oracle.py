@@ -1,4 +1,4 @@
-"""The per-element sync oracle: what the batch path is held to.
+"""The sync and pull oracles: what the batch and blocked paths are held to.
 
 Production has one extraction (``GluonComm._extract``, a ``SendBatch`` per
 call) and one pricer (``Router.price_batch``).  These are their
@@ -6,9 +6,10 @@ pre-vectorization references, one proxy and one message at a time: the
 FULL-level :func:`repro.check.comm.differential_extract` runs
 :func:`extract_scalar` against every extraction, sender by sender, and
 the differential tests (``tests/test_comm_vectorized_equiv.py``,
-``tests/test_comm_batch.py``) use both.  Nothing outside ``repro.check``
-and ``tests/`` may call them — they are reference implementations, not a
-second path.
+``tests/test_comm_batch.py``) use both; :func:`pull_reference` is what
+:func:`repro.la.spmv.spmv_pull` compares every result to at FULL.
+Nothing else outside ``repro.check`` and ``tests/`` may call them — they
+are reference implementations, not a second path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from repro.comm.buffers import Message, MessageHeader
 from repro.comm.router import BatchLegTimes
 
-__all__ = ["extract_scalar", "price_batch_scalar"]
+__all__ = ["extract_scalar", "price_batch_scalar", "pull_reference"]
 
 
 def extract_scalar(comm, field: str, phase: str, pid: int, labels) -> list[Message]:
@@ -110,3 +111,9 @@ def price_batch_scalar(router, messages: list[Message]) -> BatchLegTimes:
         src=src, dst=dst, d2h=d2h, inter=inter, h2d=h2d,
         extraction=extraction, scaled_bytes=scaled,
     )
+
+
+def pull_reference(plan, x, semiring) -> np.ndarray:
+    """The pull round before the plan owned a workspace: one gather in
+    the operand's dtype, combined (widened) per *edge*, one ``reduceat``."""
+    return np.add.reduceat(semiring.combine(x[plan.in_nbrs], None), plan.starts)

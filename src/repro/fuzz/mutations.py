@@ -29,16 +29,26 @@ __all__ = [
     "bitset_clear_off_by_one",
     "la_semiring_identity",
     "batch_receiver_skew",
+    "pull_workspace_stale_tail",
 ]
 
 
-def _fresh_caches() -> None:
+@contextmanager
+def _planted(owner, name: str, bad):
+    """``owner.name = bad`` for the block, between two clears of the
+    partition cache (see the module docstring)."""
     from repro.partition.cusp import clear_partition_cache
 
+    orig = owner.__dict__[name]  # not getattr: keeps a staticmethod wrapped
     clear_partition_cache()
+    setattr(owner, name, bad)
+    try:
+        yield
+    finally:
+        setattr(owner, name, orig)
+        clear_partition_cache()
 
 
-@contextmanager
 def drop_mirror_update():
     """A broadcast that silently loses one mirror write.
 
@@ -64,16 +74,9 @@ def drop_mirror_update():
                 applied[i] = (dst, changed[1:])
         return applied
 
-    _fresh_caches()
-    GluonComm.apply_broadcast = bad
-    try:
-        yield
-    finally:
-        GluonComm.apply_broadcast = orig
-        _fresh_caches()
+    return _planted(GluonComm, "apply_broadcast", bad)
 
 
-@contextmanager
 def sendtable_offset_skew():
     """An off-by-one in the exchange table's segment offsets.
 
@@ -93,16 +96,9 @@ def sendtable_offset_skew():
             # total — either way the cumsum property is broken
             self.seg_off[1 if len(self.seg_len) >= 2 else -1] += 1
 
-    _fresh_caches()
-    _ExchangeTable.__init__ = bad
-    try:
-        yield
-    finally:
-        _ExchangeTable.__init__ = orig
-        _fresh_caches()
+    return _planted(_ExchangeTable, "__init__", bad)
 
 
-@contextmanager
 def skip_reduce_partner():
     """One mirror->master reduce pair silently dropped from the plan.
 
@@ -120,16 +116,9 @@ def skip_reduce_partner():
             del reduce_plans[next(iter(sorted(reduce_plans)))]
         return reduce_plans, broadcast_plans
 
-    _fresh_caches()
-    GluonComm._build_plans = bad
-    try:
-        yield
-    finally:
-        GluonComm._build_plans = orig
-        _fresh_caches()
+    return _planted(GluonComm, "_build_plans", bad)
 
 
-@contextmanager
 def stale_partition_cache():
     """A cache key that forgets the partition count.
 
@@ -140,21 +129,12 @@ def stale_partition_cache():
     """
     from repro.partition.cache import PartitionCache
 
-    orig = PartitionCache.__dict__["key_for"]
-
     def bad(graph, policy, num_partitions):
         return (graph.content_hash(), policy, 0)
 
-    _fresh_caches()
-    PartitionCache.key_for = staticmethod(bad)
-    try:
-        yield
-    finally:
-        PartitionCache.key_for = orig
-        _fresh_caches()
+    return _planted(PartitionCache, "key_for", staticmethod(bad))
 
 
-@contextmanager
 def cc_wrong_tiebreak():
     """Label propagation seeded with *local* instead of global IDs.
 
@@ -170,16 +150,9 @@ def cc_wrong_tiebreak():
     def bad(self, part, ctx):
         return {"comp": np.arange(part.num_local, dtype=np.uint32)}
 
-    _fresh_caches()
-    CC.init_state = bad
-    try:
-        yield
-    finally:
-        CC.init_state = orig
-        _fresh_caches()
+    return _planted(CC, "init_state", bad)
 
 
-@contextmanager
 def bitset_clear_off_by_one():
     """``Bitset.clear(idx)`` misses the last element — an off-by-one slice.
 
@@ -199,16 +172,9 @@ def bitset_clear_off_by_one():
         idx = np.atleast_1d(np.asarray(idx))
         orig(self, idx[:-1])
 
-    _fresh_caches()
-    Bitset.clear = bad
-    try:
-        yield
-    finally:
-        Bitset.clear = orig
-        _fresh_caches()
+    return _planted(Bitset, "clear", bad)
 
 
-@contextmanager
 def la_semiring_identity():
     """The min-plus additive identity planted as 0 instead of INF.
 
@@ -227,18 +193,10 @@ def la_semiring_identity():
     from repro.la import semiring
 
     orig = semiring.MIN_PLUS
-    _fresh_caches()
-    semiring.MIN_PLUS = replace(
-        orig, add=replace(orig.add, identity_value=0)
-    )
-    try:
-        yield
-    finally:
-        semiring.MIN_PLUS = orig
-        _fresh_caches()
+    bad = replace(orig, add=replace(orig.add, identity_value=0))
+    return _planted(semiring, "MIN_PLUS", bad)
 
 
-@contextmanager
 def batch_receiver_skew():
     """An off-by-one in the per-receiver bounds of a step apply.
 
@@ -258,13 +216,28 @@ def batch_receiver_skew():
         bounds = orig(first, ends)
         return bounds[:1] + [b - 1 for b in bounds[1:-1]] + bounds[-1:]
 
-    _fresh_caches()
-    gluon._receiver_bounds = bad
-    try:
-        yield
-    finally:
-        gluon._receiver_bounds = orig
-        _fresh_caches()
+    return _planted(gluon, "_receiver_bounds", bad)
+
+
+def pull_workspace_stale_tail():
+    """A pull block whose gather stops one edge short of its workspace.
+
+    The plan's workspace is reused by every row block of every round, so
+    an off-by-one in a block's length leaves the previous block's (or
+    round's) last value in the tail and the block's last row sums it —
+    the bug a plan-owned buffer makes possible and fresh per-round
+    temporaries never could.  Caught by the FULL-level
+    ``pull-differential`` comparison against
+    :func:`repro.check.oracle.pull_reference` on the first pull.
+    """
+    from repro.la import spmv
+
+    orig = spmv._gather
+
+    def bad(xw, idx, out):
+        orig(xw, idx[:-1], out[:-1])
+
+    return _planted(spmv, "_gather", bad)
 
 
 #: name -> context manager, for the self-test CLI and the pytest suite
@@ -277,6 +250,7 @@ MUTATIONS = {
     "bitset-clear-off-by-one": bitset_clear_off_by_one,
     "la-semiring-identity": la_semiring_identity,
     "batch-receiver-skew": batch_receiver_skew,
+    "pull-workspace-stale-tail": pull_workspace_stale_tail,
 }
 
 
@@ -288,8 +262,9 @@ def detection_candidates():
     through a broadcast-fed src proxy, so the answer breaks rather than
     merely drifting), an R-MAT cell exercises the dense plan/table
     structure, a symmetric CC cell is the only one the tie-break
-    mutation can touch, and a dense bfs-do cell pulls from round one —
-    the only cell a poisoned semiring identity can reach.
+    mutation can touch, a dense bfs-do cell pulls from round one —
+    the only cell a poisoned semiring identity can reach — and a pr cell
+    is the only one that runs the plus-times pull.
     """
     from repro.fuzz.cases import Case
     from repro.fuzz.gen import build_shape, dense_graph
@@ -315,6 +290,8 @@ def detection_candidates():
                         engine="bsp", shape="rmat-sym"),
         Case.from_graph(dense, app="bfs-do", policy="oec", parts=4,
                         engine="bsp", shape="dense"),
+        Case.from_graph(rmat, app="pr", policy="oec", parts=4,
+                        engine="bsp", shape="rmat"),
     ]
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["DENSE_DIVISOR", "SCATTER_UFUNCS", "unique_ids", "scatter_changed"]
+__all__ = ["DENSE_DIVISOR", "SCATTER_UFUNCS", "unique_ids", "as_selector",
+           "scatter_changed"]
 
 #: an ID stream takes the sort-free flag-array path when
 #: ``len(ids) * DENSE_DIVISOR >= n``.  Measured on the real streams of
@@ -51,6 +52,15 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 def _is_dense(num_ids: int, n: int) -> bool:
     return num_ids * DENSE_DIVISOR >= n
+
+
+def as_selector(ids: np.ndarray):
+    """The cheapest index equal to the sorted-unique ``ids``: the
+    ``slice`` they form when consecutive (reads are views, no gather),
+    else ``ids`` itself.  The data picks."""
+    if len(ids) and int(ids[-1]) - int(ids[0]) + 1 == len(ids):
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return ids
 
 
 def unique_ids(ids: np.ndarray, n: int) -> np.ndarray:

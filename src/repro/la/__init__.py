@@ -13,21 +13,3 @@ pr / pr-push.  The hand-rolled loop kernels it replaced survive as the
 golden table ``tests/cases/kernel_golden.json``, which tier-1 holds
 this path to, bit for bit.
 """
-
-from repro.la.semiring import (
-    MIN_FIRST,
-    MIN_PLUS,
-    PLUS_TIMES,
-    SEMIRINGS,
-    Monoid,
-    Semiring,
-)
-
-__all__ = [
-    "Monoid",
-    "Semiring",
-    "SEMIRINGS",
-    "MIN_PLUS",
-    "MIN_FIRST",
-    "PLUS_TIMES",
-]

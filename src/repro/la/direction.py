@@ -86,12 +86,11 @@ def pull_step(
         return None
     rep = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
     ident64 = np.int64(semiring.add.identity(labels.dtype))
-    src = labels[parents].astype(np.int64)
+    src = labels[parents]  # gathered once, in the labels' own dtype
     valid = src < ident64
-    vals = semiring.combine(labels[parents], None)
     cand = spmv.segment_reduce(
-        semiring.add, vals[valid], rep[valid], len(rows), np.int64,
-        identity=ident64,
+        semiring.add, semiring.combine(src[valid], None), rep[valid],
+        len(rows), np.int64, identity=ident64,
     )
     hit = cand < ident64
     return cand, hit, len(parents)

@@ -37,7 +37,6 @@ from repro.idset import SCATTER_UFUNCS
 __all__ = [
     "Monoid",
     "Semiring",
-    "SEMIRINGS",
     "MIN_PLUS",
     "MIN_FIRST",
     "PLUS_TIMES",
@@ -93,33 +92,36 @@ class Semiring:
 
     def combine(self, xv: np.ndarray, w, out_dtype=None) -> np.ndarray:
         """Combine gathered source values ``xv`` with edge weights ``w``
-        (``None`` for weightless edges)."""
+        (``None`` for weightless edges).  Never writes ``xv``."""
+        return self.combine_widened(self.widen(xv), w, out_dtype)
+
+    def widen(self, xv: np.ndarray) -> np.ndarray:
+        """:meth:`combine`'s first cast: ``"plus"`` computes in the
+        accumulator dtype (a fresh copy), the others in ``xv``'s own.
+        Elementwise, so it commutes with a gather or an ``np.repeat``: a
+        kernel widens per vertex and spreads to edges afterwards."""
         if self.mult == "plus":
-            c = xv.astype(self.accum_dtype or np.int64)
-            # in place, the weights cast to the accumulator on the fly:
-            # two per-edge temporaries fewer than ``c + w.astype(acc)``
+            return xv.astype(self.accum_dtype or np.int64)
+        return xv
+
+    def combine_widened(self, c: np.ndarray, w, out_dtype=None) -> np.ndarray:
+        """:meth:`combine` past :meth:`widen`.  ``"plus"`` adds **in
+        place**: ``c`` is the caller's own temporary."""
+        if self.mult == "plus":
+            # the weights cast to the accumulator on the fly: two
+            # per-edge temporaries fewer than ``c + w.astype(acc)``
             np.add(c, 1 if w is None else w, out=c, dtype=c.dtype,
                    casting="unsafe")
-        elif self.mult == "first":
-            c = xv
         elif self.mult == "times":
-            c = xv if w is None else xv * w
+            if w is not None:
+                c = c * w
             if self.accum_dtype is not None and c.dtype != self.accum_dtype:
                 c = c.astype(self.accum_dtype)
-        else:
+        elif self.mult != "first":
             raise ConfigurationError(f"unknown semiring mult {self.mult!r}")
         if self.cast_to_out and out_dtype is not None and c.dtype != out_dtype:
             c = c.astype(out_dtype)
         return c
-
-    def annihilator(self, dtype):
-        """The multiplicative annihilator: ``mult(a, x) == a`` for all x.
-
-        For every catalog semiring it coincides with the add identity
-        (min-plus: INF/inf; plus-times: 0) — one of the
-        axioms the property suite checks.
-        """
-        return self.add.identity(dtype)
 
 
 MIN_PLUS = Semiring(
@@ -130,7 +132,3 @@ MIN_FIRST = Semiring("min-first", Monoid("min", MAXVAL), "first")
 PLUS_TIMES = Semiring(
     "plus-times", Monoid("add", 0.0), "times", accum_dtype=np.float64
 )
-
-SEMIRINGS: dict[str, Semiring] = {
-    s.name: s for s in (MIN_PLUS, MIN_FIRST, PLUS_TIMES)
-}

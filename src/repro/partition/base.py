@@ -24,6 +24,7 @@ from repro.constants import VID_DTYPE
 from repro.errors import PartitioningError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
+from repro.idset import as_selector
 
 __all__ = ["LocalPartition", "PartitionedGraph", "build_partitions"]
 
@@ -91,6 +92,18 @@ class LocalPartition:
 
     def masters_global(self) -> np.ndarray:
         return self.local_to_global[self.is_master]
+
+    def master_ids(self):
+        """``(ids, sel)``: the masters' local IDs (read-only, computed
+        once) and the cheapest index equal to them
+        (:func:`repro.idset.as_selector`) — ``state[sel]`` is a *view*
+        when that is a slice, so read it before writing ``state``."""
+        memo = self.__dict__.get("_master_ids")
+        if memo is None:
+            ids = np.flatnonzero(self.is_master)
+            ids.flags.writeable = False
+            memo = self.__dict__["_master_ids"] = (ids, as_selector(ids))
+        return memo
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.apps.common import expand_edges, scatter_add, scatter_min
+from repro.apps.common import expand_edges, scatter_changed
 from repro.engine import BSPEngine, RunContext
 from repro.errors import ConfigurationError
 from repro.graph import from_edges
@@ -43,23 +43,23 @@ class TestExpandFrontier:
 class TestScatterOps:
     def test_scatter_min_reports_only_decreases(self):
         labels = np.array([5, 5, 5], dtype=np.uint32)
-        changed = scatter_min(labels, np.array([0, 1, 1]), np.array([7, 3, 4], dtype=np.uint32))
+        changed = scatter_changed("min", labels, np.array([0, 1, 1]), np.array([7, 3, 4], dtype=np.uint32))
         assert changed.tolist() == [1]
         assert labels.tolist() == [5, 3, 5]
 
     def test_scatter_min_duplicates_take_minimum(self):
         labels = np.array([10], dtype=np.uint32)
-        scatter_min(labels, np.array([0, 0, 0]), np.array([9, 2, 5], dtype=np.uint32))
+        scatter_changed("min", labels, np.array([0, 0, 0]), np.array([9, 2, 5], dtype=np.uint32))
         assert labels[0] == 2
 
     def test_scatter_min_empty(self):
         labels = np.array([1], dtype=np.uint32)
-        out = scatter_min(labels, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32))
+        out = scatter_changed("min", labels, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32))
         assert len(out) == 0
 
     def test_scatter_add_accumulates(self):
         labels = np.zeros(3, dtype=np.int64)
-        touched = scatter_add(labels, np.array([1, 1, 2]), np.array([1, 1, 1]))
+        touched = scatter_changed("add", labels, np.array([1, 1, 2]), np.array([1, 1, 1]))
         assert labels.tolist() == [0, 2, 1]
         assert touched.tolist() == [1, 2]
 
@@ -185,3 +185,38 @@ class TestPagerankInternals:
         res = BSPEngine(pg, bridges(4), get_app("pr"), check_memory=False).run(ctx)
         ref = reference_pagerank(small_graph, tol=1e-6, max_iter=2000)
         assert res.labels.sum() == pytest.approx(ref.sum(), rel=1e-3)
+
+    def test_static_round_memo_is_keyed_on_the_frontier_object(
+        self, small_graph, ctx
+    ):
+        """Frontier, row selector, pricing degrees and pull plan are one
+        memo, rebuilt for another frontier *object* — not merely another
+        length, which is all the parent compared."""
+        app = get_app("pr")
+        part = partition(small_graph, "oec", 2).parts[0]
+        state = app.init_state(part, ctx)
+        frontier = app.initial_frontier(part, ctx, state)
+        assert app.initial_frontier(part, ctx, state) is frontier
+        out = app.compute(part, ctx, state, frontier)
+        memo = state["_topo"]
+        assert memo[0] is frontier and out.frontier_degrees is memo[2]
+        assert app.compute(part, ctx, state, frontier).frontier_degrees is memo[2]
+        assert state["_topo"] is memo
+        other = frontier.copy()  # same length: the parent kept its plan
+        app.compute(part, ctx, state, other)
+        assert state["_topo"] is not memo and state["_topo"][0] is other
+
+    def test_no_state_array_aliases_the_pull_workspace(self, small_graph, ctx):
+        app = get_app("pr")
+        part = partition(small_graph, "oec", 2).parts[1]
+        state = app.init_state(part, ctx)
+        frontier = app.initial_frontier(part, ctx, state)
+        for _ in range(2):
+            out = app.compute(part, ctx, state, frontier)
+            app.master_compute(part, ctx, state)
+        ws = state["_topo"][3].workspace
+        assert len(ws) == part.graph.num_edges
+        arrays = [v for v in state.values() if isinstance(v, np.ndarray)]
+        arrays += [out.frontier_degrees, *out.updated.values()]
+        assert len(arrays) >= 8
+        assert not any(np.shares_memory(a, ws) for a in arrays)

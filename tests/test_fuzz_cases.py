@@ -19,7 +19,7 @@ from repro.fuzz.cases import Case, CaseFailure, run_case
 
 CASE_DIR = os.path.join(os.path.dirname(__file__), "cases")
 #: the *_golden.json files share the directory but are tables of expected
-#: results (tests/test_la_backend_equiv.py, tests/test_partition_golden.py),
+#: results (tests/test_kernel_golden.py, tests/test_partition_golden.py),
 #: not replayable cases
 CASE_FILES = sorted(
     p for p in glob.glob(os.path.join(CASE_DIR, "*.json"))

@@ -17,6 +17,10 @@ Three families:
    the vertex set, empty through full) a push scatter and a
    frontier-masked pull reduction must agree exactly.  This is the
    algebraic fact the direction selector relies on when it switches.
+4. **The pull round moves each edge once** — ``spmv_pull`` (operand
+   widened per vertex, gathered row block by row block into the plan's
+   workspace) and the weighted push (widened before ``np.repeat``) equal
+   the per-edge formulas they replaced, byte for byte, at every budget.
 """
 
 from __future__ import annotations
@@ -31,12 +35,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.common import expand_edges
+from repro.check import use_check_level
+from repro.check.oracle import pull_reference
+from repro.errors import ConfigurationError, GraphFormatError, InvariantViolation
+from repro.fuzz.gen import SHAPES, build_shape
 from repro.graph.builder import from_edges
 from repro.la.semiring import (
     MIN_FIRST,
     MIN_PLUS,
     PLUS_TIMES,
-    SEMIRINGS,
     Monoid,
 )
 from repro.la.spmv import PullPlan, segment_reduce, spmsv_push, spmv_pull
@@ -44,6 +51,7 @@ from repro.la.spmv import PullPlan, segment_reduce, spmsv_push, spmv_pull
 # -------------------------------------------------------------------- #
 # strategies
 # -------------------------------------------------------------------- #
+_SEMIRINGS = (MIN_PLUS, MIN_FIRST, PLUS_TIMES)
 _INT_DTYPES = (np.int64, np.uint32)
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -72,7 +80,7 @@ def graphs(draw):
 # -------------------------------------------------------------------- #
 # 1. semiring axioms
 # -------------------------------------------------------------------- #
-@pytest.mark.parametrize("sr", list(SEMIRINGS.values()), ids=lambda s: s.name)
+@pytest.mark.parametrize("sr", _SEMIRINGS, ids=lambda s: s.name)
 @pytest.mark.parametrize("dtype", _INT_DTYPES + _FLOAT_DTYPES,
                          ids=lambda d: np.dtype(d).name)
 @given(vals=st.lists(st.integers(0, 1000), min_size=1, max_size=20))
@@ -112,24 +120,25 @@ def test_plus_monoid_associative_int_exact_float_close(a, b, c):
     ia, ib, ic = (np.int64(round(v)) for v in (a, b, c))
     assert f(f(ia, ib), ic) == f(ia, f(ib, ic))
     fa, fb, fc = (np.float32(v) for v in (a, b, c))
-    assert np.isclose(f(f(fa, fb), fc), f(fa, f(fb, fc)), rtol=1e-5)
+    # close relative to the operands, not the result: cancellation
+    # (925015 - 928138 + 1.59) leaves a sum far smaller than its error
+    scale = max(abs(a), abs(b), abs(c))
+    assert np.isclose(f(f(fa, fb), fc), f(fa, f(fb, fc)), rtol=1e-5,
+                      atol=1e-5 * scale)
 
 
-@pytest.mark.parametrize("sr", list(SEMIRINGS.values()), ids=lambda s: s.name)
+@pytest.mark.parametrize("sr", _SEMIRINGS, ids=lambda s: s.name)
 @given(x=st.integers(0, 1000), w=st.integers(1, 1000))
 @settings(max_examples=30, deadline=None)
 def test_annihilator_annihilates(sr, x, w):
-    """``mult(annihilator, x) == annihilator``; coincides with the add
-    identity for every catalog semiring (float dtypes: saturating INF
-    only exists there for min-plus)."""
-    dtype = np.float64
+    """``mult(a, x) == a`` for the add identity ``a`` of every catalog
+    semiring: it is the multiplicative annihilator too (float dtypes:
+    saturating INF only exists there for min-plus)."""
     wv = float(w)
-    a = sr.annihilator(dtype)
+    a = sr.add.identity(np.float64)
     # the plain semiring multiply, in the float dtype where INF saturates
     product = {"plus": a + wv, "first": a, "times": a * wv}[sr.mult]
     assert product == a
-    # and the add identity really is the annihilator
-    assert a == sr.add.identity(dtype)
 
 
 @pytest.mark.parametrize("dtype", _INT_DTYPES + _FLOAT_DTYPES,
@@ -272,3 +281,131 @@ def test_pull_plan_caches_expansion():
     assert plan.num_rows == 3
     assert len(plan.in_nbrs) == 3
     assert np.array_equal(plan.starts, [0, 1, 2])
+
+
+# -------------------------------------------------------------------- #
+# 4. the pull round moves each edge once
+# -------------------------------------------------------------------- #
+_BUDGETS = (None, 1, 7, 4096, 1 << 20)
+#: segment lengths around numpy's pairwise-summation edges: the unrolled
+#: 8-lane loop, the 128-element leaf and the recursive split above 8192
+_ROW_LENGTHS = (1, 7, 8, 9, 127, 128, 129, 8193, 20000)
+
+
+def _parent_pull(plan, x):
+    """The parent's pull, spelled out: gather float32, widen per edge."""
+    return np.add.reduceat(x[plan.in_nbrs].astype(np.float64), plan.starts)
+
+
+def _rows_graph(lengths, n, seed):
+    """Row ``i`` pulls ``lengths[i]`` random in-neighbors out of ``n``."""
+    rng = np.random.default_rng(seed)
+    dst = np.repeat(np.arange(len(lengths)), lengths)
+    src = rng.integers(0, n, len(dst))
+    return from_edges(src, dst, num_vertices=n, name="rows")
+
+
+@pytest.mark.parametrize("budget", _BUDGETS, ids=str)
+def test_pull_equals_parent_formula_on_summation_edges(budget):
+    g = _rows_graph(_ROW_LENGTHS, 512, seed=3)
+    rows = np.arange(len(_ROW_LENGTHS), dtype=np.int64)
+    # non-integer float32: every summation order rounds differently
+    x = np.random.default_rng(4).random(512).astype(np.float32) / 3
+    with _block_budget(budget):
+        plan = PullPlan.build(g, rows)
+        spmv_pull(plan, x[::-1].copy(), PLUS_TIMES)  # other values, same workspace
+        got = spmv_pull(plan, x, PLUS_TIMES)
+    assert got.tobytes() == _parent_pull(plan, x).tobytes()
+    if budget is not None:
+        assert len(plan.workspace) <= max(budget, max(_ROW_LENGTHS))
+        assert all(e1 - e0 <= budget or r1 - r0 == 1
+                   for r0, r1, e0, e1 in plan.blocks)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@given(seed=st.integers(0, 2**16), budget=st.sampled_from(_BUDGETS))
+@settings(max_examples=12, deadline=None)
+def test_pull_equals_parent_formula_on_fuzz_shapes(shape, seed, budget):
+    g = build_shape(shape, np.random.default_rng(seed))
+    rows = np.flatnonzero(g.in_degrees() > 0).astype(np.int64)
+    x = np.random.default_rng(seed).random(g.num_vertices).astype(np.float32)
+    with _block_budget(budget), use_check_level("full"):
+        plan = PullPlan.build(g, rows)
+        got = spmv_pull(plan, x, PLUS_TIMES)  # FULL: also the oracle
+    assert got.dtype == np.float64
+    assert got.tobytes() == _parent_pull(plan, x).tobytes()
+    assert got.tobytes() == pull_reference(plan, x, PLUS_TIMES).tobytes()
+
+
+def test_pull_plan_rejects_an_empty_row():
+    """``reduceat`` hands an empty segment the *next* row's first value
+    (or an IndexError on the last row): silently wrong at the parent."""
+    g = from_edges([0, 0], [1, 3], num_vertices=4, name="gap")
+    with pytest.raises(GraphFormatError, match="row 2 has no in-edges"):
+        PullPlan.build(g, np.array([1, 2, 3]))
+    with pytest.raises(GraphFormatError, match="row 0 has no in-edges"):
+        PullPlan.build(g, np.array([1, 3, 0]))
+
+
+def test_pull_rejects_an_operand_of_another_length():
+    g = from_edges([0, 1], [1, 0], num_vertices=2, name="pair")
+    plan = PullPlan.build(g, np.arange(2))
+    with pytest.raises(ConfigurationError, match="3 entries"):
+        spmv_pull(plan, np.ones(3, dtype=np.float32), PLUS_TIMES)
+
+
+def test_full_check_catches_a_stale_workspace_tail():
+    from repro.fuzz.mutations import pull_workspace_stale_tail
+
+    g = _rows_graph((3, 5), 8, seed=1)
+    x = np.random.default_rng(2).random(8).astype(np.float32) + 1
+    with pull_workspace_stale_tail(), use_check_level("full"):
+        plan = PullPlan.build(g, np.arange(2))
+        with pytest.raises(InvariantViolation) as err:
+            spmv_pull(plan, x, PLUS_TIMES)
+    assert err.value.checker == "pull-differential"
+
+
+def test_steady_state_pull_allocates_per_row_not_per_edge():
+    import tracemalloc
+
+    lengths = np.full(64, 4096)
+    g = _rows_graph(lengths, 256, seed=5)  # 262 144 edges, 64 rows
+    x = np.random.default_rng(6).random(256).astype(np.float32)
+    plan = PullPlan.build(g, np.arange(64))
+    spmv_pull(plan, x, PLUS_TIMES)  # the first call allocates the workspace
+    ws = plan.workspace
+    tracemalloc.start()
+    out = spmv_pull(plan, x, PLUS_TIMES)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert plan.workspace is ws and not np.shares_memory(out, ws)
+    # the widened operand (|V| float64) and the result (|rows| float64);
+    # one per-edge float32 temporary would be 1 MiB
+    assert peak < 16 * 1024
+
+
+@pytest.mark.parametrize("budget", [None, 1, 4])
+@given(gx=graphs(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_weighted_push_equals_parent_combine_chain(budget, gx, data):
+    """min-plus near the top of uint32: the sum leaves 32 bits in the
+    int64 accumulator and wraps on the way back, exactly as when the
+    widening ran per edge."""
+    g, _ = gx
+    n = g.num_vertices
+    top = np.iinfo(np.uint32).max
+    x = data.draw(st.lists(st.integers(top - 12, top), min_size=n, max_size=n))
+    x = np.asarray(x, dtype=np.uint32)
+    frontier = np.flatnonzero(g.out_degrees() > 0).astype(np.int64)
+    counts, dsts, w = expand_edges(g, frontier, with_weights=True)
+    vals = np.repeat(x[frontier], counts).astype(np.int64)  # per edge
+    vals = (vals + w.astype(np.int64)).astype(np.uint32)
+    expect = x.copy()
+    np.minimum.at(expect, dsts, vals)
+    got = x.copy()
+    with _block_budget(budget):
+        _, edges = spmsv_push(g, frontier, got, got, MIN_PLUS,
+                              with_weights=True)
+    assert edges == len(dsts)
+    assert got.tobytes() == expect.tobytes()

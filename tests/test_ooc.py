@@ -117,13 +117,16 @@ def _frontiers(g: CSRGraph):
 
 
 @pytest.mark.parametrize("budget", [1, 3, 17, None])
-def test_expand_frontier_blocks_concatenates_to_unblocked(budget):
+def test_expand_frontier_blocks_concatenates_to_unblocked(budget, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv("REPRO_BLOCK_EDGES", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_BLOCK_EDGES", str(budget))
     g = build_shape("rmat", np.random.default_rng(3))
     for frontier in _frontiers(g):
         counts, dsts, w = expand_edges(g, frontier, with_weights=True)
         blocks = list(
-            expand_edges_blocks(g, frontier, with_weights=True,
-                                max_edges=budget)
+            expand_edges_blocks(g, frontier, with_weights=True)
         )
         if len(frontier) == 0:
             assert blocks == []
@@ -190,6 +193,36 @@ def test_block_budget_never_changes_results(monkeypatch, app_name):
     _assert_budget_invisible(
         monkeypatch, 16, g, app_name, "basp", policy="cvc", parts=4
     )
+
+
+def test_pr_cell_ignores_pull_blocking_and_executor(monkeypatch):
+    """The pull plan gathers in row blocks of ``REPRO_BLOCK_EDGES`` into
+    one workspace per partition: neither the budget nor the compute
+    executor may reach a label bit, a count or the simulated time."""
+    from repro.runtime.cells import CellSpec, SystemSpec, run_task
+
+    prints = {"sync": set(), "async": set()}
+    for budget in (None, 64, 7, 1):
+        if budget is None:
+            monkeypatch.delenv("REPRO_BLOCK_EDGES", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BLOCK_EDGES", str(budget))
+        for execution, seen in prints.items():
+            for executor in ("serial", "threads"):
+                out = run_task(CellSpec(
+                    key=(budget, execution, executor),
+                    system=SystemSpec.dirgl(policy="cvc", execution=execution),
+                    benchmark="pr",
+                    dataset="fuzz:smallworld:1",  # 27 vertices, 108 edges
+                    num_gpus=4,
+                    engine_executor=executor,
+                    check_memory=False,
+                ))
+                assert out.ok, out.failure
+                st = out.stats
+                seen.add((out.labels_crc, st.rounds, st.num_messages,
+                          st.work_items, st.execution_time))
+    assert [len(seen) for seen in prints.values()] == [1, 1], prints
 
 
 def test_merge_touched():

@@ -166,6 +166,42 @@ class TestHVC:
             assert np.all(p.is_master[p.graph.indices])
 
 
+class TestMasterIds:
+    def test_memoized_frozen_and_equal_to_the_flag_scan(self, g):
+        """Consecutive master ids (oec: local ids are masters first) come
+        back with the ``slice`` they equal, gapped ones (random vertex
+        cut) with themselves; either indexes like the id array."""
+        kinds = set()
+        values = np.arange(g.num_vertices, dtype=np.float64) * 0.5
+        for policy in ("oec", "hvc", "random"):
+            for part in partition(g, policy, 4, cache=False).parts:
+                ids, sel = part.master_ids()
+                assert part.master_ids()[0] is ids  # computed once
+                assert not ids.flags.writeable
+                with pytest.raises(ValueError):
+                    ids[0] = 0
+                np.testing.assert_array_equal(
+                    ids, np.flatnonzero(part.is_master)
+                )
+                kinds.add(type(sel))
+                state = values[: part.num_local].copy()
+                np.testing.assert_array_equal(state[sel], state[ids])
+                state[sel] += 1.0
+                expect = values[: part.num_local].copy()
+                expect[ids] += 1.0
+                np.testing.assert_array_equal(state, expect)
+        assert kinds == {slice, np.ndarray}
+
+    def test_a_partition_without_masters(self):
+        empty = from_edges([0], [1], num_vertices=2)
+        pg = build_partitions(
+            empty, np.zeros(2, dtype=np.int32), np.zeros(1, dtype=np.int32),
+            2, "custom",
+        )
+        ids, sel = pg.parts[1].master_ids()
+        assert len(ids) == 0 and len(np.arange(3.0)[sel]) == 0
+
+
 class TestRandomAndMetis:
     def test_random_deterministic(self, g):
         a = random_vertex_cut(g, 4, seed=5)

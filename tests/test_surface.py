@@ -27,8 +27,6 @@ TEST_ONLY = {
         "per-message pricing oracle the batch path is held to (repro.check.oracle)",
     "bsp_sync":
         "one-call reduce + broadcast step the comm tests drive Gluon with",
-    "annihilator":
-        "semiring axiom checked by the la property suite",
     "from_packed": "wire format of a Bitset: the property tests round-trip it",
     "to_packed": "wire format of a Bitset: the property tests round-trip it",
     "test": "single-bit probe the bitset property tests read results with",
