@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges, scatter_changed
 from repro.comm.gluon import CommConfig, FieldSpec
 from repro.constants import INF
 from repro.engine.operator import (
@@ -35,6 +34,8 @@ from repro.engine.operator import (
     SyncStep,
     VertexProgram,
 )
+from repro.graph import expand
+from repro.idset import scatter_changed
 from repro.partition.base import LocalPartition
 
 __all__ = ["BrandesForward", "BrandesBackward", "run_bc"]
@@ -107,7 +108,7 @@ class BrandesForward(VertexProgram):
         sigma = state["sigma"]
         acc = state["sigma_acc"]
         degrees = self.frontier_degrees(part, frontier)
-        counts, dsts, _ = expand_edges(part.graph, frontier)
+        counts, dsts, _ = expand.expand_edges(part.graph, frontier)
         if len(dsts) == 0:
             return RoundOutput({}, _EMPTY, 0, degrees)
         srcs = np.repeat(frontier, counts)
@@ -212,7 +213,7 @@ class BrandesBackward(VertexProgram):
         # active vertex v contributes to predecessors via local *in*-edges
         rev = part.graph.reverse()
         degrees = rev.out_degrees()[frontier].astype(np.float64)
-        counts, preds, _ = expand_edges(rev, frontier)
+        counts, preds, _ = expand.expand_edges(rev, frontier)
         if len(preds) == 0:
             return RoundOutput({}, _EMPTY, 0, degrees)
         vs = np.repeat(frontier, counts)

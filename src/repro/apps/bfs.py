@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import scatter_changed
 from repro.comm.gluon import FieldSpec
 from repro.constants import INF
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
+from repro.idset import scatter_changed
 from repro.la import direction, semiring, spmv
 from repro.partition.base import LocalPartition
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import merge_touched
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import RoundOutput, RunContext, SyncStep, VertexProgram
+from repro.idset import merge_touched
 from repro.la import semiring, spmv
 from repro.partition.base import LocalPartition
 

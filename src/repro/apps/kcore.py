@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges, scatter_changed
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import (
     MasterOutput,
@@ -21,6 +20,8 @@ from repro.engine.operator import (
     SyncStep,
     VertexProgram,
 )
+from repro.graph import expand
+from repro.idset import scatter_changed
 from repro.partition.base import LocalPartition
 
 __all__ = ["KCore"]
@@ -78,7 +79,7 @@ class KCore(VertexProgram):
         fresh = frontier[~processed[frontier]]
         processed[fresh] = True
         degrees = self.frontier_degrees(part, fresh)
-        _, dsts, _ = expand_edges(part.graph, fresh)
+        _, dsts, _ = expand.expand_edges(part.graph, fresh)
         touched = scatter_changed(
             "add", state["delta"], dsts, np.ones(len(dsts), dtype=np.int32)
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import expand_edges, unique_ids
 from repro.comm.gluon import FieldSpec
 from repro.engine.operator import (
     MasterOutput,
@@ -29,6 +28,8 @@ from repro.engine.operator import (
     SyncStep,
     VertexProgram,
 )
+from repro.graph import expand
+from repro.idset import unique_ids
 from repro.partition.base import LocalPartition
 
 __all__ = ["MIS", "verify_mis", "IN_SET", "OUT_SET", "UNDECIDED"]
@@ -99,7 +100,7 @@ class MIS(VertexProgram):
         blocked = state["blocked"]
         rnd = int(state["_round"][0])
         degrees = self.frontier_degrees(part, frontier)
-        counts, nbrs, _ = expand_edges(part.graph, frontier)
+        counts, nbrs, _ = expand.expand_edges(part.graph, frontier)
         if len(nbrs) == 0:
             return RoundOutput({}, _EMPTY, 0, degrees)
         rep = np.repeat(np.arange(len(frontier), dtype=np.int64), counts)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -307,7 +307,6 @@ def _run_mutation_leg(
     """
     from repro.apps import get_app
     from repro.check import use_check_level
-    from repro.engine.operator import RunContext
     from repro.graph.mutable import MutableGraph
     from repro.hw import bridges
     from repro.partition import partition
@@ -318,14 +317,7 @@ def _run_mutation_leg(
     for batch in batches:
         mg.apply(batch)
     new_graph = mg.snapshot()
-    out_deg = new_graph.out_degrees()
-    ctx2 = RunContext(
-        num_global_vertices=new_graph.num_vertices,
-        source=ctx.source,
-        k=case.k,
-        global_out_degrees=out_deg,
-        global_degrees=out_deg,
-    )
+    ctx2 = replace(make_context(new_graph, case), source=ctx.source)
     with use_check_level(check):
         pg = partition(new_graph, case.policy, case.parts, cache=use_cache)
         engine = engine_cls(
@@ -337,9 +329,7 @@ def _run_mutation_leg(
         )
         full = engine.run(ctx2).labels
     _verify_labels(case, new_graph, full, ctx2)
-    incr = incremental_run(
-        case.app, graph, new_graph, batches, base_labels, source=ctx.source
-    )
+    incr = incremental_run(case.app, graph, new_graph, batches, base_labels)
     if incr.labels is None:
         return  # full-recompute decision: the engine leg above is it
     if not (np.array_equal(incr.labels, full)

@@ -30,6 +30,7 @@ __all__ = [
     "la_semiring_identity",
     "batch_receiver_skew",
     "pull_workspace_stale_tail",
+    "expand_drops_last_edge",
 ]
 
 
@@ -240,6 +241,29 @@ def pull_workspace_stale_tail():
     return _planted(spmv, "_gather", bad)
 
 
+def expand_drops_last_edge():
+    """A gathered expansion that loses each vertex's last out-edge.
+
+    Only the gather branch is wrong: a dense round — one contiguous CSR
+    range, the slice fast path — still expands correctly and a scattered
+    frontier computes on a thinned graph.  Every layer shares this one
+    expansion, so no referee may: caught by the reference comparison and
+    by a mutation-axis case's incremental-vs-full differential.
+    """
+    from repro.graph import expand
+
+    orig = expand._edge_selector
+
+    def bad(graph, frontier):
+        counts, sel = orig(graph, frontier)
+        if isinstance(sel, slice):
+            return counts, sel
+        last = (np.cumsum(counts) - 1)[counts > 0]
+        return counts - (counts > 0), np.delete(sel, last)
+
+    return _planted(expand, "_edge_selector", bad)
+
+
 #: name -> context manager, for the self-test CLI and the pytest suite
 MUTATIONS = {
     "drop-mirror-update": drop_mirror_update,
@@ -251,6 +275,7 @@ MUTATIONS = {
     "la-semiring-identity": la_semiring_identity,
     "batch-receiver-skew": batch_receiver_skew,
     "pull-workspace-stale-tail": pull_workspace_stale_tail,
+    "expand-drops-last-edge": expand_drops_last_edge,
 }
 
 
@@ -264,10 +289,15 @@ def detection_candidates():
     structure, a symmetric CC cell is the only one the tie-break
     mutation can touch, a dense bfs-do cell pulls from round one —
     the only cell a poisoned semiring identity can reach — and a pr cell
-    is the only one that runs the plus-times pull.
+    is the only one that runs the plus-times pull.  The last four reach
+    the expansion's gather branch (a scattered frontier): a 64-vertex
+    R-MAT through kcore's peel, the bfs push and bfs-do's pull step, and
+    a path whose engine frontiers are single vertices but whose inserted
+    chord seeds the serve delta sweep with two.
     """
     from repro.fuzz.cases import Case
     from repro.fuzz.gen import build_shape, dense_graph
+    from repro.generators.rmat import rmat as rmat_graph
     from repro.graph.builder import from_edges
     from repro.graph.transform import add_random_weights, make_undirected
 
@@ -281,6 +311,8 @@ def detection_candidates():
         seed=3,
     )
     dense = dense_graph(8, seed=5)
+    rmat64 = add_random_weights(rmat_graph(6, edge_factor=3, seed=3), seed=3)
+    chord = [{"timestamp": 1, "insert": [[5, 20]], "delete": []}]
     return [
         Case.from_graph(path, app="bfs", policy="iec", parts=4,
                         engine="bsp", shape="path"),
@@ -292,6 +324,14 @@ def detection_candidates():
                         engine="bsp", shape="dense"),
         Case.from_graph(rmat, app="pr", policy="oec", parts=4,
                         engine="bsp", shape="rmat"),
+        Case.from_graph(make_undirected(rmat64), app="kcore", policy="oec",
+                        parts=4, engine="bsp", shape="rmat64-sym"),
+        Case.from_graph(rmat64, app="bfs", policy="oec", parts=4,
+                        engine="bsp", shape="rmat64"),
+        Case.from_graph(rmat64, app="bfs-do", policy="oec", parts=4,
+                        engine="bsp", shape="rmat64"),
+        Case.from_graph(path, app="bfs", policy="oec", parts=4,
+                        engine="bsp", shape="path", mutations=chord),
     ]
 
 

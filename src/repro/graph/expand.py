@@ -1,4 +1,12 @@
-"""Shared vectorized kernels for the vertex programs."""
+"""Frontier expansion: the out-edges of a vertex set, gathered from CSR
+(Gunrock's *advance*), owned by the layer that owns the CSR arrays.
+
+``repro.la`` builds the push and pull rounds on it, kcore / mis / bc call
+it directly, Table I's diameter and metis-like's ordering walk its BFS
+waves (docs/kernels.md, "Where the kernels live").  Callers resolve it
+through the module at call time (``expand.expand_edges(...)``, the rule
+:mod:`repro.la.semiring` follows) so a planted bug reaches them all.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +16,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.csr import CSRGraph
-from repro.idset import scatter_changed, unique_ids
+from repro.idset import unique_ids
 
 __all__ = [
     "expand_edges",
     "expand_edges_blocks",
     "block_bounds",
     "block_edge_budget",
-    "merge_touched",
-    "scatter_changed",
-    "unique_ids",
+    "undirected_waves",
 ]
 
 #: default edge budget per expansion block (see
@@ -25,8 +31,6 @@ __all__ = [
 #: regular study fits in one block — the blocked path only engages on
 #: out-of-core-scale frontiers
 DEFAULT_BLOCK_EDGES = 1 << 20
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def block_edge_budget() -> int:
@@ -53,6 +57,25 @@ def block_edge_budget() -> int:
     return budget
 
 
+def _edge_selector(graph: CSRGraph, frontier: np.ndarray):
+    """``(counts, sel)``: the frontier's out-degrees and the index of its
+    edges into the CSR edge arrays — a ``slice`` when the ranges follow
+    one another without a gap, else per-edge positions."""
+    starts = graph.indptr[frontier]
+    ends = graph.indptr[frontier + 1]
+    counts = ends - starts
+    total = int(counts.sum())
+    if total == 0:
+        return counts, slice(0, 0)  # empty arrays of the edge dtypes
+    if np.array_equal(ends[:-1], starts[1:]):
+        return counts, slice(int(starts[0]), int(ends[-1]))
+    # edge i of the expansion sits at CSR position i + (its vertex's
+    # range start - the edges expanded before that vertex)
+    sel = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    sel += np.arange(total, dtype=np.int64)
+    return counts, sel
+
+
 def expand_edges(
     graph: CSRGraph, frontier: np.ndarray, with_weights: bool = False
 ):
@@ -73,20 +96,7 @@ def expand_edges(
     """
     if with_weights and graph.weights is None:
         raise GraphFormatError("graph has no weights")
-    starts = graph.indptr[frontier]
-    ends = graph.indptr[frontier + 1]
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        w = np.empty(0, dtype=graph.weights.dtype) if with_weights else None
-        return counts, _EMPTY, w
-    if np.array_equal(ends[:-1], starts[1:]):
-        sel = slice(int(starts[0]), int(ends[-1]))
-    else:
-        # edge i of the expansion sits at CSR position i + (its vertex's
-        # range start - the edges expanded before that vertex)
-        sel = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        sel += np.arange(total, dtype=np.int64)
+    counts, sel = _edge_selector(graph, frontier)
     dsts = graph.indices[sel].astype(np.int64)
     w = graph.weights[sel] if with_weights else None
     return counts, dsts, w
@@ -107,9 +117,7 @@ def block_bounds(ends: np.ndarray, max_edges: int):
 
 
 def expand_edges_blocks(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    with_weights: bool = False,
+    graph: CSRGraph, frontier: np.ndarray, with_weights: bool = False
 ):
     """Yield ``(block, counts, dsts, weights)`` over contiguous frontier
     slices whose out-edge totals stay under :func:`block_edge_budget`
@@ -140,16 +148,20 @@ def expand_edges_blocks(
         yield (blk, *expand_edges(graph, blk, with_weights))
 
 
-def merge_touched(parts: list[np.ndarray], n: int) -> np.ndarray:
-    """Union of per-block touched/changed ID arrays (IDs in ``[0, n)``),
-    sorted unique.
+def undirected_waves(graph: CSRGraph, source: int, seen: np.ndarray):
+    """Yield the BFS waves from ``source`` over the undirected view: the
+    sorted vertices first reached at each depth, ``[source]`` first.
 
-    One block passes through untouched (it is already sorted unique),
-    keeping the single-block fast path allocation-identical to the
-    unblocked kernels.
+    ``seen`` is the caller's visited mask, marked in place — restarting
+    from another source on the same mask walks the next component.
     """
-    if not parts:
-        return _EMPTY
-    if len(parts) == 1:
-        return parts[0]
-    return unique_ids(np.concatenate(parts), n)
+    rev = graph.reverse()
+    wave = np.asarray([source], dtype=np.int64)
+    while len(wave):
+        seen[wave] = True
+        yield wave
+        nbrs = np.concatenate([
+            expand_edges(graph, wave)[1], expand_edges(rev, wave)[1]
+        ])
+        nbrs = unique_ids(nbrs, len(seen))
+        wave = nbrs[~seen[nbrs]]

@@ -40,7 +40,7 @@ from repro.errors import GraphFormatError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 
-__all__ = ["EdgeBatch", "MutableGraph", "derived_weights"]
+__all__ = ["EdgeBatch", "MutableGraph", "derived_weights", "pair_match_mask"]
 
 
 def _pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:
@@ -49,6 +49,16 @@ def _pairs(src, dst) -> tuple[np.ndarray, np.ndarray]:
     if s.shape != d.shape:
         raise GraphFormatError("src and dst must have the same length")
     return s, d
+
+
+def pair_match_mask(src, dst, pair_src, pair_dst, n: int) -> np.ndarray:
+    """Mask of the edges ``(src[i], dst[i])`` equal to any listed pair
+    (every parallel occurrence): one ``isin`` over ``src * n + dst``."""
+    if not len(pair_src) or not len(src):
+        return np.zeros(len(src), dtype=bool)
+    n = np.int64(n)
+    keys = np.asarray(src, dtype=np.int64) * n + dst
+    return np.isin(keys, np.unique(np.asarray(pair_src, np.int64) * n + pair_dst))
 
 
 def derived_weights(src: np.ndarray, dst: np.ndarray, timestamp: int) -> np.ndarray:
@@ -142,17 +152,14 @@ class MutableGraph:
                 f"batch timestamp {batch.timestamp} precedes the log clock "
                 f"{self._clock} (batches must be applied in time order)"
             )
-        if len(del_s):
-            # kill every occurrence of each deleted pair; encoded keys make
-            # the multigraph match a single vectorized isin
-            keys = self._src * n + self._dst
-            dead = np.isin(keys, np.unique(del_s * n + del_d))
-            if dead.any():
-                keep = ~dead
-                self._src = self._src[keep]
-                self._dst = self._dst[keep]
-                if self._w is not None:
-                    self._w = self._w[keep]
+        # kill every occurrence of each deleted pair
+        dead = pair_match_mask(self._src, self._dst, del_s, del_d, n)
+        if dead.any():
+            keep = ~dead
+            self._src = self._src[keep]
+            self._dst = self._dst[keep]
+            if self._w is not None:
+                self._w = self._w[keep]
         if len(ins_s):
             self._src = np.concatenate([self._src, ins_s])
             self._dst = np.concatenate([self._dst, ins_d])

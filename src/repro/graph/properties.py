@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import GIB
+from repro.graph import expand
 from repro.graph.csr import CSRGraph
 from repro.utils import rng_from_seed
 
@@ -51,44 +52,14 @@ class GraphProperties:
         )
 
 
-def bfs_levels(graph: CSRGraph, source: int, undirected: bool = True) -> np.ndarray:
-    """Level-synchronous BFS levels from ``source`` (-1 = unreached).
-
-    Vectorized frontier expansion; treats edges as undirected by default
-    since diameter estimates conventionally ignore direction.
-    """
-    n = graph.num_vertices
-    level = np.full(n, -1, dtype=np.int64)
-    level[source] = 0
-    frontier = np.asarray([source], dtype=np.int64)
-    rev = graph.reverse() if undirected else None
-    depth = 0
-    while len(frontier):
-        depth += 1
-        nbrs = _expand(graph, frontier)
-        if undirected:
-            nbrs = np.concatenate([nbrs, _expand(rev, frontier)])
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[level[nbrs] == -1]
-        if len(nbrs) == 0:
-            break
-        level[nbrs] = depth
-        frontier = nbrs
+def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
+    """BFS levels from ``source`` over the undirected view (-1 =
+    unreached): diameter estimates conventionally ignore direction."""
+    level = np.full(graph.num_vertices, -1, dtype=np.int64)
+    seen = np.zeros(graph.num_vertices, dtype=bool)
+    for depth, wave in enumerate(expand.undirected_waves(graph, source, seen)):
+        level[wave] = depth
     return level
-
-
-def _expand(graph: CSRGraph, frontier: np.ndarray) -> np.ndarray:
-    """All out-neighbors of the frontier vertices (with duplicates)."""
-    starts = graph.indptr[frontier]
-    ends = graph.indptr[frontier + 1]
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=graph.indices.dtype)
-    # Gather ranges [starts[i], ends[i]) without a Python loop:
-    offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    idx = np.arange(total, dtype=np.int64) + offsets
-    return graph.indices[idx]
 
 
 def approximate_diameter(
@@ -100,8 +71,7 @@ def approximate_diameter(
     BFSes again from there; repeated ``num_sweeps`` times keeping the max
     eccentricity observed.
     """
-    n = graph.num_vertices
-    if n == 0:
+    if graph.num_vertices == 0:
         return 0
     rng = rng_from_seed(seed)
     best = 0
@@ -110,10 +80,7 @@ def approximate_diameter(
     start = int(np.argmax(graph.out_degrees() + graph.in_degrees()))
     for _ in range(num_sweeps):
         levels = bfs_levels(graph, start)
-        reached = levels >= 0
-        if not reached.any():
-            break
-        ecc = int(levels[reached].max())
+        ecc = int(levels.max())  # unreached is -1, the start itself 0
         best = max(best, ecc)
         far = np.flatnonzero(levels == ecc)
         start = int(far[rng.integers(len(far))])

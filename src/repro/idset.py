@@ -10,9 +10,8 @@ GraphBLAST's dense vector form do the same on a GPU).  Which side is
 cheaper depends only on how long the stream is against ``n``, so the
 choice is made here, once, from the two lengths.
 
-Leaf module on purpose: ``repro.comm`` and ``repro.engine`` sit below
-``repro.apps`` in the import order and need the primitive too.
-``repro.apps.common`` re-exports it for the vertex programs.
+Leaf module on purpose: every layer from ``repro.graph`` up needs the
+primitive, the vertex programs included.
 
 Bit-identity contract (docs/kernels.md): outputs are sorted, unique,
 of the input ID dtype, and independent of which branch ran.
@@ -25,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["DENSE_DIVISOR", "SCATTER_UFUNCS", "unique_ids", "as_selector",
-           "scatter_changed"]
+           "merge_touched", "scatter_changed"]
 
 #: an ID stream takes the sort-free flag-array path when
 #: ``len(ids) * DENSE_DIVISOR >= n``.  Measured on the real streams of
@@ -70,6 +69,21 @@ def unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
     flags = np.zeros(n, dtype=bool)
     flags[ids] = True
     return np.flatnonzero(flags).astype(ids.dtype, copy=False)
+
+
+def merge_touched(parts: list[np.ndarray], n: int) -> np.ndarray:
+    """Union of per-block touched/changed ID arrays (IDs in ``[0, n)``),
+    sorted unique.
+
+    One block passes through untouched (it is already sorted unique),
+    keeping the single-block fast path allocation-identical to the
+    unblocked kernels.
+    """
+    if not parts:
+        return _EMPTY
+    if len(parts) == 1:
+        return parts[0]
+    return unique_ids(np.concatenate(parts), n)
 
 
 def scatter_changed(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import expand_edges
+from repro.graph import expand
 from repro.graph.csr import CSRGraph
 from repro.la import spmv
 from repro.la.semiring import Semiring
@@ -81,7 +81,7 @@ def pull_step(
     found a reached parent — or ``None`` when the rows have no in-edges
     at all (the caller emits its empty round).
     """
-    counts, parents, _ = expand_edges(rev, rows)
+    counts, parents, _ = expand.expand_edges(rev, rows)
     if len(parents) == 0:
         return None
     rep = np.repeat(np.arange(len(rows), dtype=np.int64), counts)

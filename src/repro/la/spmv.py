@@ -18,17 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import (
-    block_bounds,
-    block_edge_budget,
-    expand_edges,
-    expand_edges_blocks,
-    merge_touched,
-)
 from repro.check.level import CheckLevel, current_check_level
 from repro.errors import ConfigurationError, GraphFormatError, InvariantViolation
+from repro.graph import expand
 from repro.graph.csr import CSRGraph
-from repro.idset import scatter_changed
+from repro.idset import merge_touched, scatter_changed
 from repro.la.semiring import Semiring
 
 __all__ = ["spmsv_push", "PullPlan", "spmv_pull", "segment_reduce"]
@@ -48,7 +42,7 @@ def spmsv_push(
     changed under the add monoid, and the number of edges processed.
 
     The frontier is expanded in blocks of at most
-    :func:`~repro.apps.common.block_edge_budget` edges, so the per-edge
+    :func:`~repro.graph.expand.block_edge_budget` edges, so the per-edge
     temporaries stay bounded on out-of-core frontiers (docs/scale.md).
     The source values are read **once**, before the first block
     scatters: with ``x is y`` (bfs, sssp, cc) a later block must not see
@@ -63,7 +57,7 @@ def spmsv_push(
     xf = (semiring.widen(xf) if with_weights
           else semiring.combine(xf, None, y.dtype))
     parts, edges, pos = [], 0, 0
-    for blk, counts, dsts, w in expand_edges_blocks(
+    for blk, counts, dsts, w in expand.expand_edges_blocks(
         graph, frontier, with_weights
     ):
         vals = np.repeat(xf[pos:pos + len(blk)], counts)
@@ -97,7 +91,7 @@ class PullPlan:
 
     @classmethod
     def build(cls, graph: CSRGraph, rows: np.ndarray) -> "PullPlan":
-        counts, in_nbrs, _ = expand_edges(graph.reverse(), rows)
+        counts, in_nbrs, _ = expand.expand_edges(graph.reverse(), rows)
         n = graph.num_vertices
         if not counts.all():
             # reduceat cannot represent an empty segment: it would hand
@@ -114,7 +108,8 @@ class PullPlan:
         ends = np.cumsum(counts)
         return cls(in_nbrs=in_nbrs, num_rows=len(rows), starts=ends - counts,
                    num_cols=n,
-                   blocks=list(block_bounds(ends, block_edge_budget())))
+                   blocks=list(expand.block_bounds(
+                       ends, expand.block_edge_budget())))
 
 
 def _gather(xw: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph import expand
 from repro.graph.csr import CSRGraph
 from repro.partition.base import PartitionedGraph, build_partitions
 from repro.partition.edgecut import blocked_owner_from_degrees
@@ -28,33 +29,16 @@ def bfs_order(graph: CSRGraph) -> np.ndarray:
 
     Returns ``order`` with ``order[i]`` = i-th vertex discovered.
     """
-    from repro.graph.properties import _expand
-
     n = graph.num_vertices
-    rev = graph.reverse()
-    visited = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     order = np.empty(n, dtype=np.int64)
     pos = 0
-    next_unvisited = 0
-    while pos < n:
-        while next_unvisited < n and visited[next_unvisited]:
-            next_unvisited += 1
-        if next_unvisited >= n:
-            break
-        frontier = np.asarray([next_unvisited], dtype=np.int64)
-        visited[next_unvisited] = True
-        order[pos] = next_unvisited
-        pos += 1
-        while len(frontier):
-            nbrs = np.concatenate([_expand(graph, frontier), _expand(rev, frontier)])
-            nbrs = np.unique(nbrs)
-            nbrs = nbrs[~visited[nbrs]]
-            if len(nbrs) == 0:
-                break
-            visited[nbrs] = True
-            order[pos : pos + len(nbrs)] = nbrs
-            pos += len(nbrs)
-            frontier = nbrs
+    for root in range(n):
+        if seen[root]:
+            continue
+        for wave in expand.undirected_waves(graph, root, seen):
+            order[pos : pos + len(wave)] = wave
+            pos += len(wave)
     return order
 
 

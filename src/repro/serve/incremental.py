@@ -40,8 +40,10 @@ import numpy as np
 
 from repro.constants import INF
 from repro.graph.csr import CSRGraph
-from repro.graph.mutable import EdgeBatch
+from repro.graph.mutable import EdgeBatch, pair_match_mask
 from repro.graph.transform import make_undirected
+from repro.idset import unique_ids
+from repro.la import semiring, spmv
 
 __all__ = [
     "DELTA_APPS",
@@ -71,104 +73,31 @@ class IncrementalResult:
     rounds: int = 0
 
 
-def _pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    return src.astype(np.int64) * np.int64(n) + dst.astype(np.int64)
-
-
-def _gather(batches, attr_src: str, attr_dst: str):
-    src = [np.asarray(getattr(b, attr_src), dtype=np.int64) for b in batches]
-    dst = [np.asarray(getattr(b, attr_dst), dtype=np.int64) for b in batches]
-    if not src:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    return np.concatenate(src), np.concatenate(dst)
-
-
-def _effective_delete_mask(
-    old: CSRGraph, del_src: np.ndarray, del_dst: np.ndarray
-) -> np.ndarray:
-    """Per-old-edge mask of edges matching any deleted (src, dst) pair."""
-    if not len(del_src) or not old.num_edges:
-        return np.zeros(old.num_edges, dtype=bool)
-    n = old.num_vertices
-    keys = _pair_keys(old.edge_sources(), old.indices, n)
-    return np.isin(keys, np.unique(_pair_keys(del_src, del_dst, n)))
-
-
-def _edge_offsets(
-    starts: np.ndarray, counts: np.ndarray, total: int
-) -> np.ndarray:
-    """Flat CSR edge indices for a frontier: for each vertex with slice
-    ``[starts, starts+counts)``, the concatenation of those ranges."""
-    within = np.arange(total) - np.repeat(
-        np.cumsum(counts) - counts, counts
+def _cat(batches, attr: str) -> np.ndarray:
+    """One endpoint column of every batch, concatenated."""
+    return np.concatenate(
+        [np.asarray(getattr(b, attr), dtype=np.int64) for b in batches]
     )
-    return np.repeat(starts.astype(np.int64), counts) + within
 
 
-def _relax_sweep(
-    graph: CSRGraph, dist: np.ndarray, seeds: np.ndarray, weighted: bool
-) -> tuple[np.ndarray, int, int]:
-    """Label-correcting min-relaxation from ``seeds`` to the fixpoint.
-
-    ``dist`` is int64 (INF-padded); returns the fixpoint plus the number
-    of edges relaxed and rounds taken.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    w = graph.weights if weighted else None
-    frontier = np.unique(seeds)
-    frontier = frontier[dist[frontier] < INF]
-    work = 0
-    rounds = 0
+def _sweep(
+    graph: CSRGraph,
+    labels: np.ndarray,
+    frontier: np.ndarray,
+    ring: semiring.Semiring,
+    with_weights: bool,
+) -> tuple[int, int]:
+    """Push rounds from ``frontier`` to the fixpoint — the data-driven
+    apps' own round on one partition that is the whole graph.  Relaxes
+    ``labels`` (int64) in place; returns ``(edges relaxed, rounds)``."""
+    work = rounds = 0
     while len(frontier):
         rounds += 1
-        starts = indptr[frontier]
-        counts = (indptr[frontier + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if not total:
-            break
-        work += total
-        offs = _edge_offsets(starts, counts, total)
-        srcs = np.repeat(frontier, counts)
-        dsts = indices[offs].astype(np.int64)
-        cand = dist[srcs] + (w[offs].astype(np.int64) if weighted else 1)
-        improved_edge = cand < dist[dsts]
-        if not improved_edge.any():
-            break
-        targets = dsts[improved_edge]
-        np.minimum.at(dist, targets, cand[improved_edge])
-        # every target that improved re-enters the frontier
-        frontier = np.unique(targets)
-    return dist, work, rounds
-
-
-def _min_label_sweep(
-    sym: CSRGraph, comp: np.ndarray, seeds: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """Min-label propagation over a symmetric graph from ``seeds``."""
-    indptr, indices = sym.indptr, sym.indices
-    frontier = np.unique(seeds)
-    work = 0
-    rounds = 0
-    while len(frontier):
-        rounds += 1
-        starts = indptr[frontier]
-        counts = (indptr[frontier + 1] - starts).astype(np.int64)
-        total = int(counts.sum())
-        if not total:
-            break
-        work += total
-        offs = _edge_offsets(starts, counts, total)
-        srcs = np.repeat(frontier, counts)
-        dsts = indices[offs].astype(np.int64)
-        cand = comp[srcs]
-        improved_edge = cand < comp[dsts]
-        if not improved_edge.any():
-            break
-        targets = dsts[improved_edge]
-        np.minimum.at(comp, targets, cand[improved_edge])
-        frontier = np.unique(targets)
-    return comp, work, rounds
+        frontier, edges = spmv.spmsv_push(
+            graph, frontier, labels, labels, ring, with_weights
+        )
+        work += edges
+    return work, rounds
 
 
 def incremental_run(
@@ -177,7 +106,6 @@ def incremental_run(
     new_graph: CSRGraph,
     batches: tuple[EdgeBatch, ...] | list[EdgeBatch],
     prior_labels: np.ndarray,
-    source: int = 0,
 ) -> IncrementalResult:
     """Try to derive ``app``'s labels on ``new_graph`` from
     ``prior_labels`` (its labels on ``old_graph``) plus the mutation
@@ -195,50 +123,48 @@ def incremental_run(
             "delta", "no pending mutations",
             labels=np.asarray(prior_labels).copy(),
         )
-    ins_src, ins_dst = _gather(batches, "insert_src", "insert_dst")
-    del_src, del_dst = _gather(batches, "delete_src", "delete_dst")
+    ins_src, ins_dst = _cat(batches, "insert_src"), _cat(batches, "insert_dst")
+    del_src, del_dst = _cat(batches, "delete_src"), _cat(batches, "delete_dst")
+    labels = np.asarray(prior_labels).astype(np.int64)
+    seeds = unique_ids(np.concatenate([ins_src, ins_dst]), len(labels))
+    weighted = app == "sssp"
 
+    # dead: old edges a delete removed (a never-present pair removes none)
+    n = old_graph.num_vertices
     if app in ("cc", "cc-pj"):
         old_sym = make_undirected(old_graph)
-        dead = _effective_delete_mask(old_sym, del_src, del_dst)
+        edges = old_sym.edge_sources(), old_sym.indices
         # the symmetric view also loses (v, u) when (u, v) is deleted
-        dead |= _effective_delete_mask(old_sym, del_dst, del_src)
+        dead = (pair_match_mask(*edges, del_src, del_dst, n)
+                | pair_match_mask(*edges, del_dst, del_src, n))
         if dead.any():
             return IncrementalResult(
                 "full", f"{int(dead.sum())} deleted edge(s) may split "
                 "components"
             )
-        comp = np.asarray(prior_labels).astype(np.int64)
-        seeds = np.concatenate([ins_src, ins_dst])
-        comp, work, rounds = _min_label_sweep(
-            make_undirected(new_graph), comp, seeds
+        graph, ring = make_undirected(new_graph), semiring.MIN_FIRST
+        verb = "merged"
+    else:
+        dead = pair_match_mask(
+            old_graph.edge_sources(), old_graph.indices, del_src, del_dst, n
         )
-        return IncrementalResult(
-            "delta", f"{len(ins_src)} insert(s) merged", work_edges=work,
-            rounds=rounds, labels=comp.astype(prior_labels.dtype),
-        )
-
-    weighted = app == "sssp"
-    dist = np.asarray(prior_labels).astype(np.int64)
-    dead = _effective_delete_mask(old_graph, del_src, del_dst)
-    if dead.any():
-        # load-bearing check: was any deleted old edge tight?
-        e_src = old_graph.edge_sources()[dead].astype(np.int64)
-        e_dst = old_graph.indices[dead].astype(np.int64)
-        e_w = (
-            old_graph.weights[dead].astype(np.int64)
-            if weighted else np.ones(int(dead.sum()), dtype=np.int64)
-        )
-        finite = dist[e_src] < INF
-        tight = finite & (dist[e_src] + e_w == dist[e_dst])
-        if tight.any():
-            return IncrementalResult(
-                "full", f"{int(tight.sum())} deleted edge(s) lay on a "
-                "shortest path"
-            )
-    seeds = np.concatenate([ins_src, ins_dst])
-    dist, work, rounds = _relax_sweep(new_graph, dist, seeds, weighted)
+        if dead.any():
+            # load-bearing check: was any deleted old edge tight?
+            e_src = old_graph.edge_sources()[dead].astype(np.int64)
+            e_dst = old_graph.indices[dead].astype(np.int64)
+            e_w = old_graph.weights[dead].astype(np.int64) if weighted else 1
+            d_src = labels[e_src]
+            tight = (d_src < INF) & (d_src + e_w == labels[e_dst])
+            if tight.any():
+                return IncrementalResult(
+                    "full", f"{int(tight.sum())} deleted edge(s) lay on a "
+                    "shortest path"
+                )
+        graph, ring, verb = new_graph, semiring.MIN_PLUS, "relaxed"
+        # an unreached endpoint has nothing to offer its neighbours
+        seeds = seeds[labels[seeds] < INF]
+    work, rounds = _sweep(graph, labels, seeds, ring, weighted)
     return IncrementalResult(
-        "delta", f"{len(ins_src)} insert(s) relaxed", work_edges=work,
-        rounds=rounds, labels=dist.astype(prior_labels.dtype),
+        "delta", f"{len(ins_src)} insert(s) {verb}", work_edges=work,
+        rounds=rounds, labels=labels.astype(prior_labels.dtype),
     )

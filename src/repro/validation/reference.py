@@ -140,17 +140,17 @@ def reference_bc_single_source(graph: CSRGraph, source: int) -> np.ndarray:
 
 
 def reference_kcore_mask(graph: CSRGraph, k: int) -> np.ndarray:
-    """Boolean in-k-core mask via sequential peeling (symmetric graph)."""
+    """Boolean in-k-core mask via sequential peeling (symmetric graph).
+
+    An edge-list mask on purpose, not the frontier expansion kcore calls:
+    a referee that shares the player's kernel shares its bugs.
+    """
     deg = graph.out_degrees().astype(np.int64).copy()
     alive = np.ones(graph.num_vertices, dtype=bool)
-    frontier = np.flatnonzero(deg < k)
-    alive[frontier] = False
-    while len(frontier):
-        from repro.apps.common import expand_edges
-
-        _, nbrs, _ = expand_edges(graph, frontier)
-        np.subtract.at(deg, nbrs, 1)
-        newly = np.flatnonzero(alive & (deg < k))
-        alive[newly] = False
-        frontier = newly
+    src = graph.edge_sources()
+    dying = deg < k
+    while dying.any():
+        alive[dying] = False
+        np.subtract.at(deg, graph.indices[dying[src]], 1)
+        dying = alive & (deg < k)
     return alive

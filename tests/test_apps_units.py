@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.apps.common import expand_edges, scatter_changed
 from repro.engine import BSPEngine, RunContext
 from repro.errors import ConfigurationError
 from repro.graph import from_edges
+from repro.graph.expand import expand_edges
 from repro.hw import bridges
+from repro.idset import scatter_changed
 from repro.partition import partition
 
 

@@ -1,6 +1,7 @@
 """Tests for the Table I dataset registry."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from repro.generators import DATASETS, dataset_names, load_dataset
 from repro.graph import make_undirected
+from repro.graph.properties import approximate_diameter
+from repro.partition.metis_like import bfs_order
 
 GOLDEN = Path(__file__).parent / "cases" / "dataset_golden.json"
 
@@ -25,8 +28,10 @@ def compute_dataset_table() -> dict:
     dataset as ``load_dataset`` hands it out (weighted) and its symmetrized
     view.  ``make_undirected(graph)`` is what ``Dataset.symmetric()``
     computes, called directly so the suite does not keep ten symmetric
-    graphs alive.  Regenerate from any checkout's sources with the command
-    in docs/performance.md, "A cold study pays only for what its cells read".
+    graphs alive; ``traversal`` is what the undirected BFS waves compute on
+    it (Table I's diameter, metis-like's ordering).  Regenerate from any
+    checkout's sources with the command in docs/performance.md, "A cold
+    study pays only for what its cells read".
     """
     table = {}
     for name in DATASETS:
@@ -34,13 +39,19 @@ def compute_dataset_table() -> dict:
         table[name] = {
             "weighted": _row(graph),
             "symmetric": _row(make_undirected(graph)),
+            "traversal": {
+                "approx_diameter": approximate_diameter(graph, seed=0),
+                "bfs_order_crc": zlib.crc32(bfs_order(graph).tobytes()),
+            },
         }
     return table
 
 
 def test_every_registry_dataset_matches_the_golden_table():
     """Recorded at the parent of PR 20 (``d7da598``, ``Generator.choice``
-    under the generators); ``expected.json`` only pins three of them."""
+    under the generators); ``expected.json`` only pins three of them.  The
+    ``traversal`` rows were recorded at the parent of PR 22 (``336951d``,
+    the private ``_expand`` + ``np.unique`` loops)."""
     assert compute_dataset_table() == json.loads(GOLDEN.read_text())
 
 
@@ -149,8 +160,6 @@ class TestShapeFidelity:
             assert g.in_degrees().max() > 4 * g.out_degrees().max(), name
 
     def test_uk14_has_longest_tail(self):
-        from repro.graph.properties import approximate_diameter
-
         d_uk14 = approximate_diameter(load_dataset("uk14-s").graph, seed=0)
         d_cw = approximate_diameter(load_dataset("clueweb12-s").graph, seed=0)
         assert d_uk14 > 2 * d_cw

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import idset
-from repro.apps import common
-from repro.apps.common import block_edge_budget, expand_edges
+from repro.apps import bc, bfs, kcore
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.fuzz.gen import SHAPES, build_shape
 from repro.generators.chunked import build_store
 from repro.graph import from_edges
+from repro.graph.expand import block_edge_budget, expand_edges
 from repro.la import semiring, spmv
 from repro.runtime.cells import CellSpec, SystemSpec
 from repro.runtime.sweep import SweepExecutor
@@ -111,7 +111,8 @@ def test_scatter_changed_equals_touched_formulation(stream, op, seed):
 def test_loop_and_la_scatters_are_one_code_path():
     """The apps (bfs-do's pull, bc, kcore) and the la kernels scatter
     through the one primitive: the same object, not an alias of it."""
-    assert common.scatter_changed is idset.scatter_changed
+    for app in (bc, bfs, kcore):
+        assert app.scatter_changed is idset.scatter_changed
     assert spmv.scatter_changed is idset.scatter_changed
 
 

@@ -5,7 +5,8 @@ The mutation half is the system's mutation-testing suite: each context
 manager in :mod:`repro.fuzz.mutations` plants one realistic bug class
 (lost mirror update, exchange-table off-by-one, dropped reduce partner,
 stale partition-cache entry, wrong CC tie-break, dirty-bit off-by-one,
-non-neutral semiring identity, skewed per-receiver apply bounds)
+non-neutral semiring identity, skewed per-receiver apply bounds, a stale
+pull workspace, a gathered expansion short one edge per vertex)
 and the FULL-check fuzz battery must flag every one — plus stay quiet
 when nothing is planted.
 """
@@ -22,7 +23,10 @@ from repro.fuzz import MUTATIONS, Case, fuzz, shrink_case
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.cli import week_seed
 from repro.fuzz.fuzzer import FuzzFailure, _sample_case, _sibling_check
-from repro.fuzz.mutations import run_candidates
+from repro.fuzz.cases import CaseFailure, run_case
+from repro.fuzz.mutations import detection_candidates, run_candidates
+from repro.la import direction
+from repro.validation import reference_kcore_mask
 
 
 # --------------------------------------------------------------------- #
@@ -39,6 +43,52 @@ def test_unmutated_battery_is_clean():
     # the same battery must pass without a planted bug, or the
     # "detections" above would be meaningless
     assert not run_candidates(contextlib.nullcontext)
+
+
+def _candidate(app: str, shape: str, mutated: bool = False) -> Case:
+    return next(c for c in detection_candidates()
+                if (c.app, c.shape, bool(c.mutations)) == (app, shape, mutated))
+
+
+def test_kcore_referee_does_not_share_the_players_expansion():
+    """Every layer expands through ``repro.graph.expand``; the kcore
+    oracle must not, or a bug there corrupts referee and player alike
+    (it caught 0 of 11 fuzz shapes while it did)."""
+    case = _candidate("kcore", "rmat64-sym")
+    want = reference_kcore_mask(case.graph(), case.k)
+    assert 0 < want.sum() < len(want)  # a core that is neither all nor none
+    with MUTATIONS["expand-drops-last-edge"]():
+        assert np.array_equal(reference_kcore_mask(case.graph(), case.k), want)
+        with pytest.raises(CaseFailure, match="disagree with the reference"):
+            run_case(case, check="full")
+
+
+def test_expansion_plant_reaches_the_push_round():
+    with MUTATIONS["expand-drops-last-edge"]():
+        with pytest.raises(CaseFailure, match="disagree with the reference"):
+            run_case(_candidate("bfs", "rmat64"), check="full")
+
+
+def test_expansion_plant_reaches_the_pull_step(monkeypatch):
+    """Planted for the duration of ``pull_step`` only: bfs-do's push
+    rounds expand correctly, its pull rounds do not."""
+    pull_step = direction.pull_step
+
+    def planted(*args, **kwargs):
+        with MUTATIONS["expand-drops-last-edge"]():
+            return pull_step(*args, **kwargs)
+
+    monkeypatch.setattr(direction, "pull_step", planted)
+    with pytest.raises(CaseFailure, match="disagree with the reference"):
+        run_case(_candidate("bfs-do", "rmat64"), check="full")
+
+
+def test_expansion_plant_reaches_the_serve_delta_sweep():
+    """The path's engine frontiers are single vertices (the slice path),
+    so only the incremental leg — two chord endpoints — gathers."""
+    with MUTATIONS["expand-drops-last-edge"]():
+        with pytest.raises(CaseFailure, match="incremental labels diverge"):
+            run_case(_candidate("bfs", "path", mutated=True), check="full")
 
 
 # --------------------------------------------------------------------- #

@@ -20,10 +20,6 @@ class TestBfsLevels:
         levels = bfs_levels(path(5), 4)
         assert levels.tolist() == [4, 3, 2, 1, 0]
 
-    def test_directed_only(self):
-        levels = bfs_levels(path(3), 2, undirected=False)
-        assert levels.tolist() == [-1, -1, 0]
-
     def test_disconnected(self):
         g = from_edges([0], [1], num_vertices=4)
         levels = bfs_levels(g, 0)

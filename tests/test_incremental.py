@@ -9,7 +9,21 @@ covered on both engines.
 
 The unit tests below pin the decision logic itself: which batches take
 the delta path, which fall back, and why.
+
+``tests/cases/incremental_golden.json`` pins what the delta path
+*returns*: ``(labels CRC, work_edges, rounds, reason)`` of
+``incremental_run`` for the 13 fuzz shapes x {bfs, sssp, cc} x one
+insert-only and one delete-bearing batch, recorded at ``336951d`` from
+the hand-rolled ``_relax_sweep`` / ``_min_label_sweep`` loops.  The sweep
+is now ``spmv.spmsv_push`` to the fixpoint and must reproduce every row
+at any ``REPRO_BLOCK_EDGES`` (the loops were unblocked).  The table is
+what :func:`compute_incremental_table` returns, so it can be regenerated
+from any checkout's sources.
 """
+
+import json
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +32,7 @@ from repro.constants import INF
 from repro.fuzz.cases import Case, run_case
 from repro.fuzz.fuzzer import _sample_mutations
 from repro.fuzz.gen import SHAPES, build_shape
-from repro.graph import MutableGraph, from_edges
+from repro.graph import EdgeBatch, MutableGraph, from_edges
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.serve.incremental import DELTA_APPS, incremental_run
 from repro.validation import reference_bfs, reference_cc, reference_sssp
@@ -58,6 +72,89 @@ def test_incremental_matches_full(shape, engine):
 
 
 # ---------------------------------------------------------------------- #
+GOLDEN = Path(__file__).parent / "cases" / "incremental_golden.json"
+
+_REFERENCES = {
+    "bfs": reference_bfs,
+    "sssp": reference_sssp,
+    "cc": lambda graph, source: reference_cc(graph),
+}
+
+
+def _golden_inputs() -> dict:
+    """``key -> (app, old graph, new graph, batches, prior labels)``: per
+    shape and app, three random inserts, and two deletes of live edges
+    beside two inserts (mirrored on cc's symmetric graphs)."""
+    out = {}
+    for shape in sorted(SHAPES):
+        for app in APPS:
+            rng = np.random.default_rng(
+                [22, zlib.crc32(shape.encode()), len(app)]
+            )
+            graph = build_shape(shape, rng)
+            symmetric = app == "cc"
+            if symmetric:
+                graph = add_random_weights(make_undirected(graph), seed=22)
+            n = graph.num_vertices
+            prior = _REFERENCES[app](graph, int(np.argmax(graph.out_degrees())))
+            for kind, k_ins, k_del in (("insert", 3, 0), ("delete", 2, 2)):
+                ins = rng.integers(0, n, (k_ins, 2))
+                live = np.stack([graph.edge_sources(), graph.indices], axis=1)
+                picks = rng.choice(
+                    len(live), size=min(k_del, len(live)), replace=False
+                )
+                dele = live[picks].astype(np.int64)
+                if symmetric:
+                    ins = np.concatenate([ins, ins[:, ::-1]])
+                    dele = np.concatenate([dele, dele[:, ::-1]])
+                mg = MutableGraph(graph)
+                mg.apply(EdgeBatch(
+                    timestamp=1,
+                    insert_src=ins[:, 0], insert_dst=ins[:, 1],
+                    delete_src=dele[:, 0], delete_dst=dele[:, 1],
+                ))
+                out[f"{shape}/{app}/{kind}"] = (
+                    app, graph, mg.snapshot(), mg.log, prior
+                )
+    return out
+
+
+def compute_incremental_table(inputs=None) -> dict:
+    table = {}
+    for key, (app, old, new, batches, prior) in (
+        inputs or _golden_inputs()
+    ).items():
+        res = incremental_run(app, old, new, batches, prior)
+        table[key] = {
+            "labels_crc": (
+                None if res.labels is None
+                else zlib.crc32(np.ascontiguousarray(res.labels).tobytes())
+            ),
+            "work_edges": int(res.work_edges),
+            "rounds": int(res.rounds),
+            "reason": f"{res.mode}: {res.reason}",
+        }
+    return table
+
+
+@pytest.fixture(scope="module")
+def golden_inputs():
+    return _golden_inputs()
+
+
+@pytest.mark.parametrize("budget", [None, "1", "7"])
+def test_incremental_matches_golden(monkeypatch, golden_inputs, budget):
+    """None missing, none stale, none moved — at any block budget."""
+    if budget is None:
+        monkeypatch.delenv("REPRO_BLOCK_EDGES", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_BLOCK_EDGES", budget)
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == len(SHAPES) * len(APPS) * 2
+    assert compute_incremental_table(golden_inputs) == golden
+
+
+# ---------------------------------------------------------------------- #
 def _chain(weighted=False):
     w = np.array([2, 3], dtype=np.uint32) if weighted else None
     return from_edges([0, 1], [1, 2], num_vertices=5, weights=w)
@@ -70,7 +167,7 @@ class TestDeltaDecisions:
         mg = MutableGraph(g)
         mg.insert_edges([2], [3], timestamp=1)
         new = mg.snapshot()
-        res = incremental_run("bfs", g, new, mg.log, prior, source=0)
+        res = incremental_run("bfs", g, new, mg.log, prior)
         assert res.mode == "delta"
         assert res.labels is not None
         assert res.labels.dtype == prior.dtype
@@ -83,7 +180,7 @@ class TestDeltaDecisions:
         mg = MutableGraph(g)
         mg.insert_edges([0], [2], weights=[1], timestamp=1)  # shortcut
         new = mg.snapshot()
-        res = incremental_run("sssp", g, new, mg.log, prior, source=0)
+        res = incremental_run("sssp", g, new, mg.log, prior)
         assert res.mode == "delta"
         assert np.array_equal(res.labels, reference_sssp(new, 0))
         assert res.labels[2] == 1  # shortcut beats the 2+3 chain
@@ -93,8 +190,7 @@ class TestDeltaDecisions:
         prior = reference_bfs(g, 0)
         mg = MutableGraph(g)
         mg.delete_edges([1], [2], timestamp=1)  # lies on the only path
-        res = incremental_run("bfs", g, mg.snapshot(), mg.log, prior,
-                              source=0)
+        res = incremental_run("bfs", g, mg.snapshot(), mg.log, prior)
         assert res.mode == "full"
         assert res.labels is None
         assert "shortest path" in res.reason
@@ -107,7 +203,7 @@ class TestDeltaDecisions:
         mg = MutableGraph(g)
         mg.delete_edges([0], [2], timestamp=1)
         new = mg.snapshot()
-        res = incremental_run("sssp", g, new, mg.log, prior, source=0)
+        res = incremental_run("sssp", g, new, mg.log, prior)
         assert res.mode == "delta"
         assert np.array_equal(res.labels, reference_sssp(new, 0))
 
@@ -137,15 +233,14 @@ class TestDeltaDecisions:
         prior = reference_bfs(g, 0)
         mg = MutableGraph(g)
         mg.delete_edges([3], [4], timestamp=1)  # pair the graph never had
-        res = incremental_run("bfs", g, mg.snapshot(), mg.log, prior,
-                              source=0)
+        res = incremental_run("bfs", g, mg.snapshot(), mg.log, prior)
         assert res.mode == "delta"
         assert np.array_equal(res.labels, prior)
 
     def test_empty_batch_list_copies_prior(self):
         g = _chain()
         prior = reference_bfs(g, 0)
-        res = incremental_run("bfs", g, g, [], prior, source=0)
+        res = incremental_run("bfs", g, g, [], prior)
         assert res.mode == "delta"
         assert np.array_equal(res.labels, prior)
         assert res.labels is not prior  # a copy, not an alias
@@ -168,7 +263,7 @@ class TestDeltaDecisions:
         mg = MutableGraph(g)
         mg.insert_edges([3], [4], timestamp=1)
         new = mg.snapshot()
-        res = incremental_run("bfs", g, new, mg.log, prior, source=0)
+        res = incremental_run("bfs", g, new, mg.log, prior)
         assert res.mode == "delta"
         assert np.array_equal(res.labels, reference_bfs(new, 0))
         assert res.labels[4] == INF

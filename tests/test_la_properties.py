@@ -34,12 +34,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.common import expand_edges
 from repro.check import use_check_level
 from repro.check.oracle import pull_reference
 from repro.errors import ConfigurationError, GraphFormatError, InvariantViolation
 from repro.fuzz.gen import SHAPES, build_shape
 from repro.graph.builder import from_edges
+from repro.graph.expand import expand_edges
 from repro.la.semiring import (
     MIN_FIRST,
     MIN_PLUS,

@@ -14,22 +14,22 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.apps.common import (
-    DEFAULT_BLOCK_EDGES,
-    block_edge_budget,
-    expand_edges,
-    expand_edges_blocks,
-    merge_touched,
-)
 from repro.comm import CommConfig
 from repro.engine import BASPEngine, BSPEngine, RunContext
 from repro.fuzz.gen import SHAPES, build_shape
 from repro.generators import rmat
 from repro.generators.chunked import build_store
 from repro.graph.csr import CSRGraph
+from repro.graph.expand import (
+    DEFAULT_BLOCK_EDGES,
+    block_edge_budget,
+    expand_edges,
+    expand_edges_blocks,
+)
 from repro.graph.store import open_csr, write_csr_store
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import bridges
+from repro.idset import merge_touched
 from repro.partition import partition
 from repro.runtime.rss import RssSampler, read_rss_anon
 from repro.study.ooc import OocConfig, OocReport, evaluate

@@ -3,12 +3,14 @@
 Until PR 16 every CSR build sorted its edges with ``np.lexsort`` and
 ``build_partitions`` derived proxy sets from one global ``np.unique``.
 What that code computed survives in ``tests/cases/partition_golden.json``:
-for five policies x P in {1, 4, 7} x four inputs, one SHA-1 per partition
+for seven policies x P in {1, 4, 7} x four inputs, one SHA-1 per partition
 over ``indptr`` / ``indices`` / ``weights`` / ``local_to_global`` /
 ``is_master`` and both exchange dicts (in peer order), plus the
 ``content_hash()`` of ``make_undirected`` and ``reverse()`` of each input.
 The table was produced at the parent commit ``393e438``; the ordering
 primitive and the streaming partition build must reproduce every row.
+The ``metis-like`` and ``random`` rows were added at ``336951d``, before
+``bfs_order`` moved onto the graph layer's wave generator (PR 22).
 
 The four inputs cover the branches of :func:`repro.graph.order.order_edges`:
 a generator graph (partition edge lists arrive ordered), its symmetrized
@@ -36,7 +38,7 @@ from repro.partition import partition
 
 GOLDEN = Path(__file__).parent / "cases" / "partition_golden.json"
 
-POLICIES = ("oec", "iec", "hvc", "cvc", "jagged")
+POLICIES = ("oec", "iec", "hvc", "cvc", "jagged", "metis-like", "random")
 PARTS = (1, 4, 7)
 
 

@@ -1,7 +1,7 @@
 """Surface audit (ROADMAP item 7): nothing in ``src/repro`` that no
 product reaches.
 
-Two rules.  **Modules** (absolute): an ``ast`` walk of the import graph —
+Three rules.  **Modules** (absolute): an ``ast`` walk of the import graph —
 function-level imports included — from the ``[project.scripts]`` entry
 points must reach every module under ``src/repro``.  A module outside
 the walk is unreachable from every CLI: delete it, or move it beside the
@@ -11,6 +11,9 @@ identifier — a name or an attribute, not an import or an ``__all__``
 string — somewhere in ``src/``, ``benchmarks/`` or ``examples/`` outside
 its own ``def``.  A name only tests mention goes with its tests, or onto
 :data:`TEST_ONLY` with the reason it is kept; that list may only shrink.
+**Layering**: on the same import walk, no module of a layer the vertex
+programs are built on (:data:`BELOW_APPS`) imports ``repro.apps`` — a
+kernel two layers need lives in the lower one.
 """
 
 import ast
@@ -51,6 +54,10 @@ TEST_ONLY = {
 }
 
 
+#: the layers ``repro.apps`` is built on; none of them may import it
+BELOW_APPS = ("graph", "partition", "comm", "la", "engine", "validation")
+
+
 def _modules() -> dict[str, Path]:
     """Dotted name -> file of every module under ``src/repro``."""
     out = {}
@@ -62,8 +69,8 @@ def _modules() -> dict[str, Path]:
     return out
 
 
-def _imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
-    """The ``repro`` modules ``name`` imports, anywhere in its body."""
+def _imported_names(name: str, path: Path) -> set[str]:
+    """Every dotted name ``name`` imports, anywhere in its body."""
     package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
@@ -78,7 +85,12 @@ def _imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
             found.add(base)
             # ``from pkg import name`` imports a submodule when it is one
             found.update(f"{base}.{alias.name}" for alias in node.names)
-    return {m for m in found if m in modules}
+    return found
+
+
+def _imports(name: str, path: Path, modules: dict[str, Path]) -> set[str]:
+    """The ``repro`` modules ``name`` imports, anywhere in its body."""
+    return {m for m in _imported_names(name, path) if m in modules}
 
 
 def reachable(entries, modules: dict[str, Path]) -> set[str]:
@@ -110,6 +122,38 @@ def test_every_module_is_reached_from_an_entry_point():
     assert not unreached, (
         f"modules no [project.scripts] entry point imports: {sorted(unreached)}"
     )
+
+
+def _apps_importers(modules: dict[str, Path]) -> dict[str, list[str]]:
+    """Modules under :data:`BELOW_APPS` that import ``repro.apps`` or
+    anything beneath it (whether or not the target exists)."""
+    out = {}
+    for name, path in modules.items():
+        if name.partition(".")[2].partition(".")[0] not in BELOW_APPS:
+            continue
+        hits = sorted(
+            m for m in _imported_names(name, path)
+            if m == "repro.apps" or m.startswith("repro.apps.")
+        )
+        if hits:
+            out[name] = hits
+    return out
+
+
+def test_no_layer_below_the_apps_imports_them():
+    assert not _apps_importers(_modules())
+
+
+def test_the_layering_rule_sees_a_function_level_import(tmp_path):
+    """What ``la/spmv.py`` did until PR 22, planted inside a function."""
+    planted = tmp_path / "spmv.py"
+    planted.write_text(
+        "def spmsv_push():\n"
+        "    from repro.apps.common import expand_edges\n"
+    )
+    assert _apps_importers({"repro.la.spmv": planted}) == {
+        "repro.la.spmv": ["repro.apps.common", "repro.apps.common.expand_edges"]
+    }
 
 
 def _mentions() -> set[str]:
