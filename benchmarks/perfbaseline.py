@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.apps import get_app
 from repro.comm import CommConfig
 from repro.engine import BASPEngine, BSPEngine
@@ -237,7 +238,9 @@ def run_cell(
 
     ``contention`` (a :class:`~repro.hw.contention.ContentionConfig`)
     attaches shared-resource pricing to the workload's cluster for this
-    cell only; ``hierarchical`` opts the cell into two-level sync.
+    cell only; ``hierarchical`` opts the cell into two-level sync;
+    ``tracer`` is made the ambient tracer for the run (``None`` installs
+    the off state, as a disabled one does).
     """
     if engine not in _ENGINES:
         raise ConfigurationError(f"unknown engine {engine!r}")
@@ -256,12 +259,12 @@ def run_cell(
         app,
         comm_config=comm_config,
         check_memory=False,
-        tracer=tracer,
         check=check,
     )
-    start = time.perf_counter()
-    res = eng.run(ctx)
-    wall = time.perf_counter() - start
+    with obs.use_tracer(tracer):
+        start = time.perf_counter()
+        res = eng.run(ctx)
+        wall = time.perf_counter() - start
     s = res.stats
     return CellResult(
         key=cell_key(app_name, policy, engine, comm),
@@ -291,15 +294,18 @@ def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
     set to ``off_value``, its explicitly *disabled* form.
 
     This is the zero-overhead-when-off measurement behind three gates:
-    ``tracer=Tracer(enabled=False)`` (every engine normalizes a disabled
-    tracer to ``None``, so attaching one must cost nothing beyond the
-    normalization itself), ``check="off"`` (both legs compile the same
-    two pre-computed booleans into the round loop, so the only thing
-    this can catch is exactly what it must: work creeping outside the
-    ``if check_cheap:`` guards) and
-    ``contention=ContentionConfig(enabled=False)`` (the router
-    normalizes a disabled config to ``None``, exactly like the engines
-    normalize a disabled tracer).  The two legs of each matrix cell run
+    ``tracer=Tracer(enabled=False)`` (``obs.use_tracer`` installs the one
+    off state for ``None`` and for a disabled tracer alike, so the legs
+    are two spellings of the same thing: this can only catch a disabled
+    tracer being given a path of its own again, or work outside an
+    ``if tracer.enabled:`` guard that reads which one was installed — not
+    what a disabled call costs, which the layered benchmark's untraced
+    passes pay on both sides of a comparison), ``check="off"`` (both legs
+    compile the same two pre-computed booleans into the round loop, so
+    the only thing this can catch is exactly what it must: work creeping
+    outside the ``if check_cheap:`` guards) and
+    ``contention=ContentionConfig(enabled=False)`` (the router normalizes
+    a disabled config to ``None``).  The two legs of each matrix cell run
     **back to back** (so both see the same machine state — container
     clocks are bursty enough that whole-leg totals of identical code can
     swing ±10%), and each leg's total is the sum of per-cell

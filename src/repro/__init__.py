@@ -20,7 +20,7 @@ Quickstart::
     from repro.frameworks import DIrGL
 
     ds = load_dataset("rmat23-s")
-    result = DIrGL(num_gpus=4, policy="cvc").run("bfs", ds)
+    result = DIrGL(policy="cvc").run("bfs", ds, 4)
     print(result.stats.execution_time, result.labels[:10])
 """
 

@@ -47,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import obs
 from repro.comm.bitset import Bitset
 from repro.comm.buffers import HEADER_BYTES, Message, MessageHeader, SendBatch
 from repro.constants import GID_BYTES
@@ -193,7 +194,6 @@ class GluonComm:
         pg: PartitionedGraph,
         fields: list[FieldSpec],
         config: CommConfig = CommConfig(),
-        tracer=None,
         check=None,
     ):
         """``check`` selects the invariant-checking level (see
@@ -206,9 +206,6 @@ class GluonComm:
 
         self.pg = pg
         self.config = config
-        #: normalized like the engines': ``None`` unless enabled, so the
-        #: extraction wrappers pay one ``is not None`` test per call.
-        self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         self.check_level = resolve_check_level(check)
         #: hot-path flag: the FULL-level oracle observes every extraction
         self._check_full = self.check_level >= CheckLevel.FULL
@@ -417,10 +414,12 @@ class GluonComm:
             batch = differential_extract(self, field, phase, pids, labels)
         else:
             batch = self._extract(field, phase, pids, labels)
-        if self.tracer is not None and len(batch):
+        tracer = obs.current_tracer()
+        if tracer.enabled and len(batch):
             # per-field/per-phase messages and wire bytes, off the batch
-            self.tracer.count(f"comm.{phase}.{field}.messages", len(batch))
-            self.tracer.count(
+            # (a sum and two f-strings: several times a disabled call)
+            tracer.count(f"comm.{phase}.{field}.messages", len(batch))
+            tracer.count(
                 f"comm.{phase}.{field}.bytes", int(batch.wire_bytes.sum())
             )
         return batch

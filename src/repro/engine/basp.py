@@ -74,7 +74,6 @@ class BASPEngine(Engine):
         overlap_comm: float = 0.0,
         fault_plan=None,
         executor: str = "serial",
-        tracer=None,
         check=None,
     ):
         """``throttle_wait`` implements the paper's proposed *dynamic
@@ -103,7 +102,7 @@ class BASPEngine(Engine):
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
             memory_profile, check_memory, overlap_comm, fault_plan, executor,
-            tracer, check,
+            check,
         )
         self.throttle_wait = float(throttle_wait)
 
@@ -301,10 +300,9 @@ class BASPEngine(Engine):
             if topology and not did_work and not len(frontier):
                 # quiescent topology partition: mark converged this pass
                 residual[p] = 0.0
-            if tracer is not None:
-                tracer.end(
-                    r_ev, messages=n_out, drained=n_activating, did_work=did_work
-                )
+            tracer.end(
+                r_ev, messages=n_out, drained=n_activating, did_work=did_work
+            )
             local_time[p] = float(t)
             if did_work or len(frontier):
                 local_rounds[p] += 1
@@ -328,6 +326,6 @@ class BASPEngine(Engine):
         stats.per_partition_device_comm = device_t
         stats.rounds = stats.local_rounds_max = max(local_rounds)
         stats.local_rounds_min = min(local_rounds)
-        if tracer is not None:
+        if tracer.enabled:
             core.round_sim(compute_t, wait_t, device_t)
         return core.finish()

@@ -58,7 +58,6 @@ class BSPEngine(Engine):
         overlap_comm: float = 0.0,
         fault_plan=None,
         executor: str = "serial",
-        tracer=None,
         check=None,
     ):
         """``overlap_comm`` in [0, 1] hides that fraction of each round's
@@ -70,12 +69,11 @@ class BSPEngine(Engine):
         ``"threads"`` (a shared ``ThreadPoolExecutor``; numpy kernels
         release the GIL).  Threaded results are merged in fixed partition
         order, so runs are bit-identical either way.
-        ``tracer`` and ``check`` are documented on
-        :class:`~repro.engine.core.Engine`."""
+        ``check`` is documented on :class:`~repro.engine.core.Engine`."""
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
             memory_profile, check_memory, overlap_comm, fault_plan, executor,
-            tracer, check,
+            check,
         )
 
     # ------------------------------------------------------------------ #
@@ -139,9 +137,8 @@ class BSPEngine(Engine):
                 compute_t += feat_t
                 device_t += feat_t
                 feat_h2d_bytes = float(feat_bytes.sum()) * cost.scale_factor
-                if tracer is not None:
-                    tracer.count("feature.h2d_bytes", feat_h2d_bytes)
-            if tracer is not None and (feat_hits or feat_misses):
+                tracer.count("feature.h2d_bytes", feat_h2d_bytes)
+            if feat_hits or feat_misses:
                 tracer.count("cache.hit", feat_hits)
                 tracer.count("cache.miss", feat_misses)
 
@@ -165,8 +162,7 @@ class BSPEngine(Engine):
                         touched, res = core.master(p, candidates)
                         residual = max(residual, res)
                         compute_t[p] += cost.master_time(p, touched)
-                    if tracer is not None:
-                        tracer.end(m_ev)
+                    tracer.end(m_ev)
                     continue
 
                 field = step.field
@@ -180,8 +176,7 @@ class BSPEngine(Engine):
                 # extract/apply-per-partition interleaving.
                 batch = core.extract(step, range(P))
                 if not len(batch):
-                    if tracer is not None:
-                        tracer.end(s_ev, messages=0)
+                    tracer.end(s_ev, messages=0)
                     continue
                 pr = core.price(batch)
                 np.add.at(send_t, pr.src, pr.extraction + pr.d2h)
@@ -195,7 +190,7 @@ class BSPEngine(Engine):
                     step_wire = len(batch) - net.messages_saved
                     n_inter_host += net.inter_host_messages
                     n_aggregates += net.aggregates
-                    if tracer is not None and net.aggregates:
+                    if net.aggregates:
                         base = f"comm.hier.{field}"
                         tracer.count(f"{base}.aggregates", net.aggregates)
                         tracer.count(f"{base}.messages_saved", net.messages_saved)
@@ -207,8 +202,7 @@ class BSPEngine(Engine):
                 comm_bytes += step_bytes
                 n_msgs += step_wire
                 core.apply(batch, candidates)
-                if tracer is not None:
-                    tracer.end(s_ev, messages=len(batch), bytes=step_bytes)
+                tracer.end(s_ev, messages=len(batch), bytes=step_bytes)
 
             # ---------------- round timing ------------------------------ #
             # with overlap, part of the host-device traffic hides under the
@@ -259,11 +253,11 @@ class BSPEngine(Engine):
                 # against its reduce direction this round
                 core.check_post_sync()
                 core.watch.observe(core.views)
-            if tracer is not None:
+            if tracer.enabled:
                 core.round_sim(
                     compute_t, wait, device_t, round=rnd, duration_s=duration
                 )
-                tracer.end(round_ev, messages=n_msgs, bytes=comm_bytes, edges=edges)
+            tracer.end(round_ev, messages=n_msgs, bytes=comm_bytes, edges=edges)
 
             # ---------------- next frontier ----------------------------- #
             frontier = [core.next_frontier(p, candidates[p]) for p in range(P)]

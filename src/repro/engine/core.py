@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.check import (
     MonotoneWatch,
     check_final_stats,
@@ -56,14 +57,13 @@ class Engine:
     def __init__(
         self, pg, cluster, app, comm_config, balancer, scale_factor,
         memory_profile, check_memory, overlap_comm, fault_plan, executor,
-        tracer, check,
+        check,
     ):
         """The arguments both engines share (the engines document their
-        own).  ``tracer`` (a :class:`repro.obs.Tracer`) records
-        compute/sync/round spans; ``check`` selects the runtime
-        invariant-checking level (see :mod:`repro.check`), ``None`` reads
-        the ambient one.  Every argument is validated before ``GluonComm``
-        builds the sync plan, so a bad configuration never pays for one."""
+        own).  ``check`` selects the runtime invariant-checking level (see
+        :mod:`repro.check`), ``None`` reads the ambient one.  Every
+        argument is validated before ``GluonComm`` builds the sync plan,
+        so a bad configuration never pays for one."""
         if isinstance(balancer, str):
             balancer = get_balancer(balancer)
         if not 0.0 <= overlap_comm <= 1.0:
@@ -73,15 +73,11 @@ class Engine:
                 f"executor must be 'serial' or 'threads', got {executor!r}"
             )
         self.check_level = resolve_check_level(check)
-        #: disabled tracers are normalized to ``None`` so the hot loops pay
-        #: one ``is not None`` test
-        self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         self.pg = pg
         self.cluster = cluster
         self.app = app
         self.comm = GluonComm(
-            pg, app.fields(), comm_config, tracer=self.tracer,
-            check=self.check_level,
+            pg, app.fields(), comm_config, check=self.check_level
         )
         self.cost = CostModel(cluster, balancer, scale_factor)
         self.memory = MemoryModel(memory_profile, scale_factor)
@@ -103,9 +99,10 @@ class RoundCore:
         pg, app = engine.pg, engine.app
         self.pg, self.app, self.ctx = pg, app, ctx
         self.comm, self.cost = engine.comm, engine.cost
-        self.tracer = tracer = engine.tracer
+        #: the ambient tracer of *this run* (spans: compute/sync/round)
+        self.tracer = tracer = obs.current_tracer()
         self.P = P = pg.num_partitions
-        if tracer is not None:
+        if tracer.enabled:
             for p in range(P):
                 tracer.thread_name(p, f"partition {p}")
             tracer.thread_name(P, "engine")
@@ -174,10 +171,8 @@ class RoundCore:
                 self.watch = MonotoneWatch(app.fields(), P)
 
     def begin(self, name: str, cat: str, tid: int, **args):
-        """Open a span with ``args``; ``None`` when tracing is off (the
-        matching ``tracer.end`` call sites test for that)."""
-        if self.tracer is None:
-            return None
+        """Open a span with ``args`` (``None`` when tracing is off, which
+        ``tracer.end`` accepts)."""
         return self.tracer.begin(name, cat, tid=tid, args=args)
 
     # ------------------------------------------------------------------ #
@@ -210,14 +205,11 @@ class RoundCore:
                     f"partition {p}'s frontier object changed between rounds",
                     checker="static-frontier",
                 )
-        ev = None
-        if self.tracer is not None:
-            ev = self.begin(
-                "compute", "compute", p, **span, frontier_size=len(frontier)
-            )
+        ev = self.begin(
+            "compute", "compute", p, **span, frontier_size=len(frontier)
+        )
         out = self.app.compute(self.pg.parts[p], self.ctx, self.state[p], frontier)
-        if ev is not None:
-            self.tracer.end(ev, edges=out.edges_processed)
+        self.tracer.end(ev, edges=out.edges_processed)
         self._note(p, out, candidates)
         return out
 
@@ -313,7 +305,8 @@ class RoundCore:
     def round_sim(self, compute_t, wait_t, device_t, **extra) -> None:
         """Simulated per-phase seconds ride along as an instant so
         `repro-trace summarize` can rebuild the paper's stacked breakdown;
-        the spans themselves are wall-timed."""
+        the spans themselves are wall-timed.  Three ``tolist()`` a call:
+        for an enabled tracer only (the callers test)."""
         self.tracer.instant(
             "round_sim", "round", tid=self.P,
             args={**extra, "compute_s": compute_t.tolist(),
@@ -339,7 +332,7 @@ class RoundCore:
         stats.finalize_breakdown()
         if self.check_cheap:
             check_final_stats(stats)
-        if tracer is not None:
+        if tracer.enabled:
             tracer.instant(
                 "run_summary", "run", tid=self.P,
                 args={k: getattr(stats, k) for k in _RUN_SUMMARY},
@@ -352,7 +345,7 @@ class RoundCore:
                     tracer.count(f"{base}.busy_s", rst.busy_s)
                     tracer.count(f"{base}.queue_s", rst.queue_s)
                     tracer.count(f"{base}.messages", rst.messages)
-            tracer.end(self.run_ev, rounds=stats.rounds)
+        tracer.end(self.run_ev, rounds=stats.rounds)
         gather = self.pg.gather_master_labels
         return RunResult(
             labels=gather([s[app.output_field] for s in self.state]),

@@ -135,7 +135,6 @@ class Framework(ABC):
         check_memory: bool = True,
         engine_executor: str = "serial",
         fault_plan=None,
-        tracer=None,
         **ctx_overrides,
     ) -> RunResult:
         """Run one benchmark the way this framework would.
@@ -144,9 +143,8 @@ class Framework(ABC):
         (``"serial"`` or ``"threads"``); results are bit-identical either
         way (see the engine docstrings).  ``fault_plan`` (a
         :class:`repro.engine.faults.FaultPlan`) injects deterministic
-        simulated crashes.  ``tracer`` attaches a :class:`repro.obs.Tracer`
-        to the engine; when omitted, the ambient tracer installed via
-        :func:`repro.obs.set_tracer` (if any) is used.
+        simulated crashes.  The run records into the ambient tracer
+        (``with repro.obs.use_tracer(t):``).
 
         Raises
         ------
@@ -158,10 +156,6 @@ class Framework(ABC):
         SimulatedCrashError
             when the fault plan fires — the study's "crashed" points.
         """
-        if tracer is None:
-            from repro import obs
-
-            tracer = obs.current_tracer()
         app = self.resolve_app(app_name)
         cluster = self.make_cluster(num_gpus, platform)
         graph = dataset.symmetric() if app.needs_symmetric else dataset.graph
@@ -188,7 +182,6 @@ class Framework(ABC):
             check_memory=check_memory,
             executor=engine_executor,
             fault_plan=fault_plan,
-            tracer=tracer,
         )
         result = engine.run(ctx)
         result.stats.benchmark = app_name

@@ -5,21 +5,22 @@ The subsystem has three pieces:
 * :class:`~repro.obs.tracer.Tracer` — thread-safe span/instant recorder
   with Chrome-trace-event-shaped events and a
   :class:`~repro.obs.counters.CounterRegistry` (``repro.obs.tracer``);
-* exporters — Chrome trace JSON (Perfetto-loadable) and flat CSV
-  (``repro.obs.export``), plus the ``repro-trace`` CLI
-  (``repro.obs.cli``) that summarizes a trace into the per-phase
-  breakdown tables of the paper's Figures 4/6/8/9;
-* an **ambient tracer** — a module-global default used by layers that
-  have no kwarg plumbing to a particular engine instance (the partition
-  cache, ``run_task``).  It is process-global, *not* thread-local,
-  because the BSP compute phase's worker threads must share the cell's
-  tracer.
+* the Chrome trace JSON exporter (Perfetto-loadable,
+  ``repro.obs.export``) and the ``repro-trace`` CLI (``repro.obs.cli``)
+  that summarizes a trace into the per-phase breakdown tables of the
+  paper's Figures 4/6/8/9 or flattens it to CSV;
+* the **ambient tracer** — the one route a tracer takes to the code it
+  instruments.  It is process-global, *not* thread-local, because the
+  BSP compute phase's worker threads must share the cell's tracer.
 
-Zero-overhead contract: with no tracer configured (the default),
-``current_tracer()`` returns ``None`` and every instrumentation site
-reduces to one ``is not None`` test.  The overhead gate in
-``benchmarks/bench_regression.py`` holds this below 2% on the
-``BENCH_sync`` cells.
+The contract (DESIGN.md, "Instrumentation contract"):
+``current_tracer()`` is never ``None`` — off is :data:`NULL_TRACER`,
+whose every method returns at once — so a site calls ``begin`` / ``end`` /
+``instant`` / ``count`` without testing, and tests ``tracer.enabled``
+only where building the *arguments* is itself work.  A layer reads the
+ambient tracer when it runs, never when it is constructed.  The overhead
+gate in ``benchmarks/bench_regression.py`` holds an installed disabled
+tracer within 2% of the default on the ``BENCH_sync`` cells.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.obs.export import (
     summarize_trace,
     to_chrome,
     write_chrome,
-    write_csv,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -44,7 +44,6 @@ __all__ = [
     "CounterRegistry",
     "to_chrome",
     "write_chrome",
-    "write_csv",
     "read_trace",
     "summarize_trace",
     "current_tracer",
@@ -54,24 +53,27 @@ __all__ = [
     "active_trace_dir",
 ]
 
-_current: Optional[Tracer] = None
+_current: Tracer = NULL_TRACER
 _trace_dir: Optional[str] = None
 
 
-def current_tracer() -> Optional[Tracer]:
-    """The ambient tracer, or ``None`` when tracing is off (the default)."""
+def current_tracer() -> Tracer:
+    """The ambient tracer; :data:`NULL_TRACER` when tracing is off (the
+    default)."""
     return _current
 
 
-def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
+def set_tracer(tracer: Optional[Tracer]) -> Tracer:
     """Install ``tracer`` as the ambient tracer; returns the previous one.
 
-    Disabled tracers are normalized to ``None`` so ``current_tracer()``
-    keeps its "None means off" contract.
+    ``None`` and a disabled tracer both install :data:`NULL_TRACER`: off
+    has one spelling, and this is the one place it is normalized.
     """
     global _current
     previous = _current
-    _current = tracer if (tracer is not None and tracer.enabled) else None
+    _current = (
+        tracer if (isinstance(tracer, Tracer) and tracer.enabled) else NULL_TRACER
+    )
     return previous
 
 

@@ -1,10 +1,12 @@
 """Unified named counters for the tracing/observability layer.
 
-Counters were previously ad hoc (:class:`repro.partition.cache.CacheStats`
-keeps ints of its own).  :class:`CounterRegistry` gives every layer one
-thread-safe place to accumulate named monotonic counters; the exporters
-emit them as Chrome ``C`` (counter) events and CSV rows, and
-``repro-trace summarize`` folds them into its per-phase table.
+:class:`CounterRegistry` gives every layer one thread-safe place to
+accumulate named monotonic counters; the exporter emits them as Chrome
+``C`` (counter) events, and ``repro-trace summarize`` folds them into its
+per-phase table.  A fact an owner also keeps as an int of its own
+(:class:`repro.partition.cache.CacheStats`, the serve report's
+``counters``) is counted by one statement and reaches the registry from
+there — DESIGN.md, "Instrumentation contract".
 """
 
 from __future__ import annotations

@@ -1,17 +1,15 @@
-"""Trace exporters: Chrome trace-event JSON and flat CSV.
+"""The trace exporter: Chrome trace-event JSON.
 
 ``write_chrome`` produces a file loadable in ``chrome://tracing`` and
 Perfetto (https://ui.perfetto.dev): a ``traceEvents`` array of ``M``
 (process/thread names), ``X`` (complete spans), ``i`` (instants), and
-``C`` (counters) events.  ``write_csv`` flattens the same events for
-spreadsheet/pandas consumption.  ``read_trace`` + ``summarize_trace``
-are the inverse used by the ``repro-trace`` CLI.
+``C`` (counters) events.  ``read_trace`` + ``summarize_trace`` are the
+inverse used by the ``repro-trace`` CLI, whose ``csv`` command flattens a
+written trace for spreadsheet/pandas consumption.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from typing import Optional
@@ -19,7 +17,6 @@ from typing import Optional
 __all__ = [
     "to_chrome",
     "write_chrome",
-    "write_csv",
     "read_trace",
     "summarize_trace",
 ]
@@ -72,36 +69,6 @@ def write_chrome(tracer, path, process_name: Optional[str] = None) -> str:
         json.dump(doc, f)
     os.replace(tmp, path)
     return str(path)
-
-
-_CSV_COLUMNS = ["ph", "name", "cat", "pid", "tid", "ts_us", "dur_us", "args"]
-
-
-def write_csv(tracer, path=None) -> str:
-    """Write (or return) the tracer's events + counters as flat CSV."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_CSV_COLUMNS)
-    for e in tracer.events():
-        w.writerow(
-            [
-                e.get("ph", ""),
-                e.get("name", ""),
-                e.get("cat", ""),
-                e.get("pid", ""),
-                e.get("tid", ""),
-                e.get("ts", ""),
-                e.get("dur", ""),
-                json.dumps(e.get("args", {}), sort_keys=True),
-            ]
-        )
-    for cname, value in sorted(tracer.counters.as_dict().items()):
-        w.writerow(["C", cname, "counter", tracer.pid, "", "", "", value])
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
 
 
 # --------------------------------------------------------------------------- #

@@ -5,17 +5,13 @@ spans (``ph="X"``), instants (``ph="i"``), and, at export time, counters
 (``ph="C"``) — with microsecond timestamps relative to the tracer's
 creation.  Design constraints, in order:
 
-* **zero overhead when disabled** — a disabled tracer (or no tracer at
-  all) must not cost the engine hot loops anything.  Instrumentation
-  sites therefore normalize ``tracer`` to ``None`` unless it is enabled
-  (see ``repro.engine.core.Engine.__init__``) and guard with one
-  ``is not None`` check; a disabled ``Tracer`` additionally returns ``None`` from
-  :meth:`begin` so stray un-normalized call sites also no-op;
+* **a null object when disabled** — every method of a disabled tracer
+  returns before it does anything (:meth:`begin` returns ``None``, which
+  :meth:`end` accepts), so "off" is :data:`NULL_TRACER`, never ``None``,
+  and call sites call without testing.  A site tests ``enabled`` only
+  where building the call's *arguments* is work worth skipping;
 * **thread-safe** — BSP's ``executor="threads"`` compute phase records
-  spans from worker threads (a BASP event is one partition; it has none);
-* **null-object friendly** — every method is safe to call on a disabled
-  tracer, so call sites never need enabled checks for correctness, only
-  for speed.
+  spans from worker threads (a BASP event is one partition; it has none).
 
 Events are plain dicts in Chrome trace-event field names (``name``,
 ``cat``, ``ph``, ``ts``, ``dur``, ``pid``, ``tid``, ``args``), so export
@@ -27,7 +23,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
 from typing import Optional
 
 from repro.obs.counters import CounterRegistry
@@ -90,16 +85,6 @@ class Tracer:
         with self._lock:
             self._events.append(event)
 
-    @contextmanager
-    def span(self, name: str, cat: str, tid: int = 0, args: Optional[dict] = None):
-        """Context-manager form of :meth:`begin`/:meth:`end` for cold
-        paths (cell lifecycle, cache builds); hot loops use begin/end."""
-        event = self.begin(name, cat, tid=tid, args=args)
-        try:
-            yield event
-        finally:
-            self.end(event)
-
     # ------------------------------------------------------------------ #
     # instants and counters
     # ------------------------------------------------------------------ #
@@ -140,7 +125,6 @@ class Tracer:
             return len(self._events)
 
 
-#: Shared do-nothing tracer: safe to call, records nothing.  Call sites
-#: that want speed rather than mere safety should normalize to ``None``
-#: and skip instrumentation entirely (see the engine constructors).
+#: The off state: what :func:`repro.obs.current_tracer` returns when no
+#: tracer is installed.  Safe to call, records nothing.
 NULL_TRACER = Tracer(enabled=False)

@@ -23,7 +23,7 @@ import shutil
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro import obs
@@ -60,7 +60,9 @@ _LEGACY_SUFFIXES = (".npz", ".shards")
 @dataclass
 class CacheStats:
     """Counters for observing cache effectiveness (acceptance gate:
-    a warm second sweep must show ``builds == 0``)."""
+    a warm second sweep must show ``builds == 0``).  Each field is also
+    the ambient tracer's ``partition.cache.<field>`` counter; both move
+    in :meth:`PartitionCache._bump` and nowhere else."""
 
     memory_hits: int = 0
     disk_hits: int = 0
@@ -68,12 +70,11 @@ class CacheStats:
     stores: int = 0
     #: disk entries evicted by the ``max_disk_bytes`` LRU cap
     pruned: int = 0
+    #: disk entries that could not be read (rebuilt and stored over)
+    discarded: int = 0
 
     def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            self.memory_hits, self.disk_hits, self.builds, self.stores,
-            self.pruned,
-        )
+        return replace(self)
 
 
 @dataclass
@@ -150,6 +151,12 @@ class PartitionCache:
         except OSError:
             pass
 
+    def _bump(self, name: str) -> None:
+        """Count one cache fact: ``stats.<name>`` and the ambient tracer's
+        ``partition.cache.<name>`` move together, here and nowhere else."""
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        obs.current_tracer().count(f"partition.cache.{name}")
+
     # ------------------------------------------------------------------ #
     def _probe(
         self, graph: CSRGraph, key: tuple[str, str, int]
@@ -172,17 +179,13 @@ class PartitionCache:
             pg = self._lru.get(key)
             if pg is not None:
                 self._lru.move_to_end(key)
-                self.stats.memory_hits += 1
-                if tracer is not None:
-                    tracer.count("partition.cache.memory_hits")
-                    tracer.instant("cache.memory_hit", "cache", args=tr_args)
+                self._bump("memory_hits")
+                tracer.instant("cache.memory_hit", "cache", args=tr_args)
                 return pg
         path = self._disk_path(key)
         if not path or not os.path.exists(path):
             return None
-        ev = None
-        if tracer is not None:
-            ev = tracer.begin("cache.disk_load", "cache", args=tr_args)
+        ev = tracer.begin("cache.disk_load", "cache", args=tr_args)
         outcome = "hit"
         try:
             if self.spill_shards:
@@ -197,17 +200,12 @@ class PartitionCache:
         except (OSError, GraphFormatError, PartitioningError) as e:
             outcome = "corrupt"  # the caller rebuilds and stores over it
             log.warning("discarding unreadable cache file %s: %s", path, e)
+            self._bump("discarded")
         else:
-            self.stats.disk_hits += 1
+            self._bump("disk_hits")
             self._touch(path)  # LRU recency for the disk byte cap
             self._remember(key, pg)
-        if tracer is not None:
-            tracer.end(ev, outcome=outcome)
-            if outcome != "vanished":
-                tracer.count(
-                    "partition.cache.disk_hits" if outcome == "hit"
-                    else "partition.cache.discarded"
-                )
+        tracer.end(ev, outcome=outcome)
         return pg
 
     def lookup_or_build(
@@ -223,17 +221,13 @@ class PartitionCache:
         if pg is not None:
             return pg
         tracer = obs.current_tracer()
-        ev = None
-        if tracer is not None:
-            ev = tracer.begin(
-                "cache.build", "cache",
-                args={"policy": policy, "num_partitions": num_partitions},
-            )
+        ev = tracer.begin(
+            "cache.build", "cache",
+            args={"policy": policy, "num_partitions": num_partitions},
+        )
         pg = builder(graph, num_partitions)
-        self.stats.builds += 1
-        if tracer is not None:
-            tracer.end(ev)
-            tracer.count("partition.cache.builds")
+        tracer.end(ev)
+        self._bump("builds")
         self._remember(key, pg)
         path = self._disk_path(key)
         if path:
@@ -277,9 +271,7 @@ class PartitionCache:
     def _store(self, path: str, pg: PartitionedGraph) -> None:
         """Persist ``pg`` (the writer is atomic: tmp file, then replace)."""
         tracer = obs.current_tracer()
-        ev = None
-        if tracer is not None:
-            ev = tracer.begin("cache.store", "cache")
+        ev = tracer.begin("cache.store", "cache")
         try:
             if self.spill_shards:
                 save_partition_shards(pg, path)
@@ -287,14 +279,11 @@ class PartitionCache:
                 save_partitions(pg, path)
         except OSError as e:  # disk full / permissions: cache is best-effort
             log.warning("could not persist partitions to %s: %s", path, e)
-            if tracer is not None:
-                tracer.end(ev, outcome="failed")
+            tracer.end(ev, outcome="failed")
             return
         self._stamp_new(path)
-        self.stats.stores += 1
-        if tracer is not None:
-            tracer.end(ev, outcome="stored")
-            tracer.count("partition.cache.stores")
+        tracer.end(ev, outcome="stored")
+        self._bump("stores")
         self._prune_disk()
 
     # ------------------------------------------------------------------ #
@@ -342,7 +331,6 @@ class PartitionCache:
                 continue
         total = sum(nbytes for _, _, _, nbytes in entries)
         entries.sort(key=lambda e: (e[0], e[1]))
-        tracer = obs.current_tracer()
         for _, _, p, nbytes in entries:
             if total <= self.max_disk_bytes:
                 break
@@ -354,9 +342,7 @@ class PartitionCache:
             except OSError:
                 continue
             total -= nbytes
-            self.stats.pruned += 1
-            if tracer is not None:
-                tracer.count("partition.cache.pruned")
+            self._bump("pruned")
 
     # ------------------------------------------------------------------ #
     def clear_memory(self) -> None:

@@ -184,10 +184,10 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
     exceptions propagate: those are bugs, not missing data points.
 
     When a trace directory is configured (``repro-study --trace`` /
-    :func:`repro.obs.configure`) and no ambient tracer is already
-    installed, a per-cell :class:`~repro.obs.Tracer` is created, made
-    ambient for the duration so the engines and partition cache record
-    into it, and exported to ``<trace_dir>/<key>.trace.json``.
+    :func:`repro.obs.configure`) and the ambient tracer is off, a
+    per-cell :class:`~repro.obs.Tracer` is created, made ambient for the
+    duration so the engines and partition cache record into it, and
+    exported to ``<trace_dir>/<key>.trace.json``.
     """
     from repro import obs
     from repro.generators.datasets import load_dataset
@@ -200,16 +200,15 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
 
     tracer = obs.current_tracer()
     trace_dir = obs.active_trace_dir()
-    own_tracer = None
-    if tracer is None and trace_dir is not None:
-        own_tracer = obs.Tracer()
-        tracer = own_tracer
-        obs.set_tracer(own_tracer)
-    cell_ev = None
-    if tracer is not None:
-        cell_ev = tracer.begin(
-            "cell", "cell", args={"key": str(spec.key), "dataset": spec.dataset}
-        )
+    # a caller's tracer takes the cell's events; the cell owns one (and
+    # its file) only when there is a directory and nobody is listening
+    owns_tracer = trace_dir is not None and not tracer.enabled
+    if owns_tracer:
+        tracer = obs.Tracer()
+        obs.set_tracer(tracer)
+    cell_ev = tracer.begin(
+        "cell", "cell", args={"key": str(spec.key), "dataset": spec.dataset}
+    )
     try:
         try:
             ds = load_dataset(spec.dataset)
@@ -247,23 +246,22 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
             # report every breach instead of dying on the first one
             out.fail(e)
     finally:
-        if own_tracer is not None:
+        if owns_tracer:
             obs.set_tracer(None)
     out.partition_builds = get_cache().stats.builds - builds0
     out.elapsed = time.perf_counter() - t0
     out.extra["worker_pid"] = os.getpid()
-    if tracer is not None:
-        tracer.end(
-            cell_ev,
-            ok=out.ok,
-            failure_kind=out.failure_kind,
-            partition_builds=out.partition_builds,
-            worker_pid=os.getpid(),
-        )
-        if own_tracer is not None and trace_dir is not None:
-            path = os.path.join(trace_dir, f"{_slug(spec.key)}.trace.json")
-            obs.write_chrome(own_tracer, path, process_name=f"cell {spec.key}")
-            out.extra["trace_path"] = path
+    tracer.end(
+        cell_ev,
+        ok=out.ok,
+        failure_kind=out.failure_kind,
+        partition_builds=out.partition_builds,
+        worker_pid=os.getpid(),
+    )
+    if owns_tracer:
+        path = os.path.join(trace_dir, f"{_slug(spec.key)}.trace.json")
+        obs.write_chrome(tracer, path, process_name=f"cell {spec.key}")
+        out.extra["trace_path"] = path
     return out
 
 
@@ -278,9 +276,9 @@ def run_task_batch(
     :class:`~repro.runtime.rss.RssSampler` spans the batch; every outcome
     carries the worker's anonymous-RSS readings in
     ``extra["rss"]`` (``baseline`` / ``peak`` / ``peak_increment`` /
-    ``source`` bytes), and the ambient tracer — when one is installed —
-    receives ``ooc.batches`` / ``ooc.batch_cells`` counters plus an
-    ``ooc.rss_peak`` instant with the same numbers.
+    ``source`` bytes), and the ambient tracer receives ``ooc.batches`` /
+    ``ooc.batch_cells`` counters plus an ``ooc.rss_peak`` instant with the
+    same numbers.
     """
     from repro import obs
     from repro.runtime.rss import RssSampler
@@ -305,8 +303,7 @@ def run_task_batch(
     for out in outcomes:
         out.extra["rss"] = rss
     tracer = obs.current_tracer()
-    if tracer is not None:
-        tracer.count("ooc.batches")
-        tracer.count("ooc.batch_cells", len(outcomes))
-        tracer.instant("ooc.rss_peak", "ooc", args=rss)
+    tracer.count("ooc.batches")
+    tracer.count("ooc.batch_cells", len(outcomes))
+    tracer.instant("ooc.rss_peak", "ooc", args=rss)
     return outcomes

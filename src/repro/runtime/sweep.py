@@ -92,6 +92,17 @@ def _worker_init(
     return replaced
 
 
+def _pool_init(*state) -> None:
+    """A pool worker's initializer.  A forked worker inherits the parent's
+    ambient tracer as a copy nobody exports, so it starts from the off
+    state: a worker traces a cell iff a trace directory is configured
+    (``run_task`` then owns a per-cell tracer and writes its file)."""
+    from repro import obs
+
+    obs.set_tracer(None)
+    _worker_init(*state)
+
+
 class SweepExecutor:
     """Runs study cells, serially or over a process pool.
 
@@ -211,7 +222,7 @@ class SweepExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context(self.start_method),
-                initializer=_worker_init,
+                initializer=_pool_init,
                 initargs=(
                     self.cache_dir, self.trace_dir, self.check,
                     self.max_disk_bytes, self.spill_shards,

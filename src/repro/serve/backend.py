@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
 from repro.apps.registry import SYMMETRIC_APPS
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutableGraph
@@ -164,16 +163,11 @@ class ExecBackend:
             task.snapshot, vo, edge_owner, self.parts, self.policy
         )
         balance = partition_stats(patched).static_balance
-        tracer = obs.current_tracer()
         if balance <= self.patch_threshold * max(state.baseline_balance, 1.0):
             cache.put(task.snapshot, self.policy, self.parts, patched)
             self.patches += 1
-            if tracer is not None:
-                tracer.count("serve.partition_patches")
             return "patch"
         self.repartitions += 1
-        if tracer is not None:
-            tracer.count("serve.repartitions")
         return "repartition"
 
     def _record_pstate(self, task: ExecTask, decision: str) -> None:

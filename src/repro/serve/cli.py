@@ -178,10 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.trace_out, "w") as f:
             f.write(trace.to_json() + "\n")
 
-    tracer = None
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-        tracer = obs.Tracer(enabled=True)
+    # off unless there is a directory to write ``serve.trace.json`` into
+    tracer = obs.Tracer(enabled=bool(args.trace_dir))
     t0 = time.perf_counter()
     with obs.use_tracer(tracer):
         report = run_trace(
@@ -189,7 +187,8 @@ def main(argv: list[str] | None = None) -> int:
             check=args.check,
         )
     wall = time.perf_counter() - t0
-    if tracer is not None:
+    if tracer.enabled:
+        os.makedirs(args.trace_dir, exist_ok=True)
         path = obs.write_chrome(
             tracer, os.path.join(args.trace_dir, "serve.trace.json"),
             process_name="repro-serve",

@@ -208,9 +208,14 @@ class AnalyticsService:
             elif kind == "mutation":
                 self._mutate(payload, tracer)
             else:  # completion
-                self._complete(now, payload, tracer)
+                self._complete(now, payload)
             self._pump(now, tracer)
-        return self._report(trace)
+        report = self._report(trace)
+        # the trace's ``serve.*`` counters *are* the report's block: each
+        # fact is counted once, by its owner, and folded in here
+        for name, value in report.counters.items():
+            tracer.count(f"serve.{name}", value)
+        return report
 
     # ------------------------------------------------------------------ #
     def _arrive(self, now: float, req: Request, tracer) -> None:
@@ -220,18 +225,14 @@ class AnalyticsService:
         )
         self._records[req.rid] = rec
         graph = self._graphs[req.graph_id]
-        if tracer is not None:
-            tracer.count("serve.requests")
-            tracer.instant(
-                "serve.queue", "serve",
-                args={"rid": req.rid, "depth": len(self.wfq)},
-            )
+        tracer.instant(
+            "serve.queue", "serve",
+            args={"rid": req.rid, "depth": len(self.wfq)},
+        )
         key = (graph.content_hash(), req.app, tuple(req.params))
         hit = self._cache_get(key)
         if hit is not None:
             self.cache_hits += 1
-            if tracer is not None:
-                tracer.count("serve.cache_hits")
             self._push(
                 round(now + self.config.cache_cost, 9), "completion",
                 _Done([req], "cached", hit[0], consumed_worker=False),
@@ -243,22 +244,18 @@ class AnalyticsService:
             if ex is not None:
                 ex.requests.append(req)
                 self.coalesced += 1
-                if tracer is not None:
-                    tracer.count("serve.coalesced")
-                    tracer.instant(
-                        "serve.coalesce", "serve",
-                        args={"rid": req.rid, "onto": ex.requests[0].rid,
-                              "state": ex.state},
-                    )
+                tracer.instant(
+                    "serve.coalesce", "serve",
+                    args={"rid": req.rid, "onto": ex.requests[0].rid,
+                          "state": ex.state},
+                )
                 return
         if not self.admission.admit(len(self.wfq)):
             rec.served_by = "rejected"
             rec.finish = round(now, 9)
-            if tracer is not None:
-                tracer.count("serve.rejected")
-                tracer.instant(
-                    "serve.admission_reject", "serve", args={"rid": req.rid}
-                )
+            tracer.instant(
+                "serve.admission_reject", "serve", args={"rid": req.rid}
+            )
             return
         ex = _Execution(req, graph, now)
         self._pending[ex.key] = ex
@@ -267,14 +264,12 @@ class AnalyticsService:
     def _mutate(self, ev: MutationEvent, tracer) -> None:
         self._graphs[ev.graph_id].apply(batch_from_event(ev))
         self.mutations += 1
-        if tracer is not None:
-            tracer.count("serve.mutations")
-            tracer.instant(
-                "serve.mutation", "serve",
-                args={"graph": ev.graph_id,
-                      "inserts": len(ev.insert_src),
-                      "deletes": len(ev.delete_src)},
-            )
+        tracer.instant(
+            "serve.mutation", "serve",
+            args={"graph": ev.graph_id,
+                  "inserts": len(ev.insert_src),
+                  "deletes": len(ev.delete_src)},
+        )
 
     def _pump(self, now: float, tracer) -> None:
         ready: list[_Execution] = []
@@ -285,8 +280,6 @@ class AnalyticsService:
             if hit is not None:
                 self.cache_hits += 1
                 del self._pending[ex.key]
-                if tracer is not None:
-                    tracer.count("serve.cache_hits")
                 self._push(
                     round(now + self.config.cache_cost, 9), "completion",
                     _Done(ex.requests, "cached", hit[0],
@@ -298,20 +291,16 @@ class AnalyticsService:
             ready.append(ex)
         if not ready:
             return
-        ev = None
-        if tracer is not None:
-            ev = tracer.begin(
-                "serve.exec", "serve",
-                args={"batch": [list(ex.key[:3]) + [ex.key[3]]
-                                for ex in ready]},
-            )
+        ev = tracer.begin(
+            "serve.exec", "serve",
+            args={"batch": [list(ex.key[:3]) + [ex.key[3]] for ex in ready]},
+        )
         results = self.backend.run_batch([
             ExecTask(ex.graph_id, ex.graph, ex.snapshot, ex.version,
                      ex.app, ex.params)
             for ex in ready
         ])
-        if tracer is not None:
-            tracer.end(ev, executions=len(ready))
+        tracer.end(ev, executions=len(ready))
         for ex, res in zip(ready, results):
             self.executions += 1
             done = _Done(
@@ -324,7 +313,7 @@ class AnalyticsService:
                 round(now + res.sim_cost, 9), "completion", done
             )
 
-    def _complete(self, now: float, done: "_Done", tracer) -> None:
+    def _complete(self, now: float, done: "_Done") -> None:
         if done.consumed_worker:
             self._free += 1
         if done.pending_key is not None:

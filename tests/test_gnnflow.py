@@ -25,7 +25,7 @@ from repro.gnnflow import (
 )
 from repro.gnnflow.study import base_config, gnn_dataset
 from repro.hw.cluster import ContentionConfig, bridges
-from repro.obs.tracer import Tracer
+from repro.obs import Tracer, use_tracer
 from repro.runtime.cells import CellSpec, SystemSpec, run_task
 from repro.runtime.sweep import SweepExecutor
 
@@ -179,15 +179,15 @@ class TestWorkloadAccounting:
         tracer = Tracer()
         fw = DIrGL(policy="iec", execution="sync")
         cfg = base_config().with_placement(cache_fraction=0.5)
-        res = fw.run(
-            "gnnflow",
-            load_dataset(gnn_dataset("powerlaw")),
-            num_gpus=4,
-            platform="bridges:contended",
-            check_memory=False,
-            tracer=tracer,
-            payload=cfg,
-        )
+        with use_tracer(tracer):
+            res = fw.run(
+                "gnnflow",
+                load_dataset(gnn_dataset("powerlaw")),
+                num_gpus=4,
+                platform="bridges:contended",
+                check_memory=False,
+                payload=cfg,
+            )
         st = res.stats
         assert tracer.counters.get("feature.h2d_bytes") == pytest.approx(
             st.feature_h2d_bytes

@@ -466,12 +466,15 @@ class TestOneProbe:
             cache.lookup_or_build(g, "oec", 2, builder)  # build + store
             cache.get(g, "oec", 2)  # memory hit
             cache.put(g, "cvc", 2, POLICIES["cvc"](g, 2))  # store
+            cache.put(g, "iec", 2, POLICIES["iec"](g, 2))  # store
+            os.truncate(cache._disk_path(cache.key_for(g, "iec", 2)), 40)
             cache.clear_memory()
             cache.get(g, "cvc", 2)  # disk hit
+            assert cache.get(g, "iec", 2) is None  # discarded
             cache.lookup_or_build(g, "oec", 2, builder)  # disk hit
             cache.lookup_or_build(g, "oec", 2, builder)  # memory hit
         assert cache.stats == CacheStats(
-            memory_hits=2, disk_hits=2, builds=1, stores=2
+            memory_hits=2, disk_hits=2, builds=1, stores=3, discarded=1
         )
         counted = {
             f.name: tracer.counters.get(f"partition.cache.{f.name}")

@@ -294,6 +294,40 @@ class TestAmbientState:
         assert get_cache() is found
 
 
+def _worker_tracer_is_on() -> bool:
+    from repro import obs
+
+    return obs.current_tracer().enabled
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only a forked worker inherits the parent's ambient tracer",
+)
+def test_a_forked_worker_starts_with_tracing_off(tmp_path):
+    """A forked worker would inherit the caller's tracer as a copy nobody
+    exports, and ``run_task`` would record every span into it instead of
+    owning a per-cell tracer.  The pool initializer installs the off state
+    (the caller's own tracer stays where it is), so a worker traces a cell
+    iff a trace directory is configured — and then it writes the file."""
+    from repro import obs
+
+    mine = obs.Tracer()
+    cells = [_cell(("traced", i)) for i in range(4)]
+    with obs.use_tracer(mine), SweepExecutor(
+        jobs=2, start_method="fork", trace_dir=tmp_path
+    ) as ex:
+        assert ex._get_pool().submit(_worker_tracer_is_on).result(60) is False
+        outs = ex.map(cells)
+        assert obs.current_tracer() is mine
+    assert all(o.ok for o in outs)
+    assert {o.extra["worker_pid"] for o in outs}.isdisjoint({os.getpid()})
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(o.extra["trace_path"]) for o in outs
+    )
+    assert len(mine) == 0  # the workers' cells were never the caller's
+
+
 def test_run_cells_equals_the_pooled_map_on_the_sweep_slice():
     """``run_cells(specs)`` — the one ``executor=None`` — gives, outcome
     for outcome, what a two-worker pool gives on a slice of the cells

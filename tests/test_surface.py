@@ -1,7 +1,7 @@
 """Surface audit (ROADMAP item 7): nothing in ``src/repro`` that no
 product reaches.
 
-Three rules.  **Modules** (absolute): an ``ast`` walk of the import graph —
+Four rules.  **Modules** (absolute): an ``ast`` walk of the import graph —
 function-level imports included — from the ``[project.scripts]`` entry
 points must reach every module under ``src/repro``.  A module outside
 the walk is unreachable from every CLI: delete it, or move it beside the
@@ -13,7 +13,11 @@ its own ``def``.  A name only tests mention goes with its tests, or onto
 :data:`TEST_ONLY` with the reason it is kept; that list may only shrink.
 **Layering**: on the same import walk, no module of a layer the vertex
 programs are built on (:data:`BELOW_APPS`) imports ``repro.apps`` — a
-kernel two layers need lives in the lower one.
+kernel two layers need lives in the lower one.  **One tracer route**
+(DESIGN.md, "Instrumentation contract"): outside ``repro.obs`` no public
+function or method, ``__init__`` included, takes a ``tracer`` parameter,
+and nothing under ``src/repro`` compares a tracer with ``None`` — the
+ambient tracer is the only delivery and ``NULL_TRACER`` the only "off".
 """
 
 import ast
@@ -50,7 +54,6 @@ TEST_ONLY = {
         "check validation and scaling with",
     "watched_fields": "MonotoneWatch introspection for the checker tests",
     "with_placement": "GNNFlowConfig variant builder for the gnnflow tests",
-    "write_csv": "flat trace export; repro-trace csv streams the same rows itself",
 }
 
 
@@ -154,6 +157,61 @@ def test_the_layering_rule_sees_a_function_level_import(tmp_path):
     assert _apps_importers({"repro.la.spmv": planted}) == {
         "repro.la.spmv": ["repro.apps.common", "repro.apps.common.expand_edges"]
     }
+
+
+def _second_tracer_route(modules: dict[str, Path]) -> tuple[list, list]:
+    """``(parameters, comparisons)``: public signatures outside
+    ``repro.obs`` with a parameter named ``tracer``, and every
+    ``<x>tracer is None`` / ``is not None`` test in any module."""
+    parameters, comparisons = [], []
+    for name, path in sorted(modules.items()):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                public = node.name == "__init__" or not node.name.startswith("_")
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                if (
+                    public
+                    and name.split(".")[:2] != ["repro", "obs"]
+                    and any(p.arg == "tracer" for p in params)
+                ):
+                    parameters.append(f"{name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Compare):
+                left = node.left
+                ident = getattr(left, "id", None) or getattr(left, "attr", "")
+                if (
+                    ident.endswith("tracer")
+                    and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and node.comparators[0].value is None
+                ):
+                    comparisons.append(f"{name}:{node.lineno}")
+    return sorted(parameters), sorted(comparisons)
+
+
+def test_the_ambient_tracer_is_the_only_route():
+    parameters, comparisons = _second_tracer_route(_modules())
+    assert not parameters, f"a tracer is read, not passed: {parameters}"
+    assert not comparisons, f"the tracer is never None: {comparisons}"
+
+
+def test_the_tracer_rule_sees_a_parameter_and_a_none_test(tmp_path):
+    """What ``GluonComm`` did until PR 23 (the parent tree: 5 signatures,
+    44 comparisons); a private helper may still be handed the tracer."""
+    planted = tmp_path / "gluon.py"
+    planted.write_text(
+        "class GluonComm:\n"
+        "    def __init__(self, pg, tracer=None):\n"
+        "        self.tracer = tracer if tracer is not None else None\n"
+        "    def _make(self, tracer):\n"
+        "        if self.tracer is None:\n"
+        "            return\n"
+    )
+    assert _second_tracer_route({"repro.comm.gluon": planted}) == (
+        ["repro.comm.gluon:2 __init__"],
+        ["repro.comm.gluon:3", "repro.comm.gluon:5"],
+    )
+    assert _second_tracer_route({"repro.obs.demo": planted})[0] == []
 
 
 def _mentions() -> set[str]:
