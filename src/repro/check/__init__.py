@@ -27,7 +27,9 @@ from repro.check.comm import (
 )
 from repro.check.engine import (
     MonotoneWatch,
+    check_field_views,
     check_final_stats,
+    check_operator_ids,
     check_round_record,
 )
 from repro.check.level import (
@@ -45,7 +47,9 @@ __all__ = [
     "MonotoneWatch",
     "check_comm_structure",
     "check_field_specs",
+    "check_field_views",
     "check_final_stats",
+    "check_operator_ids",
     "check_partition",
     "check_partition_request",
     "check_post_sync",

@@ -7,7 +7,8 @@ Three layers, matching how the substrate can break:
   sides of every plan list the *same global vertices* in the same order,
   reduce flows mirror→master, broadcast flows master→mirror, and each
   table is exactly its pair plans laid end to end, sender by sender, with
-  the plans views of it.  A breach here corrupts every message silently,
+  the plans views of it and ``glob_send`` inside each sender's slice of
+  the flat field arrays.  A breach here corrupts every message silently,
   because address elision means nothing on the wire can catch it.
 * :func:`check_post_sync` (FULL, after a bulk-synchronous round or at
   async quiescence): per synced min/max field, the master's value
@@ -19,7 +20,8 @@ Three layers, matching how the substrate can break:
 * :func:`differential_extract` (FULL, per extraction): runs the batch
   extraction and, sender by sender, the per-element oracle
   (:mod:`repro.check.oracle`) on identical input state and requires
-  identical messages *and* identical post-state (labels, dirty bits).
+  identical messages *and* identical post-state (labels, dirty bits) on
+  every partition, the senders' and everyone else's.
   This is the standing guard against exactly the class of bug a sync-path
   optimization can introduce.
 """
@@ -80,12 +82,9 @@ def check_comm_structure(comm) -> None:
         key = (spec.read_at, spec.write_at, comm.config.invariant_filtering)
         if key in checked:
             continue
-        reduce_plans, bcast_plans = comm._plans[name]
-        _check_plan_dict(pg, name, "reduce", reduce_plans)
-        _check_plan_dict(pg, name, "broadcast", bcast_plans)
-        red_table, bc_table = comm._tables[name]
-        _check_table(name, "reduce", reduce_plans, red_table, pg.num_partitions)
-        _check_table(name, "broadcast", bcast_plans, bc_table, pg.num_partitions)
+        for phase, table in zip(("reduce", "broadcast"), comm._tables[name]):
+            _check_plan_dict(pg, name, phase, table.plans)
+            _check_table(name, phase, table.plans, table, comm.base)
         checked.add(key)
 
 
@@ -127,8 +126,9 @@ def _check_plan_dict(pg, field: str, phase: str, plans: dict) -> None:
             )
 
 
-def _check_table(field: str, phase: str, plans: dict, table, P: int) -> None:
+def _check_table(field: str, phase: str, plans: dict, table, base) -> None:
     where = f"{field}/{phase}"
+    P = len(base) - 1
     pairs = list(zip(table.seg_src.tolist(), table.seg_dst.tolist()))
     in_order = [(p, d) for p in range(P) for s, d in plans if s == p]
     if pairs != in_order:
@@ -167,6 +167,17 @@ def _check_table(field: str, phase: str, plans: dict, table, P: int) -> None:
                     f"{where}: plan {sd[0]}->{sd[1]}'s {side}_idx is a copy, "
                     f"not a view of flat_{side}",
                 )
+    lo, hi = (np.repeat(base[table.seg_src + k], lens) for k in (0, 1))
+    glob = table.glob_send
+    if not np.array_equal(glob, table.flat_send + lo) or np.any(
+        (glob < lo) | (glob >= hi)
+    ):
+        _fail(
+            "send-table",
+            f"{where}: glob_send is not flat_send inside each sender's slice "
+            "of the flat field arrays (an extraction would read another "
+            "partition's proxies)",
+        )
     sender_seg = np.searchsorted(table.seg_src, np.arange(P + 1))
     if not (
         np.array_equal(table.sender_seg, sender_seg)
@@ -200,7 +211,7 @@ def check_post_sync(comm, field: str, labels) -> None:
     if spec.reduce_op not in ("min", "max") or spec.reset_after_reduce:
         return  # accumulators are deliberately stale between reductions
     red = _REDUCERS[spec.reduce_op]
-    reduce_plans, bcast_plans = comm._plans[field]
+    reduce_plans, bcast_plans = (t.plans for t in comm._tables[field])
     strict = spec.write_at == "master"
     for (m, r), plan in bcast_plans.items():
         master_vals = labels[m][plan.send_idx]
@@ -240,9 +251,11 @@ def check_post_sync(comm, field: str, labels) -> None:
 # FULL: batch-vs-oracle differential extraction
 
 
-def differential_extract(comm, field: str, phase: str, pids, labels):
+def differential_extract(comm, field: str, phase: str, pids: range, labels):
     """Run the batch extraction and the per-element oracle on identical
-    state; require equivalence, sender by sender.
+    state; require identical messages, sender by sender, and an identical
+    post-state over *every* partition (a flat index that strayed out of
+    its sender's slice would show in another partition's labels or bits).
 
     Returns the batch and leaves the batch path's post-state installed, so
     enabling the check cannot change a run's results — it can only veto
@@ -250,93 +263,59 @@ def differential_extract(comm, field: str, phase: str, pids, labels):
     """
     from repro.check.oracle import extract_scalar
 
-    pids = list(pids)
-    dirty = comm.updated[field]
-    pre = [(dirty[p].bits.copy(), labels[p].copy()) for p in pids]
-
+    bits, flat = comm._dirty[field].bits, labels.flat
+    pre = bits.copy(), flat.copy()
     batch = comm._extract(field, phase, pids, labels)
-    post = [(dirty[p].bits.copy(), labels[p].copy()) for p in pids]
+    post = bits.copy(), flat.copy()
 
-    ref_msgs, ref = [], []
-    for p, (bits, lab) in zip(pids, pre):
-        dirty[p].bits[:] = bits
-        labels[p][:] = lab
-        ref_msgs.append(extract_scalar(comm, field, phase, p, labels))
-        ref.append((dirty[p].bits.copy(), labels[p].copy()))
-
+    bits[:], flat[:] = pre
+    ref_msgs = [extract_scalar(comm, field, phase, p, labels) for p in pids]
+    ref = bits.copy(), flat.copy()
     # reinstall the batch outcome before any verdict, so a violation
     # raised below does not leave the run in the reference state
-    for p, (bits, lab) in zip(pids, post):
-        dirty[p].bits[:] = bits
-        labels[p][:] = lab
+    bits[:], flat[:] = post
 
+    where = f"field {field!r}, {phase} extraction of partitions {pids}"
+    for got, want, what in zip(post, ref, ("dirty bits", "labels")):
+        if not np.array_equal(got, want):
+            p = np.searchsorted(comm.base, np.flatnonzero(got != want)[0], "right") - 1
+            _fail(
+                "extract-differential",
+                f"{where}: batch and scalar paths leave different {what} "
+                f"on partition {p}",
+            )
     msgs = comm.messages(batch)
-    for p, got, want, want_msgs in zip(pids, post, ref, ref_msgs):
-        where = f"field {field!r}, {phase} extraction on partition {p}"
-        if not np.array_equal(got[0], want[0]):
-            _fail(
-                "extract-differential",
-                f"{where}: batch and scalar paths leave different dirty bits",
-            )
-        if not np.array_equal(got[1], want[1]):
-            _fail(
-                "extract-differential",
-                f"{where}: batch and scalar paths leave different labels "
-                "(accumulator reset mismatch)",
-            )
+    for p, want_msgs in zip(pids, ref_msgs):
         _compare_messages(
-            where, [m for m in msgs if m.header.src == p], want_msgs
+            f"field {field!r}, {phase} extraction on partition {p}",
+            [m for m in msgs if m.header.src == p], want_msgs,
         )
     return batch
 
 
 def _compare_messages(where: str, msgs: list, ref_msgs: list) -> None:
-    by_dst = {m.header.dst: m for m in msgs}
-    ref_by_dst = {m.header.dst: m for m in ref_msgs}
-    if len(by_dst) != len(msgs) or len(ref_by_dst) != len(ref_msgs):
+    dsts, ref_dsts = ([m.header.dst for m in ms] for ms in (msgs, ref_msgs))
+    if len(set(dsts)) != len(dsts):
         _fail(
             "extract-differential",
             f"{where}: duplicate messages for one receiver",
         )
-    if [m.header.dst for m in msgs] != [m.header.dst for m in ref_msgs]:
+    if dsts != ref_dsts:
         _fail(
             "extract-differential",
-            f"{where}: receivers differ — batch "
-            f"{[m.header.dst for m in msgs]} vs scalar "
-            f"{[m.header.dst for m in ref_msgs]}",
+            f"{where}: receivers differ — batch {dsts} vs scalar {ref_dsts}",
         )
-    for d, m in by_dst.items():
-        ref = ref_by_dst[d]
-        if not np.array_equal(m.values, ref.values):
-            _fail(
-                "extract-differential",
-                f"{where}: payload values to {d} differ",
-            )
-        if (m.positions is None) != (ref.positions is None) or (
-            m.positions is not None
-            and not np.array_equal(m.positions, ref.positions)
-        ):
-            _fail(
-                "extract-differential",
-                f"{where}: UO positions to {d} differ",
-            )
-        if (m.explicit_ids is None) != (ref.explicit_ids is None) or (
-            m.explicit_ids is not None
-            and not np.array_equal(m.explicit_ids, ref.explicit_ids)
-        ):
-            _fail(
-                "extract-differential",
-                f"{where}: explicit global IDs to {d} differ",
-            )
-        if m.exchange_len != ref.exchange_len:
-            _fail(
-                "extract-differential",
-                f"{where}: exchange_len to {d} differs "
-                f"({m.exchange_len} vs {ref.exchange_len})",
-            )
-        if m.scanned_elements != ref.scanned_elements:
-            _fail(
-                "extract-differential",
-                f"{where}: scanned_elements to {d} differs "
-                f"({m.scanned_elements} vs {ref.scanned_elements})",
-            )
+    for d, m, ref in zip(dsts, msgs, ref_msgs):
+        for name in ("values", "positions", "explicit_ids"):
+            a, b = getattr(m, name), getattr(ref, name)
+            if (a is None) != (b is None) or (
+                a is not None and not np.array_equal(a, b)
+            ):
+                _fail("extract-differential", f"{where}: {name} to {d} differ")
+        for name in ("exchange_len", "scanned_elements"):
+            if getattr(m, name) != getattr(ref, name):
+                _fail(
+                    "extract-differential",
+                    f"{where}: {name} to {d} differs "
+                    f"({getattr(m, name)} vs {getattr(ref, name)})",
+                )

@@ -9,6 +9,12 @@
   direction (BFS/SSSP/CC/k-core labels only ever decrease, pr-push's
   cumulative budget only grows).  Accumulator fields are exempt — they
   reset by design.
+* :func:`check_operator_ids` (CHEAP, per operator output): reported local
+  ids lie in ``[0, num_local)`` — ``global_to_local`` answers ``-1`` for a
+  foreign vertex and NumPy would wrap it to the partition's *last* proxy.
+* :func:`check_field_views` (CHEAP, at run set-up and tear-down): every
+  ``state[p][field]`` is still a view of the field's flat array; a rebound
+  one is an array no sync step reads or writes.
 * :func:`check_final_stats` (CHEAP, at run end): round accounting is
   coherent, in particular BASP's ``local_rounds_min <= local_rounds_max``
   and non-negative aggregate times.
@@ -20,7 +26,10 @@ import numpy as np
 
 from repro.errors import InvariantViolation
 
-__all__ = ["MonotoneWatch", "check_final_stats", "check_round_record"]
+__all__ = [
+    "MonotoneWatch", "check_field_views", "check_final_stats",
+    "check_operator_ids", "check_round_record",
+]
 
 
 def _fail(checker: str, message: str):
@@ -74,6 +83,32 @@ def check_round_record(rec) -> None:
             f"round {rec.round_index}: negative or non-finite feature "
             "traffic counters",
         )
+
+
+def check_operator_ids(app: str, pid: int, what: str, ids, num_local: int) -> None:
+    """Local ids out of an operator must index the partition's proxies."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_local):
+        _fail(
+            "operator-ids",
+            f"{app} on partition {pid}: {what} ids "
+            f"{ids[(ids < 0) | (ids >= num_local)][:4].tolist()} lie outside "
+            f"[0, {num_local}) — a negative id wraps to the last proxies",
+        )
+
+
+def check_field_views(state, views) -> None:
+    """``state[p][field]`` must share memory with ``views[field].flat``."""
+    for field, labels in views.items():
+        for p, s in enumerate(state):
+            if len(s[field]) != len(labels[p]) or (
+                len(labels[p]) and not np.shares_memory(s[field], labels.flat)
+            ):
+                _fail(
+                    "field-views",
+                    f"field {field!r} on partition {p}: the state array is "
+                    "not a view of the field's flat array (rebound, not "
+                    "written in place?) — no sync step would see it",
+                )
 
 
 def check_final_stats(stats) -> None:

@@ -30,7 +30,7 @@ def extract_scalar(comm, field: str, phase: str, pid: int, labels) -> list[Messa
     ``bits`` directly, not ``Bitset.clear``), same accumulator resets.
     """
     spec = comm.fields[field]
-    plans = comm._plans[field][0 if phase == "reduce" else 1]
+    plans = comm._table(field, phase).plans
     cfg = comm.config
     part = comm.pg.parts[pid]
     lab = labels[pid]

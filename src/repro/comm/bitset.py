@@ -24,6 +24,13 @@ class Bitset:
             raise ValueError(f"bitset size must be non-negative, got {size}")
         self.bits = np.zeros(size, dtype=bool)
 
+    def view(self, lo: int, hi: int) -> "Bitset":
+        """The bitset over bits ``lo:hi`` of this one, sharing its storage:
+        a bit set or cleared through either is seen by both."""
+        sub = Bitset.__new__(Bitset)
+        sub.bits = self.bits[lo:hi]
+        return sub
+
     @property
     def size(self) -> int:
         return len(self.bits)

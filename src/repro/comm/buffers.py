@@ -32,8 +32,8 @@ from repro.comm.bitset import Bitset
 from repro.constants import GID_BYTES
 
 __all__ = [
-    "MessageHeader", "Message", "MessageBatch", "SendBatch", "batch_arrays",
-    "pricing_columns",
+    "MessageHeader", "Message", "MessageBatch", "SendBatch", "Delivery",
+    "batch_arrays", "pricing_columns",
 ]
 
 #: Fixed per-message envelope (tags, field id, counts).
@@ -148,12 +148,26 @@ class SendBatch:
 
     @classmethod
     def empty(cls, field: str, phase: str, dtype) -> "SendBatch":
-        """The batch of an extraction that had nothing to send."""
+        """The batch of an extraction that had nothing to send.  Its
+        arrays are read-only: ``GluonComm`` hands the same instance to
+        every empty extraction of a (field, phase), so an in-place write
+        must raise rather than reach the next caller."""
         e = np.empty(0, dtype=np.int64)
-        return cls(
-            field, phase, e, e, e, e, e, e, np.zeros(1, dtype=np.int64), e,
-            np.empty(0, dtype=dtype), None,
-        )
+        offsets = np.zeros(1, dtype=np.int64)
+        values = np.empty(0, dtype=dtype)
+        for a in (e, offsets, values):
+            a.setflags(write=False)
+        return cls(field, phase, e, e, e, e, e, e, offsets, e, values, None)
+
+
+class Delivery(NamedTuple):
+    """What an apply reads of messages that did not arrive as one batch:
+    everything one BASP receiver drained for a (field, phase), its
+    records concatenated in arrival order."""
+
+    dst: int  # the receiver
+    targets: np.ndarray  # receiver-local proxy ids
+    values: np.ndarray
 
 
 def pricing_columns(batches: list[SendBatch]) -> MessageBatch:

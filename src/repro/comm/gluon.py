@@ -22,22 +22,25 @@ ablation:
   exchange order at partition time, so messages carry no global IDs; with
   memoization off, every element ships an 8-byte ID (Lux's wire format).
 
-The **batch** is the unit of the sync path.  Per (field contract, phase)
-every pair plan lives in one :class:`_ExchangeTable` — the aligned
-``flat_send`` / ``flat_recv`` index arrays, one *segment* per (sender,
-receiver) pair, senders in order — and the per-pair plans are views into
-it.  An extraction, for whatever set of senders it is asked for (all of
-them in a BSP sync step, one in a BASP flush), gathers the dirty bits over
-the senders' table slices and returns one
-:class:`~repro.comm.buffers.SendBatch`: per-message columns the router
-prices directly, and per-element receiver targets and values.  A delivery
-is one receiver's share of a batch, applied with ``ufunc.at`` over the
-sender-ordered concatenation (which replays the per-message float sequence
-exactly).  No ``Message`` object is built on the way; :meth:`GluonComm.messages`
-materialises a batch for the check oracle and for tests.  Tables depend
-only on the partitioned graph, the field's read/write locations, and the
-filtering flag, so they are memoized on the :class:`PartitionedGraph` and
-shared by every engine/run over the same partitions.
+The **batch** is the unit of the sync path, and a field's state is
+**flat**: one label array per field (:class:`FieldViews`, partition after
+partition) and one dirty array, the per-partition arrays and ``Bitset``s
+being views.  Per (field contract, phase) every pair plan lives in one
+:class:`_ExchangeTable` — the aligned ``flat_send`` / ``flat_recv`` index
+arrays, one *segment* per (sender, receiver) pair, senders in order, plus
+``glob_send``, the senders' positions in the flat arrays — and the
+per-pair plans are views into it.  An extraction works a *table range*
+(the whole table in a BSP sync step, one sender's slice in a BASP flush):
+one dirty-bit gather, one value gather, one clear, then segmentation into
+one :class:`~repro.comm.buffers.SendBatch` of per-message columns the
+router prices directly and per-element receiver targets and values.  An
+apply scatters a batch into the flat array with ``ufunc.at`` in batch
+order, which replays the per-message float sequence exactly.  No
+``Message`` object is built on the way; :meth:`GluonComm.messages`
+materialises a batch for the check oracle and for tests.  Tables depend only on the partitioned graph, the field's
+read/write locations, and the filtering flag, so they are memoized on the
+:class:`PartitionedGraph` and shared by every engine/run over the same
+partitions.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ from repro.comm.bitset import Bitset
 from repro.comm.buffers import HEADER_BYTES, Message, MessageHeader, SendBatch
 from repro.constants import GID_BYTES
 from repro.errors import CommunicationError, ConfigurationError
-from repro.idset import unique_ids
 from repro.partition.base import PartitionedGraph
 
-__all__ = ["FieldSpec", "CommConfig", "GluonComm"]
+__all__ = ["FieldSpec", "CommConfig", "FieldViews", "GluonComm"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _ZERO = np.zeros(1, dtype=np.int64)
@@ -133,6 +135,21 @@ class CommConfig:
     hierarchical: bool = False
 
 
+class FieldViews(list):
+    """One label field of every partition: ``flat`` holds all proxies'
+    values, partition after partition, and item ``p`` is the view of
+    partition ``p``'s slice.  Extraction and apply index ``flat``;
+    operators, checkers and the oracle use the views, which must be
+    written in place, never rebound.  Built by copying one array per
+    partition, in pid order."""
+
+    def __init__(self, arrays: list[np.ndarray]):
+        self.flat = np.concatenate(arrays)
+        super().__init__(
+            np.split(self.flat, np.cumsum([len(a) for a in arrays[:-1]]))
+        )
+
+
 @dataclass
 class _PairPlan:
     """Aligned send/recv index lists for one (sender, receiver) pair —
@@ -155,13 +172,18 @@ class _ExchangeTable:
     messages leave in — so sender ``p`` owns segments
     ``sender_seg[p]:sender_seg[p + 1]`` and the flat range
     ``sender_off[p]:sender_off[p + 1]`` (plain ints: sliced once per
-    extraction).  ``planned[src, dst]`` says whether a pair has a segment.
+    extraction).  ``glob_send`` is ``flat_send`` shifted by each sender's
+    base: the same proxies as positions in a flat field array.
+    ``planned[src, dst]`` says whether a pair has a segment.
     Segments are never empty (empty plans are dropped at build time),
     which keeps the segmentation math free of zero-length edge cases.
     """
 
-    def __init__(self, plans: dict[tuple[int, int], _PairPlan], num_partitions: int):
-        """Flatten a plan dict; its plans become views of the table."""
+    def __init__(self, plans: dict[tuple[int, int], _PairPlan], base: np.ndarray):
+        """Flatten a plan dict; its plans become views of the table.
+        ``base[p]`` is partition ``p``'s first position in a flat field
+        array (``base[-1]`` the total proxy count)."""
+        num_partitions = len(base) - 1
         pairs = sorted(plans, key=lambda sd: sd[0])  # stable: keeps plan order
         lens = np.asarray([len(plans[sd].send_idx) for sd in pairs], dtype=np.int64)
         self.seg_cols = np.stack([
@@ -175,6 +197,7 @@ class _ExchangeTable:
         np.cumsum(lens, out=self.seg_off[1:])
         self.flat_send = np.concatenate([plans[sd].send_idx for sd in pairs] or [_EMPTY])
         self.flat_recv = np.concatenate([plans[sd].recv_idx for sd in pairs] or [_EMPTY])
+        self.glob_send = self.flat_send + np.repeat(base[self.seg_src], lens)
         bounds = self.seg_off.tolist()
         for sd, lo, hi in zip(pairs, bounds, bounds[1:]):
             plans[sd].send_idx = self.flat_send[lo:hi]
@@ -212,18 +235,30 @@ class GluonComm:
         self.fields = {f.name: f for f in fields}
         if len(self.fields) != len(fields):
             raise ConfigurationError("duplicate field names")
-        # updated[field][p] — dirty bits over partition p's local proxies
+        cache = pg.__dict__.setdefault("_gluon_plan_cache", {})
+        #: base[p] — partition p's first position in a flat field array
+        self.base: np.ndarray = cache.get("base")
+        if self.base is None:
+            self.base = cache["base"] = np.concatenate(
+                (_ZERO, np.cumsum(pg.local_vertex_counts()))
+            )
+        bounds = self.base.tolist()
+        # one flat dirty array per field; updated[field][p] views the bits
+        # over partition p's local proxies
+        self._dirty = {f.name: Bitset(bounds[-1]) for f in fields}
         self.updated: dict[str, list[Bitset]] = {
-            f.name: [Bitset(p.num_local) for p in pg.parts] for f in fields
+            name: [bits.view(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            for name, bits in self._dirty.items()
         }
-        # tables[field] -> (reduce table, broadcast table); plans[field]
-        # -> their (sender, receiver) -> _PairPlan dicts
+        # tables[field] -> (reduce table, broadcast table), each with its
+        # (sender, receiver) -> _PairPlan dict; empty[field, phase] -> the
+        # batch an extraction with nothing to send returns
         self._tables: dict[str, tuple[_ExchangeTable, _ExchangeTable]] = {
             f.name: self._tables_for(f) for f in fields
         }
-        self._plans = {
-            name: (red.plans, bc.plans)
-            for name, (red, bc) in self._tables.items()
+        self._empty = {
+            (f.name, phase): SendBatch.empty(f.name, phase, f.dtype)
+            for f in fields for phase in ("reduce", "broadcast")
         }
         if self.check_level:
             from repro.check.comm import check_comm_structure
@@ -246,9 +281,9 @@ class GluonComm:
         key = (spec.read_at, spec.write_at, self.config.invariant_filtering)
         hit = cache.get(key)
         if hit is None:
-            P = self.pg.num_partitions
             hit = cache[key] = tuple(
-                _ExchangeTable(plans, P) for plans in self._build_plans(spec)
+                _ExchangeTable(plans, self.base)
+                for plans in self._build_plans(spec)
             )
         return hit
 
@@ -261,56 +296,42 @@ class GluonComm:
         return np.ones(part.num_local, dtype=bool)  # "any"
 
     def _build_plans(self, spec: FieldSpec):
-        reduce_plans: dict[tuple[int, int], _PairPlan] = {}
-        broadcast_plans: dict[tuple[int, int], _PairPlan] = {}
+        """``(reduce plans, broadcast plans)``: for every mirror-side
+        partition ``r`` and master-side ``m``, their exchange lists cut to
+        the mirrors that can write (reduce, ``r -> m``) or read
+        (broadcast, ``m -> r``) the field."""
+        plans: tuple[dict, dict] = {}, {}
         filtering = self.config.invariant_filtering
-
-        if spec.write_at != "master":
-            for r in self.pg.parts:  # r = mirror side (reduce sender)
-                writable = (
-                    self._proxy_filter(r, spec.write_at) if filtering else None
-                )
-                for m, send_idx in r.mirror_exchange.items():
-                    recv_idx = self.pg.parts[m].master_exchange[r.pid]
-                    if writable is not None:
-                        mask = writable[send_idx]
-                        if not mask.any():
-                            continue
-                        send_idx = send_idx[mask]
-                        recv_idx = recv_idx[mask]
-                    if len(send_idx) == 0:
-                        continue  # degenerate exchange list: no plan
-                    reduce_plans[(r.pid, m)] = _PairPlan(send_idx, recv_idx)
-
-        if spec.read_at != "none":
-            for r in self.pg.parts:  # r = mirror side (broadcast receiver)
-                readable = (
-                    self._proxy_filter(r, spec.read_at) if filtering else None
-                )
-                for m, recv_idx in r.mirror_exchange.items():
-                    send_idx = self.pg.parts[m].master_exchange[r.pid]
-                    if readable is not None:
-                        mask = readable[recv_idx]
-                        if not mask.any():
-                            continue
-                        send_idx = send_idx[mask]
-                        recv_idx = recv_idx[mask]
-                    if len(send_idx) == 0:
-                        continue
-                    broadcast_plans[(m, r.pid)] = _PairPlan(send_idx, recv_idx)
-
-        return reduce_plans, broadcast_plans
+        for out, location, never in zip(
+            plans, (spec.write_at, spec.read_at), ("master", "none")
+        ):
+            if location == never:
+                continue
+            for r in self.pg.parts:
+                able = self._proxy_filter(r, location) if filtering else None
+                for m, mirror_idx in r.mirror_exchange.items():
+                    master_idx = self.pg.parts[m].master_exchange[r.pid]
+                    if able is not None:
+                        mask = able[mirror_idx]
+                        mirror_idx, master_idx = mirror_idx[mask], master_idx[mask]
+                    if len(mirror_idx) == 0:
+                        continue  # filtered out, or a degenerate list: no plan
+                    if out is plans[0]:
+                        out[(r.pid, m)] = _PairPlan(mirror_idx, master_idx)
+                    else:
+                        out[(m, r.pid)] = _PairPlan(master_idx, mirror_idx)
+        return plans
 
     # ------------------------------------------------------------------ #
     # introspection (used by tests, stats, and the study's analysis)
     # ------------------------------------------------------------------ #
     def reduce_partners(self, field: str, pid: int) -> list[int]:
         """Partitions ``pid`` sends reduce messages to."""
-        return sorted(m for (r, m) in self._plans[field][0] if r == pid)
+        return sorted(m for (r, m) in self._table(field, "reduce").plans if r == pid)
 
     def broadcast_partners(self, field: str, pid: int) -> list[int]:
         """Partitions ``pid`` sends broadcast messages to."""
-        return sorted(r for (m, r) in self._plans[field][1] if m == pid)
+        return sorted(r for (m, r) in self._table(field, "broadcast").plans if m == pid)
 
     def _table(self, field: str, phase: str) -> _ExchangeTable:
         return self._tables[field][0 if phase == "reduce" else 1]
@@ -326,13 +347,18 @@ class GluonComm:
         not count — they can never produce a message.)"""
         table = self._table(field, phase)
         lo, hi = table.sender_off[pid], table.sender_off[pid + 1]
-        return bool(self.updated[field][pid].bits[table.flat_send[lo:hi]].any())
+        return bool(self._dirty[field].bits[table.glob_send[lo:hi]].any())
 
     # ------------------------------------------------------------------ #
     # extraction
     # ------------------------------------------------------------------ #
-    def _extract(self, field: str, phase: str, pids, labels) -> SendBatch:
-        """The outgoing messages of ``pids`` for one phase, as one batch.
+    def _extract(
+        self, field: str, phase: str, pids: range, labels: FieldViews
+    ) -> SendBatch:
+        """The outgoing messages of senders ``pids`` for one phase, as one
+        batch.  ``pids`` is a ``range``: the table groups its segments by
+        sender in pid order, so consecutive senders own one slice of it
+        (the whole table for ``range(P)``, nothing for an empty range).
 
         Under UO only dirty elements ship (dirty bits for sent proxies are
         cleared; reduce-phase accumulators are reset to identity).  Under
@@ -345,54 +371,37 @@ class GluonComm:
         spec = self.fields[field]
         table = self._table(field, phase)
         uo = self.config.update_only
-        reset = phase == "reduce" and spec.reset_after_reduce
-        dirty = self.updated[field]
-        flat_send, sender_off = table.flat_send, table.sender_off
-        sent, hits, vals = [], [], []
-        for p in pids:
-            lo, hi = sender_off[p], sender_off[p + 1]
-            if lo == hi:
-                continue
-            sel = flat_send[lo:hi]
-            if uo:
-                # one dirty-bit gather over the sender's whole slice
-                hit = dirty[p].bits[sel].nonzero()[0]
-                if not len(hit):
-                    continue
-                sel = sel[hit]
-                hits.append(hit + lo)
-            lab = labels[p]
-            sent.append(p)
-            vals.append(lab[sel])
-            dirty[p].clear(sel)
-            if reset:
-                lab[sel] = spec.identity
-
-        if not sent:
-            return SendBatch.empty(field, phase, spec.dtype)
-        values = vals[0] if len(vals) == 1 else np.concatenate(vals)
+        dirty, flat = self._dirty[field], labels.flat
+        lo, hi = table.sender_off[pids.start], table.sender_off[pids.stop]
+        sel = table.glob_send[lo:hi]
         if uo:
-            # segment the hits back into per-partner messages: a message
-            # is a run of hits inside one segment (a partner whose
-            # segment has no dirty proxy gets none)
-            hit = hits[0] if len(hits) == 1 else np.concatenate(hits)
-            seg_of = np.searchsorted(table.seg_off, hit, side="right") - 1
-            starts = (seg_of[1:] != seg_of[:-1]).nonzero()[0] + 1
-            offsets = np.concatenate((_ZERO, starts, (len(hit),)))
-            seg = seg_of[offsets[:-1]]
+            # one dirty-bit gather over the whole range
+            hit = dirty.bits[sel].nonzero()[0]
+            sel = sel[hit]
+            hit += lo
+        if not len(sel):
+            return self._empty[field, phase]
+        values = flat[sel]
+        dirty.clear(sel)
+        if phase == "reduce" and spec.reset_after_reduce:
+            flat[sel] = spec.identity
+
+        s0, s1 = table.sender_seg[pids.start], table.sender_seg[pids.stop]
+        if uo:
+            # segment the hits back into per-partner messages: the hits
+            # are sorted, so the range's segment bounds cut them (a
+            # partner whose segment has no dirty proxy gets no message)
+            cuts = np.searchsorted(hit, table.seg_off[s0:s1 + 1])
+            live = (cuts[1:] != cuts[:-1]).nonzero()[0]
+            offsets = np.concatenate((cuts[live], cuts[-1:]))
+            seg = live + s0
             targets = table.flat_recv[hit]
         else:
             hit = None
-            sender_seg = table.sender_seg
-            seg = np.concatenate(
-                [np.arange(sender_seg[p], sender_seg[p + 1]) for p in sent]
-            )
-            offsets = np.zeros(len(seg) + 1, dtype=np.int64)
-            np.cumsum(table.seg_len[seg], out=offsets[1:])
-            targets = np.concatenate(
-                [table.flat_recv[sender_off[p]:sender_off[p + 1]] for p in sent]
-            )
-        src, dst, seg_len, bitset_bytes = table.seg_cols[:, seg]
+            seg = np.arange(s0, s1)
+            offsets = table.seg_off[s0:s1 + 1] - lo
+            targets = table.flat_recv[lo:hi]
+        src, dst, seg_len, bitset_bytes = table.seg_cols.take(seg, axis=1)
         num = offsets[1:] - offsets[:-1]
         wire = HEADER_BYTES + num * values.dtype.itemsize
         if not self.config.memoize_addresses:
@@ -407,7 +416,7 @@ class GluonComm:
             values, hit,
         )
 
-    def _make(self, field: str, phase: str, pids, labels) -> SendBatch:
+    def _make(self, field: str, phase: str, pids: range, labels) -> SendBatch:
         if self._check_full:
             from repro.check.comm import differential_extract
 
@@ -425,15 +434,17 @@ class GluonComm:
         return batch
 
     def make_reduce_messages(
-        self, field: str, pids, labels: list[np.ndarray]
+        self, field: str, pids: range, labels: FieldViews
     ) -> SendBatch:
-        """Extract the reduce messages (mirror -> master) of ``pids``."""
+        """Extract the reduce messages (mirror -> master) of senders
+        ``pids``, a ``range`` of consecutive partition ids."""
         return self._make(field, "reduce", pids, labels)
 
     def make_broadcast_messages(
-        self, field: str, pids, labels: list[np.ndarray]
+        self, field: str, pids: range, labels: FieldViews
     ) -> SendBatch:
-        """Extract the broadcast messages (master -> mirrors) of ``pids``."""
+        """Extract the broadcast messages (master -> mirrors) of senders
+        ``pids``, a ``range`` of consecutive partition ids."""
         return self._make(field, "broadcast", pids, labels)
 
     def messages(self, batch: SendBatch) -> list[Message]:
@@ -472,7 +483,8 @@ class GluonComm:
     # delivery
     # ------------------------------------------------------------------ #
     def _planned(self, batch: SendBatch) -> None:
-        """Every message of a batch must travel a planned pair."""
+        """Every message of a batch must travel a planned pair — checked
+        before a step is applied or put in flight."""
         table = self._table(batch.field, batch.phase)
         ok = table.planned[batch.src, batch.dst]
         if not ok.all():
@@ -493,70 +505,57 @@ class GluonComm:
             for k, dst in enumerate(batch.dst.tolist())
         ]
 
-    def deliveries(self, batch: SendBatch):
-        """Yield ``(dst, [targets], [values])`` per receiver: each
-        receiver's share of the batch, its messages concatenated in sender
-        order — what a BSP sync step applies.  A generator, so the
-        grouping runs where the deliveries are consumed: inside
-        :meth:`apply_reduce` / :meth:`apply_broadcast`."""
-        if not len(batch):
-            return
-        self._planned(batch)
-        order = np.argsort(batch.dst, kind="stable")
-        lens = batch.num_elements[order]
-        ends = np.cumsum(lens)
-        # element permutation: message ``order[j]``'s range lands at
-        # ``ends[j] - lens[j]``
-        shift = batch.offsets[:-1][order] - (ends - lens)
-        perm = np.arange(len(batch.targets)) + np.repeat(shift, lens)
-        targets, values = batch.targets[perm], batch.values[perm]
-        dst = batch.dst[order]
-        first = np.concatenate((_ZERO, (dst[1:] != dst[:-1]).nonzero()[0] + 1))
-        bounds = _receiver_bounds(first, ends)
-        for d, lo, hi in zip(dst[first].tolist(), bounds, bounds[1:]):
-            yield d, [targets[lo:hi]], [values[lo:hi]]
+    def _apply(self, field: str, phase: str, batch, labels: FieldViews) -> np.ndarray:
+        """Scatter a batch's values into their receivers' proxies.
 
-    def apply_reduce(
-        self, field: str, deliveries, labels: list[np.ndarray]
-    ) -> list[tuple]:
-        """Combine reduce deliveries into their receivers' masters.
-
-        A delivery is ``(dst, target pieces, value pieces)``: everything
-        one receiver gets, the pieces in delivery order (a BSP step's
-        share from :meth:`deliveries`, or the records one BASP drain
-        popped).  Targets may repeat (several mirrors of one master):
-        ``ufunc.at`` combines them one element at a time in that order,
-        which is the float sequence message-by-message application
-        produced.  Returns ``(dst, changed)`` per delivery — the local
-        IDs whose value changed, possibly with repeats; those masters are
-        marked dirty so the following broadcast propagates them, and the
-        engine activates them in its worklist.
+        ``batch`` is a :class:`SendBatch` (a BSP step: every receiver at
+        once; it names its senders, so its pairs are checked here) or a
+        :class:`~repro.comm.buffers.Delivery` (what one BASP receiver
+        drained, checked by :meth:`records` when it was put in flight).
+        Targets become flat positions and may repeat (several mirrors of
+        one master): ``ufunc.at`` combines them one element at a time in
+        batch order — senders in order — which is the float sequence
+        message-by-message application produced.  Returns the flat
+        positions whose value changed, possibly with repeats.
         """
-        spec = self.fields[field]
-        out = []
-        for dst, targets, values in deliveries:
-            targets, values = _whole(targets), _whole(values)
-            lab = labels[dst]
-            if spec.reduce_op == "add":
-                np.add.at(lab, targets, values)
-                changed = targets[values != 0]
-            else:
-                old = lab[targets]
-                _REDUCERS[spec.reduce_op].at(lab, targets, values)
-                changed = targets[lab[targets] != old]
-            if len(changed):
-                self.updated[field][dst].set(changed)
-            out.append((dst, changed))
-        return out
+        shift = self.base[batch.dst]  # per message, or the one receiver's
+        if isinstance(batch, SendBatch):
+            self._planned(batch)
+            shift = np.repeat(shift, batch.num_elements)
+        op = self.fields[field].reduce_op
+        flat = labels.flat
+        at = batch.targets + shift
+        values = batch.values
+        if op != "add":
+            # min/max: a reduce, or a broadcast merged with the reducer
+            old = flat[at]
+            _REDUCERS[op].at(flat, at, values)
+            changed = at[flat[at] != old]
+        elif phase == "reduce":
+            np.add.at(flat, at, values)
+            changed = at[values != 0]
+        else:
+            # an overwriting broadcast: targets are distinct
+            old = flat[at]
+            flat[at] = values
+            changed = at[old != values]
+        if phase == "reduce" and len(changed):
+            self._dirty[field].set(changed)
+        return changed
 
-    def apply_broadcast(
-        self, field: str, deliveries, labels: list[np.ndarray]
-    ) -> list[tuple]:
-        """Install broadcast deliveries into their receivers' mirrors.
+    def apply_reduce(self, field: str, batch, labels: FieldViews) -> np.ndarray:
+        """Combine reduce messages into their receivers' masters.  The
+        changed masters (returned as flat positions, see
+        :meth:`by_receiver`) are marked dirty so the following broadcast
+        propagates them, and the engine activates them in its worklist."""
+        return self._apply(field, "reduce", batch, labels)
 
-        Returns ``(dst, changed)`` per delivery (worklist activation);
-        mirrors are *not* marked dirty — a broadcast value is canonical and
-        must not be reduced back.
+    def apply_broadcast(self, field: str, batch, labels: FieldViews) -> np.ndarray:
+        """Install broadcast messages into their receivers' mirrors.
+
+        Returns the flat positions of the mirrors whose value changed
+        (worklist activation); mirrors are *not* marked dirty — a
+        broadcast value is canonical and must not be reduced back.
 
         Min/max fields merge with their reducer instead of overwriting.
         In-order delivery this is identical (the master's value always
@@ -564,30 +563,27 @@ class GluonComm:
         can arrive inverted (a later, heavier message can ride a longer
         simulated inter-host leg); merging keeps the mirror monotone
         instead of regressing it to the stale value.  Every other field
-        overwrites, so the targets of one delivery must be distinct: one
+        overwrites, so the targets of one batch must be distinct: one
         sync step (a mirror has one master) or one in-flight record — two
-        overwrites of one proxy are two deliveries.
+        overwrites of one proxy are two applies.
         """
-        spec = self.fields[field]
-        merge = spec.reduce_op in ("min", "max")
-        out = []
-        for dst, targets, values in deliveries:
-            targets, values = _whole(targets), _whole(values)
-            lab = labels[dst]
-            old = lab[targets]
-            if merge:
-                _REDUCERS[spec.reduce_op].at(lab, targets, values)
-                values = lab[targets]
-            else:
-                lab[targets] = values
-            out.append((dst, targets[old != values]))
-        return out
+        return self._apply(field, "broadcast", batch, labels)
+
+    def by_receiver(self, changed: np.ndarray) -> list[tuple]:
+        """Flat positions as ``(pid, sorted local ids)`` per partition
+        that owns any — only the changed elements are ever grouped."""
+        changed = np.sort(changed)
+        cuts = np.searchsorted(changed, self.base).tolist()
+        return [
+            (p, changed[lo:hi] - self.base[p])
+            for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi
+        ]
 
     # ------------------------------------------------------------------ #
     # bulk-synchronous convenience
     # ------------------------------------------------------------------ #
     def bsp_sync(
-        self, field: str, labels: list[np.ndarray]
+        self, field: str, labels: FieldViews
     ) -> tuple[list[Message], list[np.ndarray]]:
         """One full BSP synchronization of ``field``.
 
@@ -596,7 +592,7 @@ class GluonComm:
         activation on the receiving side).
         """
         P = self.pg.num_partitions
-        changed: list[list[np.ndarray]] = [[] for _ in range(P)]
+        changed: list[np.ndarray] = []
         msgs: list[Message] = []
         for make, apply in (
             (self.make_reduce_messages, self.apply_reduce),
@@ -604,25 +600,9 @@ class GluonComm:
         ):
             batch = make(field, range(P), labels)
             msgs += self.messages(batch)
-            for dst, ch in apply(field, self.deliveries(batch), labels):
-                if len(ch):
-                    changed[dst].append(ch)
+            changed.append(apply(field, batch, labels))
 
-        merged = [
-            unique_ids(np.concatenate(c), len(labels[p]))
-            if c else np.empty(0, dtype=np.int64)
-            for p, c in enumerate(changed)
-        ]
+        merged = [_EMPTY] * P
+        for p, ids in self.by_receiver(np.unique(np.concatenate(changed))):
+            merged[p] = ids
         return msgs, merged
-
-
-
-def _whole(pieces: list) -> np.ndarray:
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
-def _receiver_bounds(first: np.ndarray, ends: np.ndarray) -> list[int]:
-    """Element bounds of the receiver groups of a dst-sorted batch:
-    ``first[g]`` is group ``g``'s first message, ``ends[m]`` the element
-    count through message ``m``."""
-    return [0] + ends[first[1:] - 1].tolist() + ends[-1:].tolist()

@@ -217,7 +217,7 @@ class BASPEngine(Engine):
             flush = []  # this round's non-empty batches, in plan order
             for step in plan:
                 if step.kind != "master":
-                    batch = core.extract(step, (p,), gated)
+                    batch = core.extract(step, range(p, p + 1), gated)
                     if len(batch):
                         flush.append(batch)
                     continue

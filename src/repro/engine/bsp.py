@@ -167,13 +167,11 @@ class BSPEngine(Engine):
 
                 field = step.field
                 s_ev = core.begin(f"sync:{step.kind}:{field}", "sync", P, round=rnd)
-                # The whole step is one batch: extracted over every
-                # partition, priced in one vectorized pass, then applied
-                # receiver by receiver.  Safe to reorder against the
-                # applies: extraction send sets (mirrors for reduce,
-                # masters for broadcast) are disjoint from apply target
-                # sets, so results are bit-identical to the
-                # extract/apply-per-partition interleaving.
+                # The whole step is one batch: one extraction over every
+                # partition, one pricing pass, one apply.  Extraction send
+                # sets (mirrors for reduce, masters for broadcast) are
+                # disjoint from apply target sets, so results are
+                # bit-identical to interleaving them per partition.
                 batch = core.extract(step, range(P))
                 if not len(batch):
                     tracer.end(s_ev, messages=0)

@@ -9,10 +9,12 @@ tear-down.  Stages mutate labels, dirty bits and candidate lists and
 return values; they never touch a clock — simulated time is each engine's
 own policy.
 
-The sync stages work a batch at a time: ``extract`` returns one
-``SendBatch`` for whatever senders it is given, ``price`` prices its
-columns, ``apply`` delivers a whole step and ``deliver`` what one receiver
-drained.  They reach the comm and cost layers through the instance
+Every synchronized field lives in one flat array (``views[field]``, a
+``FieldViews``); ``state[p][field]`` is partition ``p``'s view of it, which
+operators write in place.  The sync stages work a batch at a time:
+``extract`` returns one ``SendBatch`` for a range of senders, ``price``
+prices its columns, ``apply`` delivers a whole step and ``deliver`` what
+one receiver drained.  They reach the comm and cost layers through the instance
 (``self.comm.apply_reduce``, ``self.cost.price_batch``, ...) at call time,
 never through a bound method captured earlier — the layered benchmark
 shims those names on the classes.
@@ -25,12 +27,15 @@ import numpy as np
 from repro import obs
 from repro.check import (
     MonotoneWatch,
+    check_field_views,
     check_final_stats,
+    check_operator_ids,
     check_partition,
     check_post_sync,
     resolve_check_level,
 )
-from repro.comm.gluon import GluonComm
+from repro.comm.buffers import Delivery
+from repro.comm.gluon import FieldViews, GluonComm
 from repro.engine.costmodel import CostModel
 from repro.engine.operator import RunContext, SyncStep
 from repro.engine.result import RunResult
@@ -130,7 +135,13 @@ class RoundCore:
         self.stats.memory_mean_bytes = usage.mean_bytes
 
         self.state = [app.init_state(p, ctx) for p in pg.parts]
-        self.views = {f: [s[f] for s in self.state] for f in app.field_names()}
+        # re-home every synchronized field into one flat array, a field
+        # at a time (one transient copy): state[p][f] becomes a view
+        self.views: dict[str, FieldViews] = {}
+        for f in app.field_names():
+            views = self.views[f] = FieldViews([s[f] for s in self.state])
+            for s, view in zip(self.state, views):
+                s[f] = view
         self.frontier = [
             app.initial_frontier(part, ctx, s) for part, s in zip(pg.parts, self.state)
         ]
@@ -167,6 +178,7 @@ class RoundCore:
         self.watch = None
         if self.check_cheap:
             check_partition(pg, engine.check_level)
+            check_field_views(self.state, self.views)
             if self.check_full:
                 self.watch = MonotoneWatch(app.fields(), P)
 
@@ -181,6 +193,10 @@ class RoundCore:
     def _note(self, p: int, out, candidates) -> None:
         """Dirty bits for what an operator wrote, candidates for what it
         activated (``out`` is a ``RoundOutput`` or a ``MasterOutput``)."""
+        if self.check_cheap:
+            n = self.pg.parts[p].num_local
+            for fname, ids in (*out.updated.items(), ("activated", out.activated)):
+                check_operator_ids(self.app.name, p, fname, ids, n)
         for fname, ids in out.updated.items():
             if len(ids):
                 self.comm.mark_updated(fname, p, ids)
@@ -232,9 +248,10 @@ class RoundCore:
         self._note(p, mout, candidates)
         return sum(len(i) for i in mout.updated.values()), mout.residual
 
-    def extract(self, step: SyncStep, pids, gated: bool = False):
-        """The reduce/broadcast messages of ``step`` for ``pids``, as one
-        ``SendBatch``.
+    def extract(self, step: SyncStep, pids: range, gated: bool = False):
+        """The reduce/broadcast messages of ``step`` for senders ``pids``
+        (a ``range``: every partition in a BSP step, one in a BASP local
+        round), as one ``SendBatch``.
 
         ``gated`` is the async-AS dirty gate.  Without a global round
         clock, AS's "send every round" degenerates into message ping-pong
@@ -243,8 +260,8 @@ class RoundCore:
         under AS too); each send still ships the full exchange list in
         AS's wire format."""
         comm, field, kind = self.comm, step.field, step.kind
-        if gated:
-            pids = [p for p in pids if comm.pending_sends(field, kind, p)]
+        if gated and not comm.pending_sends(field, kind, pids.start):
+            pids = range(0)
         if kind == "reduce":
             return comm.make_reduce_messages(field, pids, self.views[field])
         return comm.make_broadcast_messages(field, pids, self.views[field])
@@ -261,35 +278,38 @@ class RoundCore:
         inter = int(np.count_nonzero(host_of[pr.src] != host_of[pr.dst]))
         return len(pr.src), inter, float(pr.scaled_bytes.sum())
 
-    def _deliver(self, field, phase, deliveries, candidates) -> None:
+    def _apply(self, field, phase, batch) -> np.ndarray:
+        """Apply a batch; the flat positions that changed when the field
+        activates, nothing otherwise."""
         comm, labels = self.comm, self.views[field]
         if phase == "reduce":
-            applied = comm.apply_reduce(field, deliveries, labels)
+            changed = comm.apply_reduce(field, batch, labels)
         else:
-            applied = comm.apply_broadcast(field, deliveries, labels)
-        if field in self.activating:
-            for dst, changed in applied:
-                if len(changed):
-                    candidates[dst].append(changed)
+            changed = comm.apply_broadcast(field, batch, labels)
+        return changed if field in self.activating else _EMPTY
 
     def apply(self, batch, candidates) -> None:
-        """Deliver a whole sync step, one delivery per receiver; changed
-        proxies of activating fields become candidates on the receiver."""
-        self._deliver(
-            batch.field, batch.phase, self.comm.deliveries(batch), candidates
-        )
+        """Deliver a whole sync step in one apply; changed proxies of
+        activating fields become candidates on their receivers."""
+        changed = self._apply(batch.field, batch.phase, batch)
+        if len(changed):
+            for dst, ids in self.comm.by_receiver(changed):
+                candidates[dst].append(ids)
 
     def deliver(self, dst: int, drained: dict, candidates) -> None:
         """Deliver what one partition drained: ``drained`` maps (field,
         phase) to its records' ``(targets, values)`` in arrival order.
         The records of a groupable key are one delivery; an overwriting
         broadcast is one delivery per record."""
+        base = self.comm.base[dst]
         for (field, phase), (targets, values) in drained.items():
-            if self.groupable[field, phase]:
-                deliveries = [(dst, targets, values)]
-            else:
-                deliveries = [(dst, [t], [v]) for t, v in zip(targets, values)]
-            self._deliver(field, phase, deliveries, candidates)
+            if self.groupable[field, phase] and len(targets) > 1:
+                targets = [np.concatenate(targets)]
+                values = [np.concatenate(values)]
+            for t, v in zip(targets, values):
+                changed = self._apply(field, phase, Delivery(dst, t, v))
+                if len(changed):
+                    candidates[dst].append(changed - base)
 
     def next_frontier(self, p: int, bufs: list) -> np.ndarray:
         """``p``'s next active set: topology-driven apps derive it from
@@ -332,6 +352,7 @@ class RoundCore:
         stats.finalize_breakdown()
         if self.check_cheap:
             check_final_stats(stats)
+            check_field_views(self.state, self.views)
         if tracer.enabled:
             tracer.instant(
                 "run_summary", "run", tid=self.P,

@@ -31,6 +31,7 @@ __all__ = [
     "batch_receiver_skew",
     "pull_workspace_stale_tail",
     "expand_drops_last_edge",
+    "operator_emits_minus_one",
 ]
 
 
@@ -63,17 +64,15 @@ def drop_mirror_update():
     orig = GluonComm.apply_broadcast
     state = {"armed": True}
 
-    def bad(self, field, deliveries, labels):
-        deliveries = list(deliveries)
-        before = {d[0]: labels[d[0]].copy() for d in deliveries}
-        applied = orig(self, field, deliveries, labels)
-        for i, (dst, changed) in enumerate(applied):
-            if state["armed"] and len(changed):
-                lost = changed[0]
-                labels[dst][lost] = before[dst][lost]
-                state["armed"] = False
-                applied[i] = (dst, changed[1:])
-        return applied
+    def bad(self, field, batch, labels):
+        before = labels.flat.copy()
+        changed = orig(self, field, batch, labels)
+        if state["armed"] and len(changed):
+            lost = changed[0]
+            labels.flat[lost] = before[lost]
+            state["armed"] = False
+            changed = changed[changed != lost]
+        return changed
 
     return _planted(GluonComm, "apply_broadcast", bad)
 
@@ -90,8 +89,8 @@ def sendtable_offset_skew():
 
     orig = _ExchangeTable.__init__
 
-    def bad(self, plans, num_partitions):
-        orig(self, plans, num_partitions)
+    def bad(self, plans, base):
+        orig(self, plans, base)
         if len(self.seg_len):
             # interior offset when there are >= 2 segments, else the
             # total — either way the cumsum property is broken
@@ -199,25 +198,29 @@ def la_semiring_identity():
 
 
 def batch_receiver_skew():
-    """An off-by-one in the per-receiver bounds of a step apply.
+    """An off-by-one in the receiver bases of a step apply.
 
-    A BSP sync step is applied one delivery per receiver, cut out of the
-    receiver-sorted batch at element bounds — the grouping the batch
-    rewrite introduced.  With the interior bounds one too low, every
-    receiver but the last loses its final element to its successor, so
-    that value lands on another partition's proxy.  Caught by the
-    ``post-sync`` dominance checkers (a master that never heard from its
-    mirror) or the final reference comparison.
+    A BSP sync step is one scatter: each message's targets are shifted by
+    its receiver's base in the flat field array, one ``repeat`` over the
+    per-message element counts.  With the counts skewed, the first
+    message's last element takes the *next* message's base and lands on
+    another partition's proxy.  Caught by the ``post-sync`` dominance
+    checkers or the final reference comparison.
     """
-    import repro.comm.gluon as gluon
+    from dataclasses import replace
 
-    orig = gluon._receiver_bounds
+    from repro.comm.gluon import GluonComm
 
-    def bad(first, ends):
-        bounds = orig(first, ends)
-        return bounds[:1] + [b - 1 for b in bounds[1:-1]] + bounds[-1:]
+    orig = GluonComm.apply_reduce
 
-    return _planted(gluon, "_receiver_bounds", bad)
+    def bad(self, field, batch, labels):
+        num = batch.num_elements.copy()
+        if len(num) > 1:
+            num[0] -= 1
+            num[-1] += 1
+        return orig(self, field, replace(batch, num_elements=num), labels)
+
+    return _planted(GluonComm, "apply_reduce", bad)
 
 
 def pull_workspace_stale_tail():
@@ -264,6 +267,27 @@ def expand_drops_last_edge():
     return _planted(expand, "_edge_selector", bad)
 
 
+def operator_emits_minus_one():
+    """An operator that forgot ``global_to_local``'s ``l >= 0`` filter:
+    its updated set carries the ``-1`` of a vertex the partition does not
+    hold.  NumPy wraps it, so unchecked the partition's *last* proxy is
+    marked dirty and shipped.  Caught by the CHEAP ``operator-ids``
+    checker on the first round that updates anything.
+    """
+    from repro.apps.bfs import BFS
+
+    orig = BFS.compute
+
+    def bad(self, part, ctx, state, frontier):
+        out = orig(self, part, ctx, state, frontier)
+        for name, ids in out.updated.items():
+            if len(ids):
+                out.updated[name] = np.append(ids, -1)
+        return out
+
+    return _planted(BFS, "compute", bad)
+
+
 #: name -> context manager, for the self-test CLI and the pytest suite
 MUTATIONS = {
     "drop-mirror-update": drop_mirror_update,
@@ -276,6 +300,7 @@ MUTATIONS = {
     "batch-receiver-skew": batch_receiver_skew,
     "pull-workspace-stale-tail": pull_workspace_stale_tail,
     "expand-drops-last-edge": expand_drops_last_edge,
+    "operator-emits-minus-one": operator_emits_minus_one,
 }
 
 

@@ -147,9 +147,17 @@ def test_comm_structure_passes_and_detects_table_skew(graph):
     pg = fresh_pg(graph)
     comm = GluonComm(pg, [_bfs_field()], CommConfig(), check="cheap")
     # constructed clean at CHEAP; now skew an exchange-table offset
-    comm._tables["dist"][0].seg_off[-1] += 1
+    table = comm._tables["dist"][0]
+    table.seg_off[-1] += 1
     pg.__dict__.pop("_gluon_plans_checked", None)
     with pytest.raises(InvariantViolation) as exc:
+        check_comm_structure(comm)
+    assert exc.value.checker == "send-table"
+    # ... and a flat position that leaves its sender's slice
+    table.seg_off[-1] -= 1
+    table.glob_send[0] += comm.base[-1]
+    pg.__dict__.pop("_gluon_plans_checked", None)
+    with pytest.raises(InvariantViolation, match="glob_send") as exc:
         check_comm_structure(comm)
     assert exc.value.checker == "send-table"
 
@@ -161,7 +169,7 @@ def test_post_sync_dominance_detected(graph):
         np.full(p.num_local, 7, dtype=np.uint32) for p in pg.parts
     ]
     check_post_sync(comm, "dist", labels)  # uniform: trivially dominated
-    (r, m), plan = next(iter(sorted(comm._plans["dist"][0].items())))
+    (r, m), plan = next(iter(sorted(comm._table("dist", "reduce").plans.items())))
     labels[r][plan.send_idx[0]] = 0  # mirror below its master: min broken
     with pytest.raises(InvariantViolation) as exc:
         check_post_sync(comm, "dist", labels)
@@ -263,6 +271,48 @@ def test_static_frontier_is_priced_once_and_its_declaration_checked(
         engine(pg, bridges(4), get_app("pr"), check_memory=False,
                check="cheap").run(ctx)
     assert exc.value.checker == "static-frontier"
+
+
+@pytest.mark.parametrize("engine_name", ["bsp", "basp"])
+def test_field_views_and_operator_ids_are_checked(graph, engine_name, monkeypatch):
+    """A field's state arrays are views of one flat array and operators
+    report local ids: at CHEAP a rebound array fails ``field-views`` at
+    tear-down and a ``-1`` (``global_to_local``'s "not here", which NumPy
+    would wrap to the last proxy) fails ``operator-ids`` where it is
+    reported."""
+    from repro.apps import get_app
+    from repro.apps.bfs import BFS
+    from repro.engine import BASPEngine, BSPEngine, RunContext
+    from repro.hw import bridges
+
+    engine = {"bsp": BSPEngine, "basp": BASPEngine}[engine_name]
+    pg = fresh_pg(graph, "cvc", 4)
+    ctx = RunContext(
+        num_global_vertices=graph.num_vertices,
+        source=int(np.argmax(graph.out_degrees())),
+    )
+
+    def run(check):
+        return engine(pg, bridges(4), get_app("bfs"), check_memory=False,
+                      check=check).run(ctx)
+
+    run("cheap")  # the shipped operator passes both
+    raw = BFS.compute
+
+    def rebinding(self, part, ctx, state, frontier):
+        out = raw(self, part, ctx, state, frontier)
+        state["dist"] = state["dist"].copy()
+        return out
+
+    def foreign(self, part, ctx, state, frontier):
+        out = raw(self, part, ctx, state, frontier)
+        return out._replace(activated=np.append(out.activated, -1))
+
+    for bad, checker in ((rebinding, "field-views"), (foreign, "operator-ids")):
+        monkeypatch.setattr(BFS, "compute", bad)
+        with pytest.raises(InvariantViolation) as exc:
+            run("cheap")
+        assert exc.value.checker == checker
 
 
 def test_monotone_watch():

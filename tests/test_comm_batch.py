@@ -1,18 +1,18 @@
 """The sync batch itself: extraction into a ``SendBatch``, its
-materialisation, grouped delivery, and what a BASP drain may group.
+materialisation, the one apply, and what a BASP drain may group.
 
 Three contracts, each against a per-message reference that lives here or
 in ``repro.check.oracle``:
 
-* a batch extracted for *any* set of senders materialises into exactly the
-  messages the per-element oracle extracts sender by sender, and its
-  pricing columns are those messages' scalars;
-* applying a batch one delivery per receiver (``ufunc.at`` over the
-  sender-ordered concatenation) leaves bit-identical labels, the same
-  changed set and the same dirty bits as applying message by message — with
-  targets repeating across senders, for float ``add`` in both widths;
+* a batch extracted over *any* table range (every sender, one sender, none)
+  materialises into exactly the messages the per-element oracle extracts
+  sender by sender, and its pricing columns are those messages' scalars;
+* applying a batch in one scatter over the flat field array (``ufunc.at``
+  in batch order) leaves bit-identical labels, the same changed set and
+  the same dirty bits as applying message by message — with targets
+  repeating across senders, for float ``add`` in both widths;
 * a drain groups what commutes and nothing else: two overwriting
-  broadcasts of one field that arrive inverted are still two deliveries.
+  broadcasts of one field that arrive inverted are still two applies.
 """
 
 import numpy as np
@@ -21,12 +21,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import get_app
 from repro.check.oracle import extract_scalar
-from repro.comm import CommConfig, FieldSpec, GluonComm, batch_arrays
+from repro.comm import CommConfig, FieldSpec, FieldViews, GluonComm, batch_arrays
 from repro.comm.bitset import Bitset
 from repro.comm.buffers import SendBatch
 from repro.engine import BASPEngine
 from repro.engine.core import RoundCore
 from repro.errors import CommunicationError
+from repro.generators import rmat
 from repro.graph import from_edges
 from repro.hw import bridges
 from repro.partition import partition
@@ -48,9 +49,10 @@ FIELDS = [DIST, ACC, RANK]
 
 def _labels(pg, spec, rng):
     if np.issubdtype(np.dtype(spec.dtype), np.integer):
-        return [rng.integers(0, 1000, p.num_local).astype(spec.dtype)
-                for p in pg.parts]
-    return [rng.random(p.num_local).astype(spec.dtype) for p in pg.parts]
+        return FieldViews([rng.integers(0, 1000, p.num_local).astype(spec.dtype)
+                           for p in pg.parts])
+    return FieldViews([rng.random(p.num_local).astype(spec.dtype)
+                       for p in pg.parts])
 
 
 def _assert_same_messages(got, want):
@@ -70,37 +72,14 @@ def _assert_same_messages(got, want):
 
 
 # --------------------------------------------------------------------- #
-# extraction: one batch for any sender set == the oracle, sender by sender
+# extraction: one batch for any table range == the oracle, sender by sender
 # --------------------------------------------------------------------- #
-@st.composite
-def _extraction(draw):
-    n = draw(st.integers(6, 50))
-    m = draw(st.integers(n, 4 * n))
-    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    parts = draw(st.sampled_from([1, 2, 3, 4]))
-    policy = draw(st.sampled_from(["oec", "iec", "cvc", "hvc"]))
-    config = CommConfig(
-        update_only=draw(st.booleans()),
-        memoize_addresses=draw(st.booleans()),
-    )
-    # which senders are asked, and which have anything dirty at all
-    asked = draw(st.lists(st.booleans(), min_size=parts, max_size=parts))
-    clean = draw(st.lists(st.booleans(), min_size=parts, max_size=parts))
-    seed = draw(st.integers(0, 2**16))
-    return src, dst, n, parts, policy, config, asked, clean, seed
-
-
-@given(s=_extraction())
-@SETTINGS
-def test_batch_materialises_to_the_oracles_messages(s):
-    src, dst, n, parts, policy, config, asked, clean, seed = s
-    pg = partition(from_edges(src, dst, num_vertices=n), policy, parts,
-                   cache=False)
+def _assert_range_matches_oracle(pg, config, pids, clean, rng):
+    """Extract ``pids`` (a range) of every field and phase from one
+    substrate and, sender by sender, with the oracle from a twin."""
+    parts = pg.num_partitions
     got_comm = GluonComm(pg, FIELDS, config)
     ref_comm = GluonComm(pg, FIELDS, config)
-    rng = np.random.default_rng(seed)
-    pids = [p for p in range(parts) if asked[p]]
     for spec in FIELDS:
         labels = _labels(pg, spec, rng)
         ref_labels = [a.copy() for a in labels]
@@ -132,16 +111,68 @@ def test_batch_materialises_to_the_oracles_messages(s):
                 np.testing.assert_array_equal(labels[p], ref_labels[p])
 
 
+@st.composite
+def _extraction(draw):
+    n = draw(st.integers(6, 50))
+    m = draw(st.integers(n, 4 * n))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    parts = draw(st.sampled_from([1, 2, 3, 4]))
+    policy = draw(st.sampled_from(["oec", "iec", "cvc", "hvc"]))
+    config = CommConfig(
+        update_only=draw(st.booleans()),
+        memoize_addresses=draw(st.booleans()),
+    )
+    # which run of senders is asked, and which have anything dirty at all
+    lo = draw(st.integers(0, parts))
+    hi = draw(st.integers(lo, parts))
+    clean = draw(st.lists(st.booleans(), min_size=parts, max_size=parts))
+    seed = draw(st.integers(0, 2**16))
+    return src, dst, n, parts, policy, config, range(lo, hi), clean, seed
+
+
+@given(s=_extraction())
+@SETTINGS
+def test_batch_materialises_to_the_oracles_messages(s):
+    src, dst, n, parts, policy, config, pids, clean, seed = s
+    pg = partition(from_edges(src, dst, num_vertices=n), policy, parts,
+                   cache=False)
+    _assert_range_matches_oracle(
+        pg, config, pids, clean, np.random.default_rng(seed)
+    )
+
+
+@pytest.mark.parametrize("update_only", [True, False], ids=["uo", "as"])
+@pytest.mark.parametrize("parts", [1, 2, 4, 8])
+@pytest.mark.parametrize("policy", ["oec", "iec", "cvc", "hvc"])
+def test_every_table_range_matches_the_oracle(policy, parts, update_only):
+    """The whole table (a BSP step), every single sender (a BASP local
+    round) and an empty range, on a graph and on one with fewer vertices
+    than partitions — some partitions then hold no proxy at all."""
+    config = CommConfig(update_only=update_only)
+    tiny = from_edges([0, 1], [1, 0], num_vertices=2)
+    for g in (rmat(6, edge_factor=4, seed=9), tiny):
+        pg = partition(g, policy, parts, cache=False)
+        if g is tiny and parts > 3:
+            assert any(p.num_local == 0 for p in pg.parts)
+        ranges = [range(parts), range(0), range(parts, parts)]
+        ranges += [range(p, p + 1) for p in range(parts)]
+        for k, pids in enumerate(ranges):
+            _assert_range_matches_oracle(
+                pg, config, pids, [False] * parts, np.random.default_rng(k)
+            )
+
+
 def test_single_partition_has_nothing_to_exchange():
     g = from_edges([0, 1, 2], [1, 2, 0], num_vertices=3)
     pg = partition(g, "oec", 1, cache=False)
     for update_only in (True, False):
         comm = GluonComm(pg, FIELDS, CommConfig(update_only=update_only))
-        labels = [np.zeros(3, dtype=np.uint32)]
+        labels = FieldViews([np.zeros(3, dtype=np.uint32)])
         comm.mark_updated("dist", 0, [0, 1, 2])
-        batch = comm.make_reduce_messages("dist", [0], labels)
+        batch = comm.make_reduce_messages("dist", range(1), labels)
         assert len(batch) == 0 and comm.messages(batch) == []
-        assert list(comm.deliveries(batch)) == [] and comm.records(batch) == []
+        assert comm.records(batch) == []
         assert not comm.pending_sends("dist", "reduce", 0)
 
 
@@ -155,7 +186,7 @@ def test_packed_nbytes_array_form_matches_scalar():
 
 
 # --------------------------------------------------------------------- #
-# delivery: grouped by receiver == message by message
+# delivery: one scatter over the flat array == message by message
 # --------------------------------------------------------------------- #
 def _apply_per_message(spec, phase, lab, dirty, targets, values):
     """What the per-message engines did with one message (PR 16's
@@ -266,11 +297,8 @@ def test_grouped_apply_equals_message_by_message(pg, name, spec, phase, seed):
 
     apply = comm.apply_reduce if phase == "reduce" else comm.apply_broadcast
     changed = [set() for _ in pg.parts]
-    seen = []
-    for d, ch in apply("f", comm.deliveries(batch), labels):
-        seen.append(d)
+    for d, ch in comm.by_receiver(apply("f", batch, labels)):
         changed[d].update(ch.tolist())
-    assert seen == sorted(set(batch.dst.tolist()))  # one delivery each
     for p in range(pg.num_partitions):
         # bitwise: the float sums were accumulated in the same order
         assert labels[p].tobytes() == ref_labels[p].tobytes(), name
@@ -299,9 +327,10 @@ def test_unplanned_pair_raises_naming_field_and_pair(pg):
         "dist", "reduce", one * 0, one * s, one * d, one, one * 0, one * 0,
         np.asarray([0, 1]), one * 0, np.asarray([7], dtype=np.uint32), None,
     )
-    for split in (comm.deliveries, comm.records):
+    labels = _labels(pg, DIST, np.random.default_rng(0))
+    for use in (lambda b: comm.apply_reduce("dist", b, labels), comm.records):
         with pytest.raises(CommunicationError, match=f"no reduce plan {s}->{d} for dist"):
-            list(split(batch))
+            use(batch)
 
 
 # --------------------------------------------------------------------- #
@@ -318,20 +347,20 @@ def test_inverted_overwriting_broadcasts_stay_two_deliveries(
 ):
     """pr's ``scaled_rank`` broadcast overwrites.  The master sent A then
     B; B overtook A on the network.  As before PR 17 the mirror ends on
-    the stale A (arrival order decides), and the proxy changed twice."""
+    the stale A (arrival order decides), and the proxy changed twice:
+    one apply per record."""
     core = _core(small_graph, ctx, "pr")
     assert core.groupable["contrib", "reduce"]
     assert not core.groupable["scaled_rank", "broadcast"]
     calls = []
     raw = GluonComm.apply_broadcast
 
-    def spy(self, field, deliveries, labels):
-        out = raw(self, field, deliveries, labels)
-        calls.extend(
-            (np.concatenate(tgs).tolist(), ch.tolist())
-            for (_, tgs, _), (_, ch) in zip(deliveries, out)
+    def spy(self, field, batch, labels):
+        changed = raw(self, field, batch, labels)
+        calls.append(
+            (batch.targets.tolist(), (changed - self.base[1]).tolist())
         )
-        return out
+        return changed
 
     monkeypatch.setattr(GluonComm, "apply_broadcast", spy)
     lab = core.views["scaled_rank"][1]
@@ -354,16 +383,16 @@ def test_inverted_merging_broadcasts_group_into_one_delivery(
     small_graph, ctx, monkeypatch
 ):
     """bfs's ``dist`` broadcast merges with ``min``: inverted arrivals
-    commute, so one drain applies them as one delivery with the labels
-    and the candidate *set* two deliveries would leave."""
+    commute, so one drain applies them as one message in one apply, with
+    the labels and the candidate *set* two applies would leave."""
     core = _core(small_graph, ctx, "bfs")
     assert core.groupable["dist", "broadcast"]
-    n_deliveries = []
+    receivers = []  # one entry per apply call
     raw = GluonComm.apply_broadcast
     monkeypatch.setattr(
         GluonComm, "apply_broadcast",
-        lambda self, field, deliveries, labels: n_deliveries.append(
-            len(deliveries)) or raw(self, field, deliveries, labels),
+        lambda self, field, batch, labels: receivers.append(
+            batch.dst) or raw(self, field, batch, labels),
     )
     lab = core.views["dist"][2]
     tg1 = np.asarray([0, 1, 3], dtype=np.int64)
@@ -374,6 +403,6 @@ def test_inverted_merging_broadcasts_group_into_one_delivery(
     candidates = [[] for _ in range(4)]
     core.deliver(2, {("dist", "broadcast"): ([tg1, tg2], [later, stale])},
                  candidates)
-    assert n_deliveries == [1]
+    assert receivers == [2]
     assert lab[[0, 1, 3, 4]].tolist() == [5, 3, 2, 9]
     assert set(np.concatenate(candidates[2]).tolist()) == {0, 1}

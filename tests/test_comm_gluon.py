@@ -8,7 +8,7 @@ partner sets restricted per policy), and UO/AS/memoization wire effects.
 import numpy as np
 import pytest
 
-from repro.comm import CommConfig, FieldSpec, GluonComm
+from repro.comm import CommConfig, FieldSpec, FieldViews, GluonComm
 from repro.constants import INF
 from repro.errors import ConfigurationError
 from repro.generators import rmat
@@ -24,7 +24,9 @@ def g():
 
 
 def fresh_labels(pg, value=INF, dtype=np.uint32):
-    return [np.full(p.num_local, value, dtype=dtype) for p in pg.parts]
+    return FieldViews(
+        [np.full(p.num_local, value, dtype=dtype) for p in pg.parts]
+    )
 
 
 class TestFieldSpec:
@@ -221,7 +223,7 @@ class TestUpdateTracking:
             pytest.skip("no writable mirrors")
         labels[0][writable[0]] = 1
         comm.mark_updated("dist", 0, [writable[0]])
-        batch = comm.make_reduce_messages("dist", [0], labels)
+        batch = comm.make_reduce_messages("dist", range(1), labels)
         assert len(batch) and (batch.scanned_elements > 0).all()
         assert all(m.scanned_elements > 0 for m in comm.messages(batch))
 
@@ -235,8 +237,8 @@ class TestUpdateTracking:
             pytest.skip("no writable mirrors")
         labels[0][writable[0]] = 1
         comm.mark_updated("dist", 0, [writable[0]])
-        assert len(comm.make_reduce_messages("dist", [0], labels))
-        assert not len(comm.make_reduce_messages("dist", [0], labels))
+        assert len(comm.make_reduce_messages("dist", range(1), labels))
+        assert not len(comm.make_reduce_messages("dist", range(1), labels))
 
 
 class TestAccumulators:
@@ -286,7 +288,7 @@ class TestAccumulators:
         l = int(writable[0])
         labels[0][l] = 5.0
         comm.mark_updated("r", 0, [l])
-        comm.make_reduce_messages("r", [0], labels)
+        comm.make_reduce_messages("r", range(1), labels)
         assert labels[0][l] == 0.0  # reset to identity, not re-sent
 
 

@@ -10,7 +10,7 @@ machinery lost or duplicated a write.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.comm import CommConfig, FieldSpec, GluonComm
+from repro.comm import CommConfig, FieldSpec, FieldViews, GluonComm
 from repro.constants import INF
 from repro.graph import from_edges
 from repro.partition import POLICIES, partition
@@ -50,7 +50,9 @@ def test_min_sync_equals_direct_combination(s):
     spec = FieldSpec(name="x", dtype=np.uint32, reduce_op="min",
                      read_at="src", write_at="dst", identity=INF)
     comm = GluonComm(pg, [spec], CommConfig(update_only=update_only))
-    labels = [np.full(p.num_local, INF, dtype=np.uint32) for p in pg.parts]
+    labels = FieldViews(
+        [np.full(p.num_local, INF, dtype=np.uint32) for p in pg.parts]
+    )
 
     oracle = np.full(g.num_vertices, INF, dtype=np.uint32)
     for v, val in writes:
@@ -79,7 +81,7 @@ def test_add_sync_accumulates_exactly(s):
                      read_at="none", write_at="dst", identity=0,
                      reset_after_reduce=True)
     comm = GluonComm(pg, [spec], CommConfig(update_only=update_only))
-    labels = [np.zeros(p.num_local, dtype=np.int64) for p in pg.parts]
+    labels = FieldViews([np.zeros(p.num_local, dtype=np.int64) for p in pg.parts])
 
     oracle = np.zeros(g.num_vertices, dtype=np.int64)
     for v, val in writes:
@@ -112,7 +114,9 @@ def test_second_sync_moves_nothing_under_uo(s):
     spec = FieldSpec(name="x", dtype=np.uint32, reduce_op="min",
                      read_at="src", write_at="dst", identity=INF)
     comm = GluonComm(pg, [spec], CommConfig(update_only=True))
-    labels = [np.full(p.num_local, INF, dtype=np.uint32) for p in pg.parts]
+    labels = FieldViews(
+        [np.full(p.num_local, INF, dtype=np.uint32) for p in pg.parts]
+    )
     for v, val in writes:
         for p in pg.parts:
             l = p.global_to_local[v]

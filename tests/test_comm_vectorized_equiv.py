@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.check.oracle import extract_scalar, price_batch_scalar
-from repro.comm import CommConfig, FieldSpec, GluonComm
+from repro.comm import CommConfig, FieldSpec, FieldViews, GluonComm
 from repro.comm.router import Router
 from repro.graph import from_edges
 from repro.hw import bridges, dgx2
@@ -45,18 +45,18 @@ def _fresh_comms(pg, config):
 
 
 def _batch_messages(comm, field, phase, p, labels):
-    return comm.messages(comm._extract(field, phase, [p], labels))
+    return comm.messages(comm._extract(field, phase, range(p, p + 1), labels))
 
 
 def _labels_for(pg, spec, rng):
     if np.issubdtype(np.dtype(spec.dtype), np.integer):
-        return [
+        return FieldViews([
             rng.integers(0, 1000, size=p.num_local).astype(spec.dtype)
             for p in pg.parts
-        ]
-    return [
+        ])
+    return FieldViews([
         rng.random(p.num_local).astype(spec.dtype) for p in pg.parts
-    ]
+    ])
 
 
 def _apply_writes(comm, pg, field, writes):

@@ -83,6 +83,23 @@ def test_threads_executor_bit_identical(app, engine):
     )
 
 
+def test_threads_write_disjoint_slices_of_one_flat_array():
+    """Every partition's state is a view of one flat array per field, so
+    the threaded compute phase has P threads writing one buffer.  The
+    slices are disjoint: under a switch interval short enough to
+    interleave the threads inside every kernel (and more partitions than
+    this host has cores) no write may be lost."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _one_run("pr-push", "bsp", executor="threads")
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_results_identical(_one_run("pr-push", "bsp"), threaded)
+
+
 def test_sweep_process_pool_bit_identical():
     """The same study cells through jobs=1 and a 2-worker process pool
     must agree on every deterministic outcome field."""

@@ -5,8 +5,9 @@ The mutation half is the system's mutation-testing suite: each context
 manager in :mod:`repro.fuzz.mutations` plants one realistic bug class
 (lost mirror update, exchange-table off-by-one, dropped reduce partner,
 stale partition-cache entry, wrong CC tie-break, dirty-bit off-by-one,
-non-neutral semiring identity, skewed per-receiver apply bounds, a stale
-pull workspace, a gathered expansion short one edge per vertex)
+non-neutral semiring identity, skewed receiver bases in a step apply, a
+stale pull workspace, a gathered expansion short one edge per vertex, an
+operator that reports a ``-1`` local id)
 and the FULL-check fuzz battery must flag every one — plus stay quiet
 when nothing is planted.
 """

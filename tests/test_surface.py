@@ -18,6 +18,10 @@ kernel two layers need lives in the lower one.  **One tracer route**
 function or method, ``__init__`` included, takes a ``tracer`` parameter,
 and nothing under ``src/repro`` compares a tracer with ``None`` — the
 ambient tracer is the only delivery and ``NULL_TRACER`` the only "off".
+**Fields are written in place** (DESIGN.md, "Field state is flat"): under
+``repro.apps`` and ``repro.gnnflow`` nothing outside ``init_state`` assigns
+``state["<declared field>"]`` — the engine turned that array into a view
+of the field's flat array, and a rebound one is invisible to every sync.
 """
 
 import ast
@@ -212,6 +216,75 @@ def test_the_tracer_rule_sees_a_parameter_and_a_none_test(tmp_path):
         ["repro.comm.gluon:3", "repro.comm.gluon:5"],
     )
     assert _second_tracer_route({"repro.obs.demo": planted})[0] == []
+
+
+def _field_rebinds(modules: dict[str, Path]) -> list[str]:
+    """``state["<field>"] = ...`` outside ``init_state``, for every field
+    a ``FieldSpec(name="<field>", ...)`` in ``modules`` declares."""
+    trees = {name: ast.parse(path.read_text()) for name, path in modules.items()}
+    fields = {
+        kw.value.value
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) == "FieldSpec"
+        for kw in node.keywords
+        if kw.arg == "name" and isinstance(kw.value, ast.Constant)
+    }
+    rebinds = []
+    for name, tree in sorted(trees.items()):
+        exempt = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "init_state"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or id(node) in exempt:
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if (
+                    isinstance(t, ast.Subscript)
+                    and getattr(t.value, "id", "") == "state"
+                    and isinstance(t.slice, ast.Constant)
+                    and t.slice.value in fields
+                ):
+                    rebinds.append(f"{name}:{node.lineno} {t.slice.value}")
+    return rebinds
+
+
+def test_no_operator_rebinds_a_field_array():
+    modules = {
+        name: path for name, path in _modules().items()
+        if name.split(".")[1:2] in (["apps"], ["gnnflow"])
+    }
+    assert len(modules) > 10
+    rebinds = _field_rebinds(modules)
+    assert not rebinds, (
+        "a field array is a view of the field's flat array; write it in "
+        f"place (state[f][...] = v): {rebinds}"
+    )
+
+
+def test_the_rebind_rule_sees_an_assignment_outside_init_state(tmp_path):
+    planted = tmp_path / "bfs.py"
+    planted.write_text(
+        "class BFS:\n"
+        "    def fields(self):\n"
+        "        return [FieldSpec(name='dist', dtype=int)]\n"
+        "    def init_state(self, part, ctx):\n"
+        "        state = {}\n"
+        "        state['dist'] = 0\n"
+        "        return state\n"
+        "    def compute(self, part, ctx, state, frontier):\n"
+        "        state['_memo'] = 1\n"
+        "        state['dist'][frontier] = 0\n"
+        "        state['dist'] += 1\n"
+        "        state['dist'] = state['dist'].copy()\n"
+    )
+    assert _field_rebinds({"repro.apps.bfs": planted}) == [
+        "repro.apps.bfs:12 dist"
+    ]
 
 
 def _mentions() -> set[str]:
