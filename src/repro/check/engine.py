@@ -154,10 +154,6 @@ class MonotoneWatch:
             {} for _ in range(num_partitions)
         ]
 
-    @property
-    def watched_fields(self) -> list[str]:
-        return sorted(self._direction)
-
     def observe(self, views, pid: int | None = None) -> None:
         pids = range(len(self._prev)) if pid is None else (pid,)
         for field, op in self._direction.items():

@@ -84,19 +84,13 @@ class StepNetwork(NamedTuple):
 class Router:
     """Prices messages over a :class:`Cluster` topology."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        volume_scale: float = 1.0,
-        contention: ContentionModel | None = None,
-    ):
+    def __init__(self, cluster: Cluster, volume_scale: float = 1.0):
         """``volume_scale`` inflates wire bytes to paper scale so transfer
         times (and reported GB) correspond to the real datasets.
 
-        ``contention`` attaches a shared-resource model; when omitted, one
-        is built from the cluster's own ``contention`` config (a disabled
-        config normalizes to ``None``, like a disabled tracer, so the flat
-        path pays nothing).
+        The shared-resource model is built from the cluster's own
+        ``contention`` config (a disabled config normalizes to ``None``,
+        like a disabled tracer, so the flat path pays nothing).
         """
         self.cluster = cluster
         self.volume_scale = float(volume_scale)
@@ -104,11 +98,11 @@ class Router:
         #: (every batch pricing and network schedule gathers from them)
         self.host_of = np.asarray(cluster.host_of, dtype=np.int64)
         self.host_rates = np.array([h.serialization_rate for h in cluster.hosts])
-        if contention is None:
-            cfg = getattr(cluster, "contention", None)
-            if cfg is not None and cfg.enabled:
-                contention = ContentionModel(cluster, cfg)
-        self.contention = contention
+        cfg = getattr(cluster, "contention", None)
+        self.contention = (
+            ContentionModel(cluster, cfg) if cfg is not None and cfg.enabled
+            else None
+        )
 
     def scaled_bytes(self, msg: Message) -> float:
         return msg.wire_bytes() * self.volume_scale
@@ -159,7 +153,7 @@ class Router:
             )
         return LegTimes(d2h, c.network.time(nbytes), h2d)
 
-    def price_batch(self, batch, *, contended: bool = False) -> BatchLegTimes:
+    def price_batch(self, batch) -> BatchLegTimes:
         """Price a whole message batch in one vectorized pass.
 
         ``batch`` carries the per-message columns of
@@ -167,11 +161,9 @@ class Router:
         extraction as it is; a ``Message`` list (the estimators, tests)
         goes through :func:`~repro.comm.buffers.batch_arrays` first.
 
-        ``contended=True`` (requires a contention model) additionally
-        queues same-resource network legs FIFO (shared NIC per host,
-        shared staging path) and returns the batch with ``inter`` replaced
-        by the effective queued spans — the per-message leg formulas stay
-        the service times.  The default path is untouched.
+        These are the flat (uncontended) leg times; queueing on shared
+        resources is :meth:`route_step`'s, which takes them as service
+        times.
 
         Replicates :meth:`legs` elementwise (same expressions, same
         operation order, so the floats match the scalar path exactly) and
@@ -181,15 +173,6 @@ class Router:
         An empty batch returns explicitly empty arrays (no NumPy
         empty-shape edge cases downstream of an empty sync step).
         """
-        if contended and self.contention is None:
-            raise ConfigurationError(
-                "price_batch(contended=True) needs a contention model, but "
-                "this router has none — it would silently return flat "
-                "(uncontended) pricing.  Attach a ContentionConfig to the "
-                "cluster (e.g. the ':contended' platform suffix, or "
-                "Cluster(..., contention=ContentionConfig())), or pass "
-                "contention= to Router directly."
-            )
         if isinstance(batch, list):
             batch = batch_arrays(batch)
         if not len(batch.src):
@@ -237,7 +220,7 @@ class Router:
             d2h = np.where(loop, 0.0, d2h)
             inter = np.where(loop, 0.0, inter)
             h2d = np.where(loop, 0.0, h2d)
-        pr = BatchLegTimes(
+        return BatchLegTimes(
             src=batch.src,
             dst=batch.dst,
             d2h=d2h,
@@ -246,10 +229,6 @@ class Router:
             extraction=extraction,
             scaled_bytes=nbytes,
         )
-        if contended:
-            net = self.route_step(pr)
-            pr = pr._replace(inter=net.eff_inter)
-        return pr
 
     def route_step(
         self, pr: BatchLegTimes, hierarchical: bool = False, keys=None
@@ -381,34 +360,25 @@ class Router:
             saved_bytes=float(sum(a.saved_bytes for a in aggregates)),
         )
 
-    def price_feature_loads(
-        self, nbytes_by_gpu, *, contended: bool = False
-    ) -> np.ndarray:
+    def price_feature_loads(self, nbytes_by_gpu) -> np.ndarray:
         """Price per-device host->device feature loads, one bulk transfer
         per GPU per round (the gnnflow workload's traffic leg).
 
         Feature tensors live in host DRAM, so every load crosses the PCIe
         link regardless of GPUDirect: ``time[g] = pcie.time(bytes[g] *
-        volume_scale)``.  With ``contended=True`` the transfer occupies
+        volume_scale)``.  With a contention model the transfer occupies
         the device's ``("pcie_up", g)`` lane jointly with the host's
         ``("staging", h)`` pinned path — same resources, same FIFO
         semantics as the sync legs, scheduled in ascending device order on
         a fresh relative timeline (mirroring one sync step).  Devices with
         zero bytes cost nothing.
         """
-        if contended and self.contention is None:
-            raise ConfigurationError(
-                "price_feature_loads(contended=True) needs a contention "
-                "model, but this router has none — attach a "
-                "ContentionConfig to the cluster (e.g. the ':contended' "
-                "platform suffix) or pass contention= to Router."
-            )
         nbytes = np.asarray(nbytes_by_gpu, dtype=np.float64) * self.volume_scale
         if (nbytes < 0).any():
             raise ConfigurationError("feature byte counts must be >= 0")
         c = self.cluster
         times = np.zeros(len(nbytes))
-        model = self.contention if contended else None
+        model = self.contention
         if model is not None:
             model.reset_clocks()
         host_of = c.host_of

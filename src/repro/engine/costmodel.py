@@ -165,9 +165,7 @@ class CostModel:
         happen inside the router — the gnnflow engines hand raw per-GPU
         byte counts straight from the compute phase.
         """
-        return self.router.price_feature_loads(
-            nbytes_by_gpu, contended=self.contention is not None
-        )
+        return self.router.price_feature_loads(nbytes_by_gpu)
 
     @property
     def contention(self):

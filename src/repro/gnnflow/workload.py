@@ -43,7 +43,7 @@ executors.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,9 +127,6 @@ class GNNFlowConfig:
     def feature_nbytes(self) -> int:
         """Host->device bytes one feature-buffer miss costs."""
         return self.feature_dim * self.bytes_per_feature
-
-    def with_placement(self, **kwargs) -> "GNNFlowConfig":
-        return replace(self, **kwargs)
 
 
 def resolve_config(ctx: RunContext) -> GNNFlowConfig:

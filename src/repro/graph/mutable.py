@@ -87,14 +87,6 @@ class EdgeBatch:
     delete_src: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     delete_dst: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
-    @property
-    def num_inserts(self) -> int:
-        return len(self.insert_src)
-
-    @property
-    def num_deletes(self) -> int:
-        return len(self.delete_src)
-
 
 class MutableGraph:
     """A :class:`CSRGraph` plus an append-only mutation log.

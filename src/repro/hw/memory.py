@@ -100,10 +100,6 @@ class MemoryUsage:
     def mean_bytes(self) -> float:
         return float(np.mean(self.per_gpu_bytes))
 
-    @property
-    def max_gb(self) -> float:
-        return self.max_bytes / GIB
-
 
 class MemoryModel:
     """Prices partitions in device bytes and enforces capacity."""

@@ -179,6 +179,7 @@ class OocReport:
 
 def _build_big_store(cfg: OocConfig, work_dir: str) -> tuple[str, dict, float]:
     """Build (or reuse) the big R-MAT store; returns (path, header, secs)."""
+    from repro.errors import GraphFormatError
     from repro.generators.chunked import build_store
     from repro.graph.store import store_info
 
@@ -189,8 +190,8 @@ def _build_big_store(cfg: OocConfig, work_dir: str) -> tuple[str, dict, float]:
     if os.path.exists(path):
         try:
             return path, store_info(path), 0.0
-        except Exception:
-            os.unlink(path)  # torn or stale: rebuild
+        except (OSError, GraphFormatError):
+            os.unlink(path)  # torn or foreign: rebuild
     t0 = time.perf_counter()
     header = build_store(
         "rmat", cfg.scale, path,

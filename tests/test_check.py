@@ -317,7 +317,7 @@ def test_field_views_and_operator_ids_are_checked(graph, engine_name, monkeypatc
 
 def test_monotone_watch():
     watch = MonotoneWatch([_bfs_field()], num_partitions=2)
-    assert watch.watched_fields == ["dist"]
+    assert sorted(watch._direction) == ["dist"]
     views = {"dist": [np.asarray([9, 9]), np.asarray([9, 9])]}
     watch.observe(views)
     views["dist"][0] = np.asarray([3, 9])  # decreasing: fine for min
@@ -334,7 +334,7 @@ def test_monotone_watch_skips_accumulators():
                     read_at="src", write_at="dst", identity=0.0,
                     reset_after_reduce=True)
     watch = MonotoneWatch([acc, _bfs_field()], num_partitions=1)
-    assert watch.watched_fields == ["dist"]  # add/reset fields exempt
+    assert sorted(watch._direction) == ["dist"]  # add/reset fields exempt
 
 
 # --------------------------------------------------------------------- #

@@ -95,30 +95,6 @@ class TestEmptyBatches:
 
 
 # --------------------------------------------------------------------------- #
-# contended pricing without a model: a typed error, not silent flat pricing
-# --------------------------------------------------------------------------- #
-class TestContendedRequiresModel:
-    def test_contended_without_model_raises_typed_error(self):
-        router = Router(bridges(4))  # bare platform: no contention config
-        assert router.contention is None
-        with pytest.raises(ConfigurationError, match="contention model"):
-            router.price_batch([msg(0, 1)], contended=True)
-
-    def test_error_message_names_the_fix(self):
-        with pytest.raises(ConfigurationError, match=":contended"):
-            Router(bridges(4)).price_batch([msg(0, 2)], contended=True)
-
-    def test_empty_batch_still_catches_misconfiguration(self):
-        with pytest.raises(ConfigurationError):
-            Router(bridges(4)).price_batch([], contended=True)
-
-    def test_contended_with_model_still_works(self):
-        cluster = bridges(4, contention=ContentionConfig())
-        pr = Router(cluster).price_batch([msg(0, 2), msg(1, 3)], contended=True)
-        assert np.all(np.isfinite(pr.inter))
-
-
-# --------------------------------------------------------------------------- #
 # the ser-rate bugfix: sender packs at its rate, receiver unpacks at its own
 # --------------------------------------------------------------------------- #
 class TestHostAwareSerialization:
@@ -343,18 +319,26 @@ class TestContendedBatchPricing:
         # both GPUs of host 0 fire cross-host messages at once: the
         # shared port must serialize them
         messages = [msg(0, 2, n=4096), msg(1, 3, n=4096)]
-        pr = router.price_batch(messages, contended=True)
+        net = router.route_step(router.price_batch(messages))
         ref = flat.price_batch(messages)
-        assert pr.inter.sum() > ref.inter.sum()
-        assert pr.inter.min() >= ref.inter.min()
+        assert net.eff_inter.sum() > ref.inter.sum()
+        assert net.eff_inter.min() >= ref.inter.min()
 
     def test_price_batch_contended_requires_opt_in(self):
-        # contended=False on a contended cluster still prices flat
+        # price_batch is flat on a contended cluster too: the queueing is
+        # route_step's, which takes these legs as service times
         cluster = bridges(4, contention=ContentionConfig())
         pr = Router(cluster).price_batch([msg(0, 2), msg(1, 3)])
         ref = Router(bridges(4)).price_batch([msg(0, 2), msg(1, 3)])
         for a, b in zip(pr, ref):
             assert np.array_equal(a, b)
+
+
+class TestContendedRequiresModel:
+    def test_contended_with_model_still_works(self):
+        router = Router(bridges(4, contention=ContentionConfig()))
+        net = router.route_step(router.price_batch([msg(0, 2), msg(1, 3)]))
+        assert len(net.eff_inter) == 2 and np.all(np.isfinite(net.eff_inter))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,8 +1,7 @@
-"""Tests for the Table I dataset registry."""
+"""Tests for the Table I dataset registry, and the golden table ``dataset``."""
 
-import json
 import zlib
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +10,7 @@ from repro.generators import DATASETS, dataset_names, load_dataset
 from repro.graph import make_undirected
 from repro.graph.properties import approximate_diameter
 from repro.partition.metis_like import bfs_order
-
-GOLDEN = Path(__file__).parent / "cases" / "dataset_golden.json"
+from tests import golden
 
 
 def _row(graph) -> dict:
@@ -23,28 +21,25 @@ def _row(graph) -> dict:
     }
 
 
-def compute_dataset_table() -> dict:
-    """What ``tests/cases/dataset_golden.json`` stores: every registry
-    dataset as ``load_dataset`` hands it out (weighted) and its symmetrized
-    view.  ``make_undirected(graph)`` is what ``Dataset.symmetric()``
-    computes, called directly so the suite does not keep ten symmetric
-    graphs alive; ``traversal`` is what the undirected BFS waves compute on
-    it (Table I's diameter, metis-like's ordering).  Regenerate from any
-    checkout's sources with the command in docs/performance.md, "A cold
-    study pays only for what its cells read".
-    """
-    table = {}
-    for name in DATASETS:
-        graph = load_dataset(name).graph
-        table[name] = {
-            "weighted": _row(graph),
-            "symmetric": _row(make_undirected(graph)),
-            "traversal": {
-                "approx_diameter": approximate_diameter(graph, seed=0),
-                "bfs_order_crc": zlib.crc32(bfs_order(graph).tobytes()),
-            },
-        }
-    return table
+def dataset_row(name: str) -> dict:
+    """One registry dataset as ``load_dataset`` hands it out (weighted)
+    and its symmetrized view.  ``make_undirected(graph)`` is what
+    ``Dataset.symmetric()`` computes, called directly so the suite does not
+    keep ten symmetric graphs alive; ``traversal`` is what the undirected
+    BFS waves compute on it (Table I's diameter, metis-like's ordering)."""
+    graph = load_dataset(name).graph
+    return {name: {
+        "weighted": _row(graph),
+        "symmetric": _row(make_undirected(graph)),
+        "traversal": {
+            "approx_diameter": approximate_diameter(graph, seed=0),
+            "bfs_order_crc": zlib.crc32(bfs_order(graph).tobytes()),
+        },
+    }}
+
+
+#: one group per registry dataset (``tests/golden.py``)
+GROUPS = {name: partial(dataset_row, name) for name in DATASETS}
 
 
 def test_every_registry_dataset_matches_the_golden_table():
@@ -52,7 +47,7 @@ def test_every_registry_dataset_matches_the_golden_table():
     under the generators); ``expected.json`` only pins three of them.  The
     ``traversal`` rows were recorded at the parent of PR 22 (``336951d``,
     the private ``_expand`` + ``np.unique`` loops)."""
-    assert compute_dataset_table() == json.loads(GOLDEN.read_text())
+    golden.check("dataset")
 
 
 class TestRegistry:

@@ -1,75 +1,36 @@
-"""Golden determinism suite: two identical runs must be bit-identical.
+"""Determinism: a run built from scratch reproduces its golden row.
 
 The engines are deterministic discrete-event simulations; the vectorized
 comm substrate must preserve that.  For every study app under BSP and
-BASP, two runs built from scratch (fresh graphs, partitions, plan caches,
-and engines) must produce identical labels, round counts, and the full
-:class:`RunStats` record.  Any divergence means ordering leaked in — a
-dict iteration, an unstable sort, or a float reassociation.
+BASP, one run built from scratch (fresh graphs, partitions, plan caches,
+and engines) — serially and on the threaded executor — must reproduce the
+``matrix/{app}/cvc/4/{engine}/uo`` row of the golden table ``sync``:
+labels, round counts and the full :class:`RunStats` record.  Any
+divergence means ordering leaked in — a dict iteration, an unstable sort,
+or a float reassociation.
 """
 
-import dataclasses
-
-import numpy as np
 import pytest
 
-from repro.apps import get_app
-from repro.comm import CommConfig
-from repro.engine import BASPEngine, BSPEngine, RunContext
-from repro.generators import rmat
-from repro.graph.transform import add_random_weights, make_undirected
-from repro.hw import bridges
-from repro.partition import partition
+from tests import golden
+from tests.test_sync_golden import ENGINES, Inputs, run_row
 
 APPS = ("bfs", "cc", "kcore", "pr", "sssp")
-ENGINES = {"bsp": BSPEngine, "basp": BASPEngine}
 
 
-def _one_run(app_name: str, engine: str, executor: str = "serial"):
-    """Build everything from scratch and run once."""
-    g = add_random_weights(rmat(9, edge_factor=8, seed=3), seed=0)
-    sym = add_random_weights(make_undirected(g), seed=1)
-    app = get_app(app_name)
-    base = sym if app.needs_symmetric else g
-    ctx = RunContext(
-        num_global_vertices=base.num_vertices,
-        source=int(np.argmax(base.out_degrees())),
-        k=8,
-        global_out_degrees=base.out_degrees(),
-        global_degrees=sym.out_degrees(),
+def _assert_reproduces_golden_row(app: str, engine: str, executor: str):
+    row = run_row(
+        Inputs(), app, "cvc", 4, engine, True,
+        engine_kwargs=dict(executor=executor),
     )
-    pg = partition(base, "cvc", 4, cache=False)
-    eng = ENGINES[engine](
-        pg, bridges(4), app,
-        comm_config=CommConfig(update_only=True),
-        check_memory=False,
-        executor=executor,
-    )
-    return eng.run(ctx)
-
-
-def _assert_stats_identical(a, b):
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, np.ndarray):
-            np.testing.assert_array_equal(va, vb, err_msg=f.name)
-        else:
-            assert va == vb, f"{f.name}: {va!r} != {vb!r}"
-
-
-def _assert_results_identical(r1, r2):
-    np.testing.assert_array_equal(r1.labels, r2.labels)
-    assert r1.stats.rounds == r2.stats.rounds
-    _assert_stats_identical(r1.stats, r2.stats)
-    assert set(r1.extra) == set(r2.extra)
-    for k in r1.extra:
-        np.testing.assert_array_equal(r1.extra[k], r2.extra[k])
+    key = f"matrix/{app}/cvc/4/{engine}/uo"
+    assert golden.normalized(row) == golden.recorded("sync")[key]
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("app", APPS)
 def test_two_runs_identical(app, engine):
-    _assert_results_identical(_one_run(app, engine), _one_run(app, engine))
+    _assert_reproduces_golden_row(app, engine, "serial")
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -78,9 +39,7 @@ def test_threads_executor_bit_identical(app, engine):
     """The threaded compute phase must not change a single stats field:
     per-partition outputs are merged in pid order regardless of which
     thread finished first."""
-    _assert_results_identical(
-        _one_run(app, engine), _one_run(app, engine, executor="threads")
-    )
+    _assert_reproduces_golden_row(app, engine, "threads")
 
 
 def test_threads_write_disjoint_slices_of_one_flat_array():
@@ -94,10 +53,9 @@ def test_threads_write_disjoint_slices_of_one_flat_array():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = _one_run("pr-push", "bsp", executor="threads")
+        _assert_reproduces_golden_row("pr-push", "bsp", "threads")
     finally:
         sys.setswitchinterval(interval)
-    _assert_results_identical(_one_run("pr-push", "bsp"), threaded)
 
 
 def test_sweep_process_pool_bit_identical():

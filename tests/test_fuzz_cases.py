@@ -8,7 +8,6 @@ wrong answer.  Dropping a file from this directory silently removes a
 regression guard; the suite fails if the directory is empty.
 """
 
-import glob
 import json
 import os
 
@@ -16,14 +15,13 @@ import pytest
 
 from repro.errors import ConfigurationError, InvariantViolation, ReproError
 from repro.fuzz.cases import Case, CaseFailure, run_case
+from tests import golden
 
-CASE_DIR = os.path.join(os.path.dirname(__file__), "cases")
-#: the *_golden.json files share the directory but are tables of expected
-#: results (tests/test_kernel_golden.py, tests/test_partition_golden.py),
-#: not replayable cases
+#: the golden tables share the directory but are tables of expected
+#: results (tests/golden.py), not replayable cases
 CASE_FILES = sorted(
-    p for p in glob.glob(os.path.join(CASE_DIR, "*.json"))
-    if not p.endswith("_golden.json")
+    str(p) for p in golden.CASES.glob("*.json")
+    if p.name not in {t.file for t in golden.TABLES.values()}
 )
 
 

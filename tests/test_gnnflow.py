@@ -9,6 +9,8 @@ policy.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,19 +111,10 @@ class TestFeatureLoadPricing:
         assert times[1] == 0.0
         assert times[2] == pytest.approx(cluster.pcie.time(2e6))
 
-    def test_contended_without_model_raises_typed_error(self):
-        router = Router(bridges(4))
-        assert router.contention is None
-        with pytest.raises(ConfigurationError, match="contention model"):
-            router.price_feature_loads([1.0] * 4, contended=True)
-
     def test_same_host_loads_queue_on_staging(self):
         cluster = bridges(4, contention=ContentionConfig())
-        router = Router(cluster)
-        flat = router.price_feature_loads([1e6, 1e6, 0.0, 0.0])
-        contended = router.price_feature_loads(
-            [1e6, 1e6, 0.0, 0.0], contended=True
-        )
+        flat = Router(bridges(4)).price_feature_loads([1e6, 1e6, 0.0, 0.0])
+        contended = Router(cluster).price_feature_loads([1e6, 1e6, 0.0, 0.0])
         # GPUs 0 and 1 share host 0's staging path: the second load
         # starts only after the first finishes, doubling its span
         service = cluster.pcie.time(1e6)
@@ -153,7 +146,7 @@ class TestWorkloadAccounting:
     def test_caching_reduces_bytes_without_changing_labels(self):
         plain = run_task(_spec())
         cached = run_task(
-            _spec(cfg=base_config().with_placement(cache_fraction=0.5))
+            _spec(cfg=replace(base_config(), cache_fraction=0.5))
         )
         assert plain.ok and cached.ok
         assert cached.labels_crc == plain.labels_crc
@@ -164,7 +157,7 @@ class TestWorkloadAccounting:
 
     def test_full_buffer_after_warmup_never_misses_twice(self):
         out = run_task(
-            _spec(cfg=base_config().with_placement(cache_fraction=1.0))
+            _spec(cfg=replace(base_config(), cache_fraction=1.0))
         )
         assert out.ok
         st = out.stats
@@ -178,7 +171,7 @@ class TestWorkloadAccounting:
 
         tracer = Tracer()
         fw = DIrGL(policy="iec", execution="sync")
-        cfg = base_config().with_placement(cache_fraction=0.5)
+        cfg = replace(base_config(), cache_fraction=0.5)
         with use_tracer(tracer):
             res = fw.run(
                 "gnnflow",
@@ -203,8 +196,8 @@ class TestDifferential:
     @pytest.mark.parametrize("shape", GNN_SHAPES)
     @pytest.mark.parametrize("policy", GNN_POLICIES)
     def test_serial_vs_threads_engine_executor(self, shape, policy):
-        cfg = base_config().with_placement(
-            cache_fraction=0.5, locality_sampling=True
+        cfg = replace(
+            base_config(), cache_fraction=0.5, locality_sampling=True
         )
         serial = run_task(_spec(shape, policy, cfg))
         threads = run_task(

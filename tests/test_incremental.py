@@ -10,20 +10,18 @@ covered on both engines.
 The unit tests below pin the decision logic itself: which batches take
 the delta path, which fall back, and why.
 
-``tests/cases/incremental_golden.json`` pins what the delta path
-*returns*: ``(labels CRC, work_edges, rounds, reason)`` of
-``incremental_run`` for the 13 fuzz shapes x {bfs, sssp, cc} x one
-insert-only and one delete-bearing batch, recorded at ``336951d`` from
-the hand-rolled ``_relax_sweep`` / ``_min_label_sweep`` loops.  The sweep
-is now ``spmv.spmsv_push`` to the fixpoint and must reproduce every row
-at any ``REPRO_BLOCK_EDGES`` (the loops were unblocked).  The table is
-what :func:`compute_incremental_table` returns, so it can be regenerated
-from any checkout's sources.
+The golden table ``incremental`` (``tests/cases/incremental_golden.json``)
+pins what the delta path *returns*: ``(labels CRC, work_edges, rounds,
+reason)`` of ``incremental_run`` for the 13 fuzz shapes x {bfs, sssp, cc}
+x one insert-only and one delete-bearing batch, recorded at ``336951d``
+from the hand-rolled ``_relax_sweep`` / ``_min_label_sweep`` loops.  The
+sweep is now ``spmv.spmsv_push`` to the fixpoint and must reproduce every
+row at every ``REPRO_BLOCK_EDGES`` its registry entry lists
+(``tests/golden.py``; the loops were unblocked).
 """
 
-import json
 import zlib
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +34,7 @@ from repro.graph import EdgeBatch, MutableGraph, from_edges
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.serve.incremental import DELTA_APPS, incremental_run
 from repro.validation import reference_bfs, reference_cc, reference_sssp
+from tests import golden
 
 ENGINES = ("bsp", "basp")
 #: one delta-capable app per label family: hop counts, weighted
@@ -72,8 +71,6 @@ def test_incremental_matches_full(shape, engine):
 
 
 # ---------------------------------------------------------------------- #
-GOLDEN = Path(__file__).parent / "cases" / "incremental_golden.json"
-
 _REFERENCES = {
     "bfs": reference_bfs,
     "sssp": reference_sssp,
@@ -81,77 +78,56 @@ _REFERENCES = {
 }
 
 
-def _golden_inputs() -> dict:
-    """``key -> (app, old graph, new graph, batches, prior labels)``: per
-    shape and app, three random inserts, and two deletes of live edges
-    beside two inserts (mirrored on cc's symmetric graphs)."""
-    out = {}
-    for shape in sorted(SHAPES):
-        for app in APPS:
-            rng = np.random.default_rng(
-                [22, zlib.crc32(shape.encode()), len(app)]
-            )
-            graph = build_shape(shape, rng)
-            symmetric = app == "cc"
+def incremental_rows(shape: str) -> dict:
+    """Per app, three random inserts, and two deletes of live edges beside
+    two inserts (mirrored on cc's symmetric graphs), through
+    ``incremental_run`` from the reference labels of the old graph."""
+    rows = {}
+    for app in APPS:
+        rng = np.random.default_rng([22, zlib.crc32(shape.encode()), len(app)])
+        graph = build_shape(shape, rng)
+        symmetric = app == "cc"
+        if symmetric:
+            graph = add_random_weights(make_undirected(graph), seed=22)
+        n = graph.num_vertices
+        prior = _REFERENCES[app](graph, int(np.argmax(graph.out_degrees())))
+        for kind, k_ins, k_del in (("insert", 3, 0), ("delete", 2, 2)):
+            ins = rng.integers(0, n, (k_ins, 2))
+            live = np.stack([graph.edge_sources(), graph.indices], axis=1)
+            picks = rng.choice(len(live), size=min(k_del, len(live)), replace=False)
+            dele = live[picks].astype(np.int64)
             if symmetric:
-                graph = add_random_weights(make_undirected(graph), seed=22)
-            n = graph.num_vertices
-            prior = _REFERENCES[app](graph, int(np.argmax(graph.out_degrees())))
-            for kind, k_ins, k_del in (("insert", 3, 0), ("delete", 2, 2)):
-                ins = rng.integers(0, n, (k_ins, 2))
-                live = np.stack([graph.edge_sources(), graph.indices], axis=1)
-                picks = rng.choice(
-                    len(live), size=min(k_del, len(live)), replace=False
-                )
-                dele = live[picks].astype(np.int64)
-                if symmetric:
-                    ins = np.concatenate([ins, ins[:, ::-1]])
-                    dele = np.concatenate([dele, dele[:, ::-1]])
-                mg = MutableGraph(graph)
-                mg.apply(EdgeBatch(
-                    timestamp=1,
-                    insert_src=ins[:, 0], insert_dst=ins[:, 1],
-                    delete_src=dele[:, 0], delete_dst=dele[:, 1],
-                ))
-                out[f"{shape}/{app}/{kind}"] = (
-                    app, graph, mg.snapshot(), mg.log, prior
-                )
-    return out
+                ins = np.concatenate([ins, ins[:, ::-1]])
+                dele = np.concatenate([dele, dele[:, ::-1]])
+            mg = MutableGraph(graph)
+            mg.apply(EdgeBatch(
+                timestamp=1,
+                insert_src=ins[:, 0], insert_dst=ins[:, 1],
+                delete_src=dele[:, 0], delete_dst=dele[:, 1],
+            ))
+            res = incremental_run(app, graph, mg.snapshot(), mg.log, prior)
+            rows[f"{shape}/{app}/{kind}"] = {
+                "labels_crc": (
+                    None if res.labels is None
+                    else zlib.crc32(np.ascontiguousarray(res.labels).tobytes())
+                ),
+                "work_edges": int(res.work_edges),
+                "rounds": int(res.rounds),
+                "reason": f"{res.mode}: {res.reason}",
+            }
+    return rows
 
 
-def compute_incremental_table(inputs=None) -> dict:
-    table = {}
-    for key, (app, old, new, batches, prior) in (
-        inputs or _golden_inputs()
-    ).items():
-        res = incremental_run(app, old, new, batches, prior)
-        table[key] = {
-            "labels_crc": (
-                None if res.labels is None
-                else zlib.crc32(np.ascontiguousarray(res.labels).tobytes())
-            ),
-            "work_edges": int(res.work_edges),
-            "rounds": int(res.rounds),
-            "reason": f"{res.mode}: {res.reason}",
-        }
-    return table
+GROUPS = {shape: partial(incremental_rows, shape) for shape in sorted(SHAPES)}
 
 
-@pytest.fixture(scope="module")
-def golden_inputs():
-    return _golden_inputs()
-
-
-@pytest.mark.parametrize("budget", [None, "1", "7"])
-def test_incremental_matches_golden(monkeypatch, golden_inputs, budget):
-    """None missing, none stale, none moved — at any block budget."""
-    if budget is None:
-        monkeypatch.delenv("REPRO_BLOCK_EDGES", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_BLOCK_EDGES", budget)
-    golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == len(SHAPES) * len(APPS) * 2
-    assert compute_incremental_table(golden_inputs) == golden
+@pytest.mark.parametrize(
+    "env", golden.TABLES["incremental"].envs,
+    ids=[str(e["REPRO_BLOCK_EDGES"]) for e in golden.TABLES["incremental"].envs],
+)
+def test_incremental_matches_golden(env):
+    """None missing, none stale, none moved — at each block budget."""
+    golden.check("incremental", env=env)
 
 
 # ---------------------------------------------------------------------- #

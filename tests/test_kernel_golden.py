@@ -1,4 +1,4 @@
-"""Golden-table suite: the semiring kernels against the deleted loop twins.
+"""Golden table ``kernel``: the semiring kernels against the deleted loop twins.
 
 Until PR 14 every app carried a hand-rolled loop kernel beside its
 :mod:`repro.la` semiring call, and this file ran both and compared them.
@@ -9,19 +9,15 @@ policies, the 4-policy rmat sweep, the dense bfs-do pull cell — the
 ``(labels CRC, dtype, rounds, local_rounds_min/max)`` that
 ``kernel="loop"`` produced at the parent commit ``5d8a8e4``, plus the
 deterministic block of the former ``BENCH_la.json`` cell.  The single
-path must reproduce every row.
-
-The table is what :func:`compute_table` returns, so it can be
-regenerated by hand (docs/kernels.md shows the command that produced
-the committed one from the parent's sources).  A row that moves is a
-semantic change to a kernel, never noise.
+path must reproduce every row; ``tests/golden.py`` checks and records the
+groups below.  A row that moves is a semantic change to a kernel, never
+noise.
 """
 
 from __future__ import annotations
 
-import json
 import zlib
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,8 +30,7 @@ from repro.fuzz.gen import SHAPES, build_shape, dense_graph
 from repro.hw import bridges
 from benchmarks import perfbaseline
 from repro.partition import partition
-
-CASES = Path(__file__).parent / "cases"
+from tests import golden
 
 #: the four study policies the matrix rotates through
 POLICIES = ("cvc", "oec", "iec", "hvc")
@@ -132,68 +127,50 @@ def bench_rows() -> dict:
     return {f"bench/{cell.key}": cell.deterministic_fields()}
 
 
-def compute_table() -> dict:
-    """The whole golden table, keyed ``group/app/graph/engine/policy/pN``."""
-    table = {}
-    for app_name, engines in APP_ENGINES:
-        table.update(shape_rows(app_name, engines))
-    for policy in POLICIES:
-        table.update(policy_rows(policy))
-    table.update(pull_rows())
-    table.update(bench_rows())
-    return table
+GROUPS = {
+    **{f"shapes/{a}": partial(shape_rows, a, e) for a, e in APP_ENGINES},
+    **{f"policies/{p}": partial(policy_rows, p) for p in POLICIES},
+    "pull": pull_rows,
+    "bench": bench_rows,
+}
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads((CASES / "kernel_golden.json").read_text())
-
-
-def _assert_reproduces(rows: dict, golden: dict, group: str):
-    """``rows`` equal the golden rows of ``group`` — none missing, none
-    stale, none moved."""
-    expected = {k: v for k, v in golden.items() if k.startswith(group)}
-    assert rows == expected
+def group_of(key: str) -> str:
+    """``shapes/{app}``, ``policies/{policy}``, ``pull`` or ``bench``."""
+    group, *rest = key.split("/")
+    if group == "shapes":
+        return f"{group}/{rest[0]}"
+    if group == "policies":
+        return f"{group}/{rest[3]}"
+    return group
 
 
 # the ``numpy`` suffix of these IDs dates from the array-backend axis;
 # it is kept so the test IDs the floor list names survive its deletion
 @pytest.mark.parametrize(
-    "app_name,engines", APP_ENGINES, ids=[f"{a}-numpy" for a, _ in APP_ENGINES]
+    "app_name", [a for a, _ in APP_ENGINES],
+    ids=[f"{a}-numpy" for a, _ in APP_ENGINES],
 )
-def test_all_shapes_bit_identical(app_name, engines, golden):
-    _assert_reproduces(
-        shape_rows(app_name, engines), golden, f"shapes/{app_name}/"
-    )
+def test_all_shapes_bit_identical(app_name):
+    golden.check("kernel", f"shapes/{app_name}")
 
 
 @pytest.mark.parametrize(
     "policy", POLICIES, ids=[f"{p}-numpy" for p in POLICIES]
 )
-def test_all_policies_bit_identical(policy, golden):
-    rows = policy_rows(policy)
-    assert rows == {k: golden[k] for k in rows}
+def test_all_policies_bit_identical(policy):
+    golden.check("kernel", f"policies/{policy}")
 
 
-@pytest.mark.parametrize("group", ["pull/"], ids=["numpy"])
-def test_direction_pull_bit_identical(group, golden):
-    _assert_reproduces(pull_rows(), golden, group)
+@pytest.mark.parametrize("group", ["pull"], ids=["numpy"])
+def test_direction_pull_bit_identical(group):
+    golden.check("kernel", group)
 
 
-def test_former_bench_la_cell_reproduces(golden):
+def test_former_bench_la_cell_reproduces():
     """``pr-push/cvc/bsp/uo``: label CRC, rounds, messages, work items,
     bytes and simulated seconds of the deleted ``BENCH_la.json``."""
-    _assert_reproduces(bench_rows(), golden, "bench/")
-
-
-def test_golden_table_has_no_stale_groups(golden):
-    assert {k.split("/")[0] for k in golden} == {
-        "shapes", "policies", "pull", "bench"
-    }
-    policies = {k for k in golden if k.startswith("policies/")}
-    assert len(policies) == len(POLICIES) * sum(
-        len(e) for _, e in APP_ENGINES
-    )
+    golden.check("kernel", "bench")
 
 
 # ---------------------------------------------------------------------- #
@@ -216,7 +193,7 @@ def test_bfsdo_stays_bsp_only():
 
     assert DirectionOptBFS.async_capable is False
 
-    case = Case.load(str(CASES / "bfsdo_async_pull_finalize.json"))
+    case = Case.load(str(golden.CASES / "bfsdo_async_pull_finalize.json"))
 
     class AsyncDO(DirectionOptBFS):
         async_capable = True

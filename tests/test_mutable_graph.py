@@ -66,7 +66,7 @@ class TestApply:
         mg.insert_edges([0], [3], timestamp=1)
         mg.delete_edges([0], [1], timestamp=2)
         assert len(mg.log) == 2
-        assert (mg.log[0].num_inserts, mg.log[1].num_deletes) == (1, 1)
+        assert (len(mg.log[0].insert_src), len(mg.log[1].delete_src)) == (1, 1)
 
 
 class TestWeights:

@@ -10,6 +10,8 @@ must produce bit-identical labels and stats whether the store is opened
 must replay the unblocked elementwise order exactly.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,8 @@ from repro.hw import bridges
 from repro.idset import merge_touched
 from repro.partition import partition
 from repro.runtime.rss import RssSampler, read_rss_anon
-from repro.study.ooc import OocConfig, OocReport, evaluate
-from tests.test_determinism import _assert_stats_identical
+from repro.study.ooc import OocConfig, OocReport, _build_big_store, evaluate
+from tests.test_sync_golden import result_row
 
 ENGINES = {"bsp": BSPEngine, "basp": BASPEngine}
 
@@ -165,7 +167,7 @@ def _assert_budget_invisible(monkeypatch, budget, graph, app_name, engine,
     monkeypatch.setenv("REPRO_BLOCK_EDGES", str(budget))
     blocked = _run(graph, app_name, engine, **cell)
     assert base.labels.tobytes() == blocked.labels.tobytes()
-    _assert_stats_identical(base.stats, blocked.stats)
+    assert result_row(base) == result_row(blocked)
 
 
 @pytest.mark.parametrize("app_name", ["bfs", "pr-push"])
@@ -280,6 +282,44 @@ def test_ooc_config_from_env(monkeypatch):
     assert cfg.rss_tol == 3.0
     assert cfg.jobs == 4
     assert cfg.wall_tol == OocConfig.wall_tol  # untouched default
+
+
+@pytest.fixture()
+def small_store(tmp_path):
+    """A scale-10 big store, built once: (config, path, header)."""
+    cfg = OocConfig(ram_cap_mb=0.01, size_multiple=1.0, edge_factor=8.0)
+    assert cfg.scale == 10
+    path, header, _ = _build_big_store(cfg, str(tmp_path))
+    return cfg, path, header
+
+
+def test_a_torn_big_store_is_rebuilt(small_store, tmp_path):
+    cfg, path, header = small_store
+    with open(path, "wb") as fh:
+        fh.write(b"not a csr store")
+    assert _build_big_store(cfg, str(tmp_path))[:2] == (path, header)
+
+
+def test_a_loader_bug_is_not_mistaken_for_a_torn_store(
+    small_store, tmp_path, monkeypatch
+):
+    """Only what the container reader raises for a torn or foreign file
+    (``OSError``, ``GraphFormatError``) rebuilds the store; anything else
+    propagates, and the file stays."""
+    import repro.generators.chunked
+    import repro.graph.store
+
+    def broken(path):
+        raise TypeError("loader bug")
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("a loader bug deleted and rebuilt the store")
+
+    monkeypatch.setattr(repro.graph.store, "store_info", broken)
+    monkeypatch.setattr(repro.generators.chunked, "build_store", rebuild)
+    with pytest.raises(TypeError, match="loader bug"):
+        _build_big_store(small_store[0], str(tmp_path))
+    assert os.path.exists(small_store[1])
 
 
 def _passing_report() -> OocReport:

@@ -1,4 +1,4 @@
-"""Golden-table suite: partition builds and CSR transforms, pinned as data.
+"""Golden table ``partition``: partition builds and CSR transforms, pinned as data.
 
 Until PR 16 every CSR build sorted its edges with ``np.lexsort`` and
 ``build_partitions`` derived proxy sets from one global ``np.unique``.
@@ -18,16 +18,14 @@ view, a hand-built :class:`CSRGraph` whose rows are **not** dst-sorted (the
 ordered check must fail and the sort must equal lexsort), and a multigraph
 whose parallel edges carry distinct weights (ties keep input order).
 
-The table is what :func:`compute_table` returns, so it can be regenerated
-by hand from any checkout's sources (docs/performance.md, "Cold path",
-shows the command).  A row that moves is a semantic change, never noise.
+``tests/golden.py`` checks and records the groups below.  A row that
+moves is a semantic change, never noise.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -35,8 +33,7 @@ import pytest
 from repro.generators import rmat
 from repro.graph import CSRGraph, add_random_weights, make_undirected
 from repro.partition import partition
-
-GOLDEN = Path(__file__).parent / "cases" / "partition_golden.json"
+from tests import golden
 
 POLICIES = ("oec", "iec", "hvc", "cvc", "jagged", "metis-like", "random")
 PARTS = (1, 4, 7)
@@ -72,6 +69,7 @@ def _parallel_edges() -> CSRGraph:
     return CSRGraph(indptr, dst, weights, name="parallel")
 
 
+@cache
 def inputs() -> dict[str, CSRGraph]:
     gen = add_random_weights(rmat(8, edge_factor=8, seed=3), seed=5)
     return {
@@ -105,58 +103,39 @@ def partition_digest(part) -> str:
     return _sha1(arrays)
 
 
-def partition_rows(graphs) -> dict[str, list[str]]:
+def partition_rows(name: str) -> dict[str, list[str]]:
+    g = inputs()[name]
     return {
-        f"{name}/{policy}/{parts}": [
+        f"partitions/{name}/{policy}/{parts}": [
             partition_digest(p)
             for p in partition(g, policy, parts, cache=False).parts
         ]
-        for name, g in graphs.items()
         for policy in POLICIES
         for parts in PARTS
     }
 
 
-def transform_rows(graphs) -> dict[str, dict[str, str]]:
+def transform_rows() -> dict[str, dict[str, str]]:
     return {
-        name: {
+        f"transforms/{name}": {
             "undirected": make_undirected(g).content_hash(),
             "reverse": g.reverse().content_hash(),
         }
-        for name, g in graphs.items()
+        for name, g in inputs().items()
     }
 
 
-def compute_table() -> dict:
-    graphs = inputs()
-    return {
-        "partitions": partition_rows(graphs),
-        "transforms": transform_rows(graphs),
-    }
+NAMES = ("rmat8", "rmat8+sym", "unsorted", "parallel")
+GROUPS = {
+    **{f"partitions/{n}": partial(partition_rows, n) for n in NAMES},
+    "transforms": transform_rows,
+}
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+@pytest.mark.parametrize("name", NAMES)
+def test_partitions_match_golden(name):
+    golden.check("partition", f"partitions/{name}")
 
 
-@pytest.fixture(scope="module")
-def graphs():
-    return inputs()
-
-
-def test_table_covers_the_matrix(golden, graphs):
-    assert len(golden["partitions"]) == len(graphs) * len(POLICIES) * len(PARTS)
-    assert sorted(golden["transforms"]) == sorted(graphs)
-
-
-@pytest.mark.parametrize("name", ["rmat8", "rmat8+sym", "unsorted", "parallel"])
-def test_partitions_match_golden(golden, graphs, name):
-    got = partition_rows({name: graphs[name]})
-    want = {k: v for k, v in golden["partitions"].items()
-            if k.split("/")[0] == name}
-    assert got == want
-
-
-def test_transforms_match_golden(golden, graphs):
-    assert transform_rows(graphs) == golden["transforms"]
+def test_transforms_match_golden():
+    golden.check("partition", "transforms")

@@ -46,18 +46,13 @@ TEST_ONLY = {
     "relabel": "vertex permutation, exercised by the transform tests",
     "insert_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
     "delete_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
-    "num_inserts": "EdgeBatch size, read by the mutation tests",
-    "num_deletes": "EdgeBatch size, read by the mutation tests",
     "fit_calibration":
         "least-squares fit behind AnalyticPredictor(calibration=): the "
         "leave-one-shape-out accuracy harness in tests/test_tune.py",
     "imbalance": "BlockCost max/mean, asserted by the load-balancer tests",
-    "max_gb": "MemoryUsage in GiB, asserted by the hw tests",
     "transfer_time":
         "closed-form single-link transfer time the hw and contention tests "
         "check validation and scaling with",
-    "watched_fields": "MonotoneWatch introspection for the checker tests",
-    "with_placement": "GNNFlowConfig variant builder for the gnnflow tests",
 }
 
 

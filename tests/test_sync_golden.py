@@ -1,4 +1,4 @@
-"""Golden-table suite: what the sync path computes, pinned as data.
+"""Golden table ``sync``: what the sync path computes, pinned as data.
 
 Until PR 17 both engines delivered one ``Message`` object at a time:
 ``apply_reduce`` / ``apply_broadcast`` per message, a ``Message`` +
@@ -11,22 +11,19 @@ the extra outputs — plus rows for the options that reroute the sync path
 (explicit-id wire format, no invariant filtering, two-level sync, a
 contended cluster, GPUDirect, overlap hiding, the async throttle, the
 threaded executor).  The table was produced at the parent commit
-``2488378``; the batch-native path must reproduce every row.
-``tests/test_determinism.py`` only compares a run with itself, so this
-file is what pins the engines against their own history.
-
-The table is what :func:`compute_table` returns, so it can be regenerated
-by hand from any checkout's sources (docs/performance.md, "Sync path",
-shows the command).  A row that moves is a semantic change, never noise.
+``2488378``; the batch-native path must reproduce every row, and
+``tests/test_determinism.py`` holds runs built from scratch to its
+``matrix/{app}/cvc/4/{engine}/uo`` rows.  ``tests/golden.py`` checks and
+records the groups below.  A row that moves is a semantic change, never
+noise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import zlib
-from pathlib import Path
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -38,8 +35,7 @@ from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import ContentionConfig, bridges
 from repro.partition import partition
-
-GOLDEN = Path(__file__).parent / "cases" / "sync_golden.json"
+from tests import golden
 
 APPS = ("bfs", "cc", "kcore", "pr", "pr-push", "sssp")
 LAYOUTS = (("oec", 4), ("oec", 7), ("cvc", 4), ("cvc", 7))
@@ -69,7 +65,7 @@ OPTION_APPS = ("pr", "bfs")
 OPTION_LAYOUT = ("cvc", 7)
 
 
-class _Inputs:
+class Inputs:
     """Graphs, contexts and partitions, built once per table."""
 
     def __init__(self):
@@ -117,81 +113,53 @@ def run_row(
     comm=None, cluster=None, engine_kwargs=None,
 ) -> dict:
     app, pg, ctx = inputs.cell(app_name, policy, parts)
-    engine_kwargs = dict(engine_kwargs or {})
-    if engine == "bsp":
-        engine_kwargs.pop("throttle_wait", None)
     config = CommConfig(**{"update_only": update_only, **(comm or {})})
     eng = ENGINES[engine](
         pg, bridges(parts, **(cluster or {})), app, comm_config=config,
-        check_memory=False, **engine_kwargs,
+        check_memory=False, **(engine_kwargs or {}),
     )
     return result_row(eng.run(ctx))
 
 
-def matrix_rows(inputs, apps=APPS) -> dict[str, dict]:
+shared_inputs = cache(Inputs)
+
+
+def matrix_rows(app: str) -> dict[str, dict]:
     return {
-        f"{app}/{policy}/{parts}/{engine}/{comm}": run_row(
-            inputs, app, policy, parts, engine, COMMS[comm]
+        f"matrix/{app}/{policy}/{parts}/{engine}/{comm}": run_row(
+            shared_inputs(), app, policy, parts, engine, COMMS[comm]
         )
-        for app in apps
         for policy, parts in LAYOUTS
         for engine in ENGINES
         for comm in COMMS
     }
 
 
-def option_rows(inputs, options=tuple(OPTIONS)) -> dict[str, dict]:
+def option_rows(name: str) -> dict[str, dict]:
     policy, parts = OPTION_LAYOUT
-    rows = {}
-    for name in options:
-        comm, cluster, engine_kwargs = OPTIONS[name]
-        for app in OPTION_APPS:
-            for engine in ENGINES:
-                if engine == "bsp" and name == "throttle":
-                    continue  # BASP's knob
-                rows[f"{name}/{app}/{engine}"] = run_row(
-                    inputs, app, policy, parts, engine, True,
-                    comm, cluster, engine_kwargs,
-                )
-    return rows
+    comm, cluster, engine_kwargs = OPTIONS[name]
+    return {
+        f"options/{name}/{app}/{engine}": run_row(
+            shared_inputs(), app, policy, parts, engine, True,
+            comm, cluster, engine_kwargs,
+        )
+        for app in OPTION_APPS
+        for engine in ENGINES
+        if not (engine == "bsp" and name == "throttle")  # BASP's knob
+    }
 
 
-def compute_table() -> dict:
-    inputs = _Inputs()
-    return {"matrix": matrix_rows(inputs), "options": option_rows(inputs)}
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
-
-
-@pytest.fixture(scope="module")
-def inputs():
-    return _Inputs()
-
-
-def test_table_covers_the_matrix(golden):
-    assert len(golden["matrix"]) == (
-        len(APPS) * len(LAYOUTS) * len(ENGINES) * len(COMMS)
-    )
-    # every option under both engines on both apps; the throttle is BASP's
-    assert len(golden["options"]) == (
-        len(OPTIONS) * len(OPTION_APPS) * len(ENGINES) - len(OPTION_APPS)
-    )
+GROUPS = {
+    **{f"matrix/{app}": partial(matrix_rows, app) for app in APPS},
+    **{f"options/{name}": partial(option_rows, name) for name in OPTIONS},
+}
 
 
 @pytest.mark.parametrize("app", APPS)
-def test_matrix_matches_golden(golden, inputs, app):
-    got = json.loads(json.dumps(matrix_rows(inputs, apps=(app,))))
-    want = {k: v for k, v in golden["matrix"].items()
-            if k.split("/")[0] == app}
-    assert got == want
+def test_matrix_matches_golden(app):
+    golden.check("sync", f"matrix/{app}")
 
 
 @pytest.mark.parametrize("option", sorted(OPTIONS))
-def test_options_match_golden(golden, inputs, option):
-    got = json.loads(json.dumps(option_rows(inputs, options=(option,))))
-    want = {k: v for k, v in golden["options"].items()
-            if k.split("/")[0] == option}
-    assert got == want
+def test_options_match_golden(option):
+    golden.check("sync", f"options/{option}")
