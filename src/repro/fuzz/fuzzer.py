@@ -207,7 +207,7 @@ def fuzz(
         failure = None
         try:
             labels = run_case(case, check="full")
-        except Exception as e:
+        except Exception as e:  # the failure oracle: any exception is a finding
             failure = FuzzFailure(
                 case=case, shrunk=case, error=str(e), kind=type(e).__name__
             )

@@ -377,6 +377,6 @@ def run_candidates(mutation, candidates=None) -> bool:
                 run_case(case, check="full")
                 # staleness only shows on a second, different request
                 run_case(replace(case, parts=2), check="full")
-            except Exception:
+            except Exception:  # the failure oracle: any exception is a finding
                 return True
     return False

@@ -28,7 +28,7 @@ def still_fails(case: Case) -> bool:
     """Default failure predicate: replaying the case raises anything."""
     try:
         run_case(case, check="full")
-    except Exception:
+    except Exception:  # the failure oracle: any exception is a finding
         return True
     return False
 

@@ -1,9 +1,9 @@
 """Constructing :class:`~repro.graph.csr.CSRGraph` from edge lists and networkx.
 
-All builders are vectorized: CSR assembly asks :mod:`repro.graph.order` for
-the edges in (src, dst) order — a check when they already are, a sort when
-not — and derives offsets with a ``bincount``/``cumsum``; no Python loop
-touches individual edges.
+All builders are vectorized: CSR assembly is :func:`repro.graph.order.csr_arrays`
+— a blockwise check when the edges are already in (src, dst) order, one sort
+of a packed key decoded straight into offsets and destinations when not; no
+Python loop touches individual edges.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.constants import EID_DTYPE, WEIGHT_DTYPE, vid_dtype_for
+from repro.constants import WEIGHT_DTYPE
 from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
-from repro.graph.order import order_edges
+from repro.graph.order import csr_arrays
 
 __all__ = ["from_edges", "from_networkx", "to_networkx"]
 
@@ -38,8 +38,8 @@ def from_edges(
     """Build a CSR graph from parallel source/destination arrays.
 
     Edges are stored in :func:`~repro.graph.order.order_edges` order;
-    already-ordered input costs one O(E) pass.  The graph owns its arrays
-    either way, so freezing them never reaches the caller's buffers.
+    already-ordered input costs one blockwise O(E) pass.  The graph owns its
+    arrays either way, so freezing them never reaches the caller's buffers.
 
     Parameters
     ----------
@@ -67,13 +67,8 @@ def from_edges(
     if len(src) and (src.max() >= num_vertices or dst.max() >= num_vertices):
         raise GraphFormatError("vertex id exceeds num_vertices")
 
-    src, dst, w = order_edges(src, dst, num_vertices, weights, dedup)
-    if w is not None and w is weights:
-        w = w.copy()  # nothing was permuted: this may be the caller's buffer
-
-    indptr = np.zeros(num_vertices + 1, dtype=EID_DTYPE)
-    np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
-    return CSRGraph(indptr, dst.astype(vid_dtype_for(num_vertices)), w, name=name)
+    indptr, indices, w = csr_arrays(src, dst, num_vertices, weights, dedup)
+    return CSRGraph(indptr, indices, w, name=name)
 
 
 def from_networkx(g, weight_attr: Optional[str] = None, name: str = "") -> CSRGraph:
@@ -90,16 +85,11 @@ def from_networkx(g, weight_attr: Optional[str] = None, name: str = "") -> CSRGr
         mapping = {u: i for i, u in enumerate(nodes)}
         g = nx.relabel_nodes(g, mapping, copy=True)
     edges = list(g.edges(data=(weight_attr is not None)))
-    if weight_attr is not None:
-        src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        w = np.fromiter(
-            (e[2].get(weight_attr, 1) for e in edges), dtype=np.int64, count=len(edges)
-        )
-    else:
-        src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        w = None
+    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
+    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+    w = None if weight_attr is None else np.fromiter(
+        (e[2].get(weight_attr, 1) for e in edges), dtype=np.int64, count=len(edges)
+    )
     if not g.is_directed():
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         if w is not None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.constants import EID_DTYPE, WEIGHT_DTYPE, vid_dtype_for
 from repro.errors import GraphFormatError
-from repro.graph.order import order_edges
+from repro.graph.order import count_ids, csr_arrays
 
 __all__ = ["CSRGraph"]
 
@@ -165,29 +165,12 @@ class CSRGraph:
             self._out_degrees = _freeze(np.diff(self.indptr))
         return self._out_degrees
 
-    #: elements per block for streaming passes over the edge arrays —
-    #: bounds the anonymous footprint of degree counting on file-backed
-    #: graphs to O(block) instead of O(|E|) (``np.bincount`` widens its
-    #: input to ``intp``, so a block costs 8 x this in bytes)
-    _SCAN_BLOCK = 1 << 19
-
     def in_degrees(self) -> np.ndarray:
-        """In-degree of every vertex (cached after first call).
-
-        Counted blockwise: ``np.bincount`` casts its whole input to
-        ``intp`` up front, an O(|E|) anonymous allocation that would
-        defeat mmap-backed out-of-core graphs.  Integer sums commute, so
-        the blocked result is identical.
-        """
+        """In-degree of every vertex (cached after first call), counted
+        blockwise: ``np.bincount`` would widen all of ``indices`` to
+        ``intp``, an O(|E|) copy of an mmap-backed out-of-core graph."""
         if self._in_degrees is None:
-            counts = np.zeros(self.num_vertices, dtype=np.int64)
-            idx = self.indices
-            for lo in range(0, len(idx), self._SCAN_BLOCK):
-                counts += np.bincount(
-                    idx[lo : lo + self._SCAN_BLOCK],
-                    minlength=self.num_vertices,
-                )
-            self._in_degrees = _freeze(counts.astype(EID_DTYPE))
+            self._in_degrees = _freeze(count_ids(self.indices, self.num_vertices))
         return self._in_degrees
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -212,12 +195,9 @@ class CSRGraph:
         by (dst, src) is the stable sort by destination.
         """
         if self._reverse is None:
-            n = self.num_vertices
-            _, r_indices, r_weights = order_edges(
-                self.indices, self.edge_sources(), n, self.weights
+            r_indptr, r_indices, r_weights = csr_arrays(
+                self.indices, self.edge_sources(), self.num_vertices, self.weights
             )
-            r_indptr = np.zeros(n + 1, dtype=EID_DTYPE)
-            np.cumsum(self.in_degrees(), out=r_indptr[1:])
             rev = CSRGraph(r_indptr, r_indices, r_weights, name=self._name + "^T")
             rev._reverse = self
             self._reverse = rev

@@ -7,6 +7,7 @@ import numpy as np
 from repro.constants import MAX_EDGE_WEIGHT, WEIGHT_DTYPE
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.order import symmetric_csr
 from repro.utils import rng_from_seed
 
 __all__ = [
@@ -41,15 +42,7 @@ def make_undirected(graph: CSRGraph) -> CSRGraph:
     Connected-components benchmarks treat the input as undirected; frameworks
     symmetrize web crawls before running cc/kcore.
     """
-    src = graph.edge_sources()
-    dst = graph.indices
-    s2 = np.concatenate([src, dst])
-    d2 = np.concatenate([dst, src])
-    w2 = np.concatenate([graph.weights] * 2) if graph.has_weights else None
-    return from_edges(
-        s2, d2, num_vertices=graph.num_vertices, weights=w2, dedup=True,
-        name=graph.name + "+sym",
-    )
+    return CSRGraph(*symmetric_csr(graph), name=graph.name + "+sym")
 
 
 def relabel(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:

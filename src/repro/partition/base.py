@@ -24,6 +24,7 @@ from repro.constants import VID_DTYPE
 from repro.errors import PartitioningError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
+from repro.graph.order import ascending, count_ids
 from repro.idset import as_selector
 
 __all__ = ["LocalPartition", "PartitionedGraph", "build_partitions"]
@@ -213,17 +214,19 @@ def build_partitions(
     grid: Optional[tuple[int, int]] = None,
 ) -> PartitionedGraph:
     """Materialize partitions from owner assignments, as CuSP does: passes
-    over the edge list, no global sort.
+    over the edge list, no global sort of the edges.
 
     Each partition receives: its assigned edges (relabeled to dense local
     IDs), proxies for every endpoint of those edges, plus its owned master
     vertices even when edge-less (so the global label vector is complete).
 
-    Edges are bucketed by owner once.  A partition's proxy set is read off
-    one reused ``|V|`` flag array (owned vertices, then both endpoints of
-    its edges), so ``local_to_global`` comes out sorted and
-    ``global_to_local`` monotone: a bucket of a (src, dst)-ordered CSR stays
-    ordered after relabeling and ``from_edges`` builds it without sorting.
+    Edges are bucketed by owner once: as slices of the CSR when the owners
+    ascend in CSR order (OEC, any P=1), else by a stable radix ``argsort``
+    of the owners.  A partition's proxy set is read off one reused ``|V|``
+    flag array (owned vertices, then both endpoints of its edges), so
+    ``local_to_global`` comes out sorted and ``global_to_local`` monotone: a
+    bucket of a (src, dst)-ordered CSR stays ordered after relabeling and
+    ``from_edges`` sorts only the buckets of rows that are not dst-sorted.
     """
     n = graph.num_vertices
     vertex_owner = np.asarray(vertex_owner, dtype=np.int32)
@@ -241,16 +244,16 @@ def build_partitions(
     ):
         raise PartitioningError("edge owner out of range")
 
-    # the narrowest owner dtype makes the stable argsort a radix sort
-    order = np.argsort(
-        edge_owner.astype(np.min_scalar_type(num_partitions)), kind="stable"
-    )
-    src = graph.edge_sources()[order]
-    dst = graph.indices[order]
-    weights = graph.weights[order] if graph.has_weights else None
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(edge_owner, minlength=num_partitions)))
-    )
+    src, dst, weights = graph.edge_sources(), graph.indices, graph.weights
+    if not ascending(edge_owner):
+        # the narrowest owner dtype makes the stable argsort a radix sort
+        order = np.argsort(
+            edge_owner.astype(np.min_scalar_type(num_partitions)), kind="stable"
+        )
+        src, dst = src[order], dst[order]
+        weights = None if weights is None else weights[order]
+        del order
+    bounds = np.concatenate(([0], np.cumsum(count_ids(edge_owner, num_partitions))))
     flag = np.zeros(n, dtype=bool)
 
     parts: list[LocalPartition] = []

@@ -85,6 +85,7 @@ class RssSampler:
     ``sample_now()`` can be called at any time (including from the worker
     thread between cells) to fold an immediate reading into the peak —
     useful because a polling thread can miss short allocation spikes.
+    ``stop()`` re-raises what killed the thread: its peak went unmeasured.
     """
 
     def __init__(self, interval: float = 0.01):
@@ -95,6 +96,7 @@ class RssSampler:
         self._baseline = 0
         self._source = ""
         self._count = 0
+        self._failure: BaseException | None = None
         self.result: RssSample | None = None
 
     # ------------------------------------------------------------------ #
@@ -107,11 +109,11 @@ class RssSampler:
         return rss
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
+        try:
+            while not self._stop.wait(self.interval):
                 self.sample_now()
-            except Exception:  # pragma: no cover - sampling is best-effort
-                return
+        except BaseException as exc:  # handed to the caller by stop()
+            self._failure = exc
 
     def start(self) -> "RssSampler":
         self._baseline = self.sample_now()
@@ -126,6 +128,8 @@ class RssSampler:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        if self._failure is not None:
+            raise self._failure
         self.sample_now()
         self.result = RssSample(
             baseline=self._baseline,

@@ -4,14 +4,23 @@ The contract is one sentence: ``order_edges`` returns what
 ``np.lexsort((dst, src))`` applied to src / dst / weights returns — on
 every branch it may take (ordered check, value sort, packed stable sort,
 timsort, lexsort fallback), which the inputs below are shaped to reach.
+The CSR builds on top of it (``csr_arrays``, ``make_undirected``) are held
+to the CSR of that reference, array for array, and to a memory budget.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.generators import rmat
+from repro.graph import CSRGraph, add_random_weights, from_edges, make_undirected
 from repro.graph import order as order_mod
-from repro.graph.order import order_edges
+from repro.graph.order import csr_arrays, order_edges
+from repro.partition.base import build_partitions
+from repro.partition.edgecut import blocked_owner_from_degrees
 
 
 def lexsort_reference(src, dst, weights, dedup):
@@ -152,3 +161,127 @@ def test_stable_sort_branches_agree_with_argsort(keys, span):
     got = order_mod._stable_sort(key, span, payload)
     np.testing.assert_array_equal(key, want_key)  # sorted in place
     np.testing.assert_array_equal(got, order)
+
+
+# --------------------------------------------------------------------- #
+# the CSR builds: csr_arrays and make_undirected
+# --------------------------------------------------------------------- #
+#: SCAN_BLOCK values: block edges at every position, and one block
+BLOCKS = [1, 2, 3, 1 << 19]
+
+
+def lexsort_csr(src, dst, n, weights, dedup):
+    """The CSR of the lexsort reference: offsets from a bincount."""
+    s, d, w = lexsort_reference(src, dst, weights, dedup)
+    counts = np.bincount(s, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return indptr, d.astype(np.int32), w
+
+
+def assert_same_csr(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+#: stand-ins for the int64 limit: the real one; one that holds every
+#: ``src * |V| + dst`` of ``edge_lists`` but no ``key * |E| + position``
+#: (the stable sort's timsort branch); none at all (lexsort, doubled columns)
+LIMITS = [None, 12 * 12, 0]
+
+
+def _patched(block, limit):
+    extra = {} if limit is None else {"_INT64_MAX": limit}
+    return mock.patch.multiple(order_mod, SCAN_BLOCK=block, **extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.booleans(), st.booleans(), st.sampled_from(BLOCKS),
+       st.sampled_from(LIMITS))
+def test_csr_arrays_equal_the_lexsort_csr(edges, weighted, dedup, block, limit):
+    src, dst, n = edges
+    weights = np.arange(len(src), dtype=np.uint32)[::-1].copy() if weighted else None
+    before = None if weights is None else weights.copy()
+    with _patched(block, limit):
+        got = csr_arrays(src, dst, n, weights, dedup)
+    assert_same_csr(got, lexsort_csr(src, dst, n, weights, dedup))
+    if weights is not None:
+        np.testing.assert_array_equal(weights, before)
+        assert not np.shares_memory(got[2], weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.booleans(), st.sampled_from(BLOCKS), st.sampled_from(LIMITS))
+def test_make_undirected_equals_doubled_from_edges(edges, weighted, block, limit):
+    """``make_undirected(g)`` is ``from_edges([src; dst], [dst; src],
+    dedup=True)``: a reciprocal pair keeps its forward edge's weight.  The
+    input is a hand-built CSR whose rows keep their draw order."""
+    src, dst, n = edges
+    by_row = np.argsort(src, kind="stable")
+    src, dst = src[by_row], dst[by_row]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    w = np.arange(len(src), dtype=np.uint32)[::-1] + 1 if weighted else None
+    g = CSRGraph(indptr, dst, w)
+    with _patched(block, limit):
+        got = make_undirected(g)
+    s2, d2 = np.concatenate([src, dst]), np.concatenate([dst, src])
+    w2 = None if w is None else np.concatenate([g.weights, g.weights])
+    assert_same_csr(
+        (got.indptr, got.indices, got.weights), lexsort_csr(s2, d2, n, w2, True)
+    )
+    assert got == from_edges(s2, d2, num_vertices=n, weights=w2, dedup=True)
+
+
+# --------------------------------------------------------------------- #
+# what a build holds: traced peak bytes per output edge
+# --------------------------------------------------------------------- #
+# Each bound sits between the build before the CSR core (doubled columns,
+# a full-length position array, divmod-decoded int64 columns, an int64
+# identity permutation of the partition buckets: 48.4 / 36.7 / 13.0 B per
+# edge here) and after it (19.7 / 18.8 / 9.1).  The returned graph counts:
+# indices and weights alone are 8 B per edge.  Blocks are shrunk so the
+# blockwise passes are as small against |E| as they are on the benchmark.
+
+
+@pytest.fixture(scope="module")
+def weighted_rmat():
+    return add_random_weights(rmat(13, edge_factor=16, seed=7), seed=1)
+
+
+def traced_peak_per_edge(build, monkeypatch) -> float:
+    monkeypatch.setattr(order_mod, "SCAN_BLOCK", 1 << 12)
+    tracemalloc.start()
+    try:
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    parts = getattr(out, "parts", None)
+    edges = sum(p.graph.num_edges for p in parts) if parts else out.num_edges
+    return peak / edges
+
+
+def test_make_undirected_holds_one_key(weighted_rmat, monkeypatch):
+    assert traced_peak_per_edge(
+        lambda: make_undirected(weighted_rmat), monkeypatch
+    ) < 24
+
+
+def test_build_partitions_slices_ascending_owners(weighted_rmat, monkeypatch):
+    g = weighted_rmat
+    owner = blocked_owner_from_degrees(g.out_degrees(), 2)
+    edge_owner = np.repeat(owner, g.out_degrees())
+    assert traced_peak_per_edge(
+        lambda: build_partitions(g, owner, edge_owner, 2, "oec"), monkeypatch
+    ) < 24
+
+
+def test_from_edges_on_ordered_input_costs_a_block(weighted_rmat, monkeypatch):
+    g = weighted_rmat
+    src = g.edge_sources()
+    assert traced_peak_per_edge(
+        lambda: from_edges(src, g.indices, g.num_vertices, g.weights), monkeypatch
+    ) < 11

@@ -21,6 +21,7 @@ from repro.engine import BASPEngine, BSPEngine, RunContext
 from repro.fuzz.gen import SHAPES, build_shape
 from repro.generators import rmat
 from repro.generators.chunked import build_store
+from repro.graph import order
 from repro.graph.csr import CSRGraph
 from repro.graph.expand import (
     DEFAULT_BLOCK_EDGES,
@@ -241,7 +242,7 @@ def test_merge_touched():
 def test_blocked_in_degrees_matches_bincount(monkeypatch):
     g = build_shape("gnm", np.random.default_rng(5))
     ref = np.bincount(np.asarray(g.indices), minlength=g.num_vertices)
-    monkeypatch.setattr(CSRGraph, "_SCAN_BLOCK", 3)
+    monkeypatch.setattr(order, "SCAN_BLOCK", 3)
     np.testing.assert_array_equal(
         build_shape("gnm", np.random.default_rng(5)).in_degrees(), ref
     )
@@ -393,3 +394,28 @@ def test_rss_sampler_sees_a_large_allocation():
     assert r.peak >= r.baseline
     assert r.peak_increment >= 16 * 1024 * 1024
     assert r.source in ("RssAnon", "VmRSS", "ru_maxrss")
+
+
+def test_rss_sampler_thread_failure_is_raised_by_stop(monkeypatch):
+    """A sampler whose thread died has an unmeasured peak: stop() says so
+    instead of returning the readings taken before the death."""
+    import time
+
+    from repro.runtime import rss as rss_mod
+
+    calls = []
+
+    def flaky():
+        calls.append(1)
+        if len(calls) == 3:
+            raise TypeError("meter broke")
+        return read_rss_anon()
+
+    monkeypatch.setattr(rss_mod, "read_rss_anon", flaky)
+    s = RssSampler(interval=0.001).start()  # call 1
+    deadline = time.monotonic() + 10
+    while len(calls) < 3 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    with pytest.raises(TypeError, match="meter broke"):
+        s.stop()
+    assert s.result is None

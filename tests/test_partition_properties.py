@@ -5,11 +5,15 @@ random graphs: master uniqueness, edge conservation, exchange-list symmetry,
 and each policy's structural invariant.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import from_edges
-from repro.partition import POLICIES, partition
+from repro.graph import CSRGraph, from_edges
+from repro.partition import POLICIES, base, partition
+from repro.partition.base import build_partitions
 
 MAX_V = 60
 
@@ -95,6 +99,96 @@ def test_local_degrees_sum_to_global(gp, policy):
     for p in pg.parts:
         np.add.at(acc, p.local_to_global, p.graph.out_degrees())
     assert np.array_equal(acc, g.out_degrees())
+
+
+# --------------------------------------------------------------------- #
+# bucketing: slices of the CSR when owners ascend, a permutation otherwise
+# --------------------------------------------------------------------- #
+
+
+@st.composite
+def multigraphs(draw):
+    """Self-loops, parallel edges, |E| = 0 and |V| = 1 are common; weights
+    (all distinct) and dst-sorted rows are drawn — unsorted rows are a
+    hand-built CSR."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 40))
+    ids = st.integers(0, n - 1)
+    src = np.sort(np.asarray(draw(st.lists(ids, min_size=m, max_size=m)), dtype=np.int64))
+    dst = np.asarray(draw(st.lists(ids, min_size=m, max_size=m)), dtype=np.int64)
+    if draw(st.booleans()):
+        dst = dst[np.lexsort((dst, src))]
+    weights = np.arange(m, 0, -1) if draw(st.booleans()) else None
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return CSRGraph(indptr, dst, weights)
+
+
+def _partition_arrays(pg):
+    out = [pg.vertex_owner]
+    for part in pg.parts:
+        g = part.graph
+        out += [g.indptr, g.indices, g.weights, part.local_to_global,
+                part.global_to_local, part.is_master]
+        for exchange in (part.mirror_exchange, part.master_exchange):
+            for q in sorted(exchange):
+                out += [np.asarray([q]), exchange[q]]
+    return out
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 8])
+@pytest.mark.parametrize("policy", ["oec", "iec", "hvc", "cvc"])
+@given(g=multigraphs())
+@settings(max_examples=15, deadline=None)
+def test_sliced_buckets_equal_argsort_buckets(policy, parts, g):
+    """OEC's owners (and every policy's at P=1) ascend in CSR order and are
+    taken as slices; forcing the stable-argsort bucketing changes nothing."""
+    sliced = partition(g, policy, parts, cache=False)
+    with mock.patch.object(base, "ascending", lambda owners: False):
+        permuted = partition(g, policy, parts, cache=False)
+    _assert_same_arrays(_partition_arrays(sliced), _partition_arrays(permuted))
+
+
+@given(g=multigraphs(), parts=st.sampled_from([1, 2, 3, 8]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_build_partitions_equals_mask_bucketing(g, parts, data):
+    """Against a reference that shares nothing with the build: a boolean
+    mask per partition (stable by definition), ``np.union1d`` for the proxy
+    set, ``np.lexsort`` for the local CSR — owners ascending or not."""
+    n, m = g.num_vertices, g.num_edges
+    owners = st.integers(0, parts - 1)
+    vertex_owner = np.asarray(data.draw(st.lists(owners, min_size=n, max_size=n)))
+    edge_owner = np.asarray(data.draw(st.lists(owners, min_size=m, max_size=m)))
+    if data.draw(st.booleans()):
+        edge_owner.sort()
+    pg = build_partitions(g, vertex_owner, edge_owner, parts, "drawn")
+    src = g.edge_sources()
+    for p, part in enumerate(pg.parts):
+        sel = edge_owner == p
+        s, d = src[sel], g.indices[sel]
+        l2g = np.union1d(np.flatnonzero(vertex_owner == p), np.concatenate([s, d]))
+        g2l = np.full(n, -1, dtype=np.int32)
+        g2l[l2g] = np.arange(len(l2g))
+        order = np.lexsort((g2l[d], g2l[s]))
+        counts = np.bincount(g2l[s], minlength=len(l2g))
+        np.testing.assert_array_equal(part.local_to_global, l2g)
+        np.testing.assert_array_equal(part.global_to_local, g2l)
+        np.testing.assert_array_equal(part.is_master, vertex_owner[l2g] == p)
+        np.testing.assert_array_equal(part.graph.indptr, np.concatenate(([0], np.cumsum(counts))))
+        np.testing.assert_array_equal(part.graph.indices, g2l[d][order])
+        if g.weights is None:
+            assert part.graph.weights is None
+        else:
+            np.testing.assert_array_equal(part.graph.weights, g.weights[sel][order])
 
 
 # --------------------------------------------------------------------- #
