@@ -22,7 +22,7 @@ usage error or a baseline that is missing or not this gate's.
 
 The module doubles as a pytest bench (``pytest benchmarks/bench_regression.py
 --benchmark-only``) that archives each gate's output under
-``benchmarks/results/regression_<gate>.txt`` like the paper benches do.
+``benchmarks/results/regression_<gate>.txt``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Any, Callable, Optional
 
 import pytest
 
-from benchmarks.conftest import archive
 from benchmarks.perfbaseline import (
     HIER_AGG_MIN,
     MATRIX_WORKLOAD,
@@ -71,6 +70,7 @@ from repro.tune import advisor_study, evaluate_advisor
 from repro.tune.dse import REGRET_GATE
 
 BASELINE_DIR = pathlib.Path(__file__).parent
+RESULTS_DIR = BASELINE_DIR / "results"
 
 #: Worker count for the deterministic sweep check — 2 processes is enough
 #: to prove pool fan-out changes nothing, and stays CI-friendly.
@@ -443,9 +443,14 @@ def _baseline_path(baseline_dir, name: str) -> pathlib.Path:
 
 
 @pytest.mark.parametrize("name", [g.name for g in GATES])
-def test_gate(name, once, capsys):
-    code = once(lambda: main(["--only", name]))
-    archive(f"regression_{name}", capsys.readouterr().out.rstrip())
+def test_gate(name, benchmark, capsys):
+    """One gate, timed once by pytest-benchmark; its output is kept under
+    ``benchmarks/results/``."""
+    code = benchmark.pedantic(main, args=(["--only", name],), rounds=1, iterations=1)
+    text = capsys.readouterr().out.rstrip()
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / f"regression_{name}.txt").write_text(text + "\n")
+    print(text)
     assert code == 0
 
 

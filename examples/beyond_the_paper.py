@@ -1,16 +1,17 @@
 #!/usr/bin/env python
-"""Beyond the five benchmarks: betweenness centrality and triangle counting.
+"""Beyond the five benchmarks: betweenness centrality, triangle counting
+and k-truss.
 
-Exercises the extension applications — two-phase distributed Brandes and
-DistTC-style triangle counting — on the orkut stand-in, validating both
-against sequential references.
+Exercises the extension applications — two-phase distributed Brandes,
+DistTC-style triangle counting and k-truss peeling — on the orkut
+stand-in, validating the first two against sequential references.
 
     python examples/beyond_the_paper.py
 """
 
 import numpy as np
 
-from repro.apps import count_triangles, run_bc
+from repro.apps import count_triangles, ktruss, run_bc
 from repro.apps.tc import reference_triangle_count
 from repro.engine import RunContext
 from repro.generators import load_dataset
@@ -51,6 +52,11 @@ def main() -> None:
           f"({tstats.execution_time:.3f}s, ghost volume "
           f"{tstats.comm_volume_gb:.2f} GB)")
     print("both validated against sequential references")
+
+    # ---- k-truss: peel edges in fewer than k - 2 triangles ------------- #
+    kt = ktruss(pg_sym, bridges(16), 8, scale_factor=ds.scale_factor)
+    print(f"\n8-truss: {kt.num_surviving:,} of {len(kt.alive):,} edges "
+          f"survive ({kt.stats.execution_time:.3f}s)")
 
 
 if __name__ == "__main__":

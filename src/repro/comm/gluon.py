@@ -322,17 +322,6 @@ class GluonComm:
                         out[(m, r.pid)] = _PairPlan(master_idx, mirror_idx)
         return plans
 
-    # ------------------------------------------------------------------ #
-    # introspection (used by tests, stats, and the study's analysis)
-    # ------------------------------------------------------------------ #
-    def reduce_partners(self, field: str, pid: int) -> list[int]:
-        """Partitions ``pid`` sends reduce messages to."""
-        return sorted(m for (r, m) in self._table(field, "reduce").plans if r == pid)
-
-    def broadcast_partners(self, field: str, pid: int) -> list[int]:
-        """Partitions ``pid`` sends broadcast messages to."""
-        return sorted(r for (m, r) in self._table(field, "broadcast").plans if m == pid)
-
     def _table(self, field: str, phase: str) -> _ExchangeTable:
         return self._tables[field][0 if phase == "reduce" else 1]
 

@@ -73,12 +73,6 @@ class CostBreakdown:
             overhead=self.overhead * factor,
         )
 
-    def legs(self) -> np.ndarray:
-        """The four legs as a fixed-order vector (calibration input)."""
-        return np.array(
-            [self.compute, self.sync, self.serialize, self.overhead], dtype=np.float64
-        )
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

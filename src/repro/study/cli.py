@@ -2,7 +2,8 @@
 
 ``repro-study list`` shows every experiment; ``repro-study all`` runs the
 paper's tables and figures in order (hours at full fidelity; use
-``--quick`` for a reduced sweep).  ``--jobs N`` fans the study cells of
+``--quick`` for the reduced grid, the one ``python -m tests.golden record
+study`` pins).  ``--jobs N`` fans the study cells of
 each experiment over ``N`` worker processes and ``--cache-dir DIR``
 persists partitions on disk so repeated sweeps skip re-partitioning.
 
@@ -67,20 +68,36 @@ def _analysis(args, ex):
     return None, "\n".join(lines)
 
 
-def _microbench(args, ex):
-    from repro.study.microbench import uo_threshold_curve
+def _table1(args, ex):
+    """Table I has no study cells: it measures each stand-in graph."""
+    return tables.table1()
 
-    pts = uo_threshold_curve(list_len=50_000 if args.quick else 200_000,
-                             volume_scale=500.0)
+
+def _microbench(args, ex):
+    """The Section V-B3 microbenchmark (no study cells): AS vs UO for one
+    200k-proxy exchange at paper volume, and where UO stops paying off
+    by exchange-list length."""
+    from repro.study.microbench import uo_crossover_fraction, uo_threshold_curve
+
+    pts = uo_threshold_curve(list_len=200_000, volume_scale=500.0)
+    crossings = {
+        n: uo_crossover_fraction(n, volume_scale=500.0)
+        for n in (2_000, 20_000, 200_000)
+    }
     rows = [
         [f"{p.updated_fraction * 100:.1f}%", round(p.as_seconds * 1e3, 3),
          round(p.uo_seconds * 1e3, 3), "UO" if p.uo_wins else "AS"]
         for p in pts
     ]
-    return None, format_table(
+    text = format_table(
         ["updated fraction", "AS (ms)", "UO (ms)", "cheaper"],
-        rows, title="UO extraction-threshold microbenchmark",
+        rows, title="UO extraction-threshold microbenchmark "
+        "(200k-proxy exchange, paper scale x500)",
     )
+    text += "\n\ncrossover fraction by exchange-list length: " + ", ".join(
+        f"{n:,} -> {x:.2f}" for n, x in crossings.items()
+    )
+    return (pts, crossings), text
 
 
 def _ooc(args, ex):
@@ -131,68 +148,53 @@ def _gnn(args, ex):
     )
 
 
-def _quick_benchmarks(args):
-    return ("bfs", "sssp") if args.quick else figures.STUDY_BENCHMARKS
-
-
 @dataclass(frozen=True)
 class _Row:
-    """One experiment: ``run(args, executor) -> (result, text)``.  A row
-    with ``evaluate(result) -> violations`` is a gated study: its result
-    is a report with ``to_json()``, and it is not part of ``all``."""
+    """One experiment.  A row with a ``grid`` is a paper table or figure
+    whose study cells fan out over the executor: ``fn(**grid,
+    executor=ex)`` under ``--quick``, ``fn(executor=ex)`` without —
+    ``fn``'s defaults are the paper's grid, ``grid`` the reduced one the
+    golden ``study`` table records (tests/test_paper_claims.py).  Any
+    other row is ``fn(args, ex) -> (result, text)``; with
+    ``evaluate(result) -> violations`` it is a gated study: its result is
+    a report with ``to_json()``, and it is not part of ``all``."""
 
-    run: Callable
+    fn: Callable
+    grid: Optional[dict] = None
     evaluate: Optional[Callable] = None
 
+    def run(self, args, ex):
+        if self.grid is None:
+            return self.fn(args, ex)
+        return self.fn(**(self.grid if args.quick else {}), executor=ex)
 
-# table1 and the microbenchmark have no study cells to fan out and ignore
-# the executor; ooc builds its own (see _ooc).
+
+# ooc builds its own executor (see _ooc).
 _EXPERIMENTS = {
-    "table1": _Row(lambda args, ex: tables.table1(
-        diameter_sweeps=2 if args.quick else 4
+    "table1": _Row(_table1),
+    "table2": _Row(tables.table2, dict(gpu_counts=(2, 6))),
+    "table3": _Row(tables.table3, {}),
+    "table4": _Row(tables.table4, {}),
+    "fig3": _Row(figures.figure3, dict(
+        benchmarks=("bfs", "sssp", "cc"), gpu_counts=(2, 8, 32),
     )),
-    "table2": _Row(lambda args, ex: tables.table2(
-        gpu_counts=(2, 6) if args.quick else (1, 2, 4, 6),
-        benchmarks=("bfs", "cc") if args.quick else ("bfs", "cc", "pr", "sssp"),
-        executor=ex,
+    "fig4": _Row(figures.figure4, dict(benchmarks=("bfs", "pr", "sssp"))),
+    "fig5": _Row(figures.figure5, {}),
+    # async (var4) pr at 64 partitions is the one slow simulation
+    # (EXPERIMENTS.md, deviation 3): Var1-3 carry Figure 6's ALB/UO story
+    "fig6": _Row(figures.figure6, dict(
+        benchmarks=("bfs", "pr"), systems=("var1", "var2", "var3"),
     )),
-    "table3": _Row(lambda args, ex: tables.table3(executor=ex)),
-    "table4": _Row(lambda args, ex: tables.table4(
-        benchmarks=("bfs", "pr") if args.quick
-        else ("bfs", "cc", "kcore", "pr", "sssp"),
-        executor=ex,
+    "fig7": _Row(figures.figure7, dict(
+        benchmarks=("bfs", "cc"), gpu_counts=(2, 16, 64),
     )),
-    "fig3": _Row(lambda args, ex: figures.figure3(
-        gpu_counts=(2, 8, 32) if args.quick else (2, 4, 8, 16, 32, 64),
-        benchmarks=_quick_benchmarks(args),
-        executor=ex,
-    )),
-    "fig4": _Row(lambda args, ex: figures.figure4(
-        benchmarks=_quick_benchmarks(args), executor=ex,
-    )),
-    "fig5": _Row(lambda args, ex: figures.figure5(executor=ex)),
-    "fig6": _Row(lambda args, ex: figures.figure6(
-        benchmarks=_quick_benchmarks(args),
-        systems=("var1", "var2", "var3") if args.quick
-        else ("var1", "var2", "var3", "var4"),
-        executor=ex,
-    )),
-    "fig7": _Row(lambda args, ex: figures.figure7(
-        gpu_counts=(2, 8, 32) if args.quick else (2, 4, 8, 16, 32, 64),
-        benchmarks=_quick_benchmarks(args),
-        executor=ex,
-    )),
-    "fig8": _Row(lambda args, ex: figures.figure8(
-        benchmarks=_quick_benchmarks(args), executor=ex,
-    )),
-    "fig9": _Row(lambda args, ex: figures.figure9(
-        benchmarks=_quick_benchmarks(args), executor=ex,
-    )),
+    "fig8": _Row(figures.figure8, dict(benchmarks=("bfs", "cc", "sssp"))),
+    "fig9": _Row(figures.figure9, dict(benchmarks=("bfs", "cc"))),
     "analysis": _Row(_analysis),
     "microbench": _Row(_microbench),
-    "ooc": _Row(_ooc, evaluate_ooc),
-    "advisor": _Row(_advisor, evaluate_advisor),
-    "gnn": _Row(_gnn, evaluate_gnn),
+    "ooc": _Row(_ooc, evaluate=evaluate_ooc),
+    "advisor": _Row(_advisor, evaluate=evaluate_advisor),
+    "gnn": _Row(_gnn, evaluate=evaluate_gnn),
 }
 
 
@@ -238,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="reduced benchmark/GPU-count sweep for a fast look",
+        help="the reduced benchmark/GPU-count grid (the one the golden "
+        "study table records) for a fast look",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -198,6 +198,8 @@ def figure7(
                     "GPUs", list(gpu_counts), sweep.series(),
                     title=f"Figure 7 [{ds_name} / {bench}] execution time (s)",
                 )
+                + f"\nfastest at {gpu_counts[-1]} GPUs: "
+                f"{sweep.best_system_at(gpu_counts[-1])}"
             )
     return results, "\n\n".join(chunks)
 

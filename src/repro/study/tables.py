@@ -1,8 +1,9 @@
 """Reproductions of the paper's Tables I-IV.
 
 Each ``tableN`` function returns structured rows plus a ready-to-print
-string; the ``bench_tableN`` benchmarks call these and print the output, so
-``pytest benchmarks/ --benchmark-only`` regenerates every table.
+string; its defaults are the paper's grid.  ``repro-study tableN`` prints
+one, and the golden ``study`` table (tests/test_paper_claims.py) records
+the cells of the reduced grid ``--quick`` runs.
 """
 
 from __future__ import annotations

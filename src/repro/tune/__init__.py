@@ -38,18 +38,11 @@ from repro.tune.dse import (
     run_dse,
 )
 from repro.tune.features import GraphFeatures, extract_features
-from repro.tune.predictor import (
-    AnalyticPredictor,
-    Calibration,
-    ConfigCell,
-    Prediction,
-    fit_calibration,
-)
+from repro.tune.predictor import AnalyticPredictor, ConfigCell, Prediction
 
 __all__ = [
     "AdvisorReport",
     "AnalyticPredictor",
-    "Calibration",
     "ConfigCell",
     "DseConfig",
     "DseResult",
@@ -58,6 +51,5 @@ __all__ = [
     "advisor_study",
     "evaluate_advisor",
     "extract_features",
-    "fit_calibration",
     "run_dse",
 ]

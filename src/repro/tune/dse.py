@@ -24,12 +24,7 @@ from repro.apps import get_app
 from repro.runtime.cells import CellSpec
 from repro.runtime.sweep import run_cells
 from repro.tune.features import FEATURE_PARTS, GraphFeatures, extract_features
-from repro.tune.predictor import (
-    AnalyticPredictor,
-    Calibration,
-    ConfigCell,
-    Prediction,
-)
+from repro.tune.predictor import AnalyticPredictor, ConfigCell, Prediction
 
 __all__ = [
     "AdvisorReport",
@@ -208,7 +203,6 @@ def run_dse(
     cfg: DseConfig | None = None,
     executor=None,
     validate: str = "top-k",
-    calibration: Calibration | None = None,
 ) -> DseResult:
     """Explore the config space for one (dataset, app).
 
@@ -223,9 +217,7 @@ def run_dse(
     cfg = cfg or DseConfig()
     ds = load_dataset(dataset)
     features = extract_features(ds.graph, name=dataset)
-    predictor = AnalyticPredictor(
-        features, scale_factor=ds.scale_factor, calibration=calibration
-    )
+    predictor = AnalyticPredictor(features, scale_factor=ds.scale_factor)
     cells, pruned = enumerate_cells(cfg, app)
     ranked = predictor.rank(cells, app)
     outcomes = [
@@ -315,7 +307,6 @@ def advisor_study(
     seed: int = SUITE_SEED,
     cfg: DseConfig | None = None,
     executor=None,
-    calibration: Calibration | None = None,
 ) -> AdvisorReport:
     """Full-validation DSE over the seeded suite -> accuracy report."""
     cfg = cfg or DseConfig()
@@ -329,7 +320,6 @@ def advisor_study(
                 cfg,
                 executor=executor,
                 validate="all",
-                calibration=calibration,
             )
             best = res.measured_best
             if best is None:

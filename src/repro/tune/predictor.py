@@ -14,9 +14,8 @@ Router/CostModel composition, bit for bit.
 What the predictor does add is an **app model**: how many rounds a run
 takes and what fraction of vertices/edges/mirrors a representative
 round touches.  Those constants are crude on purpose — they only need
-to preserve the *ordering* of cells, and the optional least-squares
-:class:`Calibration` (fit on measured ground truth) absorbs app-model
-error per leg.
+to preserve the *ordering* of cells; a cell's cost is the plain total
+of its priced legs.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ __all__ = [
     "AnalyticPredictor",
     "AppModel",
     "APP_MODELS",
-    "Calibration",
     "ConfigCell",
     "Prediction",
-    "fit_calibration",
 ]
 
 #: BASP runs more (staler) rounds than BSP ...
@@ -176,51 +173,10 @@ class Prediction:
     """One cell's predicted whole-run cost."""
 
     cell: ConfigCell
-    breakdown: CostBreakdown  # whole-run legs, uncalibrated
+    breakdown: CostBreakdown  # whole-run legs
     rounds: float
     replication_factor: float
-    cost: float  # ranking key (calibrated total when a Calibration is set)
-
-
-@dataclass(frozen=True)
-class Calibration:
-    """Per-app least-squares leg weights fit on measured ground truth."""
-
-    #: app -> (w_compute, w_sync, w_serialize, w_overhead)
-    weights: tuple = ()
-
-    def weights_for(self, app: str):
-        return dict(self.weights).get(app)
-
-    def apply(self, app: str, breakdown: CostBreakdown) -> float:
-        w = self.weights_for(app)
-        if w is None:
-            return breakdown.total
-        return float(np.dot(np.asarray(w, dtype=np.float64), breakdown.legs()))
-
-
-def fit_calibration(samples) -> Calibration:
-    """Fit per-app leg weights from ``(app, CostBreakdown, measured_s)``.
-
-    Non-negative least squares in spirit: plain ``lstsq`` with negative
-    weights clipped to zero; apps with too few samples (or a degenerate
-    fit) fall back to unit weights, i.e. the raw analytic total.
-    """
-    by_app: dict[str, list] = {}
-    for app, breakdown, measured in samples:
-        by_app.setdefault(app, []).append((breakdown.legs(), float(measured)))
-    weights = []
-    for app, rows in sorted(by_app.items()):
-        A = np.stack([legs for legs, _ in rows])
-        y = np.asarray([m for _, m in rows], dtype=np.float64)
-        if len(rows) < 4:
-            continue
-        w, *_ = np.linalg.lstsq(A, y, rcond=None)
-        w = np.clip(w, 0.0, None)
-        if not np.isfinite(w).all() or w.sum() <= 0:
-            continue
-        weights.append((app, tuple(float(x) for x in w)))
-    return Calibration(weights=tuple(weights))
+    cost: float  # ranking key: the legs' total
 
 
 class AnalyticPredictor:
@@ -230,11 +186,9 @@ class AnalyticPredictor:
         self,
         features: GraphFeatures,
         scale_factor: float = 1.0,
-        calibration: Calibration | None = None,
     ):
         self.features = features
         self.scale_factor = scale_factor
-        self.calibration = calibration
 
     # ---------------- model composition (also the test surface) -------- #
     def cost_model(self, cell: ConfigCell) -> CostModel:
@@ -360,18 +314,12 @@ class AnalyticPredictor:
             rounds *= ASYNC_ROUND_INFLATION
             per_round = replace(per_round, sync=per_round.sync * ASYNC_SYNC_DISCOUNT)
         run = per_round.scaled(rounds)
-        stats = self.estimated_stats(cell)
-        cost = (
-            self.calibration.apply(app, run)
-            if self.calibration is not None
-            else run.total
-        )
         return Prediction(
             cell=cell,
             breakdown=run,
             rounds=rounds,
-            replication_factor=stats.replication_factor,
-            cost=cost,
+            replication_factor=self.estimated_stats(cell).replication_factor,
+            cost=run.total,
         )
 
     def rank(self, cells, app: str) -> list[Prediction]:

@@ -57,6 +57,7 @@ TABLES = {
         envs=tuple({"REPRO_BLOCK_EDGES": b} for b in (None, "1", "7")),
     ),
     "trace": Table("trace_golden.json", "tests.test_trace_golden", nested=True),
+    "study": Table("study_golden.json", "tests.test_paper_claims"),
 }
 
 

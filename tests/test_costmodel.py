@@ -118,7 +118,9 @@ class TestCostBreakdown:
 
         a = CostBreakdown(compute=1.0, sync=2.0)
         b = CostBreakdown(serialize=3.0, overhead=4.0)
-        assert (a + b).legs().tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert a + b == CostBreakdown(
+            compute=1.0, sync=2.0, serialize=3.0, overhead=4.0
+        )
         assert a.scaled(2.0) == CostBreakdown(compute=2.0, sync=4.0)
 
     def test_price_round_composes_primitives(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.comm import FieldSpec, GluonComm
 from repro.generators import rmat
 from repro.partition import jagged, partition, partition_stats
+from tests.test_comm_gluon import partners
 
 DIST = FieldSpec(name="d", dtype=np.uint32, reduce_op="min",
                  read_at="src", write_at="dst")
@@ -43,7 +44,7 @@ class TestStructure:
         pr, pc = pg.grid
         comm = GluonComm(pg, [DIST])
         for p in range(8):
-            for q in comm.broadcast_partners("d", p):
+            for q in partners(comm, "d", "broadcast", p):
                 assert q // pc == p // pc
 
     def test_reduce_not_column_restricted(self, g):
@@ -54,7 +55,7 @@ class TestStructure:
         assert any(
             q % pc != p % pc
             for p in range(8)
-            for q in comm.reduce_partners("d", p)
+            for q in partners(comm, "d", "reduce", p)
         )
 
     def test_better_static_balance_than_cvc(self, g):

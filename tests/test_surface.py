@@ -46,9 +46,6 @@ TEST_ONLY = {
     "relabel": "vertex permutation, exercised by the transform tests",
     "insert_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
     "delete_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
-    "fit_calibration":
-        "least-squares fit behind AnalyticPredictor(calibration=): the "
-        "leave-one-shape-out accuracy harness in tests/test_tune.py",
     "imbalance": "BlockCost max/mean, asserted by the load-balancer tests",
     "transfer_time":
         "closed-form single-link transfer time the hw and contention tests "

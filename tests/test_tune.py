@@ -1,6 +1,6 @@
 """Tests for the repro.tune advisor: features, predictor, DSE, sanity.
 
-Four layers of hardening, mirroring ISSUE 9:
+Three layers of hardening:
 
 * unit tests pin the feature extractor to hand-computed values on tiny
   graphs;
@@ -9,9 +9,7 @@ Four layers of hardening, mirroring ISSUE 9:
   edges / more partitions never predict cheaper comm);
 * a differential test pins ``AnalyticPredictor.predict`` to a direct
   ``Router.price_batch`` + ``CostModel`` composition, bit for bit — the
-  predictor must stay a pure function of the same pricing model;
-* a leave-one-shape-out study calibrates on 12 of the 13 fuzz shapes
-  and demands a top-3-quality pick on the holdout, for both engines.
+  predictor must stay a pure function of the same pricing model.
 """
 
 import numpy as np
@@ -20,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import from_edges
 from repro.tune.dse import (
-    REGRET_GATE,
     DseConfig,
     enumerate_cells,
     run_dse,
@@ -38,7 +35,6 @@ from repro.tune.predictor import (
     AnalyticPredictor,
     ConfigCell,
     app_model,
-    fit_calibration,
 )
 from repro.tune.sanity import advisor_sanity
 
@@ -303,37 +299,6 @@ class TestDse:
         assert np.array_equal(a.graph.indices, b.graph.indices)
         with pytest.raises(KeyError):
             load_dataset("fuzz:not-a-shape:1")
-
-    def test_leave_one_shape_out_accuracy(self):
-        """Calibrate on 12 of the 13 fuzz shapes; the holdout's pick must
-        be top-3-quality (regret@3 within the gate) for bfs and pr —
-        covering both engines via the default bsp+basp cell axis."""
-        from repro.fuzz.gen import SHAPES
-
-        shapes = sorted(SHAPES)
-        assert len(shapes) == 13
-        holdout = "powerlaw"
-        cfg = DseConfig(gpus=(2, 4))
-        for app in ("bfs", "pr"):
-            train = [
-                run_dse(f"fuzz:{s}:5", app, cfg, validate="all")
-                for s in shapes if s != holdout
-            ]
-            calib = fit_calibration([
-                (res.app, o.prediction.breakdown, o.measured_seconds)
-                for res in train for o in res.measured()
-            ])
-            assert calib.weights_for(app) is not None
-            res = run_dse(
-                f"fuzz:{holdout}:5", app, cfg, validate="all", calibration=calib
-            )
-            engines = {o.prediction.cell.engine for o in res.outcomes}
-            assert engines == {"bsp", "basp"}
-            regret3 = res.regret_at(3)
-            assert regret3 is not None and regret3 <= REGRET_GATE, (
-                f"{app} holdout {holdout}: regret@3 {regret3:.3f} "
-                f"> {REGRET_GATE}"
-            )
 
 
 # ---------------------------------------------------------------------- #
