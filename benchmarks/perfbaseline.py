@@ -1,37 +1,30 @@
-"""Regression-gate measurements and the one committed-baseline format.
+"""Regression-gate measurements.
 
 The repo's credibility rests on two properties the paper study also needed
 (cf. Gunrock's multi-GPU harness and Ammar & Özsu's cross-system study):
 the hot paths must be fast, and the measurement must be reproducible and
-regression-tracked.  This module provides both halves:
+regression-tracked.  This module holds the measurements both halves run:
 
-* the **measurements** the gate table in
-  ``benchmarks/bench_regression.py`` runs — :func:`run_matrix` (the fixed
-  bfs/cc/pagerank × IEC/CVC × BSP/BASP × AS/UO matrix on a seeded RMAT
-  graph: per cell the host wall-clock, machine-dependent, and the
-  *simulated* metrics — execution time, rounds, messages, wire bytes, work
-  items, a CRC of the output labels — all deterministic),
-  :func:`measure_overhead` (a disabled subsystem must cost nothing),
-  :func:`measure_hier_aggregation`, :func:`run_sweep` and
-  :func:`measure_sweep_speedup`;
-* the **baseline envelope** every ``benchmarks/BENCH_*.json`` uses —
-  ``{"schema", "gate", "config", "deterministic", "wall"}`` — with one
-  :func:`write_baseline` / :func:`load_baseline` pair and one comparer,
-  :func:`diff_baseline`: simulated metrics must match (exact, or a tight
-  relative tolerance for floats — they are machine-independent, so any
-  drift is a semantic change to the engines or the comm substrate),
-  recorded wall numbers may not be exceeded by more than a configurable
-  slack factor (loose by default — CI machines vary).
+* :func:`run_cell` / :func:`run_matrix` — the fixed bfs/cc/pagerank ×
+  IEC/CVC × BSP/BASP × AS/UO matrix on a seeded RMAT graph: per cell the
+  host wall-clock, machine-dependent, and the *simulated* metrics —
+  execution time, rounds, messages, wire bytes, work items, a CRC of the
+  output labels — all deterministic;
+* :func:`run_sweep` — a fixed slice of the study through the sweep
+  executor.
+
+The deterministic fields are rows of the ``gates`` golden table
+(``tests/test_gates.py``); the gates that need a clock,
+:func:`measure_overhead` (a disabled subsystem must cost nothing) and
+:func:`measure_sweep_speedup`, run from ``benchmarks/bench_regression.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import zlib
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -49,33 +42,19 @@ from repro.partition import partition
 __all__ = [
     "CellResult",
     "MATRIX_CELLS",
-    "MATRIX_WORKLOAD",
     "SWEEP_SPEEDUP_MIN",
-    "SWEEP_WORKLOAD",
     "OVERHEAD_MAX",
-    "SIM_RTOL",
     "cell_key",
     "run_cell",
     "run_matrix",
     "measure_overhead",
     "overhead_tolerance",
-    "HIER_AGG_MIN",
-    "HIER_CELL",
-    "HIER_PARTS",
-    "measure_hier_aggregation",
     "sweep_specs",
     "run_sweep",
     "measure_sweep_speedup",
-    "write_baseline",
-    "load_baseline",
-    "diff_baseline",
-    "default_wall_tolerance",
 ]
 
-#: Version of the baseline envelope (2 = one shape for every gate).
-SCHEMA_VERSION = 2
-
-#: The fixed workload matrix: every combination is one baseline cell.
+#: The fixed workload matrix: every combination is one ``sync-matrix`` row.
 MATRIX_APPS = ("bfs", "cc", "pr")
 MATRIX_POLICIES = ("iec", "cvc")
 MATRIX_ENGINES = ("bsp", "basp")
@@ -93,16 +72,6 @@ MATRIX_CELLS = tuple(
 MATRIX_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 3}
 NUM_PARTITIONS = 4
 
-#: What the sync baseline was measured on (its envelope's ``config``).
-MATRIX_WORKLOAD = {
-    "matrix_graph": MATRIX_GRAPH,
-    "num_partitions": NUM_PARTITIONS,
-    "apps": list(MATRIX_APPS),
-    "policies": list(MATRIX_POLICIES),
-    "engines": list(MATRIX_ENGINES),
-    "comms": list(MATRIX_COMMS),
-}
-
 #: Maximum off / unset wall-clock ratio the three overhead gates enforce
 #: (< 2% overhead with tracing, invariant checking or contention pricing
 #: switched off); each gate's own environment variable overrides it —
@@ -113,22 +82,6 @@ OVERHEAD_MAX = 1.02
 #: Timing repetitions per leg in :func:`measure_overhead` (per-cell
 #: best-of, both legs run back to back per cell).
 OVERHEAD_REPS = 5
-
-#: Minimum flat / hierarchical inter-host message ratio the two-level
-#: sync gate enforces (ISSUE acceptance: >= 1.5x fewer inter-host
-#: messages on the pr/cvc cell at bridges-32 scale).
-HIER_AGG_MIN = 1.5
-
-#: The cell and scale the hierarchical-aggregation gate runs on.
-HIER_CELL = ("pr", "cvc", "bsp", "uo")
-HIER_PARTS = 32
-
-#: Relative tolerance for simulated (machine-independent) float metrics.
-SIM_RTOL = 1e-6
-
-#: Default slack factor for wall-clock cells; override with the
-#: ``REPRO_BENCH_WALL_TOL`` environment variable (e.g. in CI).
-DEFAULT_WALL_TOL = 4.0
 
 
 @dataclass
@@ -144,7 +97,8 @@ class CellResult:
     work_items: float
     labels_crc: int  # CRC32 of the output label bytes
     #: cross-host wire messages (aggregates count as one under two-level
-    #: sync); informational — not part of the baseline comparison.
+    #: sync); not a ``sync-matrix`` field — the ``hier-aggregation`` rows
+    #: pin it.
     inter_host_messages: int = 0
 
     def deterministic_fields(self) -> dict:
@@ -160,11 +114,6 @@ class CellResult:
 
 def cell_key(app: str, policy: str, engine: str, comm: str) -> str:
     return f"{app}/{policy}/{engine}/{comm}"
-
-
-def default_wall_tolerance() -> float:
-    """The wall slack factor (``REPRO_BENCH_WALL_TOL``); 0 disables."""
-    return float(os.environ.get("REPRO_BENCH_WALL_TOL", DEFAULT_WALL_TOL))
 
 
 def overhead_tolerance(env_name: str) -> float:
@@ -345,40 +294,6 @@ def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
     }
 
 
-def measure_hier_aggregation() -> dict:
-    """Flat vs two-level sync on the hier gate cell — deterministic.
-
-    Runs the :data:`HIER_CELL` workload at :data:`HIER_PARTS` partitions
-    (bridges-32: 16 hosts, so cross-host traffic dominates) once with
-    flat per-pair sync and once with ``hierarchical=True``.  Two-level
-    sync must leave labels, rounds, and work bit-identical (it only
-    re-prices the network leg and coalesces wire messages) while cutting
-    cross-host wire messages by at least :data:`HIER_AGG_MIN`.  All
-    compared quantities are simulated and machine-independent, so this
-    gate runs in CI without slack.
-    """
-    workload = _Workload(MATRIX_GRAPH, parts=HIER_PARTS)
-    app, policy, engine, comm = HIER_CELL
-    flat = run_cell(workload, app, policy, engine, comm)
-    hier = run_cell(workload, app, policy, engine, comm, hierarchical=True)
-    for name in ("labels_crc", "rounds", "work_items"):
-        f, h = getattr(flat, name), getattr(hier, name)
-        if f != h:
-            raise ConfigurationError(
-                f"two-level sync changed {name} on {flat.key}: {f} vs {h}"
-            )
-    ratio = flat.inter_host_messages / max(hier.inter_host_messages, 1)
-    return {
-        "cell": flat.key,
-        "parts": HIER_PARTS,
-        "flat_inter_host_messages": int(flat.inter_host_messages),
-        "hier_inter_host_messages": int(hier.inter_host_messages),
-        "ratio": float(ratio),
-        "flat_sim_seconds": float(flat.sim_seconds),
-        "hier_sim_seconds": float(hier.sim_seconds),
-    }
-
-
 # --------------------------------------------------------------------------- #
 # sweep runtime leg
 # --------------------------------------------------------------------------- #
@@ -400,14 +315,6 @@ SWEEP_PSTATS_CELLS = (
 SWEEP_RUN_POLICIES = ("cvc", "iec", "oec")
 SWEEP_RUN_PARTS = 32
 SWEEP_BENCHMARK = "bfs"
-#: What the sweep baseline was measured on (its envelope's ``config``).
-SWEEP_WORKLOAD = {
-    "dataset": SWEEP_DATASET,
-    "pstats_cells": [list(c) for c in SWEEP_PSTATS_CELLS],
-    "run_policies": list(SWEEP_RUN_POLICIES),
-    "run_parts": SWEEP_RUN_PARTS,
-    "benchmark": SWEEP_BENCHMARK,
-}
 
 #: Worker-process count for the warm sweep leg.
 SWEEP_JOBS = 4
@@ -566,112 +473,3 @@ def measure_sweep_speedup(
         "cold_partition_builds": int(cold_builds),
         "warm_partition_builds": int(warm_builds),
     }
-
-
-# --------------------------------------------------------------------------- #
-# the baseline envelope: one write/load pair, one comparer
-# --------------------------------------------------------------------------- #
-def write_baseline(
-    path, gate: str, config: dict, deterministic: dict, wall: dict
-) -> None:
-    """Persist one gate's baseline envelope.
-
-    ``deterministic`` is the JSON tree :func:`diff_baseline` pins;
-    ``wall`` maps a gate name to the host-dependent numbers that gate
-    recorded (the file's own gate, plus any wall-clock gate whose
-    measurement is kept beside it).
-    """
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "gate": gate,
-        "config": config,
-        "deterministic": deterministic,
-        "wall": wall,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_baseline(path, gate: str) -> dict | None:
-    """The envelope at ``path``, or ``None`` when it cannot serve as
-    ``gate``'s baseline: no file, another schema, another gate's file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(doc, dict)
-        or doc.get("schema") != SCHEMA_VERSION
-        or doc.get("gate") != gate
-    ):
-        return None
-    return doc
-
-
-def _diff_tree(where: str, cur, base, rtol: float, out: list[str]) -> None:
-    if isinstance(cur, dict) and isinstance(base, dict):
-        for key in sorted(set(base) - set(cur)):
-            out.append(f"{where}{key}: missing from current run")
-        for key in sorted(set(cur) - set(base)):
-            out.append(f"{where}{key}: not in baseline (run --update)")
-        for key in sorted(set(cur) & set(base)):
-            _diff_tree(f"{where}{key}: ", cur[key], base[key], rtol, out)
-    elif isinstance(cur, float) and isinstance(base, float):
-        if abs(cur - base) > rtol * abs(base):
-            out.append(
-                f"{where}drifted {base!r} -> {cur!r} "
-                f"(rel {abs(cur - base) / max(abs(base), 1e-300):.2e} > {rtol})"
-            )
-    elif cur != base:
-        out.append(f"{where}changed {base!r} -> {cur!r}")
-
-
-def _diff_wall(where: str, cur, base, slack: float, out: list[str]) -> None:
-    if isinstance(cur, dict) and isinstance(base, dict):
-        for key in sorted(set(cur) & set(base)):
-            _diff_wall(f"{where}{key}: ", cur[key], base[key], slack, out)
-    elif isinstance(cur, (int, float)) and isinstance(base, (int, float)):
-        # one-sided: an improvement never flags; a recorded zero (a
-        # reused store's build time) bounds nothing multiplicatively
-        if base > 0 and cur > base * slack:
-            out.append(
-                f"{where}wall {cur:.4g} exceeds {slack:.1f}x baseline {base:.4g}"
-            )
-
-
-def diff_baseline(
-    current: dict,
-    baseline: dict,
-    rtol: float = SIM_RTOL,
-    wall_tolerance: float | None = None,
-) -> tuple[list[str], list[str]]:
-    """Diff a fresh measurement against a committed baseline.
-
-    Both arguments are envelopes (``config`` / ``deterministic`` /
-    ``wall``).  Returns ``(config_keys, violations)``.  ``config_keys``
-    names the ``config`` entries that differ; when there are any the two
-    sides measured different workloads, nothing else is comparable and
-    ``violations`` is empty.  Otherwise ``violations`` lists, in the
-    ``deterministic`` trees, every key missing on either side, every
-    int/string/bool/list leaf that is not equal and every float leaf
-    off by more than ``rtol`` (relative, no absolute floor; 0 = exact),
-    and, in the ``wall`` trees, every number present on both sides that
-    exceeds ``wall_tolerance`` x the recorded one (``None`` skips wall
-    checks entirely).
-    """
-    cfg, base_cfg = current["config"], baseline["config"]
-    config_keys = [
-        k for k in sorted(set(cfg) | set(base_cfg))
-        if cfg.get(k) != base_cfg.get(k)
-    ]
-    if config_keys:
-        return config_keys, []
-    violations: list[str] = []
-    _diff_tree(
-        "", current["deterministic"], baseline["deterministic"], rtol,
-        violations,
-    )
-    if wall_tolerance is not None:
-        _diff_wall(
-            "", current["wall"], baseline["wall"], wall_tolerance, violations
-        )
-    return config_keys, violations

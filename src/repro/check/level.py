@@ -7,7 +7,7 @@ drivers) read, plus explicit ``check=`` parameters on the engines and
 
 Zero-overhead contract: at :data:`CheckLevel.OFF` (the default) every
 instrumentation site reduces to one falsy test on a cached attribute —
-the same deal the tracer offers, held below 2% on the ``BENCH_sync``
+the same deal the tracer offers, held below 2% on the sync-matrix
 cells by the overhead gate in ``benchmarks/bench_regression.py``.
 """
 

@@ -17,9 +17,9 @@ policies x three placement treatments:
 
 All cells run on the contended platform so feature loads queue on the
 ``pcie_up``/``staging`` resources alongside sync traffic.  The report
-is deterministic and byte-identical across ``--jobs``; the
-``bench_regression.py --only gnn`` gate pins it against
-``benchmarks/BENCH_gnn.json`` and requires caching to cut priced H2D
+is deterministic and byte-identical across ``--jobs``; the ``gnn``
+rows of the ``gates`` golden table (``tests/test_gates.py``) pin it,
+serially and at ``--jobs 2``, and require caching to cut priced H2D
 feature bytes by at least :data:`H2D_REDUCTION_GATE` x on the
 :data:`GNN_GATE_SHAPE` suite shape.
 """

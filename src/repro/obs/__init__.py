@@ -20,7 +20,7 @@ whose every method returns at once — so a site calls ``begin`` / ``end`` /
 only where building the *arguments* is itself work.  A layer reads the
 ambient tracer when it runs, never when it is constructed.  The overhead
 gate in ``benchmarks/bench_regression.py`` holds an installed disabled
-tracer within 2% of the default on the ``BENCH_sync`` cells.
+tracer within 2% of the default on the sync-matrix cells.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import json
 import os
 from typing import Optional
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "to_chrome",
     "write_chrome",
@@ -75,9 +77,17 @@ def write_chrome(tracer, path, process_name: Optional[str] = None) -> str:
 # reading traces back (the repro-trace CLI)
 # --------------------------------------------------------------------------- #
 def read_trace(path) -> list[dict]:
-    """Load a Chrome trace file's event list (dict or bare-array form)."""
-    with open(path) as f:
-        doc = json.load(f)
+    """Load a Chrome trace file's event list (dict or bare-array form).
+
+    A file that is missing, unreadable or not JSON (a truncated write)
+    raises :class:`~repro.errors.ConfigurationError`: the path given is
+    not a trace.
+    """
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        raise ConfigurationError(f"cannot read trace {path}: {e}") from e
     if isinstance(doc, dict):
         return list(doc.get("traceEvents", []))
     return list(doc)

@@ -47,10 +47,7 @@ log = logging.getLogger("repro.runtime.sweep")
 
 def default_start_method() -> str:
     """``fork`` where available (cheap, inherits warm caches), else the
-    platform default.  ``REPRO_SWEEP_START_METHOD`` overrides."""
-    env = os.environ.get("REPRO_SWEEP_START_METHOD")
-    if env:
-        return env
+    platform default; ``SweepExecutor(start_method=)`` overrides."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return multiprocessing.get_start_method()

@@ -20,9 +20,9 @@ request path:
   together: coalescing, the content-hash result cache, simulated-time
   latency accounting, and the deterministic report.
 
-The latency/throughput gate behind ``bench_regression.py --only serve``
-and ``BENCH_serve.json`` lives beside that driver
-(``benchmarks/serve_gate.py``).
+The latency/throughput gate is the ``serve`` group of the ``gates``
+golden table (``tests/test_gates.py``): a seeded trace served twice and
+once naively, its latencies and counters pinned exactly.
 """
 
 from repro.serve.incremental import IncrementalResult, incremental_run

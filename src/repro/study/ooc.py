@@ -25,8 +25,8 @@ This driver exercises the full out-of-core data path end to end:
 ``bench_regression.py --only ooc`` and ``repro-study ooc`` both call
 :func:`run_ooc_study` and gate on :func:`evaluate`:
 
-* every cell succeeds (``--only ooc`` additionally pins rounds and
-  label CRCs against the committed ``benchmarks/BENCH_ooc.json``);
+* every cell succeeds (``--only ooc`` additionally holds rounds and
+  label CRCs to the ``ooc`` golden rows recorded for its config);
 * peak worker anonymous RSS ≤ cap × ``REPRO_OOC_RSS_TOL``;
 * warm mmap wall ≤ RAM wall × ``REPRO_OOC_WALL_TOL`` on the small graph.
 

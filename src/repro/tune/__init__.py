@@ -23,9 +23,9 @@ loop the sweep opened:
   rejects;
 * :mod:`repro.tune.cli` — the ``repro-tune`` command.
 
-Accuracy is gated, not asserted: ``bench_regression.py --only advisor``
-holds top-1 regret <= 1.3x measured-best over a seeded shape suite
-(committed ``benchmarks/BENCH_advisor.json``), and
+Accuracy is gated, not asserted: the ``advisor`` rows of the ``gates``
+golden table (``tests/test_gates.py``) pin every suite row of a seeded
+shape suite and hold top-1 regret <= 1.3x measured-best on each, and
 ``tests/test_tune.py`` carries the leave-one-shape-out harness.
 """
 

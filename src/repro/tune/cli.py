@@ -25,6 +25,15 @@ def _csv(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
+def _gpu_counts(text: str) -> tuple:
+    try:
+        return tuple(int(g) for g in _csv(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad GPU count list {text!r}; use integers, e.g. 2,4"
+        )
+
+
 @cli_main
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -41,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         help="benchmark to tune for (bfs, pr, cc, sssp, kcore, ...)",
     )
     parser.add_argument(
-        "--gpus", default="2,4", metavar="LIST",
+        "--gpus", type=_gpu_counts, default="2,4", metavar="LIST",
         help="comma-separated GPU counts to consider (default 2,4)",
     )
     parser.add_argument(
@@ -81,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = DseConfig(
         policies=_csv(args.policies),
         engines=_csv(args.engines),
-        gpus=tuple(int(g) for g in _csv(args.gpus)),
+        gpus=args.gpus,
         platform=args.platform,
         top_k=args.top_k,
     )

@@ -11,8 +11,8 @@ survivors by predicted cost, and validates picks with real
 ``advisor_study`` sweeps the seeded fuzz-shape suite with *full*
 validation (every cell measured) so predicted-best can be ranked
 against measured-best; its report feeds both ``repro-study advisor``
-and the deterministic ``bench_regression.py --only advisor`` gate
-(top-1 regret <= :data:`REGRET_GATE`).
+and the ``advisor`` rows of the ``gates`` golden table, whose claim is
+top-1 regret <= :data:`REGRET_GATE` on every row.
 """
 
 from __future__ import annotations

@@ -58,6 +58,8 @@ TABLES = {
     ),
     "trace": Table("trace_golden.json", "tests.test_trace_golden", nested=True),
     "study": Table("study_golden.json", "tests.test_paper_claims"),
+    "gates": Table("gates_golden.json", "tests.test_gates", nested=True),
+    "ooc": Table("ooc_golden.json", "tests.test_ooc", nested=True),
 }
 
 
@@ -109,7 +111,9 @@ def environment(env: dict):
         yield
 
 
-def _problems(got: dict, want: dict) -> list[str]:
+def problems(got: dict, want: dict) -> list[str]:
+    """How computed rows ``got`` leave the recorded ``want``: rows the file
+    is missing, stale rows only the file has, and moved rows."""
     out = [f"missing row {k!r}" for k in sorted(got.keys() - want.keys())]
     out += [f"stale row {k!r}" for k in sorted(want.keys() - got.keys())]
     for k in sorted(got.keys() & want.keys()):
@@ -135,15 +139,15 @@ def check(name: str, group: str | None = None, *, env: dict | None = None,
     }
     for e in [env] if env is not None else table.envs:
         with environment(e):
-            problems = _problems(compute(name, group), want)
-        if problems:
+            found = problems(compute(name, group), want)
+        if found:
             where = f"golden table {name!r} ({table.file})"
             if group is not None:
                 where += f", group {group!r}"
             if e:
                 where += f", under {e}"
-            more = f"; ... {len(problems) - 8} more" if len(problems) > 8 else ""
-            raise AssertionError(f"{where}: " + "; ".join(problems[:8]) + more)
+            more = f"; ... {len(found) - 8} more" if len(found) > 8 else ""
+            raise AssertionError(f"{where}: " + "; ".join(found[:8]) + more)
 
 
 def unregistered_files(cases: Path = CASES) -> list[str]:

@@ -350,3 +350,14 @@ class TestTraceCLI:
         assert any(line.startswith("M,process_name") for line in lines)
         assert any(line.startswith("X,compute") for line in lines)
         assert any(line.startswith("C,comm.reduce.rank.messages") for line in lines)
+
+    @pytest.mark.parametrize("command", ["summarize", "csv"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_cli_reports_a_bad_trace_file(self, trace_path, command, damage, capsys):
+        if damage == "missing":
+            trace_path.unlink()
+        else:
+            trace_path.write_text(trace_path.read_text()[:40])
+        assert trace_cli_main([command, str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigurationError: cannot read trace {trace_path}")

@@ -1,13 +1,17 @@
 """Out-of-core pipeline units: mmap/ram bit-identity, blocked streaming
-kernels, the study config/gate logic, and the RSS meter.
+kernels, the study config/gate logic, and the RSS meter — and the rows
+of the ``ooc`` golden table.
 
 The headline acceptance run (``bench_regression.py --only ooc``) proves
-the pipeline at scale; this suite pins the individual guarantees it
-leans on — most importantly that serving a graph through ``np.memmap``
-changes *nothing* observable: every fuzz shape, under both engines,
-must produce bit-identical labels and stats whether the store is opened
-``ram`` or ``mmap``, and the blocked frontier expansion the workers use
-must replay the unblocked elementwise order exactly.
+the pipeline at scale and holds its rounds and label CRCs to the ``ooc``
+rows recorded for its config (:data:`GROUPS`: the default
+:class:`OocConfig`, minutes long, so tier 1 never recomputes it); this
+suite pins the individual guarantees it leans on — most importantly
+that serving a graph through ``np.memmap`` changes *nothing* observable:
+every fuzz shape, under both engines, must produce bit-identical labels
+and stats whether the store is opened ``ram`` or ``mmap``, and the
+blocked frontier expansion the workers use must replay the unblocked
+elementwise order exactly.
 """
 
 import os
@@ -35,10 +39,53 @@ from repro.hw import bridges
 from repro.idset import merge_touched
 from repro.partition import partition
 from repro.runtime.rss import RssSampler, read_rss_anon
-from repro.study.ooc import OocConfig, OocReport, _build_big_store, evaluate
+from repro.study.ooc import (
+    OocConfig,
+    OocReport,
+    _build_big_store,
+    evaluate,
+    run_ooc_study,
+)
 from tests.test_sync_golden import result_row
 
 ENGINES = {"bsp": BSPEngine, "basp": BASPEngine}
+
+
+# --------------------------------------------------------------------- #
+# the ooc golden table
+# --------------------------------------------------------------------- #
+def config_key(cfg: OocConfig) -> str:
+    """The section a config's rows live under: the knobs that fix the
+    generated graph and the cells run on it.  The RAM cap reaches the
+    graph only through ``scale``; the tolerances bound host numbers."""
+    return (
+        f"rmat{cfg.scale}-ef{cfg.edge_factor:g}-seed{cfg.seed}"
+        f"-p{cfg.num_partitions}"
+    )
+
+
+def report_rows(report: OocReport) -> dict:
+    """A report's deterministic results: the store, and per app whether
+    it ran, its rounds and its label CRC (elapsed and RSS are the host's)."""
+    key = config_key(report.config)
+    return {
+        f"{key}/store": {
+            "num_vertices": report.num_vertices,
+            "num_edges": report.num_edges,
+            "store_bytes": report.store_bytes,
+        },
+        **{
+            f"{key}/{app}": {
+                k: cell[k] for k in ("ok", "failure", "rounds", "labels_crc")
+            }
+            for app, cell in report.cells.items()
+        },
+    }
+
+
+GROUPS = {
+    config_key(OocConfig()): lambda: report_rows(run_ooc_study(OocConfig()))
+}
 
 
 # --------------------------------------------------------------------- #

@@ -194,7 +194,7 @@ def test_wrong_graph_and_foreign_file_are_typed_errors(tmp_path):
 
 
 def test_csr_store_bytes_did_not_move(tmp_path):
-    """``BENCH_ooc`` pins ``store_bytes``; this pins the bytes themselves.
+    """The ``ooc`` golden rows pin ``store_bytes``; this pins the bytes themselves.
     SHA-1s of what ``write_csr_store`` wrote at ``d7da598``, before the
     container was factored out of ``graph/store.py``."""
     graphs = {

@@ -331,7 +331,7 @@ def test_a_forked_worker_starts_with_tracing_off(tmp_path):
 def test_run_cells_equals_the_pooled_map_on_the_sweep_slice():
     """``run_cells(specs)`` — the one ``executor=None`` — gives, outcome
     for outcome, what a two-worker pool gives on a slice of the cells
-    ``BENCH_sweep.json`` pins."""
+    the ``gates`` table's ``sweep`` rows pin."""
     from benchmarks.perfbaseline import _sweep_record, sweep_specs
 
     specs = sweep_specs()

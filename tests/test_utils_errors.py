@@ -176,6 +176,16 @@ class TestTypedErrorsAtTheCliBoundary:
             capsys.readouterr().err
         )
 
+    def test_tune_gpus_must_be_integers(self, capsys):
+        from repro.tune.cli import main as tune_main
+
+        with pytest.raises(SystemExit) as exc:
+            tune_main(["--dataset", "fuzz:rmat:7", "--app", "bfs", "--gpus", "2,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro-tune")
+        assert "argument --gpus: bad GPU count list '2,x'" in err
+
     def test_unknown_dataset_is_still_a_key_error(self):
         with pytest.raises(KeyError, match="unknown dataset 'nope'") as exc:
             raise errors.UnknownDatasetError("unknown dataset 'nope'")
