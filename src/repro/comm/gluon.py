@@ -250,6 +250,12 @@ class GluonComm:
             name: [bits.view(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
             for name, bits in self._dirty.items()
         }
+        # _fresh[field][phase == "broadcast"][p]: a bit was set on p since
+        # its last extraction of that phase.  Only mark_updated and a reduce
+        # apply set bits and a UO extraction clears all it reads, so senders
+        # with no flag up have nothing to send: they skip the gather
+        P = pg.num_partitions
+        self._fresh = {f.name: ([False] * P, [False] * P) for f in fields}
         # tables[field] -> (reduce table, broadcast table), each with its
         # (sender, receiver) -> _PairPlan dict; empty[field, phase] -> the
         # batch an extraction with nothing to send returns
@@ -328,6 +334,8 @@ class GluonComm:
     def mark_updated(self, field: str, pid: int, local_ids) -> None:
         """Engine hook: record that the operator wrote these proxies."""
         self.updated[field][pid].set(local_ids)
+        for fresh in self._fresh[field]:
+            fresh[pid] = True
 
     def pending_sends(self, field: str, phase: str, pid: int) -> bool:
         """Was any proxy in ``pid``'s outgoing exchange for this phase
@@ -355,13 +363,19 @@ class GluonComm:
         shipped counts as sent: dirty bits drop and accumulators reset
         exactly as under UO.  A sender serving several partners (broadcast
         along a CVC grid row) clears once, after every partner's payload
-        was gathered.
+        was gathered.  A UO range whose senders set no dirty bit since
+        their last extraction of this phase returns before the gather.
         """
+        uo, a, b = self.config.update_only, pids.start, pids.stop
+        if uo:
+            fresh = self._fresh[field][phase == "broadcast"]
+            if not any(fresh[a:b]):
+                return self._empty[field, phase]  # every sender clean
+            fresh[a:b] = [False] * (b - a)
         spec = self.fields[field]
         table = self._table(field, phase)
-        uo = self.config.update_only
         dirty, flat = self._dirty[field], labels.flat
-        lo, hi = table.sender_off[pids.start], table.sender_off[pids.stop]
+        lo, hi = table.sender_off[a], table.sender_off[b]
         sel = table.glob_send[lo:hi]
         if uo:
             # one dirty-bit gather over the whole range
@@ -375,7 +389,7 @@ class GluonComm:
         if phase == "reduce" and spec.reset_after_reduce:
             flat[sel] = spec.identity
 
-        s0, s1 = table.sender_seg[pids.start], table.sender_seg[pids.stop]
+        s0, s1 = table.sender_seg[a], table.sender_seg[b]
         if uo:
             # segment the hits back into per-partner messages: the hits
             # are sorted, so the range's segment bounds cut them (a
@@ -508,7 +522,8 @@ class GluonComm:
         positions whose value changed, possibly with repeats.
         """
         shift = self.base[batch.dst]  # per message, or the one receiver's
-        if isinstance(batch, SendBatch):
+        step = isinstance(batch, SendBatch)
+        if step:
             self._planned(batch)
             shift = np.repeat(shift, batch.num_elements)
         op = self.fields[field].reduce_op
@@ -530,6 +545,9 @@ class GluonComm:
             changed = at[old != values]
         if phase == "reduce" and len(changed):
             self._dirty[field].set(changed)
+            up = slice(None) if step else slice(batch.dst, batch.dst + 1)
+            for fresh in self._fresh[field]:  # on the receivers
+                fresh[up] = [True] * len(fresh[up])
         return changed
 
     def apply_reduce(self, field: str, batch, labels: FieldViews) -> np.ndarray:

@@ -73,7 +73,6 @@ class BASPEngine(Engine):
         throttle_wait: float = 0.0,
         overlap_comm: float = 0.0,
         fault_plan=None,
-        executor: str = "serial",
         check=None,
     ):
         """``throttle_wait`` implements the paper's proposed *dynamic
@@ -82,11 +81,6 @@ class BASPEngine(Engine):
         more partner messages arrive, trading blocked time for less
         redundant computation from stale reads.  ``0`` (the default) is
         unthrottled BASP as shipped in D-IrGL.
-
-        ``executor`` is accepted because ``Framework.run`` builds both
-        engines from one argument list; a BASP event is one partition's
-        local round, so there is nothing to dispatch and both values run
-        the same loop.
 
         ``overlap_comm`` in [0, 1] mirrors BSP's async-copy hiding for
         local rounds: within one local round, the drained H2D legs and the
@@ -101,8 +95,7 @@ class BASPEngine(Engine):
             raise ConfigurationError("throttle_wait must be non-negative")
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
-            memory_profile, check_memory, overlap_comm, fault_plan, executor,
-            check,
+            memory_profile, check_memory, overlap_comm, fault_plan, check,
         )
         self.throttle_wait = float(throttle_wait)
 
@@ -142,29 +135,33 @@ class BASPEngine(Engine):
         # its inputs do: on the partition that just ran or an idle jump
         # moved (re-probed), and on a receiver of a flush, which becomes
         # runnable exactly when the new arrival is not after its clock —
-        # so the loop does not probe every partition every event.
+        # so the loop does not probe every partition every event.  The
+        # ready partitions wait in a heap of (local time, pid); a clock
+        # moves only while its partition runs or jumps, never in the heap.
+        # A running partition stays ``ready`` so a flush cannot queue it.
         ready = [runnable(p) for p in range(P)]
+        heap = [(local_time[p], p) for p in range(P) if ready[p]]
         comm, router = core.comm, cost.router
         while True:
-            cand = [p for p in range(P) if ready[p]]
-            if not cand:
+            if not heap:
                 if in_flight == 0:
                     break  # global quiescence
                 # everyone idle: jump the earliest receiver to its arrival,
                 # plus one poll interval so co-arriving partner messages
-                # batch into a single local round
+                # batch into a single local round — which makes it runnable
                 nxt, q = min(
                     (inbox[p][0][0], p) for p in range(P) if inbox[p]
                 )
                 nxt += POLL_INTERVAL_S
                 wait_t[q] += max(nxt - local_time[q], 0.0)
                 local_time[q] = max(local_time[q], nxt)
-                ready[q] = runnable(q)
+                ready[q] = True
+                heapq.heappush(heap, (local_time[q], q))
                 continue
 
             # one event = one local round (drain, compute, master, flush)
             # of the runnable partition with the smallest (local time, pid)
-            p = min(cand, key=local_time.__getitem__)
+            p = heapq.heappop(heap)[1]
             if self.fault_plan is not None:
                 self.fault_plan.check(p, local_rounds[p])
             t = local_time[p]
@@ -291,8 +288,9 @@ class BASPEngine(Engine):
                             inbox[dst],
                             (arrival, seq, key, targets, values, h2d[i]),
                         )
-                        if arrival <= local_time[dst]:
+                        if not ready[dst] and arrival <= local_time[dst]:
                             ready[dst] = True
+                            heapq.heappush(heap, (local_time[dst], dst))
                         i += 1
                         seq += 1
                 in_flight += n_out
@@ -308,6 +306,8 @@ class BASPEngine(Engine):
                 local_rounds[p] += 1
                 rounds_total += 1
             ready[p] = runnable(p)
+            if ready[p]:
+                heapq.heappush(heap, (local_time[p], p))
             if core.watch is not None:
                 core.watch.observe(core.views, pid=p)
             if rounds_total > max_local_rounds:

@@ -29,7 +29,7 @@ from repro.comm.gluon import CommConfig
 from repro.engine.core import Engine, RoundCore
 from repro.engine.operator import RunContext, VertexProgram
 from repro.engine.result import RunResult
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
 from repro.hw.cluster import Cluster
 from repro.hw.memory import MemoryProfile, DIRGL_PROFILE
 from repro.loadbalance.base import LoadBalancer
@@ -37,7 +37,14 @@ from repro.metrics.stats import RoundRecord
 from repro.partition.base import PartitionedGraph
 from repro.runtime.executors import thread_map
 
-__all__ = ["BSPEngine"]
+__all__ = ["BSPEngine", "check_executor"]
+
+
+def check_executor(executor: str) -> None:
+    """Reject a compute-phase dispatch BSP does not have."""
+    if executor not in ("serial", "threads"):
+        raise ConfigurationError(
+            f"executor must be 'serial' or 'threads', got {executor!r}")
 
 
 class BSPEngine(Engine):
@@ -70,11 +77,12 @@ class BSPEngine(Engine):
         release the GIL).  Threaded results are merged in fixed partition
         order, so runs are bit-identical either way.
         ``check`` is documented on :class:`~repro.engine.core.Engine`."""
+        check_executor(executor)
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
-            memory_profile, check_memory, overlap_comm, fault_plan, executor,
-            check,
+            memory_profile, check_memory, overlap_comm, fault_plan, check,
         )
+        self.executor = executor
 
     # ------------------------------------------------------------------ #
     def run(self, ctx: RunContext) -> RunResult:

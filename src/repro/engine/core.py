@@ -61,8 +61,7 @@ class Engine:
 
     def __init__(
         self, pg, cluster, app, comm_config, balancer, scale_factor,
-        memory_profile, check_memory, overlap_comm, fault_plan, executor,
-        check,
+        memory_profile, check_memory, overlap_comm, fault_plan, check,
     ):
         """The arguments both engines share (the engines document their
         own).  ``check`` selects the runtime invariant-checking level (see
@@ -73,10 +72,6 @@ class Engine:
             balancer = get_balancer(balancer)
         if not 0.0 <= overlap_comm <= 1.0:
             raise ConfigurationError("overlap_comm must be within [0, 1]")
-        if executor not in ("serial", "threads"):
-            raise ConfigurationError(
-                f"executor must be 'serial' or 'threads', got {executor!r}"
-            )
         self.check_level = resolve_check_level(check)
         self.pg = pg
         self.cluster = cluster
@@ -89,7 +84,6 @@ class Engine:
         self.check_memory = check_memory
         self.overlap_comm = float(overlap_comm)
         self.fault_plan = fault_plan
-        self.executor = executor
 
 
 class RoundCore:

@@ -32,6 +32,7 @@ __all__ = [
     "pull_workspace_stale_tail",
     "expand_drops_last_edge",
     "operator_emits_minus_one",
+    "extract_skip_misses_reduce",
 ]
 
 
@@ -257,8 +258,8 @@ def expand_drops_last_edge():
 
     orig = expand._edge_selector
 
-    def bad(graph, frontier):
-        counts, sel = orig(graph, frontier)
+    def bad(*ranges):
+        counts, sel = orig(*ranges)
         if isinstance(sel, slice):
             return counts, sel
         last = (np.cumsum(counts) - 1)[counts > 0]
@@ -288,6 +289,31 @@ def operator_emits_minus_one():
     return _planted(BFS, "compute", bad)
 
 
+def extract_skip_misses_reduce():
+    """A reduce apply that dirties its receiver's masters but leaves the
+    receiver's clean-sender flag down.
+
+    A UO extraction skips its gather when no sender set a dirty bit since
+    its last extraction of the phase; with this bug a BASP partition whose
+    masters only changed by a drained reduce keeps its broadcast to itself
+    (a BSP step still ships, since any write that round raises a flag and
+    the step extracts every sender at once).  Caught by the FULL-level
+    ``extract-differential`` comparison: the oracle reads the bits.
+    """
+    from repro.comm.gluon import GluonComm
+
+    orig = GluonComm.apply_reduce
+
+    def bad(self, field, batch, labels):
+        before = [list(fresh) for fresh in self._fresh[field]]
+        changed = orig(self, field, batch, labels)
+        for fresh, old in zip(self._fresh[field], before):
+            fresh[:] = old
+        return changed
+
+    return _planted(GluonComm, "apply_reduce", bad)
+
+
 #: name -> context manager, for the self-test CLI and the pytest suite
 MUTATIONS = {
     "drop-mirror-update": drop_mirror_update,
@@ -301,6 +327,7 @@ MUTATIONS = {
     "pull-workspace-stale-tail": pull_workspace_stale_tail,
     "expand-drops-last-edge": expand_drops_last_edge,
     "operator-emits-minus-one": operator_emits_minus_one,
+    "extract-skip-misses-reduce": extract_skip_misses_reduce,
 }
 
 
@@ -318,7 +345,9 @@ def detection_candidates():
     the expansion's gather branch (a scattered frontier): a 64-vertex
     R-MAT through kcore's peel, the bfs push and bfs-do's pull step, and
     a path whose engine frontiers are single vertices but whose inserted
-    chord seeds the serve delta sweep with two.
+    chord seeds the serve delta sweep with two.  The last runs BASP,
+    whose local round extracts one sender: the one cell where a single
+    clean sender skips its gather.
     """
     from repro.fuzz.cases import Case
     from repro.fuzz.gen import build_shape, dense_graph
@@ -357,6 +386,8 @@ def detection_candidates():
                         engine="bsp", shape="rmat64"),
         Case.from_graph(path, app="bfs", policy="oec", parts=4,
                         engine="bsp", shape="path", mutations=chord),
+        Case.from_graph(rmat64, app="bfs", policy="cvc", parts=4,
+                        engine="basp", shape="rmat64"),
     ]
 
 

@@ -57,14 +57,12 @@ def block_edge_budget() -> int:
     return budget
 
 
-def _edge_selector(graph: CSRGraph, frontier: np.ndarray):
-    """``(counts, sel)``: the frontier's out-degrees and the index of its
-    edges into the CSR edge arrays — a ``slice`` when the ranges follow
-    one another without a gap, else per-edge positions."""
-    starts = graph.indptr[frontier]
-    ends = graph.indptr[frontier + 1]
-    counts = ends - starts
-    total = int(counts.sum())
+def _edge_selector(starts, ends, counts, total: int):
+    """``(counts, sel)``: the out-degrees of frontier vertices whose CSR
+    ranges are ``starts[i]:ends[i]`` (``counts = ends - starts``, summing
+    to ``total``) and the index of their edges into the CSR edge arrays —
+    a ``slice`` when the ranges follow one another without a gap, else
+    per-edge positions."""
     if total == 0:
         return counts, slice(0, 0)  # empty arrays of the edge dtypes
     if np.array_equal(ends[:-1], starts[1:]):
@@ -74,6 +72,15 @@ def _edge_selector(graph: CSRGraph, frontier: np.ndarray):
     sel = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     sel += np.arange(total, dtype=np.int64)
     return counts, sel
+
+
+def _gather(graph: CSRGraph, starts, ends, counts, total, with_weights):
+    """:func:`expand_edges` over ranges already read from ``indptr``."""
+    if with_weights and graph.weights is None:
+        raise GraphFormatError("graph has no weights")
+    counts, sel = _edge_selector(starts, ends, counts, total)
+    w = graph.weights[sel] if with_weights else None
+    return counts, graph.indices[sel].astype(np.int64), w
 
 
 def expand_edges(
@@ -94,12 +101,9 @@ def expand_edges(
     vertices, which is every dense round — the edges are one slice of
     ``indices`` and no per-edge index array is built.
     """
-    if with_weights and graph.weights is None:
-        raise GraphFormatError("graph has no weights")
-    counts, sel = _edge_selector(graph, frontier)
-    dsts = graph.indices[sel].astype(np.int64)
-    w = graph.weights[sel] if with_weights else None
-    return counts, dsts, w
+    starts, ends = graph.indptr[frontier], graph.indptr[frontier + 1]
+    counts = ends - starts
+    return _gather(graph, starts, ends, counts, int(counts.sum()), with_weights)
 
 
 def block_bounds(ends: np.ndarray, max_edges: int):
@@ -139,13 +143,18 @@ def expand_edges_blocks(
     if n == 0:
         return
     max_edges = block_edge_budget()
-    counts = np.asarray(graph.indptr[frontier + 1]) - graph.indptr[frontier]
-    if int(counts.sum()) <= max_edges:
-        yield (frontier, *expand_edges(graph, frontier, with_weights))
+    # one read of the frontier's CSR ranges serves the budget test and
+    # every block; over the budget, a per-edge selector is a block's
+    starts, ends = graph.indptr[frontier], graph.indptr[frontier + 1]
+    counts = ends - starts
+    total = int(counts.sum())
+    if total <= max_edges:
+        yield frontier, *_gather(graph, starts, ends, counts, total, with_weights)
         return
-    for start, stop, _, _ in block_bounds(np.cumsum(counts), max_edges):
-        blk = frontier[start:stop]
-        yield (blk, *expand_edges(graph, blk, with_weights))
+    for lo, hi, e0, e1 in block_bounds(np.cumsum(counts), max_edges):
+        b = slice(lo, hi)
+        yield frontier[b], *_gather(
+            graph, starts[b], ends[b], counts[b], e1 - e0, with_weights)
 
 
 def undirected_waves(graph: CSRGraph, source: int, seen: np.ndarray):

@@ -65,7 +65,12 @@ def as_selector(ids: np.ndarray):
 def unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
     """``np.unique(ids)`` for IDs known to lie in ``[0, n)``."""
     if not _is_dense(len(ids), n):
-        return np.unique(ids)
+        # np.unique's own sort-and-compare, without its wrapper
+        ids = np.sort(ids)
+        keep = np.empty(len(ids), dtype=bool)
+        keep[:1] = True
+        np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+        return ids[keep]
     flags = np.zeros(n, dtype=bool)
     flags[ids] = True
     return np.flatnonzero(flags).astype(ids.dtype, copy=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import THREADS_PER_BLOCK
-from repro.loadbalance.base import LoadBalancer, cyclic_block_loads, register
+from repro.loadbalance.base import LoadBalancer, cyclic_max_load, register
 
 __all__ = ["ALB"]
 
@@ -28,22 +28,20 @@ class _ALB(LoadBalancer):
     overhead_factor = 1.06
     fixed_round_units = 512.0
 
-    def block_loads(self, degrees: np.ndarray, num_blocks: int) -> np.ndarray:
-        if len(degrees) == 0:
-            return np.zeros(num_blocks)
+    def max_block_load(self, degrees, num_blocks: int, total: float) -> float:
         # ALB detects imbalance *relative to the round's load*: any vertex
         # whose degree exceeds a couple of mean block-loads is promoted to
         # all-block strip-mining.  A fixed threshold would miss mid-degree
         # stragglers on sparse frontiers and over-split dense ones.
-        mean_block = float(np.sum(degrees)) / num_blocks
-        threshold = max(2.0 * mean_block, float(MIN_SPLIT))
+        threshold = max(2.0 * (total / num_blocks), float(MIN_SPLIT))
         heavy = degrees > threshold
+        if not heavy.any():
+            return cyclic_max_load(degrees, num_blocks)
         light = np.where(heavy, 0.0, degrees)
-        loads = cyclic_block_loads(light, num_blocks)
+        # the heavy share lands on every block alike, and rounding is
+        # monotone: max(loads + h) == max(loads) + h
         heavy_total = float(degrees[heavy].sum())
-        if heavy_total > 0.0:
-            loads = loads + heavy_total / num_blocks
-        return loads
+        return cyclic_max_load(light, num_blocks) + heavy_total / num_blocks
 
 
 ALB = register(_ALB())

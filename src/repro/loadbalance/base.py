@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["BlockCost", "LoadBalancer", "get_balancer", "cyclic_block_loads"]
+__all__ = ["BlockCost", "LoadBalancer", "get_balancer", "cyclic_max_load"]
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,15 @@ class BlockCost:
         return self.effective_work / max(self.total_work, 1e-12)
 
 
-def cyclic_block_loads(work: np.ndarray, num_blocks: int) -> np.ndarray:
+def cyclic_max_load(work: np.ndarray, num_blocks: int) -> float:
     """Deal per-vertex work units to blocks round-robin (how all schemes
-    assign vertices to CTAs) and return per-block sums."""
-    if len(work) == 0:
-        return np.zeros(num_blocks)
+    assign vertices to CTAs) and return the largest per-block sum.  With
+    no more vertices than blocks, a block holds one vertex (``0.0 + w ==
+    w``) or nothing, so no block array is built."""
+    if len(work) <= num_blocks:
+        return float(work.max()) if len(work) else 0.0
     blocks = np.arange(len(work)) % num_blocks
-    return np.bincount(blocks, weights=work, minlength=num_blocks)
+    return float(np.bincount(blocks, weights=work, minlength=num_blocks).max())
 
 
 class LoadBalancer(ABC):
@@ -70,15 +72,15 @@ class LoadBalancer(ABC):
     fixed_round_units: float = 0.0
 
     @abstractmethod
-    def block_loads(self, degrees: np.ndarray, num_blocks: int) -> np.ndarray:
-        """Per-block work units for a frontier with the given degrees."""
+    def max_block_load(self, degrees, num_blocks: int, total: float) -> float:
+        """The straggler block's work units for a frontier with the given
+        degrees (``total``: their sum): the one block the makespan prices."""
 
     def cost(self, degrees: np.ndarray, num_blocks: int) -> BlockCost:
         """Price one round's frontier."""
         degrees = np.asarray(degrees, dtype=np.float64)
         total = float(degrees.sum())
-        loads = self.block_loads(degrees, num_blocks)
-        max_load = float(loads.max()) if len(loads) else 0.0
+        max_load = self.max_block_load(degrees, num_blocks, total)
         effective = (
             max_load * num_blocks * self.overhead_factor + self.fixed_round_units
         )

@@ -9,8 +9,6 @@ is the highest of the four schemes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.loadbalance.base import LoadBalancer, register
 
 __all__ = ["GunrockLB"]
@@ -22,9 +20,8 @@ class _GunrockLB(LoadBalancer):
     overhead_factor = 1.18
     fixed_round_units = 512.0
 
-    def block_loads(self, degrees: np.ndarray, num_blocks: int) -> np.ndarray:
-        total = float(np.asarray(degrees, dtype=np.float64).sum())
-        return np.full(num_blocks, total / num_blocks)
+    def max_block_load(self, degrees, num_blocks: int, total: float) -> float:
+        return total / num_blocks  # every block carries the same share
 
 
 GunrockLB = register(_GunrockLB())

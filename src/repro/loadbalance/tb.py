@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import WARP_SIZE
-from repro.loadbalance.base import LoadBalancer, cyclic_block_loads, register
+from repro.loadbalance.base import LoadBalancer, cyclic_max_load, register
 
 __all__ = ["LuxTB"]
 
@@ -29,11 +29,11 @@ class _LuxTB(LoadBalancer):
     overhead_factor = 1.05
     fixed_round_units = 256.0
 
-    def block_loads(self, degrees: np.ndarray, num_blocks: int) -> np.ndarray:
+    def max_block_load(self, degrees, num_blocks: int, total: float) -> float:
         deg = np.maximum(degrees, 1.0)
         padded = np.ceil(deg / WARP_SIZE) * WARP_SIZE
         cost = deg + WASTE_CHARGE * (padded - deg)
-        return cyclic_block_loads(cost, num_blocks)
+        return cyclic_max_load(cost, num_blocks)
 
 
 LuxTB = register(_LuxTB())

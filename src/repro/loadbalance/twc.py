@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.loadbalance.base import LoadBalancer, cyclic_block_loads, register
+from repro.loadbalance.base import LoadBalancer, cyclic_max_load, register
 
 __all__ = ["TWC"]
 
@@ -24,13 +24,13 @@ class _TWC(LoadBalancer):
     overhead_factor = 1.04
     fixed_round_units = 256.0
 
-    def block_loads(self, degrees: np.ndarray, num_blocks: int) -> np.ndarray:
+    def max_block_load(self, degrees, num_blocks: int, total: float) -> float:
         # Thread/warp/CTA expansion keeps within-block lanes busy, so a
         # vertex costs its degree (floor of one thread-step for the tiny
         # ones) — but the vertex never leaves its block, so giant degrees
         # pile onto a single CTA.
         cost = np.maximum(degrees, 1.0)
-        return cyclic_block_loads(cost, num_blocks)
+        return cyclic_max_load(cost, num_blocks)
 
 
 TWC = register(_TWC())

@@ -13,7 +13,10 @@ Three contracts, each against a per-message reference:
   the same dirty bits as applying message by message — with targets
   repeating across senders, for float ``add`` in both widths;
 * a drain groups what commutes and nothing else: two overwriting
-  broadcasts of one field that arrive inverted are still two applies.
+  broadcasts of one field that arrive inverted are still two applies;
+* a UO extraction whose senders set no dirty bit since their last
+  extraction of that phase skips the gather and ships what the oracle
+  ships: nothing.
 """
 
 import numpy as np
@@ -23,7 +26,8 @@ from hypothesis import given, strategies as st
 from repro.apps import get_app
 from repro.comm import CommConfig, FieldSpec, FieldViews, GluonComm
 from repro.comm.bitset import Bitset
-from repro.comm.buffers import SendBatch
+from repro.check.oracle import extract_scalar
+from repro.comm.buffers import Delivery, SendBatch
 from repro.engine import BASPEngine
 from repro.engine.core import RoundCore
 from repro.errors import CommunicationError
@@ -33,7 +37,8 @@ from repro.hw import bridges
 from repro.partition import partition
 from tests.test_comm_vectorized_equiv import (
     DIST, FIELDS, SETTINGS, assert_case_matches_oracle,
-    assert_extraction_matches_oracle, every_range, extraction_cases, labels,
+    assert_extraction_matches_oracle, assert_same_messages, every_range,
+    extraction_cases, labels,
 )
 
 
@@ -86,6 +91,91 @@ def test_packed_nbytes_array_form_matches_scalar():
     assert got.tolist() == [Bitset.packed_nbytes(int(i)) for i in n]
     with pytest.raises(ValueError):
         Bitset.packed_nbytes(np.asarray([3, -1]))
+
+
+# --------------------------------------------------------------------- #
+# a clean sender: no gather, and still the oracle's (empty) answer
+# --------------------------------------------------------------------- #
+class _Twins:
+    """One substrate extracting in batches, a twin the oracle extracts
+    from, and the same writes and deliveries applied to both."""
+
+    def __init__(self, pg, update_only=True):
+        # unfiltered: under hvc, dist's filtered reduce table is empty
+        config = CommConfig(update_only=update_only, invariant_filtering=False)
+        self.got, self.ref = (GluonComm(pg, FIELDS, config) for _ in range(2))
+        self.lab = labels(pg, DIST, np.random.default_rng(2))
+        self.ref_lab = FieldViews([a.copy() for a in self.lab])
+        self.P = pg.num_partitions
+
+    def mark(self, p, ids):
+        for comm in (self.got, self.ref):
+            comm.mark_updated("dist", p, ids)
+
+    def deliver_reduce(self, p, targets, values):
+        for comm, lab in ((self.got, self.lab), (self.ref, self.ref_lab)):
+            comm.apply_reduce("dist", Delivery(p, targets, values), lab)
+
+    def extract(self, phase, p):
+        """Sender ``p``'s batch, held to the oracle's messages and
+        post-state."""
+        batch = self.got._extract("dist", phase, range(p, p + 1), self.lab)
+        want = extract_scalar(self.ref, "dist", phase, p, self.ref_lab)
+        assert_same_messages(self.got.messages(batch), want)
+        assert self.got._dirty["dist"] == self.ref._dirty["dist"]
+        np.testing.assert_array_equal(self.lab.flat, self.ref_lab.flat)
+        return batch
+
+    def sent_ids(self, phase, p):
+        table = self.got._table("dist", phase)
+        lo, hi = table.sender_off[p], table.sender_off[p + 1]
+        return np.unique(table.flat_send[lo:hi])
+
+
+def test_clean_sender_skips_the_gather_and_changes_nothing(pg):
+    tw = _Twins(pg)
+    for p in range(tw.P):
+        tw.mark(p, np.arange(pg.parts[p].num_local))
+    for phase in ("reduce", "broadcast"):
+        assert sum(len(tw.extract(phase, p)) for p in range(tw.P))
+    bits, flat = tw.got._dirty["dist"].bits.copy(), tw.lab.flat.copy()
+    for phase in ("reduce", "broadcast"):
+        fresh = tw.got._fresh["dist"][phase == "broadcast"]
+        assert not any(fresh)  # so the second pass never gathers
+        for p in range(tw.P):
+            batch = tw.extract(phase, p)
+            assert batch is tw.got._empty["dist", phase]
+    np.testing.assert_array_equal(tw.got._dirty["dist"].bits, bits)
+    np.testing.assert_array_equal(tw.lab.flat, flat)
+
+
+def test_a_write_or_a_reduce_delivery_makes_a_sender_ship_again(pg):
+    tw = _Twins(pg)
+    for phase in ("reduce", "broadcast"):
+        for p in range(tw.P):
+            tw.extract(phase, p)  # every flag down, nothing sent
+    p = next(p for p in range(tw.P) if len(tw.sent_ids("reduce", p)))
+    tw.mark(p, tw.sent_ids("reduce", p)[:3])
+    assert len(tw.extract("reduce", p))
+    # a reduce delivery that lowers three of p's masters dirties them on
+    # p: its next broadcast ships them
+    q = next(q for q in range(tw.P) if len(tw.sent_ids("broadcast", q)))
+    tw.extract("broadcast", q)
+    masters = tw.sent_ids("broadcast", q)[:3]
+    for lab in (tw.lab, tw.ref_lab):
+        lab[q][masters] = 500
+    tw.deliver_reduce(q, masters, np.full(len(masters), 7, dtype=np.uint32))
+    assert len(tw.extract("broadcast", q)) and not len(tw.extract("broadcast", q))
+
+
+def test_an_as_extraction_never_skips(pg):
+    tw = _Twins(pg, update_only=False)
+    for _ in range(2):  # nothing written, ever: AS still ships in full
+        shipped = [len(tw.extract(phase, p))
+                   for phase in ("reduce", "broadcast") for p in range(tw.P)]
+        assert sum(shipped) == sum(
+            len(tw.got._table("dist", ph).seg_src) for ph in ("reduce", "broadcast")
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -58,7 +58,7 @@ class TestAsyncSemantics:
 class TestConstructorValidation:
     @pytest.mark.parametrize(
         "bad",
-        [{"throttle_wait": -1.0}, {"overlap_comm": 1.5}, {"executor": "fibers"}],
+        [{"throttle_wait": -1.0}, {"overlap_comm": 1.5}],
         ids=lambda kw: next(iter(kw)),
     )
     def test_bad_argument_rejected_before_sync_plan_build(

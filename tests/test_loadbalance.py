@@ -5,18 +5,79 @@ The key behavioral contracts come straight from Section V-B2:
 * a single huge-degree vertex cripples TWC and TB (stuck in one block) but
   not ALB or LB (spread across blocks);
 * ALB is never much worse than TWC.
+
+Each scheme prices only its straggler block; :func:`reference_cost` is
+the formula that built every block's load first, and every ``cost()``
+must equal it bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.constants import WARP_SIZE
 from repro.errors import ConfigurationError
 from repro.loadbalance import ALB, GunrockLB, LuxTB, TWC, get_balancer
-from repro.loadbalance.base import cyclic_block_loads
+from repro.loadbalance.alb import MIN_SPLIT
+from repro.loadbalance.base import BlockCost
+from repro.loadbalance.tb import WASTE_CHARGE
 
 BLOCKS = 224  # P100: 56 SMs x 4 blocks
 
 ALL = [TWC, ALB, GunrockLB, LuxTB]
+
+
+def reference_block_loads(work, nb):
+    """Per-vertex work dealt to ``nb`` blocks round-robin: every block's
+    sum, in index order."""
+    return np.bincount(np.arange(len(work)) % nb, weights=work, minlength=nb)
+
+
+def reference_cost(bal, degrees, nb) -> BlockCost:
+    """``bal.cost`` as a block array and its max."""
+    d = np.asarray(degrees, dtype=np.float64)
+    total = float(d.sum())
+    if bal is GunrockLB:
+        loads = np.full(nb, total / nb)
+    elif bal is ALB:
+        heavy = d > max(2.0 * (total / nb), float(MIN_SPLIT))
+        loads = reference_block_loads(np.where(heavy, 0.0, d), nb)
+        loads = loads + float(d[heavy].sum()) / nb  # on every block
+    else:
+        w = np.maximum(d, 1.0)
+        if bal is LuxTB:
+            w = w + WASTE_CHARGE * (np.ceil(w / WARP_SIZE) * WARP_SIZE - w)
+        loads = reference_block_loads(w, nb)
+    max_load = float(loads.max())
+    effective = max_load * nb * bal.overhead_factor + bal.fixed_round_units
+    return BlockCost(total, max(effective, total), max_load)
+
+
+def _bits(c: BlockCost):
+    return tuple(float(v).hex() for v in
+                 (c.total_work, c.effective_work, c.max_block_load))
+
+
+@pytest.mark.parametrize("bal", ALL, ids=lambda b: b.name)
+@given(
+    nb=st.integers(1, 40),
+    size=st.sampled_from(["0", "1", "nb-1", "nb", "nb+1", "5nb"]),
+    kind=st.sampled_from(["mixed", "zero", "one-heavy"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_cost_is_the_block_array_formula_bit_for_bit(bal, nb, size, kind, seed):
+    n = {"0": 0, "1": 1, "nb-1": nb - 1, "nb": nb, "nb+1": nb + 1,
+         "5nb": 5 * nb}[size]
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        deg = np.zeros(n)
+    else:
+        # integer degrees with fractional ones mixed in: the sums round
+        deg = rng.integers(0, 40, n) + (rng.random(n) < 0.3) * rng.random(n)
+        if kind == "one-heavy" and n:
+            deg[rng.integers(n)] = 3.0 * MIN_SPLIT + 40.0 * n + rng.random()
+    assert _bits(bal.cost(deg, nb)) == _bits(reference_cost(bal, deg, nb))
 
 
 class TestRegistry:
@@ -53,7 +114,7 @@ class TestBasics:
 
     def test_cyclic_loads_conserve_work(self):
         w = np.arange(100, dtype=float)
-        loads = cyclic_block_loads(w, 7)
+        loads = reference_block_loads(w, 7)
         assert loads.sum() == pytest.approx(w.sum())
 
 

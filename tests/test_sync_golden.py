@@ -114,9 +114,14 @@ def run_row(
 ) -> dict:
     app, pg, ctx = inputs.cell(app_name, policy, parts)
     config = CommConfig(**{"update_only": update_only, **(comm or {})})
+    engine_kwargs = dict(engine_kwargs or {})
+    if engine == "basp":
+        # BASP has nothing to dispatch: like ``Framework.run``, the
+        # executor goes to the BSP engine only
+        engine_kwargs.pop("executor", None)
     eng = ENGINES[engine](
         pg, bridges(parts, **(cluster or {})), app, comm_config=config,
-        check_memory=False, **(engine_kwargs or {}),
+        check_memory=False, **engine_kwargs,
     )
     return result_row(eng.run(ctx))
 
