@@ -203,8 +203,8 @@ def _check_table(field: str, phase: str, plans: dict, table, base) -> None:
 def check_post_sync(comm, field: str, labels) -> None:
     """After a full synchronization of ``field``, masters dominate.
 
-    Valid after :meth:`GluonComm.bsp_sync` (or the BSP engine's per-round
-    sync plan) and at BASP quiescence — *not* mid-flight, where messages
+    Valid after a reduce and a broadcast of every sender (the BSP
+    engine's per-round sync plan) and at BASP quiescence — *not* mid-flight, where messages
     may legitimately be in transit.
     """
     spec = comm.fields[field]

@@ -2,9 +2,9 @@
 
 Gluon tracks which proxies were updated each round with device-side bitsets;
 the wire format packs one bit per element of the memoized exchange order.
-We store an unpacked boolean array for fast NumPy indexing and expose the
-*packed* wire form (:meth:`to_packed` / :meth:`from_packed`, 8 bits per
-byte via ``np.packbits``) for size accounting and serialization.
+We store an unpacked boolean array for fast NumPy indexing; the packed
+wire form is only ever priced, never built: :meth:`Bitset.packed_nbytes`
+is its size (8 bits per byte) in the wire accounting.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class Bitset:
         else:
             self.bits[idx] = False
 
-    def test(self, idx) -> np.ndarray:
-        return self.bits[idx]
-
     def count(self) -> int:
         return int(self.bits.sum())
 
@@ -59,7 +56,7 @@ class Bitset:
         return np.flatnonzero(self.bits)
 
     # ------------------------------------------------------------------ #
-    # packed wire form
+    # packed wire size
     # ------------------------------------------------------------------ #
     @staticmethod
     def packed_nbytes(num_elements):
@@ -78,28 +75,6 @@ class Bitset:
         if n < 0:
             raise ValueError(f"bit count must be non-negative, got {n}")
         return (n + 7) // 8
-
-    def to_packed(self) -> np.ndarray:
-        """The wire form: 8 bits per byte, little-endian within each byte.
-
-        ``len(to_packed()) == packed_nbytes(size)`` — the invariant the
-        wire accounting in :meth:`Message.wire_bytes` relies on.
-        """
-        return np.packbits(self.bits, bitorder="little")
-
-    @classmethod
-    def from_packed(cls, packed, size: int) -> "Bitset":
-        """Rebuild a bitset of ``size`` elements from its packed wire form."""
-        packed = np.asarray(packed, dtype=np.uint8)
-        if len(packed) != cls.packed_nbytes(size):
-            raise ValueError(
-                f"packed form has {len(packed)} bytes; "
-                f"{cls.packed_nbytes(size)} expected for {size} bits"
-            )
-        b = cls(size)
-        if size:
-            b.bits[:] = np.unpackbits(packed, count=size, bitorder="little").astype(bool)
-        return b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bitset):

@@ -37,8 +37,11 @@ router prices directly and per-element receiver targets and values.  An
 apply scatters a batch into the flat array with ``ufunc.at`` in batch
 order, which replays the per-message float sequence exactly.  No
 ``Message`` object is built on the way; :meth:`GluonComm.messages`
-materialises a batch for the check oracle and for tests.  Tables depend only on the partitioned graph, the field's
-read/write locations, and the filtering flag, so they are memoized on the
+materialises a batch for the check oracle and for tests.  A full sync of
+a field is the reduce batch of every sender applied, then the broadcast
+batch (a step of the BSP engine's sync plan, :mod:`repro.engine.bsp`).  Tables
+depend only on the partitioned graph, the field's read/write locations,
+and the filtering flag, so they are memoized on the
 :class:`PartitionedGraph` and shared by every engine/run over the same
 partitions.
 """
@@ -451,9 +454,8 @@ class GluonComm:
         return self._make(field, "broadcast", pids, labels)
 
     def messages(self, batch: SendBatch) -> list[Message]:
-        """Materialise a batch into per-object messages (the check oracle,
-        tests and :meth:`bsp_sync` callers read these; the engines never
-        do)."""
+        """Materialise a batch into per-object messages (the check oracle
+        and tests read these; the engines never do)."""
         table = self._table(batch.field, batch.phase)
         offs = batch.offsets.tolist()
         seg_lo = table.seg_off[batch.seg].tolist()
@@ -585,31 +587,3 @@ class GluonComm:
             (p, changed[lo:hi] - self.base[p])
             for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi
         ]
-
-    # ------------------------------------------------------------------ #
-    # bulk-synchronous convenience
-    # ------------------------------------------------------------------ #
-    def bsp_sync(
-        self, field: str, labels: FieldViews
-    ) -> tuple[list[Message], list[np.ndarray]]:
-        """One full BSP synchronization of ``field``.
-
-        Returns every message generated (for cost accounting) and, per
-        partition, the local IDs whose value changed (for worklist
-        activation on the receiving side).
-        """
-        P = self.pg.num_partitions
-        changed: list[np.ndarray] = []
-        msgs: list[Message] = []
-        for make, apply in (
-            (self.make_reduce_messages, self.apply_reduce),
-            (self.make_broadcast_messages, self.apply_broadcast),
-        ):
-            batch = make(field, range(P), labels)
-            msgs += self.messages(batch)
-            changed.append(apply(field, batch, labels))
-
-        merged = [_EMPTY] * P
-        for p, ids in self.by_receiver(np.unique(np.concatenate(changed))):
-            merged[p] = ids
-        return msgs, merged

@@ -1,11 +1,7 @@
 """Graph substrate: immutable CSR graphs, builders, IO, and properties."""
 
 from repro.graph.csr import CSRGraph
-from repro.graph.builder import (
-    from_edges,
-    from_networkx,
-    to_networkx,
-)
+from repro.graph.builder import from_edges
 from repro.graph.properties import (
     GraphProperties,
     approximate_diameter,
@@ -13,7 +9,6 @@ from repro.graph.properties import (
 )
 from repro.graph.transform import (
     add_random_weights,
-    relabel,
     reverse,
     make_undirected,
 )
@@ -30,13 +25,10 @@ from repro.graph.store import (
 __all__ = [
     "CSRGraph",
     "from_edges",
-    "from_networkx",
-    "to_networkx",
     "GraphProperties",
     "approximate_diameter",
     "properties",
     "add_random_weights",
-    "relabel",
     "reverse",
     "make_undirected",
     "EdgeBatch",

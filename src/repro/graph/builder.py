@@ -1,4 +1,4 @@
-"""Constructing :class:`~repro.graph.csr.CSRGraph` from edge lists and networkx.
+"""Constructing :class:`~repro.graph.csr.CSRGraph` from edge lists.
 
 All builders are vectorized: CSR assembly is :func:`repro.graph.order.csr_arrays`
 — a blockwise check when the edges are already in (src, dst) order, one sort
@@ -17,7 +17,7 @@ from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 from repro.graph.order import csr_arrays
 
-__all__ = ["from_edges", "from_networkx", "to_networkx"]
+__all__ = ["from_edges"]
 
 
 def _vertex_ids(a) -> np.ndarray:
@@ -69,45 +69,3 @@ def from_edges(
 
     indptr, indices, w = csr_arrays(src, dst, num_vertices, weights, dedup)
     return CSRGraph(indptr, indices, w, name=name)
-
-
-def from_networkx(g, weight_attr: Optional[str] = None, name: str = "") -> CSRGraph:
-    """Convert a networkx (Di)Graph with integer nodes ``0..n-1`` to CSR.
-
-    Undirected graphs are expanded to both edge directions, matching how the
-    paper's frameworks ingest symmetric inputs.
-    """
-    import networkx as nx
-
-    n = g.number_of_nodes()
-    nodes = sorted(g.nodes())
-    if nodes != list(range(n)):
-        mapping = {u: i for i, u in enumerate(nodes)}
-        g = nx.relabel_nodes(g, mapping, copy=True)
-    edges = list(g.edges(data=(weight_attr is not None)))
-    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    w = None if weight_attr is None else np.fromiter(
-        (e[2].get(weight_attr, 1) for e in edges), dtype=np.int64, count=len(edges)
-    )
-    if not g.is_directed():
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if w is not None:
-            w = np.concatenate([w, w])
-    return from_edges(src, dst, num_vertices=n, weights=w, name=name)
-
-
-def to_networkx(graph: CSRGraph):
-    """Convert to a :class:`networkx.DiGraph` (weights as ``weight`` attr)."""
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(range(graph.num_vertices))
-    src = graph.edge_sources()
-    if graph.has_weights:
-        g.add_weighted_edges_from(
-            zip(src.tolist(), graph.indices.tolist(), graph.weights.tolist())
-        )
-    else:
-        g.add_edges_from(zip(src.tolist(), graph.indices.tolist()))
-    return g

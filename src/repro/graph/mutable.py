@@ -172,18 +172,6 @@ class MutableGraph:
         self._snapshot = None  # invalidate: content has (maybe) changed
         return self
 
-    def insert_edges(self, src, dst, weights=None, timestamp: int | None = None):
-        ts = self._clock if timestamp is None else timestamp
-        s, d = _pairs(src, dst)
-        w = None if weights is None else np.asarray(weights)
-        return self.apply(EdgeBatch(ts, insert_src=s, insert_dst=d,
-                                    insert_weights=w))
-
-    def delete_edges(self, src, dst, timestamp: int | None = None):
-        ts = self._clock if timestamp is None else timestamp
-        s, d = _pairs(src, dst)
-        return self.apply(EdgeBatch(ts, delete_src=s, delete_dst=d))
-
     def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the current ``(src, dst)`` edge arrays (int64)."""
         return self._src.copy(), self._dst.copy()

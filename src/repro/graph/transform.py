@@ -1,11 +1,10 @@
-"""Graph transformations: weighting, reversal, symmetrization, relabeling."""
+"""Graph transformations: weighting, reversal, symmetrization."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.constants import MAX_EDGE_WEIGHT, WEIGHT_DTYPE
-from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.order import symmetric_csr
 from repro.utils import rng_from_seed
@@ -14,7 +13,6 @@ __all__ = [
     "add_random_weights",
     "reverse",
     "make_undirected",
-    "relabel",
 ]
 
 
@@ -43,22 +41,3 @@ def make_undirected(graph: CSRGraph) -> CSRGraph:
     symmetrize web crawls before running cc/kcore.
     """
     return CSRGraph(*symmetric_csr(graph), name=graph.name + "+sym")
-
-
-def relabel(graph: CSRGraph, perm: np.ndarray) -> CSRGraph:
-    """Relabel vertices: new id of vertex ``v`` is ``perm[v]``.
-
-    ``perm`` must be a permutation of ``0..|V|-1``.  Used to destroy or
-    introduce locality when studying partitioners.
-    """
-    perm = np.asarray(perm, dtype=np.int64)
-    n = graph.num_vertices
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise ValueError("perm must be a permutation of 0..|V|-1")
-    src = perm[graph.edge_sources()]
-    dst = perm[graph.indices]
-    return from_edges(
-        src, dst, num_vertices=n,
-        weights=graph.weights if graph.has_weights else None,
-        name=graph.name + "+relabel",
-    )

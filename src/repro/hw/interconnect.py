@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
-
-__all__ = ["InterconnectSpec", "PCIE3_X16", "OMNIPATH", "PINNED_P2P", "transfer_time"]
+__all__ = ["InterconnectSpec", "PCIE3_X16", "OMNIPATH", "PINNED_P2P"]
 
 
 @dataclass(frozen=True)
@@ -51,30 +49,3 @@ PINNED_P2P = InterconnectSpec(name="pinned-p2p", latency_s=8e-6, bandwidth_bytes
 #: NVSwitch (DGX-2): 2.4 TB/s bisection; every GPU pair is one hop with
 #: microsecond latency — direct device-to-device, no host routing.
 NVSWITCH = InterconnectSpec(name="nvswitch", latency_s=3e-6, bandwidth_bytes=240e9)
-
-
-def transfer_time(spec: InterconnectSpec, nbytes: float, num_messages: int = 1) -> float:
-    """Cost of ``num_messages`` messages totaling ``nbytes`` over ``spec``.
-
-    Latency is paid per message; bandwidth is paid once for the total volume.
-    This is the model behind the paper's uk07/sssp observation that tiny
-    UO messages are latency-bound (Section V-B3).
-
-    Zero messages carrying zero bytes are explicitly free; zero messages
-    carrying bytes (or any negative count) are a caller bug and raise
-    :class:`~repro.errors.ConfigurationError` instead of silently pricing
-    the transfer at 0 seconds.
-    """
-    if num_messages < 0:
-        raise ConfigurationError(
-            f"num_messages must be non-negative, got {num_messages}"
-        )
-    if nbytes < 0:
-        raise ConfigurationError(f"nbytes must be non-negative, got {nbytes}")
-    if num_messages == 0:
-        if nbytes > 0:
-            raise ConfigurationError(
-                f"{nbytes} bytes cannot move in zero messages"
-            )
-        return 0.0
-    return spec.latency_s * num_messages + nbytes / spec.bandwidth_bytes

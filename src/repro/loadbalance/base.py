@@ -44,11 +44,6 @@ class BlockCost:
     effective_work: float
     max_block_load: float
 
-    @property
-    def imbalance(self) -> float:
-        """effective/total — 1.0 means perfectly balanced blocks."""
-        return self.effective_work / max(self.total_work, 1e-12)
-
 
 def cyclic_max_load(work: np.ndarray, num_blocks: int) -> float:
     """Deal per-vertex work units to blocks round-robin (how all schemes

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import logging
 import os
-import shutil
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
 
 from repro import obs
 from repro.errors import GraphFormatError, PartitioningError
@@ -50,11 +47,6 @@ log = logging.getLogger("repro.partition.cache")
 
 #: what a cache entry's file name ends in
 _SUFFIX = ".parts"
-#: what a ``cache_dir`` written before the container format may still
-#: hold.  Such entries are never loaded again; the only reason the two
-#: suffixes are still spelled is that ``_prune_disk`` must keep counting and
-#: evicting them, or ``max_disk_bytes`` silently stops holding.
-_LEGACY_SUFFIXES = (".npz", ".shards")
 
 
 @dataclass
@@ -68,7 +60,8 @@ class CacheStats:
     disk_hits: int = 0
     builds: int = 0
     stores: int = 0
-    #: disk entries evicted by the ``max_disk_bytes`` LRU cap
+    #: always 0: the disk store evicts nothing.  Kept, in its place, for
+    #: readers that build or read ``CacheStats`` positionally
     pruned: int = 0
     #: disk entries that could not be read (rebuilt and stored over)
     discarded: int = 0
@@ -88,21 +81,10 @@ class PartitionCache:
 
     max_entries: int = 64
     cache_dir: str | None = None
-    #: byte budget for the on-disk store (None = unbounded); least
-    #: recently *used* entries are pruned after each store
-    max_disk_bytes: int | None = None
     #: store ``global_to_local`` too and load entries as memmap views
     #: instead of into RAM — the out-of-core sweep path
     spill_shards: bool = False
-    #: recency clock for the disk LRU (tests inject a deterministic one);
-    #: ``None`` means the wall clock
-    clock: Optional[Callable[[], float]] = None
     stats: CacheStats = field(default_factory=CacheStats)
-
-    #: minimum mtime advance a recency touch guarantees, so a refresh
-    #: strictly outranks entries it would otherwise tie on filesystems
-    #: (or injected clocks) with coarse timestamp resolution
-    _MTIME_TICK = 1e-4
 
     def __post_init__(self) -> None:
         self._lru: OrderedDict[tuple, PartitionedGraph] = OrderedDict()
@@ -123,34 +105,6 @@ class PartitionCache:
         h, policy, P = key
         return os.path.join(self.cache_dir, f"{h[:16]}_{policy}_{P}{_SUFFIX}")
 
-    def _now(self) -> float:
-        return self.clock() if self.clock is not None else time.time()
-
-    def _touch(self, path: str) -> None:
-        """Refresh disk-LRU recency, strictly advancing past ties.
-
-        A bare ``os.utime`` on a coarse-mtime filesystem can land a
-        just-refreshed entry on the *same* stamp as a stale sibling, and
-        the prune tiebreak would then decide eviction by name instead of
-        recency.  Stamping ``max(now, current + tick)`` guarantees the
-        refreshed entry sorts after everything it would have tied.
-        """
-        try:
-            stamp = max(self._now(), os.path.getmtime(path) + self._MTIME_TICK)
-            os.utime(path, (stamp, stamp))
-        except OSError:
-            pass
-
-    def _stamp_new(self, path: str) -> None:
-        """Stamp a freshly stored entry with the injected clock, if any."""
-        if self.clock is None:
-            return
-        try:
-            stamp = self._now()
-            os.utime(path, (stamp, stamp))
-        except OSError:
-            pass
-
     def _bump(self, name: str) -> None:
         """Count one cache fact: ``stats.<name>`` and the ambient tracer's
         ``partition.cache.<name>`` move together, here and nowhere else."""
@@ -164,8 +118,7 @@ class PartitionCache:
         """The one memory-then-disk probe under :meth:`lookup_or_build`
         and :meth:`get`: the cached partitioning for ``key``, or ``None``.
 
-        A disk hit is promoted into memory and refreshes disk recency.  An
-        entry that cannot be read is a miss, never an error — the cache is
+        A disk hit is promoted into memory.  An entry that cannot be read is a miss, never an error — the cache is
         best-effort — but it is a *reported* miss: a log line, the
         ``cache.disk_load`` span's ``outcome`` and a counter say which.
         "Cannot be read" is what the loader raises for a damaged, foreign
@@ -193,8 +146,9 @@ class PartitionCache:
             else:
                 pg = load_partitions(path, graph)
         except FileNotFoundError:
-            # a sibling worker pruned the entry between the existence
-            # check and the load: an ordinary miss, not corruption
+            # something outside the cache removed the entry (or its whole
+            # directory) between the existence check and the load: an
+            # ordinary miss, not corruption
             outcome = "vanished"
             log.debug("cache entry %s vanished mid-load", path)
         except (OSError, GraphFormatError, PartitioningError) as e:
@@ -203,7 +157,6 @@ class PartitionCache:
             self._bump("discarded")
         else:
             self._bump("disk_hits")
-            self._touch(path)  # LRU recency for the disk byte cap
             self._remember(key, pg)
         tracer.end(ev, outcome=outcome)
         return pg
@@ -240,7 +193,7 @@ class PartitionCache:
         """Peek: the cached partitioning for the key, or ``None``.
 
         Checks the in-memory LRU first, then the disk store (a hit is
-        promoted into memory and refreshes disk recency).  Never builds.
+        promoted into memory).  Never builds.
         """
         return self._probe(graph, self.key_for(graph, policy, num_partitions))
 
@@ -281,68 +234,8 @@ class PartitionCache:
             log.warning("could not persist partitions to %s: %s", path, e)
             tracer.end(ev, outcome="failed")
             return
-        self._stamp_new(path)
         tracer.end(ev, outcome="stored")
         self._bump("stores")
-        self._prune_disk()
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _entry_nbytes(path: str) -> int:
-        """Entry size in bytes (an entry is one file, a legacy ``.shards``
-        spill a directory of them); 0 when a sibling evicted it mid-walk."""
-        try:
-            if os.path.isdir(path):
-                return sum(e.stat().st_size for e in os.scandir(path))
-            return os.path.getsize(path)
-        except OSError:
-            return 0
-
-    def _prune_disk(self) -> None:
-        """Evict least-recently-used disk entries above ``max_disk_bytes``.
-
-        Recency is mtime: stores create entries fresh and disk hits touch
-        them (an explicit strictly-advancing ``_touch``, because
-        relatime/noatime mounts do not update timestamps on reads), so
-        sorting by ``(mtime, name)`` is the LRU order with a
-        deterministic tiebreak.  In-flight temp files (``*.tmp``) are not
-        entries; racing pruners are
-        harmless — ``os.path.getmtime`` on an entry a sibling worker just
-        evicted raises ``FileNotFoundError`` and the entry is skipped,
-        deletion is idempotent, and a deleted entry is simply rebuilt on
-        the next miss.
-        """
-        if not self.cache_dir or self.max_disk_bytes is None:
-            return
-        entries = []
-        try:
-            names = os.listdir(self.cache_dir)
-        except OSError:  # the whole cache dir vanished: nothing to prune
-            return
-        for name in names:
-            if not name.endswith((_SUFFIX,) + _LEGACY_SUFFIXES):
-                continue
-            p = os.path.join(self.cache_dir, name)
-            try:
-                entries.append(
-                    (os.path.getmtime(p), name, p, self._entry_nbytes(p))
-                )
-            except OSError:
-                continue
-        total = sum(nbytes for _, _, _, nbytes in entries)
-        entries.sort(key=lambda e: (e[0], e[1]))
-        for _, _, p, nbytes in entries:
-            if total <= self.max_disk_bytes:
-                break
-            try:
-                if os.path.isdir(p):
-                    shutil.rmtree(p)
-                else:
-                    os.unlink(p)
-            except OSError:
-                continue
-            total -= nbytes
-            self._bump("pruned")
 
     # ------------------------------------------------------------------ #
     def clear_memory(self) -> None:
@@ -366,28 +259,17 @@ def get_cache() -> PartitionCache:
 
 
 def configure(
-    cache_dir: str | None = None,
-    max_entries: int | None = None,
-    max_disk_bytes: int | None = None,
-    spill_shards: bool = False,
+    cache_dir: str | None = None, spill_shards: bool = False
 ) -> PartitionCache:
     """Reconfigure the global cache (keeps accumulated stats at zero).
 
     Called by the sweep runtime's worker initializer so every worker in a
-    pool shares one on-disk store.  ``max_disk_bytes`` caps the on-disk
-    footprint (least-recently-used entries are pruned past it);
-    ``spill_shards`` stores ``global_to_local`` with each entry and loads
-    entries as memmap views (the out-of-core path).
+    pool shares one on-disk store.  ``spill_shards`` stores
+    ``global_to_local`` with each entry and loads entries as memmap views
+    (the out-of-core path).
     """
     global _global_cache
-    _global_cache = PartitionCache(
-        max_entries=(
-            max_entries if max_entries is not None else _global_cache.max_entries
-        ),
-        cache_dir=cache_dir,
-        max_disk_bytes=max_disk_bytes,
-        spill_shards=spill_shards,
-    )
+    _global_cache = PartitionCache(cache_dir=cache_dir, spill_shards=spill_shards)
     return _global_cache
 
 

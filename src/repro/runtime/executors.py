@@ -5,7 +5,7 @@ pull in any repro package that (transitively) imports the engines.
 
 The pool is process-global and lazy: numpy kernels release the GIL, so a
 single modest pool serves every engine instance without oversubscribing
-the host.  ``REPRO_COMPUTE_THREADS`` overrides the worker count.
+the host.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ _pool_lock = threading.Lock()
 
 
 def compute_workers() -> int:
-    """Worker count for the engine compute pool."""
-    env = os.environ.get("REPRO_COMPUTE_THREADS")
-    if env:
-        return max(1, int(env))
+    """Worker count for the engine compute pool: one per core, at least
+    2 and at most 8."""
     return min(8, max(2, os.cpu_count() or 1))
 
 

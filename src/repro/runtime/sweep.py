@@ -57,7 +57,6 @@ def _worker_init(
     cache_dir: Optional[str],
     trace_dir: Optional[str] = None,
     check=None,
-    max_disk_bytes: Optional[int] = None,
     spill_shards: bool = False,
 ) -> list:
     """Install the sweep's process-wide state; returns one ``(setter,
@@ -70,15 +69,9 @@ def _worker_init(
     replaced = []
     cache = partition_cache.get_cache()
     if cache_dir is not None and (
-        cache.cache_dir != cache_dir
-        or cache.max_disk_bytes != max_disk_bytes
-        or cache.spill_shards != spill_shards
+        cache.cache_dir != cache_dir or cache.spill_shards != spill_shards
     ):
-        partition_cache.configure(
-            cache_dir=cache_dir,
-            max_disk_bytes=max_disk_bytes,
-            spill_shards=spill_shards,
-        )
+        partition_cache.configure(cache_dir=cache_dir, spill_shards=spill_shards)
         replaced.append((partition_cache.set_cache, cache))
     found_dir = obs.active_trace_dir()
     if trace_dir is not None and found_dir != trace_dir:
@@ -130,11 +123,10 @@ class SweepExecutor:
         (``extra["rss"]``, plus ``ooc.*`` tracer counters).  Groups are
         split into at most ``jobs`` contiguous sub-batches so a single
         huge dataset still fans out.  Results stay in submission order.
-    max_disk_bytes / spill_shards:
+    spill_shards:
         forwarded to :func:`repro.partition.cache.configure` in the
-        parent and every worker: a byte cap (LRU-pruned) for the shared
-        disk cache, and entries that carry ``global_to_local`` and load as
-        memmap views (the out-of-core path).
+        parent and every worker: entries that carry ``global_to_local``
+        and load as memmap views (the out-of-core path).
     """
 
     def __init__(
@@ -146,7 +138,6 @@ class SweepExecutor:
         trace_dir: Optional[str] = None,
         check=None,
         shard_plan: bool = False,
-        max_disk_bytes: Optional[int] = None,
         spill_shards: bool = False,
     ):
         self.jobs = int(jobs)
@@ -160,7 +151,6 @@ class SweepExecutor:
             check = parse_check_level(check)
         self.check = check
         self.shard_plan = bool(shard_plan)
-        self.max_disk_bytes = max_disk_bytes
         self.spill_shards = bool(spill_shards)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._replaced: Optional[list] = None
@@ -173,8 +163,7 @@ class SweepExecutor:
         after ``close`` installs it again)."""
         if self._replaced is None:
             self._replaced = _worker_init(
-                self.cache_dir, self.trace_dir, self.check,
-                self.max_disk_bytes, self.spill_shards,
+                self.cache_dir, self.trace_dir, self.check, self.spill_shards
             )
 
     # ------------------------------------------------------------------ #
@@ -221,8 +210,7 @@ class SweepExecutor:
                 mp_context=multiprocessing.get_context(self.start_method),
                 initializer=_pool_init,
                 initargs=(
-                    self.cache_dir, self.trace_dir, self.check,
-                    self.max_disk_bytes, self.spill_shards,
+                    self.cache_dir, self.trace_dir, self.check, self.spill_shards
                 ),
             )
         return self._pool

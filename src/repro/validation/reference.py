@@ -1,4 +1,4 @@
-"""Single-machine reference implementations (scipy / networkx backed).
+"""Single-machine reference implementations (scipy backed).
 
 The distributed engines must produce *exactly* these answers (pagerank: to
 numerical tolerance) regardless of partitioning policy, communication

@@ -17,8 +17,8 @@ class TestBitset:
     def test_set_and_test(self):
         b = Bitset(10)
         b.set([2, 5])
-        assert b.test(2) and b.test(5)
-        assert not b.test(0)
+        assert b.bits[2] and b.bits[5]
+        assert not b.bits[0]
         assert b.count() == 2
 
     def test_clear_subset(self):

@@ -14,6 +14,7 @@ from repro.comm import CommConfig, FieldSpec, FieldViews, GluonComm
 from repro.constants import INF
 from repro.graph import from_edges
 from repro.partition import POLICIES, partition
+from tests.test_comm_gluon import sync
 
 SETTINGS = settings(
     max_examples=40,
@@ -66,7 +67,7 @@ def test_min_sync_equals_direct_combination(s):
                     labels[p.pid][l] = val
                     comm.mark_updated("x", p.pid, [l])
 
-    comm.bsp_sync("x", labels)
+    sync(comm, "x", labels)
     got = pg.gather_master_labels(labels)
     assert np.array_equal(got, oracle)
 
@@ -100,7 +101,7 @@ def test_add_sync_accumulates_exactly(s):
         comm.mark_updated("acc", pid, [l])
         oracle[v] += val
 
-    comm.bsp_sync("acc", labels)
+    sync(comm, "acc", labels)
     got = pg.gather_master_labels(labels)
     assert np.array_equal(got, oracle)
 
@@ -124,7 +125,7 @@ def test_second_sync_moves_nothing_under_uo(s):
                 if val < labels[p.pid][l]:
                     labels[p.pid][l] = val
                     comm.mark_updated("x", p.pid, [l])
-    comm.bsp_sync("x", labels)
-    msgs, changed = comm.bsp_sync("x", labels)
+    sync(comm, "x", labels)
+    msgs, changed = sync(comm, "x", labels)
     assert msgs == []
-    assert all(len(c) == 0 for c in changed)
+    assert len(changed) == 0

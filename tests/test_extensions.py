@@ -10,11 +10,11 @@ from repro.apps.tc import reference_triangle_count
 from repro.engine import BASPEngine, BSPEngine, RunContext
 from repro.errors import ConfigurationError
 from repro.generators import rmat
-from repro.graph import to_networkx
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import bridges, dgx2, tuxedo
 from repro.partition import partition
 from repro.validation.reference import reference_bc_single_source
+from tests.nx_interop import to_networkx
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,9 @@
 import networkx as nx
 import numpy as np
 
-from repro.graph import from_edges, from_networkx, properties
+from repro.graph import from_edges, properties
 from repro.graph.properties import approximate_diameter, bfs_levels
+from tests.nx_interop import from_networkx
 
 
 def path(n):

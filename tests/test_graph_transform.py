@@ -2,17 +2,10 @@
 
 import networkx as nx
 import numpy as np
-import pytest
 
 from repro.constants import MAX_EDGE_WEIGHT
-from repro.graph import (
-    add_random_weights,
-    from_edges,
-    from_networkx,
-    make_undirected,
-    relabel,
-    to_networkx,
-)
+from repro.graph import add_random_weights, from_edges, make_undirected
+from tests.nx_interop import from_networkx, to_networkx
 
 
 def chain(n=5):
@@ -55,24 +48,6 @@ class TestUndirected:
     def test_degree_symmetry(self):
         g = make_undirected(from_edges([0, 0, 1], [1, 2, 2], num_vertices=3))
         assert np.array_equal(g.out_degrees(), g.in_degrees())
-
-
-class TestRelabel:
-    def test_identity(self):
-        g = chain(4)
-        assert relabel(g, np.arange(4)) == g
-
-    def test_preserves_structure(self):
-        g = from_edges([0, 1, 2], [1, 2, 0], num_vertices=3)
-        perm = np.array([2, 0, 1])
-        h = relabel(g, perm)
-        orig = set(zip(g.edge_sources().tolist(), g.indices.tolist()))
-        new = set(zip(h.edge_sources().tolist(), h.indices.tolist()))
-        assert new == {(perm[a], perm[b]) for a, b in orig}
-
-    def test_bad_perm_rejected(self):
-        with pytest.raises(ValueError):
-            relabel(chain(3), np.array([0, 0, 1]))
 
 
 class TestNetworkxRoundTrip:

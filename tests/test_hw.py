@@ -11,13 +11,11 @@ from repro.hw import (
     K80,
     OMNIPATH,
     P100,
-    PCIE3_X16,
     MemoryModel,
     bridges,
     tuxedo,
     uniform_cluster,
 )
-from repro.hw.interconnect import transfer_time
 from repro.hw.memory import (
     DIRGL_PROFILE,
     GROUTE_PROFILE,
@@ -98,12 +96,9 @@ class TestInterconnect:
         assert t == pytest.approx(1e9 / OMNIPATH.bandwidth_bytes, rel=0.01)
 
     def test_per_message_latency(self):
-        one = transfer_time(OMNIPATH, 1e6, num_messages=1)
-        many = transfer_time(OMNIPATH, 1e6, num_messages=100)
+        one = OMNIPATH.time(1e6)
+        many = 100 * OMNIPATH.time(1e4)  # the same bytes in 100 messages
         assert many - one == pytest.approx(99 * OMNIPATH.latency_s)
-
-    def test_zero_messages_free(self):
-        assert transfer_time(PCIE3_X16, 0, num_messages=0) == 0.0
 
 
 class TestMemoryModel:

@@ -141,7 +141,7 @@ class TestDeltaDecisions:
         g = _chain()
         prior = reference_bfs(g, 0)
         mg = MutableGraph(g)
-        mg.insert_edges([2], [3], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[2], insert_dst=[3]))
         new = mg.snapshot()
         res = incremental_run("bfs", g, new, mg.log, prior)
         assert res.mode == "delta"
@@ -154,7 +154,8 @@ class TestDeltaDecisions:
         g = _chain(weighted=True)
         prior = reference_sssp(g, 0)
         mg = MutableGraph(g)
-        mg.insert_edges([0], [2], weights=[1], timestamp=1)  # shortcut
+        # a shortcut
+        mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[2], insert_weights=[1]))
         new = mg.snapshot()
         res = incremental_run("sssp", g, new, mg.log, prior)
         assert res.mode == "delta"
@@ -165,7 +166,7 @@ class TestDeltaDecisions:
         g = _chain()
         prior = reference_bfs(g, 0)
         mg = MutableGraph(g)
-        mg.delete_edges([1], [2], timestamp=1)  # lies on the only path
+        mg.apply(EdgeBatch(1, delete_src=[1], delete_dst=[2]))  # lies on the only path
         res = incremental_run("bfs", g, mg.snapshot(), mg.log, prior)
         assert res.mode == "full"
         assert res.labels is None
@@ -177,7 +178,7 @@ class TestDeltaDecisions:
                        weights=np.array([2, 3, 9], dtype=np.uint32))
         prior = reference_sssp(g, 0)
         mg = MutableGraph(g)
-        mg.delete_edges([0], [2], timestamp=1)
+        mg.apply(EdgeBatch(1, delete_src=[0], delete_dst=[2]))
         new = mg.snapshot()
         res = incremental_run("sssp", g, new, mg.log, prior)
         assert res.mode == "delta"
@@ -187,7 +188,7 @@ class TestDeltaDecisions:
         g = make_undirected(_chain())
         prior = reference_cc(g)
         mg = MutableGraph(g)
-        mg.delete_edges([0, 1], [1, 0], timestamp=1)
+        mg.apply(EdgeBatch(1, delete_src=[0, 1], delete_dst=[1, 0]))
         res = incremental_run("cc", g, mg.snapshot(), mg.log, prior)
         assert res.mode == "full"
         assert res.labels is None
@@ -197,7 +198,7 @@ class TestDeltaDecisions:
         prior = reference_cc(g)
         assert prior[2] == 2  # two components before the merge
         mg = MutableGraph(g)
-        mg.insert_edges([1, 2], [2, 1], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[1, 2], insert_dst=[2, 1]))
         new = mg.snapshot()
         res = incremental_run("cc", g, new, mg.log, prior)
         assert res.mode == "delta"
@@ -208,7 +209,8 @@ class TestDeltaDecisions:
         g = _chain()
         prior = reference_bfs(g, 0)
         mg = MutableGraph(g)
-        mg.delete_edges([3], [4], timestamp=1)  # pair the graph never had
+        # a pair the graph never had
+        mg.apply(EdgeBatch(1, delete_src=[3], delete_dst=[4]))
         res = incremental_run("bfs", g, mg.snapshot(), mg.log, prior)
         assert res.mode == "delta"
         assert np.array_equal(res.labels, prior)
@@ -237,7 +239,7 @@ class TestDeltaDecisions:
         prior = reference_bfs(g, 0)
         assert prior[3] == INF and prior[4] == INF
         mg = MutableGraph(g)
-        mg.insert_edges([3], [4], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[3], insert_dst=[4]))
         new = mg.snapshot()
         res = incremental_run("bfs", g, new, mg.log, prior)
         assert res.mode == "delta"

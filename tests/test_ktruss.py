@@ -6,10 +6,11 @@ import pytest
 
 from repro.apps import ktruss
 from repro.generators import rmat
-from repro.graph import from_edges, to_networkx
+from repro.graph import from_edges
 from repro.graph.transform import make_undirected
 from repro.hw import bridges
 from repro.partition import partition
+from tests.nx_interop import to_networkx
 
 
 @pytest.fixture(scope="module")

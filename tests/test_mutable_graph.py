@@ -18,7 +18,7 @@ def tri(weighted=False):
 class TestApply:
     def test_insert_appends_edges(self):
         mg = MutableGraph(tri())
-        mg.insert_edges([0, 3], [3, 0], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[0, 3], insert_dst=[3, 0]))
         assert mg.num_edges == 5
         assert mg.version == 1
         snap = mg.snapshot()
@@ -28,12 +28,12 @@ class TestApply:
     def test_delete_removes_all_occurrences(self):
         g = from_edges([0, 0, 1], [1, 1, 2], num_vertices=3)
         mg = MutableGraph(g)
-        mg.delete_edges([0], [1], timestamp=1)
+        mg.apply(EdgeBatch(1, delete_src=[0], delete_dst=[1]))
         assert mg.num_edges == 1  # both parallel (0,1) copies die
 
     def test_delete_of_absent_pair_is_noop(self):
         mg = MutableGraph(tri())
-        mg.delete_edges([3], [2], timestamp=1)
+        mg.apply(EdgeBatch(1, delete_src=[3], delete_dst=[2]))
         assert mg.num_edges == 3
 
     def test_deletes_apply_before_inserts_within_a_batch(self):
@@ -51,20 +51,20 @@ class TestApply:
     def test_out_of_range_endpoint_rejected(self):
         mg = MutableGraph(tri())
         with pytest.raises(GraphFormatError):
-            mg.insert_edges([0], [4], timestamp=1)
+            mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[4]))
         with pytest.raises(GraphFormatError):
-            mg.delete_edges([-1], [0], timestamp=1)
+            mg.apply(EdgeBatch(1, delete_src=[-1], delete_dst=[0]))
 
     def test_timestamps_must_be_monotone(self):
         mg = MutableGraph(tri())
-        mg.insert_edges([0], [3], timestamp=5)
+        mg.apply(EdgeBatch(5, insert_src=[0], insert_dst=[3]))
         with pytest.raises(GraphFormatError):
-            mg.insert_edges([1], [3], timestamp=4)
+            mg.apply(EdgeBatch(4, insert_src=[1], insert_dst=[3]))
 
     def test_log_and_batches_since(self):
         mg = MutableGraph(tri())
-        mg.insert_edges([0], [3], timestamp=1)
-        mg.delete_edges([0], [1], timestamp=2)
+        mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[3]))
+        mg.apply(EdgeBatch(2, delete_src=[0], delete_dst=[1]))
         assert len(mg.log) == 2
         assert (len(mg.log[0].insert_src), len(mg.log[1].delete_src)) == (1, 1)
 
@@ -83,12 +83,12 @@ class TestWeights:
     def test_insert_preserves_weight_dtype(self):
         base = add_random_weights(rmat(4, edge_factor=2, seed=1), seed=1)
         mg = MutableGraph(base)
-        mg.insert_edges([0], [1], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[1]))
         assert mg.snapshot().weights.dtype == base.weights.dtype
 
     def test_explicit_insert_weights(self):
         mg = MutableGraph(tri(weighted=True))
-        mg.insert_edges([3], [0], weights=[9], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[3], insert_dst=[0], insert_weights=[9]))
         snap = mg.snapshot()
         src = snap.edge_sources()
         w = snap.weights[(src == 3) & (snap.indices == 0)]
@@ -99,16 +99,16 @@ class TestSnapshotAndHash:
     def test_snapshot_is_canonical(self):
         # two histories reaching the same edge multiset hash identically
         a = MutableGraph(tri())
-        a.insert_edges([3, 2], [0, 3], timestamp=1)
+        a.apply(EdgeBatch(1, insert_src=[3, 2], insert_dst=[0, 3]))
         b = MutableGraph(tri())
-        b.insert_edges([2], [3], timestamp=1)
-        b.insert_edges([3], [0], timestamp=2)
+        b.apply(EdgeBatch(1, insert_src=[2], insert_dst=[3]))
+        b.apply(EdgeBatch(2, insert_src=[3], insert_dst=[0]))
         assert a.content_hash() == b.content_hash()
 
     def test_snapshot_cached_per_version(self):
         mg = MutableGraph(tri())
         assert mg.snapshot() is mg.snapshot()
-        mg.insert_edges([0], [3], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[3]))
         assert mg.snapshot() is mg.snapshot()
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -125,8 +125,8 @@ class TestSnapshotAndHash:
                 assert snap.weights is None or not np.shares_memory(
                     held, snap.weights
                 )
-        mg.insert_edges([0], [3], timestamp=1)
-        mg.delete_edges([1], [2], timestamp=2)
+        mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[3]))
+        mg.apply(EdgeBatch(2, delete_src=[1], delete_dst=[2]))
         after = mg.snapshot()
         assert after.num_edges == 3
         assert snap == mg.base  # the earlier snapshot did not move
@@ -139,10 +139,10 @@ class TestSnapshotAndHash:
         mg = MutableGraph(tri())
         h0 = mg.content_hash()
         assert h0 == mg.base.content_hash()  # clean wrapper is transparent
-        mg.insert_edges([0], [3], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[0], insert_dst=[3]))
         h1 = mg.content_hash()
         assert h1 != h0
-        mg.delete_edges([0], [3], timestamp=2)
+        mg.apply(EdgeBatch(2, delete_src=[0], delete_dst=[3]))
         # back to the original edge multiset -> back to the original key
         assert mg.content_hash() == h0
 
@@ -165,7 +165,7 @@ class TestSnapshotAndHash:
 
         before = query()
         assert before[3] == np.iinfo(np.uint32).max  # unreachable
-        mg.insert_edges([2], [3], timestamp=1)
+        mg.apply(EdgeBatch(1, insert_src=[2], insert_dst=[3]))
         after = query()
         assert after[3] == 3  # fresh labels, not the stale cache entry
         assert len(results) == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.generators import rmat
 from repro.graph import add_random_weights, from_edges
-from repro.graph.container import read_header
+from repro.graph.container import ContainerWriter, read_header
 from repro.obs import Tracer, use_tracer
 from repro.partition import partition
 from repro.partition.cache import (
@@ -259,36 +260,11 @@ class TestShardSpill:
 
 
 class TestDiskByteCap:
+    """There is no byte cap: a store keeps every entry, and ``pruned``
+    (still a ``CacheStats`` field for positional readers) stays 0."""
+
     def _entry(self, cache, g, parts):
         return cache._disk_path(PartitionCache.key_for(g, "oec", parts))
-
-    def test_lru_prune_evicts_oldest(self, g, tmp_path):
-        store = str(tmp_path / "pcache")
-        cache = PartitionCache(cache_dir=store)
-        builder, _ = _counting_builder("oec")
-        cache.lookup_or_build(g, "oec", 2, builder)
-        cache.lookup_or_build(g, "oec", 4, builder)
-        first = self._entry(cache, g, 2)
-        second = self._entry(cache, g, 4)
-        # budget: the recently-used entry fits, the stale one does not
-        cache.max_disk_bytes = os.path.getsize(second) + 64
-        os.utime(first, (1, 1))  # unambiguously least recently used
-        cache._prune_disk()
-        assert not os.path.exists(first)
-        assert os.path.exists(second)
-        assert cache.stats.pruned == 1
-
-    def test_disk_hit_refreshes_recency(self, g, tmp_path):
-        store = str(tmp_path / "pcache")
-        cache = PartitionCache(cache_dir=store)
-        builder, _ = _counting_builder("oec")
-        cache.lookup_or_build(g, "oec", 2, builder)
-        first = self._entry(cache, g, 2)
-        os.utime(first, (1, 1))
-        # a fresh cache's disk hit touches the entry back to "now"
-        warm = PartitionCache(cache_dir=store)
-        warm.lookup_or_build(g, "oec", 2, builder)
-        assert os.path.getmtime(first) > 1
 
     def test_unbounded_cache_never_prunes(self, g, tmp_path):
         cache = PartitionCache(cache_dir=str(tmp_path / "pcache"))
@@ -300,62 +276,10 @@ class TestDiskByteCap:
         assert os.path.exists(self._entry(cache, g, 4))
 
 
-class TestCoarseClockRecency:
-    """Disk-LRU recency on coarse-mtime filesystems.
-
-    A refresh that lands on the *same* timestamp as a stale sibling must
-    still outrank it.  Pre-fix, the prune walk sorted purely by mtime and
-    broke ties by name, so a just-refreshed entry whose name sorted first
-    was evicted ahead of the genuinely stale one.  The injected frozen
-    clock is the worst possible coarseness: time never advances at all.
-    """
-
-    def test_refresh_survives_prune_despite_frozen_clock(self, g, tmp_path):
-        frozen = 1_000_000.0
-        store = str(tmp_path / "pcache")
-        cache = PartitionCache(cache_dir=store, clock=lambda: frozen)
-        builder, _ = _counting_builder("oec")
-        cache.lookup_or_build(g, "oec", 2, builder)
-        cache.lookup_or_build(g, "oec", 4, builder)
-        paths = {
-            parts: cache._disk_path(PartitionCache.key_for(g, "oec", parts))
-            for parts in (2, 4)
-        }
-        for p in paths.values():
-            assert os.path.getmtime(p) == frozen  # both stores tied
-        # refresh whichever entry the name tiebreak would evict first, so
-        # a recency-blind sort provably picks the wrong victim
-        hot_parts = min(paths, key=lambda k: os.path.basename(paths[k]))
-        refreshed = paths[hot_parts]
-        stale = paths[4 if hot_parts == 2 else 2]
-        cache.clear_memory()
-        assert cache.get(g, "oec", hot_parts) is not None  # disk hit
-        assert os.path.getmtime(refreshed) > frozen  # strictly advanced
-        cache.max_disk_bytes = os.path.getsize(refreshed) + 64
-        cache._prune_disk()
-        assert os.path.exists(refreshed)
-        assert not os.path.exists(stale)
-        assert cache.stats.pruned == 1
-
-    def test_touch_strictly_advances_past_ties(self, g, tmp_path):
-        frozen = 500.0
-        cache = PartitionCache(
-            cache_dir=str(tmp_path / "pcache"), clock=lambda: frozen
-        )
-        builder, _ = _counting_builder("oec")
-        cache.lookup_or_build(g, "oec", 2, builder)
-        path = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
-        assert os.path.getmtime(path) == frozen
-        cache._touch(path)
-        first = os.path.getmtime(path)
-        cache._touch(path)
-        assert first > frozen
-        assert os.path.getmtime(path) > first
-
-
 class TestConcurrentEvictionRaces:
-    """A sibling worker can evict shared-store entries at any moment;
-    every disk probe must degrade to a miss, never an exception."""
+    """Something outside the cache can remove a shared-store entry, or the
+    whole directory, at any moment: a probe degrades to a miss and a store
+    to a logged failure, never an exception."""
 
     def _warm(self, g, tmp_path):
         store = str(tmp_path / "pcache")
@@ -374,7 +298,7 @@ class TestConcurrentEvictionRaces:
         import repro.partition.cache as mod
 
         def vanishing_load(p, graph):
-            os.unlink(path)  # the sibling's prune wins the race
+            os.unlink(path)  # removed between the existence check and the load
             raise FileNotFoundError(p)
 
         monkeypatch.setattr(mod, "load_partitions", vanishing_load)
@@ -386,34 +310,39 @@ class TestConcurrentEvictionRaces:
         assert _outcomes(tracer, "cache.disk_load") == ["vanished"]
         assert tracer.counters.get("partition.cache.discarded") == 0
 
-    def test_prune_skips_entry_deleted_mid_walk(
-        self, g, tmp_path, monkeypatch
+    @pytest.mark.parametrize("spill_shards", [False, True])
+    def test_cache_dir_removed_mid_run_rebuilds(
+        self, g, tmp_path, monkeypatch, caplog, spill_shards
     ):
-        cache, builder, _, path = self._warm(g, tmp_path)
-        cache.lookup_or_build(g, "oec", 4, builder)
-        cache.max_disk_bytes = 1  # everything is over budget
+        """The directory goes while a store is writing: that store fails
+        with a warning, the entry stored before it is gone too, and the
+        next lookup rebuilds it."""
+        store = str(tmp_path / "pcache")
+        cache = PartitionCache(cache_dir=store, spill_shards=spill_shards)
+        builder, calls = _counting_builder("oec")
+        cache.lookup_or_build(g, "oec", 2, builder)
+        real_commit = ContainerWriter.commit
 
-        real_getmtime = os.path.getmtime
+        def removing_commit(writer, meta, sync):
+            shutil.rmtree(store)
+            return real_commit(writer, meta, sync)
 
-        def racing_getmtime(p):
-            if p == path and os.path.exists(p):
-                os.unlink(p)  # sibling evicts it between listdir and stat
-            return real_getmtime(p)
-
-        monkeypatch.setattr(os.path, "getmtime", racing_getmtime)
-        cache._prune_disk()  # must not raise
-        assert not os.path.exists(path)
-
-    def test_entry_nbytes_of_vanished_entry_is_zero(self, tmp_path):
-        assert PartitionCache._entry_nbytes(str(tmp_path / "gone.npz")) == 0
-
-    def test_prune_survives_cache_dir_removal(self, g, tmp_path):
-        import shutil
-
-        cache, _, _, _ = self._warm(g, tmp_path)
-        cache.max_disk_bytes = 1
-        shutil.rmtree(cache.cache_dir)
-        cache._prune_disk()  # must not raise
+        monkeypatch.setattr(ContainerWriter, "commit", removing_commit)
+        tracer = Tracer()
+        with use_tracer(tracer), caplog.at_level(
+            logging.WARNING, logger="repro.partition.cache"
+        ):
+            cache.lookup_or_build(g, "oec", 4, builder)
+            monkeypatch.undo()
+            cache.clear_memory()
+            cache.lookup_or_build(g, "oec", 2, builder).validate()
+        assert calls == [("oec", 2), ("oec", 4), ("oec", 2)]
+        assert _outcomes(tracer, "cache.store") == ["failed", "stored"]
+        assert [
+            r for r in caplog.records
+            if "could not persist partitions" in r.getMessage()
+        ]
+        assert cache.stats.stores == 2 and cache.stats.discarded == 0
 
 
 class TestPutGet:
@@ -440,18 +369,6 @@ class TestPutGet:
         got = cache.lookup_or_build(g, "oec", 2, builder)
         assert got is pg
         assert calls == []  # the serve patch path short-circuits builds
-
-    def test_get_touches_disk_recency(self, g, tmp_path):
-        store = str(tmp_path / "pcache")
-        cache = PartitionCache(cache_dir=store)
-        pg = POLICIES["oec"](g, 2)
-        cache.put(g, "oec", 2, pg)
-        path = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
-        os.utime(path, (1, 1))
-        warm = PartitionCache(cache_dir=store)
-        warm.get(g, "oec", 2)
-        assert os.path.getmtime(path) > 1
-
 
 class TestOneProbe:
     """``get`` and ``lookup_or_build`` share one memory-then-disk probe:
@@ -627,7 +544,7 @@ class TestDamagedEntries:
         real = getattr(mod, name)
 
         def racing_load(path, graph):
-            os.unlink(path)  # the sibling's prune wins the race
+            os.unlink(path)  # removed between the existence check and the load
             return real(path, graph)
 
         monkeypatch.setattr(mod, name, racing_load)
@@ -685,41 +602,7 @@ class TestDamagedEntries:
 
 class TestLegacyEntries:
     """A ``cache_dir`` from before the container format keeps its ``.npz``
-    files and ``.shards`` directories: never loaded, still evicted."""
-
-    def _plant(self, store, stamp):
-        os.makedirs(store, exist_ok=True)
-        npz = os.path.join(store, "0123456789abcdef_oec_2.npz")
-        with open(npz, "wb") as f:
-            f.write(b"\0" * 5000)
-        shards = os.path.join(store, "0123456789abcdef_iec_4.shards")
-        os.makedirs(shards)
-        for name in ("meta.json", "owner.npy", "p0_indices.npy"):
-            with open(os.path.join(shards, name), "wb") as f:
-                f.write(b"\0" * 3000)
-        os.utime(npz, (stamp, stamp))
-        os.utime(shards, (stamp + 1, stamp + 1))
-        return npz, shards
-
-    def test_legacy_entries_count_against_the_cap(self, g, tmp_path):
-        store = str(tmp_path / "pcache")
-        npz, shards = self._plant(store, stamp=1000)
-        assert PartitionCache._entry_nbytes(npz) == 5000
-        assert PartitionCache._entry_nbytes(shards) == 9000
-        cache = PartitionCache(cache_dir=store)
-        builder, _ = _counting_builder("oec")
-        cache.lookup_or_build(g, "oec", 2, builder)
-        entry = cache._disk_path(PartitionCache.key_for(g, "oec", 2))
-        # room for the new entry and the younger legacy one only
-        cache.max_disk_bytes = os.path.getsize(entry) + 9000
-        cache._prune_disk()
-        assert not os.path.exists(npz)  # the oldest goes first
-        assert os.path.isdir(shards)
-        cache.max_disk_bytes = os.path.getsize(entry)
-        cache._prune_disk()
-        assert not os.path.exists(shards)
-        assert os.path.exists(entry)
-        assert cache.stats.pruned == 2
+    files and ``.shards`` directories: never loaded, never removed."""
 
     def test_legacy_entries_are_never_loaded(self, g, tmp_path):
         """Same key, old suffix: the probe does not even open it."""

@@ -205,7 +205,7 @@ class TestRunTraceLeavesNoTrace:
         order because of it)."""
         from repro.partition.cache import configure, get_cache
 
-        mine = configure(cache_dir=str(tmp_path / "mine"), max_disk_bytes=1 << 30)
+        mine = configure(cache_dir=str(tmp_path / "mine"))
         try:
             run_trace(trace, ServeConfig(workers=2), jobs=1)
             assert get_cache() is mine  # the object, its memory LRU included

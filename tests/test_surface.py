@@ -1,7 +1,7 @@
 """Surface audit (ROADMAP item 7): nothing in ``src/repro`` that no
 product reaches.
 
-Four rules.  **Modules** (absolute): an ``ast`` walk of the import graph —
+**Modules** (absolute): an ``ast`` walk of the import graph —
 function-level imports included — from the ``[project.scripts]`` entry
 points must reach every module under ``src/repro``.  A module outside
 the walk is unreachable from every CLI: delete it, or move it beside the
@@ -10,7 +10,12 @@ function, class and method under ``src/repro`` must occur as an
 identifier — a name or an attribute, not an import or an ``__all__``
 string — somewhere in ``src/``, ``benchmarks/`` or ``examples/`` outside
 its own ``def``.  A name only tests mention goes with its tests, or onto
-:data:`TEST_ONLY` with the reason it is kept; that list may only shrink.
+:data:`TEST_ONLY` with the reason it is kept; that list may only shrink,
+and only a check oracle (a name defined under ``repro.check``) may be on
+it.  **Dependencies**: the third-party top-level modules ``src/repro``
+imports, function-level imports included, are exactly pyproject's
+``[project] dependencies``, and every entry point imports with a
+test-only library (networkx) absent.
 **Layering**: on the same import walk, no module of a layer the vertex
 programs are built on (:data:`BELOW_APPS`) imports ``repro.apps`` — a
 kernel two layers need lives in the lower one.  **One tracer route**
@@ -25,6 +30,10 @@ of the field's flat array, and a rebound one is invisible to every sync.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -32,24 +41,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Public names no product, bench or example mentions, each with why it
-#: is still in ``src/``.  This list may only shrink.
+#: is still in ``src/``.  This list may only shrink, and only a check
+#: oracle may be on it.
 TEST_ONLY = {
     "price_batch_scalar":
         "per-message pricing oracle the batch path is held to (repro.check.oracle)",
-    "bsp_sync":
-        "one-call reduce + broadcast step the comm tests drive Gluon with",
-    "from_packed": "wire format of a Bitset: the property tests round-trip it",
-    "to_packed": "wire format of a Bitset: the property tests round-trip it",
-    "test": "single-bit probe the bitset property tests read results with",
-    "from_networkx": "reference interop: tests build inputs from networkx graphs",
-    "to_networkx": "reference interop: tests hand graphs to networkx oracles",
-    "relabel": "vertex permutation, exercised by the transform tests",
-    "insert_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
-    "delete_edges": "one-sided EdgeBatch shorthand the mutation and serve tests write",
-    "imbalance": "BlockCost max/mean, asserted by the load-balancer tests",
-    "transfer_time":
-        "closed-form single-link transfer time the hw and contention tests "
-        "check validation and scaling with",
 }
 
 
@@ -108,9 +104,12 @@ def reachable(entries, modules: dict[str, Path]) -> set[str]:
     return seen
 
 
+def _project() -> dict:
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
 def entry_points() -> list[str]:
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    return sorted(target.partition(":")[0] for target in scripts.values())
+    return sorted(target.partition(":")[0] for target in _project()["scripts"].values())
 
 
 def test_every_module_is_reached_from_an_entry_point():
@@ -121,6 +120,51 @@ def test_every_module_is_reached_from_an_entry_point():
     assert not unreached, (
         f"modules no [project.scripts] entry point imports: {sorted(unreached)}"
     )
+
+
+def _third_party(modules: dict[str, Path]) -> set[str]:
+    """Top-level modules outside the standard library and ``repro`` that
+    ``modules`` import, anywhere in their bodies."""
+    found = set()
+    for path in modules.values():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"repro"}
+
+
+def test_the_runtime_dependencies_are_what_src_imports():
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in _project()["dependencies"]
+    }
+    assert _third_party(_modules()) == declared
+
+
+def test_the_dependency_rule_sees_a_function_level_import(tmp_path):
+    planted = tmp_path / "builder.py"
+    planted.write_text(
+        "import os.path\n"
+        "from numpy import asarray\n"
+        "from . import csr\n"
+        "def from_networkx(g):\n"
+        "    import networkx as nx\n"
+    )
+    assert _third_party({"repro.graph.builder": planted}) == {"numpy", "networkx"}
+
+
+def test_the_entry_points_import_without_networkx():
+    imports = "".join(f"import {m}\n" for m in [*entry_points(), "repro.graph"])
+    code = f"import sys\nsys.modules['networkx'] = None\n{imports}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def _apps_importers(modules: dict[str, Path]) -> dict[str, list[str]]:
@@ -293,30 +337,62 @@ def _mentions() -> set[str]:
     return used
 
 
-def _public_defs() -> dict[str, list[str]]:
+def _public_defs(modules: dict[str, Path]) -> dict[str, list[str]]:
     """Public top-level functions and classes, and the public methods of
-    top-level classes, under ``src/repro``: name -> where defined."""
+    top-level classes, in ``modules``: name -> where defined
+    (``module:line owner.name``)."""
     defs: dict[str, list[str]] = {}
 
-    def visit(body, path, owner=""):
+    def visit(body, module, owner=""):
         for node in body:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
                 continue
             if not node.name.startswith("_"):
-                where = f"{path.relative_to(ROOT)}:{node.lineno} {owner}{node.name}"
+                where = f"{module}:{node.lineno} {owner}{node.name}"
                 defs.setdefault(node.name, []).append(where)
             if isinstance(node, ast.ClassDef) and not owner:
-                visit(node.body, path, f"{node.name}.")
+                visit(node.body, module, f"{node.name}.")
 
-    for path in _modules().values():
-        visit(ast.parse(path.read_text()).body, path)
+    for module, path in modules.items():
+        visit(ast.parse(path.read_text()).body, module)
     return defs
 
 
+def _outside_check(names, defs: dict[str, list[str]]) -> list[str]:
+    """The ``names`` defined somewhere other than under ``repro.check``."""
+    return sorted(
+        n for n in names
+        if any(not where.startswith("repro.check.") for where in defs.get(n, ()))
+    )
+
+
+def test_only_a_check_oracle_is_test_only():
+    assert not _outside_check(TEST_ONLY, _public_defs(_modules()))
+
+
+def test_the_test_only_rule_sees_a_planted_shorthand(tmp_path):
+    """What ``MutableGraph.insert_edges`` was until it left ``src/``: a
+    shorthand only tests wrote, beside an oracle the rule allows."""
+    shorthand = tmp_path / "mutable.py"
+    shorthand.write_text(
+        "class MutableGraph:\n"
+        "    def insert_edges(self, src, dst):\n"
+        "        return self.apply(EdgeBatch(0, insert_src=src, insert_dst=dst))\n"
+    )
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text("def price_batch_scalar(router, messages):\n    pass\n")
+    defs = _public_defs(
+        {"repro.graph.mutable": shorthand, "repro.check.oracle": oracle}
+    )
+    assert _outside_check(
+        {"insert_edges", "price_batch_scalar"}, defs
+    ) == ["insert_edges"]
+
+
 def test_every_public_name_is_mentioned_by_a_product():
-    defs = _public_defs()
+    defs = _public_defs(_modules())
     unmentioned = set(defs) - _mentions()
     stray = {n: defs[n] for n in sorted(unmentioned - set(TEST_ONLY))}
     assert not stray, (
