@@ -156,7 +156,7 @@ GATES = (
     ),
     _overhead_gate(
         "check-overhead", "invariant-check", "check", lambda: "off",
-        "REPRO_CHECK_OVERHEAD_TOL", "check unset", "check=off",
+        "REPRO_CHECK_OVERHEAD_TOL", "ambient level", "off installed",
     ),
     _overhead_gate(
         "contention-overhead", "contention", "contention",

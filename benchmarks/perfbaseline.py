@@ -24,12 +24,14 @@ from __future__ import annotations
 import os
 import time
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import obs
 from repro.apps import get_app
+from repro.check import use_check_level
 from repro.comm import CommConfig
 from repro.engine import BASPEngine, BSPEngine
 from repro.engine.operator import RunContext
@@ -189,7 +191,9 @@ def run_cell(
     attaches shared-resource pricing to the workload's cluster for this
     cell only; ``hierarchical`` opts the cell into two-level sync;
     ``tracer`` is made the ambient tracer for the run (``None`` installs
-    the off state, as a disabled one does).
+    the off state, as a disabled one does); ``check`` is installed as the
+    ambient check level around the engine (``None`` leaves the ambient
+    one).
     """
     if engine not in _ENGINES:
         raise ConfigurationError(f"unknown engine {engine!r}")
@@ -202,18 +206,14 @@ def run_cell(
     comm_config = _COMM_CONFIGS[comm]
     if hierarchical:
         comm_config = replace(comm_config, hierarchical=True)
-    eng = _ENGINES[engine](
-        pg,
-        cluster,
-        app,
-        comm_config=comm_config,
-        check_memory=False,
-        check=check,
-    )
-    with obs.use_tracer(tracer):
-        start = time.perf_counter()
-        res = eng.run(ctx)
-        wall = time.perf_counter() - start
+    with nullcontext() if check is None else use_check_level(check):
+        eng = _ENGINES[engine](
+            pg, cluster, app, comm_config=comm_config, check_memory=False
+        )
+        with obs.use_tracer(tracer):
+            start = time.perf_counter()
+            res = eng.run(ctx)
+            wall = time.perf_counter() - start
     s = res.stats
     return CellResult(
         key=cell_key(app_name, policy, engine, comm),
@@ -249,10 +249,11 @@ def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
     tracer being given a path of its own again, or work outside an
     ``if tracer.enabled:`` guard that reads which one was installed — not
     what a disabled call costs, which the layered benchmark's untraced
-    passes pay on both sides of a comparison), ``check="off"`` (both legs
-    compile the same two pre-computed booleans into the round loop, so
-    the only thing this can catch is exactly what it must: work creeping
-    outside the ``if check_cheap:`` guards) and
+    passes pay on both sides of a comparison), ``check="off"`` (installed
+    as the ambient level; both legs compile the same two pre-computed
+    booleans into the round loop, so the only thing this can catch is
+    exactly what it must: work creeping outside the ``if check_cheap:``
+    guards) and
     ``contention=ContentionConfig(enabled=False)`` (the router normalizes
     a disabled config to ``None``).  The two legs of each matrix cell run
     **back to back** (so both see the same machine state — container

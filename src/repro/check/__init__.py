@@ -11,11 +11,11 @@ and the engines' accounting/monotonicity invariants — at three levels:
   differential (:mod:`repro.check.oracle` holds the per-element
   references) and per-round label-monotonicity snapshots.
 
-Set the ambient level with :func:`set_check_level` / :func:`use_check_level`
-(read by engines, :class:`~repro.comm.gluon.GluonComm`, and the partition
-cache when no explicit ``check=`` is passed), or per-instance via the
-``check=`` keyword.  ``repro-study --check {off,cheap,full}`` and the
-``repro-fuzz`` harness drive it from the command line.  See
+The level is ambient only: install it with :func:`set_check_level` /
+:func:`use_check_level`; engines, :class:`~repro.comm.gluon.GluonComm`,
+the partition cache and the pull kernels all read that one value.
+``repro-study --check {off,cheap,full}`` and the ``repro-fuzz`` harness
+drive it from the command line.  See
 ``docs/correctness.md`` for the invariant catalog.
 """
 
@@ -36,7 +36,6 @@ from repro.check.level import (
     CheckLevel,
     current_check_level,
     parse_check_level,
-    resolve_check_level,
     set_check_level,
     use_check_level,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "current_check_level",
     "differential_extract",
     "parse_check_level",
-    "resolve_check_level",
     "set_check_level",
     "use_check_level",
 ]

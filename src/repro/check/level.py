@@ -1,9 +1,12 @@
 """Check levels and the ambient check-level setting.
 
-Mirrors the ambient-tracer pattern in :mod:`repro.obs`: a process-global
-default that layers without kwarg plumbing (the partition cache, study
-drivers) read, plus explicit ``check=`` parameters on the engines and
-:class:`~repro.comm.gluon.GluonComm` for direct control in tests.
+Mirrors the ambient-tracer pattern in :mod:`repro.obs`: one
+process-global level, and the only route to it.  The engines and
+:class:`~repro.comm.gluon.GluonComm` read it once at construction, the
+partition cache and the pull kernels at call time; a caller that wants
+another level installs it with :func:`use_check_level` (tests) or hands
+it to a scope installer (``SweepExecutor(check=)``, which carries it
+into pool workers).
 
 Zero-overhead contract: at :data:`CheckLevel.OFF` (the default) every
 instrumentation site reduces to one falsy test on a cached attribute —
@@ -21,7 +24,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "CheckLevel",
     "parse_check_level",
-    "resolve_check_level",
     "current_check_level",
     "set_check_level",
     "use_check_level",
@@ -68,13 +70,6 @@ def parse_check_level(value) -> CheckLevel:
                 f"check level must be 0..2, got {value}"
             ) from None
     raise ConfigurationError(f"cannot interpret check level {value!r}")
-
-
-def resolve_check_level(value=None) -> CheckLevel:
-    """``None`` means "use the ambient level"; anything else is parsed."""
-    if value is None:
-        return _current
-    return parse_check_level(value)
 
 
 def current_check_level() -> CheckLevel:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.check.level import CheckLevel, resolve_check_level
+from repro.check.level import CheckLevel
 from repro.errors import InvariantViolation
 from repro.partition.base import PartitionedGraph
 
@@ -63,14 +63,13 @@ def check_partition_request(
         )
 
 
-def check_partition(pg: PartitionedGraph, level=None) -> None:
-    """Run structural checks on ``pg`` at ``level`` (ambient if ``None``).
+def check_partition(pg: PartitionedGraph, level: CheckLevel) -> None:
+    """Run structural checks on ``pg`` at ``level``.
 
     Raises :class:`~repro.errors.InvariantViolation` on the first breach.
     Results are memoized on the instance: re-checking at the same or a
     weaker level is a no-op (partitions are immutable once built).
     """
-    level = resolve_check_level(level)
     if not level:
         return
     done = pg.__dict__.get(_STAMP, CheckLevel.OFF)

@@ -220,19 +220,16 @@ class GluonComm:
         pg: PartitionedGraph,
         fields: list[FieldSpec],
         config: CommConfig = CommConfig(),
-        check=None,
     ):
-        """``check`` selects the invariant-checking level (see
-        :mod:`repro.check`): ``None`` reads the ambient level, ``"off"`` /
-        ``"cheap"`` / ``"full"`` (or :class:`~repro.check.CheckLevel`)
-        force one.  CHEAP validates plan/table structure once at
-        construction; FULL additionally holds every extraction to the
-        per-element oracle, sender by sender."""
-        from repro.check.level import CheckLevel, resolve_check_level
+        """The invariant-checking level is the ambient one (see
+        :mod:`repro.check`), read once here.  CHEAP validates plan/table
+        structure once at construction; FULL additionally holds every
+        extraction to the per-element oracle, sender by sender."""
+        from repro.check.level import CheckLevel, current_check_level
 
         self.pg = pg
         self.config = config
-        self.check_level = resolve_check_level(check)
+        self.check_level = current_check_level()
         #: hot-path flag: the FULL-level oracle observes every extraction
         self._check_full = self.check_level >= CheckLevel.FULL
         self.fields = {f.name: f for f in fields}

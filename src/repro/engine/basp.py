@@ -73,7 +73,6 @@ class BASPEngine(Engine):
         throttle_wait: float = 0.0,
         overlap_comm: float = 0.0,
         fault_plan=None,
-        check=None,
     ):
         """``throttle_wait`` implements the paper's proposed *dynamic
         throttling* of asynchronous execution (Section VII): before each
@@ -95,7 +94,7 @@ class BASPEngine(Engine):
             raise ConfigurationError("throttle_wait must be non-negative")
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
-            memory_profile, check_memory, overlap_comm, fault_plan, check,
+            memory_profile, check_memory, overlap_comm, fault_plan,
         )
         self.throttle_wait = float(throttle_wait)
 

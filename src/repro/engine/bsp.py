@@ -65,7 +65,6 @@ class BSPEngine(Engine):
         overlap_comm: float = 0.0,
         fault_plan=None,
         executor: str = "serial",
-        check=None,
     ):
         """``overlap_comm`` in [0, 1] hides that fraction of each round's
         host-device communication under the computation phase (async
@@ -75,12 +74,11 @@ class BSPEngine(Engine):
         phase is dispatched: ``"serial"`` (the reference loop) or
         ``"threads"`` (a shared ``ThreadPoolExecutor``; numpy kernels
         release the GIL).  Threaded results are merged in fixed partition
-        order, so runs are bit-identical either way.
-        ``check`` is documented on :class:`~repro.engine.core.Engine`."""
+        order, so runs are bit-identical either way."""
         check_executor(executor)
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
-            memory_profile, check_memory, overlap_comm, fault_plan, check,
+            memory_profile, check_memory, overlap_comm, fault_plan,
         )
         self.executor = executor
 
@@ -141,7 +139,7 @@ class BSPEngine(Engine):
             # compute completion and the send phase behind it.
             feat_h2d_bytes = 0.0
             if feat_bytes.any():
-                feat_t = cost.feature_load_time(feat_bytes)
+                feat_t = cost.router.price_feature_loads(feat_bytes)
                 compute_t += feat_t
                 device_t += feat_t
                 feat_h2d_bytes = float(feat_bytes.sum()) * cost.scale_factor
@@ -190,7 +188,7 @@ class BSPEngine(Engine):
                 if netmode:
                     # a BSP sync step is single-field single-phase, so
                     # aggregates key on (src host, dst host) alone
-                    net = cost.route_step(pr, hierarchical=hier)
+                    net = cost.router.route_step(pr, hierarchical=hier)
                     np.add.at(inter_m, (pr.src, pr.dst), net.eff_inter)
                     step_bytes = float(pr.scaled_bytes.sum()) - net.saved_bytes
                     step_wire = len(batch) - net.messages_saved

@@ -14,10 +14,10 @@ Every synchronized field lives in one flat array (``views[field]``, a
 operators write in place.  The sync stages work a batch at a time:
 ``extract`` returns one ``SendBatch`` for a range of senders, ``price``
 prices its columns, ``apply`` delivers a whole step and ``deliver`` what
-one receiver drained.  They reach the comm and cost layers through the instance
-(``self.comm.apply_reduce``, ``self.cost.price_batch``, ...) at call time,
-never through a bound method captured earlier — the layered benchmark
-shims those names on the classes.
+one receiver drained.  They reach the comm and cost layers through the
+instance (``self.comm.apply_reduce``, ``self.cost.router.price_batch``,
+...) at call time, never through a bound method captured earlier — the
+layered benchmark shims those names on the classes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.check import (
     check_operator_ids,
     check_partition,
     check_post_sync,
-    resolve_check_level,
+    current_check_level,
 )
 from repro.comm.buffers import Delivery
 from repro.comm.gluon import FieldViews, GluonComm
@@ -61,24 +61,22 @@ class Engine:
 
     def __init__(
         self, pg, cluster, app, comm_config, balancer, scale_factor,
-        memory_profile, check_memory, overlap_comm, fault_plan, check,
+        memory_profile, check_memory, overlap_comm, fault_plan,
     ):
         """The arguments both engines share (the engines document their
-        own).  ``check`` selects the runtime invariant-checking level (see
-        :mod:`repro.check`), ``None`` reads the ambient one.  Every
-        argument is validated before ``GluonComm`` builds the sync plan,
-        so a bad configuration never pays for one."""
+        own).  The invariant-checking level is the ambient one (see
+        :mod:`repro.check`), read once here.  Every argument is validated
+        before ``GluonComm`` builds the sync plan, so a bad configuration
+        never pays for one."""
         if isinstance(balancer, str):
             balancer = get_balancer(balancer)
         if not 0.0 <= overlap_comm <= 1.0:
             raise ConfigurationError("overlap_comm must be within [0, 1]")
-        self.check_level = resolve_check_level(check)
+        self.check_level = current_check_level()
         self.pg = pg
         self.cluster = cluster
         self.app = app
-        self.comm = GluonComm(
-            pg, app.fields(), comm_config, check=self.check_level
-        )
+        self.comm = GluonComm(pg, app.fields(), comm_config)
         self.cost = CostModel(cluster, balancer, scale_factor)
         self.memory = MemoryModel(memory_profile, scale_factor)
         self.check_memory = check_memory
@@ -123,7 +121,7 @@ class RoundCore:
             pg.local_edge_counts(),
             num_label_fields=len(app.fields()),
             weighted=pg.global_graph.has_weights,
-            check=engine.check_memory,
+            check_memory=engine.check_memory,
         )
         self.stats.memory_max_bytes = usage.max_bytes
         self.stats.memory_mean_bytes = usage.mean_bytes
@@ -149,7 +147,7 @@ class RoundCore:
         # relative timeline via ``route_step``, a BASP flush on the absolute
         # clock); with both off the flat per-message pricing is used untouched
         self.hier = self.comm.config.hierarchical
-        self.netmode = self.hier or self.cost.contention is not None
+        self.netmode = self.hier or self.cost.router.contention is not None
         self.host_of = self.cost.router.host_of
 
         # (field, phase) -> may several in-flight records to one receiver
@@ -263,7 +261,7 @@ class RoundCore:
     def price(self, batch):
         """Price a batch (a BSP sync step, a BASP flush) in one vectorized
         pass."""
-        return self.cost.price_batch(batch)
+        return self.cost.router.price_batch(batch)
 
     def flat_wire(self, pr) -> tuple[int, int, float]:
         """``(wire messages, inter-host messages, wire bytes)`` of a priced
@@ -352,7 +350,7 @@ class RoundCore:
                 "run_summary", "run", tid=self.P,
                 args={k: getattr(stats, k) for k in _RUN_SUMMARY},
             )
-            contention = self.cost.contention
+            contention = self.cost.router.contention
             if contention is not None:
                 # per-resource busy/queue spans for `repro-trace summarize`
                 for key, rst in sorted(contention.stats.items()):

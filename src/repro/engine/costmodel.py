@@ -146,30 +146,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # communication
     # ------------------------------------------------------------------ #
-    def price_batch(self, batch):
-        """Vectorized legs + extraction + bytes for a whole message batch
-        (a ``SendBatch``, its pricing columns, or a ``Message`` list)."""
-        return self.router.price_batch(batch)
-
-    def feature_load_time(self, nbytes_by_gpu) -> np.ndarray:
-        """Per-device seconds to load raw feature bytes host->device.
-
-        Scaling to paper volume and (when the cluster has a contention
-        model) FIFO queueing on the ``pcie_up``/``staging`` resources both
-        happen inside the router — the gnnflow engines hand raw per-GPU
-        byte counts straight from the compute phase.
-        """
-        return self.router.price_feature_loads(nbytes_by_gpu)
-
-    @property
-    def contention(self):
-        """The router's shared-resource model (``None`` when flat)."""
-        return self.router.contention
-
-    def route_step(self, pr, hierarchical: bool = False, keys=None):
-        """Schedule a priced batch's network legs (queues, aggregation)."""
-        return self.router.route_step(pr, hierarchical=hierarchical, keys=keys)
-
     def allreduce_time(self) -> float:
         """Per-round global termination check across hosts."""
         h = self.cluster.num_hosts
@@ -186,15 +162,14 @@ class CostModel:
         messages: list[Message],
         pid: int = 0,
         extra_vertices: int = 0,
-        hierarchical: bool = False,
     ) -> CostBreakdown:
         """Price one engine round into the stable :class:`CostBreakdown`.
 
         Composes the existing primitives — ``compute_time`` for the
-        straggler partition's kernel, ``price_batch`` + ``route_step``
-        for the sync step, per-device serialization via
-        :func:`serialize_seconds_by_device`, and ``allreduce_time`` for
-        the fixed round overhead.  This is the single entry point the
+        straggler partition's kernel, the router's ``price_batch`` +
+        ``route_step`` for the (flat) sync step, per-device serialization
+        via :func:`serialize_seconds_by_device`, and ``allreduce_time``
+        for the fixed round overhead.  This is the single entry point the
         advisor and tests consume; it adds no pricing formulas of its
         own.
         """
@@ -202,8 +177,8 @@ class CostModel:
         sync = 0.0
         serialize = 0.0
         if messages:
-            priced = self.price_batch(messages)
-            net = self.route_step(priced, hierarchical=hierarchical)
+            priced = self.router.price_batch(messages)
+            net = self.router.route_step(priced)
             if len(net.eff_inter):
                 sync = float(np.max(net.eff_inter))
             per_device = serialize_seconds_by_device(priced, len(self.cluster.gpus))

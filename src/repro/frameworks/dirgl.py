@@ -13,6 +13,9 @@ Var2   ALB   AS    Sync
 Var3   ALB   UO    Sync
 Var4   ALB   UO    Async  (the D-IrGL default)
 =====  ====  ====  =====
+
+:data:`VARIANTS` is that table as ``DIrGL`` keyword arguments;
+``SystemSpec.variant(name)`` builds a row over a policy.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from repro.comm.gluon import CommConfig
 from repro.frameworks.base import Framework
 from repro.hw.memory import DIRGL_PROFILE
 
-__all__ = ["DIrGL"]
+__all__ = ["DIrGL", "VARIANTS"]
+
+#: the study's four variants (Section IV-C): balancer x comm mode x model
+VARIANTS = {
+    "var1": dict(balancer="twc", update_only=False, execution="sync"),
+    "var2": dict(balancer="alb", update_only=False, execution="sync"),
+    "var3": dict(balancer="alb", update_only=True, execution="sync"),
+    "var4": dict(balancer="alb", update_only=True, execution="async"),
+}
 
 
 class DIrGL(Framework):
@@ -51,27 +62,6 @@ class DIrGL(Framework):
             hierarchical=hierarchical,
         )
         self.execution = execution
-
-    # ---------------- the study's variants ----------------------------- #
-    @classmethod
-    def var1(cls, policy: str = "iec") -> "DIrGL":
-        """TWC + AS + Sync (baseline)."""
-        return cls(policy, balancer="twc", update_only=False, execution="sync")
-
-    @classmethod
-    def var2(cls, policy: str = "iec") -> "DIrGL":
-        """ALB + AS + Sync."""
-        return cls(policy, balancer="alb", update_only=False, execution="sync")
-
-    @classmethod
-    def var3(cls, policy: str = "iec") -> "DIrGL":
-        """ALB + UO + Sync."""
-        return cls(policy, balancer="alb", update_only=True, execution="sync")
-
-    @classmethod
-    def var4(cls, policy: str = "iec") -> "DIrGL":
-        """ALB + UO + Async (the default)."""
-        return cls(policy, balancer="alb", update_only=True, execution="async")
 
     def variant_label(self) -> str:
         lb = self.load_balancer.upper()

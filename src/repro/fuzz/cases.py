@@ -237,7 +237,7 @@ def _verify_labels(case: Case, graph, labels, ctx) -> None:
         )
 
 
-def run_case(case: Case, check="full", use_cache: bool = True):
+def run_case(case: Case, check="full"):
     """Replay ``case`` at ``check`` level; raise on any breach.
 
     Returns the final label vector on success (``None`` when an armed
@@ -270,7 +270,7 @@ def run_case(case: Case, check="full", use_cache: bool = True):
         else None
     )
     with use_check_level(check):
-        pg = partition(graph, case.policy, case.parts, cache=use_cache)
+        pg = partition(graph, case.policy, case.parts)
         engine = engine_cls(
             pg,
             bridges(case.parts),
@@ -287,13 +287,12 @@ def run_case(case: Case, check="full", use_cache: bool = True):
             raise
     _verify_labels(case, graph, result.labels, ctx)
     if case.mutations and plan is None:
-        _run_mutation_leg(case, graph, result.labels, ctx, cfg, engine_cls,
-                          check, use_cache)
+        _run_mutation_leg(case, graph, result.labels, ctx, cfg, engine_cls, check)
     return result.labels
 
 
 def _run_mutation_leg(
-    case: Case, graph, base_labels, ctx, cfg, engine_cls, check, use_cache
+    case: Case, graph, base_labels, ctx, cfg, engine_cls, check
 ) -> None:
     """Replay the case's mutation batches and cross-check three ways.
 
@@ -319,7 +318,7 @@ def _run_mutation_leg(
     new_graph = mg.snapshot()
     ctx2 = replace(make_context(new_graph, case), source=ctx.source)
     with use_check_level(check):
-        pg = partition(new_graph, case.policy, case.parts, cache=use_cache)
+        pg = partition(new_graph, case.policy, case.parts)
         engine = engine_cls(
             pg,
             bridges(case.parts),

@@ -40,16 +40,16 @@ __all__ = [
 def _planted(owner, name: str, bad):
     """``owner.name = bad`` for the block, between two clears of the
     partition cache (see the module docstring)."""
-    from repro.partition.cusp import clear_partition_cache
+    from repro.partition.cache import clear
 
     orig = owner.__dict__[name]  # not getattr: keeps a staticmethod wrapped
-    clear_partition_cache()
+    clear()
     setattr(owner, name, bad)
     try:
         yield
     finally:
         setattr(owner, name, orig)
-        clear_partition_cache()
+        clear()
 
 
 def drop_mirror_update():

@@ -7,11 +7,7 @@ from repro.graph.properties import (
     approximate_diameter,
     properties,
 )
-from repro.graph.transform import (
-    add_random_weights,
-    reverse,
-    make_undirected,
-)
+from repro.graph.transform import add_random_weights, make_undirected
 from repro.graph.io import load_edgelist, save_edgelist
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.graph.store import (
@@ -29,7 +25,6 @@ __all__ = [
     "approximate_diameter",
     "properties",
     "add_random_weights",
-    "reverse",
     "make_undirected",
     "EdgeBatch",
     "MutableGraph",

@@ -11,7 +11,6 @@ from repro.utils import rng_from_seed
 
 __all__ = [
     "add_random_weights",
-    "reverse",
     "make_undirected",
 ]
 
@@ -27,11 +26,6 @@ def add_random_weights(graph: CSRGraph, seed: int | None = 0) -> CSRGraph:
     return CSRGraph(
         graph.indptr, graph.indices, w.astype(WEIGHT_DTYPE), name=graph.name
     )
-
-
-def reverse(graph: CSRGraph) -> CSRGraph:
-    """Transpose the graph (alias of :meth:`CSRGraph.reverse`)."""
-    return graph.reverse()
 
 
 def make_undirected(graph: CSRGraph) -> CSRGraph:

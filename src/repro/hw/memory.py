@@ -139,21 +139,21 @@ class MemoryModel:
         local_edges: list[int] | np.ndarray,
         num_label_fields: int = 2,
         weighted: bool = True,
-        check: bool = True,
+        check_memory: bool = True,
     ) -> MemoryUsage:
         """Footprint of every partition; optionally enforce capacity.
 
         Raises
         ------
         SimulatedOOMError
-            if ``check`` and any partition exceeds its device capacity —
+            if ``check_memory`` and any partition exceeds its device capacity —
             for Lux static allocation, also if the *dynamic* need exceeds
             the static pool (the "even with the maximum possible GPU memory
             ... it did not run" failure of Section V-B).
         """
         if len(local_vertices) != cluster.num_gpus:
             raise ValueError("one vertex count per GPU required")
-        if check and self.profile.host_staging:
+        if check_memory and self.profile.host_staging:
             p = self.profile
             per_edge = p.bytes_per_edge + (4.0 if weighted else 0.0)
             staged = float(np.sum(local_edges)) * self.scale_factor * per_edge
@@ -168,7 +168,7 @@ class MemoryModel:
                 num_label_fields, weighted,
             )
             capacity = cluster.gpus[g].mem_capacity_bytes
-            if check and need > capacity:
+            if check_memory and need > capacity:
                 raise SimulatedOOMError(g, need, capacity)
             per_gpu.append(need)
         return MemoryUsage(per_gpu_bytes=tuple(per_gpu))

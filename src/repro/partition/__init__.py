@@ -10,7 +10,7 @@ from repro.partition.jagged import jagged
 from repro.partition.io import load_partitions, save_partitions
 from repro.partition.stats import PartitionStats, partition_stats
 from repro.partition.cache import CacheStats, PartitionCache, get_cache
-from repro.partition.cusp import POLICIES, clear_partition_cache, partition
+from repro.partition.cusp import POLICIES, partition
 
 __all__ = [
     "LocalPartition",
@@ -29,7 +29,6 @@ __all__ = [
     "partition_stats",
     "POLICIES",
     "partition",
-    "clear_partition_cache",
     "CacheStats",
     "PartitionCache",
     "get_cache",

@@ -25,7 +25,7 @@ from repro.partition.metis_like import metis_like
 from repro.partition.random_part import random_vertex_cut
 from repro.partition.jagged import jagged
 
-__all__ = ["POLICIES", "partition", "clear_partition_cache"]
+__all__ = ["POLICIES", "partition"]
 
 POLICIES: dict[str, Callable[[CSRGraph, int], PartitionedGraph]] = {
     "oec": oec,
@@ -80,10 +80,3 @@ def partition(
         check_partition_request(pg, policy, num_partitions)
         check_partition(pg, level)
     return pg
-
-
-def clear_partition_cache() -> None:
-    """Drop cached partitionings (tests / memory pressure)."""
-    from repro.partition.cache import clear
-
-    clear()

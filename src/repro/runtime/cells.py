@@ -4,8 +4,8 @@ A study cell is data: a zero-argument framework factory (what the
 drivers once passed around) cannot cross a process boundary, a spec can.
 This module defines them:
 
-* :class:`SystemSpec` — how to build a framework facade (variant name,
-  D-IrGL configuration, or registry framework) from plain values;
+* :class:`SystemSpec` — how to build a framework facade (a D-IrGL
+  configuration or a registry framework) from plain values;
 * :class:`CellSpec` — one benchmark run (system x benchmark x dataset x
   GPU count x platform);
 * :class:`PartitionStatsSpec` — one partitioning-statistics measurement
@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.errors import KIND_CLASSES, ReproError
+from repro.errors import KIND_CLASSES, ConfigurationError, ReproError
 
 __all__ = [
     "SystemSpec",
@@ -55,9 +55,8 @@ def _kw(kwargs: dict) -> tuple:
 class SystemSpec:
     """A framework facade as data: ``build()`` re-creates it anywhere.
 
-    ``kind`` is one of ``"variant"`` (``repro.study.variants``),
-    ``"dirgl"`` (a ``DIrGL(**kwargs)`` configuration), or ``"framework"``
-    (the :data:`repro.frameworks.FRAMEWORKS` registry).
+    ``kind`` is ``"dirgl"`` (a ``DIrGL(**kwargs)`` configuration) or
+    ``"framework"`` (the :data:`repro.frameworks.FRAMEWORKS` registry).
     """
 
     kind: str
@@ -66,7 +65,18 @@ class SystemSpec:
 
     @classmethod
     def variant(cls, name: str, policy: str = "iec") -> "SystemSpec":
-        return cls("variant", (name,), _kw({"policy": policy}))
+        """One of the study's systems (Section IV-C): a row of
+        :data:`repro.frameworks.dirgl.VARIANTS` over ``policy``, or
+        ``"lux"`` (which ignores the policy: it runs IEC only)."""
+        from repro.frameworks.dirgl import VARIANTS
+
+        if name == "lux":
+            return cls.framework("lux")
+        if name not in VARIANTS:
+            raise ConfigurationError(
+                f"unknown variant {name!r}; known: {['lux', *VARIANTS]}"
+            )
+        return cls.dirgl(policy=policy, **VARIANTS[name])
 
     @classmethod
     def dirgl(cls, **kwargs: Any) -> "SystemSpec":
@@ -78,10 +88,6 @@ class SystemSpec:
 
     def build(self):
         kwargs = dict(self.kwargs)
-        if self.kind == "variant":
-            from repro.study.variants import make_variant
-
-            return make_variant(*self.args, **kwargs)
         if self.kind == "dirgl":
             from repro.frameworks.dirgl import DIrGL
 

@@ -1,6 +1,5 @@
 """Study drivers: regenerate every table and figure of the paper."""
 
-from repro.study.variants import VARIANT_NAMES, make_variant
 from repro.study.scaling import ScalingResult, strong_scaling
 from repro.study.tables import table1, table2, table3, table4
 from repro.study.figures import (
@@ -16,8 +15,6 @@ from repro.study.report import format_table, format_series
 from repro.study.microbench import uo_crossover_fraction, uo_threshold_curve
 
 __all__ = [
-    "VARIANT_NAMES",
-    "make_variant",
     "ScalingResult",
     "strong_scaling",
     "table1",

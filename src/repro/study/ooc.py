@@ -47,6 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import ConfigurationError
 from repro.runtime.cells import CellSpec, SystemSpec
 
 __all__ = ["OocConfig", "OocReport", "run_ooc_study", "evaluate"]
@@ -55,8 +56,20 @@ _MB = 1024 * 1024
 
 
 def _env_float(name: str, default: float) -> float:
+    """``name``'s value, ``default`` when it is unset or empty; anything
+    but a finite positive number is a :class:`ConfigurationError`."""
     raw = os.environ.get(name)
-    return float(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # rejected below with the other bad values
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(
+            f"{name} must be a finite positive number, got {raw!r}"
+        )
+    return value
 
 
 @dataclass

@@ -76,9 +76,9 @@ def strong_scaling(
 
     ``systems`` maps a display name to a picklable
     :class:`~repro.runtime.cells.SystemSpec`; the cells run through
-    ``executor`` (a :class:`~repro.runtime.SweepExecutor`; ``None`` means
-    serial in-process) and the points are assembled in nested-loop order,
-    so the :class:`ScalingResult` is identical either way.  Of
+    ``executor`` (a :class:`~repro.runtime.sweep.SweepExecutor`; ``None``
+    means serial in-process) and the points are assembled in nested-loop
+    order, so the :class:`ScalingResult` is identical either way.  Of
     ``ctx_overrides``, ``check_memory`` and ``fault_plan`` are the
     :class:`~repro.runtime.cells.CellSpec` fields of those names; the
     rest reach the run context.

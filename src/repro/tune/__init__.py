@@ -1,9 +1,9 @@
 """Cost-model auto-tuner: pick the configuration before running it.
 
 The study's thesis (and "Cut to Fit"'s) is that the best (partition
-policy x engine x comm flags x load balancer x GPU count) cell shifts
-with the app, the graph shape, and the scale.  This package closes the
-loop the sweep opened:
+policy x engine x GPU count) cell shifts with the app, the graph shape,
+and the scale; the optimizations the study settles (ALB, update-only,
+flat sync) stay fixed.  This package closes the loop the sweep opened:
 
 * :mod:`repro.tune.features` — cheap pre-partition graph features
   (degree moments, skew, estimated replication factor per policy) from

@@ -71,9 +71,6 @@ class DseConfig:
 
     policies: tuple = DSE_POLICIES
     engines: tuple = ("bsp", "basp")
-    balancers: tuple = ("alb",)
-    update_only: tuple = (True,)
-    hierarchical: tuple = (False,)
     gpus: tuple = (2, 4)
     platform: str = "bridges"
     top_k: int = 3
@@ -89,47 +86,27 @@ def enumerate_cells(cfg: DseConfig, app: str) -> tuple[list[ConfigCell], list[tu
       ``ConfigurationError`` in the engine (``repro.engine.basp``);
     * ``policy-unsupported`` — outside D-IrGL's policy set;
     * ``parts-unestimated`` — GPU counts the feature extractor carries
-      no replication estimate for (:data:`FEATURE_PARTS`);
-    * ``hier-single-host`` — hierarchical aggregation on a single-host
-      cluster is an identity with extra bookkeeping.
+      no replication estimate for (:data:`FEATURE_PARTS`).
     """
     from repro.frameworks.dirgl import DIrGL
-    from repro.hw.cluster import bridges, tuxedo
 
     async_ok = get_app(app).async_capable
     cells: list[ConfigCell] = []
     pruned: list[tuple] = []
-    platform_base = cfg.platform.partition(":")[0]
     for policy in cfg.policies:
         for engine in cfg.engines:
-            for balancer in cfg.balancers:
-                for uo in cfg.update_only:
-                    for hier in cfg.hierarchical:
-                        for P in cfg.gpus:
-                            cell = ConfigCell(
-                                policy=policy,
-                                engine=engine,
-                                balancer=balancer,
-                                update_only=uo,
-                                hierarchical=hier,
-                                num_gpus=P,
-                                platform=cfg.platform,
-                            )
-                            if policy not in DIrGL.supported_policies:
-                                pruned.append((cell, "policy-unsupported"))
-                                continue
-                            if engine == "basp" and not async_ok:
-                                pruned.append((cell, "engine-unsound"))
-                                continue
-                            if P not in FEATURE_PARTS:
-                                pruned.append((cell, "parts-unestimated"))
-                                continue
-                            if hier:
-                                mk = tuxedo if platform_base == "tuxedo" else bridges
-                                if mk(P).num_hosts <= 1:
-                                    pruned.append((cell, "hier-single-host"))
-                                    continue
-                            cells.append(cell)
+            for P in cfg.gpus:
+                cell = ConfigCell(
+                    policy=policy, engine=engine, num_gpus=P, platform=cfg.platform
+                )
+                if policy not in DIrGL.supported_policies:
+                    pruned.append((cell, "policy-unsupported"))
+                elif engine == "basp" and not async_ok:
+                    pruned.append((cell, "engine-unsound"))
+                elif P not in FEATURE_PARTS:
+                    pruned.append((cell, "parts-unestimated"))
+                else:
+                    cells.append(cell)
     return cells, pruned
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.engine.costmodel import CostBreakdown, CostModel
-from repro.frameworks.dirgl import DIrGL
 from repro.loadbalance.base import get_balancer
 from repro.partition.stats import PartitionStats, sync_messages_for_stats
 from repro.runtime.cells import SystemSpec
@@ -48,41 +47,27 @@ ASYNC_SYNC_DISCOUNT = 0.6
 
 @dataclass(frozen=True)
 class ConfigCell:
-    """One point of the advisor's search space."""
+    """One point of the advisor's search space.
+
+    The D-IrGL optimizations the study settles — ALB, update-only sync,
+    flat (one-level) sync — are fixed, so a cell is policy x engine x GPU
+    count; its label still spells them (``uo/alb``) for stable report
+    keys.
+    """
 
     policy: str
     engine: str = "bsp"  # "bsp" | "basp"
-    balancer: str = "alb"
-    update_only: bool = True
-    hierarchical: bool = False
     num_gpus: int = 2
     platform: str = "bridges"
 
     def label(self) -> str:
-        comm = "uo" if self.update_only else "as"
-        hier = "+hier" if self.hierarchical else ""
-        return (
-            f"{self.policy}/{self.engine}/{comm}{hier}/"
-            f"{self.balancer}/p{self.num_gpus}"
-        )
-
-    def framework(self) -> DIrGL:
-        return DIrGL(
-            policy=self.policy,
-            balancer=self.balancer,
-            update_only=self.update_only,
-            execution="async" if self.engine == "basp" else "sync",
-            hierarchical=self.hierarchical,
-        )
+        return f"{self.policy}/{self.engine}/uo/alb/p{self.num_gpus}"
 
     def system_spec(self) -> SystemSpec:
         """The picklable spec validation runs use — same knobs, same cell."""
         return SystemSpec.dirgl(
             policy=self.policy,
-            balancer=self.balancer,
-            update_only=self.update_only,
             execution="async" if self.engine == "basp" else "sync",
-            hierarchical=self.hierarchical,
         )
 
 
@@ -193,9 +178,11 @@ class AnalyticPredictor:
     # ---------------- model composition (also the test surface) -------- #
     def cost_model(self, cell: ConfigCell) -> CostModel:
         """The cell's real pricing stack: cluster + balancer + router."""
-        cluster = cell.framework().make_cluster(cell.num_gpus, cell.platform)
+        fw = cell.system_spec().build()
         return CostModel(
-            cluster, get_balancer(cell.balancer), scale_factor=self.scale_factor
+            fw.make_cluster(cell.num_gpus, cell.platform),
+            get_balancer(fw.load_balancer),
+            scale_factor=self.scale_factor,
         )
 
     def estimated_stats(self, cell: ConfigCell) -> PartitionStats:
@@ -288,7 +275,7 @@ class AnalyticPredictor:
         _, _, uf = model.fractions(rounds)
         return sync_messages_for_stats(
             self.estimated_stats(cell),
-            update_only=cell.update_only,
+            update_only=True,
             updated_fraction=uf,
         )
 
@@ -299,9 +286,7 @@ class AnalyticPredictor:
         rounds = model.rounds(f)
         cm = self.cost_model(cell)
         per_round = cm.price_round(
-            self.frontier_degrees(cell, app),
-            self.synthetic_messages(cell, app),
-            hierarchical=cell.hierarchical,
+            self.frontier_degrees(cell, app), self.synthetic_messages(cell, app)
         )
         phi = self.phase_factor(cell, app)
         if phi != 1.0:

@@ -145,7 +145,8 @@ def _bfs_field():
 
 def test_comm_structure_passes_and_detects_table_skew(graph):
     pg = fresh_pg(graph)
-    comm = GluonComm(pg, [_bfs_field()], CommConfig(), check="cheap")
+    with use_check_level("cheap"):
+        comm = GluonComm(pg, [_bfs_field()], CommConfig())
     # constructed clean at CHEAP; now skew an exchange-table offset
     table = comm._tables["dist"][0]
     table.seg_off[-1] += 1
@@ -164,7 +165,7 @@ def test_comm_structure_passes_and_detects_table_skew(graph):
 
 def test_post_sync_dominance_detected(graph):
     pg = fresh_pg(graph)
-    comm = GluonComm(pg, [_bfs_field()], CommConfig(), check="off")
+    comm = GluonComm(pg, [_bfs_field()], CommConfig())
     labels = [
         np.full(p.num_local, 7, dtype=np.uint32) for p in pg.parts
     ]
@@ -181,8 +182,8 @@ def test_field_identity_neutrality_detected(graph):
     bad = FieldSpec(name="acc", dtype=np.float64, reduce_op="add",
                     read_at="src", write_at="dst", identity=1.0,
                     reset_after_reduce=True)
-    with pytest.raises(InvariantViolation) as exc:
-        GluonComm(pg, [bad], CommConfig(), check="cheap")
+    with use_check_level("cheap"), pytest.raises(InvariantViolation) as exc:
+        GluonComm(pg, [bad], CommConfig())
     assert exc.value.checker == "field-identity"
 
 
@@ -258,8 +259,8 @@ def test_static_frontier_is_priced_once_and_its_declaration_checked(
         LoadBalancer, "cost",
         lambda self, degrees, blocks: priced.append(1) or raw(self, degrees, blocks),
     )
-    res = engine(pg, bridges(4), get_app("pr"), check_memory=False,
-                 check="cheap").run(ctx)
+    with use_check_level("cheap"):
+        res = engine(pg, bridges(4), get_app("pr"), check_memory=False).run(ctx)
     assert res.stats.rounds > 2 and len(priced) == 4
 
     fresh = PageRankPull.initial_frontier
@@ -267,9 +268,8 @@ def test_static_frontier_is_priced_once_and_its_declaration_checked(
         PageRankPull, "initial_frontier",
         lambda self, part, ctx, state: fresh(self, part, ctx, state).copy(),
     )
-    with pytest.raises(InvariantViolation) as exc:
-        engine(pg, bridges(4), get_app("pr"), check_memory=False,
-               check="cheap").run(ctx)
+    with use_check_level("cheap"), pytest.raises(InvariantViolation) as exc:
+        engine(pg, bridges(4), get_app("pr"), check_memory=False).run(ctx)
     assert exc.value.checker == "static-frontier"
 
 
@@ -293,8 +293,8 @@ def test_field_views_and_operator_ids_are_checked(graph, engine_name, monkeypatc
     )
 
     def run(check):
-        return engine(pg, bridges(4), get_app("bfs"), check_memory=False,
-                      check=check).run(ctx)
+        with use_check_level(check):
+            return engine(pg, bridges(4), get_app("bfs"), check_memory=False).run(ctx)
 
     run("cheap")  # the shipped operator passes both
     raw = BFS.compute
@@ -354,8 +354,7 @@ def test_checked_run_matches_unchecked(graph, engine_name):
     pg = partition(graph, "cvc", 4, cache=False)
     plain = cls(pg, bridges(4), get_app("sssp"), check_memory=False).run(ctx)
     pg.__dict__.pop("_check_level_done", None)
-    checked = cls(
-        pg, bridges(4), get_app("sssp"), check_memory=False, check="full"
-    ).run(ctx)
+    with use_check_level("full"):
+        checked = cls(pg, bridges(4), get_app("sssp"), check_memory=False).run(ctx)
     assert np.array_equal(plain.labels, checked.labels)
     assert plain.stats.rounds == checked.stats.rounds

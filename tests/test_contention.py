@@ -260,7 +260,7 @@ class TestContendedEngines:
             assert cont.stats.rounds == flat.stats.rounds
             assert cont.stats.execution_time >= flat.stats.execution_time
         # shared NICs saw traffic and recorded it
-        stats = eng.cost.contention.stats
+        stats = eng.cost.router.contention.stats
         assert any(k[0] == "nic" for k in stats)
         assert sum(s.busy_s for s in stats.values()) > 0.0
 
@@ -272,7 +272,7 @@ class TestContendedEngines:
         )
         assert np.array_equal(flat.labels, cont.labels)
         assert cont.stats.execution_time >= flat.stats.execution_time
-        stats = eng.cost.contention.stats
+        stats = eng.cost.router.contention.stats
         # single host: all network-stage traffic is pinned staging
         assert any(k[0] == "staging" for k in stats)
         assert not any(k[0] == "nic" for k in stats)
@@ -286,7 +286,7 @@ class TestContendedEngines:
             engine_cls, small_graph, ctx, bridges(8, gpudirect=True)
         )
         assert np.array_equal(flat.labels, cont.labels)
-        stats = eng.cost.contention.stats
+        stats = eng.cost.router.contention.stats
         # device-direct: no host staging, no host serialization cores
         assert not any(k[0] == "staging" for k in stats)
         assert not any(k[0] == "cores" for k in stats)

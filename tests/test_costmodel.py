@@ -130,8 +130,9 @@ class TestCostBreakdown:
                 msg(src=1, dst=3, n=300)]
         b = cm.price_round(deg, msgs)
         assert b.compute == cm.compute_time(0, deg)
-        priced = cm.price_batch(msgs)
-        assert b.sync == pytest.approx(float(np.max(cm.route_step(priced).eff_inter)))
+        priced = cm.router.price_batch(msgs)
+        net = cm.router.route_step(priced)
+        assert b.sync == pytest.approx(float(np.max(net.eff_inter)))
         from repro.engine.costmodel import serialize_seconds_by_device
 
         per_dev = serialize_seconds_by_device(priced, 4)
@@ -146,7 +147,7 @@ class TestCostBreakdown:
         from repro.engine.costmodel import serialize_seconds_by_device
 
         cm = CostModel(bridges(4), ALB)
-        priced = cm.price_batch([msg(src=0, dst=2, n=1000, scanned=1000)])
+        priced = cm.router.price_batch([msg(src=0, dst=2, n=1000, scanned=1000)])
         per_dev = serialize_seconds_by_device(priced, 4)
         # sender pays extraction + d2h, receiver pays h2d, others nothing
         assert per_dev[0] == pytest.approx(float(priced.extraction[0] + priced.d2h[0]))

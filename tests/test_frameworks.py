@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulatedOOMError, UnsupportedFeatureError
+from repro.errors import ConfigurationError, SimulatedOOMError, UnsupportedFeatureError
 from repro.frameworks import DIrGL, FRAMEWORKS, Groute, Gunrock, Lux, get_framework
 from repro.generators import load_dataset
+from repro.runtime.cells import SystemSpec
 from repro.validation import pagerank_close, reference_bfs, reference_cc, reference_pagerank
 
 
@@ -77,12 +78,33 @@ class TestRestrictions:
             DIrGL(policy="random")
 
 
+#: Section IV-C's systems: (policy, balancer, update-only, execution, label)
+SECTION_IV_C = {
+    "lux": ("iec", "tb", False, "sync", "lux"),
+    "var1": ("iec", "twc", False, "sync", "TWC+AS+Sync"),
+    "var2": ("iec", "alb", False, "sync", "ALB+AS+Sync"),
+    "var3": ("iec", "alb", True, "sync", "ALB+UO+Sync"),
+    "var4": ("iec", "alb", True, "async", "ALB+UO+Async"),
+}
+
+
 class TestVariants:
-    def test_variant_labels(self):
-        assert DIrGL.var1().variant_label() == "TWC+AS+Sync"
-        assert DIrGL.var2().variant_label() == "ALB+AS+Sync"
-        assert DIrGL.var3().variant_label() == "ALB+UO+Sync"
-        assert DIrGL.var4().variant_label() == "ALB+UO+Async"
+    @pytest.mark.parametrize("name", sorted(SECTION_IV_C))
+    def test_section_iv_c_row(self, name):
+        policy, balancer, update_only, execution, label = SECTION_IV_C[name]
+        fw = SystemSpec.variant(name).build()
+        assert fw.policy == policy
+        assert fw.load_balancer == balancer
+        assert fw.comm_config.update_only is update_only
+        # D-IrGL memoizes addresses in every variant; Lux ships global IDs
+        assert fw.comm_config.memoize_addresses is (name != "lux")
+        assert not fw.comm_config.hierarchical
+        assert fw.execution == execution
+        assert fw.variant_label() == label
+
+    def test_unknown_variant(self):
+        with pytest.raises(ConfigurationError, match="var9"):
+            SystemSpec.variant("var9")
 
     def test_var4_is_default(self):
         d = DIrGL()
@@ -117,7 +139,7 @@ class TestCorrectnessThroughFacades:
             assert pagerank_close(res.labels, ref), fw.name
 
     def test_stats_labeled(self, ds):
-        res = DIrGL.var1().run("bfs", ds, 2, check_memory=False)
+        res = SystemSpec.variant("var1").build().run("bfs", ds, 2, check_memory=False)
         assert res.stats.variant == "TWC+AS+Sync"
         assert res.stats.dataset == "tiny-s"
         assert res.stats.benchmark == "bfs"
@@ -139,7 +161,7 @@ class TestMemoryBehavior:
     def test_lux_volume_exceeds_dirgl_as(self, ds):
         """Explicit global IDs + AS make Lux's wire volume the largest."""
         lux = Lux().run("cc", ds, 4, check_memory=False)
-        var2 = DIrGL.var2(policy="iec").run("cc", ds, 4, check_memory=False)
+        var2 = SystemSpec.variant("var2").build().run("cc", ds, 4, check_memory=False)
         assert lux.stats.comm_volume_bytes > var2.stats.comm_volume_bytes
 
 

@@ -120,7 +120,7 @@ class TestMemoryModel:
     def test_no_check_returns_usage(self):
         c = bridges(2)
         m = MemoryModel(DIRGL_PROFILE, scale_factor=1e6)
-        u = m.usage(c, [1000, 1000], [100000, 100000], check=False)
+        u = m.usage(c, [1000, 1000], [100000, 100000], check_memory=False)
         assert u.max_bytes / 2**30 > 16
 
     def test_lux_static_allocation_floor(self):

@@ -332,6 +332,33 @@ def test_ooc_config_from_env(monkeypatch):
     assert cfg.wall_tol == OocConfig.wall_tol  # untouched default
 
 
+OOC_ENV = (
+    "REPRO_OOC_RAM_CAP_MB", "REPRO_OOC_SIZE_MULT", "REPRO_OOC_RSS_TOL",
+    "REPRO_OOC_WALL_TOL",
+)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "nan"])
+def test_ooc_config_rejects_a_malformed_override(monkeypatch, tmp_path, capsys, raw):
+    """A value that is not a finite positive number is a usage error
+    naming the variable, raised before any store is built — not a
+    ``ValueError`` / math-domain traceback out of ``scale``."""
+    from repro.errors import ConfigurationError
+    from repro.study.cli import main
+
+    for name in OOC_ENV:
+        with monkeypatch.context() as m:
+            m.setenv(name, raw)
+            with pytest.raises(ConfigurationError, match=name):
+                OocConfig.from_env()
+    monkeypatch.setenv("REPRO_OOC_RAM_CAP_MB", raw)
+    work = tmp_path / "ooc"
+    assert main(["ooc", "--ooc-dir", str(work)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ConfigurationError: REPRO_OOC_RAM_CAP_MB")
+    assert not work.exists()
+
+
 @pytest.fixture()
 def small_store(tmp_path):
     """A scale-10 big store, built once: (config, path, header)."""

@@ -1,4 +1,4 @@
-"""Tests for the study drivers: reports, variants, scaling, tables, figures.
+"""Tests for the study drivers: reports, scaling, tables, figures.
 
 The full-fidelity drivers run for minutes; these tests exercise each driver
 on reduced sweeps (small datasets / few GPU counts) and check structure,
@@ -7,7 +7,6 @@ missing-point semantics, and formatting.
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.generators import load_dataset
 from repro.runtime.cells import SystemSpec
 from repro.study import (
@@ -16,7 +15,6 @@ from repro.study import (
     figure8,
     format_series,
     format_table,
-    make_variant,
     strong_scaling,
     table1,
     table2,
@@ -40,23 +38,6 @@ class TestReport:
     def test_empty_rows(self):
         out = format_table(["a"], [])
         assert "a" in out
-
-
-class TestVariants:
-    def test_all_variants_instantiate(self):
-        for name in ("lux", "var1", "var2", "var3", "var4"):
-            fw = make_variant(name)
-            assert fw is not None
-
-    def test_unknown_variant(self):
-        with pytest.raises(ConfigurationError):
-            make_variant("var9")
-
-    def test_variants_differ(self):
-        v1, v4 = make_variant("var1"), make_variant("var4")
-        assert v1.load_balancer != v4.load_balancer
-        assert v1.comm_config.update_only != v4.comm_config.update_only
-        assert v1.execution != v4.execution
 
 
 class TestStrongScaling:

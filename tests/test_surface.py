@@ -23,6 +23,10 @@ kernel two layers need lives in the lower one.  **One tracer route**
 function or method, ``__init__`` included, takes a ``tracer`` parameter,
 and nothing under ``src/repro`` compares a tracer with ``None`` — the
 ambient tracer is the only delivery and ``NULL_TRACER`` the only "off".
+**One check-level route** (docs/correctness.md): outside ``repro.check``
+no public function or method takes a parameter named ``check``, except
+the scope installers in :data:`CHECK_SCOPE_INSTALLERS` — the check level
+is ambient, and those are how ``--check`` reaches a pool.
 **Fields are written in place** (DESIGN.md, "Field state is flat"): under
 ``repro.apps`` and ``repro.gnnflow`` nothing outside ``init_state`` assigns
 ``state["<declared field>"]`` — the engine turned that array into a view
@@ -252,6 +256,66 @@ def test_the_tracer_rule_sees_a_parameter_and_a_none_test(tmp_path):
         ["repro.comm.gluon:3", "repro.comm.gluon:5"],
     )
     assert _second_tracer_route({"repro.obs.demo": planted})[0] == []
+
+
+#: the functions that install a check level for a scope (a pool's
+#: workers, a serve trace, one fuzz case): the only ``check=`` parameters
+CHECK_SCOPE_INSTALLERS = {
+    "repro.runtime.sweep:SweepExecutor.__init__",
+    "repro.serve.cli:run_trace",
+    "repro.fuzz.cases:run_case",
+}
+
+
+def _second_check_route(modules: dict[str, Path]) -> list[str]:
+    """``module:line qualname`` of every public function or method
+    (``__init__`` included) outside ``repro.check`` that takes a parameter
+    named ``check``, the scope installers apart."""
+    found = []
+
+    def visit(name, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                a = child.args
+                if (
+                    (child.name == "__init__" or not child.name.startswith("_"))
+                    and any(p.arg == "check" for p in a.posonlyargs + a.args + a.kwonlyargs)
+                    and f"{name}:{qualname}" not in CHECK_SCOPE_INSTALLERS
+                ):
+                    found.append(f"{name}:{child.lineno} {qualname}")
+                visit(name, child, qualname + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(name, child, f"{prefix}{child.name}.")
+            else:
+                visit(name, child, prefix)
+
+    for name, path in sorted(modules.items()):
+        if name.split(".")[:2] != ["repro", "check"]:
+            visit(name, ast.parse(path.read_text()), "")
+    return found
+
+
+def test_the_ambient_check_level_is_the_only_route():
+    found = _second_check_route(_modules())
+    assert not found, f"a check level is read, not passed: {found}"
+
+
+def test_the_check_rule_sees_an_engine_parameter(tmp_path):
+    """What ``BSPEngine`` took until the check level became ambient only;
+    the same text under ``repro.check`` is no breach."""
+    source = (SRC / "repro" / "engine" / "bsp.py").read_text()
+    signature = '        executor: str = "serial",\n    ):'
+    assert signature in source
+    planted = tmp_path / "bsp.py"
+    planted.write_text(
+        source.replace(
+            signature, '        executor: str = "serial",\n        check=None,\n    ):'
+        )
+    )
+    (breach,) = _second_check_route({"repro.engine.bsp": planted})
+    assert breach.endswith(" BSPEngine.__init__")
+    assert _second_check_route({"repro.check.demo": planted}) == []
 
 
 def _field_rebinds(modules: dict[str, Path]) -> list[str]:

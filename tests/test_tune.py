@@ -218,8 +218,8 @@ class TestDifferential:
         frontier = pred.frontier_degrees(cell, app)
         msgs = pred.synthetic_messages(cell, app)
         compute = cm.compute_time(0, frontier)
-        priced = cm.price_batch(msgs)
-        net = cm.route_step(priced)
+        priced = cm.router.price_batch(msgs)
+        net = cm.router.route_step(priced)
         sync = float(np.max(net.eff_inter))
         per_device = np.zeros(cell.num_gpus)
         np.add.at(per_device, priced.src, priced.extraction + priced.d2h)
