@@ -67,14 +67,17 @@ class StepNetwork(NamedTuple):
     """Network-leg schedule for one priced batch (see
     ``Router.schedule_network``).
 
-    With contention and hierarchy both off this reproduces
-    ``BatchLegTimes.inter`` exactly; otherwise ``eff_inter[i]`` is the
-    span from message ``i`` being ready for the network to its (possibly
-    aggregated, possibly queued) network service completing.
+    With contention and hierarchy both off this is the flat schedule:
+    ``eff_inter`` is ``BatchLegTimes.inter`` itself.  Otherwise
+    ``eff_inter[i]`` is the span from message ``i`` being ready for the
+    network to its (possibly aggregated, possibly queued) network service
+    completing.
     """
 
     eff_inter: np.ndarray  # per-message effective network-leg seconds
     done: np.ndarray  # per-message completion time, on the caller's clock
+    wire_messages: int  # messages on the wire (after aggregation)
+    wire_bytes: float  # scaled bytes on the wire (after aggregation)
     inter_host_messages: int  # cross-host wire messages (after aggregation)
     messages_saved: int  # cross-host messages folded away by aggregation
     aggregates: int  # HostAggregates formed (0 unless hierarchical)
@@ -98,7 +101,7 @@ class Router:
         #: (every batch pricing and network schedule gathers from them)
         self.host_of = np.asarray(cluster.host_of, dtype=np.int64)
         self.host_rates = np.array([h.serialization_rate for h in cluster.hosts])
-        cfg = getattr(cluster, "contention", None)
+        cfg = cluster.contention
         self.contention = (
             ContentionModel(cluster, cfg) if cfg is not None and cfg.enabled
             else None
@@ -242,13 +245,16 @@ class Router:
 
         ``eff_inter[i]`` replaces ``pr.inter[i]`` in the engines' round
         assembly; everything the flat model charges per device (send/recv
-        sums) is unchanged.
+        sums) is unchanged.  With no contention model and no two-level
+        sync nothing queues behind the up legs, so the flat schedule
+        returns before they are timed: its ``done`` is ``eff_inter``, each
+        leg measured from its own message being ready.
         """
         n = len(pr.src)
-        if n == 0:
-            return StepNetwork(np.empty(0), np.empty(0), 0, 0, 0, 0.0)
-        c = self.cluster
         model = self.contention
+        if (model is None and not hierarchical) or n == 0:
+            return self._flat(pr, pr.inter)
+        c = self.cluster
         up_service = pr.extraction + pr.d2h
 
         # ---- up stage: when each message clears its device's D2H lane --- #
@@ -273,6 +279,16 @@ class Router:
                 up_done[i] = start + svc
         return self.schedule_network(pr, up_done, hierarchical, keys)
 
+    def _flat(self, pr: BatchLegTimes, done: np.ndarray) -> StepNetwork:
+        """Nothing aggregates or queues: every network leg takes exactly
+        its priced time, and every message is its own wire message."""
+        host_of = self.host_of
+        inter = int(np.count_nonzero(host_of[pr.src] != host_of[pr.dst]))
+        return StepNetwork(
+            pr.inter, done, len(pr.src), float(pr.scaled_bytes.sum()),
+            inter, 0, 0, 0.0,
+        )
+
     def schedule_network(
         self, pr: BatchLegTimes, ready: np.ndarray, hierarchical: bool = False,
         keys=None,
@@ -291,13 +307,16 @@ class Router:
         that mixes them; the aggregate departs when its last member is
         ready).  With contention, legs queue FIFO on the sender host's NIC
         (cross-host) or staging path (host-routed same-host); without,
-        they start as soon as ready — which makes the uncontended,
-        non-hierarchical schedule reproduce ``pr.inter`` bit-for-bit.
-        A loop-back is done the moment it is ready.
+        they start as soon as ready.  With neither, that is the flat
+        schedule, returned in one vectorized pass (``done = ready +
+        pr.inter``) without building an entity per message.  A loop-back
+        is done the moment it is ready.
         """
+        model = self.contention
+        if model is None and not hierarchical:
+            return self._flat(pr, ready + pr.inter)
         n = len(pr.src)
         c = self.cluster
-        model = self.contention
         hsrc = self.host_of[pr.src]
         hdst = self.host_of[pr.dst]
         loop = pr.src == pr.dst
@@ -349,15 +368,19 @@ class Router:
                 eff[members] = finish - ready[members]
 
         n_aggs = len(aggregates)
+        saved = agg_members - n_aggs
+        saved_bytes = float(sum(a.saved_bytes for a in aggregates))
         return StepNetwork(
             eff_inter=eff,
             done=done,
+            wire_messages=n - saved,
+            wire_bytes=float(pr.scaled_bytes.sum()) - saved_bytes,
             inter_host_messages=(
                 n_aggs if hierarchical else int(np.count_nonzero(cross))
             ),
-            messages_saved=agg_members - n_aggs,
+            messages_saved=saved,
             aggregates=n_aggs,
-            saved_bytes=float(sum(a.saved_bytes for a in aggregates)),
+            saved_bytes=saved_bytes,
         )
 
     def price_feature_loads(self, nbytes_by_gpu) -> np.ndarray:

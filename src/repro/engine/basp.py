@@ -17,9 +17,10 @@ the identical fixpoint, which the integration tests assert.
 
 The stages live in :mod:`repro.engine.core`; this module is the BASP
 *policy*: the event loop over local clocks, arrival-ordered drain, per-flush
-pricing, and the throttle/overlap budgets.  A flush is priced as one batch
-(its network legs scheduled by the router's one scheduler when contention
-or two-level sync is on) and then split into light in-flight records that
+pricing, and the throttle/overlap budgets.  A flush is priced as one batch,
+its network legs scheduled by one router call (with neither contention
+nor two-level sync on, the flat schedule is one vectorized pass with no
+per-message loop), and then split into light in-flight records that
 carry their receiver targets, values and priced H2D leg, so the drain
 neither re-prices nor re-resolves a plan.
 """
@@ -102,7 +103,7 @@ class BASPEngine(Engine):
     def run(self, ctx: RunContext) -> RunResult:
         core = RoundCore(self, ctx)
         app, cost, tracer, stats = core.app, core.cost, core.tracer, core.stats
-        P, plan, topology, netmode = core.P, core.plan, core.topology, core.netmode
+        P, plan, topology, hier = core.P, core.plan, core.topology, core.hier
         gated = not core.comm.config.update_only  # AS: send only dirty fields
         # per-partition buffers of activated IDs awaiting the next local round
         pending = [[f] if len(f) else [] for f in core.frontier]
@@ -257,27 +258,19 @@ class BASPEngine(Engine):
                 device_t[p] += float(send_cost.sum())
                 did_work = True
 
-                if netmode:
-                    # on the absolute clock: resource queues persist across
-                    # the run, and one flush can mix fields and phases, so
-                    # aggregates key on them too
-                    net = router.schedule_network(
-                        pr, departs, core.hier,
-                        [(b.field, b.phase) for b in flush for _ in range(len(b))],
-                    )
-                    arrivals = net.done
-                    wire_n = n_out - net.messages_saved
-                    inter_n = net.inter_host_messages
-                    wire_bytes = float(pr.scaled_bytes.sum()) - net.saved_bytes
-                    stats.hier_aggregates += net.aggregates
-                else:
-                    arrivals = departs + pr.inter
-                    wire_n, inter_n, wire_bytes = core.flat_wire(pr)
-                stats.comm_volume_bytes += wire_bytes
-                stats.num_messages += wire_n
-                stats.inter_host_messages += inter_n
+                # on the absolute clock: resource queues persist across the
+                # run, and one flush can mix fields and phases, so
+                # aggregates key on them too
+                keys = [
+                    (b.field, b.phase) for b in flush for _ in range(len(b))
+                ] if hier else None
+                net = router.schedule_network(pr, departs, hier, keys)
+                stats.comm_volume_bytes += net.wire_bytes
+                stats.num_messages += net.wire_messages
+                stats.inter_host_messages += net.inter_host_messages
+                stats.hier_aggregates += net.aggregates
                 # split the flush into in-flight records, in batch order
-                arrivals, h2d = arrivals.tolist(), pr.h2d.tolist()
+                arrivals, h2d = net.done.tolist(), pr.h2d.tolist()
                 i = 0
                 for batch in flush:
                     key = (batch.field, batch.phase)

@@ -86,7 +86,7 @@ class BSPEngine(Engine):
     def run(self, ctx: RunContext) -> RunResult:
         core = RoundCore(self, ctx)
         app, cost, tracer, stats = core.app, core.cost, core.tracer, core.stats
-        P, plan, hier, netmode = core.P, core.plan, core.hier, core.netmode
+        P, plan, hier = core.P, core.plan, core.hier
         data_driven = not core.topology
         frontier = core.frontier
 
@@ -185,28 +185,21 @@ class BSPEngine(Engine):
                 pr = core.price(batch)
                 np.add.at(send_t, pr.src, pr.extraction + pr.d2h)
                 np.add.at(recv_t, pr.dst, pr.h2d)
-                if netmode:
-                    # a BSP sync step is single-field single-phase, so
-                    # aggregates key on (src host, dst host) alone
-                    net = cost.router.route_step(pr, hierarchical=hier)
-                    np.add.at(inter_m, (pr.src, pr.dst), net.eff_inter)
-                    step_bytes = float(pr.scaled_bytes.sum()) - net.saved_bytes
-                    step_wire = len(batch) - net.messages_saved
-                    n_inter_host += net.inter_host_messages
-                    n_aggregates += net.aggregates
-                    if net.aggregates:
-                        base = f"comm.hier.{field}"
-                        tracer.count(f"{base}.aggregates", net.aggregates)
-                        tracer.count(f"{base}.messages_saved", net.messages_saved)
-                else:
-                    np.add.at(inter_m, (pr.src, pr.dst), pr.inter)
-                    step_wire, step_inter, step_bytes = core.flat_wire(pr)
-                    n_inter_host += step_inter
+                # a BSP sync step is single-field single-phase, so
+                # aggregates key on (src host, dst host) alone
+                net = cost.router.route_step(pr, hierarchical=hier)
+                np.add.at(inter_m, (pr.src, pr.dst), net.eff_inter)
+                n_inter_host += net.inter_host_messages
+                n_aggregates += net.aggregates
+                if net.aggregates:
+                    base = f"comm.hier.{field}"
+                    tracer.count(f"{base}.aggregates", net.aggregates)
+                    tracer.count(f"{base}.messages_saved", net.messages_saved)
                 has_msg[pr.src, pr.dst] = True
-                comm_bytes += step_bytes
-                n_msgs += step_wire
+                comm_bytes += net.wire_bytes
+                n_msgs += net.wire_messages
                 core.apply(batch, candidates)
-                tracer.end(s_ev, messages=len(batch), bytes=step_bytes)
+                tracer.end(s_ev, messages=len(batch), bytes=net.wire_bytes)
 
             # ---------------- round timing ------------------------------ #
             # with overlap, part of the host-device traffic hides under the

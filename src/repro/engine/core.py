@@ -14,7 +14,12 @@ Every synchronized field lives in one flat array (``views[field]``, a
 operators write in place.  The sync stages work a batch at a time:
 ``extract`` returns one ``SendBatch`` for a range of senders, ``price``
 prices its columns, ``apply`` delivers a whole step and ``deliver`` what
-one receiver drained.  They reach the comm and cost layers through the
+one receiver drained.  The network leg is the router's: each engine makes
+one ``Router`` call per priced batch (``route_step`` for a BSP step,
+``schedule_network`` for a BASP flush), and the router returns the flat
+schedule in one vectorized pass when nothing aggregates or queues — the
+advisor's flat pricing (``CostModel.price_round``) runs no per-message
+loop either.  They reach the comm and cost layers through the
 instance (``self.comm.apply_reduce``, ``self.cost.router.price_batch``,
 ...) at call time, never through a bound method captured earlier — the
 layered benchmark shims those names on the classes.
@@ -141,14 +146,9 @@ class RoundCore:
         self.activating = app.activating_fields()
         self.topology = app.driven != "data"
 
-        # host-aware communication: two-level sync and/or shared-resource
-        # queues reroute the network legs through the router's one
-        # scheduler, ``Router.schedule_network`` (a BSP step on its own
-        # relative timeline via ``route_step``, a BASP flush on the absolute
-        # clock); with both off the flat per-message pricing is used untouched
+        # two-level sync: the router's one network-leg scheduler
+        # (``Router.schedule_network``) aggregates cross-host messages
         self.hier = self.comm.config.hierarchical
-        self.netmode = self.hier or self.cost.router.contention is not None
-        self.host_of = self.cost.router.host_of
 
         # (field, phase) -> may several in-flight records to one receiver
         # be applied as one delivery?  Reductions and min/max merges
@@ -262,13 +262,6 @@ class RoundCore:
         """Price a batch (a BSP sync step, a BASP flush) in one vectorized
         pass."""
         return self.cost.router.price_batch(batch)
-
-    def flat_wire(self, pr) -> tuple[int, int, float]:
-        """``(wire messages, inter-host messages, wire bytes)`` of a priced
-        batch when nothing aggregates or queues (``netmode`` off)."""
-        host_of = self.host_of
-        inter = int(np.count_nonzero(host_of[pr.src] != host_of[pr.dst]))
-        return len(pr.src), inter, float(pr.scaled_bytes.sum())
 
     def _apply(self, field, phase, batch) -> np.ndarray:
         """Apply a batch; the flat positions that changed when the field

@@ -169,9 +169,11 @@ class CostModel:
         straggler partition's kernel, the router's ``price_batch`` +
         ``route_step`` for the (flat) sync step, per-device serialization
         via :func:`serialize_seconds_by_device`, and ``allreduce_time``
-        for the fixed round overhead.  This is the single entry point the
-        advisor and tests consume; it adds no pricing formulas of its
-        own.
+        for the fixed round overhead.  On a cluster without a contention
+        model ``route_step`` returns the flat schedule in one vectorized
+        pass, so the advisor's pricing runs no per-message loop.  This is
+        the single entry point the advisor and tests consume; it adds no
+        pricing formulas of its own.
         """
         compute = self.compute_time(pid, frontier_degrees, extra_vertices)
         sync = 0.0

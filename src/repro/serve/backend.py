@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.registry import SYMMETRIC_APPS
+from repro.check import current_check_level
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutableGraph
 from repro.graph.store import write_csr_store
@@ -46,6 +47,13 @@ from repro.runtime.cells import CellSpec, SystemSpec
 from repro.serve.incremental import DELTA_APPS, incremental_run
 
 __all__ = ["ExecBackend", "ExecResult", "ExecTask"]
+
+#: the simulated cluster and execution model every served run uses
+PLATFORM = "bridges"
+EXECUTION = "sync"
+#: floor for any charged simulated cost (seconds)
+MIN_SIM_COST = 1e-6
+
 
 @dataclass(frozen=True)
 class ExecTask:
@@ -103,17 +111,7 @@ class ExecBackend:
 
     executor: object  # SweepExecutor
     spool_dir: str
-    policy: str = "oec"
-    parts: int = 2
-    platform: str = "bridges"
-    execution: str = "sync"
-    incremental: bool = True
-    patch_mode: str = "auto"  # "auto" | "never"
-    patch_threshold: float = 1.5
-    #: floor for any charged simulated cost (seconds)
-    min_sim_cost: float = 1e-6
-    #: re-run every delta through the full path and assert bit-identity
-    verify_incremental: bool = False
+    config: object  # the service's ServeConfig
 
     def __post_init__(self) -> None:
         os.makedirs(self.spool_dir, exist_ok=True)
@@ -138,12 +136,12 @@ class ExecBackend:
         return f"store+ram:{path}"
 
     def _patching_enabled(self) -> bool:
-        if self.patch_mode != "auto":
+        if self.config.patch_mode != "auto":
             return False
         # patched placements break per-policy placement checkers on
         # purpose; never plant them under an active check level
         # (CheckLevel is an IntEnum: OFF == 0 is falsy)
-        return not getattr(self.executor, "check", None)
+        return not current_check_level()
 
     def _maybe_patch(self, task: ExecTask) -> str:
         """Repartition-vs-patch for the directed-graph partition key."""
@@ -152,19 +150,18 @@ class ExecBackend:
         state = self._pstate.get(task.graph_id)
         if state is None or state.version >= task.version:
             return ""
+        policy, parts = self.config.policy, self.config.parts
         cache = get_cache()
-        if cache.get(task.snapshot, self.policy, self.parts) is not None:
+        if cache.get(task.snapshot, policy, parts) is not None:
             return ""  # a sibling already decided for this content
         vo = state.vertex_owner
         if len(vo) != task.snapshot.num_vertices:
             return ""  # vertex set moved (not expected; be safe)
         edge_owner = vo[task.snapshot.edge_sources()]
-        patched = build_partitions(
-            task.snapshot, vo, edge_owner, self.parts, self.policy
-        )
+        patched = build_partitions(task.snapshot, vo, edge_owner, parts, policy)
         balance = partition_stats(patched).static_balance
-        if balance <= self.patch_threshold * max(state.baseline_balance, 1.0):
-            cache.put(task.snapshot, self.policy, self.parts, patched)
+        if balance <= self.config.patch_threshold * max(state.baseline_balance, 1.0):
+            cache.put(task.snapshot, policy, parts, patched)
             self.patches += 1
             return "patch"
         self.repartitions += 1
@@ -174,7 +171,7 @@ class ExecBackend:
         """Remember the partitioning the engine actually used."""
         if task.app in SYMMETRIC_APPS:
             return
-        pg = get_cache().get(task.snapshot, self.policy, self.parts)
+        pg = get_cache().get(task.snapshot, self.config.policy, self.config.parts)
         if pg is None:
             return
         state = self._pstate.get(task.graph_id)
@@ -190,7 +187,7 @@ class ExecBackend:
 
     # ------------------------------------------------------------------ #
     def _try_delta(self, task: ExecTask) -> ExecResult | None:
-        if not self.incremental or task.app not in DELTA_APPS:
+        if not self.config.incremental or task.app not in DELTA_APPS:
             return None
         prior = self._prior.get((task.graph_id, task.app, task.params))
         if prior is None or prior.version > task.version:
@@ -202,7 +199,7 @@ class ExecBackend:
         if res.labels is None:
             return None  # fall through to the full path; reason recorded
         ratio = res.work_edges / max(task.snapshot.num_edges, 1)
-        cost = max(prior.full_cost * ratio, self.min_sim_cost)
+        cost = max(prior.full_cost * ratio, MIN_SIM_COST)
         self.delta_runs += 1
         self._prior[(task.graph_id, task.app, task.params)] = _Prior(
             task.version, task.snapshot, res.labels, prior.full_cost
@@ -216,12 +213,12 @@ class ExecBackend:
         return CellSpec(
             key=(task.graph_id, task.app, task.params, task.version),
             system=SystemSpec.dirgl(
-                policy=self.policy, execution=self.execution
+                policy=self.config.policy, execution=EXECUTION
             ),
             benchmark=task.app,
             dataset=self._spill(task.snapshot),
-            num_gpus=self.parts,
-            platform=self.platform,
+            num_gpus=self.config.parts,
+            platform=PLATFORM,
             check_memory=False,
             ctx_overrides=task.params,
             keep_labels=True,
@@ -261,7 +258,7 @@ class ExecBackend:
                 task = tasks[i]
                 self.engine_runs += 1
                 if out.ok:
-                    cost = max(out.stats.execution_time, self.min_sim_cost)
+                    cost = max(out.stats.execution_time, MIN_SIM_COST)
                     res = ExecResult(
                         "full", cost, labels=out.labels,
                         labels_crc=out.labels_crc,
@@ -274,7 +271,7 @@ class ExecBackend:
                     self._record_pstate(task, decisions[i])
                 else:
                     res = ExecResult(
-                        "full", self.min_sim_cost, failure=out.failure,
+                        "full", MIN_SIM_COST, failure=out.failure,
                         failure_kind=out.failure_kind,
                         partition_decision=decisions[i],
                     )
@@ -284,7 +281,7 @@ class ExecBackend:
                 self._memo[memo_key] = res
                 results[i] = res
 
-        if self.verify_incremental and deltas:
+        if self.config.verify_incremental and deltas:
             self._verify(tasks, deltas)
         return results  # type: ignore[return-value]
 

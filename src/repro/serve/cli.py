@@ -159,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         max_queue_depth=args.max_queue_depth,
         policy=args.policy,
         parts=args.parts,
-        client_weights=dict(traffic.client_weights),
         verify_incremental=args.verify_incremental,
     )
     if args.naive:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,10 +40,14 @@ from repro.serve.traffic import MutationEvent, Request, ServeTrace, batch_from_e
 
 __all__ = ["AnalyticsService", "ServeConfig", "ServeReport"]
 
+#: simulated seconds charged for a result-cache hit
+CACHE_COST = 1e-4
+
 
 @dataclass
 class ServeConfig:
-    """Service policy knobs (the traffic shape lives in TrafficConfig)."""
+    """Service policy knobs (the traffic shape, per-client WFQ weights
+    included, lives in TrafficConfig)."""
 
     workers: int = 2
     max_queue_depth: int = 64
@@ -52,13 +56,9 @@ class ServeConfig:
     incremental: bool = True
     policy: str = "oec"
     parts: int = 2
-    platform: str = "bridges"
-    execution: str = "sync"
-    patch_mode: str = "auto"
+    patch_mode: str = "auto"  # "auto" | "never"
     patch_threshold: float = 1.5
-    #: simulated seconds charged for a result-cache hit
-    cache_cost: float = 1e-4
-    client_weights: dict = field(default_factory=dict)
+    #: re-run every delta through the full path and assert bit-identity
     verify_incremental: bool = False
 
     @classmethod
@@ -145,22 +145,9 @@ class AnalyticsService:
 
     def __init__(self, config: ServeConfig, executor, spool_dir: str):
         self.config = config
-        self.backend = ExecBackend(
-            executor,
-            spool_dir,
-            policy=config.policy,
-            parts=config.parts,
-            platform=config.platform,
-            execution=config.execution,
-            incremental=config.incremental,
-            patch_mode=config.patch_mode,
-            patch_threshold=config.patch_threshold,
-            verify_incremental=config.verify_incremental,
-        )
+        self.backend = ExecBackend(executor, spool_dir, config)
         self.admission = AdmissionController(config.max_queue_depth)
         self.wfq = WFQQueue()
-        for client, weight in sorted(config.client_weights.items()):
-            self.wfq.set_weight(client, weight)
         self._free = config.workers
         self._events: list = []  # (time, seq, kind, payload)
         self._seq = 0
@@ -196,6 +183,8 @@ class AnalyticsService:
 
     # ------------------------------------------------------------------ #
     def run(self, trace: ServeTrace) -> ServeReport:
+        for client, weight in sorted(trace.config.client_weights.items()):
+            self.wfq.set_weight(client, weight)
         self._graphs = trace.build_graphs()
         for ev in trace.events():
             kind = "request" if isinstance(ev, Request) else "mutation"
@@ -234,7 +223,7 @@ class AnalyticsService:
         if hit is not None:
             self.cache_hits += 1
             self._push(
-                round(now + self.config.cache_cost, 9), "completion",
+                round(now + CACHE_COST, 9), "completion",
                 _Done([req], "cached", hit[0], consumed_worker=False),
             )
             return
@@ -281,7 +270,7 @@ class AnalyticsService:
                 self.cache_hits += 1
                 del self._pending[ex.key]
                 self._push(
-                    round(now + self.config.cache_cost, 9), "completion",
+                    round(now + CACHE_COST, 9), "completion",
                     _Done(ex.requests, "cached", hit[0],
                           consumed_worker=False),
                 )

@@ -12,6 +12,8 @@ Three concerns, matching the ISSUE acceptance criteria:
   labels never change and runs only get slower.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,15 +122,33 @@ class TestHostAwareSerialization:
 # flat equivalence: contention/hier off reproduce the flat model bitwise
 # --------------------------------------------------------------------------- #
 class TestFlatEquivalence:
+    @staticmethod
+    def assert_same_legs(flat, general):
+        assert flat.aggregates == 0 and flat.messages_saved == 0
+        assert np.array_equal(flat.eff_inter, general.eff_inter)
+        assert flat[2:] == general[2:]  # every count
+
     def test_route_step_reproduces_flat_inter(self):
-        router = Router(bridges(8))
-        messages = [msg(0, 1), msg(0, 2), msg(2, 3), msg(5, 0),
-                    msg(4, 4), msg(7, 6), msg(1, 5)]
-        pr = router.price_batch(messages)
-        net = router.route_step(pr)
-        assert np.array_equal(net.eff_inter, pr.inter)
-        assert net.aggregates == 0
-        assert net.messages_saved == 0
+        # the flat return against the general scheduler where the two
+        # must agree: two-level sync on one host has no cross-host
+        # message to fold
+        messages = [msg(0, 1), msg(0, 2, n=640), msg(2, 3), msg(3, 0, n=8),
+                    msg(1, 1), msg(2, 1, scanned=64), msg(0, 3)]
+        ready = np.cumsum(np.linspace(1e-6, 4e-6, len(messages)))
+        for gpudirect in (False, True):
+            router = Router(
+                replace(tuxedo(4), gpudirect=gpudirect), volume_scale=3.0
+            )
+            pr = router.price_batch(messages)
+            # route_step's flat return times no up leg, so only its legs
+            # and counts share the general schedule's step timeline
+            self.assert_same_legs(
+                router.route_step(pr), router.route_step(pr, hierarchical=True)
+            )
+            flat = router.schedule_network(pr, ready)
+            general = router.schedule_network(pr, ready, hierarchical=True)
+            self.assert_same_legs(flat, general)
+            assert np.array_equal(flat.done, general.done)
 
     def test_disabled_config_normalizes_to_none(self):
         cluster = bridges(4, contention=ContentionConfig(enabled=False))

@@ -195,6 +195,44 @@ class TestService:
         )
 
 
+class TestEachSettingHasOneRoute:
+    """A setting reaches the service one way, so the route that installed
+    it cannot change a decision."""
+
+    def test_patch_gate_reads_the_ambient_check_level(self):
+        # patching is off under any check level, whether ``run_trace``
+        # installed it or the caller did
+        from repro.check import use_check_level
+
+        trace = generate_trace(TrafficConfig(
+            seed=11, num_clients=4, num_requests=60, mean_interarrival=0.002,
+            apps=("bfs", "cc", "pr", "sssp"), graphs=((8, 8.0),),
+            mutate_every=5,
+        ))
+        config = ServeConfig(workers=2, parts=4)
+        by_argument = run_trace(trace, config, jobs=1, check="cheap")
+        with use_check_level("cheap"):
+            ambient = run_trace(trace, config, jobs=1)
+        assert by_argument.counters["patches"] == 0
+        assert ambient.counters["patches"] == 0
+
+    def test_trace_weights_reach_wfq(self):
+        # one worker, a burst of arrivals: the queue is deep, so a weight
+        # on c0 must pull its executions forward
+        shape = dict(
+            seed=3, num_clients=4, num_requests=80, mean_interarrival=1e-7,
+            apps=("bfs", "cc"), graphs=((9, 8.0),), mutate_every=0,
+        )
+        config = ServeConfig.naive(workers=1)
+
+        def c0_latency(**weights):
+            trace = generate_trace(TrafficConfig(**shape, **weights))
+            report = run_trace(trace, config, jobs=1)
+            return report.per_client["c0"]["mean_latency"]
+
+        assert c0_latency(client_weights={"c0": 8.0}) < c0_latency()
+
+
 class TestRunTraceLeavesNoTrace:
     def test_own_spool_restores_the_partition_cache_it_found(
         self, trace, tmp_path
