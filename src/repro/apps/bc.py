@@ -86,7 +86,7 @@ class BrandesForward(VertexProgram):
         dist = np.full(part.num_local, INF, dtype=np.uint32)
         sigma = np.zeros(part.num_local, dtype=np.float64)
         if ctx.source is not None:
-            l = part.global_to_local[ctx.source]
+            l = part.to_local(ctx.source)
             if l >= 0:
                 dist[l] = 0
                 sigma[l] = 1.0
@@ -100,7 +100,7 @@ class BrandesForward(VertexProgram):
     def initial_frontier(self, part, ctx, state):
         if ctx.source is None:
             return _EMPTY
-        l = part.global_to_local[ctx.source]
+        l = part.to_local(ctx.source)
         return np.asarray([l], dtype=np.int64) if l >= 0 else _EMPTY
 
     def compute(self, part, ctx, state, frontier) -> RoundOutput:

@@ -44,7 +44,7 @@ class BFS(VertexProgram):
     def init_state(self, part: LocalPartition, ctx: RunContext):
         dist = np.full(part.num_local, INF, dtype=np.uint32)
         if ctx.source is not None:
-            l = part.global_to_local[ctx.source]
+            l = part.to_local(ctx.source)
             if l >= 0:
                 dist[l] = 0
         return {"dist": dist}
@@ -52,7 +52,7 @@ class BFS(VertexProgram):
     def initial_frontier(self, part, ctx, state):
         if ctx.source is None:
             return _EMPTY
-        l = part.global_to_local[ctx.source]
+        l = part.to_local(ctx.source)
         return np.asarray([l], dtype=np.int64) if l >= 0 else _EMPTY
 
     def compute(self, part, ctx, state, frontier) -> RoundOutput:

@@ -96,7 +96,7 @@ class CCPointerJump(CC):
         # local pointer jumping: follow comp one hop where the pointee has a
         # local proxy (vectorized; purely an accelerator, labels stay valid
         # upper bounds of the final minimum).
-        ptr = part.global_to_local[comp.astype(np.int64)]
+        ptr = part.to_local(comp)
         valid = ptr >= 0
         shorter = np.flatnonzero(valid & (comp[np.maximum(ptr, 0)] < comp))
         if len(shorter):

@@ -10,8 +10,9 @@
   cumulative budget only grows).  Accumulator fields are exempt — they
   reset by design.
 * :func:`check_operator_ids` (CHEAP, per operator output): reported local
-  ids lie in ``[0, num_local)`` — ``global_to_local`` answers ``-1`` for a
-  foreign vertex and NumPy would wrap it to the partition's *last* proxy.
+  ids lie in ``[0, num_local)`` — ``LocalPartition.to_local`` answers
+  ``-1`` for a foreign vertex and NumPy would wrap it to the partition's
+  *last* proxy.
 * :func:`check_field_views` (CHEAP, at run set-up and tear-down): every
   ``state[p][field]`` is still a view of the field's flat array; a rebound
   one is an array no sync step reads or writes.

@@ -113,12 +113,10 @@ def _check_cheap(pg: PartitionedGraph) -> None:
                 f"partition {p.pid}: local_to_global is not strictly "
                 "increasing",
             )
-        if not np.array_equal(
-            p.global_to_local[l2g], np.arange(len(l2g), dtype=p.global_to_local.dtype)
-        ):
+        if not np.array_equal(p.to_local(l2g), np.arange(len(l2g))):
             _fail(
                 "global-to-local",
-                f"partition {p.pid}: global_to_local is not the inverse of "
+                f"partition {p.pid}: to_local is not the inverse of "
                 "local_to_global",
             )
         expect_master = owner[l2g] == p.pid

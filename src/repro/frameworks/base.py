@@ -18,7 +18,7 @@ from repro.apps import get_app
 from repro.comm.gluon import CommConfig
 from repro.engine import BASPEngine, BSPEngine, RunContext, RunResult
 from repro.engine.bsp import check_executor
-from repro.errors import UnsupportedFeatureError
+from repro.errors import ConfigurationError, UnsupportedFeatureError
 from repro.generators.datasets import Dataset
 from repro.hw.cluster import Cluster, bridges, tuxedo
 from repro.hw.memory import MemoryProfile, DIRGL_PROFILE
@@ -124,6 +124,14 @@ class Framework(ABC):
                 global_degrees=sym_deg,
             )
         defaults.update(overrides)
+        source, n = defaults["source"], graph.num_vertices
+        if source is not None and not 0 <= source < n:
+            # no partition holds it: to_local's -1 would run the app from
+            # no source at all
+            raise ConfigurationError(
+                f"source vertex {source} is not a vertex of "
+                f"{dataset.name!r} (|V| = {n})"
+            )
         return RunContext(**defaults)
 
     # ------------------------------------------------------------------ #

@@ -269,11 +269,13 @@ def expand_drops_last_edge():
 
 
 def operator_emits_minus_one():
-    """An operator that forgot ``global_to_local``'s ``l >= 0`` filter:
-    its updated set carries the ``-1`` of a vertex the partition does not
-    hold.  NumPy wraps it, so unchecked the partition's *last* proxy is
-    marked dirty and shipped.  Caught by the CHEAP ``operator-ids``
-    checker on the first round that updates anything.
+    """An operator that forgot the ``l >= 0`` filter on
+    :meth:`~repro.partition.base.LocalPartition.to_local`: its updated
+    set carries the ``-1`` ``to_local`` answers for a vertex the
+    partition does not hold (here ``|V|``, which no partition holds).
+    NumPy wraps it, so unchecked the partition's *last* proxy is marked
+    dirty and shipped.  Caught by the CHEAP ``operator-ids`` checker on
+    the first round that updates anything.
     """
     from repro.apps.bfs import BFS
 
@@ -283,7 +285,8 @@ def operator_emits_minus_one():
         out = orig(self, part, ctx, state, frontier)
         for name, ids in out.updated.items():
             if len(ids):
-                out.updated[name] = np.append(ids, -1)
+                foreign = part.to_local(ctx.num_global_vertices)
+                out.updated[name] = np.append(ids, foreign)
         return out
 
     return _planted(BFS, "compute", bad)

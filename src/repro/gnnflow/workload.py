@@ -243,7 +243,7 @@ class GNNFlow(VertexProgram):
         seeds = _minibatch(cfg, num_global, rnd)
         if not len(seeds):
             return _EMPTY
-        lids = part.global_to_local[seeds]
+        lids = part.to_local(seeds)
         return np.sort(lids[lids >= 0]).astype(np.int64)
 
     def initial_frontier(self, part, ctx, state):

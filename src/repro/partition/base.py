@@ -41,9 +41,8 @@ class LocalPartition:
     graph:
         local CSR over dense local vertex IDs ``0..num_local-1``.
     local_to_global:
-        global ID of each local vertex.
-    global_to_local:
-        inverse map over the *full* global ID space (-1 = not present).
+        global ID of each local vertex, strictly ascending; its inverse is
+        :meth:`to_local`.
     is_master:
         per-local-vertex flag; exactly one partition holds the master of
         each global vertex.
@@ -62,7 +61,6 @@ class LocalPartition:
     pid: int
     graph: CSRGraph
     local_to_global: np.ndarray
-    global_to_local: np.ndarray
     is_master: np.ndarray
     mirror_exchange: dict[int, np.ndarray] = field(default_factory=dict)
     master_exchange: dict[int, np.ndarray] = field(default_factory=dict)
@@ -90,6 +88,19 @@ class LocalPartition:
 
     def has_in_edges(self) -> np.ndarray:
         return self.graph.in_degrees() > 0
+
+    def to_local(self, gids):
+        """Local IDs of the global vertices ``gids`` (a scalar or an
+        array), ``-1`` for a vertex this partition holds no proxy of — an
+        out-of-range ID included.  One ``searchsorted`` over the ascending
+        ``local_to_global``, so it costs O(log num_local) a lookup and no
+        ``|V|``-long array."""
+        l2g = self.local_to_global
+        gids = np.asarray(gids)
+        if not len(l2g):
+            return np.full(gids.shape, -1, dtype=VID_DTYPE)[()]
+        pos = np.minimum(np.searchsorted(l2g, gids), len(l2g) - 1)
+        return np.where(l2g[pos] == gids, pos, -1).astype(VID_DTYPE)[()]
 
     def masters_global(self) -> np.ndarray:
         return self.local_to_global[self.is_master]
@@ -224,9 +235,13 @@ def build_partitions(
     ascend in CSR order (OEC, any P=1), else by a stable radix ``argsort``
     of the owners.  A partition's proxy set is read off one reused ``|V|``
     flag array (owned vertices, then both endpoints of its edges), so
-    ``local_to_global`` comes out sorted and ``global_to_local`` monotone: a
-    bucket of a (src, dst)-ordered CSR stays ordered after relabeling and
+    ``local_to_global`` comes out sorted and relabeling monotone: a bucket
+    of a (src, dst)-ordered CSR stays ordered after relabeling and
     ``from_edges`` sorts only the buckets of rows that are not dst-sorted.
+    The relabeling reads one reused ``|V|`` scratch map, written only at
+    the partition's own ``local_to_global``: O(local) a partition, and no
+    partition keeps a ``|V|``-long array (the exchange lists reuse the
+    same map once every bucket is relabeled).
     """
     n = graph.num_vertices
     vertex_owner = np.asarray(vertex_owner, dtype=np.int32)
@@ -255,6 +270,10 @@ def build_partitions(
         del order
     bounds = np.concatenate(([0], np.cumsum(count_ids(edge_owner, num_partitions))))
     flag = np.zeros(n, dtype=bool)
+    # never reset: a bucket's endpoints all lie in its own l2g, which is
+    # written before it is read, so an earlier partition's entries are
+    # never gathered
+    scratch = np.empty(n, dtype=VID_DTYPE)
 
     parts: list[LocalPartition] = []
     for p in range(num_partitions):
@@ -263,11 +282,10 @@ def build_partitions(
         flag[src[lo:hi]] = True
         flag[dst[lo:hi]] = True
         l2g = np.flatnonzero(flag)
-        g2l = np.full(n, -1, dtype=VID_DTYPE)
-        g2l[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
+        scratch[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
 
         local = from_edges(
-            g2l[src[lo:hi]], g2l[dst[lo:hi]], num_vertices=len(l2g),
+            scratch[src[lo:hi]], scratch[dst[lo:hi]], num_vertices=len(l2g),
             weights=None if weights is None else weights[lo:hi],
             name=f"{graph.name}/p{p}",
         )
@@ -276,12 +294,11 @@ def build_partitions(
                 pid=p,
                 graph=local,
                 local_to_global=l2g,
-                global_to_local=g2l,
                 is_master=(vertex_owner[l2g] == p),
             )
         )
 
-    _build_exchange_lists(parts, vertex_owner)
+    _build_exchange_lists(parts, vertex_owner, scratch)
     return PartitionedGraph(
         policy=policy,
         global_graph=graph,
@@ -291,14 +308,21 @@ def build_partitions(
     )
 
 
-def _build_exchange_lists(parts: list[LocalPartition], vertex_owner: np.ndarray) -> None:
+def _build_exchange_lists(
+    parts: list[LocalPartition], vertex_owner: np.ndarray, master_local: np.ndarray
+) -> None:
     """Memoize the per-pair exchange orders (Gluon's address elision).
 
     For each partition p and each master-owner q, p's mirrors of q's masters
-    are listed sorted by global ID; q derives the matching master-side index
-    list from its ``global_to_local``.  Both sides then agree on order
-    forever, so messages carry no addresses.
+    are listed sorted by global ID; q's matching master-side index list is
+    read off ``master_local``, the build's ``|V|`` scratch map rewritten to
+    hold every vertex's local ID on the partition that owns it (each vertex
+    has exactly one master, so every entry is written).  Both sides then
+    agree on order forever, so messages carry no addresses.
     """
+    for q in parts:
+        masters = np.flatnonzero(q.is_master)
+        master_local[q.local_to_global[masters]] = masters
     for p in parts:
         mirror_l = np.flatnonzero(~p.is_master)
         if len(mirror_l) == 0:
@@ -318,10 +342,4 @@ def _build_exchange_lists(parts: list[LocalPartition], vertex_owner: np.ndarray)
             locs = mirror_l[grp]
             gids = p.local_to_global[locs]
             p.mirror_exchange[q] = locs.astype(VID_DTYPE)
-            qpart = parts[q]
-            qlocs = qpart.global_to_local[gids]
-            if np.any(qlocs < 0):  # pragma: no cover - defensive
-                raise PartitioningError(
-                    f"partition {q} lacks master proxies for its own vertices"
-                )
-            qpart.master_exchange[p.pid] = qlocs.astype(VID_DTYPE)
+            parts[q].master_exchange[p.pid] = master_local[gids]

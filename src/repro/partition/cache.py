@@ -30,7 +30,6 @@ from repro.partition.base import PartitionedGraph
 from repro.partition.io import (
     load_partition_shards,
     load_partitions,
-    save_partition_shards,
     save_partitions,
 )
 
@@ -47,6 +46,10 @@ log = logging.getLogger("repro.partition.cache")
 
 #: what a cache entry's file name ends in
 _SUFFIX = ".parts"
+
+#: a name ``benchmarks/perf/layers.py`` wraps; a spill has no layout of
+#: its own, so every entry is written by :func:`save_partitions`
+save_partition_shards = save_partitions
 
 
 @dataclass
@@ -81,8 +84,8 @@ class PartitionCache:
 
     max_entries: int = 64
     cache_dir: str | None = None
-    #: store ``global_to_local`` too and load entries as memmap views
-    #: instead of into RAM — the out-of-core sweep path
+    #: load disk entries as read-only memmap views instead of reading them
+    #: into RAM (the out-of-core sweep path); the file is the same either way
     spill_shards: bool = False
     stats: CacheStats = field(default_factory=CacheStats)
 
@@ -226,10 +229,7 @@ class PartitionCache:
         tracer = obs.current_tracer()
         ev = tracer.begin("cache.store", "cache")
         try:
-            if self.spill_shards:
-                save_partition_shards(pg, path)
-            else:
-                save_partitions(pg, path)
+            save_partitions(pg, path)
         except OSError as e:  # disk full / permissions: cache is best-effort
             log.warning("could not persist partitions to %s: %s", path, e)
             tracer.end(ev, outcome="failed")
@@ -264,9 +264,9 @@ def configure(
     """Reconfigure the global cache (keeps accumulated stats at zero).
 
     Called by the sweep runtime's worker initializer so every worker in a
-    pool shares one on-disk store.  ``spill_shards`` stores
-    ``global_to_local`` with each entry and loads entries as memmap views
-    (the out-of-core path).
+    pool shares one on-disk store.  ``spill_shards`` loads disk entries as
+    memmap views instead of into RAM (the out-of-core path); it does not
+    change what is written.
     """
     global _global_cache
     _global_cache = PartitionCache(cache_dir=cache_dir, spill_shards=spill_shards)

@@ -21,8 +21,15 @@ each one starts —
   in partition order and, within a partition, in the dict's iteration
   order, which is what the loaded dicts iterate in again;
   ``mirror_idx`` / ``master_idx``: the lists themselves;
-* ``vertex_owner``; and in the spill variant ``g2l``, every partition's
-  ``|V|``-long inverse map.
+* ``vertex_owner``.
+
+There is one layout, whichever way it is read: :func:`load_partitions`
+copies it into RAM and checks every CRC, :func:`load_partition_shards`
+maps it.  Nothing in it, and nothing a load builds, is ``|V|`` long per
+partition — a partition answers global-to-local lookups from its
+ascending ``l2g`` (:meth:`~repro.partition.base.LocalPartition.to_local`).
+A file an older writer gave a ``g2l`` section (every partition's
+``|V|``-long inverse map) loads the same way; the section is not read.
 """
 
 from __future__ import annotations
@@ -31,8 +38,7 @@ import os
 
 import numpy as np
 
-from repro.constants import VID_DTYPE
-from repro.errors import GraphFormatError, PartitioningError
+from repro.errors import PartitioningError
 from repro.graph.container import (
     ContainerFormat,
     ContainerWriter,
@@ -46,7 +52,6 @@ from repro.partition.base import LocalPartition, PartitionedGraph
 __all__ = [
     "save_partitions",
     "load_partitions",
-    "save_partition_shards",
     "load_partition_shards",
 ]
 
@@ -54,8 +59,9 @@ _FORMAT = ContainerFormat(b"repro-partition\n", 1, "partition file")
 _LAYOUT_SECTIONS = ("counts", "mirror_plan", "master_plan")
 
 
-def _write(pg: PartitionedGraph, path: str | os.PathLike, spill: bool) -> None:
-    """Stream ``pg`` into a container at ``path``, field by field.
+def save_partitions(pg: PartitionedGraph, path: str | os.PathLike) -> None:
+    """Stream every partition's structure into one container at ``path``,
+    field by field.
 
     No ``fsync``: partition files are scratch — a torn or flipped one fails
     its size / CRC check on load and is rebuilt.
@@ -69,8 +75,6 @@ def _write(pg: PartitionedGraph, path: str | os.PathLike, spill: bool) -> None:
     }
     if any(p.graph.has_weights for p in parts):
         fields["weights"] = lambda p: p.graph.weights
-    if spill:
-        fields["g2l"] = lambda p: p.global_to_local
     counts = np.array(
         [
             (p.num_local, p.graph.num_edges,
@@ -127,16 +131,14 @@ def _read(path: str | os.PathLike, graph: CSRGraph, mode: str) -> PartitionedGra
         raise PartitioningError(
             "partition file does not match the supplied graph"
         )
+    # an older writer's spill carried every partition's |V|-long inverse
+    # map as a "g2l" section; neither mode reads it
+    header["sections"].pop("g2l", None)
     if mode == "mmap":
-        if "g2l" not in header["sections"]:
-            raise GraphFormatError(
-                f"{path!r} has no g2l section: it was not saved as a spill"
-            )
         # the O(P^2) bytes every slice below is cut by; the payload's
         # CRCs would page the whole file in
         verify_sections(path, header, _LAYOUT_SECTIONS)
     sec = read_sections(path, header, mode, verify=mode == "ram")
-    n = graph.num_vertices
     counts = sec["counts"].reshape(-1, 4)
     v, e = _bounds(counts[:, 0]), _bounds(counts[:, 1])
     weights = sec.get("weights")
@@ -150,12 +152,6 @@ def _read(path: str | os.PathLike, graph: CSRGraph, mode: str) -> PartitionedGra
     parts = []
     for pid in range(len(counts)):
         v0, v1, e0, e1 = v[pid], v[pid + 1], e[pid], e[pid + 1]
-        l2g = sec["l2g"][v0:v1]
-        if "g2l" in sec:
-            g2l = sec["g2l"][pid * n : (pid + 1) * n]
-        else:
-            g2l = np.full(n, -1, dtype=VID_DTYPE)
-            g2l[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
         # trusted constructor: the arrays were written from a validated
         # partitioning and the container vouches for the bytes
         part = LocalPartition(
@@ -166,8 +162,7 @@ def _read(path: str | os.PathLike, graph: CSRGraph, mode: str) -> PartitionedGra
                 None if weights is None else weights[e0:e1],
                 name=f"{graph.name}/p{pid}",
             ),
-            local_to_global=l2g,
-            global_to_local=g2l,
+            local_to_global=sec["l2g"][v0:v1],
             is_master=sec["is_master"][v0:v1],
         )
         for side, (first, peers, at, idx) in exchange.items():
@@ -185,28 +180,16 @@ def _read(path: str | os.PathLike, graph: CSRGraph, mode: str) -> PartitionedGra
     )
 
 
-def save_partitions(pg: PartitionedGraph, path: str | os.PathLike) -> None:
-    """Write every partition's structure to one container file."""
-    _write(pg, path, spill=False)
-
-
 def load_partitions(path: str | os.PathLike, graph: CSRGraph) -> PartitionedGraph:
     """Restore a partitioning, CRC-verified and in RAM, against the graph
-    it was computed from (``global_to_local`` is rebuilt, not stored)."""
+    it was computed from."""
     return _read(path, graph, "ram")
-
-
-def save_partition_shards(pg: PartitionedGraph, path: str | os.PathLike) -> None:
-    """:func:`save_partitions` plus the ``g2l`` section: rebuilding
-    ``global_to_local`` on load costs O(|V|) *anonymous* memory per
-    partition, which is exactly what the out-of-core path must avoid."""
-    _write(pg, path, spill=True)
 
 
 def load_partition_shards(
     path: str | os.PathLike, graph: CSRGraph
 ) -> PartitionedGraph:
-    """Restore a spill with every array a read-only view of one
+    """Restore a partitioning with every array a read-only view of one
     ``np.memmap`` of the file: opening is O(P) — a worker touching only its
     cell's partitions pages in only those ranges, and clean pages are
     reclaimable under memory pressure.  Header and size are checked, the

@@ -125,8 +125,9 @@ class SweepExecutor:
         huge dataset still fans out.  Results stay in submission order.
     spill_shards:
         forwarded to :func:`repro.partition.cache.configure` in the
-        parent and every worker: entries that carry ``global_to_local``
-        and load as memmap views (the out-of-core path).
+        parent and every worker: disk entries load as read-only memmap
+        views instead of into RAM (the out-of-core path).  The file
+        written is the same either way.
     """
 
     def __init__(

@@ -277,7 +277,7 @@ def test_static_frontier_is_priced_once_and_its_declaration_checked(
 def test_field_views_and_operator_ids_are_checked(graph, engine_name, monkeypatch):
     """A field's state arrays are views of one flat array and operators
     report local ids: at CHEAP a rebound array fails ``field-views`` at
-    tear-down and a ``-1`` (``global_to_local``'s "not here", which NumPy
+    tear-down and a ``-1`` (``to_local``'s "not here", which NumPy
     would wrap to the last proxy) fails ``operator-ids`` where it is
     reported."""
     from repro.apps import get_app

@@ -87,10 +87,10 @@ class TestMinReduceRoundTrip:
         sync(comm, "dist", labels)
 
         owner = int(pg.vertex_owner[target_gid])
-        mloc = pg.parts[owner].global_to_local[target_gid]
+        mloc = pg.parts[owner].to_local(target_gid)
         assert labels[owner][mloc] == 7  # master reduced the write
         for p in pg.parts:
-            l = p.global_to_local[target_gid]
+            l = p.to_local(target_gid)
             if l >= 0 and p.has_out_edges()[l]:
                 assert labels[p.pid][l] == 7  # reader proxies got broadcast
 
@@ -104,20 +104,20 @@ class TestMinReduceRoundTrip:
         for v in range(g.num_vertices):
             holders = [
                 p for p in pg.parts
-                if p.global_to_local[v] >= 0
-                and p.has_in_edges()[p.global_to_local[v]]
+                if p.to_local(v) >= 0
+                and p.has_in_edges()[p.to_local(v)]
             ]
             if len(holders) >= 2:
                 gid = v
                 break
         assert gid is not None
         for k, p in enumerate(holders):
-            l = p.global_to_local[gid]
+            l = p.to_local(gid)
             labels[p.pid][l] = 100 + k
             comm.mark_updated("dist", p.pid, [l])
         sync(comm, "dist", labels)
         owner = int(pg.vertex_owner[gid])
-        assert labels[owner][pg.parts[owner].global_to_local[gid]] == 100
+        assert labels[owner][pg.parts[owner].to_local(gid)] == 100
 
     def test_changed_ids_reported(self, g):
         pg = partition(g, "iec", 2, cache=False)
@@ -276,9 +276,9 @@ class TestAccumulators:
         for v in range(g.num_vertices):
             holders = [
                 p for p in pg.parts
-                if p.global_to_local[v] >= 0
-                and not p.is_master[p.global_to_local[v]]
-                and p.has_in_edges()[p.global_to_local[v]]
+                if p.to_local(v) >= 0
+                and not p.is_master[p.to_local(v)]
+                and p.has_in_edges()[p.to_local(v)]
             ]
             if len(holders) >= 2:
                 gid = v
@@ -286,13 +286,13 @@ class TestAccumulators:
         if gid is None:
             pytest.skip("no multiply-mirrored writable vertex")
         for p in holders:
-            l = p.global_to_local[gid]
+            l = p.to_local(gid)
             labels[p.pid][l] += 1.0
             comm.mark_updated("r", p.pid, [l])
         owner = int(pg.vertex_owner[gid])
-        before = labels[owner][pg.parts[owner].global_to_local[gid]]
+        before = labels[owner][pg.parts[owner].to_local(gid)]
         sync(comm, "r", labels)
-        after = labels[owner][pg.parts[owner].global_to_local[gid]]
+        after = labels[owner][pg.parts[owner].to_local(gid)]
         assert after - before == pytest.approx(len(holders))
 
     def test_accumulator_reset_after_send(self, g):

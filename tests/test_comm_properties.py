@@ -59,7 +59,7 @@ def test_min_sync_equals_direct_combination(s):
     for v, val in writes:
         oracle[v] = min(oracle[v], val)
         for p in pg.parts:
-            l = p.global_to_local[v]
+            l = p.to_local(v)
             # a write lands wherever a dst-write could happen: proxies with
             # local in-edges, and always at the master
             if l >= 0 and (p.has_in_edges()[l] or p.is_master[l]):
@@ -89,14 +89,14 @@ def test_add_sync_accumulates_exactly(s):
         # write the delta at exactly one writable proxy (round-robin pick)
         holders = [
             p.pid for p in pg.parts
-            if p.global_to_local[v] >= 0
-            and (p.has_in_edges()[p.global_to_local[v]]
-                 or p.is_master[p.global_to_local[v]])
+            if p.to_local(v) >= 0
+            and (p.has_in_edges()[p.to_local(v)]
+                 or p.is_master[p.to_local(v)])
         ]
         if not holders:
             continue
         pid = holders[val % len(holders)]
-        l = pg.parts[pid].global_to_local[v]
+        l = pg.parts[pid].to_local(v)
         labels[pid][l] += val
         comm.mark_updated("acc", pid, [l])
         oracle[v] += val
@@ -120,7 +120,7 @@ def test_second_sync_moves_nothing_under_uo(s):
     )
     for v, val in writes:
         for p in pg.parts:
-            l = p.global_to_local[v]
+            l = p.to_local(v)
             if l >= 0 and (p.has_in_edges()[l] or p.is_master[l]):
                 if val < labels[p.pid][l]:
                     labels[p.pid][l] = val

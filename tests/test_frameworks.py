@@ -208,3 +208,28 @@ class TestContextPaysPerUse:
         np.testing.assert_array_equal(ctx.global_degrees, deg)
         assert ctx.k == max(2, int(np.median(deg)))
         assert fw.make_context(ds, fw.resolve_app(app_name), k=7).k == 7
+
+
+class TestSourceRange:
+    """A source outside ``[0, |V|)`` is a configuration error that names
+    the source and ``|V|``, not a run: every partition's ``to_local``
+    answers ``-1`` for it, which would run the app from no source."""
+
+    @pytest.mark.parametrize("source", [-1, 256])
+    @pytest.mark.parametrize("app_name", ["bfs", "sssp"])
+    def test_run_refuses_a_source_outside_the_graph(self, ds, app_name, source):
+        assert ds.graph.num_vertices == 256
+        with pytest.raises(ConfigurationError, match=rf"source vertex {source}\b.*256"):
+            DIrGL("oec").run(app_name, ds, 4, source=source)
+
+    @pytest.mark.parametrize("source", [-1, 256])
+    def test_bc_context_refuses_a_source_outside_the_graph(self, ds, source):
+        from repro.apps import BrandesForward
+
+        with pytest.raises(ConfigurationError, match=rf"source vertex {source}\b.*256"):
+            DIrGL("oec").make_context(ds, BrandesForward(), source=source)
+
+    def test_the_edges_of_the_range_still_run(self, ds):
+        for source in (0, 255):
+            labels = DIrGL("oec").run("bfs", ds, 4, source=source).labels
+            np.testing.assert_array_equal(labels, reference_bfs(ds.graph, source))

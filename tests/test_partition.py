@@ -155,7 +155,7 @@ class TestHVC:
         hub = int(np.argmax(crawl.in_degrees()))
         holders = set()
         for p in pg.parts:
-            l = p.global_to_local[hub]
+            l = p.to_local(hub)
             if l >= 0 and p.graph.reverse().out_degrees()[l] > 0:
                 holders.add(p.pid)
         assert len(holders) >= 4
@@ -299,7 +299,9 @@ class TestMembershipEquivalence:
             assert part.local_to_global.dtype == l2g.dtype
             g2l = np.full(g.num_vertices, -1, dtype=np.int32)
             g2l[l2g] = np.arange(len(l2g))
-            np.testing.assert_array_equal(part.global_to_local, g2l)
+            np.testing.assert_array_equal(
+                part.to_local(np.arange(g.num_vertices)), g2l
+            )
             np.testing.assert_array_equal(part.is_master, vo[l2g] == part.pid)
             # the local CSR is the owner's bucket of the global one, relabeled
             sel = np.flatnonzero(eo == part.pid)
@@ -307,3 +309,45 @@ class TestMembershipEquivalence:
                 part.graph.edge_sources(), g2l[src[sel]]
             )
             np.testing.assert_array_equal(part.graph.indices, g2l[g.indices[sel]])
+
+
+def _held_arrays(part):
+    """Every array a :class:`LocalPartition` holds: its own fields, its
+    local graph's, the exchange lists and whatever it memoized."""
+    from repro.graph import CSRGraph
+
+    out, todo = [], list(vars(part).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            out.append(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, CSRGraph):
+            todo.extend(getattr(x, k, None) for k in CSRGraph.__slots__)
+    return out
+
+
+class TestFootprint:
+    """A partition's host bytes follow its own vertex and edge counts.  A
+    dense ``|V|``-long global-to-local map in each of them made a
+    partitioning cost ``|V| * P * 4`` bytes more than its graph: 32 MiB
+    for the few thousand edges below."""
+
+    @pytest.mark.parametrize("policy", ["oec", "iec", "hvc", "cvc"])
+    def test_a_partition_holds_only_its_own_vertices(self, policy):
+        n, P = 1 << 18, 32
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(0, n, size=(2, 4000))
+        sparse = from_edges(src, dst, num_vertices=n)
+        pg = partition(sparse, policy, P, cache=False)
+        total = 0
+        for part in pg.parts:
+            arrays = _held_arrays(part)
+            assert max(len(a) for a in arrays) <= part.num_local + 1
+            held = sum(a.nbytes for a in arrays)
+            assert held <= 32 * (part.num_local + part.graph.num_edges) + 1024
+            total += held
+        assert total < 32 * n  # 8 MiB; the dense maps alone were 32

@@ -65,7 +65,6 @@ def _assert_partitions_equal(a, b):
     for pa, pb in zip(a.parts, b.parts):
         assert pa.pid == pb.pid
         np.testing.assert_array_equal(pa.local_to_global, pb.local_to_global)
-        np.testing.assert_array_equal(pa.global_to_local, pb.global_to_local)
         np.testing.assert_array_equal(pa.is_master, pb.is_master)
         np.testing.assert_array_equal(pa.graph.indptr, pb.graph.indptr)
         np.testing.assert_array_equal(pa.graph.indices, pb.graph.indices)
@@ -209,9 +208,9 @@ class TestShardSpill:
         builder, calls = _counting_builder("iec")
         built = writer.lookup_or_build(g, "iec", 4, builder)
         path = writer._disk_path(PartitionCache.key_for(g, "iec", 4))
-        # a spill is the same one file per entry, plus a g2l section
+        # a spill is the same one file per entry as a RAM entry
         assert os.listdir(store) == [os.path.basename(path)]
-        assert "g2l" in read_header(path, _FORMAT)["sections"]
+        assert "g2l" not in read_header(path, _FORMAT)["sections"]
 
         reader = PartitionCache(cache_dir=store, spill_shards=True)
         loaded = reader.lookup_or_build(g, "iec", 4, builder)
@@ -220,14 +219,14 @@ class TestShardSpill:
         loaded.validate()
         _assert_partitions_equal(built, loaded)
         for part in loaded.parts:  # served from the file, not from RAM
-            assert isinstance(part.global_to_local, np.memmap)
+            assert isinstance(part.local_to_global.base, np.memmap)
             assert isinstance(part.graph.indices.base, np.memmap)
 
     def test_shard_formats_do_not_collide(self, g, tmp_path):
         """A spill cache and a RAM cache in the same directory address the
-        same entry, and flipping the flag never misloads: a spill is a
-        superset a RAM load reads as it is, a RAM entry lacks the ``g2l``
-        section a spill load needs and is replaced, not patched up with
+        same entry, and flipping the flag never rebuilds: there is one
+        layout, so an entry either cache wrote loads in the other mode as
+        it is — a RAM-written entry memmap-loads with nothing rebuilt in
         anonymous memory."""
         store = str(tmp_path / "pcache")
         builder, calls = _counting_builder("iec")
@@ -237,12 +236,14 @@ class TestShardSpill:
         _assert_partitions_equal(ram.lookup_or_build(g, "iec", 2, builder), built)
         assert len(calls) == 1 and ram.stats.disk_hits == 1
 
-        ram.lookup_or_build(g, "iec", 4, builder)  # stored without g2l
-        spill.lookup_or_build(g, "iec", 4, builder).validate()
-        assert len(calls) == 3 and spill.stats.disk_hits == 0
+        from_ram = ram.lookup_or_build(g, "iec", 4, builder)
         again = PartitionCache(cache_dir=store, spill_shards=True)
-        again.lookup_or_build(g, "iec", 4, builder)  # now it is a spill
-        assert len(calls) == 3 and again.stats.disk_hits == 1
+        mapped = again.lookup_or_build(g, "iec", 4, builder)
+        assert len(calls) == 2 and again.stats.disk_hits == 1
+        mapped.validate()
+        _assert_partitions_equal(mapped, from_ram)
+        for part in mapped.parts:
+            assert isinstance(part.local_to_global.base, np.memmap)
 
     def test_corrupt_shard_dir_rebuilds(self, g, tmp_path):
         store = str(tmp_path / "pcache")
@@ -435,11 +436,11 @@ class TestOneProbe:
 # ---------------------------------------------------------------------- #
 # faults: a damaged entry is a logged discard and one rebuild
 # ---------------------------------------------------------------------- #
-#: sections of a weighted cvc / P=4 entry, in file order (``g2l`` only in a
-#: spill); every one of them is non-empty for the graph below
+#: sections of a weighted cvc / P=4 entry, in file order; every one of
+#: them is non-empty for the graph below
 SECTIONS = (
     "vertex_owner", "counts", "indptr", "indices", "l2g", "is_master",
-    "weights", "g2l", "mirror_plan", "mirror_idx", "master_plan", "master_idx",
+    "weights", "mirror_plan", "mirror_idx", "master_plan", "master_idx",
 )
 #: the sections an mmap load checks (io._LAYOUT_SECTIONS); a flipped byte
 #: in any other one is not detected under mmap (docs/scale.md)
@@ -474,15 +475,14 @@ def _damage(path, kind, where):
 
 
 def _faults(spill_shards):
-    """Every fault a load in that mode must detect: a RAM load all of them
-    (``g2l`` apart, which only a spill has), an mmap load every one that
-    damages the header, the size or a layout section."""
-    sections = [s for s in SECTIONS if spill_shards or s != "g2l"]
+    """Every fault a load in that mode must detect: a RAM load all of them,
+    an mmap load every one that damages the header, the size or a layout
+    section."""
     return (
         [("empty", ""), ("foreign", "")]
         + [("flip-header", where) for where in HEADER_BYTES]
-        + [("truncate", name) for name in sections]
-        + [("flip", name) for name in (LAYOUT if spill_shards else sections)]
+        + [("truncate", name) for name in SECTIONS]
+        + [("flip", name) for name in (LAYOUT if spill_shards else SECTIONS)]
     )
 
 

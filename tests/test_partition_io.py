@@ -1,8 +1,7 @@
-"""The partition file: one section container behind both entry-point pairs.
+"""The partition file: one section container, one layout, two loaders.
 
-``save_partitions`` / ``load_partitions`` (RAM, CRC-verified) and
-``save_partition_shards`` / ``load_partition_shards`` (the same file plus a
-``g2l`` section, served as memmap views) must hand back *the*
+What ``save_partitions`` wrote, ``load_partitions`` (RAM, CRC-verified)
+and ``load_partition_shards`` (memmap views) must both hand back as *the*
 ``PartitionedGraph`` that was saved — every array with its dtype, both
 exchange dicts in their iteration order — so that an engine cannot tell a
 loaded partitioning from a built one.  The CSR store is the container's
@@ -29,19 +28,20 @@ from repro.fuzz.gen import SHAPES, build_shape
 from repro.generators import rmat
 from repro.generators.chunked import build_store
 from repro.graph import CSRGraph, add_random_weights, make_undirected
+from repro.graph.container import ContainerWriter, read_header
 from repro.graph.store import write_csr_store
 from repro.hw import bridges
 from repro.partition import partition
 from repro.partition.io import (
+    _FORMAT,
     load_partition_shards,
     load_partitions,
-    save_partition_shards,
     save_partitions,
 )
 
 ENTRY_POINTS = {
     "ram": (save_partitions, load_partitions),
-    "mmap": (save_partition_shards, load_partition_shards),
+    "mmap": (save_partitions, load_partition_shards),
 }
 POLICIES = ("oec", "iec", "hvc", "cvc")
 PARTS = (1, 2, 4, 7)
@@ -69,7 +69,6 @@ def assert_same_partitioning(want, got):
         if a.graph.has_weights:
             _same_array(a.graph.weights, b.graph.weights, f"{tag} weights")
         _same_array(a.local_to_global, b.local_to_global, f"{tag} l2g")
-        _same_array(a.global_to_local, b.global_to_local, f"{tag} g2l")
         _same_array(a.is_master, b.is_master, f"{tag} is_master")
         for side in ("mirror_exchange", "master_exchange"):
             ea, eb = getattr(a, side), getattr(b, side)
@@ -184,13 +183,61 @@ def test_wrong_graph_and_foreign_file_are_typed_errors(tmp_path):
     for load in (load_partitions, load_partition_shards):
         with pytest.raises(PartitioningError, match="does not match"):
             load(path, rmat(5, seed=1))
-    with pytest.raises(GraphFormatError, match="no g2l section"):
-        load_partition_shards(path, g)  # a RAM entry is not a spill
+    assert "g2l" not in read_header(path, _FORMAT)["sections"]
     csr = tmp_path / "g.csr"
     write_csr_store(g, csr)  # the other container: right layout, wrong magic
     for load in (load_partitions, load_partition_shards):
         with pytest.raises(GraphFormatError, match="bad magic"):
             load(csr, g)
+
+
+def _save_with_g2l(pg, path, monkeypatch):
+    """What the spill writer wrote before a partition dropped its dense
+    map: :func:`save_partitions`' sections with ``g2l`` — every
+    partition's ``|V|``-long inverse, back to back — streamed right
+    before ``mirror_plan``."""
+    n = pg.num_global_vertices
+    stream = ContainerWriter.stream
+
+    def dense(part):
+        g2l = np.full(n, -1, dtype=np.int32)
+        g2l[part.local_to_global] = np.arange(part.num_local, dtype=np.int32)
+        return g2l
+
+    def with_g2l(self, name, arrays):
+        if name == "mirror_plan":
+            stream(self, "g2l", (dense(p) for p in pg.parts))
+        stream(self, name, arrays)
+
+    with monkeypatch.context() as m:
+        m.setattr(ContainerWriter, "stream", with_g2l)
+        save_partitions(pg, path)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_an_entry_with_a_g2l_section_loads_in_either_mode(
+    weighted, tmp_path, monkeypatch
+):
+    """A cache entry the older spill writer left behind is still a hit in
+    RAM and mmap mode alike; its ``g2l`` section is not read.  The SHA-1s
+    are of what ``save_partition_shards`` wrote at ``72fd4fb``, so the
+    file is that writer's byte for byte."""
+    g = rmat(7, edge_factor=6, seed=4)
+    if weighted:
+        g = add_random_weights(g, seed=2)
+    pg = partition(g, "cvc", 4, cache=False)
+    path = tmp_path / "spill.parts"
+    _save_with_g2l(pg, path, monkeypatch)
+    want = {
+        False: "e93f49377f5fefe1c73f062fe74ed8ca3f08b1be",
+        True: "dcaa5a064fccce07664b3b3961c1bf38d92324df",
+    }
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == want[weighted]
+    assert "g2l" in read_header(path, _FORMAT)["sections"]
+    for load in (load_partitions, load_partition_shards):
+        got = load(path, g)
+        assert_same_partitioning(pg, got)
+        got.validate()
 
 
 def test_csr_store_bytes_did_not_move(tmp_path):

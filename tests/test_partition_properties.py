@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.fuzz.gen import SHAPES, build_shape
 from repro.graph import CSRGraph, from_edges
 from repro.partition import POLICIES, base, partition
 from repro.partition.base import build_partitions
@@ -128,7 +129,7 @@ def _partition_arrays(pg):
     for part in pg.parts:
         g = part.graph
         out += [g.indptr, g.indices, g.weights, part.local_to_global,
-                part.global_to_local, part.is_master]
+                part.is_master]
         for exchange in (part.mirror_exchange, part.master_exchange):
             for q in sorted(exchange):
                 out += [np.asarray([q]), exchange[q]]
@@ -181,7 +182,7 @@ def test_build_partitions_equals_mask_bucketing(g, parts, data):
         order = np.lexsort((g2l[d], g2l[s]))
         counts = np.bincount(g2l[s], minlength=len(l2g))
         np.testing.assert_array_equal(part.local_to_global, l2g)
-        np.testing.assert_array_equal(part.global_to_local, g2l)
+        np.testing.assert_array_equal(part.to_local(np.arange(n)), g2l)
         np.testing.assert_array_equal(part.is_master, vertex_owner[l2g] == p)
         np.testing.assert_array_equal(part.graph.indptr, np.concatenate(([0], np.cumsum(counts))))
         np.testing.assert_array_equal(part.graph.indices, g2l[d][order])
@@ -189,6 +190,38 @@ def test_build_partitions_equals_mask_bucketing(g, parts, data):
             assert part.graph.weights is None
         else:
             np.testing.assert_array_equal(part.graph.weights, g.weights[sel][order])
+
+
+@pytest.mark.parametrize("parts", [1, 2, 7])
+@pytest.mark.parametrize("policy", ["oec", "iec", "hvc", "cvc"])
+@given(
+    shape=st.sampled_from(sorted(SHAPES)), seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_to_local_is_the_dense_inverse(policy, parts, shape, seed, data):
+    """``to_local`` against the ``|V|``-long map it replaced, built here:
+    every global id, both ends just outside the range (-1 and ``|V|``),
+    and a drawn batch with repeats, as an array and one id at a time.  The
+    fuzz shapes bring empty graphs and partitions that hold no vertex."""
+    g = build_shape(shape, np.random.default_rng(seed))
+    n = g.num_vertices
+    pg = partition(g, policy, parts, cache=False)
+    drawn = data.draw(st.lists(st.integers(-1, n), max_size=24))
+    queries = np.concatenate(
+        [np.arange(n), [-1, n], np.repeat(drawn, 2)]
+    ).astype(np.int64)
+    inside = (queries >= 0) & (queries < n)
+    for part in pg.parts:
+        dense = np.full(n + 1, -1, dtype=np.int64)  # dense[n]: "not here"
+        dense[part.local_to_global] = np.arange(part.num_local)
+        want = dense[np.where(inside, queries, n)]
+        got = part.to_local(queries)
+        assert got.shape == queries.shape
+        np.testing.assert_array_equal(got, want)
+        for q in (-1, n, *drawn[:4]):
+            one = part.to_local(q)
+            assert np.ndim(one) == 0 and one == want[list(queries).index(q)]
 
 
 # --------------------------------------------------------------------- #

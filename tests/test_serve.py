@@ -195,6 +195,47 @@ class TestService:
         )
 
 
+    def test_an_out_of_range_source_fails_that_request_only(
+        self, trace, monkeypatch
+    ):
+        """A request at ``("source", -1)`` names no vertex: its run is a
+        ``ConfigurationError`` and the request is reported failed, while
+        every other request of the trace is still served."""
+        import dataclasses
+
+        from repro.errors import ConfigurationError
+        from repro.runtime.sweep import SweepExecutor
+
+        requests = list(trace.requests)
+        i = next(i for i, r in enumerate(requests) if r.app == "bfs")
+        requests[i] = dataclasses.replace(requests[i], params=(("source", -1),))
+        bad_rid = requests[i].rid
+        failed = []
+        real_map = SweepExecutor.map
+
+        def spying_map(self, specs, *args, **kwargs):
+            outcomes = real_map(self, specs, *args, **kwargs)
+            failed.extend(out for out in outcomes if not out.ok)
+            return outcomes
+
+        monkeypatch.setattr(SweepExecutor, "map", spying_map)
+        rep = run_trace(
+            dataclasses.replace(trace, requests=requests),
+            ServeConfig(workers=2), jobs=1,
+        )
+        assert rep.counters["failed"] == 1
+        for r in rep.requests:
+            if r["rid"] == bad_rid:
+                assert r["served_by"] == "failed"
+            else:
+                assert r["served_by"] in ("executed", "coalesced", "cached")
+                assert r["labels_crc"] is not None
+        assert len(failed) == 1
+        assert failed[0].failure_kind == ConfigurationError.kind
+        with pytest.raises(ConfigurationError, match=r"source vertex -1\b"):
+            failed[0].raise_failure()
+
+
 class TestEachSettingHasOneRoute:
     """A setting reaches the service one way, so the route that installed
     it cannot change a decision."""
