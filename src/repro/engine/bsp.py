@@ -16,7 +16,7 @@ per-partition clock prices every phase on the simulated cluster:
   allreduce.
 
 The stages live in :mod:`repro.engine.core`; this module is the BSP
-*policy*: the round loop, compute dispatch over all partitions, whole-step
+*policy*: the round loop, one compute pass over the partitions, whole-step
 pricing and delivery, overlap hiding, and the barrier.
 """
 
@@ -29,22 +29,14 @@ from repro.comm.gluon import CommConfig
 from repro.engine.core import Engine, RoundCore
 from repro.engine.operator import RunContext, VertexProgram
 from repro.engine.result import RunResult
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.hw.cluster import Cluster
 from repro.hw.memory import MemoryProfile, DIRGL_PROFILE
 from repro.loadbalance.base import LoadBalancer
 from repro.metrics.stats import RoundRecord
 from repro.partition.base import PartitionedGraph
-from repro.runtime.executors import thread_map
 
-__all__ = ["BSPEngine", "check_executor"]
-
-
-def check_executor(executor: str) -> None:
-    """Reject a compute-phase dispatch BSP does not have."""
-    if executor not in ("serial", "threads"):
-        raise ConfigurationError(
-            f"executor must be 'serial' or 'threads', got {executor!r}")
+__all__ = ["BSPEngine"]
 
 
 class BSPEngine(Engine):
@@ -64,23 +56,16 @@ class BSPEngine(Engine):
         check_memory: bool = True,
         overlap_comm: float = 0.0,
         fault_plan=None,
-        executor: str = "serial",
     ):
         """``overlap_comm`` in [0, 1] hides that fraction of each round's
         host-device communication under the computation phase (async
         cudaMemcpy + double buffering) — the paper's other recommended
         improvement ("overlapping communication with computation",
-        Section V-C).  ``executor`` selects how the per-partition compute
-        phase is dispatched: ``"serial"`` (the reference loop) or
-        ``"threads"`` (a shared ``ThreadPoolExecutor``; numpy kernels
-        release the GIL).  Threaded results are merged in fixed partition
-        order, so runs are bit-identical either way."""
-        check_executor(executor)
+        Section V-C)."""
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
             memory_profile, check_memory, overlap_comm, fault_plan,
         )
-        self.executor = executor
 
     # ------------------------------------------------------------------ #
     def run(self, ctx: RunContext) -> RunResult:
@@ -89,10 +74,6 @@ class BSPEngine(Engine):
         P, plan, hier = core.P, core.plan, core.hier
         data_driven = not core.topology
         frontier = core.frontier
-
-        def compute(p):
-            # reads ``frontier``, ``candidates`` and ``rnd`` at call time
-            return core.compute(p, frontier[p], candidates, round=rnd)
 
         for rnd in range(ctx.max_rounds):
             active = sum(len(f) for f in frontier)
@@ -111,22 +92,15 @@ class BSPEngine(Engine):
             if self.fault_plan is not None:
                 for p in range(P):
                     self.fault_plan.check(p, rnd)
-            # a topology-driven app computes even on an empty frontier
-            active_ps = [
-                p for p in range(P) if len(frontier[p]) or not data_driven
-            ]
-            if self.executor == "threads":
-                outs = thread_map(compute, active_ps)
-            else:
-                outs = [compute(p) for p in active_ps]
-            # charge the clocks in fixed partition order: the float
-            # accumulations happen in the same sequence whichever thread
-            # finished first, so results are bit-identical
             edges = 0
             feat_bytes = np.zeros(P)
             feat_hits = 0
             feat_misses = 0
-            for p, out in zip(active_ps, outs):
+            for p in range(P):
+                # a topology-driven app computes even on an empty frontier
+                if data_driven and not len(frontier[p]):
+                    continue
+                out = core.compute(p, frontier[p], candidates, round=rnd)
                 compute_t[p] += core.compute_time(p, out)
                 edges += out.edges_processed
                 feat_bytes[p] += out.feature_bytes

@@ -200,9 +200,9 @@ class RoundCore:
         (``span``: extra span args).
 
         Touches only partition-local state (``state[p]``, ``p``'s dirty
-        bits, ``candidates[p]``), so calls for different partitions may
-        run on different threads.  Returns the ``RoundOutput`` for the
-        engine to price."""
+        bits, ``candidates[p]``), so calls for different partitions do
+        not depend on each other's order.  Returns the ``RoundOutput``
+        for the engine to price."""
         if self.static and self.check_cheap:
             seen = self._frontiers[p]
             if seen is None:

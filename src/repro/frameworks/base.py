@@ -17,7 +17,6 @@ import numpy as np
 from repro.apps import get_app
 from repro.comm.gluon import CommConfig
 from repro.engine import BASPEngine, BSPEngine, RunContext, RunResult
-from repro.engine.bsp import check_executor
 from repro.errors import ConfigurationError, UnsupportedFeatureError
 from repro.generators.datasets import Dataset
 from repro.hw.cluster import Cluster, bridges, tuxedo
@@ -142,20 +141,14 @@ class Framework(ABC):
         num_gpus: int,
         platform: str | Cluster = "bridges",
         check_memory: bool = True,
-        engine_executor: str = "serial",
         fault_plan=None,
         **ctx_overrides,
     ) -> RunResult:
         """Run one benchmark the way this framework would.
 
-        ``engine_executor`` selects the BSP engine's compute-phase
-        dispatch (``"serial"`` or ``"threads"``); results are bit-identical
-        either way (see :class:`BSPEngine`).  A BASP event is one
-        partition's local round, with nothing to dispatch, so an async
-        framework checks the value and does not pass it on.  ``fault_plan`` (a
-        :class:`repro.engine.faults.FaultPlan`) injects deterministic
-        simulated crashes.  The run records into the ambient tracer
-        (``with repro.obs.use_tracer(t):``).
+        ``fault_plan`` (a :class:`repro.engine.faults.FaultPlan`) injects
+        deterministic simulated crashes.  The run records into the ambient
+        tracer (``with repro.obs.use_tracer(t):``).
 
         Raises
         ------
@@ -167,7 +160,6 @@ class Framework(ABC):
         SimulatedCrashError
             when the fault plan fires — the study's "crashed" points.
         """
-        check_executor(engine_executor)
         app = self.resolve_app(app_name)
         cluster = self.make_cluster(num_gpus, platform)
         graph = dataset.symmetric() if app.needs_symmetric else dataset.graph
@@ -178,10 +170,8 @@ class Framework(ABC):
         pg = make_partition(graph, self.policy, num_gpus)
         ctx = self.make_context(dataset, app, **ctx_overrides)
 
-        engine_cls, extra = BSPEngine, {"executor": engine_executor}
-        if self.execution == "async" and app.async_capable:
-            engine_cls, extra = BASPEngine, {}
-        engine = engine_cls(
+        async_run = self.execution == "async" and app.async_capable
+        engine = (BASPEngine if async_run else BSPEngine)(
             pg,
             cluster,
             app,
@@ -191,7 +181,6 @@ class Framework(ABC):
             memory_profile=self.memory_profile,
             check_memory=check_memory,
             fault_plan=fault_plan,
-            **extra,
         )
         result = engine.run(ctx)
         result.stats.benchmark = app_name

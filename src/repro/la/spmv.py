@@ -78,8 +78,8 @@ class PullPlan:
     start, and the row blocks the gather runs in (``block_bounds``
     tuples, at most ``block_edge_budget()`` edges each).  ``workspace``
     is the one per-edge buffer a round needs, as long as the widest
-    block; a plan lives in one partition's state, so partitions on
-    different threads never share it.
+    block; a plan lives in one partition's state, so no two partitions
+    share it.
     """
 
     in_nbrs: np.ndarray

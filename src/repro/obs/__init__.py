@@ -10,8 +10,8 @@ The subsystem has three pieces:
   that summarizes a trace into the per-phase breakdown tables of the
   paper's Figures 4/6/8/9 or flattens it to CSV;
 * the **ambient tracer** — the one route a tracer takes to the code it
-  instruments.  It is process-global, *not* thread-local, because the
-  BSP compute phase's worker threads must share the cell's tracer.
+  instruments.  It is process-global, *not* thread-local, so every
+  thread of a process that records reaches the cell's tracer.
 
 The contract (DESIGN.md, "Instrumentation contract"):
 ``current_tracer()`` is never ``None`` — off is :data:`NULL_TRACER`,

@@ -10,8 +10,8 @@ creation.  Design constraints, in order:
   :meth:`end` accepts), so "off" is :data:`NULL_TRACER`, never ``None``,
   and call sites call without testing.  A site tests ``enabled`` only
   where building the call's *arguments* is work worth skipping;
-* **thread-safe** — BSP's ``executor="threads"`` compute phase records
-  spans from worker threads (a BASP event is one partition; it has none).
+* **thread-safe** — the ambient tracer is process-global, so any thread
+  of a process that records reaches it; a lock keeps each append whole.
 
 Events are plain dicts in Chrome trace-event field names (``name``,
 ``cat``, ``ph``, ``ts``, ``dur``, ``pid``, ``tid``, ``args``), so export

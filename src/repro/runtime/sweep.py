@@ -29,9 +29,9 @@ import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.runtime.cells import (
     CellOutcome,
     CellSpec,
@@ -104,8 +104,9 @@ class SweepExecutor:
         partition-cache directory shared by the parent and every worker
         (``None`` keeps the cache in-memory-only per process).
     engine_executor:
-        compute-phase dispatch stamped onto every :class:`CellSpec`
-        (``"serial"`` or ``"threads"``); results are bit-identical.
+        compatibility keyword: ``"serial"`` is the only value, since a
+        cell's compute phase is one loop over its partitions; anything
+        else raises :class:`~repro.errors.ConfigurationError`.
     trace_dir:
         when set, every cell writes a Chrome trace JSON here (see
         :mod:`repro.obs`); workers inherit the setting through the pool
@@ -141,9 +142,12 @@ class SweepExecutor:
         shard_plan: bool = False,
         spill_shards: bool = False,
     ):
+        if engine_executor != "serial":
+            raise ConfigurationError(
+                f"engine_executor must be 'serial', got {engine_executor!r}"
+            )
         self.jobs = int(jobs)
         self.cache_dir = cache_dir
-        self.engine_executor = engine_executor
         self.start_method = start_method or default_start_method()
         self.trace_dir = None if trace_dir is None else str(trace_dir)
         if check is not None:
@@ -216,13 +220,6 @@ class SweepExecutor:
             )
         return self._pool
 
-    def _prepare(self, spec):
-        if not isinstance(spec, CellSpec):
-            return spec
-        if self.engine_executor != "serial" and spec.engine_executor == "serial":
-            return replace(spec, engine_executor=self.engine_executor)
-        return spec
-
     # ------------------------------------------------------------------ #
     def map(
         self, specs: Sequence[CellSpec | PartitionStatsSpec]
@@ -236,7 +233,7 @@ class SweepExecutor:
         worker died — runs in this process.
         """
         self._install()
-        specs = [self._prepare(s) for s in specs]
+        specs = list(specs)
         total = len(specs)
         results: list[Optional[CellOutcome]] = [None] * total
         if self.shard_plan:

@@ -110,9 +110,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--naive", action="store_true",
                         help="baseline: no coalescing, no result cache, "
                         "no incremental re-execution")
-    parser.add_argument("--no-coalesce", action="store_true")
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--no-incremental", action="store_true")
     parser.add_argument("--policy", default="oec")
     parser.add_argument("--parts", type=int, default=2,
                         help="simulated GPUs per execution")
@@ -154,23 +151,13 @@ def main(argv: list[str] | None = None) -> int:
         hot_fraction=args.hot_fraction,
         mutate_every=args.mutate_every,
     )
-    kwargs = dict(
+    config = (ServeConfig.naive if args.naive else ServeConfig)(
         workers=args.workers,
         max_queue_depth=args.max_queue_depth,
         policy=args.policy,
         parts=args.parts,
         verify_incremental=args.verify_incremental,
     )
-    if args.naive:
-        config = ServeConfig.naive(**kwargs)
-    else:
-        if args.no_coalesce:
-            kwargs["coalesce"] = False
-        if args.no_cache:
-            kwargs["result_cache_entries"] = 0
-        if args.no_incremental:
-            kwargs["incremental"] = False
-        config = ServeConfig(**kwargs)
 
     trace = generate_trace(traffic)
     if args.trace_out:

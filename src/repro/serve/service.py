@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro import obs
+from repro.errors import ConfigurationError
 from repro.serve.backend import ExecBackend, ExecTask
 from repro.serve.queueing import AdmissionController, WFQQueue
 from repro.serve.traffic import MutationEvent, Request, ServeTrace, batch_from_event
@@ -60,6 +61,12 @@ class ServeConfig:
     patch_threshold: float = 1.5
     #: re-run every delta through the full path and assert bit-identity
     verify_incremental: bool = False
+
+    def __post_init__(self):
+        # zero workers would answer nothing; zero parts partitions nothing
+        for name in ("workers", "parts"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
 
     @classmethod
     def naive(cls, **kw) -> "ServeConfig":

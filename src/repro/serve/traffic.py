@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.generators.rmat import rmat
 from repro.graph.mutable import EdgeBatch, MutableGraph
 from repro.graph.transform import add_random_weights
@@ -83,6 +84,18 @@ class TrafficConfig:
     mutation_deletes: int = 2
     #: client name -> WFQ weight (unlisted clients weigh 1.0)
     client_weights: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, rule, ok in (
+            ("num_clients", ">= 1", self.num_clients >= 1),
+            ("num_requests", ">= 0", self.num_requests >= 0),
+            ("mean_interarrival", "> 0", self.mean_interarrival > 0),
+            ("hot_fraction", "within [0, 1]", 0 <= self.hot_fraction <= 1),
+            ("mutate_every", ">= 0", self.mutate_every >= 0),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
 
     def to_json(self) -> dict:
         d = asdict(self)

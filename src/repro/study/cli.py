@@ -252,10 +252,6 @@ def main(argv: list[str] | None = None) -> int:
         help="persist partitions to DIR; re-runs skip re-partitioning",
     )
     parser.add_argument(
-        "--engine-executor", choices=("serial", "threads"), default="serial",
-        help="per-partition compute loop inside each engine round",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="log one line per completed study cell",
     )
@@ -292,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     with SweepExecutor(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        engine_executor=args.engine_executor,
         trace_dir=args.trace,
         check=args.check,
     ) as ex:

@@ -3,9 +3,9 @@
 The engines are deterministic discrete-event simulations; the vectorized
 comm substrate must preserve that.  For every study app under BSP and
 BASP, one run built from scratch (fresh graphs, partitions, plan caches,
-and engines) — serially and on the threaded executor — must reproduce the
-``matrix/{app}/cvc/4/{engine}/uo`` row of the golden table ``sync``:
-labels, round counts and the full :class:`RunStats` record.  Any
+and engines) must reproduce the ``matrix/{app}/cvc/4/{engine}/uo`` row of
+the golden table ``sync``: labels, round counts and the full
+:class:`RunStats` record.  Any
 divergence means ordering leaked in — a dict iteration, an unstable sort,
 or a float reassociation.
 """
@@ -18,44 +18,12 @@ from tests.test_sync_golden import ENGINES, Inputs, run_row
 APPS = ("bfs", "cc", "kcore", "pr", "sssp")
 
 
-def _assert_reproduces_golden_row(app: str, engine: str, executor: str):
-    row = run_row(
-        Inputs(), app, "cvc", 4, engine, True,
-        engine_kwargs=dict(executor=executor),
-    )
-    key = f"matrix/{app}/cvc/4/{engine}/uo"
-    assert golden.normalized(row) == golden.recorded("sync")[key]
-
-
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("app", APPS)
 def test_two_runs_identical(app, engine):
-    _assert_reproduces_golden_row(app, engine, "serial")
-
-
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-@pytest.mark.parametrize("app", APPS)
-def test_threads_executor_bit_identical(app, engine):
-    """The threaded compute phase must not change a single stats field:
-    per-partition outputs are merged in pid order regardless of which
-    thread finished first."""
-    _assert_reproduces_golden_row(app, engine, "threads")
-
-
-def test_threads_write_disjoint_slices_of_one_flat_array():
-    """Every partition's state is a view of one flat array per field, so
-    the threaded compute phase has P threads writing one buffer.  The
-    slices are disjoint: under a switch interval short enough to
-    interleave the threads inside every kernel (and more partitions than
-    this host has cores) no write may be lost."""
-    import sys
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _assert_reproduces_golden_row("pr-push", "bsp", "threads")
-    finally:
-        sys.setswitchinterval(interval)
+    row = run_row(Inputs(), app, "cvc", 4, engine, True)
+    key = f"matrix/{app}/cvc/4/{engine}/uo"
+    assert golden.normalized(row) == golden.recorded("sync")[key]
 
 
 def test_sweep_process_pool_bit_identical():

@@ -6,7 +6,7 @@ import pytest
 from repro.apps import get_app
 from repro.comm import CommConfig
 from repro.engine import BSPEngine, RunContext
-from repro.errors import ConfigurationError, ConvergenceError, SimulatedOOMError
+from repro.errors import ConvergenceError, SimulatedOOMError
 from repro.hw import bridges, tuxedo
 from repro.hw.memory import LUX_PROFILE
 from repro.partition import partition
@@ -122,20 +122,6 @@ class TestTermination:
         res = engine(small_graph, check_memory=False).run(c2)
         assert res.stats.rounds <= 2
         assert (res.labels == 0).sum() == 1
-
-
-class TestConstructorValidation:
-    def test_bad_executor_rejected_before_sync_plan_build(
-        self, small_graph, monkeypatch
-    ):
-        from repro.comm.gluon import GluonComm
-
-        def built(*args, **kwargs):
-            raise AssertionError("GluonComm built before validation")
-
-        monkeypatch.setattr(GluonComm, "__init__", built)
-        with pytest.raises(ConfigurationError, match="fibers"):
-            engine(small_graph, executor="fibers")
 
 
 class TestBenchmarkBoundaries:

@@ -29,25 +29,6 @@ class TestRegistry:
             get_framework("ligra")
 
 
-class TestEngineExecutor:
-    @pytest.mark.parametrize("execution", ["async", "sync"])
-    def test_unknown_executor_rejected_for_either_engine(self, ds, execution):
-        """BASP takes no executor, so the facade checks the value where
-        it enters, for either engine."""
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="bogus"):
-            DIrGL(execution=execution).run(
-                "bfs", ds, 2, engine_executor="bogus"
-            )
-
-    def test_async_cell_runs_under_either_executor(self, ds):
-        runs = [DIrGL().run("bfs", ds, 2, engine_executor=ex)
-                for ex in ("serial", "threads")]
-        np.testing.assert_array_equal(runs[0].labels, runs[1].labels)
-        assert runs[0].stats.execution_time == runs[1].stats.execution_time
-
-
 class TestRestrictions:
     def test_lux_iec_only(self):
         with pytest.raises(UnsupportedFeatureError):

@@ -245,10 +245,10 @@ def test_block_budget_never_changes_results(monkeypatch, app_name):
     )
 
 
-def test_pr_cell_ignores_pull_blocking_and_executor(monkeypatch):
+def test_pr_cell_ignores_pull_blocking(monkeypatch):
     """The pull plan gathers in row blocks of ``REPRO_BLOCK_EDGES`` into
-    one workspace per partition: neither the budget nor the compute
-    executor may reach a label bit, a count or the simulated time."""
+    one workspace per partition: the budget may not reach a label bit, a
+    count or the simulated time under either engine."""
     from repro.runtime.cells import CellSpec, SystemSpec, run_task
 
     prints = {"sync": set(), "async": set()}
@@ -258,20 +258,18 @@ def test_pr_cell_ignores_pull_blocking_and_executor(monkeypatch):
         else:
             monkeypatch.setenv("REPRO_BLOCK_EDGES", str(budget))
         for execution, seen in prints.items():
-            for executor in ("serial", "threads"):
-                out = run_task(CellSpec(
-                    key=(budget, execution, executor),
-                    system=SystemSpec.dirgl(policy="cvc", execution=execution),
-                    benchmark="pr",
-                    dataset="fuzz:smallworld:1",  # 27 vertices, 108 edges
-                    num_gpus=4,
-                    engine_executor=executor,
-                    check_memory=False,
-                ))
-                assert out.ok, out.failure
-                st = out.stats
-                seen.add((out.labels_crc, st.rounds, st.num_messages,
-                          st.work_items, st.execution_time))
+            out = run_task(CellSpec(
+                key=(budget, execution),
+                system=SystemSpec.dirgl(policy="cvc", execution=execution),
+                benchmark="pr",
+                dataset="fuzz:smallworld:1",  # 27 vertices, 108 edges
+                num_gpus=4,
+                check_memory=False,
+            ))
+            assert out.ok, out.failure
+            st = out.stats
+            seen.add((out.labels_crc, st.rounds, st.num_messages,
+                      st.work_items, st.execution_time))
     assert [len(seen) for seen in prints.values()] == [1, 1], prints
 
 

@@ -31,6 +31,11 @@ is ambient, and those are how ``--check`` reaches a pool.
 ``repro.apps`` and ``repro.gnnflow`` nothing outside ``init_state`` assigns
 ``state["<declared field>"]`` — the engine turned that array into a view
 of the field's flat array, and a rebound one is invisible to every sync.
+**One fan-out** (docs/performance.md, "The sweep runtime"): nothing under
+``src/repro`` names ``ThreadPoolExecutor``, and no module of
+:data:`ONE_THREAD` imports ``threading`` or ``concurrent.futures`` — a
+cell runs its rounds on one thread, and the sweep's process pool is the
+only way cells run side by side.
 """
 
 import ast
@@ -203,6 +208,58 @@ def test_the_layering_rule_sees_a_function_level_import(tmp_path):
     }
 
 
+#: the packages that run a cell's rounds; neither may start a thread
+ONE_THREAD = ("engine", "frameworks")
+
+
+def _second_fanout(modules: dict[str, Path]) -> list[str]:
+    """``module: what`` for every module that names ``ThreadPoolExecutor``
+    and every :data:`ONE_THREAD` module that imports ``threading`` or
+    ``concurrent.futures``."""
+    out = []
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                ident = node.name
+            if ident == "ThreadPoolExecutor":
+                out.append(f"{name}: ThreadPoolExecutor")
+        if name.partition(".")[2].partition(".")[0] in ONE_THREAD:
+            out += [
+                f"{name}: {m}" for m in sorted(_imported_names(name, path))
+                if m.partition(".")[0] in ("threading", "concurrent")
+            ]
+    return sorted(set(out))
+
+
+def test_a_cell_has_one_dispatch_path():
+    assert not _second_fanout(_modules())
+
+
+def test_the_fanout_rule_sees_a_pool_and_a_thread_import(tmp_path):
+    """What ``runtime/executors.py`` and its BSP caller were, planted."""
+    pool = tmp_path / "sweep.py"
+    pool.write_text(
+        "import concurrent.futures\n"
+        "def fan(fn, xs):\n"
+        "    return concurrent.futures.ThreadPoolExecutor(2).map(fn, xs)\n"
+    )
+    engine = tmp_path / "bsp.py"
+    engine.write_text(
+        "def run():\n"
+        "    import threading\n"
+        "    from concurrent.futures import wait\n"
+    )
+    assert _second_fanout({
+        "repro.runtime.sweep": pool, "repro.engine.bsp": engine,
+    }) == [
+        "repro.engine.bsp: concurrent.futures",
+        "repro.engine.bsp: concurrent.futures.wait",
+        "repro.engine.bsp: threading",
+        "repro.runtime.sweep: ThreadPoolExecutor",
+    ]
+
+
 def _second_tracer_route(modules: dict[str, Path]) -> tuple[list, list]:
     """``(parameters, comparisons)``: public signatures outside
     ``repro.obs`` with a parameter named ``tracer``, and every
@@ -305,12 +362,12 @@ def test_the_check_rule_sees_an_engine_parameter(tmp_path):
     """What ``BSPEngine`` took until the check level became ambient only;
     the same text under ``repro.check`` is no breach."""
     source = (SRC / "repro" / "engine" / "bsp.py").read_text()
-    signature = '        executor: str = "serial",\n    ):'
+    signature = '        fault_plan=None,\n    ):'
     assert signature in source
     planted = tmp_path / "bsp.py"
     planted.write_text(
         source.replace(
-            signature, '        executor: str = "serial",\n        check=None,\n    ):'
+            signature, '        fault_plan=None,\n        check=None,\n    ):'
         )
     )
     (breach,) = _second_check_route({"repro.engine.bsp": planted})

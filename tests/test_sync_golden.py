@@ -59,7 +59,6 @@ OPTIONS = {
     "gpudirect": ({}, dict(gpudirect=True), {}),
     "overlap": ({}, {}, dict(overlap_comm=0.5)),
     "throttle": ({}, {}, dict(throttle_wait=2e-3)),
-    "threads": ({}, {}, dict(executor="threads")),
 }
 OPTION_APPS = ("pr", "bfs")
 OPTION_LAYOUT = ("cvc", 7)
@@ -114,14 +113,9 @@ def run_row(
 ) -> dict:
     app, pg, ctx = inputs.cell(app_name, policy, parts)
     config = CommConfig(**{"update_only": update_only, **(comm or {})})
-    engine_kwargs = dict(engine_kwargs or {})
-    if engine == "basp":
-        # BASP has nothing to dispatch: like ``Framework.run``, the
-        # executor goes to the BSP engine only
-        engine_kwargs.pop("executor", None)
     eng = ENGINES[engine](
         pg, bridges(parts, **(cluster or {})), app, comm_config=config,
-        check_memory=False, **engine_kwargs,
+        check_memory=False, **(engine_kwargs or {}),
     )
     return result_row(eng.run(ctx))
 

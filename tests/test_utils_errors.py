@@ -1,5 +1,7 @@
 """Tests for the shared utilities and the error hierarchy."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,26 @@ class TestTypedErrorsAtTheCliBoundary:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_args", bug)
         with pytest.raises(ZeroDivisionError):
             main([])
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"],
+        ["--parts", "0"],
+        ["--clients", "0"],
+        ["--requests", "-1"],
+        ["--mean-interarrival", "-1"],
+        ["--hot-fraction", "2"],
+        ["--hot-fraction", "-0.5"],
+        ["--mutate-every", "-1"],
+    ], ids="=".join)
+    def test_a_serve_config_it_cannot_serve_is_a_usage_error(
+        self, capsys, flags
+    ):
+        from repro.serve.cli import main as serve_main
+
+        assert serve_main(["--simulate", *flags, "--report", os.devnull]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigurationError: ")
+        assert "Traceback" not in captured.err + captured.out
 
     def test_unknown_dataset_is_a_usage_error(self, capsys):
         from repro.study.cli import main as study_main
