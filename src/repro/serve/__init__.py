@@ -5,8 +5,7 @@ the ROADMAP's production question — many clients, concurrent requests,
 graphs that change underneath them.  The package splits along the
 request path:
 
-* :mod:`repro.serve.queueing` — admission control and weighted fair
-  queueing across clients;
+* :mod:`repro.serve.queueing` — weighted fair queueing across clients;
 * :mod:`repro.serve.traffic` — the deterministic seeded client-traffic
   generator (requests + mutation events as data);
 * :mod:`repro.serve.incremental` — delta-frontier re-execution for
@@ -17,8 +16,8 @@ request path:
   :class:`~repro.runtime.sweep.SweepExecutor`, the repartition-vs-patch
   decision against the partition cache;
 * :mod:`repro.serve.service` — the discrete-event service loop tying it
-  together: coalescing, the content-hash result cache, simulated-time
-  latency accounting, and the deterministic report.
+  together: admission, coalescing, the content-hash result cache,
+  simulated-time latency accounting, and the deterministic report.
 
 The latency/throughput gate is the ``serve`` group of the ``gates``
 golden table (``tests/test_gates.py``): a seeded trace served twice and
@@ -26,12 +25,11 @@ once naively, its latencies and counters pinned exactly.
 """
 
 from repro.serve.incremental import IncrementalResult, incremental_run
-from repro.serve.queueing import AdmissionController, WFQQueue
+from repro.serve.queueing import WFQQueue
 from repro.serve.service import AnalyticsService, ServeConfig, ServeReport
 from repro.serve.traffic import TrafficConfig, generate_trace
 
 __all__ = [
-    "AdmissionController",
     "AnalyticsService",
     "IncrementalResult",
     "ServeConfig",

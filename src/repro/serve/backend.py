@@ -22,9 +22,9 @@ module decides *how*:
   static balance stays within ``patch_threshold`` of the baseline —
   otherwise the engine re-partitions from scratch and the baseline
   resets.  Patching is skipped for apps that run on the symmetrized
-  graph (their partitions key on a different content hash) and whenever
-  invariant checking is on (a patched placement intentionally deviates
-  from the policy's placement rules).
+  graph (their partitions key on a different content hash), under
+  ``ServeConfig.naive`` and whenever invariant checking is on (a patched
+  placement intentionally deviates from the policy's placement rules).
 """
 
 from __future__ import annotations
@@ -118,11 +118,6 @@ class ExecBackend:
         self._memo: dict[tuple, ExecResult] = {}
         self._prior: dict[tuple, _Prior] = {}
         self._pstate: dict[str, _PartitionState] = {}
-        self.engine_runs = 0
-        self.delta_runs = 0
-        self.memo_hits = 0
-        self.patches = 0
-        self.repartitions = 0
 
     # ------------------------------------------------------------------ #
     def _spill(self, snapshot: CSRGraph) -> str:
@@ -135,17 +130,12 @@ class ExecBackend:
             write_csr_store(snapshot, path)
         return f"store+ram:{path}"
 
-    def _patching_enabled(self) -> bool:
-        if self.config.patch_mode != "auto":
-            return False
+    def _maybe_patch(self, task: ExecTask) -> str:
+        """Repartition-vs-patch for the directed-graph partition key."""
         # patched placements break per-policy placement checkers on
         # purpose; never plant them under an active check level
         # (CheckLevel is an IntEnum: OFF == 0 is falsy)
-        return not current_check_level()
-
-    def _maybe_patch(self, task: ExecTask) -> str:
-        """Repartition-vs-patch for the directed-graph partition key."""
-        if task.app in SYMMETRIC_APPS or not self._patching_enabled():
+        if task.app in SYMMETRIC_APPS or self.config.naive or current_check_level():
             return ""
         state = self._pstate.get(task.graph_id)
         if state is None or state.version >= task.version:
@@ -155,16 +145,12 @@ class ExecBackend:
         if cache.get(task.snapshot, policy, parts) is not None:
             return ""  # a sibling already decided for this content
         vo = state.vertex_owner
-        if len(vo) != task.snapshot.num_vertices:
-            return ""  # vertex set moved (not expected; be safe)
         edge_owner = vo[task.snapshot.edge_sources()]
         patched = build_partitions(task.snapshot, vo, edge_owner, parts, policy)
         balance = partition_stats(patched).static_balance
         if balance <= self.config.patch_threshold * max(state.baseline_balance, 1.0):
             cache.put(task.snapshot, policy, parts, patched)
-            self.patches += 1
             return "patch"
-        self.repartitions += 1
         return "repartition"
 
     def _record_pstate(self, task: ExecTask, decision: str) -> None:
@@ -187,7 +173,7 @@ class ExecBackend:
 
     # ------------------------------------------------------------------ #
     def _try_delta(self, task: ExecTask) -> ExecResult | None:
-        if not self.config.incremental or task.app not in DELTA_APPS:
+        if self.config.naive or task.app not in DELTA_APPS:
             return None
         prior = self._prior.get((task.graph_id, task.app, task.params))
         if prior is None or prior.version > task.version:
@@ -200,7 +186,6 @@ class ExecBackend:
             return None  # fall through to the full path; reason recorded
         ratio = res.work_edges / max(task.snapshot.num_edges, 1)
         cost = max(prior.full_cost * ratio, MIN_SIM_COST)
-        self.delta_runs += 1
         self._prior[(task.graph_id, task.app, task.params)] = _Prior(
             task.version, task.snapshot, res.labels, prior.full_cost
         )
@@ -240,7 +225,6 @@ class ExecBackend:
             memo_key = (task.snapshot.content_hash(), task.app, task.params)
             hit = self._memo.get(memo_key)
             if hit is not None:
-                self.memo_hits += 1
                 results[i] = ExecResult(
                     "memo", hit.sim_cost, labels=hit.labels,
                     labels_crc=hit.labels_crc, reason="physical memo hit",
@@ -256,7 +240,6 @@ class ExecBackend:
             outcomes = self.executor.map(specs)
             for i, out in zip(full_idx, outcomes):
                 task = tasks[i]
-                self.engine_runs += 1
                 if out.ok:
                     cost = max(out.stats.execution_time, MIN_SIM_COST)
                     res = ExecResult(

@@ -2,13 +2,13 @@
 
 Typical invocations::
 
-    repro-serve --simulate --seed 7 --requests 80 --workers 2 --jobs 2
-    repro-serve --simulate --naive --report naive.json   # baseline policy
-    repro-serve --simulate --trace-dir traces --trace-out trace.json
+    repro-serve --seed 7 --requests 80 --workers 2 --jobs 2
+    repro-serve --naive --report naive.json   # baseline policy
+    repro-serve --trace-dir traces --trace-out trace.json
 
-``--simulate`` runs a seeded traffic trace (generated from the CLI
-knobs) through the discrete-event service and writes the deterministic
-JSON report.  Two invocations with the same flags produce byte-identical
+It generates a seeded traffic trace from the CLI knobs, serves it
+through the discrete-event service and writes the deterministic JSON
+report.  Two invocations with the same flags produce byte-identical
 reports — the CI ``serve-smoke`` job asserts exactly that, plus zero
 failed requests and a non-zero coalesce count.
 
@@ -88,8 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         "traffic over mutating graphs with coalescing, caching, "
         "and weighted fair queueing.",
     )
-    parser.add_argument("--simulate", action="store_true",
-                        help="generate a seeded trace and serve it")
     # traffic shape
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--requests", type=int, default=60, metavar="N")
@@ -109,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-queue-depth", type=int, default=64)
     parser.add_argument("--naive", action="store_true",
                         help="baseline: no coalescing, no result cache, "
-                        "no incremental re-execution")
+                        "no incremental re-execution, no patching")
     parser.add_argument("--policy", default="oec")
     parser.add_argument("--parts", type=int, default=2,
                         help="simulated GPUs per execution")
@@ -133,10 +131,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    if not args.simulate:
-        parser.error("--simulate is required (the only mode, for now)")
-        return 2  # pragma: no cover - parser.error raises SystemExit
-
     from repro import obs
     from repro.serve.service import ServeConfig
     from repro.serve.traffic import TrafficConfig, generate_trace
@@ -151,9 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         hot_fraction=args.hot_fraction,
         mutate_every=args.mutate_every,
     )
-    config = (ServeConfig.naive if args.naive else ServeConfig)(
+    config = ServeConfig(
         workers=args.workers,
         max_queue_depth=args.max_queue_depth,
+        naive=args.naive,
         policy=args.policy,
         parts=args.parts,
         verify_incremental=args.verify_incremental,

@@ -1,4 +1,4 @@
-"""Admission control and weighted fair queueing for the serve layer.
+"""Weighted fair queueing for the serve layer.
 
 Scheduling follows the classic virtual-time WFQ formulation: each flow
 (client) carries a weight; a request of estimated cost ``c`` arriving on
@@ -12,12 +12,6 @@ work per unit of contention — without starving light flows the way
 strict priority would.  Everything is deterministic: ties break on
 ``(tag, sequence number)``, and the virtual clock only advances off
 request arrivals/dispatches, never the wall clock.
-
-Admission control is a plain depth cap: a request that would push the
-queue past ``max_queue_depth`` is rejected at the door (the client sees
-an immediate "rejected" rather than an unbounded latency tail).  The
-simulator counts rejections separately from failures — shedding load is
-the service working as designed, a failed execution is not.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["AdmissionController", "WFQQueue"]
+__all__ = ["WFQQueue"]
 
 
 @dataclass
@@ -45,8 +39,7 @@ class _Entry:
 class WFQQueue:
     """Weighted fair queue over per-client flows (deterministic)."""
 
-    def __init__(self, default_weight: float = 1.0):
-        self.default_weight = float(default_weight)
+    def __init__(self):
         self._flows: dict[str, _Flow] = {}
         self._heap: list[_Entry] = []
         self._seq = 0
@@ -59,7 +52,7 @@ class WFQQueue:
 
     def push(self, flow: str, item: Any, cost: float = 1.0) -> float:
         """Enqueue ``item`` on ``flow``; returns the assigned finish tag."""
-        f = self._flows.setdefault(flow, _Flow(self.default_weight))
+        f = self._flows.setdefault(flow, _Flow())
         tag = max(self._virtual, f.last_tag) + max(cost, 1e-9) / f.weight
         f.last_tag = tag
         heapq.heappush(self._heap, _Entry(tag, self._seq, item))
@@ -78,18 +71,3 @@ class WFQQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-
-class AdmissionController:
-    """Depth-capped admission; counts what it turns away."""
-
-    def __init__(self, max_queue_depth: int = 64):
-        self.max_queue_depth = int(max_queue_depth)
-        self.admitted = 0
-        self.rejected = 0
-
-    def admit(self, queue_len: int) -> bool:
-        if queue_len >= self.max_queue_depth:
-            self.rejected += 1
-            return False
-        self.admitted += 1
-        return True

@@ -10,14 +10,14 @@ criterion the CI smoke job replays.
 
 The request path (docs/serve.md):
 
-1. **admission** — a depth-capped door; shed requests are recorded as
-   ``rejected``, not failed.
-2. **result cache** — keyed ``(graph content hash, app, params)``; a
+1. **result cache** — keyed ``(graph content hash, app, params)``; a
    mutation changes the hash (via :class:`~repro.graph.mutable.
    MutableGraph`), so stale answers are unreachable by construction.
-3. **coalescing** — a request whose ``(graph, app, params, version)``
+2. **coalescing** — a request whose ``(graph, app, params, version)``
    matches a queued or in-flight execution joins it and shares its
    completion instead of spawning another run.
+3. **admission** — a depth-capped door; shed requests are recorded as
+   ``rejected``, not failed.
 4. **weighted fair queueing** — queued executions drain smallest
    virtual-finish-tag first across per-client flows.
 5. **execution** — the backend picks delta/full/memo and prices the run
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,13 +35,22 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.serve.backend import ExecBackend, ExecTask
-from repro.serve.queueing import AdmissionController, WFQQueue
+from repro.serve.queueing import WFQQueue
 from repro.serve.traffic import MutationEvent, Request, ServeTrace, batch_from_event
 
 __all__ = ["AnalyticsService", "ServeConfig", "ServeReport"]
 
 #: simulated seconds charged for a result-cache hit
 CACHE_COST = 1e-4
+#: the report's ``counters`` block, in report order
+COUNTERS = (
+    "requests", "admitted", "rejected", "failed", "executions", "full_runs",
+    "delta_runs", "memo_hits", "coalesced", "cache_hits", "mutations",
+    "patches", "repartitions",
+)
+#: the counter an ``ExecResult.mode`` / ``.partition_decision`` lands in
+_OUTCOME_COUNTER = {"full": "full_runs", "delta": "delta_runs", "memo": "memo_hits",
+                    "patch": "patches", "repartition": "repartitions"}
 
 
 @dataclass
@@ -52,12 +60,11 @@ class ServeConfig:
 
     workers: int = 2
     max_queue_depth: int = 64
-    coalesce: bool = True
-    result_cache_entries: int = 256
-    incremental: bool = True
+    #: the run-every-request baseline the serve gate compares against: no
+    #: coalescing, no result cache, no incremental re-execution, no patching
+    naive: bool = False
     policy: str = "oec"
     parts: int = 2
-    patch_mode: str = "auto"  # "auto" | "never"
     patch_threshold: float = 1.5
     #: re-run every delta through the full path and assert bit-identity
     verify_incremental: bool = False
@@ -67,16 +74,6 @@ class ServeConfig:
         for name in ("workers", "parts"):
             if (value := getattr(self, name)) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
-
-    @classmethod
-    def naive(cls, **kw) -> "ServeConfig":
-        """The run-every-request baseline the serve gate compares against:
-        no coalescing, no result cache, no incremental re-execution."""
-        kw.setdefault("coalesce", False)
-        kw.setdefault("result_cache_entries", 0)
-        kw.setdefault("incremental", False)
-        kw.setdefault("patch_mode", "never")
-        return cls(**kw)
 
 
 @dataclass
@@ -99,10 +96,10 @@ class _Execution:
 
     __slots__ = (
         "graph_id", "app", "params", "version", "snapshot", "graph",
-        "chash", "requests", "state", "created",
+        "chash", "requests", "state",
     )
 
-    def __init__(self, req: Request, graph, now: float):
+    def __init__(self, req: Request, graph):
         self.graph_id = req.graph_id
         self.app = req.app
         self.params = tuple(req.params)
@@ -112,7 +109,6 @@ class _Execution:
         self.chash = self.snapshot.content_hash()
         self.requests = [req]
         self.state = "queued"
-        self.created = now
 
     @property
     def key(self) -> tuple:
@@ -153,40 +149,22 @@ class AnalyticsService:
     def __init__(self, config: ServeConfig, executor, spool_dir: str):
         self.config = config
         self.backend = ExecBackend(executor, spool_dir, config)
-        self.admission = AdmissionController(config.max_queue_depth)
         self.wfq = WFQQueue()
         self._free = config.workers
         self._events: list = []  # (time, seq, kind, payload)
         self._seq = 0
         self._pending: dict[tuple, _Execution] = {}
-        self._cache: OrderedDict[tuple, tuple] = OrderedDict()
+        #: (content hash, app, params) -> labels CRC; at most one entry per
+        #: completed execution, and empty under ``naive``
+        self._cache: dict[tuple, int] = {}
         self._records: dict[int, RequestRecord] = {}
-        self.coalesced = 0
-        self.cache_hits = 0
-        self.failed = 0
-        self.executions = 0
-        self.mutations = 0
+        #: every served outcome, counted once, where it happens
+        self.counts = dict.fromkeys(COUNTERS, 0)
 
     # ------------------------------------------------------------------ #
     def _push(self, time: float, kind: str, payload) -> None:
         heapq.heappush(self._events, (time, self._seq, kind, payload))
         self._seq += 1
-
-    def _cache_get(self, key: tuple):
-        if not self.config.result_cache_entries:
-            return None
-        hit = self._cache.get(key)
-        if hit is not None:
-            self._cache.move_to_end(key)
-        return hit
-
-    def _cache_put(self, key: tuple, value: tuple) -> None:
-        if not self.config.result_cache_entries:
-            return
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.config.result_cache_entries:
-            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     def run(self, trace: ServeTrace) -> ServeReport:
@@ -220,46 +198,48 @@ class AnalyticsService:
             tuple(tuple(p) for p in req.params), round(req.time, 9),
         )
         self._records[req.rid] = rec
+        self.counts["requests"] += 1
         graph = self._graphs[req.graph_id]
         tracer.instant(
             "serve.queue", "serve",
             args={"rid": req.rid, "depth": len(self.wfq)},
         )
-        key = (graph.content_hash(), req.app, tuple(req.params))
-        hit = self._cache_get(key)
-        if hit is not None:
-            self.cache_hits += 1
+        crc = self._cache.get((graph.content_hash(), req.app, tuple(req.params)))
+        if crc is not None:
+            self.counts["cache_hits"] += 1
             self._push(
                 round(now + CACHE_COST, 9), "completion",
-                _Done([req], "cached", hit[0], consumed_worker=False),
+                _Done([req], "cached", crc, consumed_worker=False),
             )
             return
-        if self.config.coalesce:
+        if not self.config.naive:
             ckey = (req.graph_id, req.app, tuple(req.params), graph.version)
             ex = self._pending.get(ckey)
             if ex is not None:
                 ex.requests.append(req)
-                self.coalesced += 1
+                self.counts["coalesced"] += 1
                 tracer.instant(
                     "serve.coalesce", "serve",
                     args={"rid": req.rid, "onto": ex.requests[0].rid,
                           "state": ex.state},
                 )
                 return
-        if not self.admission.admit(len(self.wfq)):
+        if len(self.wfq) >= self.config.max_queue_depth:
+            self.counts["rejected"] += 1
             rec.served_by = "rejected"
             rec.finish = round(now, 9)
             tracer.instant(
                 "serve.admission_reject", "serve", args={"rid": req.rid}
             )
             return
-        ex = _Execution(req, graph, now)
+        self.counts["admitted"] += 1
+        ex = _Execution(req, graph)
         self._pending[ex.key] = ex
         self.wfq.push(req.client, ex, cost=1.0)
 
     def _mutate(self, ev: MutationEvent, tracer) -> None:
         self._graphs[ev.graph_id].apply(batch_from_event(ev))
-        self.mutations += 1
+        self.counts["mutations"] += 1
         tracer.instant(
             "serve.mutation", "serve",
             args={"graph": ev.graph_id,
@@ -272,13 +252,13 @@ class AnalyticsService:
         while self._free > 0 and len(self.wfq):
             ex = self.wfq.pop()
             # the cache may have filled while this execution queued
-            hit = self._cache_get((ex.chash, ex.app, ex.params))
-            if hit is not None:
-                self.cache_hits += 1
+            crc = self._cache.get((ex.chash, ex.app, ex.params))
+            if crc is not None:
+                self.counts["cache_hits"] += 1
                 del self._pending[ex.key]
                 self._push(
                     round(now + CACHE_COST, 9), "completion",
-                    _Done(ex.requests, "cached", hit[0],
+                    _Done(ex.requests, "cached", crc,
                           consumed_worker=False),
                 )
                 continue
@@ -298,12 +278,15 @@ class AnalyticsService:
         ])
         tracer.end(ev, executions=len(ready))
         for ex, res in zip(ready, results):
-            self.executions += 1
+            self.counts["executions"] += 1
+            for outcome in (res.mode, res.partition_decision):
+                if outcome:
+                    self.counts[_OUTCOME_COUNTER[outcome]] += 1
             done = _Done(
                 ex.requests, "executed", res.labels_crc,
                 mode=res.mode, failure_kind=res.failure_kind,
                 cache_key=(ex.chash, ex.app, ex.params),
-                pending_key=ex.key, execution=ex,
+                pending_key=ex.key,
             )
             self._push(
                 round(now + res.sim_cost, 9), "completion", done
@@ -319,10 +302,10 @@ class AnalyticsService:
                 rec = self._records[req.rid]
                 rec.served_by = "failed"
                 rec.finish = round(now, 9)
-                self.failed += 1
+                self.counts["failed"] += 1
             return
-        if done.cache_key is not None:
-            self._cache_put(done.cache_key, (done.labels_crc,))
+        if done.cache_key is not None and not self.config.naive:
+            self._cache[done.cache_key] = done.labels_crc
         for i, req in enumerate(done.requests):
             rec = self._records[req.rid]
             rec.served_by = (
@@ -369,25 +352,10 @@ class AnalyticsService:
                 round(d.pop("latency_sum") / d["completed"], 9)
                 if d["completed"] else 0.0
             )
-        counters = {
-            "requests": len(records),
-            "admitted": self.admission.admitted,
-            "rejected": self.admission.rejected,
-            "failed": self.failed,
-            "executions": self.executions,
-            "full_runs": self.backend.engine_runs,
-            "delta_runs": self.backend.delta_runs,
-            "memo_hits": self.backend.memo_hits,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "mutations": self.mutations,
-            "patches": self.backend.patches,
-            "repartitions": self.backend.repartitions,
-        }
         return ServeReport(
             config=asdict(self.config),
             traffic=trace.config.to_json(),
-            counters=counters,
+            counters=dict(self.counts),
             latency=latency,
             per_client={k: per_client[k] for k in sorted(per_client)},
             requests=[asdict(r) for r in records],
@@ -399,13 +367,12 @@ class _Done:
 
     __slots__ = (
         "requests", "served_by", "labels_crc", "mode", "failure_kind",
-        "cache_key", "pending_key", "consumed_worker", "execution",
+        "cache_key", "pending_key", "consumed_worker",
     )
 
     def __init__(
         self, requests, served_by, labels_crc, mode="", failure_kind="",
         cache_key=None, pending_key=None, consumed_worker=True,
-        execution=None,
     ):
         self.requests = requests
         self.served_by = served_by
@@ -415,4 +382,3 @@ class _Done:
         self.cache_key = cache_key
         self.pending_key = pending_key
         self.consumed_worker = consumed_worker
-        self.execution = execution

@@ -19,6 +19,7 @@ actually lives in.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -82,7 +83,8 @@ class TrafficConfig:
     mutate_every: int = 20
     mutation_inserts: int = 4
     mutation_deletes: int = 2
-    #: client name -> WFQ weight (unlisted clients weigh 1.0)
+    #: client name (``c0`` ... ``c{num_clients-1}``) -> WFQ weight, finite
+    #: and > 0 (unlisted clients weigh 1.0)
     client_weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -96,6 +98,13 @@ class TrafficConfig:
             if not ok:
                 value = getattr(self, name)
                 raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+        clients = {f"c{i}" for i in range(self.num_clients)}
+        for client, weight in self.client_weights.items():
+            if client not in clients or not (math.isfinite(weight) and weight > 0):
+                raise ConfigurationError(
+                    f"client_weights[{client!r}] = {weight!r}: the client must be "
+                    f"one of c0..c{self.num_clients - 1} and its weight finite and > 0"
+                )
 
     def to_json(self) -> dict:
         d = asdict(self)

@@ -100,7 +100,7 @@ def serve_rows() -> dict:
     ))
     first = run_trace(trace, ServeConfig(workers=2), jobs=JOBS)
     second = run_trace(trace, ServeConfig(workers=2), jobs=JOBS)
-    naive = run_trace(trace, ServeConfig.naive(workers=2), jobs=JOBS)
+    naive = run_trace(trace, ServeConfig(workers=2, naive=True), jobs=JOBS)
     s, n = first.latency, naive.latency
     return {"serve/trace": {
         "requests": first.counters["requests"],

@@ -1,13 +1,15 @@
 """The analytics service: queueing, traffic, and the event loop."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.serve.cli import main as serve_main
 from repro.serve.cli import run_trace
-from repro.serve.queueing import AdmissionController, WFQQueue
+from repro.serve.queueing import WFQQueue
 from repro.serve.service import ServeConfig
 from repro.serve.traffic import (
     MutationEvent,
@@ -59,14 +61,6 @@ class TestWFQ:
         assert q.pop() == "a2"
 
 
-class TestAdmission:
-    def test_depth_cap(self):
-        a = AdmissionController(max_queue_depth=2)
-        assert a.admit(0) and a.admit(1)
-        assert not a.admit(2)
-        assert (a.admitted, a.rejected) == (2, 1)
-
-
 class TestTraffic:
     def test_trace_is_deterministic(self):
         cfg = TrafficConfig(seed=9, num_requests=40)
@@ -99,6 +93,19 @@ class TestTraffic:
             for name, value in r.params:
                 if name == "source":
                     assert 0 <= value < graphs[r.graph_id].num_vertices
+
+    @pytest.mark.parametrize("weights", [
+        {"c0": math.nan},
+        {"c0": math.inf},
+        {"c0": 0.0},
+        {"c9": 2.0},
+    ], ids=repr)
+    def test_a_bad_client_weight_is_refused_when_built(self, weights):
+        # let through, a NaN weight starves its client, a zero one stops
+        # the run mid-way in WFQQueue.set_weight, and a client the trace
+        # never generates is silently ignored
+        with pytest.raises(ConfigurationError, match="client_weights"):
+            TrafficConfig(num_clients=4, client_weights=weights)
 
 
 # a small, fast, coalesce-heavy workload shared by the service tests
@@ -147,7 +154,7 @@ class TestService:
         assert again.to_json() == report.to_json()
 
     def test_naive_baseline_runs_everything(self, trace):
-        naive = run_trace(trace, ServeConfig.naive(workers=2), jobs=1)
+        naive = run_trace(trace, ServeConfig(workers=2, naive=True), jobs=1)
         c = naive.counters
         assert c["coalesced"] == 0
         assert c["cache_hits"] == 0
@@ -155,16 +162,17 @@ class TestService:
         assert c["executions"] == c["requests"]  # every request runs
 
     def test_serve_beats_naive_on_median_latency(self, trace, report):
-        naive = run_trace(trace, ServeConfig.naive(workers=2), jobs=1)
+        naive = run_trace(trace, ServeConfig(workers=2, naive=True), jobs=1)
         assert report.latency["median"] < naive.latency["median"]
 
     def test_admission_sheds_load_under_pressure(self, trace):
-        cfg = ServeConfig(
-            workers=1, max_queue_depth=1, coalesce=False,
-            result_cache_entries=0, incremental=False, patch_mode="never",
-        )
+        cfg = ServeConfig(workers=1, max_queue_depth=1, naive=True)
         rep = run_trace(trace, cfg, jobs=1)
-        assert rep.counters["rejected"] > 0
+        c = rep.counters
+        assert c["rejected"] > 0
+        # naive: nothing is cached or coalesced, so every request meets
+        # the door
+        assert c["admitted"] + c["rejected"] == c["requests"]
         rejected = [r for r in rep.requests if r["served_by"] == "rejected"]
         assert len(rejected) == rep.counters["rejected"]
         assert all(r["latency"] is None for r in rejected)
@@ -236,6 +244,119 @@ class TestService:
             failed[0].raise_failure()
 
 
+#: apps whose labels are bit-identical however the graph was partitioned
+#: (a patched partitioning legitimately reorders pr's float sums)
+EXACT_APPS = frozenset({"bfs", "bfs-do", "sssp", "cc", "cc-pj"})
+
+
+class TestServedAnswersAreExact:
+    """An answer does not depend on how it was produced: every served
+    label CRC equals a from-scratch run on the snapshot its request saw
+    at arrival, whether it was executed, coalesced or cached."""
+
+    TRAFFIC = TrafficConfig(
+        seed=11, num_clients=4, num_requests=60, mean_interarrival=0.002,
+        apps=("bfs", "cc", "pr", "sssp"), graphs=((8, 8.0),), mutate_every=5,
+    )
+    PARTS = 4
+
+    def _from_scratch(self, trace, config, tmp_path) -> dict:
+        """rid -> the CRC one from-scratch run gives its arrival snapshot."""
+        from repro.graph.store import write_csr_store
+        from repro.partition.cache import configure, get_cache, set_cache
+        from repro.runtime.cells import CellSpec, SystemSpec, run_task
+        from repro.serve.backend import EXECUTION, PLATFORM
+
+        graphs = trace.build_graphs()
+        crcs: dict[tuple, int] = {}
+        expected = {}
+        found = get_cache()
+        configure()  # nothing the served run partitioned is reused
+        try:
+            for ev in trace.events():
+                if isinstance(ev, MutationEvent):
+                    graphs[ev.graph_id].apply(batch_from_event(ev))
+                    continue
+                snapshot = graphs[ev.graph_id].snapshot()
+                key = (snapshot.content_hash(), ev.app, ev.params)
+                if key not in crcs:
+                    path = str(tmp_path / f"{key[0][:16]}.csr")
+                    write_csr_store(snapshot, path)
+                    out = run_task(CellSpec(
+                        key=key,
+                        system=SystemSpec.dirgl(
+                            policy=config.policy, execution=EXECUTION
+                        ),
+                        benchmark=ev.app,
+                        dataset=f"store+ram:{path}",
+                        num_gpus=config.parts,
+                        platform=PLATFORM,
+                        check_memory=False,
+                        ctx_overrides=ev.params,
+                    ))
+                    assert out.ok, out.failure
+                    crcs[key] = out.labels_crc
+                expected[ev.rid] = crcs[key]
+        finally:
+            set_cache(found)
+        return expected
+
+    @staticmethod
+    def _wrong(report, expected, apps) -> tuple[int, int]:
+        """(wrong answers, answers checked) among the served requests."""
+        served = [
+            r for r in report.requests
+            if r["served_by"] in ("executed", "coalesced", "cached")
+            and r["app"] in apps
+        ]
+        wrong = sum(r["labels_crc"] != expected[r["rid"]] for r in served)
+        return wrong, len(served)
+
+    def test_every_served_answer_equals_a_from_scratch_run(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.graph.mutable import MutableGraph
+        from repro.serve.service import _Execution
+
+        trace = generate_trace(self.TRAFFIC)
+        config = ServeConfig(workers=2, parts=self.PARTS)
+        naive = ServeConfig(workers=2, parts=self.PARTS, naive=True)
+        expected = self._from_scratch(trace, config, tmp_path)
+        every_app = set(self.TRAFFIC.apps)
+
+        report = run_trace(trace, config, jobs=1)
+        c = report.counters
+        # the trace exercises every way of producing an answer
+        assert min(c["patches"], c["delta_runs"], c["coalesced"],
+                   c["cache_hits"]) > 0
+        wrong, checked = self._wrong(report, expected, EXACT_APPS)
+        assert (wrong, checked) == (0, 52)
+        wrong, checked = self._wrong(
+            run_trace(trace, naive, jobs=1), expected, every_app
+        )
+        assert (wrong, checked) == (0, self.TRAFFIC.num_requests)
+
+        # the oracle catches the two bugs a served answer could hide
+        plants = {
+            "coalescing across versions": [
+                (MutableGraph, "version", property(lambda self: 0)),
+            ],
+            "a result cache keyed without content": [
+                (MutableGraph, "content_hash", lambda self: self.name),
+                (_Execution, "chash", property(
+                    lambda self: self.graph.name, lambda self, value: None
+                )),
+            ],
+        }
+        for name, patches in plants.items():
+            with monkeypatch.context() as m:
+                for owner, attr, value in patches:
+                    m.setattr(owner, attr, value)
+                planted = run_trace(trace, config, jobs=1)
+            wrong, _ = self._wrong(planted, expected, EXACT_APPS)
+            assert wrong > 0, f"the oracle missed {name}"
+
+
 class TestEachSettingHasOneRoute:
     """A setting reaches the service one way, so the route that installed
     it cannot change a decision."""
@@ -264,7 +385,7 @@ class TestEachSettingHasOneRoute:
             seed=3, num_clients=4, num_requests=80, mean_interarrival=1e-7,
             apps=("bfs", "cc"), graphs=((9, 8.0),), mutate_every=0,
         )
-        config = ServeConfig.naive(workers=1)
+        config = ServeConfig(workers=1, naive=True)
 
         def c0_latency(**weights):
             trace = generate_trace(TrafficConfig(**shape, **weights))
@@ -301,7 +422,7 @@ class TestCLI:
     def test_simulate_writes_report_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = serve_main([
-            "--simulate", "--seed", "13", "--requests", "24",
+            "--seed", "13", "--requests", "24",
             "--graphs", "5:3", "--mean-interarrival", "0.001",
             "--jobs", "1", "--report", str(out), "--quiet",
         ])
@@ -313,7 +434,7 @@ class TestCLI:
     def test_trace_out_round_trips(self, tmp_path):
         out = tmp_path / "trace.json"
         rc = serve_main([
-            "--simulate", "--seed", "3", "--requests", "12",
+            "--seed", "3", "--requests", "12",
             "--graphs", "5:3", "--jobs", "1",
             "--report", str(tmp_path / "r.json"),
             "--trace-out", str(out), "--quiet",

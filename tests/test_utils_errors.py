@@ -180,7 +180,7 @@ class TestTypedErrorsAtTheCliBoundary:
     ):
         from repro.serve.cli import main as serve_main
 
-        assert serve_main(["--simulate", *flags, "--report", os.devnull]) == 2
+        assert serve_main([*flags, "--report", os.devnull]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ConfigurationError: ")
         assert "Traceback" not in captured.err + captured.out
