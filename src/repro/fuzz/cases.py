@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from repro.errors import ReproError, SimulatedCrashError
+from repro.errors import ConfigurationError, ReproError, SimulatedCrashError
 
 __all__ = ["Case", "CaseFailure", "run_case", "make_context"]
 
@@ -109,13 +109,20 @@ class Case:
     @classmethod
     def from_json(cls, text: str) -> "Case":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ReproError(
+                f"a case is a JSON object, not {type(data).__name__}"
+            )
         version = data.get("version", 0)
         if version != CASE_VERSION:
             raise ReproError(
                 f"case schema version {version} != {CASE_VERSION}"
             )
         known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        try:
+            return cls(**{k: v for k, v in data.items() if k in known})
+        except TypeError as e:  # a required field is missing
+            raise ReproError(f"malformed case: {e}") from None
 
     def save(self, path: str) -> str:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -125,8 +132,15 @@ class Case:
 
     @classmethod
     def load(cls, path: str) -> "Case":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        """The case saved at ``path``; a file that cannot be read or is
+        not JSON is a :class:`~repro.errors.ConfigurationError` naming it."""
+        try:
+            with open(path) as fh:
+                return cls.from_json(fh.read())
+        except (OSError, ValueError) as e:
+            raise ConfigurationError(
+                f"cannot load case {path!r}: {e}"
+            ) from None
 
     def mutation_batches(self) -> list:
         """The :class:`~repro.graph.mutable.EdgeBatch` list this case's
@@ -254,8 +268,6 @@ def run_case(case: Case, check="full"):
     graph = case.graph()
     app = get_app(case.app)
     if case.engine == "basp" and not app.async_capable:
-        from repro.errors import ConfigurationError
-
         raise ConfigurationError(f"{case.app} cannot run under basp")
     ctx = make_context(graph, case)
     cfg = CommConfig(

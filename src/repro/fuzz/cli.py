@@ -22,7 +22,7 @@ import os
 import re
 import sys
 
-from repro.errors import cli_main
+from repro.errors import ConfigurationError, cli_main
 
 __all__ = ["main", "week_seed"]
 
@@ -134,16 +134,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-iteration progress")
     args = parser.parse_args(argv)
+    for flag, value in (
+        ("--iterations", args.iterations),
+        ("--budget", args.budget),
+        ("--max-failures", args.max_failures),
+    ):
+        # a run bounded at zero tests nothing and would report "clean"
+        if value is not None and value <= 0:
+            raise ConfigurationError(f"{flag} must be positive, got {value:g}")
 
     if args.self_test:
         return _self_test()
 
     if args.advisor_sanity:
-        return _advisor_sanity(args.seed, args.iterations or 20)
+        iterations = 20 if args.iterations is None else args.iterations
+        return _advisor_sanity(args.seed, iterations)
 
     if args.replay:
         from repro.apps import get_app
-        from repro.errors import ConfigurationError
         from repro.fuzz.cases import Case, run_case
 
         case = Case.load(args.replay)

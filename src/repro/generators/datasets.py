@@ -337,16 +337,16 @@ def _load_fuzz_dataset(name: str) -> Dataset:
 
 
 @functools.lru_cache(maxsize=None)
-def load_dataset(name: str, weighted: bool = True) -> Dataset:
+def load_dataset(name: str) -> Dataset:
     """Generate (once; cached) and return the named stand-in dataset.
 
-    The returned graph carries randomized edge weights when ``weighted``
-    (the paper adds them to every input for sssp).
+    The returned graph carries randomized edge weights (the paper adds
+    them to every input for sssp).
 
     Names of the form ``store+mmap:<path>`` / ``store+ram:<path>`` open an
-    existing store container instead (``weighted`` is ignored — the store
-    carries whatever weights it was built with).  ``fuzz:<shape>:<seed>``
-    names deterministically regenerate a fuzzer shape at 1x scale.
+    existing store container instead (the store carries whatever weights
+    it was built with).  ``fuzz:<shape>:<seed>`` names deterministically
+    regenerate a fuzzer shape at 1x scale.
     """
     for prefix, mode in _STORE_PREFIXES.items():
         if name.startswith(prefix):
@@ -359,8 +359,6 @@ def load_dataset(name: str, weighted: bool = True) -> Dataset:
         raise UnknownDatasetError(
             f"unknown dataset {name!r}; known: {sorted(DATASETS)}"
         ) from None
-    graph = spec.generator()
-    if weighted:
-        graph = add_random_weights(graph, seed=0)
+    graph = add_random_weights(spec.generator(), seed=0)
     scale = spec.paper.num_edges / max(graph.num_edges, 1)
     return Dataset(spec=spec, graph=graph, scale_factor=scale)

@@ -16,10 +16,12 @@ This module defines them:
   and a per-cell partition-build counter.
 
 :func:`run_task` executes one spec in the current process; the sweep
-executor ships specs to pool workers and calls it there.  Datasets come
-from the ``lru_cache``'d loader and partitions from the content-hash
-partition cache, so a worker that processes many cells of one dataset
-pays for loading and partitioning once.
+executor ships specs to pool workers and calls it there, one spec per
+task.  Datasets come from the ``lru_cache``'d loader and partitions from
+the content-hash partition cache, so a worker that processes many cells
+of one dataset pays for loading and partitioning once.  Every cell runs
+under a :class:`~repro.runtime.rss.RssSampler`, so every outcome reports
+the host memory it took (``extra["rss"]``).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "PartitionStatsSpec",
     "CellOutcome",
     "run_task",
-    "run_task_batch",
 ]
 
 
@@ -193,11 +194,18 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
     per-cell :class:`~repro.obs.Tracer` is created, made ambient for the
     duration so the engines and partition cache record into it, and
     exported to ``<trace_dir>/<key>.trace.json``.
+
+    An :class:`~repro.runtime.rss.RssSampler` spans the cell from before
+    its dataset loads to every exit; each outcome, failed or not, carries
+    ``extra["rss"]`` (``baseline_bytes``, ``peak_bytes``,
+    ``peak_increment_bytes``, ``source``), the baseline being this
+    process's anonymous RSS when the cell starts.
     """
     from repro import obs
     from repro.generators.datasets import load_dataset
     from repro.partition import partition, partition_stats
     from repro.partition.cache import get_cache
+    from repro.runtime.rss import RssSampler
 
     t0 = time.perf_counter()
     builds0 = get_cache().stats.builds
@@ -214,6 +222,7 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
     cell_ev = tracer.begin(
         "cell", "cell", args={"key": str(spec.key), "dataset": spec.dataset}
     )
+    sampler = RssSampler().start()
     try:
         try:
             ds = load_dataset(spec.dataset)
@@ -252,6 +261,11 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
     finally:
         if owns_tracer:
             obs.set_tracer(None)
+        rss = sampler.stop()
+    out.extra["rss"] = dict(
+        baseline_bytes=rss.baseline, peak_bytes=rss.peak,
+        peak_increment_bytes=rss.peak_increment, source=rss.source,
+    )
     out.partition_builds = get_cache().stats.builds - builds0
     out.elapsed = time.perf_counter() - t0
     out.extra["worker_pid"] = os.getpid()
@@ -267,47 +281,3 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
         obs.write_chrome(tracer, path, process_name=f"cell {spec.key}")
         out.extra["trace_path"] = path
     return out
-
-
-def run_task_batch(
-    specs: list[CellSpec | PartitionStatsSpec],
-) -> list[CellOutcome]:
-    """Run several specs sequentially in this process under one RSS meter.
-
-    The sweep executor's ``shard_plan`` mode groups cells by dataset and
-    ships each group here, so a worker opens its (possibly mmap-backed)
-    graph once and amortizes it over the whole batch.  A
-    :class:`~repro.runtime.rss.RssSampler` spans the batch; every outcome
-    carries the worker's anonymous-RSS readings in
-    ``extra["rss"]`` (``baseline`` / ``peak`` / ``peak_increment`` /
-    ``source`` bytes), and the ambient tracer receives ``ooc.batches`` /
-    ``ooc.batch_cells`` counters plus an ``ooc.rss_peak`` instant with the
-    same numbers.
-    """
-    from repro import obs
-    from repro.runtime.rss import RssSampler
-
-    sampler = RssSampler().start()
-    outcomes: list[CellOutcome] = []
-    try:
-        for spec in specs:
-            outcomes.append(run_task(spec))
-            # fold a reading in right after the cell: short-lived spikes
-            # between poll ticks would otherwise go unrecorded
-            sampler.sample_now()
-    finally:
-        sample = sampler.stop()
-    rss = {
-        "baseline_bytes": sample.baseline,
-        "peak_bytes": sample.peak,
-        "peak_increment_bytes": sample.peak_increment,
-        "source": sample.source,
-        "samples": sample.samples,
-    }
-    for out in outcomes:
-        out.extra["rss"] = rss
-    tracer = obs.current_tracer()
-    tracer.count("ooc.batches")
-    tracer.count("ooc.batch_cells", len(outcomes))
-    tracer.instant("ooc.rss_peak", "ooc", args=rss)
-    return outcomes

@@ -1,13 +1,15 @@
-"""Peak resident-memory sampling for out-of-core workers.
+"""Peak resident-memory sampling: the meter every study cell runs under.
 
-The OOC acceptance gate asserts that a worker streaming a graph much
-larger than RAM keeps its *resident* footprint bounded.  Plain ``VmRSS``
-is the wrong meter for that: clean file-backed mmap pages (the store
-being streamed) count toward ``VmRSS`` even though the kernel reclaims
-them freely under pressure — a worker could look "over budget" while
-using almost no real memory.  What the budget must bound is **anonymous**
-memory (heap + anonymous mappings: numpy temporaries, labels, caches),
-reported by ``RssAnon`` in ``/proc/self/status``.
+:func:`repro.runtime.cells.run_task` wraps each cell in an
+:class:`RssSampler`, and the OOC acceptance gate asserts that a worker
+streaming a graph much larger than RAM keeps its *resident* footprint
+bounded.  Plain ``VmRSS`` is the wrong meter for that: clean file-backed
+mmap pages (the store being streamed) count toward ``VmRSS`` even though
+the kernel reclaims them freely under pressure — a worker could look
+"over budget" while using almost no real memory.  What the budget must
+bound is **anonymous** memory (heap + anonymous mappings: numpy
+temporaries, labels, caches), reported by ``RssAnon`` in
+``/proc/self/status``.
 
 :class:`RssSampler` polls that meter on a daemon thread and tracks the
 peak.  Readings are reported both absolute and relative to the baseline
@@ -82,9 +84,9 @@ class RssSampler:
             ...work...
         print(s.result.peak_increment)
 
-    ``sample_now()`` can be called at any time (including from the worker
-    thread between cells) to fold an immediate reading into the peak —
-    useful because a polling thread can miss short allocation spikes.
+    ``sample_now()`` can be called at any time to fold an immediate
+    reading into the peak — useful because a polling thread can miss
+    short allocation spikes; ``stop()`` takes one last reading itself.
     ``stop()`` re-raises what killed the thread: its peak went unmeasured.
     """
 

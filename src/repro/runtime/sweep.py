@@ -13,6 +13,9 @@ that draws many cells of one dataset loads and partitions it once.  With
 the (default, where available) ``fork`` start method, workers also
 inherit every dataset and partition already warm in the parent.
 
+The unit of dispatch is one cell: one :func:`~repro.runtime.cells.run_task`
+call, which meters the cell's peak RSS itself (``--progress`` logs it).
+
 ``jobs <= 1`` runs everything serially in-process (no pool, identical
 results); a broken pool (a worker killed by the OS) degrades to the same
 serial path for the cells that remain unaccounted for — outcomes already
@@ -37,7 +40,6 @@ from repro.runtime.cells import (
     CellSpec,
     PartitionStatsSpec,
     run_task,
-    run_task_batch,
 )
 
 __all__ = ["SweepExecutor", "default_start_method", "run_cells"]
@@ -116,14 +118,6 @@ class SweepExecutor:
         or a :class:`~repro.check.CheckLevel`); installed as the ambient
         level in the parent and every worker.  ``None`` leaves whatever
         level is already ambient untouched.
-    shard_plan:
-        group cells by dataset and dispatch each group as one
-        :func:`run_task_batch` — a worker opens its (possibly
-        mmap-backed) graph once per batch instead of once per cell, and
-        every outcome carries the worker's peak anonymous-RSS readings
-        (``extra["rss"]``, plus ``ooc.*`` tracer counters).  Groups are
-        split into at most ``jobs`` contiguous sub-batches so a single
-        huge dataset still fans out.  Results stay in submission order.
     spill_shards:
         forwarded to :func:`repro.partition.cache.configure` in the
         parent and every worker: disk entries load as read-only memmap
@@ -139,7 +133,6 @@ class SweepExecutor:
         start_method: Optional[str] = None,
         trace_dir: Optional[str] = None,
         check=None,
-        shard_plan: bool = False,
         spill_shards: bool = False,
     ):
         if engine_executor != "serial":
@@ -155,7 +148,6 @@ class SweepExecutor:
 
             check = parse_check_level(check)
         self.check = check
-        self.shard_plan = bool(shard_plan)
         self.spill_shards = bool(spill_shards)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._replaced: Optional[list] = None
@@ -226,32 +218,26 @@ class SweepExecutor:
     ) -> list[CellOutcome]:
         """Run every spec; outcomes come back in submission order.
 
-        The unit of dispatch is a batch of spec indices: a dataset group
-        under ``shard_plan``, else a single cell.  Batches go to the pool
-        when there is one to fill; whatever the pool has not accounted for
-        — everything when ``jobs <= 1``, the unharvested rest after a
-        worker died — runs in this process.
+        The unit of dispatch is one cell.  Cells go to the pool when there
+        is one to fill; whatever the pool has not accounted for —
+        everything when ``jobs <= 1``, the unharvested rest after a worker
+        died — runs in this process.
         """
         self._install()
         specs = list(specs)
         total = len(specs)
         results: list[Optional[CellOutcome]] = [None] * total
-        if self.shard_plan:
-            batches = self._shard_batches(specs)
-        else:
-            batches = [[i] for i in range(total)]
         done = 0
 
-        def harvest(idxs, outs) -> None:
+        def harvest(i: int, out: CellOutcome) -> None:
             nonlocal done
-            for i, out in zip(idxs, outs if self.shard_plan else (outs,)):
-                results[i] = out
-                done += 1
-                self._log_progress(done, total, out)
+            results[i] = out
+            done += 1
+            self._log_progress(done, total, out)
 
-        if self.jobs > 1 and len(batches) > 1:
+        if self.jobs > 1 and total > 1:
             try:
-                self._map_pool(specs, batches, harvest)
+                self._map_pool(specs, harvest)
             except BrokenProcessPool:
                 log.warning(
                     "process pool broke (worker died); re-running %d of %d "
@@ -259,66 +245,33 @@ class SweepExecutor:
                     total - done, total, done,
                 )
                 self._shutdown_pool()
-        for idxs in batches:
-            if results[idxs[0]] is None:  # a batch is harvested whole
-                fn, arg = self._task(specs, idxs)
-                harvest(idxs, fn(arg))
+        for i, spec in enumerate(specs):
+            if results[i] is None:
+                harvest(i, run_task(spec))
         return results  # type: ignore[return-value]
 
-    def _task(self, specs, idxs: list[int]):
-        """``(function, argument)`` that runs one batch: the group through
-        ``run_task_batch`` (one graph open per worker) under
-        ``shard_plan``, else the single cell through ``run_task``."""
-        if self.shard_plan:
-            return run_task_batch, [specs[i] for i in idxs]
-        return run_task, specs[idxs[0]]
-
-    def _shard_batches(self, specs) -> list[list[int]]:
-        """Spec indices grouped by dataset, each group split into at most
-        ``jobs`` contiguous sub-batches.
-
-        One batch = one ``run_task_batch`` call = one graph open per
-        worker.  When there are fewer datasets than workers, groups are
-        split so the pool still fills; with many datasets each gets a
-        single batch.  Deterministic: groups appear in first-submission
-        order and indices stay in submission order within a batch.
-        """
-        groups: dict[str, list[int]] = {}
-        for i, s in enumerate(specs):
-            groups.setdefault(getattr(s, "dataset", ""), []).append(i)
-        fan_out = 1
-        if self.jobs > 1 and 0 < len(groups) < self.jobs:
-            fan_out = max(1, self.jobs // len(groups))
-        batches: list[list[int]] = []
-        for idxs in groups.values():
-            k = min(fan_out, len(idxs))
-            size = (len(idxs) + k - 1) // k
-            for j in range(0, len(idxs), size):
-                batches.append(idxs[j : j + size])
-        return batches
-
-    def _map_pool(self, specs, batches: list[list[int]], harvest) -> None:
-        """The one pool dispatch loop: submit every batch, ``harvest`` each
+    def _map_pool(self, specs, harvest) -> None:
+        """The one pool dispatch loop: submit every cell, ``harvest`` each
         as it completes, so finished outcomes survive a mid-sweep
         :class:`BrokenProcessPool` for the caller to keep."""
         pool = self._get_pool()
-        batch_of = {
-            pool.submit(*self._task(specs, idxs)): idxs for idxs in batches
+        index_of = {
+            pool.submit(run_task, spec): i for i, spec in enumerate(specs)
         }
-        pending = set(batch_of)
+        pending = set(index_of)
         broken: Optional[BrokenProcessPool] = None
         try:
             while pending:
                 finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in finished:
                     try:
-                        outs = fut.result()
+                        out = fut.result()
                     except BrokenProcessPool as e:
                         # Keep draining: futures that completed before the
                         # break still hold results we must not discard.
                         broken = e
                         continue
-                    harvest(batch_of[fut], outs)
+                    harvest(index_of[fut], out)
         except BaseException:
             # A real bug (non-ReproError) escaped a cell: don't leave the
             # rest of the matrix running in orphaned workers.
@@ -332,8 +285,10 @@ class SweepExecutor:
     @staticmethod
     def _log_progress(done: int, total: int, out: CellOutcome) -> None:
         status = "ok" if out.ok else out.failure_kind or "error"
+        rss_mib = out.extra["rss"]["peak_increment_bytes"] / 2**20
         log.info(
-            "[%d/%d] %s %s (%.1fs)", done, total, out.key, status, out.elapsed
+            "[%d/%d] %s %s (%.1fs, %.1f MiB)",
+            done, total, out.key, status, out.elapsed, rss_mib,
         )
 
 

@@ -11,13 +11,13 @@ This driver exercises the full out-of-core data path end to end:
 2. **Partition** — the driver partitions the mmap-backed graph once and
    spills the partitions through the partition cache
    (``spill_shards``), then drops its in-memory copy.
-3. **Run** — a :class:`~repro.runtime.sweep.SweepExecutor` in
-   ``shard_plan`` mode fans BFS + PageRank cells out over ``spawn``
-   workers.  Workers receive only the store *path* and cache key — no
-   pickled graph or partitioning crosses the pool — and reload both as
-   memmaps, so their peak **anonymous** RSS stays O(|V| + chunk) while
-   the graph streams from disk (see :mod:`repro.runtime.rss` for why
-   anonymous, not VmRSS).
+3. **Run** — a :class:`~repro.runtime.sweep.SweepExecutor` fans BFS +
+   PageRank cells out over ``spawn`` workers, one cell per task, each
+   metering its own peak **anonymous** RSS (``extra["rss"]``; see
+   :mod:`repro.runtime.rss` for why anonymous, not VmRSS).  Workers
+   receive only the store *path* and cache key — no pickled graph or
+   partitioning crosses the pool — and reload both as memmaps, so that
+   peak stays O(|V| + chunk) while the graph streams from disk.
 4. **Compare** — the same benchmarks run warm on a small graph through
    both ``store+mmap:`` and ``store+ram:`` to bound the mmap path's
    overhead on graphs that *do* fit.
@@ -322,7 +322,6 @@ def _pipeline(cfg: OocConfig, progress) -> OocReport:
     with SweepExecutor(
         jobs=cfg.jobs,
         cache_dir=cache_dir,
-        shard_plan=True,
         spill_shards=True,
         # spawn, never fork: a forked worker inherits the driver's heap
         # (partition-build garbage) and its RSS would gate the wrong thing
@@ -330,20 +329,20 @@ def _pipeline(cfg: OocConfig, progress) -> OocReport:
     ) as ex:
         outcomes = ex.map(_cell_specs(cfg, dataset, "big"))
     for out in outcomes:
-        rss = out.extra.get("rss", {})
+        rss = out.extra["rss"]
+        inc = rss["peak_increment_bytes"]
         report.cells[out.key[1]] = {
             "ok": out.ok,
             "failure": out.failure,
             "rounds": getattr(out.stats, "rounds", None),
             "labels_crc": out.labels_crc,
             "elapsed": round(out.elapsed, 3),
-            "rss_peak_increment_bytes": rss.get("peak_increment_bytes"),
+            "rss_peak_increment_bytes": inc,
         }
-        inc = rss.get("peak_increment_bytes") or 0
         if inc > report.peak_rss_bytes:
             report.peak_rss_bytes = inc
-            report.rss_baseline_bytes = rss.get("baseline_bytes", 0)
-            report.rss_source = rss.get("source", "")
+            report.rss_baseline_bytes = rss["baseline_bytes"]
+            report.rss_source = rss["source"]
     say(
         f"peak worker RSS increment {report.peak_rss_bytes / _MB:.1f} MiB "
         f"({report.rss_source}) vs cap {cfg.ram_cap_mb:g} MiB"

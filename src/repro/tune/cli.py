@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.runtime.sweep import SweepExecutor
-    from repro.tune.dse import DseConfig, run_dse
+    from repro.tune.dse import DseConfig, prune_summary, run_dse
 
     cfg = DseConfig(
         policies=_csv(args.policies),
@@ -129,11 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
     if res.pruned:
-        reasons: dict[str, int] = {}
-        for _, reason in res.pruned:
-            reasons[reason] = reasons.get(reason, 0) + 1
-        pruned = ", ".join(f"{k} x{v}" for k, v in sorted(reasons.items()))
-        print(f"pruned: {pruned}")
+        print(f"pruned: {prune_summary(res.pruned)}")
 
     pick = res.predicted_best.prediction.cell
     line = f"recommendation: {pick.label()}"

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.apps import get_app
+from repro.errors import ConfigurationError
 from repro.runtime.cells import CellSpec
 from repro.runtime.sweep import run_cells
 from repro.tune.features import FEATURE_PARTS, GraphFeatures, extract_features
@@ -38,6 +39,7 @@ __all__ = [
     "advisor_study",
     "enumerate_cells",
     "evaluate_advisor",
+    "prune_summary",
     "run_dse",
     "suite_dataset",
 ]
@@ -59,6 +61,9 @@ SUITE_SEED = 7
 #: D-IrGL's policy set — the advisor's default policy axis.
 DSE_POLICIES = ("cvc", "oec", "iec", "hvc")
 
+#: the engines a cell can name (``ConfigCell.system_spec``)
+DSE_ENGINES = ("bsp", "basp")
+
 
 def suite_dataset(shape: str, seed: int = SUITE_SEED) -> str:
     """The ``fuzz:`` dataset name for one suite shape."""
@@ -67,13 +72,34 @@ def suite_dataset(shape: str, seed: int = SUITE_SEED) -> str:
 
 @dataclass(frozen=True)
 class DseConfig:
-    """The search-space axes one DSE run enumerates."""
+    """The search-space axes one DSE run enumerates.
+
+    An engine outside :data:`DSE_ENGINES`, a GPU count below 1 or a
+    ``top_k`` below 1 is a :class:`ConfigurationError`: no cell could
+    honour it.  (A policy or GPU count the advisor cannot rank is
+    pruned instead, with its reason.)
+    """
 
     policies: tuple = DSE_POLICIES
-    engines: tuple = ("bsp", "basp")
+    engines: tuple = DSE_ENGINES
     gpus: tuple = (2, 4)
     platform: str = "bridges"
     top_k: int = 3
+
+    def __post_init__(self) -> None:
+        bad = [e for e in self.engines if e not in DSE_ENGINES]
+        if bad:
+            raise ConfigurationError(
+                f"unknown engine(s) {bad}; known: {list(DSE_ENGINES)}"
+            )
+        if any(p < 1 for p in self.gpus):
+            raise ConfigurationError(
+                f"GPU counts must be at least 1, got {list(self.gpus)}"
+            )
+        if self.top_k < 1:
+            raise ConfigurationError(
+                f"top_k must be at least 1, got {self.top_k}"
+            )
 
 
 def enumerate_cells(cfg: DseConfig, app: str) -> tuple[list[ConfigCell], list[tuple]]:
@@ -108,6 +134,15 @@ def enumerate_cells(cfg: DseConfig, app: str) -> tuple[list[ConfigCell], list[tu
                 else:
                     cells.append(cell)
     return cells, pruned
+
+
+def prune_summary(pruned: list[tuple]) -> str:
+    """``reason xN`` per prune reason of ``(cell, reason)`` pairs, sorted
+    by reason; empty when nothing was pruned."""
+    counts: dict[str, int] = {}
+    for _, reason in pruned:
+        counts[reason] = counts.get(reason, 0) + 1
+    return ", ".join(f"{k} x{v}" for k, v in sorted(counts.items()))
 
 
 @dataclass
@@ -192,16 +227,21 @@ def run_dse(
     from repro.generators.datasets import load_dataset
 
     cfg = cfg or DseConfig()
+    cells, pruned = enumerate_cells(cfg, app)
+    if not cells:
+        raise ConfigurationError(
+            f"no configuration left to rank for {app}: pruned "
+            f"{prune_summary(pruned) or 'nothing (an axis is empty)'}"
+        )
     ds = load_dataset(dataset)
     features = extract_features(ds.graph, name=dataset)
     predictor = AnalyticPredictor(features, scale_factor=ds.scale_factor)
-    cells, pruned = enumerate_cells(cfg, app)
     ranked = predictor.rank(cells, app)
     outcomes = [
         DseOutcome(prediction=p, predicted_rank=i + 1) for i, p in enumerate(ranked)
     ]
 
-    if validate != "none" and outcomes:
+    if validate != "none":
         to_measure = outcomes if validate == "all" else outcomes[: cfg.top_k]
         specs = [
             CellSpec(

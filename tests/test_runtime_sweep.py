@@ -136,6 +136,16 @@ def _logging_run_task(spec):
     return run_task(spec)
 
 
+def _assert_metered(out: CellOutcome) -> None:
+    """``out`` carries the per-cell RSS meter's readings."""
+    rss = out.extra["rss"]
+    assert rss["peak_bytes"] >= rss["baseline_bytes"] > 0
+    assert rss["peak_increment_bytes"] == (
+        rss["peak_bytes"] - rss["baseline_bytes"]
+    )
+    assert rss["source"] in ("RssAnon", "VmRSS", "ru_maxrss")
+
+
 def _failed(err) -> CellOutcome:
     out = CellOutcome(key="k")
     out.fail(err)
@@ -417,30 +427,26 @@ class TestFaultRecovery:
     """The sweep's three failure paths: a worker killed by the OS, a
     simulated crash crossing the process boundary, and a real bug."""
 
-    @pytest.mark.parametrize("shard_plan", [False, True])
     def test_broken_pool_keeps_completed_outcomes(
-        self, tmp_path, monkeypatch, caplog, shard_plan
+        self, tmp_path, monkeypatch, caplog
     ):
         if default_start_method() != "fork":
             pytest.skip("pool-side monkeypatching requires fork workers")
-        import repro.runtime.cells as cells_mod
         import repro.runtime.sweep as sweep_mod
 
         run_log = tmp_path / "runs.log"
         monkeypatch.setenv(_RUN_LOG_ENV, str(run_log))
         # the pool is created lazily inside map(), so fork workers inherit
         # the patched modules and submit() pickles the wrapper by reference
-        # (per-cell dispatch resolves ``run_task`` in sweep, a shard_plan
-        # batch — [ok-0, ok-1] and [kamikaze] here — in cells)
+        # (the executor resolves ``run_task`` in sweep)
         monkeypatch.setattr(sweep_mod, "run_task", _logging_run_task)
-        monkeypatch.setattr(cells_mod, "run_task", _logging_run_task)
         specs = [
             _cell("ok-0"),
             _cell("ok-1", bench="cc"),
             _cell("kamikaze", bench="pr"),
         ]
         with caplog.at_level(logging.WARNING, logger="repro.runtime.sweep"):
-            with SweepExecutor(jobs=2, shard_plan=shard_plan) as ex:
+            with SweepExecutor(jobs=2) as ex:
                 outs = ex.map(specs)
         # submission order and success are unaffected by the broken pool
         assert [o.key for o in outs] == ["ok-0", "ok-1", "kamikaze"]
@@ -470,6 +476,9 @@ class TestFaultRecovery:
             ok, boom = ex.map(specs)
         assert ok.ok
         assert boom.failure_kind == "crash"
+        # both were metered in the worker, the failed cell included
+        _assert_metered(ok)
+        _assert_metered(boom)
         assert boom.failure_label().startswith("crash: ")
         with pytest.raises(SimulatedCrashError) as exc:
             boom.raise_failure()
@@ -490,111 +499,68 @@ class TestFaultRecovery:
         assert exc.value.gpu_index == 1
         assert exc.value.round_index == 2
 
-    @pytest.mark.parametrize("shard_plan", [False, True])
-    def test_real_bug_shuts_the_pool_down(self, shard_plan):
+    def test_real_bug_shuts_the_pool_down(self):
         specs = [
             _cell("bad", system=SystemSpec("nonsense")),
             _cell("q-0"),
             _cell("q-1", bench="cc"),
             _cell("q-2", bench="pr"),
         ]
-        ex = SweepExecutor(jobs=2, shard_plan=shard_plan)
+        ex = SweepExecutor(jobs=2)
         with pytest.raises(ValueError, match="unknown SystemSpec kind"):
             ex.map(specs)
         # no orphan workers grinding through the rest of the matrix
         assert ex._pool is None
 
 
-class TestShardPlan:
-    """Batch dispatch grouped by dataset: one graph open per worker batch,
-    RSS telemetry on every outcome, results bit-identical to per-cell
-    dispatch."""
+class TestCellMeter:
+    """Every cell meters its own peak anonymous RSS, however it ran."""
 
     @staticmethod
-    def _spec(key, bench="bfs", dataset="tiny-s"):
-        return CellSpec(
-            key=key,
-            system=SystemSpec.dirgl(policy="iec", execution="sync"),
-            benchmark=bench,
-            dataset=dataset,
-            num_gpus=2,
-            check_memory=False,
-        )
-
-    def _store_cells(self, tmp_path):
+    def _specs(tmp_path):
+        """bfs + pr-push over an mmap store, then a cell that crashes."""
         from repro.generators.chunked import build_store
 
         path = str(tmp_path / "g.csr")
         build_store("rmat", 8, path, seed=7)
+        system = SystemSpec.dirgl(policy="iec", execution="sync")
         return [
-            self._spec((b,), bench=b, dataset=f"store+mmap:{path}")
+            CellSpec(
+                key=(b,), system=system, benchmark=b,
+                dataset=f"store+mmap:{path}", num_gpus=2, check_memory=False,
+            )
             for b in ("bfs", "pr-push")
-        ]
+        ] + [_cell(("crash",), system=system, fault_plan=((0, 0),))]
 
-    def test_shard_batches_split_to_fill_pool(self):
-        ex = SweepExecutor(jobs=4, shard_plan=True)
-        specs = [self._spec(i) for i in range(4)]  # one dataset, four cells
-        batches = ex._shard_batches(specs)
-        assert len(batches) == 4
-        assert sorted(i for b in batches for i in b) == [0, 1, 2, 3]
-        # many datasets: one batch each, no splitting
-        mixed = [self._spec(0), self._spec(1, dataset="rmat24-s"), self._spec(2)]
-        grouped = SweepExecutor(jobs=2, shard_plan=True)._shard_batches(mixed)
-        assert grouped == [[0, 2], [1]]
-
-    def test_shard_plan_matches_per_cell_dispatch(
-        self, tmp_path, restore_global_cache
-    ):
+    def test_spawn_pool_matches_in_process(self, tmp_path, restore_global_cache):
         cache_dir = str(tmp_path / "pcache")
+        specs = self._specs(tmp_path)
         with SweepExecutor(jobs=1, cache_dir=cache_dir) as ex:
-            base = ex.map(self._store_cells(tmp_path))
+            local = ex.map(specs)
         with SweepExecutor(
-            jobs=2, cache_dir=cache_dir, shard_plan=True,
-            spill_shards=True, start_method="spawn",
+            jobs=2, cache_dir=cache_dir, spill_shards=True,
+            start_method="spawn",
         ) as ex:
-            sharded = ex.map(self._store_cells(tmp_path))
-        assert all(o.ok for o in base + sharded)
-        for a, b in zip(base, sharded):
+            spawned = ex.map(specs)
+        for a, b in zip(local, spawned):
             assert a.key == b.key  # submission order preserved
+            assert (a.ok, a.failure_kind) == (b.ok, b.failure_kind)
             assert a.labels_crc == b.labels_crc
-            assert a.stats.rounds == b.stats.rounds
+            assert getattr(a.stats, "rounds", None) == getattr(
+                b.stats, "rounds", None
+            )
+            _assert_metered(a)
+            _assert_metered(b)
+        assert [o.failure_kind for o in local] == ["", "", "crash"]
+        assert spawned[0].extra["worker_pid"] != os.getpid()
 
-    def test_map_after_close_rebuilds_shard_plan_and_rss_meter(
-        self, tmp_path, restore_global_cache
-    ):
-        """Reopening a closed executor must rebuild the shard-planned
-        dispatch on a fresh pool: batches still group by dataset and every
-        outcome still carries the per-worker RSS meter."""
-        ex = SweepExecutor(
-            jobs=2, cache_dir=str(tmp_path / "pcache"), shard_plan=True,
-            spill_shards=True,
-        )
-        first = ex.map(self._store_cells(tmp_path))
-        ex.close()
-        assert ex._pool is None
-        second = ex.map(self._store_cells(tmp_path))  # lazily reopens
-        ex.close()
-        assert all(o.ok for o in first + second)
-        for a, b in zip(first, second):
-            assert a.key == b.key
-            assert a.labels_crc == b.labels_crc
-        for o in second:
-            # extra["rss"] is attached only by shard-planned batch
-            # dispatch, so its presence proves both the plan and the RSS
-            # meter came back on the fresh pool
-            rss = o.extra["rss"]
-            assert rss["peak_bytes"] >= rss["baseline_bytes"] >= 0
-            assert rss["source"] in ("RssAnon", "VmRSS", "ru_maxrss")
-
-    def test_shard_plan_outcomes_carry_rss(self, tmp_path, restore_global_cache):
-        with SweepExecutor(
-            jobs=1, cache_dir=str(tmp_path / "pcache"), shard_plan=True,
-            spill_shards=True,
-        ) as ex:
-            outs = ex.map(self._store_cells(tmp_path))
-        assert all(o.ok for o in outs)
-        for o in outs:
-            rss = o.extra["rss"]
-            assert rss["peak_bytes"] >= rss["baseline_bytes"] >= 0
-            assert rss["peak_increment_bytes"] >= 0
-            assert rss["source"] in ("RssAnon", "VmRSS", "ru_maxrss")
+    def test_progress_logs_each_cells_memory(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.runtime.sweep"):
+            with SweepExecutor(jobs=1) as ex:
+                outs = ex.map([_cell("a"), _cell("b", bench="cc")])
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        for done, (line, out) in enumerate(zip(lines, outs), 1):
+            mib = out.extra["rss"]["peak_increment_bytes"] / 2**20
+            assert line.startswith(f"[{done}/2] {out.key} ok (")
+            assert line.endswith(f"s, {mib:.1f} MiB)")

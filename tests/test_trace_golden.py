@@ -9,7 +9,7 @@ how often it occurred, every counter's value, the lane names, the
 ``run_summary`` / ``round_sim`` payloads in the order recorded, and the
 result the trace rode along with (label CRC per cell; SHA-1 of the
 served report).  Timestamps, durations and every other argument *value*
-(pids, paths, RSS readings) are not in the table.  The table was produced
+(pids, paths) are not in the table.  The table was produced
 at the parent commit ``c3ac950``; the ambient-only, never-``None``
 contract must reproduce every row.  The served row's ``serve.*``
 counters were re-recorded at ``be34ef9``, where they became the report's
@@ -33,7 +33,7 @@ import pytest
 from repro import obs
 from repro.gnnflow.study import base_config, gnn_dataset
 from repro.partition import cache as partition_cache
-from repro.runtime.cells import CellSpec, SystemSpec, run_task, run_task_batch
+from repro.runtime.cells import CellSpec, SystemSpec, run_task
 from repro.serve.cli import run_trace
 from repro.serve.service import ServeConfig
 from repro.serve.traffic import TrafficConfig, generate_trace
@@ -140,14 +140,6 @@ def cell_rows(name: str) -> dict:
     return rows
 
 
-def batch_row() -> dict:
-    """Two cells of one dataset under ``run_task_batch``'s RSS meter."""
-    specs = [_spec("bsp-pr"), _spec("basp-bfs")]
-    with tempfile.TemporaryDirectory() as d, _fresh_cache(d):
-        tracer, outs = _traced(lambda: run_task_batch(specs))
-    return {"rows/batch": project(tracer, [o.labels_crc for o in outs])}
-
-
 def damaged_row() -> dict:
     """A cache entry that cannot be read is discarded, rebuilt and stored
     over (``cache.disk_load`` outcome ``corrupt``)."""
@@ -177,7 +169,6 @@ def serve_row() -> dict:
 
 GROUPS = {
     **{f"rows/{name}": partial(cell_rows, name) for name in CELLS},
-    "rows/batch": batch_row,
     "rows/damaged": damaged_row,
     "rows/serve": serve_row,
 }
@@ -186,10 +177,6 @@ GROUPS = {
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_cell_traces_match_golden(name):
     golden.check("trace", f"rows/{name}")
-
-
-def test_batch_trace_matches_golden():
-    golden.check("trace", "rows/batch")
 
 
 def test_damaged_entry_trace_matches_golden():

@@ -208,6 +208,75 @@ class TestTypedErrorsAtTheCliBoundary:
         assert err.startswith("usage: repro-tune")
         assert "argument --gpus: bad GPU count list '2,x'" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--gpus", "32,64"],
+        ["--gpus", "0"],
+        ["--policies", "zzz"],
+        ["--policies", ","],
+        ["--engines", "xyz"],
+        ["--top-k", "-2"],
+    ], ids="=".join)
+    def test_a_tune_axis_it_cannot_rank_is_a_usage_error(self, capsys, flags):
+        from repro.tune.cli import main as tune_main
+
+        argv = ["--dataset", "fuzz:rmat:7", "--app", "bfs"]
+        assert tune_main([*argv, "--validate", "none", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigurationError: ")
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_an_empty_ranking_names_each_prune_reason(self, capsys):
+        from repro.tune.cli import main as tune_main
+
+        # bfs-do is not async-capable: every BASP cell is unsound
+        argv = ["--dataset", "fuzz:rmat:7", "--app", "bfs-do", "--gpus", "2,4"]
+        assert tune_main([*argv, "--policies", "iec,zzz", "--engines", "basp"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ConfigurationError: no configuration left to rank for "
+            "bfs-do: pruned engine-unsound x2, policy-unsupported x2\n"
+        )
+
+    @pytest.mark.parametrize("flags", [
+        ["--iterations", "0"],
+        ["--iterations", "-1"],
+        ["--max-failures", "0", "--iterations", "1"],
+        ["--budget", "0"],
+        ["--advisor-sanity", "--iterations", "0"],
+    ], ids="=".join)
+    def test_a_fuzz_run_that_tests_nothing_is_a_usage_error(
+        self, capsys, flags
+    ):
+        from repro.fuzz.cli import main as fuzz_main
+
+        assert fuzz_main([*flags, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigurationError: ")
+        assert captured.err.count("error:") == 1
+        assert "clean" not in captured.out
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("missing.json", None, "ConfigurationError: cannot load case"),
+        ("garbled.json", "{not json", "ConfigurationError: cannot load case"),
+        ("list.json", "[1, 2]", "ReproError: a case is a JSON object"),
+    ])
+    def test_an_unreadable_replay_file_is_a_typed_error(
+        self, capsys, tmp_path, name, text, error
+    ):
+        from repro.fuzz.cli import main as fuzz_main
+
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert fuzz_main(["--replay", str(path)]) == (
+            2 if error.startswith("Configuration") else 1
+        )
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}")
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err + captured.out
+
     def test_unknown_dataset_is_still_a_key_error(self):
         with pytest.raises(KeyError, match="unknown dataset 'nope'") as exc:
             raise errors.UnknownDatasetError("unknown dataset 'nope'")
