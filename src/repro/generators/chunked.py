@@ -5,9 +5,10 @@ edges.  Materializing a whole edge list at once — an ``(E, scale)``
 uniform matrix for R-MAT, full endpoint arrays for the Chung-Lu and
 Watts-Strogatz models — caps a graph far below the memory-pressure regime
 the paper studies; streamed into :func:`repro.graph.store.from_edge_chunks`
-the blocks assemble graphs 10–50× larger than the in-RAM stand-ins with
-peak RAM O(chunk + |V|).  The in-RAM generators (:func:`~repro.generators.
-rmat.rmat`, :func:`~repro.generators.powerlaw.powerlaw_social`,
+(which takes exactly these pairs) the blocks assemble graphs 10–50× larger
+than the in-RAM stand-ins with peak RAM O(chunk + window + |V|).  The
+in-RAM generators (:func:`~repro.generators.rmat.rmat`,
+:func:`~repro.generators.powerlaw.powerlaw_social`,
 :func:`~repro.generators.smallworld.small_world`) are the same emitters
 asked for everything in one block (:func:`edge_list`).
 
@@ -216,8 +217,9 @@ def build_store(
 ) -> dict:
     """Generate a graph chunk-by-chunk straight into a store container.
 
-    The default ``weight_seed=0`` attaches the same randomized edge weights
-    the in-RAM dataset path does; pass ``None`` for an unweighted store.
+    The emitters yield pairs only: the default ``weight_seed=0`` attaches
+    the same randomized edge weights the in-RAM dataset path does; pass
+    ``None`` for an unweighted store.
     Returns the store header dict.
     """
     return from_edge_chunks(

@@ -36,6 +36,7 @@ __all__ = [
     "StoreDataset",
     "DATASETS",
     "dataset_names",
+    "fuzz_dataset",
     "load_dataset",
 ]
 
@@ -287,6 +288,11 @@ def _load_store_dataset(name: str, mode: str, path: str) -> StoreDataset:
 #: picklable by name, so sweep workers and the DSE validator can run
 #: advisor picks on the exact graph the features were extracted from.
 _FUZZ_PREFIX = "fuzz:"
+
+
+def fuzz_dataset(shape: str, seed: int) -> str:
+    """The ``fuzz:<shape>:<seed>`` name :func:`load_dataset` parses."""
+    return f"{_FUZZ_PREFIX}{shape}:{seed}"
 
 
 def _load_fuzz_dataset(name: str) -> Dataset:

@@ -17,7 +17,6 @@ from repro.gnnflow.study import (
     GnnReport,
     GnnRow,
     evaluate_gnn,
-    gnn_dataset,
     gnn_study,
 )
 from repro.gnnflow.workload import GNNFlow, GNNFlowConfig, feature_value
@@ -35,6 +34,5 @@ __all__ = [
     "GnnRow",
     "evaluate_gnn",
     "feature_value",
-    "gnn_dataset",
     "gnn_study",
 ]

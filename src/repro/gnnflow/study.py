@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+from repro.generators.datasets import fuzz_dataset
 from repro.gnnflow.workload import GNNFlowConfig
 from repro.runtime.cells import CellSpec, SystemSpec
 from repro.runtime.sweep import run_cells
@@ -43,7 +44,6 @@ __all__ = [
     "GnnReport",
     "GnnRow",
     "evaluate_gnn",
-    "gnn_dataset",
     "gnn_study",
 ]
 
@@ -71,11 +71,6 @@ H2D_REDUCTION_GATE = 2.0
 
 _GNN_PLATFORM = "bridges:contended"
 _GNN_GPUS = 4
-
-
-def gnn_dataset(shape: str, seed: int = GNN_SEED) -> str:
-    """The ``fuzz:`` dataset name for one suite shape."""
-    return f"fuzz:{shape}:{seed}"
 
 
 def base_config(seed: int = GNN_SEED) -> GNNFlowConfig:
@@ -168,7 +163,7 @@ def _specs(shapes, policies, seed: int) -> list[CellSpec]:
                         key=(shape, policy, pname),
                         system=SystemSpec.dirgl(policy=policy, execution="sync"),
                         benchmark="gnnflow",
-                        dataset=gnn_dataset(shape, seed),
+                        dataset=fuzz_dataset(shape, seed),
                         num_gpus=_GNN_GPUS,
                         platform=_GNN_PLATFORM,
                         check_memory=False,

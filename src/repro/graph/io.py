@@ -24,7 +24,6 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "save_edgelist",
     "load_edgelist",
-    "iter_edgelist_chunks",
 ]
 
 #: Lines parsed per block when streaming an edge list.
@@ -49,20 +48,13 @@ def _parse_lines(lines: list, path) -> np.ndarray:
         raise GraphFormatError(f"{path}: malformed edge-list line: {exc}") from exc
 
 
-def iter_edgelist_chunks(
-    path: str | os.PathLike,
-    weighted: Optional[bool] = None,
-    chunk_lines: int = _EDGELIST_CHUNK_LINES,
+def _iter_edgelist_chunks(
+    path: str | os.PathLike, weighted: Optional[bool]
 ) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Stream an edge list as bounded ``(src, dst[, weights])`` blocks.
-
-    Parses at most ``chunk_lines`` lines at a time, so peak memory is
-    O(chunk) regardless of file size — the chunks feed either
-    :func:`load_edgelist` (in-RAM build) or
-    :func:`repro.graph.store.from_edge_chunks` (out-of-core build)
-    unchanged.  ``weighted=None`` auto-detects a third column from the
-    first non-comment line; the column count must then hold for the whole
-    file.
+    """Stream an edge list as ``(src, dst[, weights])`` blocks of at most
+    :data:`_EDGELIST_CHUNK_LINES` lines, so parsing holds O(chunk) text at
+    a time.  ``weighted=None`` auto-detects a third column from the first
+    non-comment line; the column count must then hold for the whole file.
     """
     buf: list = []
     cols: Optional[int] = None
@@ -72,7 +64,7 @@ def iter_edgelist_chunks(
             if not s or s.startswith("#"):
                 continue
             buf.append(s)
-            if len(buf) >= chunk_lines:
+            if len(buf) >= _EDGELIST_CHUNK_LINES:
                 data = _parse_lines(buf, path)
                 buf = []
                 cols, weighted = _check_cols(data, cols, weighted, path)
@@ -117,11 +109,11 @@ def load_edgelist(
     """Read an edge list; ``#``-prefixed comment lines are skipped.
 
     ``weighted=None`` auto-detects a third column.  The file is parsed in
-    bounded chunks (see :func:`iter_edgelist_chunks`); vertex ids beyond
-    ``int32`` promote the index dtype rather than overflowing.
+    bounded chunks of lines; vertex ids beyond ``int32`` promote the index
+    dtype rather than overflowing.
     """
     srcs, dsts, ws = [], [], []
-    for chunk in iter_edgelist_chunks(path, weighted=weighted):
+    for chunk in _iter_edgelist_chunks(path, weighted):
         srcs.append(chunk[0])
         dsts.append(chunk[1])
         if len(chunk) == 3:

@@ -13,10 +13,11 @@ the pipeline an out-of-core data path:
   apps, partitioners, and both engines stream pages on demand instead of
   paying O(|E|) resident memory.
 * :func:`from_edge_chunks` builds a container directly from a stream of
-  bounded edge blocks with an external two-pass counting sort — peak RAM
-  is O(chunk + |V|), never O(|E|) — and the result is bit-identical to
-  :func:`repro.graph.builder.from_edges` over the concatenated stream,
-  independent of the chunking.
+  bounded ``(src, dst)`` blocks with an external counting sort whose
+  blocks and row windows :func:`repro.graph.order.order_edges` puts in
+  order — peak RAM is O(chunk + window + |V|), never O(|E|) — and the
+  result is bit-identical to :func:`repro.graph.builder.from_edges` over
+  the concatenated stream, independent of the chunking.
 
 The layout — a 4096-byte header block (magic, version, CRC'd JSON header),
 then 64-byte-aligned sections ``indptr`` / ``indices`` / ``weights`` with a
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from repro.graph.container import (
     verify_sections,
 )
 from repro.graph.csr import CSRGraph
+from repro.graph.order import order_edges
 from repro.utils import rng_from_seed
 
 __all__ = [
@@ -143,201 +145,115 @@ def open_csr(path: str, mode: str = "mmap", verify: Optional[bool] = None) -> CS
 # external-memory CSR construction
 # --------------------------------------------------------------------- #
 
-def _unpack_chunk(chunk) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    if len(chunk) == 2:
-        src, dst = chunk
-        w = None
-    elif len(chunk) == 3:
-        src, dst, w = chunk
-    else:
-        raise GraphFormatError(
-            "edge chunks must be (src, dst) or (src, dst, weights) tuples"
-        )
-    src = np.ascontiguousarray(src, dtype=np.int64)
-    dst = np.ascontiguousarray(dst, dtype=np.int64)
-    if src.shape != dst.shape or src.ndim != 1:
-        raise GraphFormatError("chunk src and dst must be equal-length 1-D")
-    if w is not None:
-        w = np.ascontiguousarray(w, dtype=WEIGHT_DTYPE)
-        if w.shape != src.shape:
-            raise GraphFormatError("chunk weights must parallel src/dst")
-    return src, dst, w
+#: edges per spilled block in the scatter pass, per row window in the sort
+#: pass and per draw of ``weight_seed``'s weights: the O(window) term of
+#: :func:`from_edge_chunks`' peak
+SORT_WINDOW_EDGES = 1 << 22
 
 
 def from_edge_chunks(
-    chunks: Iterable[Sequence[np.ndarray]],
+    chunks: Iterable[Tuple[np.ndarray, np.ndarray]],
     path: str,
-    num_vertices: Optional[int] = None,
+    num_vertices: int,
     name: str = "",
-    sort_window_edges: int = 1 << 22,
     weight_seed: Optional[int] = None,
 ) -> dict:
-    """Build a store container from a stream of bounded edge chunks.
+    """Build a store container from a stream of bounded ``(src, dst)`` chunks.
 
-    ``chunks`` yields ``(src, dst)`` or ``(src, dst, weights)`` arrays; the
-    concatenation of all chunks is the edge list.  Construction is an
-    external two-pass counting sort:
+    The concatenation of the chunks is the edge list.  Construction is an
+    external counting sort in three passes, the order of each block and
+    window decided by :func:`repro.graph.order.order_edges`:
 
-    1. spill the raw edges to append-only scratch files next to ``path``
-       while accumulating per-vertex out-degree counts (O(|V|) RAM);
-    2. re-read the spill in bounded blocks and scatter each edge to its
-       final CSR slot via a per-vertex write cursor (stable within a
-       block after a stable per-block sort, and across blocks because the
-       cursor only moves forward) — so edges land grouped by source in
-       original stream order;
-    3. sort each row by destination over bounded windows of at most
-       ``sort_window_edges`` edges (a single row larger than the window
-       is sorted alone).
+    1. spill the edges to append-only scratch files next to ``path`` while
+       counting out-degrees (O(|V|) RAM);
+    2. re-read the spill in blocks of :data:`SORT_WINDOW_EDGES` edges, put
+       each block in edge order and scatter it to its rows through a
+       per-vertex write cursor, so every edge lands in its source's row;
+    3. put each window of rows holding at most :data:`SORT_WINDOW_EDGES`
+       edges (a row larger than that alone) in edge order in place.
 
-    The result is bit-identical to ``from_edges(src_all, dst_all)`` — the
-    same stable ``(src, dst)`` ordering — regardless of how the stream was
-    chunked.  Peak RAM is O(chunk + sort_window + |V|), never O(|E|).
-
-    ``weight_seed`` draws randomized integer edge weights in CSR order
-    after the sort, reproducing
-    :func:`repro.graph.transform.add_random_weights` exactly (same seed →
-    same weights as the in-RAM dataset path) without an O(|E|) array;
-    mutually exclusive with chunks that carry their own weights.
-
-    Returns the store header dict.
+    The result is bit-identical to ``from_edges(src_all, dst_all)`` however
+    the stream was chunked; peak RAM is O(chunk + window + |V|), never
+    O(|E|).  ``weight_seed`` then draws randomized integer edge weights in
+    CSR order, the stream :func:`repro.graph.transform.add_random_weights`
+    draws in RAM, without an O(|E|) array.  Returns the store header dict.
     """
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
-    spill_dir = tempfile.mkdtemp(
-        prefix=os.path.basename(path) + ".spill.", dir=d
-    )
+    spill_dir = tempfile.mkdtemp(prefix=os.path.basename(path) + ".spill.", dir=d)
+    spill = [os.path.join(spill_dir, f) for f in ("src.i64", "dst.i64")]
     try:
         # ---- pass 1: spill edges, count degrees -------------------- #
-        counts = np.zeros(
-            num_vertices if num_vertices is not None else 1024, dtype=EID_DTYPE
-        )
-        max_id = -1
-        num_edges = 0
-        has_weights: Optional[bool] = None
-        src_f = open(os.path.join(spill_dir, "src.i64"), "wb")
-        dst_f = open(os.path.join(spill_dir, "dst.i64"), "wb")
-        w_f = open(os.path.join(spill_dir, "w.u32"), "wb")
-        try:
-            for chunk in chunks:
-                src, dst, w = _unpack_chunk(chunk)
-                if has_weights is None:
-                    has_weights = w is not None
-                elif has_weights != (w is not None):
-                    raise GraphFormatError(
-                        "all chunks must agree on whether edges are weighted"
-                    )
+        counts = np.zeros(num_vertices, dtype=EID_DTYPE)
+        with open(spill[0], "wb") as src_f, open(spill[1], "wb") as dst_f:
+            for src, dst in chunks:
+                src = np.ascontiguousarray(src, dtype=np.int64)
+                dst = np.ascontiguousarray(dst, dtype=np.int64)
+                if src.shape != dst.shape or src.ndim != 1:
+                    raise GraphFormatError("chunk src and dst must be equal-length 1-D")
                 if len(src) == 0:
                     continue
-                lo = min(int(src.min()), int(dst.min()))
-                hi = max(int(src.max()), int(dst.max()))
-                if lo < 0:
+                if min(src.min(), dst.min()) < 0:
                     raise GraphFormatError("negative vertex id in edge chunk")
-                if num_vertices is not None and hi >= num_vertices:
+                hi = int(max(src.max(), dst.max()))
+                if hi >= num_vertices:
                     raise GraphFormatError(
                         f"vertex id {hi} exceeds num_vertices={num_vertices}"
                     )
-                max_id = max(max_id, hi)
-                bc = np.bincount(src)
-                if len(bc) > len(counts):
-                    grown = np.zeros(
-                        max(len(bc), 2 * len(counts)), dtype=EID_DTYPE
-                    )
-                    grown[: len(counts)] = counts
-                    counts = grown
-                counts[: len(bc)] += bc
-                num_edges += len(src)
+                counts += np.bincount(src, minlength=num_vertices)
                 src_f.write(src.tobytes())
                 dst_f.write(dst.tobytes())
-                if w is not None:
-                    w_f.write(w.tobytes())
-        finally:
-            src_f.close()
-            dst_f.close()
-            w_f.close()
-        if has_weights is None:
-            has_weights = False
-        if weight_seed is not None and has_weights:
-            raise GraphFormatError(
-                "weight_seed and per-chunk weights are mutually exclusive"
-            )
-        store_weights = has_weights or weight_seed is not None
-        if num_vertices is None:
-            num_vertices = max_id + 1
-
         indptr = np.zeros(num_vertices + 1, dtype=EID_DTYPE)
-        np.cumsum(counts[:num_vertices], out=indptr[1:])
+        np.cumsum(counts, out=indptr[1:])
+        num_edges = int(indptr[-1])
 
-        idx_dtype = vid_dtype_for(num_vertices)
         with ContainerWriter(path, _FORMAT) as writer:
             writer.stream("indptr", [indptr])
-            mm_idx = writer.reserve("indices", idx_dtype, num_edges)
-            mm_w = (
-                writer.reserve("weights", WEIGHT_DTYPE, num_edges)
-                if store_weights else None
+            mm_idx = writer.reserve("indices", vid_dtype_for(num_vertices), num_edges)
+            mm_w = None if weight_seed is None else writer.reserve(
+                "weights", WEIGHT_DTYPE, num_edges
             )
-
-            # ---- pass 2: cursor scatter into the memmapped sections ---- #
             if num_edges:
+                # ---- pass 2: ordered blocks, run-length cursor scatter - #
                 cursor = indptr[:-1].copy()
-                block = max(int(sort_window_edges), 1)
-                with open(os.path.join(spill_dir, "src.i64"), "rb") as sf, \
-                        open(os.path.join(spill_dir, "dst.i64"), "rb") as df, \
-                        open(os.path.join(spill_dir, "w.u32"), "rb") as wf:
-                    done = 0
-                    while done < num_edges:
-                        n = min(block, num_edges - done)
-                        bsrc = np.fromfile(sf, dtype=np.int64, count=n)
-                        bdst = np.fromfile(df, dtype=np.int64, count=n)
-                        order = np.argsort(bsrc, kind="stable")
-                        bsrc = bsrc[order]
-                        uniq, start, cnt = np.unique(
-                            bsrc, return_index=True, return_counts=True
+                with open(spill[0], "rb") as sf, open(spill[1], "rb") as df:
+                    for done in range(0, num_edges, SORT_WINDOW_EDGES):
+                        n = min(SORT_WINDOW_EDGES, num_edges - done)
+                        bsrc, bdst, _ = order_edges(
+                            np.fromfile(sf, dtype=np.int64, count=n),
+                            np.fromfile(df, dtype=np.int64, count=n),
+                            num_vertices,
                         )
-                        pos = cursor[bsrc] + (
-                            np.arange(n, dtype=EID_DTYPE) - np.repeat(start, cnt)
-                        )
-                        mm_idx[pos] = bdst[order].astype(idx_dtype)
-                        if has_weights:
-                            bw = np.fromfile(wf, dtype=WEIGHT_DTYPE, count=n)
-                            mm_w[pos] = bw[order]
-                        cursor[uniq] += cnt
-                        done += n
+                        head = np.flatnonzero(np.diff(bsrc, prepend=-1))
+                        cnt = np.diff(head, append=n)
+                        runs = bsrc[head]
+                        pos = np.repeat(cursor[runs] - head, cnt) + np.arange(n)
+                        mm_idx[pos] = bdst
+                        cursor[runs] += cnt
 
-                # ---- pass 3: per-row destination sort, bounded windows - #
+                # ---- pass 3: rows in edge order, a window at a time ---- #
                 v0 = 0
                 while v0 < num_vertices:
-                    # widest v1 whose window holds <= sort_window_edges edges
-                    v1 = int(
-                        np.searchsorted(
-                            indptr, indptr[v0] + sort_window_edges, side="right"
-                        )
-                    ) - 1
+                    # widest v1 whose window holds <= SORT_WINDOW_EDGES edges
+                    v1 = int(np.searchsorted(
+                        indptr, indptr[v0] + SORT_WINDOW_EDGES, side="right"
+                    )) - 1
                     v1 = min(max(v1, v0 + 1), num_vertices)
                     e0, e1 = int(indptr[v0]), int(indptr[v1])
-                    if e1 > e0:
-                        seg = np.array(mm_idx[e0:e1])
-                        rows = np.repeat(
-                            np.arange(v1 - v0, dtype=EID_DTYPE),
-                            np.diff(indptr[v0 : v1 + 1]),
-                        )
-                        order = np.lexsort((seg, rows))
-                        mm_idx[e0:e1] = seg[order]
-                        if has_weights:
-                            wseg = np.array(mm_w[e0:e1])
-                            mm_w[e0:e1] = wseg[order]
+                    rows = np.repeat(np.arange(v0, v1), np.diff(indptr[v0 : v1 + 1]))
+                    mm_idx[e0:e1] = order_edges(rows, mm_idx[e0:e1], num_vertices)[1]
                     v0 = v1
                 mm_idx.flush()
 
-                if weight_seed is not None:
+                if mm_w is not None:
                     # randomized weights drawn sequentially in CSR order —
                     # the same stream add_random_weights produces in RAM
                     rng = rng_from_seed(weight_seed)
-                    for done in range(0, num_edges, block):
-                        n = min(block, num_edges - done)
+                    for done in range(0, num_edges, SORT_WINDOW_EDGES):
+                        n = min(SORT_WINDOW_EDGES, num_edges - done)
                         mm_w[done : done + n] = rng.integers(
                             1, MAX_EDGE_WEIGHT + 1, size=n, dtype=np.int64
                         ).astype(WEIGHT_DTYPE)
-                if mm_w is not None:
                     mm_w.flush()
             del mm_idx, mm_w
 

@@ -19,6 +19,10 @@ from repro.partition.base import PartitionedGraph, build_partitions
 
 __all__ = ["hvc"]
 
+#: a vertex is a hub when its in-degree exceeds this multiple of the average
+#: degree (PowerLyra's recommended regime)
+HUB_FACTOR = 4.0
+
 #: Knuth multiplicative hashing constant — cheap, deterministic placement.
 _HASH_MULT = np.uint64(2654435761)
 
@@ -28,25 +32,13 @@ def _hash_owner(ids: np.ndarray, num_partitions: int) -> np.ndarray:
     return (h % np.uint64(num_partitions)).astype(np.int32)
 
 
-def hvc(
-    graph: CSRGraph,
-    num_partitions: int,
-    threshold: float | None = None,
-) -> PartitionedGraph:
-    """Hybrid vertex-cut.
-
-    Parameters
-    ----------
-    threshold:
-        in-degree above which a vertex is treated as "high-degree"; defaults
-        to 4x the average degree (PowerLyra's recommended regime).
-    """
+def hvc(graph: CSRGraph, num_partitions: int) -> PartitionedGraph:
+    """Hybrid vertex-cut: a vertex whose in-degree exceeds :data:`HUB_FACTOR`
+    times the average degree is a hub."""
     from repro.partition.edgecut import blocked_owner_from_degrees
 
     in_deg = graph.in_degrees()
-    if threshold is None:
-        threshold = 4.0 * graph.num_edges / max(graph.num_vertices, 1)
-    high = in_deg > threshold
+    high = in_deg > HUB_FACTOR * graph.num_edges / max(graph.num_vertices, 1)
 
     # Masters are placed in contiguous edge-balanced blocks (as CuSP's HVC
     # does) so the low-degree case keeps the input's locality; only the

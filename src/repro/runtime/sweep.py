@@ -16,7 +16,7 @@ inherit every dataset and partition already warm in the parent.
 The unit of dispatch is one cell: one :func:`~repro.runtime.cells.run_task`
 call, which meters the cell's peak RSS itself (``--progress`` logs it).
 
-``jobs <= 1`` runs everything serially in-process (no pool, identical
+``jobs == 1`` runs everything serially in-process (no pool, identical
 results); a broken pool (a worker killed by the OS) degrades to the same
 serial path for the cells that remain unaccounted for — outcomes already
 harvested from the pool are kept, not re-run.  A real exception from a
@@ -101,7 +101,8 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        worker processes; ``<= 1`` means serial in-process execution.
+        worker processes, at least 1; 1 means serial in-process execution
+        (anything below raises :class:`~repro.errors.ConfigurationError`).
     cache_dir:
         partition-cache directory shared by the parent and every worker
         (``None`` keeps the cache in-memory-only per process).
@@ -140,6 +141,8 @@ class SweepExecutor:
                 f"engine_executor must be 'serial', got {engine_executor!r}"
             )
         self.jobs = int(jobs)
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.cache_dir = cache_dir
         self.start_method = start_method or default_start_method()
         self.trace_dir = None if trace_dir is None else str(trace_dir)
@@ -220,7 +223,7 @@ class SweepExecutor:
 
         The unit of dispatch is one cell.  Cells go to the pool when there
         is one to fill; whatever the pool has not accounted for —
-        everything when ``jobs <= 1``, the unharvested rest after a worker
+        everything when ``jobs == 1``, the unharvested rest after a worker
         died — runs in this process.
         """
         self._install()

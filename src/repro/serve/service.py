@@ -34,6 +34,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
+from repro.frameworks.dirgl import DIrGL
 from repro.serve.backend import ExecBackend, ExecTask
 from repro.serve.queueing import WFQQueue
 from repro.serve.traffic import MutationEvent, Request, ServeTrace, batch_from_event
@@ -70,10 +71,16 @@ class ServeConfig:
     verify_incremental: bool = False
 
     def __post_init__(self):
-        # zero workers would answer nothing; zero parts partitions nothing
-        for name in ("workers", "parts"):
+        # zero workers would answer nothing, zero parts partitions nothing
+        # and a zero-deep queue admits nothing
+        for name in ("workers", "parts", "max_queue_depth"):
             if (value := getattr(self, name)) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.policy not in DIrGL.supported_policies:
+            raise ConfigurationError(
+                f"policy must be one of {DIrGL.supported_policies}, "
+                f"got {self.policy!r}"
+            )
 
 
 @dataclass

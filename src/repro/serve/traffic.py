@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.apps.registry import APPS
 from repro.errors import ConfigurationError
 from repro.generators.rmat import rmat
 from repro.graph.mutable import EdgeBatch, MutableGraph
@@ -98,6 +99,11 @@ class TrafficConfig:
             if not ok:
                 value = getattr(self, name)
                 raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+        if not self.apps or not self.graphs:
+            raise ConfigurationError("a trace needs at least one app and one graph")
+        unknown = sorted(set(self.apps) - set(APPS))
+        if unknown:
+            raise ConfigurationError(f"unknown apps {unknown}; known: {sorted(APPS)}")
         clients = {f"c{i}" for i in range(self.num_clients)}
         for client, weight in self.client_weights.items():
             if client not in clients or not (math.isfinite(weight) and weight > 0):

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from repro.errors import cli_main
+from repro.errors import ConfigurationError, cli_main
 from repro.study.report import format_table
 
 __all__ = ["main"]
@@ -83,6 +83,8 @@ def main(argv: list[str] | None = None) -> int:
         help="write the ranked cells + features as JSON to FILE",
     )
     args = parser.parse_args(argv)
+    if args.jobs < 1:  # --validate none builds no executor to refuse it
+        raise ConfigurationError(f"jobs must be >= 1, got {args.jobs}")
 
     from repro.runtime.sweep import SweepExecutor
     from repro.tune.dse import DseConfig, prune_summary, run_dse

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.apps import get_app
 from repro.errors import ConfigurationError
+from repro.generators.datasets import fuzz_dataset
 from repro.runtime.cells import CellSpec
 from repro.runtime.sweep import run_cells
 from repro.tune.features import FEATURE_PARTS, GraphFeatures, extract_features
@@ -41,7 +42,6 @@ __all__ = [
     "evaluate_advisor",
     "prune_summary",
     "run_dse",
-    "suite_dataset",
 ]
 
 #: gate: the predicted-best cell's measured time may exceed the measured
@@ -63,11 +63,6 @@ DSE_POLICIES = ("cvc", "oec", "iec", "hvc")
 
 #: the engines a cell can name (``ConfigCell.system_spec``)
 DSE_ENGINES = ("bsp", "basp")
-
-
-def suite_dataset(shape: str, seed: int = SUITE_SEED) -> str:
-    """The ``fuzz:`` dataset name for one suite shape."""
-    return f"fuzz:{shape}:{seed}"
 
 
 @dataclass(frozen=True)
@@ -329,7 +324,7 @@ def advisor_study(
     cfg = cfg or DseConfig()
     rows = []
     for shape in shapes:
-        dataset = suite_dataset(shape, seed)
+        dataset = fuzz_dataset(shape, seed)
         for app in apps:
             res = run_dse(
                 dataset,

@@ -22,13 +22,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.partition.hvc import HUB_FACTOR
 from repro.utils import grid_shape
 
 __all__ = ["GraphFeatures", "extract_features", "expected_distinct_bins"]
-
-#: policies the feature extractor estimates replication for — the D-IrGL
-#: supported set (the advisor's search space).
-FEATURE_POLICIES = ("iec", "oec", "cvc", "hvc")
 
 #: GPU counts replication is pre-estimated for.
 FEATURE_PARTS = (2, 4, 8, 16)
@@ -40,10 +37,6 @@ SAMPLE_SIZE = 4096
 #: length of the out-degree sketch carried on the features (the
 #: predictor's synthetic-frontier shape).
 SKETCH_SIZE = 64
-
-#: HVC's hub threshold, mirrored from ``repro.partition.hvc``: a vertex
-#: is a hub when its in-degree exceeds this multiple of the average.
-HVC_HUB_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ def _est_replication(
     """
     out_s = _quantile_sample(out_desc)
     in_s = _quantile_sample(in_desc)
-    hub_cut = HVC_HUB_FACTOR * max(avg_degree, 1e-12)
+    hub_cut = HUB_FACTOR * max(avg_degree, 1e-12)
     hubs = in_s > hub_cut
     table = []
     for P in FEATURE_PARTS:
@@ -182,7 +175,7 @@ def extract_features(graph: CSRGraph, name: str = "") -> GraphFeatures:
     in_mean = float(in_desc.mean()) if n else 0.0
     out_std = float(out_desc.std()) if n else 0.0
     in_std = float(in_desc.std()) if n else 0.0
-    hub_cut = HVC_HUB_FACTOR * max(avg, 1e-12)
+    hub_cut = HUB_FACTOR * max(avg, 1e-12)
     hub_mass = float(in_desc[in_desc > hub_cut].sum()) if n else 0.0
     return GraphFeatures(
         name=name or graph.name,

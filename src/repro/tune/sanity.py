@@ -26,6 +26,7 @@ import numpy as np
 from repro.apps import APPS, get_app
 from repro.frameworks.dirgl import DIrGL
 from repro.fuzz.gen import SHAPES
+from repro.generators.datasets import fuzz_dataset
 from repro.runtime.cells import CellSpec, run_task
 from repro.tune.dse import DseConfig, enumerate_cells, run_dse
 from repro.tune.features import extract_features
@@ -79,7 +80,7 @@ def advisor_sanity(
         shape = shapes[int(rng.integers(0, len(shapes)))]
         app = apps[int(rng.integers(0, len(apps)))]
         sub_seed = int(rng.integers(0, 2**31 - 1))
-        dataset = f"fuzz:{shape}:{sub_seed}"
+        dataset = fuzz_dataset(shape, sub_seed)
 
         if planted:
             # Simulated advisor bug: the engine-soundness prune is

@@ -20,7 +20,8 @@ from repro.gnnflow import (
     feature_value,
     gnn_study,
 )
-from repro.gnnflow.study import base_config, gnn_dataset
+from repro.generators.datasets import fuzz_dataset
+from repro.gnnflow.study import GNN_SEED, base_config
 from repro.hw.cluster import ContentionConfig, bridges
 from repro.obs import Tracer, use_tracer
 from repro.runtime.cells import CellSpec, SystemSpec, run_task
@@ -33,7 +34,7 @@ def _spec(cfg=None) -> CellSpec:
         key=("powerlaw", "iec"),
         system=SystemSpec.dirgl(policy="iec", execution="sync"),
         benchmark="gnnflow",
-        dataset=gnn_dataset("powerlaw"),
+        dataset=fuzz_dataset("powerlaw", GNN_SEED),
         num_gpus=4,
         platform="bridges:contended",
         check_memory=False,
@@ -169,7 +170,7 @@ class TestWorkloadAccounting:
         with use_tracer(tracer):
             res = fw.run(
                 "gnnflow",
-                load_dataset(gnn_dataset("powerlaw")),
+                load_dataset(fuzz_dataset("powerlaw", GNN_SEED)),
                 num_gpus=4,
                 platform="bridges:contended",
                 check_memory=False,

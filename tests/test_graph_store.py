@@ -33,6 +33,7 @@ from repro.generators.powerlaw import powerlaw_social
 from repro.generators.rmat import rmat
 from repro.generators.smallworld import small_world
 from repro.graph.builder import from_edges
+from repro.graph import store
 from repro.graph.csr import CSRGraph
 from repro.graph.store import (
     STORE_MAGIC,
@@ -277,25 +278,19 @@ def test_sigkill_mid_write_never_tears_existing_store(tmp_path):
 # --------------------------------------------------------------------- #
 
 
-def test_from_edge_chunks_matches_from_edges_any_chunking(tmp_path):
+def test_from_edge_chunks_matches_from_edges_any_chunking(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     n, m = 50, 400
     src = rng.integers(0, n, size=m)
     dst = rng.integers(0, n, size=m)
-    w = rng.integers(1, 100, size=m).astype(np.uint32)
-    ref = from_edges(src, dst, num_vertices=n, weights=w)
+    ref = from_edges(src, dst, num_vertices=n)
     for chunk in (1, 7, 64, m):
-        blocks = [
-            (src[i : i + chunk], dst[i : i + chunk], w[i : i + chunk])
-            for i in range(0, m, chunk)
-        ]
-        # tiny sort windows force the bounded per-row sort path
+        blocks = [(src[i : i + chunk], dst[i : i + chunk]) for i in range(0, m, chunk)]
+        # tiny windows force many scatter blocks and the bounded row sort
         for window in (16, 1 << 22):
+            monkeypatch.setattr(store, "SORT_WINDOW_EDGES", window)
             path = str(tmp_path / f"g{chunk}_{window}.csr")
-            from_edge_chunks(
-                iter(blocks), path, num_vertices=n,
-                sort_window_edges=window,
-            )
+            from_edge_chunks(iter(blocks), path, num_vertices=n)
             _assert_same_graph(ref, open_csr(path, mode="ram"))
 
 
@@ -317,16 +312,8 @@ def test_from_edge_chunks_input_validation(tmp_path):
         from_edge_chunks([(two, np.array([1, 5]))], path, num_vertices=2)
     with pytest.raises(GraphFormatError, match="negative"):
         from_edge_chunks([(np.array([-1, 0]), two)], path, num_vertices=2)
-    with pytest.raises(GraphFormatError, match="agree on whether"):
-        from_edge_chunks(
-            [(two, two, np.array([1, 1], dtype=np.uint32)), (two, two)],
-            path, num_vertices=2,
-        )
-    with pytest.raises(GraphFormatError, match="mutually exclusive"):
-        from_edge_chunks(
-            [(two, two, np.array([1, 1], dtype=np.uint32))],
-            path, num_vertices=2, weight_seed=3,
-        )
+    with pytest.raises(GraphFormatError, match="equal-length"):
+        from_edge_chunks([(two, np.array([1]))], path, num_vertices=2)
     assert not os.path.exists(path)
 
 

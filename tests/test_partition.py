@@ -1,5 +1,7 @@
 """Tests for all partitioning policies and the generic builder."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from repro.partition import (
     random_vertex_cut,
 )
 from repro.partition.base import build_partitions
+
+#: the module, which the package's ``hvc`` function shadows
+hvc_module = importlib.import_module("repro.partition.hvc")
 
 ALL_POLICIES = sorted(POLICIES)
 
@@ -160,8 +165,9 @@ class TestHVC:
                 holders.add(p.pid)
         assert len(holders) >= 4
 
-    def test_low_degree_in_edges_at_master(self, crawl):
-        pg = hvc(crawl, 8, threshold=1e9)  # everything "low" => IEC-by-hash
+    def test_low_degree_in_edges_at_master(self, crawl, monkeypatch):
+        monkeypatch.setattr(hvc_module, "HUB_FACTOR", 1e9)
+        pg = hvc(crawl, 8)  # everything "low" => IEC-by-hash
         for p in pg.parts:
             assert np.all(p.is_master[p.graph.indices])
 

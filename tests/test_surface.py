@@ -36,6 +36,10 @@ of the field's flat array, and a rebound one is invisible to every sync.
 :data:`ONE_THREAD` imports ``threading`` or ``concurrent.futures`` — a
 cell runs its rounds on one thread, and the sweep's process pool is the
 only way cells run side by side.
+**One edge order** (DESIGN.md, "Edge order and the partition build"): no
+module of ``repro.graph`` but ``repro.graph.order`` calls ``sort``,
+``argsort`` or ``lexsort`` — every CSR build, the out-of-core one
+included, orders its edges through :func:`repro.graph.order.order_edges`.
 """
 
 import ast
@@ -258,6 +262,50 @@ def test_the_fanout_rule_sees_a_pool_and_a_thread_import(tmp_path):
         "repro.engine.bsp: threading",
         "repro.runtime.sweep: ThreadPoolExecutor",
     ]
+
+
+#: the calls that decide an edge order
+SORTS = ("sort", "argsort", "lexsort")
+
+
+def _second_edge_order(modules: dict[str, Path]) -> list[str]:
+    """``module:line call`` for every call of a :data:`SORTS` function or
+    method in a ``repro.graph`` module other than ``repro.graph.order``."""
+    out = []
+    for name, path in modules.items():
+        if name.split(".")[:2] != ["repro", "graph"] or name == "repro.graph.order":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                ident = getattr(f, "id", None) or getattr(f, "attr", None)
+                if ident in SORTS:
+                    out.append(f"{name}:{node.lineno} {ident}")
+    return sorted(out)
+
+
+def test_only_graph_order_sorts_edges():
+    assert not _second_edge_order(_modules())
+
+
+def test_the_edge_order_rule_sees_a_planted_sort(tmp_path):
+    """What ``from_edge_chunks`` did until its passes went through
+    ``order_edges``, planted; ``repro.graph.order`` itself may sort."""
+    planted = tmp_path / "store.py"
+    planted.write_text(
+        "import numpy as np\n"
+        "def scatter(src, dst, seg, rows):\n"
+        "    order = np.argsort(src, kind='stable')\n"
+        "    seg.sort()\n"
+        "    return np.lexsort((seg, rows)), order\n"
+    )
+    assert _second_edge_order({"repro.graph.store": planted}) == [
+        "repro.graph.store:3 argsort",
+        "repro.graph.store:4 sort",
+        "repro.graph.store:5 lexsort",
+    ]
+    assert _second_edge_order({"repro.graph.order": planted}) == []
+    assert _second_edge_order({"repro.la.spmv": planted}) == []
 
 
 def _second_tracer_route(modules: dict[str, Path]) -> tuple[list, list]:

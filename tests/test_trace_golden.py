@@ -31,7 +31,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.gnnflow.study import base_config, gnn_dataset
+from repro.generators.datasets import fuzz_dataset
+from repro.gnnflow.study import GNN_SEED, base_config
 from repro.partition import cache as partition_cache
 from repro.runtime.cells import CellSpec, SystemSpec, run_task
 from repro.serve.cli import run_trace
@@ -76,7 +77,7 @@ def _spec(name: str) -> CellSpec:
         key=(name,),
         system=SystemSpec.dirgl(**system),
         benchmark=bench,
-        dataset=gnn_dataset("powerlaw") if gnn else "tiny-s",
+        dataset=fuzz_dataset("powerlaw", GNN_SEED) if gnn else "tiny-s",
         num_gpus=4,
         platform=platform,
         check_memory=False,

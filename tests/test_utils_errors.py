@@ -174,16 +174,31 @@ class TestTypedErrorsAtTheCliBoundary:
         ["--hot-fraction", "2"],
         ["--hot-fraction", "-0.5"],
         ["--mutate-every", "-1"],
+        ["--apps", ","],
+        ["--apps", "zzz"],
+        ["--policy", "zzz"],
+        ["--max-queue-depth", "0"],
+        ["--jobs", "0"],
     ], ids="=".join)
     def test_a_serve_config_it_cannot_serve_is_a_usage_error(
         self, capsys, flags
     ):
         from repro.serve.cli import main as serve_main
 
-        assert serve_main([*flags, "--report", os.devnull]) == 2
+        argv = ["--requests", "10", "--jobs", "1", "--report", os.devnull]
+        assert serve_main([*argv, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ConfigurationError: ")
+        assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err + captured.out
+
+    def test_study_jobs_below_one_is_a_usage_error(self, capsys):
+        from repro.study.cli import main as study_main
+
+        assert study_main(["fig5", "--quick", "--jobs", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: ConfigurationError: jobs must be >= 1, got -3\n"
+        assert "Traceback" not in captured.out
 
     def test_unknown_dataset_is_a_usage_error(self, capsys):
         from repro.study.cli import main as study_main
@@ -215,6 +230,7 @@ class TestTypedErrorsAtTheCliBoundary:
         ["--policies", ","],
         ["--engines", "xyz"],
         ["--top-k", "-2"],
+        ["--jobs", "0"],
     ], ids="=".join)
     def test_a_tune_axis_it_cannot_rank_is_a_usage_error(self, capsys, flags):
         from repro.tune.cli import main as tune_main
