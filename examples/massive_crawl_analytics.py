@@ -15,16 +15,17 @@ import numpy as np
 
 from repro.constants import INF
 from repro.frameworks import DIrGL
-from repro.generators import load_dataset
+from repro.generators import DATASETS, load_dataset
 from repro.study.report import format_table
 
 
 def main(dataset: str = "clueweb12-s") -> None:
     ds = load_dataset(dataset)
-    paper = ds.spec.paper
+    spec = DATASETS[ds.name]
+    paper = spec.paper
     print(f"dataset: {ds}")
     print(
-        f"standing in for {ds.spec.paper_name}: "
+        f"standing in for {spec.paper_name}: "
         f"{paper.num_edges / 1e9:.1f}B edges, {paper.size_gb:.0f} GB on disk\n"
     )
 

@@ -5,8 +5,9 @@ least ``k - 2`` triangles.  Like triangle counting it is not a vertex
 program (peeling operates on *edges* and needs triangle incidence), so it
 runs as a partition-level algorithm:
 
-1. enumerate triangles once over the oriented adjacency (as
-   :mod:`repro.apps.tc`), building an edge -> incident-triangles index;
+1. enumerate triangles once over the oriented edges with
+   :func:`repro.apps.tc.triangle_blocks`, building an edge ->
+   incident-triangles index;
 2. peel in bulk-synchronous waves: every round, all alive edges with
    support < k-2 die together; each dead triangle decrements the support
    of its surviving edges;
@@ -20,8 +21,8 @@ Exact: validated against ``networkx.k_truss``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
+from repro.apps.tc import oriented_edges, triangle_blocks
 from repro.engine.costmodel import CostModel
 from repro.hw.cluster import Cluster
 from repro.loadbalance.base import get_balancer
@@ -45,39 +46,6 @@ class KTrussResult:
         return int(self.alive.sum())
 
 
-def _enumerate_triangles(n, src, dst):
-    """All triangles over the oriented edge list; returns (E_keys sorted,
-    triangle array of edge indices [t, 3])."""
-    keys = src.astype(np.int64) * n + dst.astype(np.int64)
-    order = np.argsort(keys)
-    skeys = keys[order]
-
-    adj = csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n)
-    )
-    adj.sum_duplicates()
-    indptr, indices = adj.indptr, adj.indices
-
-    tri_edges = []
-    for e in range(len(src)):
-        a, b = int(src[e]), int(dst[e])
-        na = indices[indptr[a] : indptr[a + 1]]
-        nb = indices[indptr[b] : indptr[b + 1]]
-        common = np.intersect1d(na, nb, assume_unique=True)
-        if len(common) == 0:
-            continue
-        # triangle (a < b < c): this edge is (a,b); the others are (a,c),(b,c)
-        k1 = a * n + common.astype(np.int64)
-        k2 = b * n + common.astype(np.int64)
-        e1 = order[np.searchsorted(skeys, k1)]
-        e2 = order[np.searchsorted(skeys, k2)]
-        for i in range(len(common)):
-            tri_edges.append((e, int(e1[i]), int(e2[i])))
-    if not tri_edges:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.asarray(tri_edges, dtype=np.int64)
-
-
 def ktruss(
     pg: PartitionedGraph,
     cluster: Cluster,
@@ -90,18 +58,12 @@ def ktruss(
     if k < 2:
         raise ValueError("k-truss requires k >= 2")
     graph = pg.global_graph
-    n = graph.num_vertices
-    es = graph.edge_sources().astype(np.int64)
-    ed = graph.indices.astype(np.int64)
-    keep = es < ed
-    src, dst = es[keep], ed[keep]
-    # dedup oriented edges (symmetrized multi-edges collapse)
-    key = src * n + dst
-    _, uniq = np.unique(key, return_index=True)
-    src, dst = src[uniq], dst[uniq]
+    src, dst = oriented_edges(graph)
     m = len(src)
-
-    tris = _enumerate_triangles(n, src, dst)
+    tris = np.concatenate([
+        np.empty((0, 3), dtype=np.int64),
+        *triangle_blocks(graph.num_vertices, src, dst),
+    ])
     support = np.bincount(tris.ravel(), minlength=m).astype(np.int64)
     tri_alive = np.ones(len(tris), dtype=bool)
     alive = np.ones(m, dtype=bool)

@@ -6,11 +6,14 @@ locally.  Triangle counting is not a vertex program (its operator needs
 2-hop neighborhood intersection), so it lives outside the engine as a
 partition-level algorithm:
 
-1. orient the symmetric graph by global ID (``u < v``), turning each
-   triangle ``{a < b < c}`` into the unique wedge ``(a,b), (a,c), (b,c)``;
-2. each partition counts the triangles closed by its **local oriented
-   edges** — the edge (a,b) counts ``|N+(a) ∩ N+(b)|`` against the oriented
-   adjacency, standing in for DistTC's mirrored 2-hop neighborhoods;
+1. orient the symmetric graph by global ID (``u < v``, each edge once),
+   turning each triangle ``{a < b < c}`` into the unique wedge
+   ``(a,b), (a,c), (b,c)``;
+2. enumerate the triangles over that oriented edge list
+   (:func:`triangle_blocks`, the one enumeration :mod:`repro.apps.ktruss`
+   peels over too); each partition is priced for intersecting
+   ``N+(u) ∩ N+(v)`` over its **local oriented edges**, standing in for
+   DistTC's mirrored 2-hop neighborhoods;
 3. communication is priced as shipping the ghost adjacency each partition
    needs (the out-neighborhoods of its non-master endpoints), plus the
    final count allreduce.
@@ -26,12 +29,72 @@ from scipy.sparse import csr_matrix
 
 from repro.constants import GID_BYTES
 from repro.engine.costmodel import CostModel
+from repro.graph import expand
+from repro.graph.order import order_edges
 from repro.hw.cluster import Cluster
 from repro.loadbalance.base import get_balancer
 from repro.metrics.stats import RunStats
 from repro.partition.base import PartitionedGraph
 
-__all__ = ["count_triangles", "reference_triangle_count"]
+__all__ = [
+    "count_triangles",
+    "oriented_edges",
+    "reference_triangle_count",
+    "triangle_blocks",
+]
+
+
+def oriented_edges(graph) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``u < v`` edges of a symmetric graph as int64
+    ``(src, dst)`` in ``(src, dst)`` order: a duplicated edge is one edge."""
+    src = graph.edge_sources().astype(np.int64)
+    dst = graph.indices.astype(np.int64)
+    keep = src < dst
+    src, dst, _ = order_edges(src[keep], dst[keep], graph.num_vertices, dedup=True)
+    return src, dst
+
+
+def _offsets(src: np.ndarray, n: int) -> np.ndarray:
+    """Row offsets of ``(src, dst)``-ordered edges over ``n`` vertices."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def triangle_blocks(n: int, src: np.ndarray, dst: np.ndarray):
+    """Yield every triangle of the :func:`oriented_edges` ``(src, dst)`` once,
+    as ``[t, 3]`` blocks of edge indices ``(ab, ac, bc)`` of ``a < b < c``.
+
+    Triangles through ``ab`` close at ``c ∈ N+(a) ∩ N+(b)``.  Each edge scans
+    the shorter of its two candidate lists — the edges after ``ab`` in
+    ``a``'s row, or ``b``'s row — and looks the closing edge up in the
+    sorted edge keys.  Blocks hold at most
+    :func:`~repro.graph.expand.block_edge_budget` candidates (an edge with
+    more is its own block).
+    """
+    m = len(src)
+    keys = src * n + dst
+    indptr = _offsets(src, n)
+    edge = np.arange(m, dtype=np.int64)
+    after_ab = indptr[src + 1] - edge - 1  # (a, c) with c > b
+    row_b = indptr[dst + 1] - indptr[dst]  # (b, c)
+    scan_a = after_ab < row_b
+    start = np.where(scan_a, edge + 1, indptr[dst])
+    count = np.where(scan_a, after_ab, row_b)
+    lookup = np.where(scan_a, dst, src) * n  # the row the closing edge is in
+    budget = expand.block_edge_budget()
+    for lo, hi, c0, c1 in expand.block_bounds(np.cumsum(count), budget):
+        cnt = count[lo:hi]
+        ab = np.repeat(edge[lo:hi], cnt)
+        scanned = np.repeat(start[lo:hi] - (np.cumsum(cnt) - cnt), cnt)
+        scanned += np.arange(c1 - c0, dtype=np.int64)
+        q = lookup[ab] + dst[scanned]
+        closing = np.minimum(np.searchsorted(keys, q), m - 1)
+        hit = keys[closing] == q
+        ab, scanned, closing = ab[hit], scanned[hit], closing[hit]
+        a_side = scan_a[ab]
+        yield np.stack([ab, np.where(a_side, scanned, closing),
+                        np.where(a_side, closing, scanned)], axis=1)
 
 
 def _oriented(graph) -> csr_matrix:
@@ -63,8 +126,10 @@ def count_triangles(
 ) -> tuple[int, RunStats]:
     """Count triangles of ``pg``'s (symmetric) graph across its partitions."""
     graph = pg.global_graph
-    a = _oriented(graph)
-    a2 = None  # computed lazily per partition batch to bound memory
+    n = graph.num_vertices
+    osrc, odst = oriented_edges(graph)
+    total = sum(len(t) for t in triangle_blocks(n, osrc, odst))
+    indptr = _offsets(osrc, n)
     cost = CostModel(cluster, get_balancer(balancer), scale_factor)
 
     stats = RunStats(
@@ -75,10 +140,8 @@ def count_triangles(
         replication_factor=pg.replication_factor,
     )
 
-    total = 0
     compute_t = np.zeros(pg.num_partitions)
     ghost_bytes = np.zeros(pg.num_partitions)
-    indptr, indices = a.indptr, a.indices
 
     for part in pg.parts:
         src_l = part.graph.edge_sources()
@@ -89,16 +152,6 @@ def count_triangles(
         u, v = u[keep], v[keep]
         if len(u) == 0:
             continue
-        # count |N+(u) ∩ N+(v)| per owned oriented edge via merge over the
-        # globally oriented CSR (DistTC's mirrored adjacency)
-        cnt = 0
-        for uu, vv in zip(u.tolist(), v.tolist()):
-            nu = indices[indptr[uu] : indptr[uu + 1]]
-            nv = indices[indptr[vv] : indptr[vv + 1]]
-            if len(nu) and len(nv):
-                cnt += np.intersect1d(nu, nv, assume_unique=True).size
-        total += cnt
-
         # pricing: the intersection work is one edge-traversal per
         # adjacency element touched
         deg_u = (indptr[u + 1] - indptr[u]).astype(np.float64)
@@ -123,6 +176,6 @@ def count_triangles(
     stats.comm_volume_bytes = float(ghost_bytes.sum())
     stats.num_messages = pg.num_partitions
     stats.rounds = 1
-    stats.work_items = float(a.nnz)
+    stats.work_items = float(len(osrc))
     stats.finalize_breakdown()
     return int(total), stats

@@ -112,10 +112,8 @@ class Framework(ABC):
         if app.needs_symmetric:
             # only the apps that run on the symmetrized view (kcore, mis)
             # read its degrees; asking for them costs everyone else a
-            # make_undirected.  symmetric_degrees(), not
-            # symmetric().out_degrees(): store-backed datasets stream it
-            # in O(|V|) resident memory
-            sym_deg = dataset.symmetric_degrees()
+            # make_undirected
+            sym_deg = dataset.symmetric().out_degrees()
             defaults.update(
                 # k at the median degree: deep peeling cascades on every
                 # input (the paper runs kcore to convergence on all of them)

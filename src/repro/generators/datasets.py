@@ -33,7 +33,6 @@ from repro.generators.webcrawl import webcrawl
 __all__ = [
     "DatasetSpec",
     "Dataset",
-    "StoreDataset",
     "DATASETS",
     "dataset_names",
     "fuzz_dataset",
@@ -67,20 +66,14 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """A generated, weighted stand-in graph plus its paper-scale metadata."""
+    """A graph to run on — a registry stand-in, a fuzz shape or a store
+    container — with its name, category and paper-scale factor."""
 
-    spec: DatasetSpec
+    name: str
+    category: str  # a registry category, or "store" / "fuzz"
     graph: CSRGraph
     scale_factor: float
     _symmetric: Optional[CSRGraph] = field(default=None, repr=False)
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def category(self) -> str:
-        return self.spec.category
 
     @property
     def source_vertex(self) -> int:
@@ -89,7 +82,10 @@ class Dataset:
         return int(np.argmax(self.graph.out_degrees()))
 
     def symmetric(self) -> CSRGraph:
-        """Symmetrized view used by cc and kcore (cached).
+        """Symmetrized view used by cc, kcore and mis (cached); its
+        out-degrees are the one symmetric degree (kcore's default ``k``,
+        ``ctx.global_degrees``), whether the graph was generated or opened
+        from a store.
 
         Weighted like the base graph: ``make_undirected`` carries each
         edge's weight to its reverse (a reciprocal pair keeps the forward
@@ -101,42 +97,11 @@ class Dataset:
             self._symmetric = make_undirected(self.graph)
         return self._symmetric
 
-    def symmetric_degrees(self) -> np.ndarray:
-        """Per-vertex degrees of the symmetrized view.
-
-        Drives the default kcore ``k`` and ``ctx.global_degrees``.  The
-        base implementation materializes :meth:`symmetric` (O(|E|) RAM);
-        out-of-core datasets override this with a streaming computation so
-        that push-only benchmarks never pay an in-RAM symmetrization.
-        """
-        return self.symmetric().out_degrees()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Dataset {self.name} [{self.category}] |V|={self.graph.num_vertices:,} "
             f"|E|={self.graph.num_edges:,} scale={self.scale_factor:,.0f}x>"
         )
-
-
-@dataclass
-class StoreDataset(Dataset):
-    """A dataset served from an on-disk store container (docs/scale.md).
-
-    ``scale_factor`` is 1.0: store graphs run at their real size rather
-    than as scaled stand-ins.  :meth:`symmetric_degrees` streams
-    ``out + in`` degrees (O(|V|) resident) instead of materializing a
-    symmetrized graph; the sum double-counts reciprocal edges relative to
-    the deduplicating symmetrizer, which only shifts the kcore default-k
-    heuristic — the zero/non-zero pattern mis relies on is exact.  Apps
-    that traverse the symmetrized topology itself (cc, kcore) still pay
-    an in-RAM symmetrization via :meth:`Dataset.symmetric`.
-    """
-
-    store_path: str = ""
-
-    def symmetric_degrees(self) -> np.ndarray:
-        g = self.graph
-        return g.out_degrees() + g.in_degrees()
 
 
 def _spec(name, paper_name, category, kind, gen, V, E, dout, din, diam, gb):
@@ -257,30 +222,12 @@ def dataset_names(category: str | None = None, include_test: bool = False) -> li
 _STORE_PREFIXES = {"store+mmap:": "mmap", "store+ram:": "ram"}
 
 
-def _load_store_dataset(name: str, mode: str, path: str) -> StoreDataset:
-    from repro.constants import GIB
+def _load_store_dataset(name: str, mode: str, path: str) -> Dataset:
+    """A store container as a 1x-scale dataset: store graphs run at their
+    real size rather than as scaled stand-ins (docs/scale.md)."""
     from repro.graph.store import open_csr
 
-    graph = open_csr(path, mode=mode)
-    stats = PaperStats(
-        num_vertices=float(graph.num_vertices),
-        num_edges=float(max(graph.num_edges, 1)),
-        max_out_degree=int(graph.out_degrees().max(initial=0)),
-        max_in_degree=0,  # would cost an O(|E|) scan at open time
-        approx_diameter=0,
-        size_gb=graph.nbytes() / GIB,
-    )
-    spec = DatasetSpec(
-        name=name,
-        paper_name=graph.name or path,
-        category="store",
-        kind="store",
-        generator=lambda: open_csr(path, mode=mode),
-        paper=stats,
-    )
-    return StoreDataset(
-        spec=spec, graph=graph, scale_factor=1.0, store_path=path
-    )
+    return Dataset(name, "store", open_csr(path, mode=mode), scale_factor=1.0)
 
 
 #: ``fuzz:<shape>:<seed>`` names a deterministically generated fuzzer
@@ -296,7 +243,6 @@ def fuzz_dataset(shape: str, seed: int) -> str:
 
 
 def _load_fuzz_dataset(name: str) -> Dataset:
-    from repro.constants import GIB
     from repro.fuzz.gen import SHAPES, build_shape
 
     try:
@@ -323,23 +269,7 @@ def _load_fuzz_dataset(name: str) -> Dataset:
     # sweep workers must regenerate bit-identical graphs from the name.
     salt = zlib.crc32(shape.encode()) & 0x7FFF
     graph = build_shape(shape, np.random.default_rng([seed, salt]))
-    stats = PaperStats(
-        num_vertices=float(graph.num_vertices),
-        num_edges=float(max(graph.num_edges, 1)),
-        max_out_degree=int(graph.out_degrees().max(initial=0)),
-        max_in_degree=int(graph.in_degrees().max(initial=0)),
-        approx_diameter=0,
-        size_gb=graph.nbytes() / GIB,
-    )
-    spec = DatasetSpec(
-        name=name,
-        paper_name=f"fuzz {shape} (seed {seed})",
-        category="fuzz",
-        kind=shape,
-        generator=lambda: build_shape(shape, np.random.default_rng([seed, salt])),
-        paper=stats,
-    )
-    return Dataset(spec=spec, graph=graph, scale_factor=1.0)
+    return Dataset(name, "fuzz", graph, scale_factor=1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,4 +297,4 @@ def load_dataset(name: str) -> Dataset:
         ) from None
     graph = add_random_weights(spec.generator(), seed=0)
     scale = spec.paper.num_edges / max(graph.num_edges, 1)
-    return Dataset(spec=spec, graph=graph, scale_factor=scale)
+    return Dataset(spec.name, spec.category, graph, scale_factor=scale)

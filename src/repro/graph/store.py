@@ -164,8 +164,9 @@ def from_edge_chunks(
     external counting sort in three passes, the order of each block and
     window decided by :func:`repro.graph.order.order_edges`:
 
-    1. spill the edges to append-only scratch files next to ``path`` while
-       counting out-degrees (O(|V|) RAM);
+    1. spill the edges, validated and narrowed to the container's vertex-id
+       dtype, to append-only scratch files next to ``path`` while counting
+       out-degrees (O(|V|) RAM);
     2. re-read the spill in blocks of :data:`SORT_WINDOW_EDGES` edges, put
        each block in edge order and scatter it to its rows through a
        per-vertex write cursor, so every edge lands in its source's row;
@@ -181,7 +182,8 @@ def from_edge_chunks(
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     spill_dir = tempfile.mkdtemp(prefix=os.path.basename(path) + ".spill.", dir=d)
-    spill = [os.path.join(spill_dir, f) for f in ("src.i64", "dst.i64")]
+    spill = [os.path.join(spill_dir, f) for f in ("src.vid", "dst.vid")]
+    vid = vid_dtype_for(num_vertices)
     try:
         # ---- pass 1: spill edges, count degrees -------------------- #
         counts = np.zeros(num_vertices, dtype=EID_DTYPE)
@@ -201,15 +203,15 @@ def from_edge_chunks(
                         f"vertex id {hi} exceeds num_vertices={num_vertices}"
                     )
                 counts += np.bincount(src, minlength=num_vertices)
-                src_f.write(src.tobytes())
-                dst_f.write(dst.tobytes())
+                src_f.write(src.astype(vid).tobytes())
+                dst_f.write(dst.astype(vid).tobytes())
         indptr = np.zeros(num_vertices + 1, dtype=EID_DTYPE)
         np.cumsum(counts, out=indptr[1:])
         num_edges = int(indptr[-1])
 
         with ContainerWriter(path, _FORMAT) as writer:
             writer.stream("indptr", [indptr])
-            mm_idx = writer.reserve("indices", vid_dtype_for(num_vertices), num_edges)
+            mm_idx = writer.reserve("indices", vid, num_edges)
             mm_w = None if weight_seed is None else writer.reserve(
                 "weights", WEIGHT_DTYPE, num_edges
             )
@@ -220,8 +222,8 @@ def from_edge_chunks(
                     for done in range(0, num_edges, SORT_WINDOW_EDGES):
                         n = min(SORT_WINDOW_EDGES, num_edges - done)
                         bsrc, bdst, _ = order_edges(
-                            np.fromfile(sf, dtype=np.int64, count=n),
-                            np.fromfile(df, dtype=np.int64, count=n),
+                            np.fromfile(sf, dtype=vid, count=n),
+                            np.fromfile(df, dtype=vid, count=n),
                             num_vertices,
                         )
                         head = np.flatnonzero(np.diff(bsrc, prepend=-1))

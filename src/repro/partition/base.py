@@ -179,42 +179,6 @@ class PartitionedGraph:
             raise PartitioningError("some vertices have no master proxy")
         return out
 
-    def validate(self) -> None:
-        """Structural invariants; raises :class:`PartitioningError` on breach.
-
-        * every global vertex has exactly one master;
-        * every global edge appears in exactly one partition;
-        * exchange lists are consistent between the two sides of each pair.
-        """
-        n = self.num_global_vertices
-        master_count = np.zeros(n, dtype=np.int64)
-        for p in self.parts:
-            np.add.at(master_count, p.masters_global(), 1)
-        if not np.all(master_count == 1):
-            bad = int(np.flatnonzero(master_count != 1)[0])
-            raise PartitioningError(f"vertex {bad} has {master_count[bad]} masters")
-
-        total_edges = sum(p.graph.num_edges for p in self.parts)
-        if total_edges != self.global_graph.num_edges:
-            raise PartitioningError(
-                f"edge counts differ: {total_edges} partitioned vs "
-                f"{self.global_graph.num_edges} global"
-            )
-
-        for p in self.parts:
-            for q, mlocal in p.mirror_exchange.items():
-                other = self.parts[q].master_exchange.get(p.pid)
-                if other is None or len(other) != len(mlocal):
-                    raise PartitioningError(
-                        f"exchange lists inconsistent between {p.pid} and {q}"
-                    )
-                g_here = p.local_to_global[mlocal]
-                g_there = self.parts[q].local_to_global[other]
-                if not np.array_equal(g_here, g_there):
-                    raise PartitioningError(
-                        f"exchange order mismatch between {p.pid} and {q}"
-                    )
-
 
 def build_partitions(
     graph: CSRGraph,

@@ -118,16 +118,23 @@ class ExecBackend:
         self._memo: dict[tuple, ExecResult] = {}
         self._prior: dict[tuple, _Prior] = {}
         self._pstate: dict[str, _PartitionState] = {}
+        self._spilled: set[str] = set()
 
     # ------------------------------------------------------------------ #
     def _spill(self, snapshot: CSRGraph) -> str:
         """Content-addressed store container for a snapshot; returns the
-        ``store+ram:`` dataset name the cell machinery can load."""
+        ``store+ram:`` dataset name the cell machinery can load.
+
+        Written (atomically) the first time this backend asks for it: a
+        file an earlier run left in a reused spool is not trusted, since
+        one damaged byte in it would fail every load of that snapshot.
+        """
         path = os.path.join(
             self.spool_dir, f"{snapshot.content_hash()[:16]}.csr"
         )
-        if not os.path.exists(path):
+        if path not in self._spilled:
             write_csr_store(snapshot, path)
+            self._spilled.add(path)
         return f"store+ram:{path}"
 
     def _maybe_patch(self, task: ExecTask) -> str:

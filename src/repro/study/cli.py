@@ -212,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         help="which table/figure to regenerate ('all' = every paper "
         f"table and figure), or a gated study ({', '.join(gated)}): "
         "'ooc' is the out-of-core pipeline under a peak-RSS gate (env "
-        "knobs REPRO_OOC_RAM_CAP_MB, REPRO_OOC_SIZE_MULT, "
-        "REPRO_OOC_RSS_TOL, REPRO_OOC_WALL_TOL; docs/scale.md) — it "
+        "knobs REPRO_OOC_RAM_CAP_MB, REPRO_OOC_RSS_TOL, "
+        "REPRO_OOC_WALL_TOL; docs/scale.md) — it "
         "builds its own spawn pool by design, so of the options below "
         "only --jobs, --ooc-dir and --out reach it; 'advisor' is the "
         "repro.tune accuracy study (docs/tuning.md); 'gnn' the "

@@ -79,7 +79,6 @@ class OocConfig:
     #: worker anonymous-RSS budget in MiB (``REPRO_OOC_RAM_CAP_MB``)
     ram_cap_mb: float = 48.0
     #: the big store must be at least this multiple of the cap
-    #: (``REPRO_OOC_SIZE_MULT``)
     size_multiple: float = 4.0
     #: peak-RSS slack multiplier (``REPRO_OOC_RSS_TOL``); CI smoke runs
     #: relax this — hosted runners share page cache unpredictably
@@ -117,7 +116,6 @@ class OocConfig:
     def from_env(cls, **overrides) -> "OocConfig":
         cfg = cls(
             ram_cap_mb=_env_float("REPRO_OOC_RAM_CAP_MB", cls.ram_cap_mb),
-            size_multiple=_env_float("REPRO_OOC_SIZE_MULT", cls.size_multiple),
             rss_tol=_env_float("REPRO_OOC_RSS_TOL", cls.rss_tol),
             wall_tol=_env_float("REPRO_OOC_WALL_TOL", cls.wall_tol),
         )

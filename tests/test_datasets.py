@@ -97,6 +97,40 @@ class TestLoad:
         assert np.array_equal(sym.out_degrees(), sym.in_degrees())
 
 
+class TestStoreLoadsAreTheSameInput:
+    """A graph opened from a store container is the input the same graph
+    is in RAM: one symmetric degree (``symmetric().out_degrees()``) picks
+    the default kcore ``k`` on every path, so the labels agree."""
+
+    NAME = "fuzz:powerlaw:3"
+
+    def test_the_graph_tells_the_two_old_degrees_apart(self):
+        # out + in double-counts reciprocal edges; on this graph that moves
+        # the default k (3 vs 4), so a second degree definition would too
+        ds = load_dataset(self.NAME)
+        g = ds.graph
+        ks = [max(2, int(np.median(d))) for d in (
+            ds.symmetric().out_degrees(), g.out_degrees() + g.in_degrees()
+        )]
+        assert ks[0] != ks[1]
+
+    @pytest.mark.parametrize("app", ["kcore", "mis"])
+    def test_ram_and_store_paths_give_identical_labels(self, tmp_path, app):
+        from repro.frameworks import DIrGL
+        from repro.graph.store import write_csr_store
+
+        ds = load_dataset(self.NAME)
+        path = str(tmp_path / "g.csr")
+        write_csr_store(ds.graph, path)
+        want = DIrGL("oec").run(app, ds, 2).labels
+        for mode in ("ram", "mmap"):
+            stored = load_dataset(f"store+{mode}:{path}")
+            assert stored.category == "store" and stored.scale_factor == 1.0
+            np.testing.assert_array_equal(
+                DIrGL("oec").run(app, stored, 2).labels, want, err_msg=mode
+            )
+
+
 class TestFuzzNameValidation:
     """``fuzz:<shape>:<seed>`` parsing: every malformed name must raise
     the registry's KeyError with the malformed/unknown message — no bare
@@ -129,7 +163,7 @@ class TestFuzzNameValidation:
     def test_valid_names_still_load(self):
         ds = load_dataset("fuzz:powerlaw:7")
         assert ds.graph.num_vertices > 0
-        assert ds.spec.category == "fuzz"
+        assert ds.category == "fuzz"
 
 
 class TestShapeFidelity:
@@ -143,7 +177,7 @@ class TestShapeFidelity:
     def test_average_degree_tracks_paper(self):
         for name in dataset_names():
             ds = load_dataset(name)
-            paper = ds.spec.paper
+            paper = DATASETS[name].paper
             paper_avg = paper.num_edges / paper.num_vertices
             ours = ds.graph.num_edges / ds.graph.num_vertices
             assert ours == pytest.approx(paper_avg, rel=0.35), name

@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import bridges, dgx2, tuxedo
-from repro.partition import partition
+from repro.partition import POLICIES, partition
 from repro.validation.reference import reference_bc_single_source
 from tests.nx_interop import to_networkx
 
@@ -88,6 +88,19 @@ class TestTriangleCounting:
         assert cnt == reference_triangle_count(sym)
         assert stats.execution_time > 0
         assert stats.comm_volume_bytes > 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_duplicated_edge_closes_one_triangle(self, policy):
+        # triangle {0, 1, 2} with 0-1 stored twice each way: the count is
+        # of distinct triangles, as the reference and ktruss count them
+        from repro.graph import from_edges
+
+        src = [0, 1, 0, 1, 0, 2, 1, 2, 2, 3]
+        dst = [1, 0, 1, 0, 2, 0, 2, 1, 3, 2]
+        g = from_edges(src, dst, num_vertices=4)
+        assert g.num_edges == 10 and reference_triangle_count(g) == 1
+        cnt, _ = count_triangles(partition(g, policy, 2), bridges(2))
+        assert cnt == 1
 
     def test_triangle_free_graph(self):
         # a star has no triangles

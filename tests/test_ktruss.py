@@ -41,6 +41,17 @@ class TestKTruss:
         )
         assert alive == ref_edges(nx_ref, k)
 
+    def test_small_enumeration_blocks_change_nothing(self, sym, monkeypatch):
+        # the triangle enumeration cuts its candidates into blocks of the
+        # ambient edge budget; a 7-candidate budget makes hundreds of them
+        pg = partition(sym, "cvc", 4)
+        want = ktruss(pg, bridges(4), 5)
+        monkeypatch.setenv("REPRO_BLOCK_EDGES", "7")
+        got = ktruss(pg, bridges(4), 5)
+        np.testing.assert_array_equal(got.alive, want.alive)
+        assert got.stats.rounds == want.stats.rounds
+        assert got.stats.work_items == want.stats.work_items
+
     def test_k2_keeps_everything(self, sym):
         """Every edge is trivially in the 2-truss."""
         pg = partition(sym, "oec", 4)

@@ -330,10 +330,7 @@ def test_ooc_config_from_env(monkeypatch):
     assert cfg.wall_tol == OocConfig.wall_tol  # untouched default
 
 
-OOC_ENV = (
-    "REPRO_OOC_RAM_CAP_MB", "REPRO_OOC_SIZE_MULT", "REPRO_OOC_RSS_TOL",
-    "REPRO_OOC_WALL_TOL",
-)
+OOC_ENV = ("REPRO_OOC_RAM_CAP_MB", "REPRO_OOC_RSS_TOL", "REPRO_OOC_WALL_TOL")
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "nan"])

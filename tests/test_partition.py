@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+from repro.check import CheckLevel, check_partition
 from repro.errors import ConfigurationError, PartitioningError
 from repro.generators import rmat, webcrawl
 from repro.graph import from_edges
@@ -42,7 +43,8 @@ class TestEveryPolicy:
     @pytest.mark.parametrize("parts", [1, 2, 4, 8])
     def test_validates(self, g, policy, parts):
         pg = partition(g, policy, parts, cache=False)
-        pg.validate()  # masters unique, edges conserved, exchanges consistent
+        # masters unique, edges conserved, exchanges consistent
+        check_partition(pg, CheckLevel.CHEAP)
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_edge_conservation(self, g, policy):
@@ -135,7 +137,7 @@ class TestCVC:
     def test_explicit_grid(self, g):
         pg = cvc(g, 6, grid=(3, 2))
         assert pg.grid == (3, 2)
-        pg.validate()
+        check_partition(pg, CheckLevel.CHEAP)
 
     def test_bad_grid_rejected(self, g):
         with pytest.raises(ValueError):
@@ -274,7 +276,7 @@ class TestBuilderValidation:
             2,
             "manual",
         )
-        pg.validate()
+        check_partition(pg, CheckLevel.CHEAP)
         assert pg.parts[1].num_local == 0
 
 
@@ -296,7 +298,7 @@ class TestMembershipEquivalence:
         vo = rng.integers(0, parts, g.num_vertices).astype(np.int32)
         eo = rng.integers(0, parts, g.num_edges).astype(np.int32)
         fast = build_partitions(g, vo, eo, parts, "manual")
-        fast.validate()
+        check_partition(fast, CheckLevel.CHEAP)
         np.testing.assert_array_equal(fast.vertex_owner, vo)
         src = g.edge_sources()
         for part in fast.parts:

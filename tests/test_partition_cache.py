@@ -9,6 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro.check import CheckLevel, check_partition
 from repro.errors import GraphFormatError
 from repro.generators import rmat
 from repro.graph import add_random_weights, from_edges
@@ -133,7 +134,7 @@ class TestDiskStore:
         assert calls == [("cvc", 4)]
         assert reader.stats.builds == 0
         assert reader.stats.disk_hits == 1
-        loaded.validate()
+        check_partition(loaded, CheckLevel.CHEAP)
         _assert_partitions_equal(built, loaded)
 
     def test_corrupt_file_rebuilds(self, g, tmp_path):
@@ -150,7 +151,7 @@ class TestDiskStore:
         pg = fresh.lookup_or_build(g, "oec", 4, builder)
         assert fresh.stats.disk_hits == 0
         assert fresh.stats.builds == 1
-        pg.validate()
+        check_partition(pg, CheckLevel.CHEAP)
 
     def test_store_failure_is_best_effort(self, g, tmp_path, monkeypatch):
         cache = PartitionCache(cache_dir=str(tmp_path / "pcache"))
@@ -163,7 +164,7 @@ class TestDiskStore:
         tracer = Tracer()
         with use_tracer(tracer):
             pg = cache.lookup_or_build(g, "oec", 2, builder)  # must not raise
-        pg.validate()
+        check_partition(pg, CheckLevel.CHEAP)
         assert cache.stats.stores == 0
         # the time spent on the failed write still leaves an event
         assert _outcomes(tracer, "cache.store") == ["failed"]
@@ -216,7 +217,7 @@ class TestShardSpill:
         loaded = reader.lookup_or_build(g, "iec", 4, builder)
         assert calls == [("iec", 4)]
         assert reader.stats.disk_hits == 1
-        loaded.validate()
+        check_partition(loaded, CheckLevel.CHEAP)
         _assert_partitions_equal(built, loaded)
         for part in loaded.parts:  # served from the file, not from RAM
             assert isinstance(part.local_to_global.base, np.memmap)
@@ -240,7 +241,7 @@ class TestShardSpill:
         again = PartitionCache(cache_dir=store, spill_shards=True)
         mapped = again.lookup_or_build(g, "iec", 4, builder)
         assert len(calls) == 2 and again.stats.disk_hits == 1
-        mapped.validate()
+        check_partition(mapped, CheckLevel.CHEAP)
         _assert_partitions_equal(mapped, from_ram)
         for part in mapped.parts:
             assert isinstance(part.local_to_global.base, np.memmap)
@@ -257,7 +258,7 @@ class TestShardSpill:
         pg = fresh.lookup_or_build(g, "iec", 2, builder)
         assert fresh.stats.disk_hits == 0
         assert fresh.stats.builds == 1
-        pg.validate()
+        check_partition(pg, CheckLevel.CHEAP)
 
 
 class TestDiskByteCap:
@@ -336,7 +337,9 @@ class TestConcurrentEvictionRaces:
             cache.lookup_or_build(g, "oec", 4, builder)
             monkeypatch.undo()
             cache.clear_memory()
-            cache.lookup_or_build(g, "oec", 2, builder).validate()
+            check_partition(
+                cache.lookup_or_build(g, "oec", 2, builder), CheckLevel.CHEAP
+            )
         assert calls == [("oec", 2), ("oec", 4), ("oec", 2)]
         assert _outcomes(tracer, "cache.store") == ["failed", "stored"]
         assert [
@@ -418,7 +421,8 @@ class TestOneProbe:
             logging.WARNING, logger="repro.partition.cache"
         ):
             assert cache.get(g, "oec", 2) is None
-            cache.lookup_or_build(g, "oec", 2, builder).validate()  # rebuilt
+            rebuilt = cache.lookup_or_build(g, "oec", 2, builder)
+            check_partition(rebuilt, CheckLevel.CHEAP)
             cache.clear_memory()
             assert cache.get(g, "oec", 2) is not None  # and stored again
         assert calls == [("oec", 2)]
@@ -550,7 +554,9 @@ class TestDamagedEntries:
         monkeypatch.setattr(mod, name, racing_load)
         tracer = Tracer()
         with use_tracer(tracer):
-            cache.lookup_or_build(wg, "cvc", 4, builder).validate()
+            check_partition(
+                cache.lookup_or_build(wg, "cvc", 4, builder), CheckLevel.CHEAP
+            )
         assert len(calls) == 2
         assert _outcomes(tracer, "cache.disk_load") == ["vanished"]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check import CheckLevel, check_partition
 from repro.errors import GraphFormatError, PartitioningError
 from repro.generators import rmat, webcrawl
 from repro.partition import (
@@ -23,7 +24,7 @@ class TestPartitionIO:
         path = tmp_path / "parts.npz"
         save_partitions(pg, path)
         pg2 = load_partitions(path, crawl)
-        pg2.validate()
+        check_partition(pg2, CheckLevel.CHEAP)
         assert pg2.policy == "cvc"
         assert pg2.grid == pg.grid
         assert pg2.replication_factor == pg.replication_factor

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_app
+from repro.check import CheckLevel, check_partition
 from repro.comm import CommConfig
 from repro.engine import BASPEngine, BSPEngine
 from repro.engine.operator import RunContext
@@ -103,7 +104,7 @@ def test_round_trip(shape, seed, policy, parts, weighted, entry, tmp_path):
     save(pg, path)
     got = load(path, g)
     assert_same_partitioning(pg, got)
-    got.validate()
+    check_partition(got, CheckLevel.CHEAP)
     served_from_file = isinstance(got.vertex_owner, np.memmap)
     assert served_from_file == (entry == "mmap")
 
@@ -237,7 +238,7 @@ def test_an_entry_with_a_g2l_section_loads_in_either_mode(
     for load in (load_partitions, load_partition_shards):
         got = load(path, g)
         assert_same_partitioning(pg, got)
-        got.validate()
+        check_partition(got, CheckLevel.CHEAP)
 
 
 def test_csr_store_bytes_did_not_move(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.check import CheckLevel, check_partition
 from repro.comm import FieldSpec, GluonComm
 from repro.generators import rmat
 from repro.partition import jagged, partition, partition_stats
@@ -20,7 +21,7 @@ def g():
 class TestStructure:
     def test_valid(self, g):
         pg = jagged(g, 8)
-        pg.validate()
+        check_partition(pg, CheckLevel.CHEAP)
         assert pg.policy == "jagged"
         assert pg.grid is not None
 

@@ -44,7 +44,7 @@ def graph_and_parts(draw):
 def test_partition_structurally_valid(gp, policy):
     g, parts = gp
     pg = partition(g, policy, parts, cache=False)
-    pg.validate()
+    check_partition(pg, CheckLevel.CHEAP)
 
 
 @given(gp=graph_and_parts(), policy=st.sampled_from(sorted(POLICIES)))

@@ -418,6 +418,37 @@ class TestRunTraceLeavesNoTrace:
             configure(cache_dir=None)
 
 
+class TestSpoolReuse:
+    def test_a_damaged_spool_entry_is_rewritten_not_trusted(
+        self, tmp_path, monkeypatch
+    ):
+        """A spool outlives its run; a later run writes every entry it
+        loads itself (atomically) instead of loading whatever file sits
+        under the content hash, so one flipped byte costs a rewrite, not
+        a failed load memoised for every request on that snapshot."""
+        import functools
+
+        from repro.generators import datasets
+        from repro.graph.store import store_info
+
+        trace = generate_trace(TrafficConfig(seed=3, num_requests=20, apps=("bfs",)))
+        spool = str(tmp_path / "spool")
+        first = run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
+        entry = sorted((tmp_path / "spool").glob("*.csr"))[0]
+        data = bytearray(entry.read_bytes())
+        data[store_info(str(entry))["sections"]["indices"]["offset"]] ^= 0xFF
+        entry.write_bytes(bytes(data))
+        # a later process has loaded nothing: the second run gets a dataset
+        # cache of its own, and the shared one is put back afterwards
+        fresh = functools.lru_cache(maxsize=None)(datasets.load_dataset.__wrapped__)
+        monkeypatch.setattr(datasets, "load_dataset", fresh)
+        second = run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
+        assert first.counters["failed"] == second.counters["failed"] == 0
+        assert [r["labels_crc"] for r in second.requests] == [
+            r["labels_crc"] for r in first.requests
+        ]
+
+
 class TestCLI:
     def test_simulate_writes_report_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "report.json"
