@@ -272,21 +272,32 @@ def _load_fuzz_dataset(name: str) -> Dataset:
     return Dataset(name, "fuzz", graph, scale_factor=1.0)
 
 
-@functools.lru_cache(maxsize=None)
 def load_dataset(name: str) -> Dataset:
-    """Generate (once; cached) and return the named stand-in dataset.
+    """Return the named dataset.
 
-    The returned graph carries randomized edge weights (the paper adds
-    them to every input for sssp).
+    A registry name generates its stand-in once per process (memoized:
+    the name determines the graph).  The returned graph carries
+    randomized edge weights (the paper adds them to every input for
+    sssp).  ``fuzz:<shape>:<seed>`` names deterministically regenerate a
+    fuzzer shape at 1x scale, memoized the same way.
 
     Names of the form ``store+mmap:<path>`` / ``store+ram:<path>`` open an
-    existing store container instead (the store carries whatever weights
-    it was built with).  ``fuzz:<shape>:<seed>`` names deterministically
-    regenerate a fuzzer shape at 1x scale.
+    existing store container on every call (the store carries whatever
+    weights it was built with): a path names a file, not a graph, so a
+    container rewritten at that path is what the next load returns, and
+    nothing keeps a served snapshot alive after its last reader.
+
+    ``load_dataset.cache_clear()`` / ``cache_info()`` act on the memo of
+    generated datasets.
     """
     for prefix, mode in _STORE_PREFIXES.items():
         if name.startswith(prefix):
             return _load_store_dataset(name, mode, name[len(prefix):])
+    return _generate_dataset(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _generate_dataset(name: str) -> Dataset:
     if name.startswith(_FUZZ_PREFIX):
         return _load_fuzz_dataset(name)
     try:
@@ -298,3 +309,7 @@ def load_dataset(name: str) -> Dataset:
     graph = add_random_weights(spec.generator(), seed=0)
     scale = spec.paper.num_edges / max(graph.num_edges, 1)
     return Dataset(spec.name, spec.category, graph, scale_factor=scale)
+
+
+load_dataset.cache_clear = _generate_dataset.cache_clear
+load_dataset.cache_info = _generate_dataset.cache_info

@@ -17,9 +17,10 @@ This module defines them:
 
 :func:`run_task` executes one spec in the current process; the sweep
 executor ships specs to pool workers and calls it there, one spec per
-task.  Datasets come from the ``lru_cache``'d loader and partitions from
+task.  Generated datasets come from the loader's memo and partitions from
 the content-hash partition cache, so a worker that processes many cells
-of one dataset pays for loading and partitioning once.  Every cell runs
+of one generated dataset pays for loading and partitioning once (a store
+dataset is opened by every cell that names it).  Every cell runs
 under a :class:`~repro.runtime.rss.RssSampler`, so every outcome reports
 the host memory it took (``extra["rss"]``).
 """

@@ -8,10 +8,13 @@ nested loops — while completing cells in any order underneath.
 
 Worker processes are initialized once with the sweep's partition cache
 directory (and trace directory, when tracing is on); combined with the
-``lru_cache``'d dataset loader and the in-memory partition LRU, a worker
-that draws many cells of one dataset loads and partitions it once.  With
-the (default, where available) ``fork`` start method, workers also
-inherit every dataset and partition already warm in the parent.
+dataset loader's memo of generated stand-ins and the in-memory partition
+LRU, a worker that draws many cells of one generated dataset loads and
+partitions it once.  A ``store+ram:`` / ``store+mmap:`` dataset is opened
+by every cell that names it (a path names a file, not a graph), and its
+partitioning comes back from the shared disk tier.  With the (default,
+where available) ``fork`` start method, workers also inherit every
+dataset and partition already warm in the parent.
 
 The unit of dispatch is one cell: one :func:`~repro.runtime.cells.run_task`
 call, which meters the cell's peak RSS itself (``--progress`` logs it).

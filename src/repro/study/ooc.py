@@ -310,9 +310,9 @@ def _pipeline(cfg: OocConfig, progress) -> OocReport:
     make_partition(ds.graph, "iec", cfg.num_partitions)
     report.partition_seconds = time.perf_counter() - t0
     say(f"partitioned in {report.partition_seconds:.1f}s")
-    # drop the driver's in-memory copies before the fan-out
+    # drop the driver's in-memory copies before the fan-out (the store
+    # dataset itself is not memoized: ``del ds`` releases it)
     cache_clear()
-    load_dataset.cache_clear()
     del ds
     gc.collect()
 
@@ -369,7 +369,6 @@ def _pipeline(cfg: OocConfig, progress) -> OocReport:
                 bad = [o.failure for o in outs if not o.ok]
                 raise RuntimeError(f"small-graph {mode} runs failed: {bad}")
         report.small_wall[mode] = best
-        load_dataset.cache_clear()
         cache_clear()
     say(
         f"warm wall: ram {report.small_wall['ram']:.3f}s, "

@@ -131,6 +131,26 @@ class TestStoreLoadsAreTheSameInput:
             )
 
 
+@pytest.mark.parametrize("mode", ["ram", "mmap"])
+def test_a_store_name_loads_the_file_now_at_its_path(tmp_path, mode):
+    """A path names a file, not a graph: a container rewritten at the path
+    is what the next load of the same name returns, never the graph an
+    earlier load of that name saw."""
+    from repro.graph.builder import from_edges
+    from repro.graph.store import write_csr_store
+
+    path = str(tmp_path / "g.csr")
+    name = f"store+{mode}:{path}"
+    a = from_edges([0, 1], [1, 2], num_vertices=3)
+    b = from_edges([0, 1, 2], [1, 2, 0], num_vertices=3)
+    write_csr_store(a, path)
+    assert load_dataset(name).graph.content_hash() == a.content_hash()
+    write_csr_store(b, path)
+    again = load_dataset(name).graph
+    assert again.num_edges == 3
+    assert again.content_hash() == b.content_hash()
+
+
 class TestFuzzNameValidation:
     """``fuzz:<shape>:<seed>`` parsing: every malformed name must raise
     the registry's KeyError with the malformed/unknown message — no bare

@@ -418,17 +418,43 @@ class TestRunTraceLeavesNoTrace:
             configure(cache_dir=None)
 
 
+class TestServedStateLivesForItsBatch:
+    def test_no_batch_leaves_partitionings_or_datasets_behind(self, monkeypatch):
+        """The spool is the only cache that outlives a batch: every
+        ``run_batch`` returns with the partition cache's memory tier empty,
+        and no served snapshot stays in the dataset loader's memo once
+        ``run_trace`` returns."""
+        from repro.generators.datasets import load_dataset
+        from repro.partition.cache import get_cache
+        from repro.serve.backend import ExecBackend
+
+        after: list[int] = []
+        run_batch = ExecBackend.run_batch
+
+        def counting(self, tasks):
+            results = run_batch(self, tasks)
+            after.append(len(get_cache()))
+            return results
+
+        monkeypatch.setattr(ExecBackend, "run_batch", counting)
+        trace = generate_trace(TrafficConfig(
+            seed=5, num_requests=80, mean_interarrival=0.002, mutate_every=10,
+        ))
+        before = load_dataset.cache_info().currsize
+        rep = run_trace(
+            trace, ServeConfig(workers=2, verify_incremental=True), jobs=1
+        )
+        assert rep.counters["failed"] == 0
+        assert after and after == [0] * len(after)
+        assert load_dataset.cache_info().currsize == before
+
+
 class TestSpoolReuse:
-    def test_a_damaged_spool_entry_is_rewritten_not_trusted(
-        self, tmp_path, monkeypatch
-    ):
+    def test_a_damaged_spool_entry_is_rewritten_not_trusted(self, tmp_path):
         """A spool outlives its run; a later run writes every entry it
         loads itself (atomically) instead of loading whatever file sits
         under the content hash, so one flipped byte costs a rewrite, not
         a failed load memoised for every request on that snapshot."""
-        import functools
-
-        from repro.generators import datasets
         from repro.graph.store import store_info
 
         trace = generate_trace(TrafficConfig(seed=3, num_requests=20, apps=("bfs",)))
@@ -438,10 +464,8 @@ class TestSpoolReuse:
         data = bytearray(entry.read_bytes())
         data[store_info(str(entry))["sections"]["indices"]["offset"]] ^= 0xFF
         entry.write_bytes(bytes(data))
-        # a later process has loaded nothing: the second run gets a dataset
-        # cache of its own, and the shared one is put back afterwards
-        fresh = functools.lru_cache(maxsize=None)(datasets.load_dataset.__wrapped__)
-        monkeypatch.setattr(datasets, "load_dataset", fresh)
+        # store names are not memoized, so this second in-process run reads
+        # the spool's files as a later process would
         second = run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
         assert first.counters["failed"] == second.counters["failed"] == 0
         assert [r["labels_crc"] for r in second.requests] == [
