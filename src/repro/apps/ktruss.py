@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.apps.tc import oriented_edges, triangle_blocks
 from repro.engine.costmodel import CostModel
+from repro.graph.order import SCAN_BLOCK, count_ids
 from repro.hw.cluster import Cluster
 from repro.loadbalance.base import get_balancer
 from repro.metrics.stats import RunStats
@@ -60,25 +61,32 @@ def ktruss(
     graph = pg.global_graph
     src, dst = oriented_edges(graph)
     m = len(src)
-    tris = np.concatenate([
-        np.empty((0, 3), dtype=np.int64),
-        *triangle_blocks(graph.num_vertices, src, dst),
-    ])
-    support = np.bincount(tris.ravel(), minlength=m).astype(np.int64)
+    # triangles as edge-id triples, int32 while m < 2**31; a block is freed
+    # as soon as it is copied in, so the blocks and ``tris`` never double
+    blocks = [b.astype(np.int32 if m < 2**31 else np.int64)
+              for b in triangle_blocks(graph.num_vertices, src, dst)]
+    at = np.cumsum([0] + [len(b) for b in blocks])
+    tris = np.empty((at[-1], 3), dtype=np.int32 if m < 2**31 else np.int64)
+    for i in range(len(blocks)):
+        tris[at[i] : at[i + 1]], blocks[i] = blocks[i], None
+    support = count_ids(tris.ravel(), m)
     tri_alive = np.ones(len(tris), dtype=bool)
     alive = np.ones(m, dtype=bool)
 
-    # edge -> triangle incidence (CSR over triangle ids)
-    if len(tris):
-        flat = tris.ravel()
-        t_ids = np.repeat(np.arange(len(tris), dtype=np.int64), 3)
-        o = np.argsort(flat, kind="stable")
-        inc_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=m), out=inc_indptr[1:])
-        inc = t_ids[o]
-    else:
-        inc_indptr = np.zeros(m + 1, dtype=np.int64)
-        inc = np.empty(0, dtype=np.int64)
+    # edge -> triangle incidence (CSR over triangle ids, each edge's
+    # ascending): a counting sort behind a per-edge cursor, a block of
+    # incidences at a time, ranked within the block by its stable sort
+    inc_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(support, out=inc_indptr[1:])
+    flat, cursor = tris.ravel(), inc_indptr[:-1].copy()
+    inc = np.empty(len(flat), dtype=np.int32 if len(tris) < 2**31 else np.int64)
+    for lo in range(0, len(flat), SCAN_BLOCK):
+        o = np.argsort(flat[lo : lo + SCAN_BLOCK], kind="stable")
+        edges = flat[lo:][o]
+        heads = np.flatnonzero(np.diff(edges, prepend=-1))
+        sizes = np.diff(heads, append=len(edges))
+        inc[cursor[edges] + np.arange(len(edges)) - np.repeat(heads, sizes)] = (o + lo) // 3
+        cursor[edges[heads]] += sizes
 
     # distributed pricing: owned oriented edges per partition
     edge_part = pg.vertex_owner[src]  # peel work lands with u's master

@@ -10,6 +10,7 @@ These mechanize the contracts CuSP (Hoang et al., IPDPS'19) and Gluon
   length, same global IDs, ascending order, mirror side holds mirrors,
   master side holds masters owned by the right partition (this order
   agreement is what lets Gluon elide addresses on the wire);
+* a partition's host bytes follow its own vertex and edge counts (CHEAP);
 * policy-specific placement rules hold at FULL: OEC mirrors own no
   out-edges, IEC mirrors own no in-edges, CVC proxies respect the grid
   row/column constraints, HVC edges sit either with the destination's
@@ -127,6 +128,7 @@ def _check_cheap(pg: PartitionedGraph) -> None:
                 f"partition {p.pid}: is_master flag disagrees with "
                 f"vertex_owner at global vertex {v}",
             )
+        _check_footprint(p)
 
     total_edges = int(sum(p.graph.num_edges for p in pg.parts))
     if total_edges != pg.global_graph.num_edges:
@@ -146,6 +148,25 @@ def _check_cheap(pg: PartitionedGraph) -> None:
                 "grid-shape",
                 f"grid {pg.grid} does not tile {P} partitions",
             )
+
+
+def _check_footprint(part) -> None:
+    """No vertex-indexed array (a field, a memo, an exchange list, ``indptr``)
+    longer than ``num_local + 1``, and at most 32 B per local vertex, edge
+    and master-exchange entry (a master mirrored on every peer has P - 1)."""
+    held, todo, g = {}, [*vars(part).values(), part.graph.indptr], part.graph
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            held[id(x)] = x
+        elif isinstance(x, (dict, list, tuple)):
+            todo.extend(x.values() if isinstance(x, dict) else x)
+    longest = max(len(a) for a in held.values())
+    nbytes = sum(a.nbytes for a in [*held.values(), g.indices, g.weights] if a is not None)
+    entries = sum(map(len, part.master_exchange.values()))
+    if longest > part.num_local + 1 or nbytes > 32 * (part.num_local + g.num_edges + entries + 1):
+        _fail("partition-footprint", f"partition {part.pid} holds {nbytes} B, arrays up to "
+              f"{longest} long, for {part.num_local} vertices and {g.num_edges} edges")
 
 
 def _check_exchange_lists(pg: PartitionedGraph) -> None:

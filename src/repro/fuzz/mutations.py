@@ -33,6 +33,7 @@ __all__ = [
     "expand_drops_last_edge",
     "operator_emits_minus_one",
     "extract_skip_misses_reduce",
+    "dense_global_to_local",
 ]
 
 
@@ -317,6 +318,21 @@ def extract_skip_misses_reduce():
     return _planted(GluonComm, "apply_reduce", bad)
 
 
+def dense_global_to_local():
+    """Every partition keeps a ``|V|``-long global-to-local map: answers
+    stay exact, the footprint does not.  Caught by ``partition-footprint``."""
+    from repro.partition import base
+
+    orig = base._build_exchange_lists
+
+    def bad(parts, vertex_owner, master_local):
+        orig(parts, vertex_owner, master_local)
+        for part in parts:
+            part.__dict__["global_to_local"] = np.full(len(vertex_owner), -1)
+
+    return _planted(base, "_build_exchange_lists", bad)
+
+
 #: name -> context manager, for the self-test CLI and the pytest suite
 MUTATIONS = {
     "drop-mirror-update": drop_mirror_update,
@@ -331,6 +347,7 @@ MUTATIONS = {
     "expand-drops-last-edge": expand_drops_last_edge,
     "operator-emits-minus-one": operator_emits_minus_one,
     "extract-skip-misses-reduce": extract_skip_misses_reduce,
+    "dense-global-to-local": dense_global_to_local,
 }
 
 

@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.constants import VID_DTYPE
+from repro.constants import EID_DTYPE, VID_DTYPE
 from repro.errors import PartitioningError
+from repro.graph import order as edge_order
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.order import ascending, count_ids
@@ -199,9 +200,10 @@ def build_partitions(
     ascend in CSR order (OEC, any P=1), else by a stable radix ``argsort``
     of the owners.  A partition's proxy set is read off one reused ``|V|``
     flag array (owned vertices, then both endpoints of its edges), so
-    ``local_to_global`` comes out sorted and relabeling monotone: a bucket
-    of a (src, dst)-ordered CSR stays ordered after relabeling and
-    ``from_edges`` sorts only the buckets of rows that are not dst-sorted.
+    ``local_to_global`` comes out sorted and relabeling monotone: the bucket
+    of a (src, dst)-ordered CSR stays ordered and is adopted as the local
+    CSR, as a loaded partition adopts its sections (weights a read-only
+    slice); only a bucket out of order goes through ``from_edges``.
     The relabeling reads one reused ``|V|`` scratch map, written only at
     the partition's own ``local_to_global``: O(local) a partition, and no
     partition keeps a ``|V|``-long array (the exchange lists reuse the
@@ -248,11 +250,14 @@ def build_partitions(
         l2g = np.flatnonzero(flag)
         scratch[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
 
-        local = from_edges(
-            scratch[src[lo:hi]], scratch[dst[lo:hi]], num_vertices=len(l2g),
-            weights=None if weights is None else weights[lo:hi],
-            name=f"{graph.name}/p{p}",
-        )
+        s, d = scratch[src[lo:hi]], scratch[dst[lo:hi]]
+        w, name = None if weights is None else weights[lo:hi], f"{graph.name}/p{p}"
+        if edge_order.ascending(s, d, len(l2g)):  # adopt the bucket
+            indptr = np.zeros(len(l2g) + 1, dtype=EID_DTYPE)
+            np.cumsum(count_ids(s, len(l2g)), out=indptr[1:])
+            local = CSRGraph.from_validated_arrays(indptr, d, w, name=name)
+        else:
+            local = from_edges(s, d, num_vertices=len(l2g), weights=w, name=name)
         parts.append(
             LocalPartition(
                 pid=p,

@@ -17,7 +17,8 @@ module decides *how*:
   the identical partitioning back from disk, never a rebuild;
 * full engine runs are memoized by ``(content hash, app, params)``:
   the simulator charges simulated seconds per service policy, so
-  physically re-running a bit-identical cell would only burn wall clock;
+  physically re-running a bit-identical cell would only burn wall clock
+  (a hit answers with cost, CRC, rounds and failure; the memo keeps no labels);
 * incremental re-execution (:mod:`repro.serve.incremental`) is attempted
   first for delta-capable apps, priced at the prior full run's simulated
   cost scaled by the fraction of edges the delta sweep touched;
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -239,7 +240,7 @@ class ExecBackend:
             hit = self._memo.get(memo_key)
             if hit is not None:
                 results[i] = ExecResult(
-                    "memo", hit.sim_cost, labels=hit.labels,
+                    "memo", hit.sim_cost,
                     labels_crc=hit.labels_crc, reason="physical memo hit",
                     failure=hit.failure, failure_kind=hit.failure_kind,
                     rounds=hit.rounds,
@@ -274,7 +275,7 @@ class ExecBackend:
                 memo_key = (
                     task.snapshot.content_hash(), task.app, task.params
                 )
-                self._memo[memo_key] = res
+                self._memo[memo_key] = replace(res, labels=None)
                 results[i] = res
 
         if self.config.verify_incremental and deltas:

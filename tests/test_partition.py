@@ -1,14 +1,15 @@
 """Tests for all partitioning policies and the generic builder."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.check import CheckLevel, check_partition
-from repro.errors import ConfigurationError, PartitioningError
+from repro.errors import ConfigurationError, InvariantViolation, PartitioningError
 from repro.generators import rmat, webcrawl
-from repro.graph import from_edges
+from repro.graph import add_random_weights, from_edges
 from repro.partition import (
     POLICIES,
     cvc,
@@ -342,7 +343,8 @@ class TestFootprint:
     """A partition's host bytes follow its own vertex and edge counts.  A
     dense ``|V|``-long global-to-local map in each of them made a
     partitioning cost ``|V| * P * 4`` bytes more than its graph: 32 MiB
-    for the few thousand edges below."""
+    for the few thousand edges below.  The CHEAP ``partition-footprint``
+    checker holds every partitioning to the same rule."""
 
     @pytest.mark.parametrize("policy", ["oec", "iec", "hvc", "cvc"])
     def test_a_partition_holds_only_its_own_vertices(self, policy):
@@ -351,6 +353,7 @@ class TestFootprint:
         src, dst = rng.integers(0, n, size=(2, 4000))
         sparse = from_edges(src, dst, num_vertices=n)
         pg = partition(sparse, policy, P, cache=False)
+        check_partition(pg, CheckLevel.CHEAP)
         total = 0
         for part in pg.parts:
             arrays = _held_arrays(part)
@@ -359,3 +362,41 @@ class TestFootprint:
             assert held <= 32 * (part.num_local + part.graph.num_edges) + 1024
             total += held
         assert total < 32 * n  # 8 MiB; the dense maps alone were 32
+
+    def test_the_cheap_check_rejects_a_dense_map(self):
+        n = 1 << 12
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(0, n, size=(2, 4000))
+        pg = partition(from_edges(src, dst, num_vertices=n), "oec", 8, cache=False)
+        part = pg.parts[3]
+        part.__dict__["global_to_local"] = np.full(n, -1, dtype=np.int32)
+        with pytest.raises(InvariantViolation) as err:
+            check_partition(pg, CheckLevel.CHEAP)
+        assert err.value.checker == "partition-footprint"
+
+    def test_oec_partitions_adopt_the_graphs_weights(self, g):
+        weighted = add_random_weights(g, seed=4)
+        pg = partition(weighted, "oec", 4, cache=False)
+        for part in pg.parts:
+            assert np.shares_memory(part.graph.weights, weighted.weights)
+            assert not part.graph.weights.flags.writeable
+
+    def test_a_built_partitioning_holds_one_word_an_edge(self):
+        """A bucket in CSR order is adopted: its relabeled destinations
+        are the local ``indices`` and its weights are the graph's, so the
+        build keeps 4 B an edge (a copied ``weights`` made it 8)."""
+        n, m = 1 << 10, 1 << 17
+        rng = np.random.default_rng(9)
+        src, dst = rng.integers(0, n, size=(2, m))
+        weighted = from_edges(src, dst, num_vertices=n, weights=rng.integers(1, 100, m))
+        weighted.out_degrees()  # the graph's own memo, not the build's
+        partition(from_edges([0], [1]), "oec", 2, cache=False)  # imports
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pg = partition(weighted, "oec", 2, cache=False)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pg.local_edge_counts().sum() == m
+        assert held <= 4 * m + 128 * n

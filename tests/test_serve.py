@@ -448,6 +448,30 @@ class TestServedStateLivesForItsBatch:
         assert after and after == [0] * len(after)
         assert load_dataset.cache_info().currsize == before
 
+    def test_the_memo_keeps_no_labels(self, monkeypatch):
+        """A physical memo hit answers with the run's cost, CRC, rounds and
+        failure; a label array kept per content key would grow with the
+        trace and nothing reads it."""
+        from repro.serve.backend import ExecBackend
+
+        backends = {}
+        run_batch = ExecBackend.run_batch
+
+        def capturing(self, tasks):
+            backends[id(self)] = self
+            return run_batch(self, tasks)
+
+        monkeypatch.setattr(ExecBackend, "run_batch", capturing)
+        trace = generate_trace(TrafficConfig(
+            seed=5, num_requests=80, mean_interarrival=0.002, mutate_every=10,
+        ))
+        rep = run_trace(trace, ServeConfig(workers=2), jobs=1)
+        assert rep.counters["failed"] == 0
+        (backend,) = backends.values()
+        assert backend._memo
+        for hit in backend._memo.values():
+            assert not any(isinstance(v, np.ndarray) for v in vars(hit).values())
+
 
 class TestSpoolReuse:
     def test_a_damaged_spool_entry_is_rewritten_not_trusted(self, tmp_path):
