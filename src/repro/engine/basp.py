@@ -73,6 +73,7 @@ class BASPEngine(Engine):
         check_memory: bool = True,
         throttle_wait: float = 0.0,
         overlap_comm: float = 0.0,
+        weighted: bool | None = None,
         fault_plan=None,
     ):
         """``throttle_wait`` implements the paper's proposed *dynamic
@@ -96,6 +97,7 @@ class BASPEngine(Engine):
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
             memory_profile, check_memory, overlap_comm, fault_plan,
+            weighted,
         )
         self.throttle_wait = float(throttle_wait)
 

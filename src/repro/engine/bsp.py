@@ -55,6 +55,7 @@ class BSPEngine(Engine):
         memory_profile: MemoryProfile = DIRGL_PROFILE,
         check_memory: bool = True,
         overlap_comm: float = 0.0,
+        weighted: bool | None = None,
         fault_plan=None,
     ):
         """``overlap_comm`` in [0, 1] hides that fraction of each round's
@@ -65,6 +66,7 @@ class BSPEngine(Engine):
         super().__init__(
             pg, cluster, app, comm_config, balancer, scale_factor,
             memory_profile, check_memory, overlap_comm, fault_plan,
+            weighted,
         )
 
     # ------------------------------------------------------------------ #

@@ -66,13 +66,15 @@ class Engine:
 
     def __init__(
         self, pg, cluster, app, comm_config, balancer, scale_factor,
-        memory_profile, check_memory, overlap_comm, fault_plan,
+        memory_profile, check_memory, overlap_comm, fault_plan, weighted,
     ):
         """The arguments both engines share (the engines document their
         own).  The invariant-checking level is the ambient one (see
         :mod:`repro.check`), read once here.  Every argument is validated
         before ``GluonComm`` builds the sync plan, so a bad configuration
-        never pays for one."""
+        never pays for one.  ``weighted`` says whether the memory model
+        charges edge weights: the run's input carries them, whatever view
+        of it was partitioned; ``None`` charges ``pg``'s own."""
         if isinstance(balancer, str):
             balancer = get_balancer(balancer)
         if not 0.0 <= overlap_comm <= 1.0:
@@ -87,6 +89,7 @@ class Engine:
         self.check_memory = check_memory
         self.overlap_comm = float(overlap_comm)
         self.fault_plan = fault_plan
+        self.weighted = pg.global_graph.has_weights if weighted is None else weighted
 
 
 class RoundCore:
@@ -125,7 +128,7 @@ class RoundCore:
             pg.local_vertex_counts(),
             pg.local_edge_counts(),
             num_label_fields=len(app.fields()),
-            weighted=pg.global_graph.has_weights,
+            weighted=engine.weighted,
             check_memory=engine.check_memory,
         )
         self.stats.memory_max_bytes = usage.max_bytes

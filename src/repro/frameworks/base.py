@@ -176,6 +176,7 @@ class Framework(ABC):
             comm_config=self.comm_config,
             balancer=self.load_balancer,
             scale_factor=dataset.scale_factor,
+            weighted=dataset.graph.has_weights,
             memory_profile=self.memory_profile,
             check_memory=check_memory,
             fault_plan=fault_plan,

@@ -87,14 +87,14 @@ class Dataset:
         ``ctx.global_degrees``), whether the graph was generated or opened
         from a store.
 
-        Weighted like the base graph: ``make_undirected`` carries each
-        edge's weight to its reverse (a reciprocal pair keeps the forward
-        edge's).  Neither benchmark reads them, but the memory model charges
-        a weighted graph 4 B more per edge, so dropping them would move
-        Table III.
+        Topology only (``make_undirected(graph.topology())``): none of
+        those apps reads a weight.  Table III does not move, because the
+        memory model charges the weights of the run's input dataset, not
+        those of the graph it partitions (``Framework.run`` hands the
+        engine ``weighted=dataset.graph.has_weights``).
         """
         if self._symmetric is None:
-            self._symmetric = make_undirected(self.graph)
+            self._symmetric = make_undirected(self.graph.topology())
         return self._symmetric
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -184,21 +184,35 @@ class CSRGraph:
             self.out_degrees(),
         )
 
+    def topology(self) -> "CSRGraph":
+        """This graph without its weights: a no-copy view of ``indptr`` /
+        ``indices``.  ``make_undirected(g.topology())`` is the symmetric
+        view cc, kcore and mis run on (none reads a weight): same
+        ``indptr`` / ``indices`` as ``make_undirected(g)``, built by a plain
+        key sort instead of the weighted stable one, holding no weights."""
+        return CSRGraph.from_validated_arrays(
+            self.indptr, self.indices, name=self._name
+        )
+
     # ------------------------------------------------------------------ #
     # transpose
     # ------------------------------------------------------------------ #
     def reverse(self) -> "CSRGraph":
-        """The transpose graph (in-edges become out-edges).
+        """The transpose graph (in-edges become out-edges), topology only.
 
-        Cached after first computation; weights follow their logical edge.
-        Rows of a CSR are in source order, so ordering the flipped edge list
-        by (dst, src) is the stable sort by destination.
+        Cached after first computation.  Every reader of a transpose (the
+        pull plan, direction-optimizing BFS, Brandes' backward phase, the
+        undirected waves, the reference validators) reads in-neighbors, not
+        weights, so the transpose carries none; ``reverse()`` of it gives
+        back this graph, weights included.  Rows of a CSR are in source
+        order, so ordering the flipped edge list by (dst, src) is the stable
+        sort by destination.
         """
         if self._reverse is None:
-            r_indptr, r_indices, r_weights = csr_arrays(
-                self.indices, self.edge_sources(), self.num_vertices, self.weights
+            r_indptr, r_indices, _ = csr_arrays(
+                self.indices, self.edge_sources(), self.num_vertices, None
             )
-            rev = CSRGraph(r_indptr, r_indices, r_weights, name=self._name + "^T")
+            rev = CSRGraph(r_indptr, r_indices, name=self._name + "^T")
             rev._reverse = self
             self._reverse = rev
         return self._reverse

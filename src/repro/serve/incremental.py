@@ -132,7 +132,7 @@ def incremental_run(
     # dead: old edges a delete removed (a never-present pair removes none)
     n = old_graph.num_vertices
     if app in ("cc", "cc-pj"):
-        old_sym = make_undirected(old_graph)
+        old_sym = make_undirected(old_graph.topology())
         edges = old_sym.edge_sources(), old_sym.indices
         # the symmetric view also loses (v, u) when (u, v) is deleted
         dead = (pair_match_mask(*edges, del_src, del_dst, n)
@@ -142,7 +142,7 @@ def incremental_run(
                 "full", f"{int(dead.sum())} deleted edge(s) may split "
                 "components"
             )
-        graph, ring = make_undirected(new_graph), semiring.MIN_FIRST
+        graph, ring = make_undirected(new_graph.topology()), semiring.MIN_FIRST
         verb = "merged"
     else:
         dead = pair_match_mask(

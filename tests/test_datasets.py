@@ -23,10 +23,12 @@ def _row(graph) -> dict:
 
 def dataset_row(name: str) -> dict:
     """One registry dataset as ``load_dataset`` hands it out (weighted)
-    and its symmetrized view.  ``make_undirected(graph)`` is what
-    ``Dataset.symmetric()`` computes, called directly so the suite does not
-    keep ten symmetric graphs alive; ``traversal`` is what the undirected
-    BFS waves compute on it (Table I's diameter, metis-like's ordering)."""
+    and its weighted symmetrization, ``make_undirected(graph)``, called
+    directly so the suite does not keep ten symmetric graphs alive.
+    ``Dataset.symmetric()`` is its topology: the same ``indptr`` /
+    ``indices`` without weights (``TestLoad.test_symmetric_is_topology_only``).
+    ``traversal`` is what the undirected BFS waves compute on it (Table I's
+    diameter, metis-like's ordering)."""
     graph = load_dataset(name).graph
     return {name: {
         "weighted": _row(graph),
@@ -95,6 +97,16 @@ class TestLoad:
         sym = ds.symmetric()
         assert sym is ds.symmetric()
         assert np.array_equal(sym.out_degrees(), sym.in_degrees())
+
+    def test_symmetric_is_topology_only(self):
+        """cc, kcore and mis read no weight: the symmetric view holds none,
+        and its topology is the weighted symmetrization's."""
+        ds = load_dataset("rmat23-s")
+        sym, full = ds.symmetric(), make_undirected(ds.graph)
+        assert ds.graph.has_weights and full.has_weights
+        assert sym.weights is None
+        assert np.array_equal(sym.indptr, full.indptr)
+        assert np.array_equal(sym.indices, full.indices)
 
 
 class TestStoreLoadsAreTheSameInput:

@@ -146,6 +146,46 @@ class TestMemoryBehavior:
         assert lux.stats.comm_volume_bytes > var2.stats.comm_volume_bytes
 
 
+class TestMemoryChargesTheInputsWeights:
+    """cc partitions the symmetric view, which holds no weights; the memory
+    model charges the weights of the run's input dataset all the same, and
+    none when the input carries none (Table III sizes the input as given)."""
+
+    def test_no_app_needs_both_the_symmetric_view_and_weights(self):
+        """What makes a topology-only symmetric view sound: an app that
+        needed both would be refused by ``Framework.run`` ("needs edge
+        weights; dataset ... has none") even on a weighted dataset."""
+        from repro.apps.registry import APPS
+
+        assert "gnnflow" in APPS
+        both = [n for n, a in APPS.items() if a.needs_symmetric and a.needs_weights]
+        assert both == []
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_cc_run_matches_the_memory_model(self, ds, weighted):
+        import dataclasses
+
+        from repro.hw.memory import MemoryModel
+        from repro.partition import partition
+
+        graph = ds.graph if weighted else ds.graph.topology()
+        ds = dataclasses.replace(ds, graph=graph, _symmetric=None)
+        assert ds.graph.has_weights == weighted
+        fw = DIrGL("oec")
+        res = fw.run("cc", ds, 2)
+        pg = partition(ds.symmetric(), "oec", 2)
+        assert not pg.global_graph.has_weights
+        usage = [
+            MemoryModel(fw.memory_profile, ds.scale_factor).usage(
+                fw.make_cluster(2, "bridges"), pg.local_vertex_counts(),
+                pg.local_edge_counts(),
+                num_label_fields=len(fw.resolve_app("cc").fields()), weighted=w,
+            ).max_bytes
+            for w in (weighted, not weighted)
+        ]
+        assert res.stats.memory_max_bytes == usage[0] != usage[1]
+
+
 class TestContextPaysPerUse:
     """``make_context`` computes what its app reads: only the apps that run
     on the symmetrized view (cc, kcore, mis) see its degrees, everyone else

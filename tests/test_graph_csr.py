@@ -144,12 +144,17 @@ class TestReverse:
         assert g.reverse() is g.reverse()
         assert g.reverse().reverse() is g
 
-    def test_reverse_preserves_weights(self):
-        g = from_edges([0, 1], [1, 0], num_vertices=2, weights=[5, 9])
+    def test_reverse_is_topology_only(self):
+        """No reader of a transpose reads a weight, so it carries none; its
+        own reverse is the weighted original, not a rebuild."""
+        g = from_edges([0, 0, 1, 2], [1, 2, 0, 1], num_vertices=3, weights=[5, 9, 2, 7])
         r = g.reverse()
-        # edge 0->1 weight 5 becomes in-edge of 1 from 0 with weight 5
-        w_of_edge_into_1 = r.weights[r.indptr[1] : r.indptr[2]]
-        assert w_of_edge_into_1.tolist() == [5]
+        assert r.weights is None
+        fwd = sorted(zip(g.edge_sources().tolist(), g.indices.tolist()))
+        bwd = sorted(zip(r.indices.tolist(), r.edge_sources().tolist()))
+        assert fwd == bwd
+        assert r.reverse() is g
+        assert r.reverse().weights.tolist() == [5, 9, 2, 7]
 
     def test_double_reverse_equals_original(self):
         g = from_edges([0, 0, 2, 3], [1, 3, 1, 0], num_vertices=4, weights=[1, 2, 3, 4])

@@ -39,7 +39,9 @@ from repro.check.oracle import pull_reference
 from repro.errors import ConfigurationError, GraphFormatError, InvariantViolation
 from repro.fuzz.gen import SHAPES, build_shape
 from repro.graph.builder import from_edges
+from repro.graph.csr import CSRGraph
 from repro.graph.expand import expand_edges
+from repro.graph.order import csr_arrays
 from repro.la.semiring import (
     MIN_FIRST,
     MIN_PLUS,
@@ -236,7 +238,8 @@ def test_push_pull_equivalent_at_every_density(sr, weighted, gx):
     x = np.minimum(x, 100)
     ident = np.int64(sr.add.identity(np.int64))
     rows = np.arange(n, dtype=np.int64)
-    rev = g.reverse()
+    # the weighted transpose, built here: ``g.reverse()`` carries no weights
+    rev = CSRGraph(*csr_arrays(g.indices, g.edge_sources(), n, g.weights))
     counts, parents, w = expand_edges(rev, rows, with_weights=weighted)
     rep = np.repeat(rows, counts)
     for fsize in range(n + 1):

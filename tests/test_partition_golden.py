@@ -11,6 +11,10 @@ The table was produced at the parent commit ``393e438``; the ordering
 primitive and the streaming partition build must reproduce every row.
 The ``metis-like`` and ``random`` rows were added at ``336951d``, before
 ``bfs_order`` moved onto the graph layer's wave generator (PR 22).
+The four ``reverse`` fields were re-recorded when the transpose became
+topology only; each new value is ``CSRGraph(r.indptr, r.indices)
+.content_hash()`` of the weighted ``r = g.reverse()`` the code before that
+built, so the transpose's topology did not move.
 
 The four inputs cover the branches of :func:`repro.graph.order.order_edges`:
 a generator graph (partition edge lists arrive ordered), its symmetrized
