@@ -258,7 +258,8 @@ def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
     a disabled config to ``None``).  The two legs of each matrix cell run
     **back to back** (so both see the same machine state — container
     clocks are bursty enough that whole-leg totals of identical code can
-    swing ±10%), and each leg's total is the sum of per-cell
+    swing ±10%), the unset leg first in even reps and second in odd
+    ones, and each leg's total is the sum of per-cell
     best-of-``reps`` wall-clocks, which converge on each cell's true
     floor.  Deterministic metrics of both legs must agree exactly: a
     disabled subsystem may not change results — not a single priced
@@ -272,9 +273,11 @@ def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
         reference[cell.key] = cell.deterministic_fields()
     unset_best: dict[str, float] = {}
     off_best: dict[str, float] = {}
-    for _ in range(max(1, int(reps))):
+    legs = ((None, unset_best), (off_value, off_best))
+    for rep in range(max(1, int(reps))):
         for cell_args in MATRIX_CELLS:
-            for value, best in ((None, unset_best), (off_value, off_best)):
+            # neither leg always runs second: the order flips every rep
+            for value, best in legs[::-1] if rep % 2 else legs:
                 cell = run_cell(workload, *cell_args, **{kwarg: value})
                 if cell.deterministic_fields() != reference[cell.key]:
                     raise ConfigurationError(

@@ -4,11 +4,14 @@
 Builds a graph from an in-repo generated edge list (standing in for your
 own data), wires it into a Dataset-like flow manually — partition, engine,
 context — without the framework facades, which is the integration path a
-downstream user embedding this library would take.
+downstream user embedding this library would take.  Last, it writes the
+graph once as a store container, the form in which a graph of your own
+reaches the dataset loader (and so the facades and study cells) by name.
 
     python examples/custom_dataset.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -16,8 +19,13 @@ import numpy as np
 from repro.apps import get_app
 from repro.comm import CommConfig
 from repro.engine import BSPEngine, RunContext
-from repro.generators import small_world
-from repro.graph import add_random_weights, load_edgelist, save_edgelist
+from repro.generators import load_dataset, small_world
+from repro.graph import (
+    add_random_weights,
+    load_edgelist,
+    save_edgelist,
+    write_csr_store,
+)
 from repro.hw import uniform_cluster
 from repro.partition import partition
 from repro.validation import reference_bfs
@@ -53,6 +61,14 @@ def main() -> None:
     print(f"bfs from {source}: {result.stats.rounds} rounds, "
           f"eccentricity {result.labels[result.labels < 2**32 - 1].max()}")
     print(result.stats.summary())
+
+    store = path + ".csr"
+    write_csr_store(graph, store)
+    ds = load_dataset(f"store+mmap:{store}")
+    assert ds.graph.content_hash() == graph.content_hash()
+    print(f"stored as dataset {ds.name!r}")
+    for leftover in (path, store):
+        os.remove(leftover)
 
 
 if __name__ == "__main__":

@@ -66,11 +66,12 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """A graph to run on — a registry stand-in, a fuzz shape or a store
-    container — with its name, category and paper-scale factor."""
+    """A graph to run on — a registry stand-in, a fuzz shape, a store
+    container or a served snapshot — with its name, category and
+    paper-scale factor."""
 
     name: str
-    category: str  # a registry category, or "store" / "fuzz"
+    category: str  # a registry category, or "store" / "fuzz" / "serve"
     graph: CSRGraph
     scale_factor: float
     _symmetric: Optional[CSRGraph] = field(default=None, repr=False)
@@ -284,8 +285,7 @@ def load_dataset(name: str) -> Dataset:
     Names of the form ``store+mmap:<path>`` / ``store+ram:<path>`` open an
     existing store container on every call (the store carries whatever
     weights it was built with): a path names a file, not a graph, so a
-    container rewritten at that path is what the next load returns, and
-    nothing keeps a served snapshot alive after its last reader.
+    container rewritten at that path is what the next load returns.
 
     ``load_dataset.cache_clear()`` / ``cache_info()`` act on the memo of
     generated datasets.

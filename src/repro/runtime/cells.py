@@ -7,7 +7,9 @@ This module defines them:
 * :class:`SystemSpec` — how to build a framework facade (a D-IrGL
   configuration or a registry framework) from plain values;
 * :class:`CellSpec` — one benchmark run (system x benchmark x dataset x
-  GPU count x platform);
+  GPU count x platform); the dataset is a loader name, or a loaded
+  :class:`~repro.generators.datasets.Dataset` for a graph no name
+  regenerates (a served snapshot);
 * :class:`PartitionStatsSpec` — one partitioning-statistics measurement
   (Table IV's static-balance column, the replication table);
 * :class:`CellOutcome` — the structured result either task kind returns,
@@ -33,11 +35,14 @@ import re
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from repro.errors import KIND_CLASSES, ConfigurationError, ReproError
+
+if TYPE_CHECKING:
+    from repro.generators.datasets import Dataset
 
 __all__ = [
     "SystemSpec",
@@ -103,12 +108,16 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One study cell: run ``benchmark`` on ``dataset`` with ``system``."""
+    """One study cell: run ``benchmark`` on ``dataset`` with ``system``.
+
+    ``dataset`` is a :func:`~repro.generators.datasets.load_dataset` name
+    or a loaded ``Dataset``, which :func:`run_task` runs as it is.
+    """
 
     key: Any
     system: SystemSpec
     benchmark: str
-    dataset: str
+    dataset: "str | Dataset"
     num_gpus: int
     platform: str = "bridges"
     check_memory: bool = True
@@ -220,13 +229,17 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
     if owns_tracer:
         tracer = obs.Tracer()
         obs.set_tracer(tracer)
+    named = isinstance(spec.dataset, str)
     cell_ev = tracer.begin(
-        "cell", "cell", args={"key": str(spec.key), "dataset": spec.dataset}
+        "cell", "cell", args={
+            "key": str(spec.key),
+            "dataset": spec.dataset if named else spec.dataset.name,
+        },
     )
     sampler = RssSampler().start()
     try:
         try:
-            ds = load_dataset(spec.dataset)
+            ds = load_dataset(spec.dataset) if named else spec.dataset
             if isinstance(spec, PartitionStatsSpec):
                 graph = ds.symmetric() if spec.symmetric else ds.graph
                 out.pstats = partition_stats(

@@ -182,9 +182,9 @@ class SweepExecutor:
         (the objects it found; nothing when it changed nothing); safe to
         call any number of times.
 
-        ``cancel_futures=True`` drops queued-but-unstarted cells so a
-        serve-layer drain (or ``__exit__`` on an exception path) does not
-        hang behind work nobody will consume.  ``close()`` after
+        ``cancel_futures=True`` drops queued-but-unstarted cells so
+        ``__exit__`` on an exception path does not hang behind work
+        nobody will consume.  ``close()`` after
         ``close()`` — and ``__exit__`` after an explicit ``close()`` —
         are no-ops, including during interpreter shutdown where the
         executor machinery may already be torn down.

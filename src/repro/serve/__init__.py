@@ -11,10 +11,10 @@ request path:
 * :mod:`repro.serve.incremental` — delta-frontier re-execution for
   BFS/SSSP/CC with exact full-recompute fallbacks (the bit-identity
   contract; see docs/serve.md);
-* :mod:`repro.serve.backend` — physical execution: snapshots spilled as
-  CSR stores, cells dispatched through the shared
-  :class:`~repro.runtime.sweep.SweepExecutor`, the repartition-vs-patch
-  decision against the partition cache;
+* :mod:`repro.serve.backend` — physical execution: each dispatched run
+  on the snapshot the service holds, through the batch studies'
+  :func:`~repro.runtime.cells.run_task` in this process, and the
+  repartition-vs-patch decision against the partition cache;
 * :mod:`repro.serve.service` — the discrete-event service loop tying it
   together: admission, coalescing, the content-hash result cache,
   simulated-time latency accounting, and the deterministic report.

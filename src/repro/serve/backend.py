@@ -3,18 +3,17 @@
 The service's discrete-event scheduler decides *when* work runs; this
 module decides *how*:
 
-* snapshots of mutated graphs are spilled (content-addressed) as CSR
-  store containers into a spool directory and referenced as
-  ``store+ram:<path>`` dataset names, so the same
-  :class:`~repro.runtime.cells.CellSpec` machinery — and the
-  :class:`~repro.runtime.sweep.SweepExecutor` process pool — the batch
-  studies use also serves live traffic;
-* served state lives for one batch: the dataset loader opens a store
-  name on every call, and :meth:`ExecBackend.run_batch` returns with the
-  partition cache's memory tier empty, so the spool (snapshots and the
-  disk-shared partition cache ``run_trace`` puts in it) is the only
-  cache that outlives a batch — a later batch on the same snapshot gets
-  the identical partitioning back from disk, never a rebuild;
+* every execution runs in the process that scheduled it, on the snapshot
+  the service already holds: the snapshot rides in its
+  :class:`~repro.runtime.cells.CellSpec` as a 1x-scale ``serve:<hash16>``
+  :class:`~repro.generators.datasets.Dataset`, through the same
+  :func:`~repro.runtime.cells.run_task` the batch studies use;
+* served state lives for one execution: :meth:`ExecBackend.run_batch`
+  returns with the partition cache's memory tier empty, so the
+  disk-shared partition cache ``run_trace`` puts in its spool is the only
+  cache that outlives an execution — a later execution on the same
+  snapshot gets the identical partitioning back from disk, never a
+  rebuild;
 * full engine runs are memoized by ``(content hash, app, params)``:
   the simulator charges simulated seconds per service policy, so
   physically re-running a bit-identical cell would only burn wall clock
@@ -36,7 +35,6 @@ module decides *how*:
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, replace
 
@@ -44,13 +42,15 @@ import numpy as np
 
 from repro.apps.registry import SYMMETRIC_APPS
 from repro.check import current_check_level
+from repro.generators.datasets import Dataset
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import MutableGraph
-from repro.graph.store import write_csr_store
+# no longer called here: a name ``benchmarks/perf/layers.py`` wraps
+from repro.graph.store import write_csr_store  # noqa: F401
 from repro.partition.base import build_partitions
 from repro.partition.cache import get_cache
 from repro.partition.stats import partition_stats
-from repro.runtime.cells import CellSpec, SystemSpec
+from repro.runtime import cells
 from repro.serve.incremental import DELTA_APPS, incremental_run
 
 __all__ = ["ExecBackend", "ExecResult", "ExecTask"]
@@ -114,36 +114,16 @@ def _crc(labels: np.ndarray) -> int:
 
 @dataclass
 class ExecBackend:
-    """Executes :class:`ExecTask` batches for the service loop."""
+    """Executes one :class:`ExecTask` at a time for the service loop."""
 
-    executor: object  # SweepExecutor
-    spool_dir: str
     config: object  # the service's ServeConfig
 
     def __post_init__(self) -> None:
-        os.makedirs(self.spool_dir, exist_ok=True)
         self._memo: dict[tuple, ExecResult] = {}
         self._prior: dict[tuple, _Prior] = {}
         self._pstate: dict[str, _PartitionState] = {}
-        self._spilled: set[str] = set()
 
     # ------------------------------------------------------------------ #
-    def _spill(self, snapshot: CSRGraph) -> str:
-        """Content-addressed store container for a snapshot; returns the
-        ``store+ram:`` dataset name the cell machinery can load.
-
-        Written (atomically) the first time this backend asks for it: a
-        file an earlier run left in a reused spool is not trusted, since
-        one damaged byte in it would fail every load of that snapshot.
-        """
-        path = os.path.join(
-            self.spool_dir, f"{snapshot.content_hash()[:16]}.csr"
-        )
-        if path not in self._spilled:
-            write_csr_store(snapshot, path)
-            self._spilled.add(path)
-        return f"store+ram:{path}"
-
     def _maybe_patch(self, task: ExecTask) -> str:
         """Repartition-vs-patch for the directed-graph partition key."""
         # patched placements break per-policy placement checkers on
@@ -208,14 +188,15 @@ class ExecBackend:
             reason=res.reason, rounds=res.rounds,
         )
 
-    def _spec_for(self, task: ExecTask) -> CellSpec:
-        return CellSpec(
+    def _spec_for(self, task: ExecTask) -> cells.CellSpec:
+        name = f"serve:{task.snapshot.content_hash()[:16]}"
+        return cells.CellSpec(
             key=(task.graph_id, task.app, task.params, task.version),
-            system=SystemSpec.dirgl(
+            system=cells.SystemSpec.dirgl(
                 policy=self.config.policy, execution=EXECUTION
             ),
             benchmark=task.app,
-            dataset=self._spill(task.snapshot),
+            dataset=Dataset(name, "serve", task.snapshot, 1.0),
             num_gpus=self.config.parts,
             platform=PLATFORM,
             check_memory=False,
@@ -224,80 +205,65 @@ class ExecBackend:
         )
 
     # ------------------------------------------------------------------ #
-    def run_batch(self, tasks: list[ExecTask]) -> list[ExecResult]:
-        """Execute a batch; full engine runs fan out over the executor's
-        pool in one ``map`` call, deltas and memo hits stay in-process."""
-        results: list[ExecResult | None] = [None] * len(tasks)
-        full_idx: list[int] = []
-        deltas: list[tuple[int, ExecResult]] = []
-        for i, task in enumerate(tasks):
-            res = self._try_delta(task)
-            if res is not None:
-                deltas.append((i, res))
-                results[i] = res
-                continue
-            memo_key = (task.snapshot.content_hash(), task.app, task.params)
-            hit = self._memo.get(memo_key)
-            if hit is not None:
-                results[i] = ExecResult(
-                    "memo", hit.sim_cost,
-                    labels_crc=hit.labels_crc, reason="physical memo hit",
-                    failure=hit.failure, failure_kind=hit.failure_kind,
-                    rounds=hit.rounds,
-                )
-                continue
-            full_idx.append(i)
+    def run_batch(self, task: ExecTask) -> ExecResult:
+        """Execute one task in this process: a delta where one applies, a
+        memo hit where this content already ran, else a full engine run.
 
-        if full_idx:
-            decisions = {i: self._maybe_patch(tasks[i]) for i in full_idx}
-            specs = [self._spec_for(tasks[i]) for i in full_idx]
-            outcomes = self.executor.map(specs)
-            for i, out in zip(full_idx, outcomes):
-                task = tasks[i]
-                if out.ok:
-                    cost = max(out.stats.execution_time, MIN_SIM_COST)
-                    res = ExecResult(
-                        "full", cost, labels=out.labels,
-                        labels_crc=out.labels_crc,
-                        partition_decision=decisions[i],
-                        rounds=getattr(out.stats, "rounds", 0),
-                    )
-                    self._prior[(task.graph_id, task.app, task.params)] = (
-                        _Prior(task.version, task.snapshot, out.labels, cost)
-                    )
-                    self._record_pstate(task, decisions[i])
-                else:
-                    res = ExecResult(
-                        "full", MIN_SIM_COST, failure=out.failure,
-                        failure_kind=out.failure_kind,
-                        partition_decision=decisions[i],
-                    )
-                memo_key = (
-                    task.snapshot.content_hash(), task.app, task.params
-                )
-                self._memo[memo_key] = replace(res, labels=None)
-                results[i] = res
-
-        if self.config.verify_incremental and deltas:
-            self._verify(tasks, deltas)
-        # later batches reload from the spool's disk tier; a memory tier
-        # kept across batches would pin one partitioning (graph and plans)
+        (The name is the boundary ``benchmarks/perf/layers.py`` wraps.)
+        """
+        res = self._try_delta(task)
+        if res is None:
+            res = self._run_full(task)
+        elif self.config.verify_incremental:
+            self._verify(task, res)
+        # later executions reload from the spool's disk tier; a memory tier
+        # kept across them would pin one partitioning (graph and plans)
         # per superseded snapshot
         get_cache().clear_memory()
-        return results  # type: ignore[return-value]
+        return res
 
-    def _verify(self, tasks, deltas) -> None:
-        """Differential check: every delta must match a from-scratch run."""
-        specs = [self._spec_for(tasks[i]) for i, _ in deltas]
-        outcomes = self.executor.map(specs)
-        for (i, res), out in zip(deltas, outcomes):
-            if not out.ok:
-                raise AssertionError(
-                    f"verify_incremental: full leg failed: {out.failure}"
-                )
-            if not np.array_equal(res.labels, out.labels):
-                raise AssertionError(
-                    f"incremental labels diverge from full recompute for "
-                    f"{tasks[i].app} on {tasks[i].graph_id} "
-                    f"v{tasks[i].version}"
-                )
+    def _run_full(self, task: ExecTask) -> ExecResult:
+        """A memo hit if this content already ran, else a full engine run
+        whose outcome the memo keeps (without its labels)."""
+        memo_key = (task.snapshot.content_hash(), task.app, task.params)
+        hit = self._memo.get(memo_key)
+        if hit is not None:
+            return ExecResult(
+                "memo", hit.sim_cost,
+                labels_crc=hit.labels_crc, reason="physical memo hit",
+                failure=hit.failure, failure_kind=hit.failure_kind,
+                rounds=hit.rounds,
+            )
+        decision = self._maybe_patch(task)
+        out = cells.run_task(self._spec_for(task))
+        if out.ok:
+            cost = max(out.stats.execution_time, MIN_SIM_COST)
+            res = ExecResult(
+                "full", cost, labels=out.labels, labels_crc=out.labels_crc,
+                partition_decision=decision,
+                rounds=getattr(out.stats, "rounds", 0),
+            )
+            self._prior[(task.graph_id, task.app, task.params)] = _Prior(
+                task.version, task.snapshot, out.labels, cost
+            )
+            self._record_pstate(task, decision)
+        else:
+            res = ExecResult(
+                "full", MIN_SIM_COST, failure=out.failure,
+                failure_kind=out.failure_kind, partition_decision=decision,
+            )
+        self._memo[memo_key] = replace(res, labels=None)
+        return res
+
+    def _verify(self, task: ExecTask, res: ExecResult) -> None:
+        """Differential check: a delta must match a from-scratch run."""
+        out = cells.run_task(self._spec_for(task))
+        if not out.ok:
+            raise AssertionError(
+                f"verify_incremental: full leg failed: {out.failure}"
+            )
+        if not np.array_equal(res.labels, out.labels):
+            raise AssertionError(
+                f"incremental labels diverge from full recompute for "
+                f"{task.app} on {task.graph_id} v{task.version}"
+            )

@@ -2,15 +2,16 @@
 
 Typical invocations::
 
-    repro-serve --seed 7 --requests 80 --workers 2 --jobs 2
+    repro-serve --seed 7 --requests 80 --workers 2
     repro-serve --naive --report naive.json   # baseline policy
     repro-serve --trace-dir traces --trace-out trace.json
 
 It generates a seeded traffic trace from the CLI knobs, serves it
-through the discrete-event service and writes the deterministic JSON
-report.  Two invocations with the same flags produce byte-identical
-reports — the CI ``serve-smoke`` job asserts exactly that, plus zero
-failed requests and a non-zero coalesce count.
+through the discrete-event service (every execution in this process)
+and writes the deterministic JSON report.  Two invocations with the same
+flags produce byte-identical reports — the CI ``serve-smoke`` job
+asserts exactly that, plus zero failed requests and a non-zero coalesce
+count.
 
 Exit codes: 0 clean, 1 when any request *failed* (rejected requests are
 load shedding, not failures), 2 usage error.
@@ -19,12 +20,13 @@ load shedding, not failures), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
 import time
 
-from repro.errors import cli_main
+from repro.errors import ConfigurationError, cli_main
 
 __all__ = ["main", "run_trace"]
 
@@ -32,38 +34,42 @@ __all__ = ["main", "run_trace"]
 def run_trace(
     trace,
     config,
-    jobs: int = 2,
+    jobs: int = 1,
     spool_dir: str | None = None,
-    cache_dir: str | None = None,
     check=None,
 ):
     """Run one traffic trace through a fresh service; returns the report.
 
-    Builds a :class:`~repro.runtime.sweep.SweepExecutor` (its process
-    pool is what full engine runs fan out over) and a spool directory for
-    snapshot spills, both torn down afterwards unless caller-provided.
+    Every execution runs in this process.  The spool directory holds the
+    on-disk partition cache (``<spool_dir>/partition-cache``) the service
+    reloads served partitionings from; a spool this call creates is
+    removed afterwards, and the process-wide partition cache and check
+    level it replaced are put back either way.  ``jobs`` accepts only 1
+    (anything else raises :class:`~repro.errors.ConfigurationError`).
     """
-    from repro.runtime.sweep import SweepExecutor
+    from repro.check import use_check_level
+    from repro.partition import cache as partition_cache
     from repro.serve.service import AnalyticsService
 
-    own_spool = None
-    if spool_dir is None:
-        own_spool = tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
-        spool_dir = own_spool.name
-    if cache_dir is None:
-        # the partition cache MUST be disk-shared: patched partitionings
-        # are planted by the parent and picked up by pool workers (and
-        # partitionings built in workers inform later patch decisions)
+    if jobs != 1:
+        raise ConfigurationError(
+            f"jobs must be 1: a served trace runs in this process, got {jobs!r}"
+        )
+    with contextlib.ExitStack() as stack:
+        if spool_dir is None:
+            spool_dir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-serve-spool-")
+            )
+        # a cache already pointing here stays, counters and all; one that
+        # is replaced goes back before the spool it may point into does
+        found = partition_cache.get_cache()
         cache_dir = os.path.join(spool_dir, "partition-cache")
-    try:
-        # closing the executor puts back the process-wide partition cache
-        # it replaced, before the spool it points into is removed
-        with SweepExecutor(jobs=jobs, cache_dir=cache_dir, check=check) as ex:
-            service = AnalyticsService(config, ex, spool_dir)
-            return service.run(trace)
-    finally:
-        if own_spool is not None:
-            own_spool.cleanup()
+        if found.cache_dir != cache_dir:
+            partition_cache.configure(cache_dir=cache_dir)
+            stack.callback(partition_cache.set_cache, found)
+        if check is not None:
+            stack.enter_context(use_check_level(check))
+        return AnalyticsService(config).run(trace)
 
 
 def _parse_graphs(text: str):
@@ -115,13 +121,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="differentially check every delta run against "
                         "a from-scratch engine run")
     # execution plumbing
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="sweep executor pool size for engine runs")
     parser.add_argument("--check", default=None, metavar="LEVEL",
                         help="invariant check level for engine runs "
                         "(off/cheap/full)")
     parser.add_argument("--spool", default=None, metavar="DIR",
-                        help="snapshot spool directory (default: temp)")
+                        help="spool directory for the partition cache "
+                        "(default: temp)")
     parser.add_argument("--report", default="-", metavar="PATH",
                         help="report JSON destination ('-' = stdout)")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
@@ -164,8 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     with obs.use_tracer(tracer):
         report = run_trace(
-            trace, config, jobs=args.jobs, spool_dir=args.spool,
-            check=args.check,
+            trace, config, spool_dir=args.spool, check=args.check
         )
     wall = time.perf_counter() - t0
     if tracer.enabled:

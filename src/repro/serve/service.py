@@ -153,9 +153,9 @@ class ServeReport:
 class AnalyticsService:
     """Runs one traffic trace to completion against a backend."""
 
-    def __init__(self, config: ServeConfig, executor, spool_dir: str):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self.backend = ExecBackend(executor, spool_dir, config)
+        self.backend = ExecBackend(config)
         self.wfq = WFQQueue()
         self._free = config.workers
         self._events: list = []  # (time, seq, kind, payload)
@@ -255,49 +255,46 @@ class AnalyticsService:
         )
 
     def _pump(self, now: float, tracer) -> None:
-        ready: list[_Execution] = []
+        """Dispatch the next queued execution the result cache cannot
+        answer, if a slot is free.  One is all there can be: an event
+        queues at most one execution or frees at most one slot, so after
+        every pump either no slot is free or the queue is empty."""
         while self._free > 0 and len(self.wfq):
             ex = self.wfq.pop()
             # the cache may have filled while this execution queued
             crc = self._cache.get((ex.chash, ex.app, ex.params))
-            if crc is not None:
-                self.counts["cache_hits"] += 1
-                del self._pending[ex.key]
-                self._push(
-                    round(now + CACHE_COST, 9), "completion",
-                    _Done(ex.requests, "cached", crc,
-                          consumed_worker=False),
-                )
-                continue
-            self._free -= 1
-            ex.state = "running"
-            ready.append(ex)
-        if not ready:
+            if crc is None:
+                break
+            self.counts["cache_hits"] += 1
+            del self._pending[ex.key]
+            self._push(
+                round(now + CACHE_COST, 9), "completion",
+                _Done(ex.requests, "cached", crc, consumed_worker=False),
+            )
+        else:
             return
+        self._free -= 1
+        ex.state = "running"
         ev = tracer.begin(
             "serve.exec", "serve",
-            args={"batch": [list(ex.key[:3]) + [ex.key[3]] for ex in ready]},
+            args={"batch": [list(ex.key)]},
         )
-        results = self.backend.run_batch([
+        res = self.backend.run_batch(
             ExecTask(ex.graph_id, ex.graph, ex.snapshot, ex.version,
                      ex.app, ex.params)
-            for ex in ready
-        ])
-        tracer.end(ev, executions=len(ready))
-        for ex, res in zip(ready, results):
-            self.counts["executions"] += 1
-            for outcome in (res.mode, res.partition_decision):
-                if outcome:
-                    self.counts[_OUTCOME_COUNTER[outcome]] += 1
-            done = _Done(
-                ex.requests, "executed", res.labels_crc,
-                mode=res.mode, failure_kind=res.failure_kind,
-                cache_key=(ex.chash, ex.app, ex.params),
-                pending_key=ex.key,
-            )
-            self._push(
-                round(now + res.sim_cost, 9), "completion", done
-            )
+        )
+        tracer.end(ev, executions=1)
+        self.counts["executions"] += 1
+        for outcome in (res.mode, res.partition_decision):
+            if outcome:
+                self.counts[_OUTCOME_COUNTER[outcome]] += 1
+        done = _Done(
+            ex.requests, "executed", res.labels_crc,
+            mode=res.mode, failure_kind=res.failure_kind,
+            cache_key=(ex.chash, ex.app, ex.params),
+            pending_key=ex.key,
+        )
+        self._push(round(now + res.sim_cost, 9), "completion", done)
 
     def _complete(self, now: float, done: "_Done") -> None:
         if done.consumed_worker:

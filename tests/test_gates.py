@@ -98,9 +98,9 @@ def serve_rows() -> dict:
         seed=5, num_clients=4, num_requests=80, mean_interarrival=0.002,
         apps=("bfs", "cc", "pr"), graphs=((6, 4.0), (7, 4.0)), mutate_every=10,
     ))
-    first = run_trace(trace, ServeConfig(workers=2), jobs=JOBS)
-    second = run_trace(trace, ServeConfig(workers=2), jobs=JOBS)
-    naive = run_trace(trace, ServeConfig(workers=2, naive=True), jobs=JOBS)
+    first = run_trace(trace, ServeConfig(workers=2))
+    second = run_trace(trace, ServeConfig(workers=2))
+    naive = run_trace(trace, ServeConfig(workers=2, naive=True))
     s, n = first.latency, naive.latency
     return {"serve/trace": {
         "requests": first.counters["requests"],

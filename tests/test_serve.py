@@ -122,7 +122,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def report(trace):
-    return run_trace(trace, ServeConfig(workers=2), jobs=1)
+    return run_trace(trace, ServeConfig(workers=2))
 
 
 class TestService:
@@ -150,11 +150,11 @@ class TestService:
         assert lat["makespan"] > 0
 
     def test_report_byte_identical_across_fresh_services(self, trace, report):
-        again = run_trace(trace, ServeConfig(workers=2), jobs=1)
+        again = run_trace(trace, ServeConfig(workers=2))
         assert again.to_json() == report.to_json()
 
     def test_naive_baseline_runs_everything(self, trace):
-        naive = run_trace(trace, ServeConfig(workers=2, naive=True), jobs=1)
+        naive = run_trace(trace, ServeConfig(workers=2, naive=True))
         c = naive.counters
         assert c["coalesced"] == 0
         assert c["cache_hits"] == 0
@@ -162,12 +162,12 @@ class TestService:
         assert c["executions"] == c["requests"]  # every request runs
 
     def test_serve_beats_naive_on_median_latency(self, trace, report):
-        naive = run_trace(trace, ServeConfig(workers=2, naive=True), jobs=1)
+        naive = run_trace(trace, ServeConfig(workers=2, naive=True))
         assert report.latency["median"] < naive.latency["median"]
 
     def test_admission_sheds_load_under_pressure(self, trace):
         cfg = ServeConfig(workers=1, max_queue_depth=1, naive=True)
-        rep = run_trace(trace, cfg, jobs=1)
+        rep = run_trace(trace, cfg)
         c = rep.counters
         assert c["rejected"] > 0
         # naive: nothing is cached or coalesced, so every request meets
@@ -181,11 +181,11 @@ class TestService:
         # differential mode re-runs every delta through the engine and
         # raises on any label divergence — completing cleanly IS the test
         cfg = ServeConfig(workers=2, verify_incremental=True)
-        rep = run_trace(trace, cfg, jobs=1)
+        rep = run_trace(trace, cfg)
         assert rep.counters["failed"] == 0
 
     def test_mutation_invalidates_result_cache(self, trace):
-        rep = run_trace(trace, ServeConfig(workers=2), jobs=1)
+        rep = run_trace(trace, ServeConfig(workers=2))
         # group served results by (graph, app, params); across a mutation
         # the content hash changes, so crc streams may change but every
         # request in between serves a consistent answer
@@ -212,24 +212,25 @@ class TestService:
         import dataclasses
 
         from repro.errors import ConfigurationError
-        from repro.runtime.sweep import SweepExecutor
+        from repro.runtime import cells
 
         requests = list(trace.requests)
         i = next(i for i, r in enumerate(requests) if r.app == "bfs")
         requests[i] = dataclasses.replace(requests[i], params=(("source", -1),))
         bad_rid = requests[i].rid
         failed = []
-        real_map = SweepExecutor.map
+        real_run_task = cells.run_task
 
-        def spying_map(self, specs, *args, **kwargs):
-            outcomes = real_map(self, specs, *args, **kwargs)
-            failed.extend(out for out in outcomes if not out.ok)
-            return outcomes
+        def spying_run_task(spec):
+            out = real_run_task(spec)
+            if not out.ok:
+                failed.append(out)
+            return out
 
-        monkeypatch.setattr(SweepExecutor, "map", spying_map)
+        monkeypatch.setattr(cells, "run_task", spying_run_task)
         rep = run_trace(
             dataclasses.replace(trace, requests=requests),
-            ServeConfig(workers=2), jobs=1,
+            ServeConfig(workers=2),
         )
         assert rep.counters["failed"] == 1
         for r in rep.requests:
@@ -324,7 +325,7 @@ class TestServedAnswersAreExact:
         expected = self._from_scratch(trace, config, tmp_path)
         every_app = set(self.TRAFFIC.apps)
 
-        report = run_trace(trace, config, jobs=1)
+        report = run_trace(trace, config)
         c = report.counters
         # the trace exercises every way of producing an answer
         assert min(c["patches"], c["delta_runs"], c["coalesced"],
@@ -332,7 +333,7 @@ class TestServedAnswersAreExact:
         wrong, checked = self._wrong(report, expected, EXACT_APPS)
         assert (wrong, checked) == (0, 52)
         wrong, checked = self._wrong(
-            run_trace(trace, naive, jobs=1), expected, every_app
+            run_trace(trace, naive), expected, every_app
         )
         assert (wrong, checked) == (0, self.TRAFFIC.num_requests)
 
@@ -352,7 +353,7 @@ class TestServedAnswersAreExact:
             with monkeypatch.context() as m:
                 for owner, attr, value in patches:
                     m.setattr(owner, attr, value)
-                planted = run_trace(trace, config, jobs=1)
+                planted = run_trace(trace, config)
             wrong, _ = self._wrong(planted, expected, EXACT_APPS)
             assert wrong > 0, f"the oracle missed {name}"
 
@@ -372,9 +373,9 @@ class TestEachSettingHasOneRoute:
             mutate_every=5,
         ))
         config = ServeConfig(workers=2, parts=4)
-        by_argument = run_trace(trace, config, jobs=1, check="cheap")
+        by_argument = run_trace(trace, config, check="cheap")
         with use_check_level("cheap"):
-            ambient = run_trace(trace, config, jobs=1)
+            ambient = run_trace(trace, config)
         assert by_argument.counters["patches"] == 0
         assert ambient.counters["patches"] == 0
 
@@ -389,7 +390,7 @@ class TestEachSettingHasOneRoute:
 
         def c0_latency(**weights):
             trace = generate_trace(TrafficConfig(**shape, **weights))
-            report = run_trace(trace, config, jobs=1)
+            report = run_trace(trace, config)
             return report.per_client["c0"]["mean_latency"]
 
         assert c0_latency(client_weights={"c0": 8.0}) < c0_latency()
@@ -407,20 +408,31 @@ class TestRunTraceLeavesNoTrace:
 
         mine = configure(cache_dir=str(tmp_path / "mine"))
         try:
-            run_trace(trace, ServeConfig(workers=2), jobs=1)
+            run_trace(trace, ServeConfig(workers=2))
             assert get_cache() is mine  # the object, its memory LRU included
-            # a caller-provided spool outlives the call, and the executor
-            # that pointed the cache into it still puts back what it found
+            # a caller-provided spool outlives the call, and ``run_trace``,
+            # which pointed the cache into it, still puts back what it found
             spool = str(tmp_path / "spool")
-            run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
+            run_trace(trace, ServeConfig(workers=2), spool_dir=spool)
             assert get_cache() is mine
         finally:
             configure(cache_dir=None)
 
+    def test_the_spool_holds_partitionings_not_snapshots(self, tmp_path):
+        """Every execution runs on the snapshot the service holds, so
+        nothing writes a snapshot to disk: the partition cache is all a
+        spool holds."""
+        trace = generate_trace(TrafficConfig(seed=3, num_requests=20, apps=("bfs",)))
+        spool = tmp_path / "spool"
+        rep = run_trace(trace, ServeConfig(workers=2), spool_dir=str(spool))
+        assert rep.counters["failed"] == 0
+        assert [p.name for p in spool.iterdir()] == ["partition-cache"]
+        assert list((spool / "partition-cache").glob("*.parts"))
+
 
 class TestServedStateLivesForItsBatch:
     def test_no_batch_leaves_partitionings_or_datasets_behind(self, monkeypatch):
-        """The spool is the only cache that outlives a batch: every
+        """The spool is the only cache that outlives an execution: every
         ``run_batch`` returns with the partition cache's memory tier empty,
         and no served snapshot stays in the dataset loader's memo once
         ``run_trace`` returns."""
@@ -431,10 +443,10 @@ class TestServedStateLivesForItsBatch:
         after: list[int] = []
         run_batch = ExecBackend.run_batch
 
-        def counting(self, tasks):
-            results = run_batch(self, tasks)
+        def counting(self, task):
+            result = run_batch(self, task)
             after.append(len(get_cache()))
-            return results
+            return result
 
         monkeypatch.setattr(ExecBackend, "run_batch", counting)
         trace = generate_trace(TrafficConfig(
@@ -442,7 +454,7 @@ class TestServedStateLivesForItsBatch:
         ))
         before = load_dataset.cache_info().currsize
         rep = run_trace(
-            trace, ServeConfig(workers=2, verify_incremental=True), jobs=1
+            trace, ServeConfig(workers=2, verify_incremental=True)
         )
         assert rep.counters["failed"] == 0
         assert after and after == [0] * len(after)
@@ -457,15 +469,15 @@ class TestServedStateLivesForItsBatch:
         backends = {}
         run_batch = ExecBackend.run_batch
 
-        def capturing(self, tasks):
+        def capturing(self, task):
             backends[id(self)] = self
-            return run_batch(self, tasks)
+            return run_batch(self, task)
 
         monkeypatch.setattr(ExecBackend, "run_batch", capturing)
         trace = generate_trace(TrafficConfig(
             seed=5, num_requests=80, mean_interarrival=0.002, mutate_every=10,
         ))
-        rep = run_trace(trace, ServeConfig(workers=2), jobs=1)
+        rep = run_trace(trace, ServeConfig(workers=2))
         assert rep.counters["failed"] == 0
         (backend,) = backends.values()
         assert backend._memo
@@ -475,22 +487,25 @@ class TestServedStateLivesForItsBatch:
 
 class TestSpoolReuse:
     def test_a_damaged_spool_entry_is_rewritten_not_trusted(self, tmp_path):
-        """A spool outlives its run; a later run writes every entry it
-        loads itself (atomically) instead of loading whatever file sits
-        under the content hash, so one flipped byte costs a rewrite, not
-        a failed load memoised for every request on that snapshot."""
-        from repro.graph.store import store_info
+        """A spool outlives its run; a later run that finds one flipped
+        byte in a partition-cache entry discards it (a CRC mismatch),
+        rebuilds and stores the partitioning over it, and serves the same
+        answers."""
+        from repro import obs
+        from repro.graph.container import read_header
+        from repro.partition.io import _FORMAT
 
         trace = generate_trace(TrafficConfig(seed=3, num_requests=20, apps=("bfs",)))
         spool = str(tmp_path / "spool")
-        first = run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
-        entry = sorted((tmp_path / "spool").glob("*.csr"))[0]
+        first = run_trace(trace, ServeConfig(workers=2), spool_dir=spool)
+        entry = sorted((tmp_path / "spool").glob("partition-cache/*.parts"))[0]
         data = bytearray(entry.read_bytes())
-        data[store_info(str(entry))["sections"]["indices"]["offset"]] ^= 0xFF
+        data[read_header(entry, _FORMAT)["sections"]["vertex_owner"]["offset"]] ^= 0xFF
         entry.write_bytes(bytes(data))
-        # store names are not memoized, so this second in-process run reads
-        # the spool's files as a later process would
-        second = run_trace(trace, ServeConfig(workers=2), jobs=1, spool_dir=spool)
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            second = run_trace(trace, ServeConfig(workers=2), spool_dir=spool)
+        assert tracer.counters.get("partition.cache.discarded") == 1
         assert first.counters["failed"] == second.counters["failed"] == 0
         assert [r["labels_crc"] for r in second.requests] == [
             r["labels_crc"] for r in first.requests
@@ -503,18 +518,26 @@ class TestCLI:
         rc = serve_main([
             "--seed", "13", "--requests", "24",
             "--graphs", "5:3", "--mean-interarrival", "0.001",
-            "--jobs", "1", "--report", str(out), "--quiet",
+            "--report", str(out), "--quiet",
         ])
         assert rc == 0
         rep = json.loads(out.read_text())
         assert rep["counters"]["failed"] == 0
         assert rep["counters"]["requests"] == 24
 
+    def test_a_served_trace_runs_in_one_process(self, trace, tmp_path):
+        with pytest.raises(ConfigurationError, match="jobs must be 1"):
+            run_trace(trace, ServeConfig(workers=2), jobs=2)
+        # the option is gone: argparse rejects it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["--jobs", "2", "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+
     def test_trace_out_round_trips(self, tmp_path):
         out = tmp_path / "trace.json"
         rc = serve_main([
             "--seed", "3", "--requests", "12",
-            "--graphs", "5:3", "--jobs", "1",
+            "--graphs", "5:3",
             "--report", str(tmp_path / "r.json"),
             "--trace-out", str(out), "--quiet",
         ])

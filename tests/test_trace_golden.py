@@ -162,7 +162,7 @@ def damaged_row() -> dict:
 def serve_row() -> dict:
     """A 40-request trace served with tracing on."""
     tracer, report = _traced(
-        lambda: run_trace(generate_trace(TRAFFIC), ServeConfig(**SERVE), jobs=1)
+        lambda: run_trace(generate_trace(TRAFFIC), ServeConfig(**SERVE))
     )
     digest = hashlib.sha1(report.to_json().encode()).hexdigest()
     return {"rows/serve": project(tracer, digest)}

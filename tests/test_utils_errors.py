@@ -178,14 +178,13 @@ class TestTypedErrorsAtTheCliBoundary:
         ["--apps", "zzz"],
         ["--policy", "zzz"],
         ["--max-queue-depth", "0"],
-        ["--jobs", "0"],
     ], ids="=".join)
     def test_a_serve_config_it_cannot_serve_is_a_usage_error(
         self, capsys, flags
     ):
         from repro.serve.cli import main as serve_main
 
-        argv = ["--requests", "10", "--jobs", "1", "--report", os.devnull]
+        argv = ["--requests", "10", "--report", os.devnull]
         assert serve_main([*argv, *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ConfigurationError: ")
