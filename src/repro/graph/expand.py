@@ -26,22 +26,22 @@ __all__ = [
     "undirected_waves",
 ]
 
-#: default edge budget per expansion block (see
-#: :func:`expand_edges_blocks`); large enough that every graph in the
-#: regular study fits in one block — the blocked path only engages on
-#: out-of-core-scale frontiers
-DEFAULT_BLOCK_EDGES = 1 << 20
+#: default edge budget per expansion block (see :func:`expand_edges_blocks`):
+#: it bounds every round's per-edge scratch, not only an out-of-core one's.
+#: ``compute-heavy`` cuts 58 push expansions and 2 pull plans a pass (15 and
+#: 2 at 2^20); the other perf workloads fit one block at either size
+DEFAULT_BLOCK_EDGES = 1 << 17
 
 
 def block_edge_budget() -> int:
     """The ambient per-block edge budget.
 
-    ``REPRO_BLOCK_EDGES`` overrides the default — the out-of-core sweep
-    sets it low in its workers so one dense round's per-edge temporaries
-    (~20 bytes/edge across the expansion arrays, see docs/scale.md) stay
-    well under the RAM cap.  Read per expansion and per pull-plan build:
-    spawn-started pool workers inherit the driver's environment, and a
-    dict lookup is noise next to either.
+    ``REPRO_BLOCK_EDGES`` overrides the 2^17 default, which already holds a
+    round's per-edge temporaries (~20 bytes/edge across the expansion
+    arrays, 8 in the pull plan's workspace; docs/scale.md) to a few MiB;
+    the out-of-core sweep sets it in its workers to fit them under the RAM
+    cap.  Read per expansion and per pull-plan build: pool workers inherit
+    the environment, and a dict lookup is noise here.
     """
     raw = os.environ.get("REPRO_BLOCK_EDGES")
     if raw is None or raw == "":

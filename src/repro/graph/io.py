@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.constants import WEIGHT_DTYPE
 from repro.errors import GraphFormatError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
@@ -31,7 +32,8 @@ _EDGELIST_CHUNK_LINES = 1 << 19
 
 
 def save_edgelist(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Write ``src dst [weight]`` lines (no comments)."""
+    """Write ``src dst [weight]`` lines (no comments).  No edges write an
+    empty file, which auto-detects as unweighted (pass ``weighted=True``)."""
     src = graph.edge_sources()
     if graph.has_weights:
         data = np.column_stack([src, graph.indices, graph.weights])
@@ -108,9 +110,10 @@ def load_edgelist(
 ) -> CSRGraph:
     """Read an edge list; ``#``-prefixed comment lines are skipped.
 
-    ``weighted=None`` auto-detects a third column.  The file is parsed in
-    bounded chunks of lines; vertex ids beyond ``int32`` promote the index
-    dtype rather than overflowing.
+    ``weighted=None`` auto-detects a third column; an empty file detects
+    as unweighted, and ``weighted=True`` gives it an empty weight array.
+    The file is parsed in bounded chunks of lines; vertex ids beyond
+    ``int32`` promote the index dtype rather than overflowing.
     """
     srcs, dsts, ws = [], [], []
     for chunk in _iter_edgelist_chunks(path, weighted):
@@ -124,6 +127,7 @@ def load_edgelist(
         return from_edges(
             np.empty(0, np.int64), np.empty(0, np.int64),
             num_vertices=num_vertices, name=name,
+            weights=np.empty(0, WEIGHT_DTYPE) if weighted else None,
         )
     src = np.concatenate(srcs)
     dst = np.concatenate(dsts)

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.constants import EID_DTYPE, vid_dtype_for
 
-__all__ = ["ascending", "count_ids", "csr_arrays", "order_edges", "symmetric_csr"]
+__all__ = ["ascending", "count_ids", "csr_arrays", "order_edges", "rows_ascending",
+           "symmetric_csr"]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -43,6 +44,16 @@ def ascending(major, minor=None, n: int = 0) -> bool:
         if key[0] < last or np.any(key[1:] < key[:-1]):
             return False
         last = key[-1]
+    return True
+
+
+def rows_ascending(indptr, indices) -> bool:
+    """Whether ``indices`` ascends within each row of ``indptr``, a block at a time."""
+    for lo, hi in _blocks(len(indices)):
+        key = indices[max(lo - 1, 0) : hi]
+        drops = np.flatnonzero(key[1:] < key[:-1]) + max(lo, 1)
+        if np.any(indptr[np.searchsorted(indptr, drops)] != drops):
+            return False
     return True
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.constants import EID_DTYPE, VID_DTYPE
+from repro.constants import VID_DTYPE
 from repro.errors import PartitioningError
 from repro.graph import order as edge_order
 from repro.graph.builder import from_edges
@@ -196,14 +196,15 @@ def build_partitions(
     IDs), proxies for every endpoint of those edges, plus its owned master
     vertices even when edge-less (so the global label vector is complete).
 
-    Edges are bucketed by owner once: as slices of the CSR when the owners
-    ascend in CSR order (OEC, any P=1), else by a stable radix ``argsort``
-    of the owners.  A partition's proxy set is read off one reused ``|V|``
-    flag array (owned vertices, then both endpoints of its edges), so
-    ``local_to_global`` comes out sorted and relabeling monotone: the bucket
-    of a (src, dst)-ordered CSR stays ordered and is adopted as the local
-    CSR, as a loaded partition adopts its sections (weights a read-only
-    slice); only a bucket out of order goes through ``from_edges``.
+    Edges are bucketed by owner once: as slices of the CSR, their rows read
+    off ``indptr``, when the owners ascend in CSR order (OEC, any P=1), else
+    by a stable radix ``argsort`` of the owners over ``edge_sources()``.  A
+    partition's proxy set is read off one reused ``|V|`` flag array (owned
+    vertices, then both endpoints of its edges), so ``local_to_global`` is
+    sorted and relabeling monotone: a bucket whose rows keep destinations
+    ascending is adopted as the local CSR, as a loaded partition adopts its
+    sections (weights a read-only slice); only one out of order goes
+    through ``from_edges``.
     The relabeling reads one reused ``|V|`` scratch map, written only at
     the partition's own ``local_to_global``: O(local) a partition, and no
     partition keeps a ``|V|``-long array (the exchange lists reuse the
@@ -225,16 +226,18 @@ def build_partitions(
     ):
         raise PartitioningError("edge owner out of range")
 
-    src, dst, weights = graph.edge_sources(), graph.indices, graph.weights
-    if not ascending(edge_owner):
+    indptr, dst, weights, src = graph.indptr, graph.indices, graph.weights, None
+    if ascending(edge_owner):  # bucket p: CSR positions bounds[p]:bounds[p + 1]
+        bounds = edge_owner.searchsorted(np.arange(num_partitions + 1, dtype=np.int32))
+    else:
         # the narrowest owner dtype makes the stable argsort a radix sort
         order = np.argsort(
             edge_owner.astype(np.min_scalar_type(num_partitions)), kind="stable"
         )
-        src, dst = src[order], dst[order]
+        src, dst = graph.edge_sources()[order], dst[order]
         weights = None if weights is None else weights[order]
         del order
-    bounds = np.concatenate(([0], np.cumsum(count_ids(edge_owner, num_partitions))))
+        bounds = np.append(0, np.cumsum(count_ids(edge_owner, num_partitions)))
     flag = np.zeros(n, dtype=bool)
     # never reset: a bucket's endpoints all lie in its own l2g, which is
     # written before it is read, so an earlier partition's entries are
@@ -245,18 +248,26 @@ def build_partitions(
     for p in range(num_partitions):
         lo, hi = bounds[p], bounds[p + 1]
         np.equal(vertex_owner, p, out=flag)
-        flag[src[lo:hi]] = True
+        if src is None:  # CSR positions [lo, hi): rows r0..r1-1 hold the sources
+            r0, r1 = indptr.searchsorted(lo, "right") - 1, indptr.searchsorted(hi)
+            flag[r0:r1][np.diff(np.clip(indptr[r0 : r1 + 1], lo, hi)) > 0] = True
+        else:
+            flag[src[lo:hi]] = True
         flag[dst[lo:hi]] = True
         l2g = np.flatnonzero(flag)
         scratch[l2g] = np.arange(len(l2g), dtype=VID_DTYPE)
 
-        s, d = scratch[src[lo:hi]], scratch[dst[lo:hi]]
-        w, name = None if weights is None else weights[lo:hi], f"{graph.name}/p{p}"
-        if edge_order.ascending(s, d, len(l2g)):  # adopt the bucket
-            indptr = np.zeros(len(l2g) + 1, dtype=EID_DTYPE)
-            np.cumsum(count_ids(s, len(l2g)), out=indptr[1:])
-            local = CSRGraph.from_validated_arrays(indptr, d, w, name=name)
+        # a bucket's sources ascend (CSR order, kept by the stable argsort)
+        if src is None:  # its rows: the global ones clipped to [lo, hi)
+            local_ptr = np.append(np.clip(indptr[l2g], lo, hi), hi) - lo
         else:
+            local_ptr = np.append(0, count_ids(scratch[src[lo:hi]], len(l2g)).cumsum())
+        d, w = scratch[dst[lo:hi]], None if weights is None else weights[lo:hi]
+        name = f"{graph.name}/p{p}"
+        if edge_order.rows_ascending(local_ptr, d):  # adopt the bucket
+            local = CSRGraph.from_validated_arrays(local_ptr, d, w, name=name)
+        else:
+            s = np.repeat(np.arange(len(l2g), dtype=VID_DTYPE), np.diff(local_ptr))
             local = from_edges(s, d, num_vertices=len(l2g), weights=w, name=name)
         parts.append(
             LocalPartition(

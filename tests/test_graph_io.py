@@ -52,6 +52,18 @@ class TestEdgelist:
             load_edgelist(p)
         assert load_edgelist(p, num_vertices=3).num_vertices == 3
 
+    def test_an_empty_weighted_edge_list_stays_weighted_when_asked(self, tmp_path):
+        """A 0-edge weighted graph writes an empty file; auto-detection
+        reads it as unweighted, an explicit ``weighted=True`` may not."""
+        empty = from_edges([], [], num_vertices=3, weights=np.empty(0, np.uint32))
+        p = tmp_path / "e.wel"
+        save_edgelist(empty, p)
+        assert p.stat().st_size == 0
+        assert not load_edgelist(p, num_vertices=3).has_weights
+        h = load_edgelist(p, num_vertices=3, weighted=True)
+        assert h == empty
+        assert h.weights.dtype == empty.weights.dtype
+
 
 class TestBinary:
     """The binary format is the store container (``repro.graph.store``;

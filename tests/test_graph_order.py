@@ -235,6 +235,20 @@ def test_make_undirected_equals_doubled_from_edges(edges, weighted, block, limit
     assert got == from_edges(s2, d2, num_vertices=n, weights=w2, dedup=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.sampled_from(BLOCKS))
+def test_rows_ascending_is_the_per_row_check(edges, block):
+    """``rows_ascending(indptr, indices)`` is ``ascending(src, indices)``
+    without the per-edge ``src``: a descent passes only at a row start,
+    at any block edge."""
+    src, dst, n = edges
+    by_row = np.argsort(src, kind="stable")
+    src, dst = src[by_row], dst[by_row]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    with _patched(block, None):
+        assert order_mod.rows_ascending(indptr, dst) == order_mod.ascending(src, dst, n)
+
+
 # --------------------------------------------------------------------- #
 # what a build holds: traced peak bytes per output edge
 # --------------------------------------------------------------------- #

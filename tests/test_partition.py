@@ -10,6 +10,7 @@ from repro.check import CheckLevel, check_partition
 from repro.errors import ConfigurationError, InvariantViolation, PartitioningError
 from repro.generators import rmat, webcrawl
 from repro.graph import add_random_weights, from_edges
+from repro.graph.order import SCAN_BLOCK
 from repro.partition import (
     POLICIES,
     cvc,
@@ -22,6 +23,7 @@ from repro.partition import (
     random_vertex_cut,
 )
 from repro.partition.base import build_partitions
+from repro.partition.edgecut import blocked_owner_from_degrees
 
 #: the module, which the package's ``hvc`` function shadows
 hvc_module = importlib.import_module("repro.partition.hvc")
@@ -381,16 +383,21 @@ class TestFootprint:
             assert np.shares_memory(part.graph.weights, weighted.weights)
             assert not part.graph.weights.flags.writeable
 
-    def test_a_built_partitioning_holds_one_word_an_edge(self):
-        """A bucket in CSR order is adopted: its relabeled destinations
-        are the local ``indices`` and its weights are the graph's, so the
-        build keeps 4 B an edge (a copied ``weights`` made it 8)."""
-        n, m = 1 << 10, 1 << 17
+    @staticmethod
+    def _weighted(n, m):
         rng = np.random.default_rng(9)
         src, dst = rng.integers(0, n, size=(2, m))
         weighted = from_edges(src, dst, num_vertices=n, weights=rng.integers(1, 100, m))
         weighted.out_degrees()  # the graph's own memo, not the build's
         partition(from_edges([0], [1]), "oec", 2, cache=False)  # imports
+        return weighted
+
+    def test_a_built_partitioning_holds_one_word_an_edge(self):
+        """A bucket in CSR order is adopted: its relabeled destinations
+        are the local ``indices`` and its weights are the graph's, so the
+        build keeps 4 B an edge (a copied ``weights`` made it 8)."""
+        n, m = 1 << 10, 1 << 17
+        weighted = self._weighted(n, m)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -400,3 +407,24 @@ class TestFootprint:
             tracemalloc.stop()
         assert pg.local_edge_counts().sum() == m
         assert held <= 4 * m + 128 * n
+
+    def test_an_in_order_build_allocates_no_per_edge_source_array(self):
+        """The traced peak of an OEC build, not what it keeps: a bucket in
+        CSR order is the positions ``[lo, hi)``, its rows read off
+        ``indptr`` and its bounds off the sorted owners, so beyond the 4 B
+        an edge of relabeled destinations it holds only block-sized
+        scratch.  A whole-graph ``edge_sources()``, each bucket's relabeled
+        sources and an intp copy of the owners peaked ~10 B an edge higher."""
+        n, m = 1 << 10, 1 << 17
+        weighted = self._weighted(n, m)
+        owner = blocked_owner_from_degrees(weighted.out_degrees(), 2)
+        edge_owner = np.repeat(owner, weighted.out_degrees())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pg = build_partitions(weighted, owner, edge_owner, 2, "oec")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert pg.local_edge_counts().sum() == m
+        assert peak <= 4 * m + 128 * n + SCAN_BLOCK

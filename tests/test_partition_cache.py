@@ -11,6 +11,7 @@ import pytest
 
 from repro.check import CheckLevel, check_partition
 from repro.errors import GraphFormatError
+from repro.fuzz import SHAPES, build_shape
 from repro.generators import rmat
 from repro.graph import add_random_weights, from_edges
 from repro.graph.container import ContainerWriter, read_header
@@ -25,6 +26,7 @@ from repro.partition.cache import (
 )
 from repro.partition.cusp import POLICIES
 from repro.partition.io import _FORMAT
+from tests.test_partition_golden import inputs as golden_inputs
 from tests.test_partition_io import assert_same_partitioning
 
 
@@ -56,23 +58,6 @@ def _outcomes(tracer, span_name):
     return [
         e["args"]["outcome"] for e in tracer.events() if e["name"] == span_name
     ]
-
-
-def _assert_partitions_equal(a, b):
-    assert a.policy == b.policy
-    assert a.grid == b.grid
-    np.testing.assert_array_equal(a.vertex_owner, b.vertex_owner)
-    assert len(a.parts) == len(b.parts)
-    for pa, pb in zip(a.parts, b.parts):
-        assert pa.pid == pb.pid
-        np.testing.assert_array_equal(pa.local_to_global, pb.local_to_global)
-        np.testing.assert_array_equal(pa.is_master, pb.is_master)
-        np.testing.assert_array_equal(pa.graph.indptr, pb.graph.indptr)
-        np.testing.assert_array_equal(pa.graph.indices, pb.graph.indices)
-        for ea, eb in zip(pa.mirror_exchange, pb.mirror_exchange):
-            np.testing.assert_array_equal(ea, eb)
-        for ea, eb in zip(pa.master_exchange, pb.master_exchange):
-            np.testing.assert_array_equal(ea, eb)
 
 
 class TestMemoryLRU:
@@ -135,7 +120,7 @@ class TestDiskStore:
         assert reader.stats.builds == 0
         assert reader.stats.disk_hits == 1
         check_partition(loaded, CheckLevel.CHEAP)
-        _assert_partitions_equal(built, loaded)
+        assert_same_partitioning(built, loaded)
 
     def test_corrupt_file_rebuilds(self, g, tmp_path):
         store = str(tmp_path / "pcache")
@@ -218,7 +203,7 @@ class TestShardSpill:
         assert calls == [("iec", 4)]
         assert reader.stats.disk_hits == 1
         check_partition(loaded, CheckLevel.CHEAP)
-        _assert_partitions_equal(built, loaded)
+        assert_same_partitioning(built, loaded)
         for part in loaded.parts:  # served from the file, not from RAM
             assert isinstance(part.local_to_global.base, np.memmap)
             assert isinstance(part.graph.indices.base, np.memmap)
@@ -234,7 +219,7 @@ class TestShardSpill:
         spill = PartitionCache(cache_dir=store, spill_shards=True)
         built = spill.lookup_or_build(g, "iec", 2, builder)
         ram = PartitionCache(cache_dir=store)
-        _assert_partitions_equal(ram.lookup_or_build(g, "iec", 2, builder), built)
+        assert_same_partitioning(ram.lookup_or_build(g, "iec", 2, builder), built)
         assert len(calls) == 1 and ram.stats.disk_hits == 1
 
         from_ram = ram.lookup_or_build(g, "iec", 4, builder)
@@ -242,7 +227,7 @@ class TestShardSpill:
         mapped = again.lookup_or_build(g, "iec", 4, builder)
         assert len(calls) == 2 and again.stats.disk_hits == 1
         check_partition(mapped, CheckLevel.CHEAP)
-        _assert_partitions_equal(mapped, from_ram)
+        assert_same_partitioning(mapped, from_ram)
         for part in mapped.parts:
             assert isinstance(part.local_to_global.base, np.memmap)
 
@@ -361,7 +346,7 @@ class TestPutGet:
         assert cache.get(g, "oec", 2) is pg  # memory hit
         # a sibling cache sees it through the shared disk store
         warm = PartitionCache(cache_dir=store)
-        _assert_partitions_equal(warm.get(g, "oec", 2), pg)
+        assert_same_partitioning(warm.get(g, "oec", 2), pg)
         assert warm.stats.disk_hits == 1
 
     def test_planted_entry_preempts_the_builder(self, g, tmp_path):
@@ -628,3 +613,24 @@ class TestLegacyEntries:
         assert sorted(os.listdir(store)) == sorted(
             os.path.basename(stem) + ext for ext in (".npz", ".parts", ".shards")
         )
+
+
+class TestBuiltEqualsLoaded:
+    """A partitioning written to the disk tier and read back by a fresh
+    cache is the one that was built, array for array: over every fuzz
+    shape and the partition golden's hand-built inputs, whose rows are out
+    of order (``unsorted``: the in-order build's fallback) or repeat an
+    edge (``parallel``)."""
+
+    @pytest.mark.parametrize("policy", ["oec", "iec", "hvc", "cvc"])
+    def test_the_disk_tier_returns_what_was_built(self, policy, tmp_path):
+        graphs = [build_shape(s, np.random.default_rng(7)) for s in sorted(SHAPES)]
+        graphs += [golden_inputs()["unsorted"], golden_inputs()["parallel"]]
+        writer = PartitionCache(cache_dir=str(tmp_path))
+        for graph in graphs:
+            for parts in (2, 4):
+                built = writer.lookup_or_build(graph, policy, parts, POLICIES[policy])
+                reader = PartitionCache(cache_dir=str(tmp_path))
+                loaded = reader.get(graph, policy, parts)
+                assert reader.stats.disk_hits == 1, (graph.name, parts)
+                assert_same_partitioning(built, loaded)
