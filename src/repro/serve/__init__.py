@@ -16,8 +16,10 @@ request path:
   :func:`~repro.runtime.cells.run_task` in this process, and the
   repartition-vs-patch decision against the partition cache;
 * :mod:`repro.serve.service` — the discrete-event service loop tying it
-  together: admission, coalescing, the content-hash result cache,
-  simulated-time latency accounting, and the deterministic report.
+  together: admission, coalescing, the content-keyed answer table (the
+  result cache, and the memo that charges a repeated content its first
+  run's cost), simulated-time latency accounting, and the deterministic
+  report.
 
 The latency/throughput gate is the ``serve`` group of the ``gates``
 golden table (``tests/test_gates.py``): a seeded trace served twice and

@@ -14,10 +14,10 @@ module decides *how*:
   cache that outlives an execution — a later execution on the same
   snapshot gets the identical partitioning back from disk, never a
   rebuild;
-* full engine runs are memoized by ``(content hash, app, params)``:
-  the simulator charges simulated seconds per service policy, so
-  physically re-running a bit-identical cell would only burn wall clock
-  (a hit answers with cost, CRC, rounds and failure; the memo keeps no labels);
+* content that already ran never reaches the backend: the service's
+  answer table (:mod:`repro.serve.service`) charges a repeat at its
+  recorded simulated cost, so a bit-identical cell is never physically
+  re-run;
 * incremental re-execution (:mod:`repro.serve.incremental`) is attempted
   first for delta-capable apps, priced at the prior full run's simulated
   cost scaled by the fraction of edges the delta sweep touched;
@@ -36,7 +36,8 @@ module decides *how*:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from repro.apps.registry import SYMMETRIC_APPS
 from repro.check import current_check_level
 from repro.generators.datasets import Dataset
 from repro.graph.csr import CSRGraph
-from repro.graph.mutable import MutableGraph
 # no longer called here: a name ``benchmarks/perf/layers.py`` wraps
 from repro.graph.store import write_csr_store  # noqa: F401
 from repro.partition.base import build_partitions
@@ -53,7 +53,10 @@ from repro.partition.stats import partition_stats
 from repro.runtime import cells
 from repro.serve.incremental import DELTA_APPS, incremental_run
 
-__all__ = ["ExecBackend", "ExecResult", "ExecTask"]
+if TYPE_CHECKING:
+    from repro.serve.service import _Execution
+
+__all__ = ["ExecBackend", "ExecResult"]
 
 #: the simulated cluster and execution model every served run uses
 PLATFORM = "bridges"
@@ -62,35 +65,16 @@ EXECUTION = "sync"
 MIN_SIM_COST = 1e-6
 
 
-@dataclass(frozen=True)
-class ExecTask:
-    """One execution the scheduler wants performed."""
-
-    graph_id: str
-    graph: MutableGraph
-    snapshot: CSRGraph
-    version: int
-    app: str
-    params: tuple
-
-
 @dataclass
 class ExecResult:
     """What one execution produced, and what it should cost."""
 
-    mode: str  # "full" | "delta" | "memo"
+    mode: str  # "full" | "delta"
     sim_cost: float
     labels: np.ndarray | None = None
     labels_crc: int | None = None
-    reason: str = ""
-    failure: str = ""
     failure_kind: str = ""
     partition_decision: str = ""  # "" | "patch" | "repartition"
-    rounds: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.failure_kind == ""
 
 
 @dataclass
@@ -114,17 +98,16 @@ def _crc(labels: np.ndarray) -> int:
 
 @dataclass
 class ExecBackend:
-    """Executes one :class:`ExecTask` at a time for the service loop."""
+    """Executes one dispatched execution at a time for the service loop."""
 
     config: object  # the service's ServeConfig
 
     def __post_init__(self) -> None:
-        self._memo: dict[tuple, ExecResult] = {}
         self._prior: dict[tuple, _Prior] = {}
         self._pstate: dict[str, _PartitionState] = {}
 
     # ------------------------------------------------------------------ #
-    def _maybe_patch(self, task: ExecTask) -> str:
+    def _maybe_patch(self, task: _Execution) -> str:
         """Repartition-vs-patch for the directed-graph partition key."""
         # patched placements break per-policy placement checkers on
         # purpose; never plant them under an active check level
@@ -147,7 +130,7 @@ class ExecBackend:
             return "patch"
         return "repartition"
 
-    def _record_pstate(self, task: ExecTask, decision: str) -> None:
+    def _record_pstate(self, task: _Execution, decision: str) -> None:
         """Remember the partitioning the engine actually used."""
         if task.app in SYMMETRIC_APPS:
             return
@@ -166,7 +149,7 @@ class ExecBackend:
             state.vertex_owner = np.asarray(pg.vertex_owner)
 
     # ------------------------------------------------------------------ #
-    def _try_delta(self, task: ExecTask) -> ExecResult | None:
+    def _try_delta(self, task: _Execution) -> ExecResult | None:
         if self.config.naive or task.app not in DELTA_APPS:
             return None
         prior = self._prior.get((task.graph_id, task.app, task.params))
@@ -184,11 +167,10 @@ class ExecBackend:
             task.version, task.snapshot, res.labels, prior.full_cost
         )
         return ExecResult(
-            "delta", cost, labels=res.labels, labels_crc=_crc(res.labels),
-            reason=res.reason, rounds=res.rounds,
+            "delta", cost, labels=res.labels, labels_crc=_crc(res.labels)
         )
 
-    def _spec_for(self, task: ExecTask) -> cells.CellSpec:
+    def _spec_for(self, task: _Execution) -> cells.CellSpec:
         name = f"serve:{task.snapshot.content_hash()[:16]}"
         return cells.CellSpec(
             key=(task.graph_id, task.app, task.params, task.version),
@@ -205,9 +187,9 @@ class ExecBackend:
         )
 
     # ------------------------------------------------------------------ #
-    def run_batch(self, task: ExecTask) -> ExecResult:
-        """Execute one task in this process: a delta where one applies, a
-        memo hit where this content already ran, else a full engine run.
+    def run_batch(self, task: _Execution) -> ExecResult:
+        """Execute one dispatched execution in this process: a delta where
+        one applies, else a full engine run.
 
         (The name is the boundary ``benchmarks/perf/layers.py`` wraps.)
         """
@@ -222,40 +204,25 @@ class ExecBackend:
         get_cache().clear_memory()
         return res
 
-    def _run_full(self, task: ExecTask) -> ExecResult:
-        """A memo hit if this content already ran, else a full engine run
-        whose outcome the memo keeps (without its labels)."""
-        memo_key = (task.snapshot.content_hash(), task.app, task.params)
-        hit = self._memo.get(memo_key)
-        if hit is not None:
-            return ExecResult(
-                "memo", hit.sim_cost,
-                labels_crc=hit.labels_crc, reason="physical memo hit",
-                failure=hit.failure, failure_kind=hit.failure_kind,
-                rounds=hit.rounds,
-            )
+    def _run_full(self, task: _Execution) -> ExecResult:
         decision = self._maybe_patch(task)
         out = cells.run_task(self._spec_for(task))
-        if out.ok:
-            cost = max(out.stats.execution_time, MIN_SIM_COST)
-            res = ExecResult(
-                "full", cost, labels=out.labels, labels_crc=out.labels_crc,
+        if not out.ok:
+            return ExecResult(
+                "full", MIN_SIM_COST, failure_kind=out.failure_kind,
                 partition_decision=decision,
-                rounds=getattr(out.stats, "rounds", 0),
             )
-            self._prior[(task.graph_id, task.app, task.params)] = _Prior(
-                task.version, task.snapshot, out.labels, cost
-            )
-            self._record_pstate(task, decision)
-        else:
-            res = ExecResult(
-                "full", MIN_SIM_COST, failure=out.failure,
-                failure_kind=out.failure_kind, partition_decision=decision,
-            )
-        self._memo[memo_key] = replace(res, labels=None)
-        return res
+        cost = max(out.stats.execution_time, MIN_SIM_COST)
+        self._prior[(task.graph_id, task.app, task.params)] = _Prior(
+            task.version, task.snapshot, out.labels, cost
+        )
+        self._record_pstate(task, decision)
+        return ExecResult(
+            "full", cost, labels=out.labels, labels_crc=out.labels_crc,
+            partition_decision=decision,
+        )
 
-    def _verify(self, task: ExecTask, res: ExecResult) -> None:
+    def _verify(self, task: _Execution, res: ExecResult) -> None:
         """Differential check: a delta must match a from-scratch run."""
         out = cells.run_task(self._spec_for(task))
         if not out.ok:

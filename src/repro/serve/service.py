@@ -10,9 +10,11 @@ criterion the CI smoke job replays.
 
 The request path (docs/serve.md):
 
-1. **result cache** — keyed ``(graph content hash, app, params)``; a
-   mutation changes the hash (via :class:`~repro.graph.mutable.
-   MutableGraph`), so stale answers are unreachable by construction.
+1. **result cache** — the answer table, keyed ``(graph content hash,
+   app, params)``, answers once the content's first execution has
+   completed without failure; a mutation changes the hash (via
+   :class:`~repro.graph.mutable.MutableGraph`), so stale answers are
+   unreachable by construction.
 2. **coalescing** — a request whose ``(graph, app, params, version)``
    matches a queued or in-flight execution joins it and shares its
    completion instead of spawning another run.
@@ -20,8 +22,10 @@ The request path (docs/serve.md):
    ``rejected``, not failed.
 4. **weighted fair queueing** — queued executions drain smallest
    virtual-finish-tag first across per-client flows.
-5. **execution** — the backend picks delta/full/memo and prices the run
-   (:mod:`repro.serve.backend`).
+5. **execution** — content the answer table already holds, completed or
+   still in flight, is a ``memo`` execution charged at its recorded
+   simulated cost; anything else goes to the backend, which picks
+   delta/full and prices the run (:mod:`repro.serve.backend`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.frameworks.dirgl import DIrGL
-from repro.serve.backend import ExecBackend, ExecTask
+from repro.serve.backend import ExecBackend
 from repro.serve.queueing import WFQQueue
 from repro.serve.traffic import MutationEvent, Request, ServeTrace, batch_from_event
 
@@ -49,7 +53,7 @@ COUNTERS = (
     "delta_runs", "memo_hits", "coalesced", "cache_hits", "mutations",
     "patches", "repartitions",
 )
-#: the counter an ``ExecResult.mode`` / ``.partition_decision`` lands in
+#: the counter an execution's mode / partition decision lands in
 _OUTCOME_COUNTER = {"full": "full_runs", "delta": "delta_runs", "memo": "memo_hits",
                     "patch": "patches", "repartition": "repartitions"}
 
@@ -98,12 +102,25 @@ class RequestRecord:
     labels_crc: int | None = None
 
 
+@dataclass
+class _Answer:
+    """What the first execution of one content key produced; no labels,
+    snapshot or graph, since the table outlives every execution."""
+
+    labels_crc: int | None
+    sim_cost: float
+    failure_kind: str
+    #: set when that execution completes; until then only a dispatch
+    #: (as a memo) may read the record, not an arrival
+    completed: bool = False
+
+
 class _Execution:
     """One (graph, app, params, version) run requests coalesce onto."""
 
     __slots__ = (
         "graph_id", "app", "params", "version", "snapshot", "graph",
-        "chash", "requests", "state",
+        "chash", "requests", "state", "mode",
     )
 
     def __init__(self, req: Request, graph):
@@ -116,10 +133,15 @@ class _Execution:
         self.chash = self.snapshot.content_hash()
         self.requests = [req]
         self.state = "queued"
+        self.mode = ""  # full | delta | memo, once dispatched
 
     @property
     def key(self) -> tuple:
         return (self.graph_id, self.app, self.params, self.version)
+
+    @property
+    def content_key(self) -> tuple:
+        return (self.chash, self.app, self.params)
 
 
 @dataclass
@@ -161,9 +183,10 @@ class AnalyticsService:
         self._events: list = []  # (time, seq, kind, payload)
         self._seq = 0
         self._pending: dict[tuple, _Execution] = {}
-        #: (content hash, app, params) -> labels CRC; at most one entry per
-        #: completed execution, and empty under ``naive``
-        self._cache: dict[tuple, int] = {}
+        #: (content hash, app, params) -> what that content's first
+        #: execution produced, written at its dispatch: the result cache
+        #: and the memo in one table
+        self._answers: dict[tuple, _Answer] = {}
         self._records: dict[int, RequestRecord] = {}
         #: every served outcome, counted once, where it happens
         self.counts = dict.fromkeys(COUNTERS, 0)
@@ -188,6 +211,8 @@ class AnalyticsService:
                 self._arrive(now, payload, tracer)
             elif kind == "mutation":
                 self._mutate(payload, tracer)
+            elif kind == "cached":
+                self._finish(now, *payload, "cached", "")
             else:  # completion
                 self._complete(now, payload)
             self._pump(now, tracer)
@@ -197,6 +222,14 @@ class AnalyticsService:
         for name, value in report.counters.items():
             tracer.count(f"serve.{name}", value)
         return report
+
+    def _cached(self, key: tuple) -> int | None:
+        """The result cache: the labels CRC of a completed, successful
+        answer, outside ``naive``."""
+        ans = self._answers.get(key)
+        if self.config.naive or ans is None or not ans.completed or ans.failure_kind:
+            return None
+        return ans.labels_crc
 
     # ------------------------------------------------------------------ #
     def _arrive(self, now: float, req: Request, tracer) -> None:
@@ -211,13 +244,10 @@ class AnalyticsService:
             "serve.queue", "serve",
             args={"rid": req.rid, "depth": len(self.wfq)},
         )
-        crc = self._cache.get((graph.content_hash(), req.app, tuple(req.params)))
+        crc = self._cached((graph.content_hash(), req.app, tuple(req.params)))
         if crc is not None:
             self.counts["cache_hits"] += 1
-            self._push(
-                round(now + CACHE_COST, 9), "completion",
-                _Done([req], "cached", crc, consumed_worker=False),
-            )
+            self._push(round(now + CACHE_COST, 9), "cached", ([req], crc))
             return
         if not self.config.naive:
             ckey = (req.graph_id, req.app, tuple(req.params), graph.version)
@@ -256,21 +286,19 @@ class AnalyticsService:
 
     def _pump(self, now: float, tracer) -> None:
         """Dispatch the next queued execution the result cache cannot
-        answer, if a slot is free.  One is all there can be: an event
+        answer, if a slot is free: as a memo if its content already has an
+        answer, else through the backend.  One is all there can be: an event
         queues at most one execution or frees at most one slot, so after
         every pump either no slot is free or the queue is empty."""
         while self._free > 0 and len(self.wfq):
             ex = self.wfq.pop()
             # the cache may have filled while this execution queued
-            crc = self._cache.get((ex.chash, ex.app, ex.params))
+            crc = self._cached(ex.content_key)
             if crc is None:
                 break
             self.counts["cache_hits"] += 1
             del self._pending[ex.key]
-            self._push(
-                round(now + CACHE_COST, 9), "completion",
-                _Done(ex.requests, "cached", crc, consumed_worker=False),
-            )
+            self._push(round(now + CACHE_COST, 9), "cached", (ex.requests, crc))
         else:
             return
         self._free -= 1
@@ -279,45 +307,45 @@ class AnalyticsService:
             "serve.exec", "serve",
             args={"batch": [list(ex.key)]},
         )
-        res = self.backend.run_batch(
-            ExecTask(ex.graph_id, ex.graph, ex.snapshot, ex.version,
-                     ex.app, ex.params)
-        )
+        ans = self._answers.get(ex.content_key)
+        if ans is None:
+            res = self.backend.run_batch(ex)
+            ans = self._answers[ex.content_key] = _Answer(
+                res.labels_crc, res.sim_cost, res.failure_kind
+            )
+            ex.mode, decision = res.mode, res.partition_decision
+        else:
+            ex.mode, decision = "memo", ""
         tracer.end(ev, executions=1)
         self.counts["executions"] += 1
-        for outcome in (res.mode, res.partition_decision):
+        for outcome in (ex.mode, decision):
             if outcome:
                 self.counts[_OUTCOME_COUNTER[outcome]] += 1
-        done = _Done(
-            ex.requests, "executed", res.labels_crc,
-            mode=res.mode, failure_kind=res.failure_kind,
-            cache_key=(ex.chash, ex.app, ex.params),
-            pending_key=ex.key,
-        )
-        self._push(round(now + res.sim_cost, 9), "completion", done)
+        self._push(round(now + ans.sim_cost, 9), "completion", ex)
 
-    def _complete(self, now: float, done: "_Done") -> None:
-        if done.consumed_worker:
-            self._free += 1
-        if done.pending_key is not None:
-            self._pending.pop(done.pending_key, None)
-        if done.failure_kind:
-            for req in done.requests:
-                rec = self._records[req.rid]
-                rec.served_by = "failed"
-                rec.finish = round(now, 9)
-                self.counts["failed"] += 1
+    def _complete(self, now: float, ex: _Execution) -> None:
+        self._free += 1
+        self._pending.pop(ex.key, None)
+        ans = self._answers[ex.content_key]
+        ans.completed = True
+        if not ans.failure_kind:
+            self._finish(now, ex.requests, ans.labels_crc, "executed", ex.mode)
             return
-        if done.cache_key is not None and not self.config.naive:
-            self._cache[done.cache_key] = done.labels_crc
-        for i, req in enumerate(done.requests):
+        for req in ex.requests:
             rec = self._records[req.rid]
-            rec.served_by = (
-                done.served_by if i == 0 or done.served_by == "cached"
-                else "coalesced"
-            )
-            rec.mode = done.mode
-            rec.labels_crc = done.labels_crc
+            rec.served_by = "failed"
+            rec.finish = round(now, 9)
+            self.counts["failed"] += 1
+
+    def _finish(self, now, requests, labels_crc, served_by, mode) -> None:
+        """Answer ``requests``: an execution's first request is
+        ``executed`` and the rest ``coalesced``; a cache hit's are all
+        ``cached``."""
+        for i, req in enumerate(requests):
+            rec = self._records[req.rid]
+            rec.served_by = "coalesced" if i and served_by == "executed" else served_by
+            rec.mode = mode
+            rec.labels_crc = labels_crc
             rec.finish = round(now, 9)
             rec.latency = round(now - req.time, 9)
 
@@ -364,25 +392,3 @@ class AnalyticsService:
             per_client={k: per_client[k] for k in sorted(per_client)},
             requests=[asdict(r) for r in records],
         )
-
-
-class _Done:
-    """A scheduled completion (execution, cache hit, or failure)."""
-
-    __slots__ = (
-        "requests", "served_by", "labels_crc", "mode", "failure_kind",
-        "cache_key", "pending_key", "consumed_worker",
-    )
-
-    def __init__(
-        self, requests, served_by, labels_crc, mode="", failure_kind="",
-        cache_key=None, pending_key=None, consumed_worker=True,
-    ):
-        self.requests = requests
-        self.served_by = served_by
-        self.labels_crc = labels_crc
-        self.mode = mode
-        self.failure_kind = failure_kind
-        self.cache_key = cache_key
-        self.pending_key = pending_key
-        self.consumed_worker = consumed_worker

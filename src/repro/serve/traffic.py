@@ -101,6 +101,16 @@ class TrafficConfig:
                 raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
         if not self.apps or not self.graphs:
             raise ConfigurationError("a trace needs at least one app and one graph")
+        for scale, ef in self.graphs:
+            # let through, a NaN or infinite edge factor ends in a bare
+            # ValueError / OverflowError inside rmat, a negative one
+            # silently serves an edgeless graph
+            if not (isinstance(scale, (int, np.integer)) and scale >= 0
+                    and math.isfinite(ef) and ef >= 0):
+                raise ConfigurationError(
+                    f"graph spec {scale!r}:{ef!r}: the scale must be an int "
+                    f">= 0 and the edge factor finite and >= 0"
+                )
         unknown = sorted(set(self.apps) - set(APPS))
         if unknown:
             raise ConfigurationError(f"unknown apps {unknown}; known: {sorted(APPS)}")

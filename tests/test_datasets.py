@@ -110,9 +110,10 @@ class TestLoad:
 
 
 class TestStoreLoadsAreTheSameInput:
-    """A graph opened from a store container is the input the same graph
-    is in RAM: one symmetric degree (``symmetric().out_degrees()``) picks
-    the default kcore ``k`` on every path, so the labels agree."""
+    """A graph opened from a store container, read back from an edge list
+    or served as a snapshot is the input the same graph is in RAM: one
+    symmetric degree (``symmetric().out_degrees()``) picks the default
+    kcore ``k`` on every path, so the labels agree."""
 
     NAME = "fuzz:powerlaw:3"
 
@@ -126,21 +127,42 @@ class TestStoreLoadsAreTheSameInput:
         )]
         assert ks[0] != ks[1]
 
-    @pytest.mark.parametrize("app", ["kcore", "mis"])
+    @pytest.mark.parametrize("app", [
+        "bfs", "bfs-do", "sssp", "cc", "cc-pj", "pr", "pr-push", "kcore", "mis",
+    ])
     def test_ram_and_store_paths_give_identical_labels(self, tmp_path, app):
+        """One input, every route: a graph in RAM, opened from a store
+        container in either mode, read back from an edge list and served
+        as a ``serve:`` snapshot runs to the same labels."""
         from repro.frameworks import DIrGL
+        from repro.fuzz.gen import SHAPES
+        from repro.generators.datasets import Dataset, fuzz_dataset
+        from repro.graph.io import load_edgelist, save_edgelist
         from repro.graph.store import write_csr_store
 
-        ds = load_dataset(self.NAME)
-        path = str(tmp_path / "g.csr")
-        write_csr_store(ds.graph, path)
-        want = DIrGL("oec").run(app, ds, 2).labels
-        for mode in ("ram", "mmap"):
-            stored = load_dataset(f"store+{mode}:{path}")
-            assert stored.category == "store" and stored.scale_factor == 1.0
-            np.testing.assert_array_equal(
-                DIrGL("oec").run(app, stored, 2).labels, want, err_msg=mode
-            )
+        names = [self.NAME, *(fuzz_dataset(shape, 1) for shape in SHAPES)]
+        for i, name in enumerate(names):
+            ds = load_dataset(name)
+            g = ds.graph
+            store, edges = str(tmp_path / f"{i}.csr"), str(tmp_path / f"{i}.el")
+            write_csr_store(g, store)
+            save_edgelist(g, edges)
+            routes = {
+                mode: load_dataset(f"store+{mode}:{store}") for mode in ("ram", "mmap")
+            }
+            for stored in routes.values():
+                assert stored.category == "store" and stored.scale_factor == 1.0
+            # an empty file auto-detects as unweighted: say what was written
+            routes["edgelist"] = Dataset(name, ds.category, load_edgelist(
+                edges, num_vertices=g.num_vertices, weighted=g.has_weights,
+            ), 1.0)
+            routes["serve"] = Dataset(f"serve:{g.content_hash()[:16]}", "serve", g, 1.0)
+            want = DIrGL("oec").run(app, ds, 2).labels
+            for route, other in routes.items():
+                np.testing.assert_array_equal(
+                    DIrGL("oec").run(app, other, 2).labels, want,
+                    err_msg=f"{name} via {route}",
+                )
 
 
 @pytest.mark.parametrize("mode", ["ram", "mmap"])

@@ -107,6 +107,14 @@ class TestTraffic:
         with pytest.raises(ConfigurationError, match="client_weights"):
             TrafficConfig(num_clients=4, client_weights=weights)
 
+    @pytest.mark.parametrize("ef", [math.nan, math.inf, -2.0], ids=repr)
+    def test_a_bad_graph_spec_is_refused_when_built(self, ef):
+        # let through, a NaN or infinite edge factor ends in a bare
+        # ValueError / OverflowError when the graphs are built, and a
+        # negative one silently serves an edgeless graph
+        with pytest.raises(ConfigurationError, match="graph spec"):
+            TrafficConfig(graphs=((6, ef),))
+
 
 # a small, fast, coalesce-heavy workload shared by the service tests
 TRAFFIC = TrafficConfig(
@@ -243,6 +251,41 @@ class TestService:
         assert failed[0].failure_kind == ConfigurationError.kind
         with pytest.raises(ConfigurationError, match=r"source vertex -1\b"):
             failed[0].raise_failure()
+
+    def test_a_repeated_failure_is_a_memo_hit(self, monkeypatch):
+        """Failures never answer an arrival, but a failed content's answer
+        still answers a later dispatch of that content: outside ``naive``
+        a repeated failing request is a ``memo`` execution, and the engine
+        runs each failing content once."""
+        import dataclasses
+
+        from repro.runtime import cells
+
+        trace = generate_trace(TrafficConfig(
+            seed=5, num_requests=80, mean_interarrival=0.002, mutate_every=10,
+        ))
+        bfs = [i for i, r in enumerate(trace.requests) if r.app == "bfs"][:6]
+        requests = [
+            dataclasses.replace(r, params=(("source", -1),)) if i in bfs else r
+            for i, r in enumerate(trace.requests)
+        ]
+        failing = []
+        real_run_task = cells.run_task
+
+        def spying_run_task(spec):
+            out = real_run_task(spec)
+            if not out.ok:
+                failing.append((spec.dataset.name, spec.ctx_overrides))
+            return out
+
+        monkeypatch.setattr(cells, "run_task", spying_run_task)
+        rep = run_trace(
+            dataclasses.replace(trace, requests=requests), ServeConfig(workers=2)
+        )
+        c = rep.counters
+        assert (c["failed"], c["memo_hits"], c["full_runs"]) == (6, 4, 20)
+        # the six failing requests carry two contents: two engine runs
+        assert len(failing) == len(set(failing)) == 2
 
 
 #: apps whose labels are bit-identical however the graph was partitioned
@@ -460,29 +503,35 @@ class TestServedStateLivesForItsBatch:
         assert after and after == [0] * len(after)
         assert load_dataset.cache_info().currsize == before
 
-    def test_the_memo_keeps_no_labels(self, monkeypatch):
-        """A physical memo hit answers with the run's cost, CRC, rounds and
-        failure; a label array kept per content key would grow with the
-        trace and nothing reads it."""
-        from repro.serve.backend import ExecBackend
+    def test_the_answer_table_keeps_no_labels_or_graphs(self, monkeypatch):
+        """The answer table keeps one record per content key for the whole
+        trace: a CRC, a cost and a failure kind.  A label array, snapshot
+        or graph kept per record would grow with the trace, and nothing
+        reads it."""
+        from repro.graph.csr import CSRGraph
+        from repro.graph.mutable import MutableGraph
+        from repro.serve.service import AnalyticsService
 
-        backends = {}
-        run_batch = ExecBackend.run_batch
+        services = []
+        run = AnalyticsService.run
 
-        def capturing(self, task):
-            backends[id(self)] = self
-            return run_batch(self, task)
+        def capturing(self, trace):
+            services.append(self)
+            return run(self, trace)
 
-        monkeypatch.setattr(ExecBackend, "run_batch", capturing)
+        monkeypatch.setattr(AnalyticsService, "run", capturing)
         trace = generate_trace(TrafficConfig(
             seed=5, num_requests=80, mean_interarrival=0.002, mutate_every=10,
         ))
         rep = run_trace(trace, ServeConfig(workers=2))
         assert rep.counters["failed"] == 0
-        (backend,) = backends.values()
-        assert backend._memo
-        for hit in backend._memo.values():
-            assert not any(isinstance(v, np.ndarray) for v in vars(hit).values())
+        (service,) = services
+        assert service._answers
+        for record in service._answers.values():
+            assert not any(
+                isinstance(v, (np.ndarray, CSRGraph, MutableGraph))
+                for v in vars(record).values()
+            )
 
 
 class TestSpoolReuse:

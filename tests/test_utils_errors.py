@@ -178,6 +178,7 @@ class TestTypedErrorsAtTheCliBoundary:
         ["--apps", "zzz"],
         ["--policy", "zzz"],
         ["--max-queue-depth", "0"],
+        ["--graphs", "6:nan"],
     ], ids="=".join)
     def test_a_serve_config_it_cannot_serve_is_a_usage_error(
         self, capsys, flags
