@@ -5,10 +5,10 @@ the verdict line to print and the floor or ceiling to check.  :func:`main`
 is the one loop over the table; ``docs/performance.md`` ("Running and
 updating") tabulates the rows for readers.  What a gate computes in
 simulated time is not here: the sync matrix, the sweep slice, two-level
-sync, serve, the advisor and gnn suites are rows of the ``gates`` golden
-table (``tests/test_gates.py``), and the out-of-core study's rounds and
-label CRCs are rows of the ``ooc`` table (``tests/test_ooc.py``), both
-recorded by ``python -m tests.golden record``.
+sync, serve, the advisor and gnn suites and the matrix's off-path calls
+are rows of the ``gates`` golden table (``tests/test_gates.py``), and the
+out-of-core study's rounds and label CRCs are rows of the ``ooc`` table
+(``tests/test_ooc.py``), both recorded by ``python -m tests.golden record``.
 
 Usage::
 
@@ -27,13 +27,11 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from benchmarks.perfbaseline import (
+    OFF_PATH_BUDGET,
     SWEEP_SPEEDUP_MIN,
-    measure_overhead,
+    measure_off_path,
     measure_sweep_speedup,
-    overhead_tolerance,
 )
-from repro.hw import ContentionConfig
-from repro.obs import Tracer
 from repro.study.ooc import OocConfig
 from repro.study.ooc import evaluate as ooc_evaluate
 from repro.study.ooc import run_ooc_study
@@ -79,31 +77,23 @@ def _sweep_check(sp: dict) -> list[str]:
     return []
 
 
-def _overhead_gate(
-    name: str, subject: str, kwarg: str, off_value: Callable[[], Any],
-    env: str, unset: str, off: str,
-) -> Gate:
-    """A zero-overhead-when-off row: the sync matrix with ``run_cell``'s
-    ``kwarg`` unset vs set to ``off_value()``, held to ``env``'s ceiling."""
+def _off_path_line(op: dict) -> str:
+    return (
+        f"off path of the sync matrix: {op['calls']} calls x "
+        f"{op['ns_per_call']:.0f} ns ({op['entry']}, the costliest allowed "
+        f"entry) = {op['cost_seconds'] * 1e3:.2f} ms of a "
+        f"{op['floor_seconds'] * 1e3:.1f} ms floor = {op['share']:.2%} "
+        f"(gate: <= {OFF_PATH_BUDGET:.0%})"
+    )
 
-    def line(sp: dict) -> str:
-        return (
-            f"{subject} overhead over {sp['cells']} matrix cells: "
-            f"{sp['unset_wall_seconds'] * 1e3:.1f} ms {unset} / "
-            f"{sp['off_wall_seconds'] * 1e3:.1f} ms {off} "
-            f"= {sp['overhead_ratio']:.4f}x "
-            f"(gate: <= {overhead_tolerance(env):.2f}x)"
-        )
 
-    def check(sp: dict) -> list[str]:
-        if sp["overhead_ratio"] <= overhead_tolerance(env):
-            return []
-        return [
-            f"{subject} overhead gate: {sp['overhead_ratio']:.4f}x > "
-            f"{overhead_tolerance(env):.2f}x"
-        ]
-
-    return Gate(name, lambda: measure_overhead(kwarg, off_value()), line, check)
+def _off_path_check(op: dict) -> list[str]:
+    if op["share"] <= OFF_PATH_BUDGET:
+        return []
+    return [
+        f"off-path gate: {op['share']:.2%} of the matrix floor > "
+        f"{OFF_PATH_BUDGET:.0%}"
+    ]
 
 
 def _ooc_line(report) -> str:
@@ -149,20 +139,9 @@ GATES = (
     # a warm partition cache must beat the cold serial first run, with
     # zero re-partitions
     Gate("sweep-speedup", measure_sweep_speedup, _sweep_line, _sweep_check),
-    _overhead_gate(
-        "trace-overhead", "tracing", "tracer",
-        lambda: Tracer(enabled=False), "REPRO_TRACE_OVERHEAD_TOL",
-        "no tracer", "disabled tracer",
-    ),
-    _overhead_gate(
-        "check-overhead", "invariant-check", "check", lambda: "off",
-        "REPRO_CHECK_OVERHEAD_TOL", "ambient level", "off installed",
-    ),
-    _overhead_gate(
-        "contention-overhead", "contention", "contention",
-        lambda: ContentionConfig(enabled=False),
-        "REPRO_CONTENTION_OVERHEAD_TOL", "no config", "disabled config",
-    ),
+    # the matrix's counted calls into tracing, checking and contention
+    # pricing, all three off, priced at the costliest allowed entry
+    Gate("off-path", measure_off_path, _off_path_line, _off_path_check),
     # chunk-generate an R-MAT store >= 4x the RAM cap, partition it into
     # spilled shards, fan bfs + pr-push out over spawn workers
     # (REPRO_OOC_RAM_CAP_MB / REPRO_OOC_RSS_TOL / REPRO_OOC_WALL_TOL

@@ -1,56 +1,56 @@
-"""Regression-gate measurements.
-
-The repo's credibility rests on two properties the paper study also needed
-(cf. Gunrock's multi-GPU harness and Ammar & Özsu's cross-system study):
-the hot paths must be fast, and the measurement must be reproducible and
-regression-tracked.  This module holds the measurements both halves run:
+"""Regression-gate measurements (cf. Gunrock's multi-GPU harness and
+Ammar & Özsu's cross-system study: fast hot paths, measured reproducibly):
 
 * :func:`run_cell` / :func:`run_matrix` — the fixed bfs/cc/pagerank ×
   IEC/CVC × BSP/BASP × AS/UO matrix on a seeded RMAT graph: per cell the
-  host wall-clock, machine-dependent, and the *simulated* metrics —
-  execution time, rounds, messages, wire bytes, work items, a CRC of the
-  output labels — all deterministic;
-* :func:`run_sweep` — a fixed slice of the study through the sweep
-  executor.
+  host wall-clock and the deterministic *simulated* metrics (execution
+  time, rounds, messages, wire bytes, work items, a label CRC);
+* :func:`count_off_path` — the calls each matrix cell makes into tracing,
+  invariant checking and contention pricing with all three off;
+* :func:`run_sweep` — a fixed slice of the study through the executor.
 
-The deterministic fields are rows of the ``gates`` golden table
+Their deterministic output is rows of the ``gates`` golden table
 (``tests/test_gates.py``); the gates that need a clock,
-:func:`measure_overhead` (a disabled subsystem must cost nothing) and
-:func:`measure_sweep_speedup`, run from ``benchmarks/bench_regression.py``.
+:func:`measure_off_path` and :func:`measure_sweep_speedup`, run from
+``benchmarks/bench_regression.py``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
+import timeit
 import zlib
-from contextlib import nullcontext
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro import obs
 from repro.apps import get_app
-from repro.check import use_check_level
+from repro.check import current_check_level, use_check_level
 from repro.comm import CommConfig
 from repro.engine import BASPEngine, BSPEngine
 from repro.engine.operator import RunContext
 from repro.errors import ConfigurationError
 from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
-from repro.hw import bridges
+from repro.hw import ContentionConfig, bridges
 from repro.partition import partition
 
 __all__ = [
     "CellResult",
     "MATRIX_CELLS",
     "SWEEP_SPEEDUP_MIN",
-    "OVERHEAD_MAX",
+    "OFF_PATH_ALLOWED",
+    "OFF_PATH_BUDGET",
     "cell_key",
     "run_cell",
     "run_matrix",
-    "measure_overhead",
-    "overhead_tolerance",
+    "count_off_path",
+    "measure_off_path",
     "sweep_specs",
     "run_sweep",
     "measure_sweep_speedup",
@@ -73,17 +73,6 @@ MATRIX_CELLS = tuple(
 #: CI territory.
 MATRIX_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 3}
 NUM_PARTITIONS = 4
-
-#: Maximum off / unset wall-clock ratio the three overhead gates enforce
-#: (< 2% overhead with tracing, invariant checking or contention pricing
-#: switched off); each gate's own environment variable overrides it —
-#: ``REPRO_TRACE_OVERHEAD_TOL``, ``REPRO_CHECK_OVERHEAD_TOL``,
-#: ``REPRO_CONTENTION_OVERHEAD_TOL`` (:func:`overhead_tolerance`).
-OVERHEAD_MAX = 1.02
-
-#: Timing repetitions per leg in :func:`measure_overhead` (per-cell
-#: best-of, both legs run back to back per cell).
-OVERHEAD_REPS = 5
 
 
 @dataclass
@@ -118,10 +107,6 @@ def cell_key(app: str, policy: str, engine: str, comm: str) -> str:
     return f"{app}/{policy}/{engine}/{comm}"
 
 
-def overhead_tolerance(env_name: str) -> float:
-    return float(os.environ.get(env_name, OVERHEAD_MAX))
-
-
 # --------------------------------------------------------------------------- #
 # workload construction
 # --------------------------------------------------------------------------- #
@@ -140,20 +125,14 @@ class _Workload:
         self.cluster = bridges(parts)
         self.graphs = {"directed": g, "symmetric": sym}
         self.contexts = {
-            "directed": RunContext(
-                num_global_vertices=g.num_vertices,
-                source=int(np.argmax(g.out_degrees())),
+            kind: RunContext(
+                num_global_vertices=graph.num_vertices,
+                source=int(np.argmax(graph.out_degrees())),
                 k=8,
-                global_out_degrees=g.out_degrees(),
+                global_out_degrees=graph.out_degrees(),
                 global_degrees=sym.out_degrees(),
-            ),
-            "symmetric": RunContext(
-                num_global_vertices=sym.num_vertices,
-                source=int(np.argmax(sym.out_degrees())),
-                k=8,
-                global_out_degrees=sym.out_degrees(),
-                global_degrees=sym.out_degrees(),
-            ),
+            )
+            for kind, graph in self.graphs.items()
         }
         self._pgs: dict = {}
 
@@ -180,20 +159,18 @@ def run_cell(
     policy: str,
     engine: str,
     comm: str,
-    tracer=None,
-    check=None,
-    contention=None,
     hierarchical: bool = False,
+    off: bool = False,
+    calls: Counter | None = None,
 ) -> CellResult:
     """Run one cell and collect its measurements.
 
-    ``contention`` (a :class:`~repro.hw.contention.ContentionConfig`)
-    attaches shared-resource pricing to the workload's cluster for this
-    cell only; ``hierarchical`` opts the cell into two-level sync;
-    ``tracer`` is made the ambient tracer for the run (``None`` installs
-    the off state, as a disabled one does); ``check`` is installed as the
-    ambient check level around the engine (``None`` leaves the ambient
-    one).
+    ``hierarchical`` opts the cell into two-level sync; ``off`` installs
+    the explicit off value of each subsystem with an off path — a
+    disabled ``Tracer``, check level ``"off"`` and a disabled
+    ``ContentionConfig`` on the cluster — where by default none is
+    installed; ``calls`` counts, while ``eng.run`` executes, every call
+    into :data:`OFF_PATH_MODULES` (``"module:qualname"`` -> calls).
     """
     if engine not in _ENGINES:
         raise ConfigurationError(f"unknown engine {engine!r}")
@@ -201,19 +178,20 @@ def run_cell(
         raise ConfigurationError(f"unknown comm variant {comm!r}")
     app, pg, ctx = workload.inputs_for(app_name, policy)
     cluster = workload.cluster
-    if contention is not None:
-        cluster = replace(cluster, contention=contention)
+    if off:
+        cluster = replace(cluster, contention=ContentionConfig(enabled=False))
     comm_config = _COMM_CONFIGS[comm]
     if hierarchical:
         comm_config = replace(comm_config, hierarchical=True)
-    with nullcontext() if check is None else use_check_level(check):
+    with use_check_level("off") if off else nullcontext():
         eng = _ENGINES[engine](
             pg, cluster, app, comm_config=comm_config, check_memory=False
         )
-        with obs.use_tracer(tracer):
-            start = time.perf_counter()
-            res = eng.run(ctx)
-            wall = time.perf_counter() - start
+        with obs.use_tracer(obs.Tracer(enabled=False) if off else None):
+            with nullcontext() if calls is None else _counting(calls):
+                start = time.perf_counter()
+                res = eng.run(ctx)
+                wall = time.perf_counter() - start
     s = res.stats
     return CellResult(
         key=cell_key(app_name, policy, engine, comm),
@@ -238,63 +216,103 @@ def run_matrix() -> dict[str, CellResult]:
     return results
 
 
-def measure_overhead(kwarg: str, off_value, reps: int = OVERHEAD_REPS) -> dict:
-    """Wall-clock of the matrix with ``run_cell``'s ``kwarg`` unset vs
-    set to ``off_value``, its explicitly *disabled* form.
+# --------------------------------------------------------------------------- #
+# the off path: calls counted, then priced
+# --------------------------------------------------------------------------- #
+#: The modules of the three subsystems with an off path: tracing,
+#: invariant checking and contention pricing.
+OFF_PATH_MODULES = ("repro.obs", "repro.check", "repro.hw.contention")
 
-    This is the zero-overhead-when-off measurement behind three gates:
-    ``tracer=Tracer(enabled=False)`` (``obs.use_tracer`` installs the one
-    off state for ``None`` and for a disabled tracer alike, so the legs
-    are two spellings of the same thing: this can only catch a disabled
-    tracer being given a path of its own again, or work outside an
-    ``if tracer.enabled:`` guard that reads which one was installed — not
-    what a disabled call costs, which the layered benchmark's untraced
-    passes pay on both sides of a comparison), ``check="off"`` (installed
-    as the ambient level; both legs compile the same two pre-computed
-    booleans into the round loop, so the only thing this can catch is
-    exactly what it must: work creeping outside the ``if check_cheap:``
-    guards) and
-    ``contention=ContentionConfig(enabled=False)`` (the router normalizes
-    a disabled config to ``None``).  The two legs of each matrix cell run
-    **back to back** (so both see the same machine state — container
-    clocks are bursty enough that whole-leg totals of identical code can
-    swing ±10%), the unset leg first in even reps and second in odd
-    ones, and each leg's total is the sum of per-cell
-    best-of-``reps`` wall-clocks, which converge on each cell's true
-    floor.  Deterministic metrics of both legs must agree exactly: a
-    disabled subsystem may not change results — not a single priced
-    second — any more than it may change speed.
+#: What a cell may reach in :data:`OFF_PATH_MODULES` with all three off,
+#: each entry with the statement :func:`measure_off_path` times it by:
+#: its off state, spelled as the sites call it.
+OFF_PATH_ALLOWED = {
+    "repro.obs:current_tracer": "current_tracer()",
+    "repro.check.level:current_check_level": "current_check_level()",
+    "repro.obs.tracer:Tracer.begin": "t.begin('compute', 'compute', tid=0, args={})",
+    "repro.obs.tracer:Tracer.end": "t.end(None, edges=0)",
+    "repro.obs.tracer:Tracer.count": "t.count('comm.hier.x.aggregates', 1)",
+    "repro.obs.tracer:Tracer.instant": "t.instant('sim', 'round', tid=0, args={})",
+}
+
+#: Ceiling on the priced off path as a share of the matrix floor.
+OFF_PATH_BUDGET = 0.02
+
+
+@contextmanager
+def _counting(calls: Counter):
+    """Count every call into :data:`OFF_PATH_MODULES` in ``calls``."""
+
+    def hook(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith(OFF_PATH_MODULES):
+                calls[f"{module}:{frame.f_code.co_qualname}"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        yield
+    finally:
+        sys.setprofile(previous)
+
+
+def count_off_path(
+    cells=MATRIX_CELLS, workload: _Workload | None = None
+) -> dict[str, tuple[CellResult, dict]]:
+    """Each cell run with all three subsystems off (``off=True``), and
+    the calls ``eng.run`` makes into :data:`OFF_PATH_MODULES`: cell key ->
+    (result, ``{"module:qualname": calls}``).
+
+    One uncounted pass over ``cells`` comes first (partitions, memoized
+    sync plans), so no count depends on what ran before in the process.
+    """
+    workload = workload or _Workload(MATRIX_GRAPH)
+    for cell_args in cells:
+        run_cell(workload, *cell_args, off=True)
+    counted = {}
+    for cell_args in cells:
+        calls: Counter = Counter()
+        cell = run_cell(workload, *cell_args, off=True, calls=calls)
+        counted[cell.key] = cell, dict(calls)
+    return counted
+
+
+def measure_off_path(reps: int = 5, timeit_reps=(5, 10_000)) -> dict:
+    """The off path's price against the matrix floor — the off-path gate.
+
+    The matrix's calls into :data:`OFF_PATH_MODULES` are counted
+    (:func:`count_off_path`) and each is priced at the best ``timeit``
+    cost of the costliest :data:`OFF_PATH_ALLOWED` entry, an upper bound
+    on any allowed call (tier 1 holds every counted call to that list).
+    The floor is the sum over cells of each cell's best-of-``reps``
+    wall-clock, everything off.  After each matrix pass every entry is
+    timed (``timeit_reps``: repeats, calls per repeat), so a burst of
+    host noise reaches one sample of each, not all of one.
     """
     workload = _Workload(MATRIX_GRAPH)
-    # warm-up: partitions, memoized sync plans, allocator steady state
-    reference = {}
-    for cell_args in MATRIX_CELLS:
-        cell = run_cell(workload, *cell_args)
-        reference[cell.key] = cell.deterministic_fields()
-    unset_best: dict[str, float] = {}
-    off_best: dict[str, float] = {}
-    legs = ((None, unset_best), (off_value, off_best))
-    for rep in range(max(1, int(reps))):
-        for cell_args in MATRIX_CELLS:
-            # neither leg always runs second: the order flips every rep
-            for value, best in legs[::-1] if rep % 2 else legs:
-                cell = run_cell(workload, *cell_args, **{kwarg: value})
-                if cell.deterministic_fields() != reference[cell.key]:
-                    raise ConfigurationError(
-                        f"{kwarg}={off_value!r} changed deterministic "
-                        f"results on {cell.key}: "
-                        f"{cell.deterministic_fields()} vs "
-                        f"{reference[cell.key]}"
-                    )
-                best[cell.key] = min(
-                    cell.wall_seconds, best.get(cell.key, cell.wall_seconds)
-                )
-    unset, off = sum(unset_best.values()), sum(off_best.values())
+    calls: Counter = Counter()
+    for _, cell_calls in count_off_path(workload=workload).values():
+        calls.update(cell_calls)
+    env = {"current_tracer": obs.current_tracer, "t": obs.NULL_TRACER,
+           "current_check_level": current_check_level}
+    timers = {e: timeit.Timer(s, globals=env) for e, s in OFF_PATH_ALLOWED.items()}
+    walls, best = [], dict.fromkeys(timers, float("inf"))
+    for _ in range(reps):
+        walls.append(
+            [run_cell(workload, *c, off=True).wall_seconds for c in MATRIX_CELLS])
+        for e, timer in timers.items():
+            best[e] = min(best[e], *timer.repeat(*timeit_reps))
+    entry = max(best, key=best.get)
+    ns, total = best[entry] / timeit_reps[1] * 1e9, sum(calls.values())
+    cost, floor_s = total * ns * 1e-9, sum(map(min, zip(*walls)))
     return {
-        "cells": len(MATRIX_CELLS),
-        "unset_wall_seconds": unset,
-        "off_wall_seconds": off,
-        "overhead_ratio": off / max(unset, 1e-12),
+        "calls": total,
+        "entry": entry,
+        "ns_per_call": ns,
+        "cost_seconds": cost,
+        "floor_seconds": floor_s,
+        "share": cost / max(floor_s, 1e-12),
     }
 
 

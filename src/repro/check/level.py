@@ -9,9 +9,9 @@ it to a scope installer (``SweepExecutor(check=)``, which carries it
 into pool workers).
 
 Zero-overhead contract: at :data:`CheckLevel.OFF` (the default) every
-instrumentation site reduces to one falsy test on a cached attribute —
-the same deal the tracer offers, held below 2% on the sync-matrix
-cells by the overhead gate in ``benchmarks/bench_regression.py``.
+instrumentation site reduces to one falsy test on a cached attribute, and
+a run calls only :func:`current_check_level` here: the ``gates`` table's
+``off-path`` rows count it, and its gate prices it below 2 % of the matrix.
 """
 
 from __future__ import annotations

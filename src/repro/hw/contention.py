@@ -61,8 +61,8 @@ class ContentionConfig:
 
     Frozen (hashable) so it can ride on the frozen
     :class:`~repro.hw.cluster.Cluster`.  ``enabled=False`` keeps the
-    config attached but prices exactly like no config at all — the
-    contention-overhead bench gate runs on that leg.
+    config attached but prices exactly like no config at all and calls
+    nothing here while a run executes (the ``off-path`` rows count it).
     """
 
     enabled: bool = True

@@ -18,9 +18,9 @@ The contract (DESIGN.md, "Instrumentation contract"):
 whose every method returns at once — so a site calls ``begin`` / ``end`` /
 ``instant`` / ``count`` without testing, and tests ``tracer.enabled``
 only where building the *arguments* is itself work.  A layer reads the
-ambient tracer when it runs, never when it is constructed.  The overhead
-gate in ``benchmarks/bench_regression.py`` holds an installed disabled
-tracer within 2% of the default on the sync-matrix cells.
+ambient tracer when it runs, never when it is constructed.  Off, a run
+calls only :func:`current_tracer` and the null tracer's methods: the
+``gates`` table's ``off-path`` rows count them, its gate prices them.
 """
 
 from __future__ import annotations

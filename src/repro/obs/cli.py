@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 
-from repro.errors import cli_main
+from repro.errors import ConfigurationError, cli_main
 from repro.obs.export import read_trace, summarize_trace
 
 __all__ = ["main", "summarize_files"]
@@ -108,7 +108,10 @@ def _cmd_summarize(ns) -> int:
 
 def _cmd_csv(ns) -> int:
     events = read_trace(ns.trace)
-    out = open(ns.output, "w", newline="") if ns.output else sys.stdout
+    try:
+        out = open(ns.output, "w", newline="") if ns.output else sys.stdout
+    except OSError as e:
+        raise ConfigurationError(f"cannot write {ns.output}: {e}") from e
     try:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["ph", "name", "cat", "pid", "tid", "ts_us", "dur_us", "args"])

@@ -79,18 +79,22 @@ def write_chrome(tracer, path, process_name: Optional[str] = None) -> str:
 def read_trace(path) -> list[dict]:
     """Load a Chrome trace file's event list (dict or bare-array form).
 
-    A file that is missing, unreadable or not JSON (a truncated write)
-    raises :class:`~repro.errors.ConfigurationError`: the path given is
-    not a trace.
+    A file that is missing, unreadable or not JSON (a truncated write),
+    or whose events are not a list of objects, raises
+    :class:`~repro.errors.ConfigurationError`: the path given is not a
+    trace.
     """
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, ValueError) as e:
         raise ConfigurationError(f"cannot read trace {path}: {e}") from e
-    if isinstance(doc, dict):
-        return list(doc.get("traceEvents", []))
-    return list(doc)
+    events = doc.get("traceEvents", []) if isinstance(doc, dict) else doc
+    if not (isinstance(events, list) and all(isinstance(e, dict) for e in events)):
+        raise ConfigurationError(
+            f"cannot read trace {path}: its events are not a list of objects"
+        )
+    return events
 
 
 def summarize_trace(events: list[dict]) -> dict:

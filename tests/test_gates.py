@@ -4,14 +4,16 @@ table, and the clock-bound driver that is left.
 Everything a gate computes in simulated time is a row of
 ``tests/cases/gates_golden.json``, one group per former gate (:data:`GROUPS`):
 the sync matrix, a slice of the study through a two-worker pool, flat vs
-two-level sync, a served trace, and the advisor and gnn suites.  Tier 1
-recomputes every group and compares exactly; each gate's floor or ceiling
-is a claim over the recorded rows, and each claim fails on a copy with
-one row doctored.  What needs a clock — ``sweep-speedup``, the three
-overhead gates and ``ooc`` — stays in ``benchmarks/bench_regression.py``,
-whose loop is driven here through ``main(argv, gates=...)`` with fake
-rows; of the real table only the names and the ``ooc`` check (against the
-``ooc`` rows, on reports built from them) run here.
+two-level sync, a served trace, the advisor and gnn suites, and the calls
+each matrix cell makes into tracing, checking and contention pricing with
+all three off (``off-path``: counted, not timed).  Tier 1 recomputes every
+group and compares exactly; each gate's floor or ceiling is a claim over
+the recorded rows, and each claim fails on a copy with one row doctored.
+What needs a clock — ``sweep-speedup``, ``off-path``'s 2 % budget and
+``ooc`` — stays in ``benchmarks/bench_regression.py``, whose loop is
+driven here through ``main(argv, gates=...)`` with fake rows; of the real
+table only the names and the ``ooc`` check (against the ``ooc`` rows, on
+reports built from them) run here.
 """
 
 import copy
@@ -23,9 +25,17 @@ import pytest
 
 from benchmarks import perfbaseline
 from benchmarks.bench_regression import GATES, Gate, main
-from benchmarks.perfbaseline import MATRIX_CELLS, cell_key, run_matrix, run_sweep
+from benchmarks.perfbaseline import (
+    MATRIX_CELLS,
+    OFF_PATH_ALLOWED,
+    cell_key,
+    count_off_path,
+    run_matrix,
+    run_sweep,
+)
 from repro import obs
 from repro.check import current_check_level
+from repro.engine.core import RoundCore
 from repro.gnnflow import H2D_REDUCTION_GATE, GnnReport, evaluate_gnn, gnn_study
 from repro.gnnflow.study import GNN_SEED, GnnRow
 from repro.partition.cache import get_cache
@@ -147,6 +157,16 @@ def gnn_rows() -> dict:
     }
 
 
+def off_path_rows(cells=MATRIX_CELLS) -> dict:
+    """Per matrix cell, with tracing, checking and contention pricing all
+    explicitly off: the calls ``eng.run`` makes into their modules, and
+    the cell's results."""
+    return {
+        f"off-path/{key}": {"calls": calls, "results": cell.deterministic_fields()}
+        for key, (cell, calls) in count_off_path(cells).items()
+    }
+
+
 GROUPS = {
     "sync-matrix": sync_matrix_rows,
     "sweep": sweep_rows,
@@ -154,6 +174,7 @@ GROUPS = {
     "serve": serve_rows,
     "advisor": advisor_rows,
     "gnn": gnn_rows,
+    "off-path": off_path_rows,
 }
 
 
@@ -220,11 +241,24 @@ def caching_cuts_h2d_traffic(rows):
     assert evaluate_gnn(report, H2D_REDUCTION_GATE) == []
 
 
+def off_path_reaches_only_the_allowed_entries(rows):
+    """With everything off a cell calls only the cheap lookups and the
+    null tracer's methods, and gets the results it gets with nothing
+    installed."""
+    cells = _group(rows, "off-path")
+    assert len(cells) == len(MATRIX_CELLS)
+    for key, row in cells.items():
+        unlisted = sorted(set(row["calls"]) - set(OFF_PATH_ALLOWED))
+        assert not unlisted, f"{key} reaches {unlisted}"
+        assert row["results"] == rows[key.replace("off-path/", "sync-matrix/")], key
+
+
 CLAIMS = {
     "hier-aggregation": two_level_sync_folds_cross_host_messages,
     "serve": serving_beats_naive_without_failures,
     "advisor": advisor_regret_within_gate,
     "gnn": caching_cuts_h2d_traffic,
+    "off-path": off_path_reaches_only_the_allowed_entries,
 }
 
 
@@ -262,6 +296,13 @@ DOCTORED = {
         "gnn"),
     "gnn-jobs-differ": (
         lambda r: r["gnn/serial-vs-jobs-2"].update(identical=False), "gnn"),
+    "off-path-unlisted-entry": (
+        lambda r: r["off-path/pr/cvc/bsp/uo"]["calls"].update(
+            {"repro.check.comm:check_post_sync": 1}),
+        "off-path"),
+    "off-path-results-moved": (
+        lambda r: r["off-path/bfs/iec/basp/as"]["results"].update(rounds=0),
+        "off-path"),
 }
 
 
@@ -272,6 +313,44 @@ def test_gates_fail_on_doctored_rows(rows, case):
     doctor(doctored)
     with pytest.raises(AssertionError):
         CLAIMS[group](doctored)
+
+
+#: the cells the planted off-path regressions run on
+PLANT_CELLS = (("bfs", "cvc", "bsp", "uo"), ("cc", "iec", "bsp", "as"))
+
+
+def test_a_span_per_vertex_moves_the_off_path_rows(rows, monkeypatch):
+    """A disabled span per frontier vertex, not per compute stage, stays
+    on the allowed entries but moves every planted cell's counts."""
+    compute = RoundCore.compute
+
+    def planted(self, p, frontier, candidates, **span):
+        for _ in frontier:
+            self.tracer.end(self.tracer.begin("vertex", "compute", tid=p))
+        return compute(self, p, frontier, candidates, **span)
+
+    monkeypatch.setattr(RoundCore, "compute", planted)
+    got = golden.normalized(off_path_rows(PLANT_CELLS))
+    assert golden.problems(got, {k: rows[k] for k in got}) == [
+        f"moved row {k!r} (fields ['calls'])" for k in sorted(got)
+    ]
+    off_path_reaches_only_the_allowed_entries({**rows, **got})
+
+
+def test_an_unguarded_full_check_fails_the_allowed_entries(rows, monkeypatch):
+    """A FULL post-sync check run every round outside its guard reaches
+    ``repro.check`` past the lookups."""
+    next_frontier = RoundCore.next_frontier
+
+    def planted(self, p, bufs):
+        if p == 0:
+            self.check_post_sync()
+        return next_frontier(self, p, bufs)
+
+    monkeypatch.setattr(RoundCore, "next_frontier", planted)
+    got = golden.normalized(off_path_rows(PLANT_CELLS[:1]))
+    with pytest.raises(AssertionError, match="repro.check.comm:check_post_sync"):
+        off_path_reaches_only_the_allowed_entries({**rows, **got})
 
 
 def test_matrix_cells_cover_full_grid():
@@ -389,11 +468,19 @@ NAMES = [g.name for g in GATES]
 
 
 def test_table_shape():
-    assert NAMES == [
-        "sweep-speedup", "trace-overhead", "check-overhead",
-        "contention-overhead", "ooc",
-    ]
+    assert NAMES == ["sweep-speedup", "off-path", "ooc"]
     assert [g.name for g in GATES if not g.default] == ["ooc"]
+
+
+@pytest.mark.parametrize(
+    "name", ["trace-overhead", "check-overhead", "contention-overhead"]
+)
+def test_the_wall_ratio_gates_are_gone(name, capsys):
+    """The three gates that timed the matrix against itself left with
+    the ``off-path`` count."""
+    code, _, err = _run(["--only", name], GATES, capsys)
+    assert code == 2 and f"unknown gate(s) {name}" in err
+    assert f"valid names: {', '.join(NAMES)}" in err
 
 
 @pytest.mark.parametrize("flag", _OLD_FLAG_LIST + ["--update", "--check-only"])

@@ -352,12 +352,28 @@ class TestTraceCLI:
         assert any(line.startswith("C,comm.reduce.rank.messages") for line in lines)
 
     @pytest.mark.parametrize("command", ["summarize", "csv"])
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", [
+        "missing", "truncated", "null", "events-not-a-list", "event-not-an-object",
+    ])
     def test_cli_reports_a_bad_trace_file(self, trace_path, command, damage, capsys):
         if damage == "missing":
             trace_path.unlink()
-        else:
+        elif damage == "truncated":
             trace_path.write_text(trace_path.read_text()[:40])
+        else:
+            trace_path.write_text({
+                "null": "null",
+                "events-not-a-list": '{"traceEvents": 5}',
+                "event-not-an-object": "[1, 2]",
+            }[damage])
         assert trace_cli_main([command, str(trace_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigurationError: cannot read trace {trace_path}")
+
+    def test_csv_into_a_missing_directory_is_a_usage_error(
+        self, trace_path, tmp_path, capsys
+    ):
+        out_csv = tmp_path / "nope" / "t.csv"
+        assert trace_cli_main(["csv", str(trace_path), "-o", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigurationError: cannot write {out_csv}")
