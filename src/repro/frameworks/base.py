@@ -131,6 +131,11 @@ class Framework(ABC):
             )
         return RunContext(**defaults)
 
+    def partitioning_for(self, app) -> tuple[bool, str]:
+        """What :meth:`run` partitions for ``app``: whether it reads the
+        dataset's symmetric view, and the policy it cuts with."""
+        return app.needs_symmetric, self.policy
+
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -160,12 +165,13 @@ class Framework(ABC):
         """
         app = self.resolve_app(app_name)
         cluster = self.make_cluster(num_gpus, platform)
-        graph = dataset.symmetric() if app.needs_symmetric else dataset.graph
+        symmetric, policy = self.partitioning_for(app)
+        graph = dataset.symmetric() if symmetric else dataset.graph
         if app.needs_weights and not graph.has_weights:
             raise UnsupportedFeatureError(
                 f"{app_name} needs edge weights; dataset {dataset.name!r} has none"
             )
-        pg = make_partition(graph, self.policy, num_gpus)
+        pg = make_partition(graph, policy, num_gpus)
         ctx = self.make_context(dataset, app, **ctx_overrides)
 
         async_run = self.execution == "async" and app.async_capable

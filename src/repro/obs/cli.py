@@ -37,7 +37,11 @@ def summarize_files(paths, out=None) -> list[dict]:
     out = out or sys.stdout
     summaries = []
     for path in paths:
-        summary = summarize_trace(read_trace(path))
+        events = read_trace(path)
+        try:
+            summary = summarize_trace(events)
+        except ConfigurationError as e:
+            raise ConfigurationError(f"cannot read trace {path}: {e}") from e
         summaries.append(summary)
         cell = summary["cell"]
         title = cell.get("key") or str(path)

@@ -105,6 +105,11 @@ def summarize_trace(events: list[dict]) -> dict:
     decomposition of Figures 4/6/8/9), per-partition simulated phase sums
     (from the per-round ``round_sim`` instants), counters, and the cell
     key if the trace covers a sweep cell.
+
+    An event whose fields are not what the exporter writes (a span
+    duration that is not a number, ``args`` that are not an object)
+    raises :class:`~repro.errors.ConfigurationError`: the events given
+    are not a trace.
     """
     wall_by_cat: dict[str, float] = {}
     span_counts: dict[str, int] = {}
@@ -112,30 +117,34 @@ def summarize_trace(events: list[dict]) -> dict:
     run_summary: dict = {}
     cell: dict = {}
     per_partition: dict[str, list[float]] = {}
-    for e in events:
-        ph = e.get("ph")
-        if ph == "X":
-            cat = e.get("cat", "")
-            wall_by_cat[cat] = wall_by_cat.get(cat, 0.0) + float(e.get("dur", 0.0))
-            span_counts[cat] = span_counts.get(cat, 0) + 1
-            if e.get("name") == "cell":
-                cell = dict(e.get("args", {}))
-        elif ph == "C":
-            counters[e.get("name", "")] = e.get("args", {}).get("value", 0)
-        elif ph == "i":
-            args = e.get("args", {})
-            if e.get("name") == "run_summary":
-                run_summary = dict(args)
-            elif e.get("name") == "round_sim":
-                for field in ("compute_s", "wait_s", "device_s"):
-                    vals = args.get(field)
-                    if vals is None:
-                        continue
-                    acc = per_partition.setdefault(field, [0.0] * len(vals))
-                    if len(acc) < len(vals):
-                        acc.extend([0.0] * (len(vals) - len(acc)))
-                    for i, v in enumerate(vals):
-                        acc[i] += float(v)
+    try:
+        for e in events:
+            ph = e.get("ph")
+            if ph == "X":
+                cat = e.get("cat", "")
+                dur = float(e.get("dur", 0.0))
+                wall_by_cat[cat] = wall_by_cat.get(cat, 0.0) + dur
+                span_counts[cat] = span_counts.get(cat, 0) + 1
+                if e.get("name") == "cell":
+                    cell = dict(e.get("args", {}))
+            elif ph == "C":
+                counters[e.get("name", "")] = e.get("args", {}).get("value", 0)
+            elif ph == "i":
+                args = e.get("args", {})
+                if e.get("name") == "run_summary":
+                    run_summary = dict(args)
+                elif e.get("name") == "round_sim":
+                    for field in ("compute_s", "wait_s", "device_s"):
+                        vals = args.get(field)
+                        if vals is None:
+                            continue
+                        acc = per_partition.setdefault(field, [0.0] * len(vals))
+                        if len(acc) < len(vals):
+                            acc.extend([0.0] * (len(vals) - len(acc)))
+                        for i, v in enumerate(vals):
+                            acc[i] += float(v)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"malformed trace event: {e}") from e
     return {
         "cell": cell,
         "run_summary": run_summary,

@@ -10,6 +10,13 @@ study harness previously re-partitioned per cell; this module memoizes
 * parallel sweep workers (and later runs) hit a shared ``cache_dir`` of
   container files written with :mod:`repro.partition.io`.
 
+An entry lives in memory until the LRU evicts it or its owner calls
+:meth:`PartitionCache.release`: a sweep releases each partitioning after
+the last cell that reads it, which drops it from RAM only when its file
+is on disk (a later need is a disk hit, never a rebuild).  A cache
+without a disk tier, or one that spills (its entries are memmap views
+of their files), keeps every entry until eviction.
+
 ``grid`` is not part of the key: every policy derives its grid
 deterministically from ``num_partitions``, so it is implied by the key
 and round-trips through the serialized file.
@@ -68,6 +75,8 @@ class CacheStats:
     pruned: int = 0
     #: disk entries that could not be read (rebuilt and stored over)
     discarded: int = 0
+    #: memory entries dropped by :meth:`PartitionCache.release`
+    released: int = 0
 
     def snapshot(self) -> "CacheStats":
         return replace(self)
@@ -236,6 +245,20 @@ class PartitionCache:
             return
         tracer.end(ev, outcome="stored")
         self._bump("stores")
+
+    def release(self, key: tuple[str, str, int]) -> None:
+        """Drop ``key``'s memory entry when a later need reads it back
+        from disk: the disk tier is configured, entries are not spilled
+        (a spilled entry is a memmap view of its file, with no RAM of its
+        own to give back) and the entry's file exists.  Otherwise, or
+        when ``key`` is not in memory, a no-op."""
+        path = self._disk_path(key)
+        if self.spill_shards or not path or not os.path.exists(path):
+            return
+        with self._lock:
+            if self._lru.pop(key, None) is None:
+                return
+        self._bump("released")
 
     # ------------------------------------------------------------------ #
     def clear_memory(self) -> None:

@@ -45,10 +45,13 @@ def cvc(
         raise ValueError(f"grid {grid} does not tile {num_partitions} partitions")
 
     owner = blocked_owner_from_degrees(graph.out_degrees(), num_partitions)
-    src_owner = owner[graph.edge_sources()]
-    dst_owner = owner[graph.indices]
-    # partition p sits at grid (p // pc, p % pc)
-    edge_owner = ((src_owner // pc) * pc + (dst_owner % pc)).astype(np.int32)
+    # partition p sits at grid (p // pc, p % pc); edge (u, v) goes to the
+    # row of owner(u) and the column of owner(v), computed in place in one
+    # int32 array so the build holds no per-edge owner temporaries
+    edge_owner = np.repeat(owner, graph.out_degrees())  # owner(u), CSR order
+    edge_owner //= pc
+    edge_owner *= pc
+    edge_owner += (owner % pc)[graph.indices]
     return build_partitions(
         graph, owner, edge_owner, num_partitions, policy="cvc", grid=grid
     )

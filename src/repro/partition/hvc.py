@@ -44,13 +44,13 @@ def hvc(graph: CSRGraph, num_partitions: int) -> PartitionedGraph:
     # does) so the low-degree case keeps the input's locality; only the
     # hubs' in-edges are scattered by source hash.
     owner = blocked_owner_from_degrees(in_deg, num_partitions)
-    src = graph.edge_sources()
     dst = graph.indices
-    edge_owner = np.where(
-        high[dst],
-        _hash_owner(src.astype(np.int64), num_partitions),  # spread hub in-edges
-        owner[dst],  # low-degree: in-edges at destination's master
-    ).astype(np.int32)
+    edge_owner = owner[dst]  # low-degree: in-edges at destination's master
+    # spread hub in-edges by source hash; an edge's source is the last row
+    # whose offset is at or before it, so no per-edge source array is built
+    hub_edges = np.flatnonzero(high[dst])
+    src = graph.indptr.searchsorted(hub_edges, side="right") - 1
+    edge_owner[hub_edges] = _hash_owner(src, num_partitions)
     return build_partitions(
         graph, owner, edge_owner, num_partitions, policy="hvc"
     )

@@ -49,6 +49,7 @@ __all__ = [
     "CellSpec",
     "PartitionStatsSpec",
     "CellOutcome",
+    "partitioning_of",
     "run_task",
 ]
 
@@ -188,16 +189,55 @@ class CellOutcome:
         raise err
 
 
+def partitioning_of(spec: CellSpec | PartitionStatsSpec) -> Optional[tuple]:
+    """The partitioning ``spec`` reads, as ``(dataset, symmetric, policy,
+    num_gpus)`` — the dataset by name, or a loaded one by identity — or
+    ``None`` for a cell that fails before it partitions because its
+    framework cannot be built or cannot run its app.  A cell's view and
+    policy come from :meth:`~repro.frameworks.base.Framework.partitioning_for`,
+    the rule ``Framework.run`` partitions by."""
+    if isinstance(spec, PartitionStatsSpec):
+        return spec.dataset, spec.symmetric, spec.policy, spec.num_gpus
+    try:
+        fw = spec.system.build()
+        symmetric, policy = fw.partitioning_for(fw.resolve_app(spec.benchmark))
+    except Exception:  # the cell reports it, as a failure or a bug, when it runs
+        return None
+    dataset = spec.dataset if isinstance(spec.dataset, str) else id(spec.dataset)
+    return dataset, symmetric, policy, spec.num_gpus
+
+
+def _release(spec: CellSpec | PartitionStatsSpec, ds: "Dataset") -> None:
+    """Release the partitioning ``spec`` read from the partition cache's
+    memory tier (:meth:`~repro.partition.cache.PartitionCache.release`
+    decides whether it may go)."""
+    from repro.partition.cache import PartitionCache, get_cache
+
+    read = partitioning_of(spec)
+    if read is None:
+        return
+    _, symmetric, policy, num_gpus = read
+    graph = ds.symmetric() if symmetric else ds.graph
+    get_cache().release(PartitionCache.key_for(graph, policy, num_gpus))
+
+
 def _slug(key: Any) -> str:
     """Filename-safe form of a cell key (keys are often tuples)."""
     text = "-".join(str(p) for p in key) if isinstance(key, tuple) else str(key)
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "cell"
 
 
-def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
+def run_task(
+    spec: CellSpec | PartitionStatsSpec, release: bool = False
+) -> CellOutcome:
     """Execute one spec in this process, catching the simulated-failure
     hierarchy exactly as the serial drivers do.  Non-``ReproError``
     exceptions propagate: those are bugs, not missing data points.
+
+    ``release=True`` marks the last cell of a sweep that reads its
+    partitioning: once the cell has run, the partitioning leaves the
+    partition cache's memory tier (when its file is on disk), counted in
+    the cell's trace as ``partition.cache.released``.
 
     When a trace directory is configured (``repro-study --trace`` /
     :func:`repro.obs.configure`) and the ambient tracer is off, a
@@ -237,6 +277,7 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
         },
     )
     sampler = RssSampler().start()
+    ds = None
     try:
         try:
             ds = load_dataset(spec.dataset) if named else spec.dataset
@@ -272,6 +313,8 @@ def run_task(spec: CellSpec | PartitionStatsSpec) -> CellOutcome:
             # that fired is recorded with its cell key so ``--check`` runs
             # report every breach instead of dying on the first one
             out.fail(e)
+        if release and ds is not None:
+            _release(spec, ds)
     finally:
         if owns_tracer:
             obs.set_tracer(None)

@@ -16,6 +16,11 @@ partitioning comes back from the shared disk tier.  With the (default,
 where available) ``fork`` start method, workers also inherit every
 dataset and partition already warm in the parent.
 
+A partitioning leaves RAM after the last cell of a ``map`` that reads
+it, when the cache has it on disk: the memory tier holds what pending
+cells still read, not every partitioning the sweep built (up to the
+LRU's 64), and a later ``map`` reads a released one back from disk.
+
 The unit of dispatch is one cell: one :func:`~repro.runtime.cells.run_task`
 call, which meters the cell's peak RSS itself (``--progress`` logs it).
 
@@ -42,6 +47,7 @@ from repro.runtime.cells import (
     CellOutcome,
     CellSpec,
     PartitionStatsSpec,
+    partitioning_of,
     run_task,
 )
 
@@ -228,10 +234,18 @@ class SweepExecutor:
         is one to fill; whatever the pool has not accounted for —
         everything when ``jobs == 1``, the unharvested rest after a worker
         died — runs in this process.
+
+        The last spec that reads each partitioning
+        (:func:`~repro.runtime.cells.partitioning_of`) runs with
+        ``release=True``, on either path: a sweep holds a partitioning in
+        RAM only until its last cell, when the cache has it on disk.
         """
         self._install()
         specs = list(specs)
         total = len(specs)
+        last = {partitioning_of(spec): i for i, spec in enumerate(specs)}
+        last.pop(None, None)
+        releases = set(last.values())
         results: list[Optional[CellOutcome]] = [None] * total
         done = 0
 
@@ -243,7 +257,7 @@ class SweepExecutor:
 
         if self.jobs > 1 and total > 1:
             try:
-                self._map_pool(specs, harvest)
+                self._map_pool(specs, releases, harvest)
             except BrokenProcessPool:
                 log.warning(
                     "process pool broke (worker died); re-running %d of %d "
@@ -253,16 +267,18 @@ class SweepExecutor:
                 self._shutdown_pool()
         for i, spec in enumerate(specs):
             if results[i] is None:
-                harvest(i, run_task(spec))
+                harvest(i, run_task(spec, i in releases))
         return results  # type: ignore[return-value]
 
-    def _map_pool(self, specs, harvest) -> None:
-        """The one pool dispatch loop: submit every cell, ``harvest`` each
-        as it completes, so finished outcomes survive a mid-sweep
+    def _map_pool(self, specs, releases, harvest) -> None:
+        """The one pool dispatch loop: submit every cell (those indexed in
+        ``releases`` with ``release=True``), ``harvest`` each as it
+        completes, so finished outcomes survive a mid-sweep
         :class:`BrokenProcessPool` for the caller to keep."""
         pool = self._get_pool()
         index_of = {
-            pool.submit(run_task, spec): i for i, spec in enumerate(specs)
+            pool.submit(run_task, spec, i in releases): i
+            for i, spec in enumerate(specs)
         }
         pending = set(index_of)
         broken: Optional[BrokenProcessPool] = None

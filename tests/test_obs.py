@@ -351,9 +351,18 @@ class TestTraceCLI:
         assert any(line.startswith("X,compute") for line in lines)
         assert any(line.startswith("C,comm.reduce.rank.messages") for line in lines)
 
-    @pytest.mark.parametrize("command", ["summarize", "csv"])
-    @pytest.mark.parametrize("damage", [
-        "missing", "truncated", "null", "events-not-a-list", "event-not-an-object",
+    @pytest.mark.parametrize("damage,command", [
+        *(
+            (damage, command)
+            for damage in (
+                "missing", "truncated", "null", "events-not-a-list",
+                "event-not-an-object",
+            )
+            for command in ("summarize", "csv")
+        ),
+        # csv copies an event's fields as they are; summarize reads them
+        ("span-duration-not-a-number", "summarize"),
+        ("summary-args-not-an-object", "summarize"),
     ])
     def test_cli_reports_a_bad_trace_file(self, trace_path, command, damage, capsys):
         if damage == "missing":
@@ -365,6 +374,10 @@ class TestTraceCLI:
                 "null": "null",
                 "events-not-a-list": '{"traceEvents": 5}',
                 "event-not-an-object": "[1, 2]",
+                "span-duration-not-a-number":
+                    '[{"ph": "X", "cat": "c", "name": "n", "dur": "x"}]',
+                "summary-args-not-an-object":
+                    '[{"ph": "i", "name": "run_summary", "args": 5}]',
             }[damage])
         assert trace_cli_main([command, str(trace_path)]) == 2
         err = capsys.readouterr().err

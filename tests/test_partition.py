@@ -428,3 +428,24 @@ class TestFootprint:
             tracemalloc.stop()
         assert pg.local_edge_counts().sum() == m
         assert peak <= 4 * m + 128 * n + SCAN_BLOCK
+
+    @pytest.mark.parametrize("policy", [cvc, hvc])
+    def test_a_vertex_cut_holds_no_per_edge_owner_temporaries(self, policy):
+        """The traced peak of a CVC / HVC policy plus its build.  The
+        owners are one int32 array computed in place (HVC hashes only the
+        hub in-edges, their sources found on ``indptr``), so the peak is
+        the permuted build's (~20 B an edge) plus those 4 B.  Whole-graph
+        ``edge_sources()`` and source / destination owner arrays held
+        through the build peaked 8 B an edge higher."""
+        n, m = 1 << 10, 1 << 17
+        weighted = self._weighted(n, m)
+        weighted.in_degrees()  # the graph's own memo, as out_degrees
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pg = policy(weighted, 4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert pg.local_edge_counts().sum() == m
+        assert peak <= 24 * m + 128 * n

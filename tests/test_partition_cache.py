@@ -122,6 +122,26 @@ class TestDiskStore:
         check_partition(loaded, CheckLevel.CHEAP)
         assert_same_partitioning(built, loaded)
 
+    def test_a_released_entry_comes_back_from_disk(self, g, tmp_path):
+        cache = PartitionCache(cache_dir=str(tmp_path / "pcache"))
+        builder, calls = _counting_builder("oec")
+        built = cache.lookup_or_build(g, "oec", 4, builder)
+        key = PartitionCache.key_for(g, "oec", 4)
+        cache.release(key)
+        cache.release(key)  # not in memory any more: a no-op
+        assert len(cache) == 0 and cache.stats.released == 1
+        assert_same_partitioning(built, cache.lookup_or_build(g, "oec", 4, builder))
+        assert calls == [("oec", 4)] and cache.stats.disk_hits == 1
+
+    def test_an_entry_without_its_file_is_not_released(self, g, tmp_path):
+        cache = PartitionCache(cache_dir=str(tmp_path / "pcache"))
+        builder, _ = _counting_builder("oec")
+        cache.lookup_or_build(g, "oec", 4, builder)
+        key = PartitionCache.key_for(g, "oec", 4)
+        os.remove(cache._disk_path(key))
+        cache.release(key)  # a later need would rebuild: keep it
+        assert len(cache) == 1 and cache.stats.released == 0
+
     def test_corrupt_file_rebuilds(self, g, tmp_path):
         store = str(tmp_path / "pcache")
         cache = PartitionCache(cache_dir=store)

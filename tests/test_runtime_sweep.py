@@ -116,7 +116,7 @@ class TestRunTask:
 _RUN_LOG_ENV = "REPRO_TEST_RUN_LOG"
 
 
-def _logging_run_task(spec):
+def _logging_run_task(spec, release=False):
     """Module-level (hence picklable-by-reference) ``run_task`` wrapper:
     logs each invocation, then dies hard for "kamikaze" cells — but only
     inside a pool worker, so the serial fallback completes them."""
@@ -133,7 +133,7 @@ def _logging_run_task(spec):
         # handlers, just a dead worker and a BrokenProcessPool
         time.sleep(1.0)
         os._exit(1)
-    return run_task(spec)
+    return run_task(spec, release)
 
 
 def _assert_metered(out: CellOutcome) -> None:
@@ -278,8 +278,9 @@ class TestAmbientState:
     def test_an_executor_that_changed_nothing_restores_nothing(
         self, tmp_path, restore_global_cache
     ):
-        """Consecutive executors over the configured cache keep its
-        in-memory LRU: the object is never swapped."""
+        """Consecutive executors over the configured cache keep it: the
+        object is never swapped.  Each ``map`` releases the partitioning
+        after its last cell, so the second reads it back from disk."""
         from repro.partition.cache import get_cache
 
         cache_dir = str(tmp_path / "pcache")
@@ -289,7 +290,7 @@ class TestAmbientState:
                 assert get_cache() is mine
                 ex.map([_cell("a")])
             assert get_cache() is mine
-        assert mine.stats.builds == 1 and mine.stats.memory_hits == 1
+        assert mine.stats.builds == 1 and mine.stats.disk_hits == 1
 
     def test_map_after_close_installs_the_state_again(self, tmp_path):
         from repro.partition.cache import get_cache
@@ -511,6 +512,98 @@ class TestFaultRecovery:
             ex.map(specs)
         # no orphan workers grinding through the rest of the matrix
         assert ex._pool is None
+
+
+class TestRelease:
+    """A sweep releases each partitioning from the cache's memory tier
+    after the last cell that reads it, when the disk tier holds it."""
+
+    DATASET = "fuzz:rmat:3"
+
+    def _specs(self):
+        specs = []
+        for policy in ("oec", "cvc"):
+            specs.append(PartitionStatsSpec(
+                key=("pstats", policy), dataset=self.DATASET, policy=policy,
+                num_gpus=2,
+            ))
+            specs.append(CellSpec(
+                key=("bfs", policy), system=SystemSpec.dirgl(policy=policy),
+                benchmark="bfs", dataset=self.DATASET, num_gpus=2,
+                check_memory=False,
+            ))
+        return specs
+
+    @staticmethod
+    def _facts(outs):
+        return [
+            (o.key, o.failure_kind, o.labels_crc, o.pstats,
+             o.stats.summary() if o.stats else None)
+            for o in outs
+        ]
+
+    def test_a_serial_map_releases_each_partitioning_after_its_last_cell(
+        self, tmp_path, restore_global_cache
+    ):
+        from repro.partition.cache import get_cache
+
+        cache_dir = str(tmp_path / "pcache")
+        configure(cache_dir=cache_dir)
+        with SweepExecutor(cache_dir=cache_dir) as ex:
+            first = ex.map(self._specs())
+            stats = get_cache().stats.snapshot()
+            assert len(get_cache()) == 0  # neither partitioning is held
+            assert (stats.builds, stats.released) == (2, 2)
+            assert stats.memory_hits == 2  # each bfs read its pstats' build
+            again = ex.map(self._specs())
+        stats = get_cache().stats
+        assert stats.builds == 2 and stats.disk_hits == 2
+        assert stats.released == 4
+        assert all(o.ok for o in first)
+        assert self._facts(again) == self._facts(first)
+
+    @pytest.mark.parametrize("cache", ["memory-only", "spill"])
+    def test_nothing_is_released_without_a_ram_tier_to_give_back(
+        self, tmp_path, restore_global_cache, cache
+    ):
+        from repro.partition.cache import get_cache
+
+        spill = cache == "spill"
+        cache_dir = str(tmp_path / "pcache") if spill else None
+        configure(cache_dir=cache_dir, spill_shards=spill)
+        with SweepExecutor(cache_dir=cache_dir, spill_shards=spill) as ex:
+            outs = ex.map(self._specs())
+        assert all(o.ok for o in outs)
+        assert get_cache().stats.released == 0
+        assert len(get_cache()) == 2
+
+    def test_the_pool_path_returns_the_serial_outcomes(
+        self, tmp_path, restore_global_cache
+    ):
+        cache_dir = str(tmp_path / "pcache")
+        with SweepExecutor(jobs=1, cache_dir=cache_dir) as ex:
+            serial = ex.map(self._specs())
+        with SweepExecutor(jobs=2, cache_dir=str(tmp_path / "other")) as ex:
+            pooled = ex.map(self._specs())
+        assert self._facts(pooled) == self._facts(serial)
+
+    def test_run_task_releases_only_when_asked(
+        self, tmp_path, restore_global_cache
+    ):
+        from repro.obs import Tracer, use_tracer
+        from repro.partition.cache import get_cache
+
+        configure(cache_dir=str(tmp_path / "pcache"))
+        for spec in self._specs():
+            assert run_task(spec).ok
+        assert get_cache().stats.released == 0
+        assert len(get_cache()) == 2
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert run_task(self._specs()[-1], release=True).ok
+        assert get_cache().stats.released == 1
+        assert tracer.counters.get("partition.cache.released") == 1
+        assert len(get_cache()) == 1
 
 
 class TestCellMeter:
