@@ -12,11 +12,11 @@ stand-in, validating the first two against sequential references.
 import numpy as np
 
 from repro.apps import count_triangles, ktruss, run_bc
-from repro.apps.tc import reference_triangle_count
 from repro.engine import RunContext
 from repro.generators import load_dataset
 from repro.hw import bridges
 from repro.partition import partition
+from repro.validation import reference_triangle_count
 from repro.validation.reference import reference_bc_single_source
 
 

@@ -7,7 +7,7 @@ from repro.apps.cc import CC, CCPointerJump
 from repro.apps.pagerank import PageRankPull, PageRankPush
 from repro.apps.kcore import KCore
 from repro.apps.bc import BrandesBackward, BrandesForward, run_bc
-from repro.apps.tc import count_triangles, reference_triangle_count
+from repro.apps.tc import count_triangles
 from repro.apps.ktruss import KTrussResult, ktruss
 from repro.apps.mis import MIS, verify_mis
 from repro.apps.registry import APPS, get_app
@@ -25,7 +25,6 @@ __all__ = [
     "BrandesBackward",
     "run_bc",
     "count_triangles",
-    "reference_triangle_count",
     "ktruss",
     "KTrussResult",
     "MIS",

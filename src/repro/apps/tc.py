@@ -18,14 +18,14 @@ partition-level algorithm:
    needs (the out-neighborhoods of its non-master endpoints), plus the
    final count allreduce.
 
-The result is exact (validated against a sequential reference); timing
-follows the same cost model as the engines.
+The result is exact (validated against the sequential
+:func:`repro.validation.reference_triangle_count`); timing follows the
+same cost model as the engines.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.constants import GID_BYTES
 from repro.engine.costmodel import CostModel
@@ -39,7 +39,6 @@ from repro.partition.base import PartitionedGraph
 __all__ = [
     "count_triangles",
     "oriented_edges",
-    "reference_triangle_count",
     "triangle_blocks",
 ]
 
@@ -95,27 +94,6 @@ def triangle_blocks(n: int, src: np.ndarray, dst: np.ndarray):
         a_side = scan_a[ab]
         yield np.stack([ab, np.where(a_side, scanned, closing),
                         np.where(a_side, closing, scanned)], axis=1)
-
-
-def _oriented(graph) -> csr_matrix:
-    """Upper-triangular (u < v) boolean adjacency of a symmetric graph."""
-    src = graph.edge_sources().astype(np.int64)
-    dst = graph.indices.astype(np.int64)
-    keep = src < dst
-    n = graph.num_vertices
-    mat = csr_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int64), (src[keep], dst[keep])),
-        shape=(n, n),
-    )
-    mat.sum_duplicates()
-    mat.data[:] = 1
-    return mat
-
-
-def reference_triangle_count(graph) -> int:
-    """Exact triangle count of a symmetric graph (trace of A_oriented^2 ∘ A)."""
-    a = _oriented(graph)
-    return int((a @ a).multiply(a).sum())
 
 
 def count_triangles(

@@ -11,6 +11,7 @@ memory at paper scale fail exactly the way the real runs did.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 
 
@@ -150,6 +151,26 @@ def _named_kinds(cls=ReproError):
 #: failure kind -> the class that names it: what a recorded failure is
 #: rebuilt as when only its kind and message survived
 KIND_CLASSES = dict(_named_kinds())
+
+
+def check_writable(path: str) -> None:
+    """A :class:`ConfigurationError` naming ``path`` unless a file can be
+    written there; called before the work whose result it will hold."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigurationError(f"cannot write {path}: no directory {parent}")
+
+
+def make_dirs(path: str) -> str:
+    """Create directory ``path`` (and its parents) if missing; a path
+    that cannot be one is a :class:`ConfigurationError` naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"cannot write {path}: {e}") from e
+    return path
 
 
 def cli_main(main):

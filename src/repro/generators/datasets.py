@@ -17,6 +17,7 @@ Category drives experiment selection exactly as in the paper:
 from __future__ import annotations
 
 import functools
+import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -228,6 +229,8 @@ def _load_store_dataset(name: str, mode: str, path: str) -> Dataset:
     real size rather than as scaled stand-ins (docs/scale.md)."""
     from repro.graph.store import open_csr
 
+    if not os.path.isfile(path):
+        raise UnknownDatasetError(f"no store container at {path!r} ({name!r})")
     return Dataset(name, "store", open_csr(path, mode=mode), scale_factor=1.0)
 
 

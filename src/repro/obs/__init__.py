@@ -25,10 +25,10 @@ calls only :func:`current_tracer` and the null tracer's methods: the
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Optional
 
+from repro.errors import make_dirs
 from repro.obs.counters import CounterRegistry
 from repro.obs.export import (
     read_trace,
@@ -99,9 +99,7 @@ def configure(trace_dir: Optional[str] = None) -> None:
     if trace_dir is None:
         _trace_dir = None
         return
-    trace_dir = str(trace_dir)
-    os.makedirs(trace_dir, exist_ok=True)
-    _trace_dir = trace_dir
+    _trace_dir = make_dirs(str(trace_dir))
 
 
 def active_trace_dir() -> Optional[str]:

@@ -31,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from repro import obs
-from repro.errors import GraphFormatError, PartitioningError
+from repro.errors import GraphFormatError, PartitioningError, make_dirs
 from repro.graph.csr import CSRGraph
 from repro.partition.base import PartitionedGraph
 from repro.partition.io import (
@@ -102,7 +102,7 @@ class PartitionCache:
         self._lru: OrderedDict[tuple, PartitionedGraph] = OrderedDict()
         self._lock = threading.Lock()
         if self.cache_dir:
-            os.makedirs(self.cache_dir, exist_ok=True)
+            make_dirs(self.cache_dir)
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -72,24 +72,30 @@ def _worker_init(
 ) -> list:
     """Install the sweep's process-wide state; returns one ``(setter,
     previous)`` pair per piece it replaced — the objects it found, for
-    :meth:`SweepExecutor.close` to put back (a pool worker never does)."""
+    :meth:`SweepExecutor.close` to put back (a pool worker never does).
+    One that raises (a directory that names a file) has put them back."""
     from repro import obs
     from repro.check import set_check_level
     from repro.partition import cache as partition_cache
 
     replaced = []
-    cache = partition_cache.get_cache()
-    if cache_dir is not None and (
-        cache.cache_dir != cache_dir or cache.spill_shards != spill_shards
-    ):
-        partition_cache.configure(cache_dir=cache_dir, spill_shards=spill_shards)
-        replaced.append((partition_cache.set_cache, cache))
-    found_dir = obs.active_trace_dir()
-    if trace_dir is not None and found_dir != trace_dir:
-        obs.configure(trace_dir=trace_dir)
-        replaced.append((obs.configure, found_dir))
-    if check is not None:
-        replaced.append((set_check_level, set_check_level(check)))
+    try:
+        cache = partition_cache.get_cache()
+        if cache_dir is not None and (
+            cache.cache_dir != cache_dir or cache.spill_shards != spill_shards
+        ):
+            partition_cache.configure(cache_dir=cache_dir, spill_shards=spill_shards)
+            replaced.append((partition_cache.set_cache, cache))
+        found_dir = obs.active_trace_dir()
+        if trace_dir is not None and found_dir != trace_dir:
+            obs.configure(trace_dir=trace_dir)
+            replaced.append((obs.configure, found_dir))
+        if check is not None:
+            replaced.append((set_check_level, set_check_level(check)))
+    except BaseException:
+        for restore, found in reversed(replaced):
+            restore(found)
+        raise
     return replaced
 
 

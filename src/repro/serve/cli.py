@@ -26,7 +26,7 @@ import sys
 import tempfile
 import time
 
-from repro.errors import ConfigurationError, cli_main
+from repro.errors import ConfigurationError, check_writable, cli_main, make_dirs
 
 __all__ = ["main", "run_trace"]
 
@@ -135,6 +135,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="write a Chrome trace of serve phases here")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    # every output path is checked before the trace is served
+    if args.report != "-":
+        check_writable(args.report)
+    if args.trace_out:
+        check_writable(args.trace_out)
+    if args.trace_dir:
+        make_dirs(args.trace_dir)
 
     from repro import obs
     from repro.serve.service import ServeConfig
@@ -173,7 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     wall = time.perf_counter() - t0
     if tracer.enabled:
-        os.makedirs(args.trace_dir, exist_ok=True)
         path = obs.write_chrome(
             tracer, os.path.join(args.trace_dir, "serve.trace.json"),
             process_name="repro-serve",

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.errors import cli_main
+from repro.errors import check_writable, cli_main
 from repro.gnnflow import GNN_SEED, GNN_SHAPES, evaluate_gnn, gnn_study
 from repro.runtime.sweep import SweepExecutor
 from repro.study import figures, tables
@@ -126,15 +126,18 @@ def _advisor(args, ex):
     return report, tables.advisor_table(report)[1]
 
 
+def _shape_list(text: str) -> tuple:
+    """``--gnn-shapes``: at least one comma-separated shape name."""
+    shapes = tuple(s for s in text.split(",") if s)
+    if not shapes:
+        raise argparse.ArgumentTypeError(f"no shape in {text!r}; e.g. rmat,powerlaw")
+    return shapes
+
+
 def _gnn(args, ex):
     """GNN feature placement: shapes x partition policies x treatments."""
-    shapes = (
-        tuple(s for s in args.gnn_shapes.split(",") if s)
-        if args.gnn_shapes
-        else GNN_SHAPES
-    )
     seed = GNN_SEED if args.seed is None else args.seed
-    report = gnn_study(shapes=shapes, seed=seed, executor=ex)
+    report = gnn_study(shapes=args.gnn_shapes, seed=seed, executor=ex)
     rows = [
         [r.shape, r.policy, r.placement, f"{r.h2d_bytes:.0f}",
          r.cache_hits, r.cache_misses, f"{r.hit_rate * 100:.0f}%",
@@ -229,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         help="suite seed for advisor / gnn (default: the committed gate seed)",
     )
     parser.add_argument(
-        "--gnn-shapes", default=None, metavar="S1,S2",
+        "--gnn-shapes", type=_shape_list, default=GNN_SHAPES, metavar="S1,S2",
         help="comma-separated fuzz shapes for gnn (default: the full "
         "suite; CI smoke runs a 2-shape subset)",
     )
@@ -277,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
         names = [args.experiment]
     if args.out and not _EXPERIMENTS[names[0]].evaluate:
         parser.error(f"--out needs a study that writes a report: {gated}")
+    if args.out:
+        check_writable(args.out)
 
     if args.progress:
         logging.basicConfig(

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from repro.errors import ConfigurationError, cli_main
+from repro.errors import ConfigurationError, check_writable, cli_main
 from repro.study.report import format_table
 
 __all__ = ["main"]
@@ -85,6 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:  # --validate none builds no executor to refuse it
         raise ConfigurationError(f"jobs must be >= 1, got {args.jobs}")
+    if args.report:
+        check_writable(args.report)
 
     from repro.runtime.sweep import SweepExecutor
     from repro.tune.dse import DseConfig, prune_summary, run_dse

@@ -7,6 +7,7 @@ from repro.validation.reference import (
     reference_kcore_mask,
     reference_pagerank,
     reference_sssp,
+    reference_triangle_count,
 )
 
 __all__ = [
@@ -15,5 +16,6 @@ __all__ = [
     "reference_kcore_mask",
     "reference_pagerank",
     "reference_sssp",
+    "reference_triangle_count",
     "pagerank_close",
 ]

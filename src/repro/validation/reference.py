@@ -21,6 +21,7 @@ __all__ = [
     "reference_cc",
     "reference_pagerank",
     "reference_kcore_mask",
+    "reference_triangle_count",
     "pagerank_close",
 ]
 
@@ -154,3 +155,24 @@ def reference_kcore_mask(graph: CSRGraph, k: int) -> np.ndarray:
         np.subtract.at(deg, graph.indices[dying[src]], 1)
         dying = alive & (deg < k)
     return alive
+
+
+def _oriented(graph: CSRGraph) -> csr_matrix:
+    """Upper-triangular (u < v) boolean adjacency of a symmetric graph."""
+    src = graph.edge_sources().astype(np.int64)
+    dst = graph.indices.astype(np.int64)
+    keep = src < dst
+    n = graph.num_vertices
+    mat = csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int64), (src[keep], dst[keep])),
+        shape=(n, n),
+    )
+    mat.sum_duplicates()
+    mat.data[:] = 1
+    return mat
+
+
+def reference_triangle_count(graph: CSRGraph) -> int:
+    """Exact triangle count of a symmetric graph (trace of A_oriented^2 ∘ A)."""
+    a = _oriented(graph)
+    return int((a @ a).multiply(a).sum())

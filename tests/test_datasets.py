@@ -199,6 +199,18 @@ def test_a_store_name_loads_the_file_now_at_its_path(tmp_path, mode):
     assert again.content_hash() == b.content_hash()
 
 
+@pytest.mark.parametrize("mode", ["ram", "mmap"])
+@pytest.mark.parametrize("where", ["missing", "a directory"])
+def test_a_store_name_without_a_container_is_an_unknown_dataset(
+    tmp_path, mode, where
+):
+    from repro.errors import UnknownDatasetError
+
+    path = tmp_path / "missing.csr" if where == "missing" else tmp_path
+    with pytest.raises(UnknownDatasetError, match=f"no store container at '{path}'"):
+        load_dataset(f"store+{mode}:{path}")
+
+
 class TestFuzzNameValidation:
     """``fuzz:<shape>:<seed>`` parsing: every malformed name must raise
     the registry's KeyError with the malformed/unknown message — no bare

@@ -6,13 +6,13 @@ import pytest
 
 from repro.apps import count_triangles, get_app, run_bc
 from repro.apps.bc import BrandesBackward, BrandesForward
-from repro.apps.tc import reference_triangle_count
 from repro.engine import BASPEngine, BSPEngine, RunContext
 from repro.errors import ConfigurationError
 from repro.generators import rmat
 from repro.graph.transform import add_random_weights, make_undirected
 from repro.hw import bridges, dgx2, tuxedo
 from repro.partition import POLICIES, partition
+from repro.validation import reference_triangle_count
 from repro.validation.reference import reference_bc_single_source
 from tests.nx_interop import to_networkx
 

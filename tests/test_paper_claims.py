@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.apps import count_triangles, get_app, ktruss, run_bc
-from repro.apps.tc import reference_triangle_count
 from repro.comm import CommConfig
 from repro.constants import GIB
 from repro.engine import BASPEngine, BSPEngine, RunContext
@@ -33,6 +32,7 @@ from repro.partition import partition, partition_stats
 from repro.partition.cache import PartitionCache, get_cache, set_cache
 from repro.runtime.cells import CellSpec, PartitionStatsSpec, SystemSpec, run_task
 from repro.study.cli import _EXPERIMENTS
+from repro.validation import reference_triangle_count
 from repro.validation.reference import reference_bc_single_source
 from tests import golden
 

@@ -275,6 +275,18 @@ class TestAmbientState:
         now = (get_cache(), obs.active_trace_dir(), current_check_level())
         assert now[0] is found[0] and now[1:] == found[1:]
 
+    def test_a_trace_dir_that_names_a_file_installs_nothing(self, tmp_path):
+        from repro import obs
+        from repro.errors import ConfigurationError
+        from repro.partition.cache import get_cache
+
+        found = get_cache()
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        with pytest.raises(ConfigurationError, match="cannot write"):
+            SweepExecutor(cache_dir=str(tmp_path / "pcache"), trace_dir=str(afile))
+        assert get_cache() is found and obs.active_trace_dir() is None
+
     def test_an_executor_that_changed_nothing_restores_nothing(
         self, tmp_path, restore_global_cache
     ):

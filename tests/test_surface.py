@@ -15,7 +15,9 @@ and only a check oracle (a name defined under ``repro.check``) may be on
 it.  **Dependencies**: the third-party top-level modules ``src/repro``
 imports, function-level imports included, are exactly pyproject's
 ``[project] dependencies``, and every entry point imports with a
-test-only library (networkx) absent.
+test-only library (networkx) absent.  The run path — every app, the
+partition-level extensions, a served trace — runs with scipy absent:
+only :mod:`repro.validation`'s sequential oracles use it.
 **Layering**: on the same import walk, no module of a layer the vertex
 programs are built on (:data:`BELOW_APPS`) imports ``repro.apps`` — a
 kernel two layers need lives in the lower one.  **One tracer route**
@@ -167,9 +169,11 @@ def test_the_dependency_rule_sees_a_function_level_import(tmp_path):
     assert _third_party({"repro.graph.builder": planted}) == {"numpy", "networkx"}
 
 
-def test_the_entry_points_import_without_networkx():
+def _run_without(module: str, code: str) -> None:
+    """Run ``code`` in a fresh interpreter where importing ``module``
+    fails, after importing every entry point."""
     imports = "".join(f"import {m}\n" for m in [*entry_points(), "repro.graph"])
-    code = f"import sys\nsys.modules['networkx'] = None\n{imports}"
+    code = f"import sys\nsys.modules[{module!r}] = None\n{imports}{code}"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
@@ -178,6 +182,49 @@ def test_the_entry_points_import_without_networkx():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_the_entry_points_import_without_networkx():
+    _run_without("networkx", "")
+
+
+#: the run path with scipy absent: every app through ``run_task``, the
+#: partition-level extensions, and a served trace
+_RUN_WITHOUT_SCIPY = """
+import os
+from repro.apps import APPS, count_triangles, ktruss, run_bc
+from repro.engine import RunContext
+from repro.generators import load_dataset
+from repro.hw import bridges
+from repro.partition import partition
+from repro.runtime.cells import CellSpec, SystemSpec, run_task
+from repro.serve.cli import main as serve
+
+for app in APPS:
+    for policy in ("oec", "cvc"):
+        out = run_task(CellSpec(
+            key=(app, policy), system=SystemSpec.dirgl(policy=policy),
+            benchmark=app, dataset="tiny-s", num_gpus=2,
+        ))
+        assert out.ok, (app, policy, out.failure)
+ds = load_dataset("tiny-s")
+sym = partition(ds.symmetric(), "cvc", 2)
+count_triangles(sym, bridges(2))
+ktruss(sym, bridges(2), 3)
+g = ds.graph
+run_bc(partition(g, "cvc", 2), bridges(2), RunContext(
+    num_global_vertices=g.num_vertices, source=ds.source_vertex,
+    global_out_degrees=g.out_degrees(),
+))
+argv = ["--seed", "5", "--requests", "20", "--report", os.devnull, "--quiet"]
+assert serve(argv) == 0
+"""
+
+
+def test_the_run_path_needs_no_scipy():
+    """scipy backs only :mod:`repro.validation`'s sequential oracles: no
+    entry point, app, extension or served request imports it."""
+    _run_without("scipy", _RUN_WITHOUT_SCIPY)
 
 
 def _apps_importers(modules: dict[str, Path]) -> dict[str, list[str]]:

@@ -213,6 +213,62 @@ class TestTypedErrorsAtTheCliBoundary:
             capsys.readouterr().err
         )
 
+    def test_a_missing_store_is_a_usage_error(self, capsys, tmp_path):
+        from repro.tune.cli import main as tune_main
+
+        path = tmp_path / "missing.csr"
+        assert tune_main(["--dataset", f"store+mmap:{path}", "--app", "bfs"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: UnknownDatasetError: no store container at '{path}'"
+        )
+
+    @pytest.mark.parametrize("shapes", [",", ""])
+    def test_an_empty_gnn_shape_list_is_a_usage_error(self, capsys, shapes):
+        from repro.study.cli import main as study_main
+
+        with pytest.raises(SystemExit) as exc:
+            study_main(["gnn", "--gnn-shapes", shapes])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --gnn-shapes: no shape in {shapes!r}" in captured.err
+        assert captured.out == ""
+
+    #: ``{missing}`` is a path under a directory that does not exist,
+    #: ``{dir}`` a directory and ``{file}`` a regular file
+    SERVE = ["repro.serve.cli", "--seed", "5", "--requests", "20"]
+    TUNE = ["repro.tune.cli", "--dataset", "tiny-s", "--app", "bfs",
+            "--validate", "none"]
+
+    @pytest.mark.parametrize("argv", [
+        [*SERVE, "--report", "{missing}"],
+        [*SERVE, "--report", "{dir}"],
+        [*SERVE, "--trace-out", "{missing}"],
+        ["repro.study.cli", "advisor", "--quick", "--out", "{missing}"],
+        [*TUNE, "--report", "{missing}"],
+        [*TUNE, "--report", "{dir}"],
+        # an output directory that names a file
+        ["repro.study.cli", "table1", "--quick", "--cache-dir", "{file}"],
+        ["repro.study.cli", "table1", "--quick", "--trace", "{file}"],
+        [*SERVE, "--trace-dir", "{file}"],
+        [*SERVE, "--spool", "{file}"],
+    ], ids=lambda argv: " ".join([argv[0].split(".")[1], *argv[-2:]]))
+    def test_an_output_path_it_cannot_write_is_refused_before_the_run(
+        self, capsys, tmp_path, argv
+    ):
+        import importlib
+
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        paths = dict(missing=tmp_path / "nodir" / "out.json", dir=tmp_path, file=afile)
+        module, *flags = [a.format(**paths) for a in argv]
+        assert importlib.import_module(module).main(flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: ConfigurationError: cannot write {flags[-1]}"
+        )
+        # one line, and nothing ran: no table, no serve summary
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_tune_gpus_must_be_integers(self, capsys):
         from repro.tune.cli import main as tune_main
 
